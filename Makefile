@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-phmm bench-stream bench-call bench-index fuzz chaos chaos-resume metrics check
+.PHONY: build test race vet bench bench-check bench-phmm bench-stream bench-call bench-index fuzz chaos chaos-resume metrics check
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,10 @@ bench:
 bench-phmm:
 	$(GO) run ./cmd/snpbench -exp phmm -length 120000 -coverage 4
 
-# Streaming pipeline vs materialized slice on the same FASTQ (writes
-# BENCH_stream.json: reads/sec, peak heap, peak resident reads).
+# The mapping pipeline plain and with each combination of its barrier
+# subscribers (durable checkpoints, incremental calling) on the same
+# FASTQ (writes BENCH_stream.json: reads/sec, peak heap, peak resident
+# reads, checkpoint stall, time to first call).
 bench-stream:
 	$(GO) run ./cmd/snpbench -exp stream -length 120000 -coverage 6
 
@@ -68,7 +70,8 @@ chaos:
 # Kill-and-recover gate: the real gnumap-snp binary (race-built),
 # SIGKILLed at randomized points after checkpoint commits and relaunched
 # with -resume until the VCF matches an uninterrupted run byte-for-byte,
-# in single-process and np=4 read-split cluster modes; plus the SIGTERM
+# in single-process (plain and with -incremental-every on the same
+# barrier) and np=4 read-split cluster modes; plus the SIGTERM
 # graceful-stop path (drain, final checkpoint, exit code 3, resume).
 chaos-resume:
 	$(GO) test -count=1 -timeout 20m -run 'ChaosKillResume|GracefulStopResume' ./cmd/
@@ -78,4 +81,11 @@ chaos-resume:
 metrics:
 	$(GO) run ./cmd/snpbench -exp metrics -length 60000 -coverage 4 -metrics-out metrics.json
 
-check: build vet test race
+# The repo's benchmark (bench/, see BENCHMARK.json) is its own module
+# pinned to this tree's API by a replace directive, so `go build ./...`
+# here never compiles it: vet it and run its short tests against the
+# tree, or an API move can pass CI and break the benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+check: build vet test race bench-check

@@ -47,9 +47,9 @@ var (
 	ErrCheckpointMismatch = ckpt.ErrMismatch
 )
 
-// CheckpointConfig configures durable checkpointing of a streamed
-// mapping run (Pipeline.MapReadsFromCheckpointed, or RunClusterStream
-// in ReadSplit mode via Options.Checkpoint).
+// CheckpointConfig configures durable checkpointing of a mapping run
+// (Options.Checkpoint: honored by Pipeline.MapReadsFrom and by
+// RunClusterStream in ReadSplit mode).
 type CheckpointConfig struct {
 	// Path is the checkpoint file. Every write atomically replaces it
 	// (temp file + fsync + rename), so a crash at any instant leaves
@@ -61,11 +61,11 @@ type CheckpointConfig struct {
 	// Every triggers a checkpoint when this much wall time has passed
 	// since the last one (0 = no time trigger).
 	Every time.Duration
-	// Resume (cluster path only): load Path before mapping, skip the
-	// watermark prefix of the source, and continue from the saved
-	// state. A missing file is a fresh start, not an error, so a
+	// Resume: load Path before mapping (NewPipeline does it for a
+	// Pipeline; ReadsConsumed then reports the watermark), skip the
+	// watermark prefix of the first source mapped, and continue from the
+	// saved state. A missing file is a fresh start, not an error, so a
 	// supervisor can pass the same flags on every (re)invocation.
-	// Single-process callers use Pipeline.ResumeCheckpoint instead.
 	Resume bool
 	// StopRequested, when non-nil, is polled between batches; returning
 	// true drains the pipeline, writes a final checkpoint, and makes
@@ -114,11 +114,12 @@ func fingerprintFor(ref *genome.Reference, opts Options) ckpt.Fingerprint {
 // sink first waits out the previous commit (surfacing its error, which
 // aborts the run), so commits land in order and a crash at any instant
 // still leaves either the previous or the new complete checkpoint on
-// disk. Flush must run after the mapping call returns; until it does,
+// disk. finish must run after the mapping call returns; until it does,
 // the newest checkpoint may not be durable yet.
 type ckptCommitter struct {
 	path string
-	fp   ckpt.Fingerprint
+	// base is what the run started from: the fingerprint every commit
+	// carries and the resumed counters every commit adds to.
 	base ckpt.Checkpoint
 	reg  *MetricsRegistry
 
@@ -127,22 +128,23 @@ type ckptCommitter struct {
 	pending chan error
 }
 
-func newCkptCommitter(path string, fp ckpt.Fingerprint, base ckpt.Checkpoint, reg *MetricsRegistry) *ckptCommitter {
-	c := &ckptCommitter{path: path, fp: fp, base: base, reg: reg, pending: make(chan error, 1)}
+func newCkptCommitter(path string, base ckpt.Checkpoint, reg *MetricsRegistry) *ckptCommitter {
+	c := &ckptCommitter{path: path, base: base, reg: reg, pending: make(chan error, 1)}
 	c.pending <- nil
 	return c
 }
 
-// sink is the core.CheckpointPolicy Sink. The state slice is a private
-// snapshot (genome.SnapshotState allocates), so retaining it past the
-// quiesce window is safe.
+// sink receives one barrier's snapshot (core.StreamCkpt.Sink, and the
+// body of subscriber). The state slice is a private snapshot
+// (genome.SnapshotState allocates), so retaining it past the quiesce
+// window is safe.
 func (c *ckptCommitter) sink(consumed int64, st core.Stats, state []byte) error {
 	if err := <-c.pending; err != nil {
-		c.pending <- err // keep Flush deterministic after an abort
+		c.pending <- err // keep finish deterministic after an abort
 		return err
 	}
 	cp := &ckpt.Checkpoint{
-		Fingerprint:   c.fp,
+		Fingerprint:   c.base.Fingerprint,
 		ReadsConsumed: c.base.ReadsConsumed + consumed,
 		Mapped:        c.base.Mapped + st.Mapped,
 		Unmapped:      c.base.Unmapped + st.Unmapped,
@@ -162,78 +164,55 @@ func (c *ckptCommitter) sink(consumed int64, st core.Stats, state []byte) error 
 	return nil
 }
 
-// Flush waits for the in-flight commit (if any) to reach disk and
-// returns its error. Safe to call more than once.
-func (c *ckptCommitter) Flush() error {
-	err := <-c.pending
-	c.pending <- err
-	return err
+// subscriber hangs the committer on a pipeline's quiesce barrier at
+// cc's cadence.
+func (c *ckptCommitter) subscriber(cc *CheckpointConfig) core.BarrierSubscriber {
+	return core.BarrierSubscriber{EveryReads: cc.EveryReads, Every: cc.Every, Run: func(b *core.Barrier) error {
+		state, err := b.State()
+		if err != nil {
+			return err
+		}
+		return c.sink(b.Consumed, b.Stats, state)
+	}}
 }
 
-// MapReadsFromCheckpointed is MapReadsFrom with durable checkpoints:
-// every cc.EveryReads reads / cc.Every wall time the pipeline quiesces
-// and writes its full state to cc.Path. Counters in the checkpoint are
-// cumulative across the pipeline's life (including a prior
-// ResumeCheckpoint), so the watermark is always "reads consumed since
-// the original start of the job". Returns ErrStopped (with a final
-// checkpoint written) when cc.StopRequested fires.
-func (p *Pipeline) MapReadsFromCheckpointed(src ReadSource, cc CheckpointConfig) (MapStats, error) {
-	if cc.Path == "" {
-		return MapStats{}, fmt.Errorf("gnumap: checkpoint path required")
+// finish waits for the in-flight commit (if any) to reach disk and
+// folds its failure into the mapping call's outcome: a run that ended
+// cleanly or by cooperative stop is only as good as its last commit.
+// Safe to call more than once.
+func (c *ckptCommitter) finish(runErr error) error {
+	ferr := <-c.pending
+	c.pending <- ferr
+	if ferr != nil && (runErr == nil || errors.Is(runErr, ErrStopped)) {
+		return fmt.Errorf("gnumap: checkpoint commit: %w", ferr)
 	}
-	cw := newCkptCommitter(cc.Path, p.fingerprint(), ckpt.Checkpoint{
-		ReadsConsumed: p.consumed,
-		Mapped:        p.cum.Mapped,
-		Unmapped:      p.cum.Unmapped,
-		Locations:     p.cum.Locations,
-	}, p.opts.Engine.Metrics)
-	pol := &core.CheckpointPolicy{
-		EveryReads:    cc.EveryReads,
-		Every:         cc.Every,
-		StopRequested: cc.StopRequested,
-		Sink:          cw.sink,
-	}
-	st, err := p.eng.MapReadsFromCkpt(src, p.acc, 0, pol)
-	ferr := cw.Flush() // the newest checkpoint must be durable before we return
-	if err != nil && !errors.Is(err, ErrStopped) {
-		return st, err
-	}
-	if ferr != nil {
-		return st, fmt.Errorf("gnumap: checkpoint commit: %w", ferr)
-	}
-	p.noteRun(st)
-	return st, err
+	return runErr
 }
 
-// ResumeCheckpoint loads the checkpoint at path into the pipeline —
-// fingerprint-checked, accumulator state restored, cumulative counters
-// adopted — and returns the source watermark: the number of reads the
-// caller must skip from the reopened source (see SkipReads) before the
-// next MapReadsFromCheckpointed call.
-func (p *Pipeline) ResumeCheckpoint(path string) (int64, error) {
-	cp, err := ckpt.ReadFile(path, ckpt.MaxPayloadFor(p.ref.Len()))
+// loadCheckpoint reads the checkpoint a resumed run continues from and
+// checks it against the run's fingerprint. A missing file is a fresh
+// start: (nil, nil).
+func loadCheckpoint(path string, ref *genome.Reference, fp ckpt.Fingerprint) (*ckpt.Checkpoint, error) {
+	cp, err := ckpt.ReadFile(path, ckpt.MaxPayloadFor(ref.Len()))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if err := p.fingerprint().Check(cp.Fingerprint); err != nil {
-		return 0, fmt.Errorf("gnumap: resume %s: %w", path, err)
+	if err := fp.Check(cp.Fingerprint); err != nil {
+		return nil, fmt.Errorf("gnumap: resume %s: %w", path, err)
 	}
-	st, ok := p.acc.(genome.Stateful)
-	if !ok {
-		return 0, fmt.Errorf("gnumap: memory mode %v is not serializable", p.acc.Mode())
-	}
-	if err := st.LoadStateBytes(cp.State); err != nil {
-		return 0, fmt.Errorf("gnumap: resume %s: %w", path, err)
-	}
-	p.cum = MapStats{Mapped: cp.Mapped, Unmapped: cp.Unmapped, Locations: cp.Locations}
-	p.consumed = cp.ReadsConsumed
-	return cp.ReadsConsumed, nil
+	return cp, nil
 }
 
-// SkipReads discards the first n reads of src — the already-mapped
-// prefix named by a resume watermark. The source ending before n reads
-// is an error: the input shrank since the checkpoint was taken.
-func (p *Pipeline) SkipReads(src ReadSource, n int64) error {
+// skipReads discards the first n reads of src — the already-mapped
+// prefix named by a resume watermark — and counts them into
+// ProcessMetrics (the skip happens before any rank's registry exists on
+// a cluster, so the process registry is the one place both paths can
+// report to). The source ending before n reads is an error: the input
+// shrank since the checkpoint was taken.
+func skipReads(src ReadSource, n int64) error {
 	for i := int64(0); i < n; i++ {
 		if _, err := src.Next(); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -242,9 +221,23 @@ func (p *Pipeline) SkipReads(src ReadSource, n int64) error {
 			return err
 		}
 	}
-	if reg := p.opts.Engine.Metrics; reg != nil && n > 0 {
-		reg.Counter("ckpt.resume.reads.skipped").Add(n)
+	if n > 0 {
+		ProcessMetrics().Counter("ckpt.resume.reads.skipped").Add(n)
 	}
+	return nil
+}
+
+// resume adopts the checkpoint at path, if there is one, and leaves its
+// watermark pending for the first source mapped.
+func (p *Pipeline) resume(path string) error {
+	cp, err := loadCheckpoint(path, p.ref, p.fingerprint())
+	if cp == nil {
+		return err
+	}
+	if err := p.adopt(cp); err != nil {
+		return fmt.Errorf("gnumap: resume %s: %w", path, err)
+	}
+	p.skip = cp.ReadsConsumed
 	return nil
 }
 
@@ -258,61 +251,46 @@ func (p *Pipeline) ReadsConsumed() int64 { return p.consumed }
 func (p *Pipeline) CumulativeStats() MapStats { return p.cum }
 
 // clusterCkpt carries a validated checkpoint setup into the cluster
-// node function: the config, the precomputed fingerprint, and — when
-// resuming — the loaded base checkpoint whose counters offset every
-// sink write and whose state preloads rank 0's accumulator.
+// node function: the config and the base checkpoint — the run's
+// fingerprint plus, when resuming, the loaded counters that offset
+// every sink write and the state that preloads rank 0's accumulator.
 type clusterCkpt struct {
 	cfg  CheckpointConfig
-	fp   ckpt.Fingerprint
 	base ckpt.Checkpoint
 }
 
 // prepareClusterCkpt validates Options.Checkpoint for a streamed
 // read-split run and, on Resume, loads the checkpoint and skips the
 // watermark prefix of src (rank 0 owns the source, so this happens
-// once, driver-side). A missing file under Resume is a fresh start.
+// once, driver-side).
 func prepareClusterCkpt(ref *genome.Reference, src ReadSource, opts Options) (*clusterCkpt, error) {
 	cc := *opts.Checkpoint
 	if cc.Path == "" {
 		return nil, fmt.Errorf("gnumap: checkpoint path required")
 	}
-	ckr := &clusterCkpt{cfg: cc, fp: fingerprintFor(ref, opts)}
+	ckr := &clusterCkpt{cfg: cc, base: ckpt.Checkpoint{Fingerprint: fingerprintFor(ref, opts)}}
 	if !cc.Resume {
 		return ckr, nil
 	}
-	cp, err := ckpt.ReadFile(cc.Path, ckpt.MaxPayloadFor(ref.Len()))
-	if errors.Is(err, os.ErrNotExist) {
-		return ckr, nil
+	cp, err := loadCheckpoint(cc.Path, ref, ckr.base.Fingerprint)
+	if cp == nil {
+		return ckr, err
 	}
-	if err != nil {
+	if err := skipReads(src, cp.ReadsConsumed); err != nil {
 		return nil, err
-	}
-	if err := ckr.fp.Check(cp.Fingerprint); err != nil {
-		return nil, fmt.Errorf("gnumap: resume %s: %w", cc.Path, err)
-	}
-	for i := int64(0); i < cp.ReadsConsumed; i++ {
-		if _, err := src.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, fmt.Errorf("gnumap: source ended after %d of %d watermark reads; input changed since checkpoint", i, cp.ReadsConsumed)
-			}
-			return nil, err
-		}
-	}
-	if cp.ReadsConsumed > 0 {
-		ProcessMetrics().Counter("ckpt.resume.reads.skipped").Add(cp.ReadsConsumed)
 	}
 	ckr.base = *cp
 	return ckr, nil
 }
 
 // streamCkptFor builds rank 0's core.StreamCkpt from the prepared
-// cluster checkpoint setup, plus the committer the caller must Flush
+// cluster checkpoint setup, plus the committer the caller must finish
 // after the run (nil for other ranks and runs without checkpointing).
 func streamCkptFor(ckr *clusterCkpt, reg *MetricsRegistry) (*core.StreamCkpt, *ckptCommitter) {
 	if ckr == nil {
 		return nil, nil
 	}
-	cw := newCkptCommitter(ckr.cfg.Path, ckr.fp, ckr.base, reg)
+	cw := newCkptCommitter(ckr.cfg.Path, ckr.base, reg)
 	return &core.StreamCkpt{
 		EveryReads:    ckr.cfg.EveryReads,
 		Every:         ckr.cfg.Every,

@@ -32,9 +32,10 @@ func callsEqual(t *testing.T, want, got []SNPCall) {
 }
 
 // TestPipelineCheckpointResume is the single-process resume invariant
-// at the public API level: interrupt a checkpointed streaming run,
-// rebuild the pipeline from the file, skip the watermark, finish — the
-// calls and cumulative stats match an uninterrupted run.
+// at the public API level: interrupt a checkpointed run (Options.
+// Checkpoint, honored by MapReadsFrom itself), rebuild the pipeline
+// with Resume, hand it the reopened source, finish — the calls and
+// cumulative stats match an uninterrupted run.
 func TestPipelineCheckpointResume(t *testing.T) {
 	ds := ckptDataset(t)
 	opts := Options{Engine: EngineConfig{Workers: 4, Batch: 16, Queue: 2}}
@@ -56,15 +57,16 @@ func TestPipelineCheckpointResume(t *testing.T) {
 	reg := NewMetricsRegistry()
 	opts1 := opts
 	opts1.Metrics = reg
+	opts1.Checkpoint = &CheckpointConfig{
+		Path:          ckPath,
+		EveryReads:    150,
+		StopRequested: func() bool { return reg.Counter("ckpt.writes").Value() >= 2 },
+	}
 	p1, err := NewPipeline(ds.Reference, opts1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p1.MapReadsFromCheckpointed(SliceReadSource(ds.Reads), CheckpointConfig{
-		Path:          ckPath,
-		EveryReads:    150,
-		StopRequested: func() bool { return reg.Counter("ckpt.writes").Value() >= 2 },
-	})
+	_, err = p1.MapReadsFrom(SliceReadSource(ds.Reads))
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
 	}
@@ -79,26 +81,27 @@ func TestPipelineCheckpointResume(t *testing.T) {
 	reg2 := NewMetricsRegistry()
 	opts2 := opts
 	opts2.Metrics = reg2
+	opts2.Checkpoint = &CheckpointConfig{Path: ckPath, EveryReads: 150, Resume: true}
 	p2, err := NewPipeline(ds.Reference, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip, err := p2.ResumeCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	skip := p2.ReadsConsumed()
 	if skip <= 0 || skip >= int64(len(ds.Reads)) {
 		t.Fatalf("watermark %d of %d reads", skip, len(ds.Reads))
 	}
-	src := SliceReadSource(ds.Reads)
-	if err := p2.SkipReads(src, skip); err != nil {
+	// One destination for the skip counter on every path: the process
+	// registry (shared across tests, so compare the delta).
+	skipped := ProcessMetrics().Counter("ckpt.resume.reads.skipped")
+	before := skipped.Value()
+	if _, err := p2.MapReadsFrom(SliceReadSource(ds.Reads)); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg2.Counter("ckpt.resume.reads.skipped").Value(); got != skip {
-		t.Errorf("ckpt.resume.reads.skipped = %d, want %d", got, skip)
+	if got := skipped.Value() - before; got != skip {
+		t.Errorf("ckpt.resume.reads.skipped grew by %d, want %d", got, skip)
 	}
-	if _, err := p2.MapReadsFromCheckpointed(src, CheckpointConfig{Path: ckPath, EveryReads: 150}); err != nil {
-		t.Fatal(err)
+	if w := reg2.Counter("ckpt.writes").Value(); w < 1 {
+		t.Errorf("resumed MapReadsFrom wrote %d checkpoints", w)
 	}
 	cum := p2.CumulativeStats()
 	if cum.Mapped != fullSt.Mapped || cum.Unmapped != fullSt.Unmapped {
@@ -119,34 +122,34 @@ func TestPipelineCheckpointResume(t *testing.T) {
 func TestResumeCheckpointMismatch(t *testing.T) {
 	ds := ckptDataset(t)
 	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
-	p1, err := NewPipeline(ds.Reference, Options{})
+	p1, err := NewPipeline(ds.Reference, Options{Checkpoint: &CheckpointConfig{Path: ckPath, EveryReads: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p1.MapReadsFromCheckpointed(SliceReadSource(ds.Reads[:200]), CheckpointConfig{Path: ckPath, EveryReads: 100}); err != nil {
+	if _, err := p1.MapReadsFrom(SliceReadSource(ds.Reads[:200])); err != nil {
 		t.Fatal(err)
 	}
+	resume := &CheckpointConfig{Path: ckPath, Resume: true}
 	for name, opts := range map[string]Options{
 		"ploidy": {Caller: CallerConfig{Ploidy: Diploid}},
 		"band":   {Engine: EngineConfig{Band: 31}},
 		"alpha":  {Caller: CallerConfig{Alpha: 0.01}},
 		"memory": {Memory: MemCharDisc},
 	} {
-		p2, err := NewPipeline(ds.Reference, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p2.ResumeCheckpoint(ckPath); !errors.Is(err, ErrCheckpointMismatch) {
+		opts.Checkpoint = resume
+		if _, err := NewPipeline(ds.Reference, opts); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s change: resume returned %v, want ErrCheckpointMismatch", name, err)
 		}
 	}
 	// Execution knobs must NOT invalidate the checkpoint.
-	p3, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 2, Batch: 8, PhmmBatch: -1, Accum: AccumStriped}})
+	p3, err := NewPipeline(ds.Reference, Options{
+		Engine:     EngineConfig{Workers: 2, Batch: 8, PhmmBatch: -1, Accum: AccumStriped},
+		Checkpoint: resume,
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p3.ResumeCheckpoint(ckPath); err != nil {
 		t.Errorf("execution-knob change rejected the checkpoint: %v", err)
+	} else if n := p3.ReadsConsumed(); n <= 0 || n > 200 {
+		t.Errorf("resumed watermark %d, want inside (0, 200]", n)
 	}
 }
 

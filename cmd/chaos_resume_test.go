@@ -2,8 +2,9 @@
 // resume subsystem: run the real gnumap-snp binary, SIGKILL it at
 // randomized points shortly after checkpoint commits, relaunch with
 // -resume, and require the final VCF to be byte-identical to an
-// uninterrupted run — in single-process and np=4 read-split cluster
-// modes. A separate test exercises the graceful path: SIGTERM drains,
+// uninterrupted run — in single-process (plain and with incremental
+// calling on the same barrier) and np=4 read-split cluster modes. A
+// separate test exercises the graceful path: SIGTERM drains,
 // writes a final checkpoint, exits with code 3, and the resumed run
 // completes identically.
 package cmd_test
@@ -167,6 +168,13 @@ func TestChaosKillResumeSingleProcess(t *testing.T) {
 
 func TestChaosKillResumeClusterReadSplit(t *testing.T) {
 	chaosKillResume(t, "-nodes", "4", "-split", "read")
+}
+
+// The checkpoint sink and the incremental calling sweep subscribe to
+// the same quiesce barrier: killed and resumed runs must still end in
+// the uninterrupted incremental run's exact VCF.
+func TestChaosKillResumeIncremental(t *testing.T) {
+	chaosKillResume(t, "-incremental-every", "1000")
 }
 
 // TestGracefulStopResume: SIGTERM mid-run drains the pipeline, writes a

@@ -142,3 +142,117 @@ func parseVCFPositions(t *testing.T, path string) map[int]bool {
 	}
 	return out
 }
+
+// TestCLIModeFlagPairs is the mode matrix as a table (ROADMAP aim 3c):
+// every pair of mode flags either writes the plain run's VCF
+// byte-for-byte (-workers 1, so accumulation order is fixed) or exits
+// non-zero with a message naming both flags. -fit is the one mode that
+// changes the answer (it re-estimates the PHMM parameters), so pairs
+// containing it are held to the -fit-only run's VCF instead.
+func TestCLIModeFlagPairs(t *testing.T) {
+	bins := buildTools(t)
+	data := t.TempDir()
+	run(t, filepath.Join(bins, "readsim"),
+		"-out", data, "-length", "30000", "-snps", "4", "-coverage", "8", "-seed", "5")
+	bin := filepath.Join(bins, "gnumap-snp")
+	common := []string{
+		"-ref", filepath.Join(data, "reference.fa"),
+		"-reads", filepath.Join(data, "reads.fq"),
+		"-workers", "1",
+	}
+
+	type mode struct {
+		name string
+		// args builds the mode's flags; tag keeps side-output files of
+		// different runs apart.
+		args func(tag string) []string
+		// named lists the spellings a rejection may use for this mode.
+		named []string
+	}
+	modes := []mode{
+		{"checkpoint", func(tag string) []string {
+			return []string{"-checkpoint", filepath.Join(data, tag+".ckpt"), "-checkpoint-every", "1000"}
+		}, []string{"-checkpoint"}},
+		{"incremental", func(string) []string { return []string{"-incremental-every", "700"} }, []string{"-incremental-every"}},
+		{"sam", func(tag string) []string { return []string{"-sam", filepath.Join(data, tag+".sam")} }, []string{"-sam"}},
+		{"fit", func(string) []string { return []string{"-fit"} }, []string{"-fit"}},
+		{"read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read"} }, []string{"-nodes", "-split"}},
+		{"genome-split", func(string) []string { return []string{"-nodes", "2", "-split", "genome"} }, []string{"-nodes", "-split"}},
+		{"op-timeout", func(string) []string { return []string{"-op-timeout", "30s"} }, []string{"-op-timeout"}},
+	}
+	// The holes that remain in the mode matrix (DESIGN.md §10); every
+	// other pair must compose — checkpoint+incremental, checkpoint+sam
+	// and incremental+sam included.
+	mustRefuse := map[string]bool{
+		"checkpoint+genome-split":  true, // cluster watermarks need the streamed read-split dealer
+		"incremental+read-split":   true, // cluster runs keep their own call flow
+		"incremental+genome-split": true,
+	}
+
+	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {
+		out := filepath.Join(data, tag+".vcf")
+		cmd := exec.Command(bin, append(append(append([]string{}, common...), extra...), "-o", out)...)
+		raw, err := cmd.CombinedOutput()
+		if err != nil {
+			return nil, string(raw), err
+		}
+		vcf, rerr := os.ReadFile(out)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		return vcf, string(raw), nil
+	}
+	plain, out, err := vcfOf("plain")
+	if err != nil {
+		t.Fatalf("plain run: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(plain), "\tPASS\t") {
+		t.Fatal("plain run called no SNPs; dataset too weak for an identity table")
+	}
+	fitted, out, err := vcfOf("fit-only", "-fit")
+	if err != nil {
+		t.Fatalf("-fit run: %v\n%s", err, out)
+	}
+
+	for i, a := range modes {
+		for _, b := range modes[i+1:] {
+			pair := a.name + "+" + b.name
+			if pair == "read-split+genome-split" {
+				continue // two values of one flag, not a pair of modes
+			}
+			got, out, err := vcfOf(pair, append(a.args(pair), b.args(pair)...)...)
+			if err != nil {
+				if !mustRefuse[pair] {
+					t.Errorf("%s: must compose, but failed: %v\n%s", pair, err, out)
+					continue
+				}
+				for _, m := range []mode{a, b} {
+					ok := false
+					for _, n := range m.named {
+						ok = ok || strings.Contains(out, n)
+					}
+					if !ok {
+						t.Errorf("%s: rejection does not name %v:\n%s", pair, m.named, out)
+					}
+				}
+				continue
+			}
+			if mustRefuse[pair] {
+				t.Errorf("%s: listed as a remaining hole, but ran; move it to the composing side", pair)
+			}
+			want := plain
+			if a.name == "fit" || b.name == "fit" {
+				want = fitted
+			}
+			if string(got) != string(want) {
+				t.Errorf("%s: VCF differs from the reference run:\n--- want ---\n%s\n--- got ---\n%s", pair, want, got)
+			}
+		}
+	}
+
+	// There is no -stream knob: a slice is a source of the one pipeline.
+	_, out, err = vcfOf("stream-flag", "-stream=false")
+	if err == nil || !strings.Contains(out, "flag provided but not defined: -stream") {
+		t.Errorf("-stream=false: err=%v, want an unknown-flag failure:\n%s", err, out)
+	}
+}

@@ -7,7 +7,7 @@
 //	gnumap-snp -ref reference.fa -reads reads.fq -o calls.vcf \
 //	    [-diploid] [-alpha 0.05] [-fdr] [-memory norm|chardisc|centdisc] \
 //	    [-workers N] [-accum-mode auto|striped|sharded] [-call-workers N] \
-//	    [-stream=false] [-batch 64] [-queue 4] \
+//	    [-batch 64] [-queue 4] \
 //	    [-incremental-every 5000] \
 //	    [-nodes N -split read|genome [-tcp]] \
 //	    [-op-timeout 5s] [-heartbeat 100ms] [-chaos seed=42,drop=0.01] \
@@ -27,27 +27,33 @@
 // on the given address for live inspection; -cpuprofile/-memprofile
 // write standard runtime profiles for `go tool pprof`.
 //
-// Crash safety: -checkpoint FILE makes the streaming run write its full
-// state (config fingerprint, source watermark, mapping counters,
-// accumulator) atomically to FILE every -checkpoint-every reads (an
-// integer) or wall time (a duration like 30s). -resume loads FILE if it
+// One mapping run: reads stream from the FASTQ through one bounded
+// pipeline (-fit and -sam need the whole read set, so they load it and
+// hand the pipeline the slice as its source). -checkpoint and
+// -incremental-every subscribe to that pipeline's quiesce barrier and
+// compose with each other and with -fit/-sam.
+//
+// Crash safety: -checkpoint FILE makes the run write its full state
+// (config fingerprint, source watermark, mapping counters, accumulator)
+// atomically to FILE every -checkpoint-every reads (an integer) or wall
+// time (a duration like 30s). -resume loads FILE if it
 // exists, skips the already-mapped prefix of the FASTQ, and continues —
 // so a supervisor can relaunch the same command line after a crash or a
 // kill and the final VCF matches an uninterrupted run. SIGINT/SIGTERM
 // trigger a graceful stop: drain the pipeline, write a final
 // checkpoint, flush -metrics-out, exit with code 3 (a second signal
-// aborts immediately). Checkpointing needs a replayable stream: it is
-// incompatible with -fit/-sam/-stream=false, and on clusters with
-// -split genome, -op-timeout, and -chaos.
+// aborts immediately). On clusters checkpointing needs the streamed
+// read-split path: it is refused with -split genome, -op-timeout, and
+// -chaos.
 //
 // Incremental calling: -incremental-every N overlaps SNP calling with
-// mapping on the single-process streaming path — every N reads the
+// mapping in single-process runs — every N reads the
 // pipeline quiesces, only the genome regions written since the last
 // barrier are re-swept, and a provisional call set is produced; the
 // final VCF comes from the last incremental sweep and matches the
 // post-map sweep of an ordinary run. The first-provisional-call time is
-// reported on stderr. Incompatible with -checkpoint (both own the
-// quiesce cadence) and with clusters.
+// reported on stderr. Refused on clusters, which keep their own call
+// flow.
 package main
 
 import (
@@ -103,9 +109,8 @@ func run() error {
 		accumMode  = flag.String("accum-mode", "auto", "accumulator write strategy: auto, striped (lock stripes on one shared copy), or sharded (lock-free per-worker shards, merged before calling)")
 		callWk     = flag.Int("call-workers", 0, "calling-sweep worker count (0 = GOMAXPROCS, 1 = serial; results are bit-identical regardless)")
 		callVec    = flag.Bool("call-vector", true, "vectorized plane-streaming calling sweep (norm layout only; calls are bit-identical to the scalar sweep either way)")
-		stream     = flag.Bool("stream", true, "stream reads through the bounded pipeline instead of materializing the FASTQ (auto-off with -fit or -sam, which need the full read slice)")
-		batch      = flag.Int("batch", 0, "reads per streaming batch (0 = default 64)")
-		queue      = flag.Int("queue", 0, "streaming work-queue bound, in batches (0 = default 4)")
+		batch      = flag.Int("batch", 0, "reads per pipeline batch (0 = default 64)")
+		queue      = flag.Int("queue", 0, "pipeline work-queue bound, in batches (0 = default 4)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
 		phmmBatch  = flag.Int("phmm-batch", gnumap.DefaultPhmmBatch, "batched PHMM kernel width: candidate windows aligned per wavefront sweep (0 = off, scalar kernel; calls are identical either way)")
 		fit        = flag.Bool("fit", false, "fit PHMM parameters to the data (Baum-Welch) before mapping")
@@ -117,10 +122,10 @@ func run() error {
 		opTimeout  = flag.Duration("op-timeout", 0, "cluster per-operation deadline; >0 also enables read-split shard reassignment on worker death (0 = block forever)")
 		heartbeat  = flag.Duration("heartbeat", 0, "cluster heartbeat period for failure detection (0 = auto when -op-timeout is set)")
 		chaos      = flag.String("chaos", "", "deterministic fault injection spec, e.g. seed=42,drop=0.02,dup=0.01,crash=2@100")
-		ckptPath   = flag.String("checkpoint", "", "write crash-safe checkpoints to this file (streaming runs only); SIGINT/SIGTERM drain, checkpoint, and exit with code 3")
+		ckptPath   = flag.String("checkpoint", "", "write crash-safe checkpoints to this file; SIGINT/SIGTERM drain, checkpoint, and exit with code 3")
 		ckptEvery  = flag.String("checkpoint-every", "5000", "checkpoint interval: an integer (reads) or a duration (e.g. 30s)")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if the file exists (fresh start otherwise)")
-		incEvery   = flag.Int64("incremental-every", 0, "overlap SNP calling with mapping: quiesce and re-sweep written genome regions every N reads, reporting time to first provisional call (0 = off; single-process streaming only, incompatible with -checkpoint)")
+		incEvery   = flag.Int64("incremental-every", 0, "overlap SNP calling with mapping: quiesce and re-sweep written genome regions every N reads, reporting time to first provisional call (0 = off; single-process only)")
 		metricsOut = flag.String("metrics-out", "", "write the merged metrics report as JSON to this file (and a summary to stderr)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -174,20 +179,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Fitting and SAM output need random access to the whole read set,
-	// so they force the materialized path.
-	streaming := *stream && !*fit && *samPath == ""
-
-	// Checkpoint setup: watermarks name positions in the read stream, so
-	// every mode without a replayable stream is rejected up front.
-	var ckptCfg *gnumap.CheckpointConfig
+	opts := gnumap.Options{Memory: mem}
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *ckptPath != "" {
-		if !streaming {
-			return fmt.Errorf("-checkpoint requires the streaming path: drop -fit/-sam and keep -stream=true")
-		}
+		// Cluster watermarks count reads dealt from the stream, which the
+		// materializing cluster modes do not have.
 		if *nodes > 1 && (*split != "read" || *opTimeout > 0 || *chaos != "") {
 			return fmt.Errorf("-checkpoint on a cluster supports only -split read without -op-timeout/-chaos")
 		}
@@ -205,7 +203,7 @@ func run() error {
 			<-sig
 			os.Exit(130)
 		}()
-		ckptCfg = &gnumap.CheckpointConfig{
+		opts.Checkpoint = &gnumap.CheckpointConfig{
 			Path:          *ckptPath,
 			EveryReads:    everyReads,
 			Every:         every,
@@ -217,24 +215,22 @@ func run() error {
 		if *incEvery < 0 {
 			return fmt.Errorf("-incremental-every %d: read interval must be positive", *incEvery)
 		}
-		if !streaming {
-			return fmt.Errorf("-incremental-every requires the streaming path: drop -fit/-sam and keep -stream=true")
-		}
 		if *nodes > 1 {
-			return fmt.Errorf("-incremental-every runs single-process only (the cluster paths keep their own call flow)")
+			return fmt.Errorf("-incremental-every runs single-process only (-nodes %d keeps the cluster call flow)", *nodes)
 		}
-		if *ckptPath != "" {
-			return fmt.Errorf("-incremental-every is incompatible with -checkpoint: both schedule the pipeline's quiesce barriers")
-		}
+		opts.Incremental = &gnumap.IncrementalCallConfig{EveryReads: *incEvery}
 	}
+	// The mapping source: the FASTQ stream, or — when fitting or SAM
+	// output needs random access to the whole read set — the loaded
+	// slice, which is just another (replayable) source.
+	materialize := *fit || *samPath != ""
 	var reads []*gnumap.Read
-	if !streaming {
+	if materialize {
 		reads, err = gnumap.LoadReads(*readsPath, enc)
 		if err != nil {
 			return err
 		}
 	}
-	opts := gnumap.Options{Memory: mem}
 	opts.Engine.K = *seedLen
 	switch {
 	case *indexPath != "" && *indexWrite != "":
@@ -309,19 +305,13 @@ func run() error {
 		opts.Caller.Ploidy = gnumap.Diploid
 	}
 
-	start := time.Now()
-	var calls []gnumap.SNPCall
-	var stats gnumap.MapStats
-	var qcStats *gnumap.CoverageStats
-	var report *gnumap.MetricsReport
+	splitMode, transport := gnumap.ReadSplit, gnumap.Channels
 	if *nodes > 1 {
-		splitMode := gnumap.ReadSplit
 		if *split == "genome" {
 			splitMode = gnumap.GenomeSplit
 		} else if *split != "read" {
 			return fmt.Errorf("unknown -split %q (want read or genome)", *split)
 		}
-		transport := gnumap.Channels
 		if *tcp {
 			transport = gnumap.TCP
 		}
@@ -339,101 +329,69 @@ func run() error {
 			}
 			opts.Cluster.Fault = &fc
 		}
-		if streaming {
-			src, err := gnumap.OpenReads(*readsPath, enc)
-			if err != nil {
-				return err
-			}
-			opts.Checkpoint = ckptCfg
-			if *metricsOut != "" {
-				calls, stats, report, err = gnumap.RunClusterStreamReport(*nodes, transport, splitMode, reference, src, opts)
-			} else {
-				calls, stats, err = gnumap.RunClusterStream(*nodes, transport, splitMode, reference, src, opts)
-			}
-			if cerr := src.Close(); err == nil {
-				err = cerr
-			}
-			if errors.Is(err, gnumap.ErrStopped) {
-				return fmt.Errorf("%w to %s; relaunch with -resume to continue", err, *ckptPath)
-			}
-			if err != nil {
-				return err
-			}
-		} else if *metricsOut != "" {
-			calls, stats, report, err = gnumap.RunClusterReport(*nodes, transport, splitMode, reference, reads, opts)
-		} else {
-			calls, stats, err = gnumap.RunCluster(*nodes, transport, splitMode, reference, reads, opts)
-		}
+	}
+	var reg *gnumap.MetricsRegistry
+	if *metricsOut != "" && *nodes <= 1 {
+		reg = gnumap.NewMetricsRegistry()
+		opts.Metrics = reg
+	}
+
+	// One mapping run: open the source, map it (on the simulated cluster
+	// or through the one Pipeline), close it.
+	start := time.Now()
+	var src gnumap.ReadSource = gnumap.SliceReadSource(reads)
+	closeSrc := func() error { return nil }
+	if !materialize {
+		f, err := gnumap.OpenReads(*readsPath, enc)
 		if err != nil {
 			return err
 		}
-		if stats.Degraded() {
-			fmt.Fprintf(os.Stderr, "WARNING: degraded run — lost rank(s) %v; their read shards were reassigned to survivors\n", stats.LostRanks)
+		src, closeSrc = f, f.Close
+	}
+	var calls []gnumap.SNPCall
+	var stats gnumap.MapStats
+	var report *gnumap.MetricsReport
+	var p *gnumap.Pipeline
+	switch {
+	case *nodes > 1 && *metricsOut != "":
+		calls, stats, report, err = gnumap.RunClusterStreamReport(*nodes, transport, splitMode, reference, src, opts)
+	case *nodes > 1:
+		calls, stats, err = gnumap.RunClusterStream(*nodes, transport, splitMode, reference, src, opts)
+	default:
+		if p, err = gnumap.NewPipeline(reference, opts); err != nil {
+			break
 		}
-	} else {
-		var reg *gnumap.MetricsRegistry
-		if *metricsOut != "" {
-			reg = gnumap.NewMetricsRegistry()
-			opts.Metrics = reg
+		if n := p.ReadsConsumed(); n > 0 {
+			fmt.Fprintf(os.Stderr, "resuming from %s: %d reads already mapped\n", *ckptPath, n)
 		}
-		p, err := gnumap.NewPipeline(reference, opts)
+		_, err = p.MapReadsFrom(src)
+		// Cumulative across the whole job, so the summary line stays
+		// honest after a resume.
+		stats = p.CumulativeStats()
+	}
+	if cerr := closeSrc(); err == nil {
+		err = cerr
+	}
+	// A graceful stop (gnumap.ErrStopped) calls and writes nothing but
+	// the metrics the interrupted run recorded.
+	var stopErr error
+	if errors.Is(err, gnumap.ErrStopped) {
+		stopErr = err
+	} else if err != nil {
+		return err
+	}
+	if stats.Degraded() {
+		fmt.Fprintf(os.Stderr, "WARNING: degraded run — lost rank(s) %v; their read shards were reassigned to survivors\n", stats.LostRanks)
+	}
+	var qcStats *gnumap.CoverageStats
+	if p != nil && stopErr == nil {
+		calls, _, err = p.Call()
 		if err != nil {
 			return err
 		}
-		var incRes *gnumap.IncrementalResult
-		if streaming {
-			src, err := gnumap.OpenReads(*readsPath, enc)
-			if err != nil {
-				return err
-			}
-			switch {
-			case ckptCfg != nil:
-				stats, err = runCheckpointed(p, src, ckptCfg)
-			case *incEvery > 0:
-				stats, incRes, err = p.MapReadsFromIncremental(src, gnumap.IncrementalCallConfig{EveryReads: *incEvery})
-			default:
-				stats, err = p.MapReadsFrom(src)
-			}
-			if cerr := src.Close(); err == nil {
-				err = cerr
-			}
-			if errors.Is(err, gnumap.ErrStopped) {
-				// Flush what the interrupted run did record before exiting
-				// with the resumable status.
-				if reg != nil {
-					if rep, rerr := gnumap.NewMetricsReport([]gnumap.MetricsSnapshot{
-						reg.Snapshot(0),
-						gnumap.ProcessMetrics().Snapshot(gnumap.MetricsProcessRank),
-					}, nil); rerr == nil {
-						if werr := writeTo(*metricsOut, func(f *os.File) error { return rep.WriteJSON(f) }); werr != nil {
-							log.Printf("metrics-out: %v", werr)
-						}
-					}
-				}
-				return fmt.Errorf("%w to %s; relaunch with -resume to continue", err, ckptCfg.Path)
-			}
-			if err != nil {
-				return err
-			}
-		} else {
-			stats, err = p.MapReads(reads)
-			if err != nil {
-				return err
-			}
-		}
-		if incRes != nil {
-			// The incremental run's final sweep already produced the
-			// definitive call set; a second full sweep would be waste.
-			calls = incRes.Calls
-			if incRes.FirstCallSeconds > 0 {
-				fmt.Fprintf(os.Stderr, "incremental: first provisional call after %.2fs (%d reads); %d sweeps, %d regions swept, %d reused\n",
-					incRes.FirstCallSeconds, incRes.FirstCallReads, incRes.Sweeps, incRes.RegionsSwept, incRes.RegionsReused)
-			}
-		} else {
-			calls, _, err = p.Call()
-			if err != nil {
-				return err
-			}
+		if is := p.IncrementalStats(); is.FirstCallSeconds > 0 {
+			fmt.Fprintf(os.Stderr, "incremental: first provisional call after %.2fs (%d reads); %d sweeps, %d regions swept, %d reused\n",
+				is.FirstCallSeconds, is.FirstCallReads, is.Sweeps, is.RegionsSwept, is.RegionsReused)
 		}
 		cs := p.CoverageStats()
 		qcStats = &cs
@@ -451,68 +409,53 @@ func run() error {
 				return err
 			}
 		}
-		if reg != nil {
-			report, err = gnumap.NewMetricsReport([]gnumap.MetricsSnapshot{
-				reg.Snapshot(0),
-				gnumap.ProcessMetrics().Snapshot(gnumap.MetricsProcessRank),
-			}, nil)
-			if err != nil {
-				return err
-			}
+	}
+	if reg != nil {
+		report, err = gnumap.NewMetricsReport([]gnumap.MetricsSnapshot{
+			reg.Snapshot(0),
+			gnumap.ProcessMetrics().Snapshot(gnumap.MetricsProcessRank),
+		}, nil)
+		if err != nil {
+			return err
 		}
 	}
 	elapsed := time.Since(start)
 
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+	if stopErr == nil {
+		out := os.Stdout
+		if *outPath != "" {
+			f, err := os.Create(*outPath)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			out = f
+		}
+		if err := gnumap.WriteVCF(out, calls); err != nil {
 			return err
 		}
-		defer f.Close()
-		out = f
-	}
-	if err := writeVCF(out, reference, calls); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mapped %d/%d reads (%d locations) in %s; %d SNPs\n",
-		stats.Mapped, stats.Mapped+stats.Unmapped, stats.Locations, elapsed.Round(time.Millisecond), len(calls))
-	if qcStats != nil {
-		qcStats.WriteText(os.Stderr)
+		fmt.Fprintf(os.Stderr, "mapped %d/%d reads (%d locations) in %s; %d SNPs\n",
+			stats.Mapped, stats.Mapped+stats.Unmapped, stats.Locations, elapsed.Round(time.Millisecond), len(calls))
+		if qcStats != nil {
+			qcStats.WriteText(os.Stderr)
+		}
 	}
 	if report != nil {
 		if err := writeTo(*metricsOut, func(f *os.File) error { return report.WriteJSON(f) }); err != nil {
-			return err
-		}
-		if err := report.WriteText(os.Stderr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runCheckpointed is the single-process checkpointed mapping leg:
-// resume if asked (a missing checkpoint is a fresh start), skip the
-// watermark prefix, stream the rest with periodic checkpoints. The
-// returned stats are cumulative across the whole job, so the summary
-// line stays honest after a resume.
-func runCheckpointed(p *gnumap.Pipeline, src gnumap.ReadSource, cc *gnumap.CheckpointConfig) (gnumap.MapStats, error) {
-	if cc.Resume {
-		skip, err := p.ResumeCheckpoint(cc.Path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet: first run of a resumable job.
-		case err != nil:
-			return gnumap.MapStats{}, err
-		default:
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d reads already mapped\n", cc.Path, skip)
-			if err := p.SkipReads(src, skip); err != nil {
-				return gnumap.MapStats{}, err
+			if stopErr == nil {
+				return err
+			}
+			log.Printf("metrics-out: %v", err) // the checkpoint stands; keep the resumable exit status
+		} else if stopErr == nil {
+			if err := report.WriteText(os.Stderr); err != nil {
+				return err
 			}
 		}
 	}
-	_, err := p.MapReadsFromCheckpointed(src, *cc)
-	return p.CumulativeStats(), err
+	if stopErr != nil {
+		return fmt.Errorf("%w to %s; relaunch with -resume to continue", stopErr, *ckptPath)
+	}
+	return nil
 }
 
 // parseCheckpointEvery reads the -checkpoint-every value: a bare
@@ -532,7 +475,6 @@ func parseCheckpointEvery(s string) (int64, time.Duration, error) {
 	return 0, d, nil
 }
 
-// writeTo creates a file and hands it to fn.
 // humanBytes renders a byte count for status lines.
 func humanBytes(b int64) string {
 	switch {
@@ -547,6 +489,7 @@ func humanBytes(b int64) string {
 	}
 }
 
+// writeTo creates a file and hands it to fn.
 func writeTo(path string, fn func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -557,15 +500,6 @@ func writeTo(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeVCF writes calls using the library's VCF writer.
-func writeVCF(out *os.File, reference []*gnumap.Contig, calls []gnumap.SNPCall) error {
-	p, err := gnumap.NewPipeline(reference, gnumap.Options{})
-	if err != nil {
-		return err
-	}
-	return p.WriteVCF(out, calls)
 }
 
 // parseMemory maps a flag value to a MemoryMode.

@@ -52,7 +52,7 @@ func main() {
 		maxWorkers = flag.Int("maxworkers", runtime.GOMAXPROCS(0), "maximum worker count (fig5)")
 		tcp        = flag.Bool("tcp", false, "use loopback TCP between simulated nodes (fig4)")
 		metricsOut = flag.String("metrics-out", "metrics.json", "output path for the metrics experiment's JSON report")
-		ckptEvery  = flag.Int64("checkpoint-every", 5000, "checkpoint interval in reads for the stream experiment's stream+ckpt row (0 = skip the row)")
+		ckptEvery  = flag.Int64("checkpoint-every", 5000, "barrier interval in reads for the stream experiment's +ckpt and +inc rows (0 = plain row only)")
 		phmmBatch  = flag.Int("phmm-batch", core.DefaultPhmmBatch, "batched PHMM kernel width for the phmm experiment's engine rows (0 = off, scalar kernel only)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -421,14 +421,14 @@ func msRound(d time.Duration) time.Duration {
 	}
 }
 
-// runStream measures the streaming pipeline against the materialized
-// slice path on the same on-disk FASTQ — plus a third row with durable
-// checkpoints every ckptEvery reads — and writes the machine-readable
-// BENCH_stream.json (reads/sec, sampled peak heap as the RSS proxy,
-// the pipeline's resident-reads high-water mark, and the checkpoint
-// overhead fraction).
+// runStream measures the mapping pipeline on an on-disk FASTQ, plain
+// and with each combination of its barrier subscribers (durable
+// checkpoints and incremental calling every ckptEvery reads), and
+// writes the machine-readable BENCH_stream.json (reads/sec, sampled
+// peak heap as the RSS proxy, the pipeline's resident-reads high-water
+// mark, the checkpoint overhead fraction, and time to first call).
 func runStream(ds *experiments.Dataset, workers int, ckptEvery int64, outPath string) {
-	fmt.Println("STREAM — bounded pipeline vs materialized slice, same FASTQ")
+	fmt.Println("STREAM — the bounded mapping pipeline and its barrier subscribers, same FASTQ")
 	const (
 		batch = 64
 		queue = 4
@@ -437,12 +437,9 @@ func runStream(ds *experiments.Dataset, workers int, ckptEvery int64, outPath st
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-12s %8s %10s %12s %14s %14s %11s %11s\n", "path", "reads", "wall", "reads/sec", "peak heap", "peak resident", "ckpt stall", "first call")
+	fmt.Printf("%-15s %8s %10s %12s %14s %14s %11s %11s\n", "path", "reads", "wall", "reads/sec", "peak heap", "peak resident", "ckpt stall", "first call")
 	for _, r := range rows {
-		resident := "all"
-		if r.PeakResidentReads > 0 {
-			resident = fmt.Sprintf("%d reads", r.PeakResidentReads)
-		}
+		resident := fmt.Sprintf("%d reads", r.PeakResidentReads)
 		stall := "-"
 		if r.CkptWrites > 0 {
 			stall = fmt.Sprintf("%.1f%%", 100*r.CkptStallFrac)
@@ -452,7 +449,7 @@ func runStream(ds *experiments.Dataset, workers int, ckptEvery int64, outPath st
 			firstCall = fmt.Sprintf("%.2fs", r.CallFirstSeconds)
 		}
 		wall := time.Duration(r.WallNs)
-		fmt.Printf("%-12s %8d %10s %12.0f %14s %14s %11s %11s\n",
+		fmt.Printf("%-15s %8d %10s %12.0f %14s %14s %11s %11s\n",
 			r.Path, r.Reads, wall.Round(msRound(wall)), r.ReadsPerSec, human(int64(r.PeakHeapBytes)), resident, stall, firstCall)
 	}
 	report := struct {

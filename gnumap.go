@@ -148,13 +148,19 @@ type Options struct {
 	// cluster runs instead build one registry per rank — use
 	// RunClusterReport to get the aggregated result.
 	Metrics *MetricsRegistry
-	// Checkpoint, when non-nil, makes RunClusterStream write durable
-	// checkpoints (and honor Resume/StopRequested). Only the streamed
-	// ReadSplit path supports it; fault-tolerant (OpTimeout > 0) and
-	// chaos runs are rejected — shard reassignment and checkpoint
-	// watermarks cannot both own the replay story. Single-process
-	// pipelines use Pipeline.MapReadsFromCheckpointed instead.
+	// Checkpoint, when non-nil, makes Pipeline.MapReadsFrom and
+	// RunClusterStream write durable checkpoints (and honor
+	// Resume/StopRequested). On a cluster only the streamed ReadSplit
+	// path supports it; fault-tolerant (OpTimeout > 0) and chaos runs
+	// are rejected — shard reassignment and checkpoint watermarks cannot
+	// both own the replay story.
 	Checkpoint *CheckpointConfig
+	// Incremental, when non-nil, overlaps SNP calling with a Pipeline's
+	// mapping: the caller re-sweeps written genome regions at quiesce
+	// barriers (the same barriers Checkpoint uses, each on its own
+	// cadence) and Pipeline.Call returns its final sweep. Cluster runs
+	// keep their own call flow and reject it.
+	Incremental *IncrementalCallConfig
 }
 
 // MetricsRegistry is a set of named counters, gauges, and latency
@@ -217,8 +223,8 @@ func ParseChaosSpec(spec string) (FaultConfig, error) {
 }
 
 // Pipeline is a reference plus mapping and calling state: build one,
-// feed it reads (possibly in several MapReads calls — accumulation is
-// online), then Call.
+// feed it reads (possibly in several MapReadsFrom/MapReads calls —
+// accumulation is online), then Call.
 type Pipeline struct {
 	ref  *genome.Reference
 	eng  *core.Engine
@@ -229,9 +235,16 @@ type Pipeline struct {
 	// checkpoints persist so a resumed job's accounting stays honest.
 	cum      MapStats
 	consumed int64
+	// skip is a resumed checkpoint's watermark, pending until the first
+	// source is mapped (its already-mapped prefix is discarded).
+	skip int64
+	// inc is the incremental caller (Options.Incremental), nil otherwise.
+	inc *incrementalRun
 }
 
-// NewPipeline indexes the reference and allocates the accumulator.
+// NewPipeline indexes the reference and allocates the accumulator. With
+// Options.Checkpoint.Resume it also adopts the checkpoint file's state
+// when one exists.
 func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 	if opts.Metrics != nil {
 		if opts.Engine.Metrics == nil {
@@ -253,7 +266,23 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{ref: ref, eng: eng, acc: acc, opts: opts}, nil
+	p := &Pipeline{ref: ref, eng: eng, acc: acc, opts: opts}
+	if cc := opts.Checkpoint; cc != nil {
+		if cc.Path == "" {
+			return nil, fmt.Errorf("gnumap: checkpoint path required")
+		}
+		if cc.Resume {
+			if err := p.resume(cc.Path); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if opts.Incremental != nil {
+		if err := p.resetIncremental(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // combined folds any outstanding per-worker shards into the base
@@ -264,35 +293,50 @@ func (p *Pipeline) combined() (genome.Accumulator, error) {
 	return core.CombineAccumulator(p.acc, p.opts.Engine.Metrics)
 }
 
-// noteRun folds one completed mapping run into the pipeline's
-// cumulative accounting. Every read counts as exactly one of
-// mapped/unmapped, so their sum is the number of reads consumed.
-func (p *Pipeline) noteRun(st MapStats) {
-	p.cum.Mapped += st.Mapped
-	p.cum.Unmapped += st.Unmapped
-	p.cum.Locations += st.Locations
-	p.consumed += st.Mapped + st.Unmapped
-}
-
-// MapReads maps a batch of reads into the pipeline's accumulator using
-// the shared-memory worker pool. It may be called repeatedly.
+// MapReads maps an in-memory batch of reads: MapReadsFrom over a slice
+// source.
 func (p *Pipeline) MapReads(reads []*Read) (MapStats, error) {
-	st, err := p.eng.MapReads(reads, p.acc, 0)
-	if err == nil {
-		p.noteRun(st)
-	}
-	return st, err
+	return p.MapReadsFrom(SliceReadSource(reads))
 }
 
 // MapReadsFrom maps every read the source yields through the bounded
-// streaming pipeline: resident memory is capped at
+// mapping pipeline: resident memory is capped at
 // (Engine.Queue + Engine.Workers) · Engine.Batch reads regardless of
-// the input size, and the accumulated result is call-identical to
-// MapReads over the materialized stream. It may be called repeatedly.
+// the input size. It may be called repeatedly; the returned stats cover
+// this call (CumulativeStats covers the pipeline's life).
+//
+// Options.Checkpoint and Options.Incremental subscribe to the run's
+// quiesce barriers. Checkpoint counters are cumulative across the
+// pipeline's life (including a resumed checkpoint, whose watermark
+// prefix is skipped from the first source), so the watermark is always
+// "reads consumed since the original start of the job". Returns
+// ErrStopped, with a final checkpoint written, when StopRequested fires.
 func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
-	st, err := p.eng.MapReadsFrom(src, p.acc, 0)
-	if err == nil {
-		p.noteRun(st)
+	if err := skipReads(src, p.skip); err != nil {
+		return MapStats{}, err
+	}
+	p.skip = 0
+	var pol core.CheckpointPolicy
+	var cw *ckptCommitter
+	if cc := p.opts.Checkpoint; cc != nil {
+		cw = newCkptCommitter(cc.Path, p.header(), p.opts.Engine.Metrics)
+		pol.Subscribers = append(pol.Subscribers, cw.subscriber(cc))
+		pol.StopRequested = cc.StopRequested
+	}
+	if p.inc != nil {
+		pol.Subscribers = append(pol.Subscribers, p.inc.subscriber(p.consumed))
+	}
+	st, err := p.eng.MapReadsFrom(src, p.acc, 0, &pol)
+	if cw != nil {
+		err = cw.finish(err) // the newest checkpoint must be durable before we return
+	}
+	if err == nil || errors.Is(err, ErrStopped) {
+		// Every read counts as exactly one of mapped/unmapped, so their
+		// sum is the number of reads consumed.
+		p.cum.Mapped += st.Mapped
+		p.cum.Unmapped += st.Unmapped
+		p.cum.Locations += st.Locations
+		p.consumed += st.Mapped + st.Unmapped
 	}
 	return st, err
 }
@@ -301,8 +345,18 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 // With Caller.CallWorkers > 1 (or 0 on a multi-core host) the sweep is
 // chunked across a worker pool; the result is bit-identical to the
 // serial sweep because candidates concatenate in genome order before
-// the single global significance pass.
+// the single global significance pass. An incremental pipeline instead
+// finishes with one more incremental sweep — touching only the regions
+// written since the last barrier — which is bit-identical to the
+// one-shot sweep on a striped accumulator (sharded runs carry the usual
+// merge-order tolerance).
 func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
+	if p.inc != nil {
+		if err := p.inc.sweep(); err != nil {
+			return nil, CallStats{}, err
+		}
+		return p.inc.ic.Provisional()
+	}
 	acc, err := p.combined()
 	if err != nil {
 		return nil, CallStats{}, err
@@ -311,9 +365,12 @@ func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
 }
 
 // WriteVCF writes calls as VCF 4.2.
-func (p *Pipeline) WriteVCF(w io.Writer, calls []SNPCall) error {
+func WriteVCF(w io.Writer, calls []SNPCall) error {
 	return snp.WriteVCF(w, calls, "gnumap-snp")
 }
+
+// WriteVCF is the package-level WriteVCF (it uses nothing of p).
+func (p *Pipeline) WriteVCF(w io.Writer, calls []SNPCall) error { return WriteVCF(w, calls) }
 
 // WriteSAM maps the reads again and writes each read's single best
 // alignment as SAM (Viterbi path of the highest-posterior location).
@@ -351,15 +408,20 @@ func (p *Pipeline) SaveState(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	_, err = ckpt.WriteTo(w, &ckpt.Checkpoint{
-		Fingerprint:   p.fingerprint(),
-		ReadsConsumed: p.consumed,
-		Mapped:        p.cum.Mapped,
-		Unmapped:      p.cum.Unmapped,
-		Locations:     p.cum.Locations,
-		State:         data,
-	})
+	cp := p.header()
+	cp.State = data
+	_, err = ckpt.WriteTo(w, &cp)
 	return err
+}
+
+// header is the pipeline's fingerprint and cumulative accounting as a
+// stateless checkpoint: what SaveState wraps around the state, and the
+// base every periodic checkpoint of the next mapping call adds to.
+func (p *Pipeline) header() ckpt.Checkpoint {
+	return ckpt.Checkpoint{
+		Fingerprint: p.fingerprint(), ReadsConsumed: p.consumed,
+		Mapped: p.cum.Mapped, Unmapped: p.cum.Unmapped, Locations: p.cum.Locations,
+	}
 }
 
 // LoadState restores state saved by SaveState into a pipeline built
@@ -370,10 +432,6 @@ func (p *Pipeline) SaveState(w io.Writer) error {
 // typed errors (ErrNotCheckpoint, ErrCheckpointTruncated,
 // ErrCheckpointChecksum, ErrCheckpointMismatch, ...).
 func (p *Pipeline) LoadState(r io.Reader) error {
-	st, ok := p.acc.(genome.Stateful)
-	if !ok {
-		return fmt.Errorf("gnumap: memory mode %v is not serializable", p.acc.Mode())
-	}
 	cp, err := ckpt.ReadFrom(r, ckpt.MaxPayloadFor(p.ref.Len()))
 	if err != nil {
 		return fmt.Errorf("gnumap: load state: %w", err)
@@ -381,11 +439,25 @@ func (p *Pipeline) LoadState(r io.Reader) error {
 	if err := p.fingerprint().Check(cp.Fingerprint); err != nil {
 		return fmt.Errorf("gnumap: load state: %w", err)
 	}
+	return p.adopt(cp)
+}
+
+// adopt replaces the pipeline's accumulated state and cumulative
+// accounting with a fingerprint-checked checkpoint's.
+func (p *Pipeline) adopt(cp *ckpt.Checkpoint) error {
+	st, ok := p.acc.(genome.Stateful)
+	if !ok {
+		return fmt.Errorf("gnumap: memory mode %v is not serializable", p.acc.Mode())
+	}
 	if err := st.LoadStateBytes(cp.State); err != nil {
 		return err
 	}
 	p.cum = MapStats{Mapped: cp.Mapped, Unmapped: cp.Unmapped, Locations: cp.Locations}
 	p.consumed = cp.ReadsConsumed
+	if p.inc != nil {
+		// The region caches describe the replaced state.
+		return p.resetIncremental()
+	}
 	return nil
 }
 
@@ -870,6 +942,9 @@ func RunClusterReport(nodes int, transport Transport, mode SplitMode,
 func runCluster(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, reads []*Read, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
 
+	if opts.Incremental != nil {
+		return nil, MapStats{}, nil, fmt.Errorf("gnumap: incremental calling runs single-process only; cluster runs keep their own call flow")
+	}
 	ref, err := genome.NewReference(reference)
 	if err != nil {
 		return nil, MapStats{}, nil, err
@@ -966,9 +1041,7 @@ func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
 			}
 			acc, st, err = core.RunReadSplitStreamCkpt(c, ref, src, opts.Memory, opts.Engine, ck)
 			if cw != nil {
-				if ferr := cw.Flush(); ferr != nil && (err == nil || errors.Is(err, ErrStopped)) {
-					err = fmt.Errorf("gnumap: checkpoint commit: %w", ferr)
-				}
+				err = cw.finish(err)
 			}
 		} else {
 			acc, st, err = core.RunReadSplit(c, ref, reads, opts.Memory, opts.Engine)

@@ -1,22 +1,20 @@
 package gnumap
 
 // Incremental calling overlapped with mapping (DESIGN.md §14). The
-// streaming pipeline already quiesces every writer when a checkpoint
-// policy asks it to; an incremental run hangs the snp.IncrementalCaller
-// off that barrier, so provisional SNP calls are available while
-// mapping is still running and the final call set reuses almost every
-// region sweep — time-to-first-call moves from "after mapping" to
-// "during mapping".
+// mapping pipeline quiesces every writer at barriers; an incremental
+// run subscribes the snp.IncrementalCaller to them, so provisional SNP
+// calls are available while mapping is still running and the final call
+// set reuses almost every region sweep — time-to-first-call moves from
+// "after mapping" to "during mapping".
 
 import (
-	"errors"
 	"time"
 
 	"gnumap/internal/core"
 	"gnumap/internal/snp"
 )
 
-// IncrementalCallConfig configures Pipeline.MapReadsFromIncremental.
+// IncrementalCallConfig configures Options.Incremental.
 type IncrementalCallConfig struct {
 	// EveryReads quiesces and re-sweeps after this many reads
 	// (default 5000, the checkpoint default cadence).
@@ -25,22 +23,19 @@ type IncrementalCallConfig struct {
 	// (default 16384; see snp.NewIncrementalCaller).
 	RegionSize int
 	// OnProvisional, when non-nil, receives every provisional call set
-	// (calls valid until the next sweep; copy to retain). It runs while
-	// the pipeline is parked, so keep it cheap.
+	// (calls valid until the next sweep; copy to retain) with the
+	// pipeline's cumulative source watermark. It runs while the pipeline
+	// is parked, so keep it cheap.
 	OnProvisional func(calls []SNPCall, st CallStats, consumed int64)
 }
 
-// IncrementalResult reports an incremental run's calling outcome.
-type IncrementalResult struct {
-	// Calls and CallStats are the final call set, computed from the
-	// fully-mapped state (bit-identical to Pipeline.Call on a striped
-	// accumulator; sharded runs carry the usual merge-order tolerance).
-	Calls     []SNPCall
-	CallStats CallStats
-	// FirstCallSeconds is the wall time from mapping start to the first
-	// provisional sweep that produced at least one call — by
-	// construction earlier than mapping completion when coverage
-	// arrives early enough (0 when no provisional sweep called
+// IncrementalStats reports how an incremental run's calling overlapped
+// with its mapping (Pipeline.IncrementalStats).
+type IncrementalStats struct {
+	// FirstCallSeconds is the wall time from the start of the first
+	// mapping call to the first provisional sweep that produced at least
+	// one call — by construction earlier than mapping completion when
+	// coverage arrives early enough (0 when no provisional sweep called
 	// anything). FirstCallReads is the source watermark at that sweep.
 	FirstCallSeconds float64
 	FirstCallReads   int64
@@ -50,72 +45,93 @@ type IncrementalResult struct {
 	Sweeps, RegionsSwept, RegionsReused int64
 }
 
-// MapReadsFromIncremental is MapReadsFrom with calling overlapped: the
-// pipeline quiesces every EveryReads reads, re-sweeps only the genome
-// regions written since the previous barrier, and emits a provisional
-// call set; after mapping completes a final sweep (touching only the
-// tail's regions) yields the definitive calls. Metrics (when enabled)
-// gain call.first.seconds / call.first.reads gauges and
-// call.inc.sweeps / call.inc.regions.swept / call.inc.regions.reused
-// counters.
-func (p *Pipeline) MapReadsFromIncremental(src ReadSource, inc IncrementalCallConfig) (MapStats, *IncrementalResult, error) {
-	if p.opts.Checkpoint != nil {
-		return MapStats{}, nil, errors.New("gnumap: incremental calling and checkpointing both schedule the pipeline's quiesce barrier; configure one or the other")
+// incrementalRun is a Pipeline's incremental-calling state: the caller
+// over the pipeline's accumulator (its region tracker registered with
+// the engine for the pipeline's life) and the overlap accounting.
+// Metrics (when enabled) gain call.first.seconds / call.first.reads
+// gauges and call.inc.sweeps / call.inc.regions.swept /
+// call.inc.regions.reused counters.
+type incrementalRun struct {
+	cfg IncrementalCallConfig
+	ic  *snp.IncrementalCaller
+	reg *MetricsRegistry
+	// start is when the first mapping call began; firstSeconds and
+	// firstReads locate the first non-empty provisional call set.
+	start        time.Time
+	firstSeconds float64
+	firstReads   int64
+}
+
+// resetIncremental (re)builds the incremental caller over the current
+// accumulator contents: every region starts unswept, so state adopted
+// from a checkpoint or LoadState is swept like freshly mapped reads.
+func (p *Pipeline) resetIncremental() error {
+	cfg := *p.opts.Incremental
+	if cfg.EveryReads <= 0 {
+		cfg.EveryReads = 5000
 	}
-	every := inc.EveryReads
-	if every <= 0 {
-		every = 5000
-	}
-	ic, err := snp.NewIncrementalCaller(p.ref, p.acc, inc.RegionSize, p.opts.Caller)
+	ic, err := snp.NewIncrementalCaller(p.ref, p.acc, cfg.RegionSize, p.opts.Caller)
 	if err != nil {
-		return MapStats{}, nil, err
+		return err
 	}
 	p.eng.SetRegionTracker(ic.Tracker())
-	defer p.eng.SetRegionTracker(nil)
-	res := &IncrementalResult{}
-	reg := p.opts.Engine.Metrics
-	start := time.Now()
-	pol := &core.CheckpointPolicy{
-		EveryReads: every,
-		Quiesced: func(consumed int64) error {
-			if err := ic.Sweep(); err != nil {
-				return err
-			}
-			calls, st, err := ic.Provisional()
-			if err != nil {
-				return err
-			}
-			if len(calls) > 0 && res.FirstCallSeconds == 0 {
-				res.FirstCallSeconds = time.Since(start).Seconds()
-				res.FirstCallReads = consumed
-				if reg != nil {
-					reg.Gauge("call.first.seconds").Set(res.FirstCallSeconds)
-					reg.Gauge("call.first.reads").Set(float64(consumed))
-				}
-			}
-			if inc.OnProvisional != nil {
-				inc.OnProvisional(calls, st, consumed)
-			}
-			return nil
-		},
+	p.inc = &incrementalRun{cfg: cfg, ic: ic, reg: p.opts.Engine.Metrics}
+	return nil
+}
+
+// sweep re-sweeps the regions written since the previous sweep. Writers
+// must be quiesced.
+func (r *incrementalRun) sweep() error {
+	swept, reused := r.ic.RegionsSwept(), r.ic.RegionsReused()
+	if err := r.ic.Sweep(); err != nil {
+		return err
 	}
-	st, err := p.eng.MapReadsFromCkpt(src, p.acc, 0, pol)
-	if err != nil && !errors.Is(err, ErrStopped) {
-		return st, nil, err
+	if r.reg != nil {
+		r.reg.Counter("call.inc.sweeps").Inc()
+		r.reg.Counter("call.inc.regions.swept").Add(r.ic.RegionsSwept() - swept)
+		r.reg.Counter("call.inc.regions.reused").Add(r.ic.RegionsReused() - reused)
 	}
-	p.noteRun(st)
-	calls, cst, ferr := ic.Finalize()
-	if ferr != nil {
-		return st, nil, ferr
+	return nil
+}
+
+// subscriber hangs the sweep on a mapping run's quiesce barrier; base
+// is the pipeline's watermark when the run started.
+func (r *incrementalRun) subscriber(base int64) core.BarrierSubscriber {
+	if r.start.IsZero() {
+		r.start = time.Now()
 	}
-	res.Calls, res.CallStats = calls, cst
-	res.Sweeps = ic.Sweeps()
-	res.RegionsSwept = ic.RegionsSwept()
-	res.RegionsReused = ic.RegionsReused()
-	if reg != nil {
-		reg.Counter("call.inc.sweeps").Add(res.Sweeps)
-		reg.Counter("call.inc.regions.swept").Add(res.RegionsSwept)
-		reg.Counter("call.inc.regions.reused").Add(res.RegionsReused)
+	return core.BarrierSubscriber{EveryReads: r.cfg.EveryReads, Run: func(b *core.Barrier) error {
+		if err := r.sweep(); err != nil {
+			return err
+		}
+		calls, st, err := r.ic.Provisional()
+		if err != nil {
+			return err
+		}
+		consumed := base + b.Consumed
+		if len(calls) > 0 && r.firstSeconds == 0 {
+			r.firstSeconds, r.firstReads = time.Since(r.start).Seconds(), consumed
+			if r.reg != nil {
+				r.reg.Gauge("call.first.seconds").Set(r.firstSeconds)
+				r.reg.Gauge("call.first.reads").Set(float64(consumed))
+			}
+		}
+		if r.cfg.OnProvisional != nil {
+			r.cfg.OnProvisional(calls, st, consumed)
+		}
+		return nil
+	}}
+}
+
+// IncrementalStats reports the overlap accounting of a pipeline built
+// with Options.Incremental (the zero value otherwise).
+func (p *Pipeline) IncrementalStats() IncrementalStats {
+	r := p.inc
+	if r == nil {
+		return IncrementalStats{}
 	}
-	return st, res, err
+	return IncrementalStats{
+		FirstCallSeconds: r.firstSeconds, FirstCallReads: r.firstReads,
+		Sweeps: r.ic.Sweeps(), RegionsSwept: r.ic.RegionsSwept(), RegionsReused: r.ic.RegionsReused(),
+	}
 }

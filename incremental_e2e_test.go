@@ -2,6 +2,8 @@ package gnumap
 
 import (
 	"bytes"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -36,26 +38,31 @@ func TestIncrementalMappingIdentityE2E(t *testing.T) {
 	reg := NewMetricsRegistry()
 	incEng := engCfg
 	incEng.Metrics = reg
-	ip, err := NewPipeline(ds.Reference, Options{Engine: incEng, Caller: caller})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var provisional int
-	stats, res, err := ip.MapReadsFromIncremental(SliceReadSource(ds.Reads), IncrementalCallConfig{
+	ip, err := NewPipeline(ds.Reference, Options{Engine: incEng, Caller: caller, Incremental: &IncrementalCallConfig{
 		EveryReads: 2_000,
 		OnProvisional: func(calls []SNPCall, _ CallStats, _ int64) {
 			if len(calls) > 0 {
 				provisional++
 			}
 		},
-	})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ip.MapReadsFrom(SliceReadSource(ds.Reads))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Mapped+stats.Unmapped != int64(len(ds.Reads)) {
 		t.Fatalf("incremental stats cover %d reads, want %d", stats.Mapped+stats.Unmapped, len(ds.Reads))
 	}
-	sameCalls(t, "incremental", res.Calls, want)
+	got, _, err := ip.Call()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCalls(t, "incremental", got, want)
+	res := ip.IncrementalStats()
 
 	// The overlap must actually happen: multiple sweeps, a first
 	// provisional call strictly before the last read, and region reuse
@@ -91,26 +98,30 @@ func TestIncrementalVectorVCFByteIdentityE2E(t *testing.T) {
 		p, err := NewPipeline(ds.Reference, Options{
 			Engine: EngineConfig{Workers: 4, Batch: 32, Queue: 2},
 			Caller: caller,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, res, err := p.MapReadsFromIncremental(SliceReadSource(ds.Reads), IncrementalCallConfig{
-			EveryReads: 2_000,
-			OnProvisional: func(calls []SNPCall, _ CallStats, _ int64) {
-				var buf bytes.Buffer
-				if err := snp.WriteVCF(&buf, calls, "identity-e2e"); err != nil {
-					t.Error(err)
-					return
-				}
-				provisional = append(provisional, buf.String())
+			Incremental: &IncrementalCallConfig{
+				EveryReads: 2_000,
+				OnProvisional: func(calls []SNPCall, _ CallStats, _ int64) {
+					var buf bytes.Buffer
+					if err := snp.WriteVCF(&buf, calls, "identity-e2e"); err != nil {
+						t.Error(err)
+						return
+					}
+					provisional = append(provisional, buf.String())
+				},
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := p.MapReadsFrom(SliceReadSource(ds.Reads)); err != nil {
+			t.Fatal(err)
+		}
+		calls, _, err := p.Call()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
-		if err := snp.WriteVCF(&buf, res.Calls, "identity-e2e"); err != nil {
+		if err := snp.WriteVCF(&buf, calls, "identity-e2e"); err != nil {
 			t.Fatal(err)
 		}
 		return provisional, buf.String()
@@ -139,18 +150,95 @@ func TestIncrementalVectorVCFByteIdentityE2E(t *testing.T) {
 	}
 }
 
-// MapReadsFromIncremental and -checkpoint share the quiesce barrier;
-// the pipeline must reject running both at once rather than let the
-// two schedules interleave.
-func TestIncrementalRejectsCheckpointing(t *testing.T) {
+// Composition on the one quiesce barrier: a run with Options.Checkpoint
+// and Options.Incremental both set — each subscriber on its own cadence
+// — stopped mid-stream via StopRequested and resumed in a fresh
+// pipeline yields a VCF byte-identical to an uninterrupted plain run at
+// Workers=1, with provisional call sets surfacing on both sides of the
+// stop.
+func TestCheckpointIncrementalComposeResumeE2E(t *testing.T) {
 	ds := dataset(t)
-	ck := &CheckpointConfig{Path: t.TempDir() + "/state.ckpt", EveryReads: 1_000}
-	p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 2, Batch: 8}, Checkpoint: ck})
+	opts := Options{Engine: EngineConfig{Workers: 1, Batch: 32, Queue: 2}, Caller: CallerConfig{UseFDR: true}}
+	vcf := func(p *Pipeline) []byte {
+		t.Helper()
+		calls, _, err := p.Call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteVCF(&buf, calls); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	plain, err := NewPipeline(ds.Reference, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.MapReadsFromIncremental(SliceReadSource(ds.Reads), IncrementalCallConfig{EveryReads: 500}); err == nil {
-		t.Fatal("incremental mapping accepted a checkpoint-configured pipeline")
+	if _, err := plain.MapReadsFrom(SliceReadSource(ds.Reads)); err != nil {
+		t.Fatal(err)
+	}
+	want := vcf(plain)
+	if !bytes.Contains(want, []byte("\tPASS\t")) {
+		t.Fatal("plain run called no SNPs; dataset too weak for an identity test")
+	}
+
+	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
+	half := int64(len(ds.Reads) / 2)
+	leg := func(stopAt int64) (*Pipeline, *MetricsRegistry, *int, error) {
+		t.Helper()
+		reg := NewMetricsRegistry()
+		provisional := new(int)
+		o := opts
+		o.Metrics = reg
+		var seen int64
+		o.Incremental = &IncrementalCallConfig{
+			EveryReads: 1_000,
+			OnProvisional: func(_ []SNPCall, _ CallStats, consumed int64) {
+				*provisional++
+				seen = consumed
+			},
+		}
+		o.Checkpoint = &CheckpointConfig{
+			Path: ckPath, EveryReads: 1_500, Resume: true,
+			StopRequested: func() bool { return stopAt > 0 && seen >= stopAt },
+		}
+		p, err := NewPipeline(ds.Reference, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.MapReadsFrom(SliceReadSource(ds.Reads))
+		return p, reg, provisional, err
+	}
+
+	p1, reg1, prov1, err := leg(half)
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
+	}
+	watermark := p1.ReadsConsumed()
+	if watermark < half || watermark >= int64(len(ds.Reads)) {
+		t.Fatalf("stopped at watermark %d of %d reads", watermark, len(ds.Reads))
+	}
+	if *prov1 == 0 {
+		t.Error("no provisional call set before the stop")
+	}
+	if w := reg1.Counter("ckpt.writes").Value(); w < 2 {
+		t.Errorf("only %d checkpoint writes before the stop; the subscribers did not both run", w)
+	}
+
+	p2, _, prov2, err := leg(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *prov2 == 0 {
+		t.Error("no provisional call set after the resume")
+	}
+	if p2.ReadsConsumed() != int64(len(ds.Reads)) {
+		t.Errorf("resumed run consumed %d reads, want %d", p2.ReadsConsumed(), len(ds.Reads))
+	}
+	if got := vcf(p2); !bytes.Equal(got, want) {
+		t.Errorf("checkpoint+incremental stop/resume VCF differs from the plain run:\n--- plain ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 }
 

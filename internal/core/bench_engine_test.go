@@ -38,7 +38,7 @@ func BenchmarkMapReadsStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc, _ := genome.New(genome.Norm, g.ref.Len())
-		if _, err := eng.MapReadsFrom(fastq.SliceSource(g.reads), acc, 0); err != nil {
+		if _, err := eng.MapReadsFrom(fastq.SliceSource(g.reads), acc, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,7 +74,7 @@ const (
 // cluster-wide result to Sink. Worker ranks need no configuration —
 // they respond to markers unconditionally.
 type StreamCkpt struct {
-	// EveryReads / Every trigger a round (see CheckpointPolicy).
+	// EveryReads / Every trigger a round (see BarrierSubscriber).
 	EveryReads int64
 	Every      time.Duration
 	// Sink receives the dealt-read watermark, the global mapping stats
@@ -177,10 +177,25 @@ func RunReadSplitStreamCkpt(c *cluster.Comm, ref *genome.Reference, src fastq.So
 	return racc, rst, err
 }
 
-// localPipe starts MapReadsFromCkpt on a channel-backed source and
-// returns the feed channel, a done channel, and accessors for the
-// result. A nil batch fed into the channel propagates as a checkpoint
-// barrier to the policy's Sink.
+// payloadPolicy is a rank's local barrier policy in a streamed cluster
+// run: one subscriber with no trigger of its own, so it runs exactly at
+// the in-band barriers the dealing protocol feeds, and hands the rank's
+// quiesced snapshot to ch.
+func payloadPolicy(ch chan<- ckptPayload) *CheckpointPolicy {
+	return &CheckpointPolicy{Subscribers: []BarrierSubscriber{{Run: func(b *Barrier) error {
+		state, err := b.State()
+		if err != nil {
+			return err
+		}
+		ch <- ckptPayload{State: state, Mapped: b.Stats.Mapped, Unmapped: b.Stats.Unmapped, Locations: b.Stats.Locations}
+		return nil
+	}}}}
+}
+
+// localPipe starts MapReadsFrom on a channel-backed source and returns
+// the feed channel, a done channel, and accessors for the result. A nil
+// batch fed into the channel propagates as a barrier to the policy's
+// subscribers.
 func localPipe(eng *Engine, acc genome.Accumulator, queue int, pol *CheckpointPolicy) (chan<- []*fastq.Read, <-chan struct{}, *Stats, *error) {
 	ch := make(chan []*fastq.Read, queue)
 	done := make(chan struct{})
@@ -188,7 +203,7 @@ func localPipe(eng *Engine, acc genome.Accumulator, queue int, pol *CheckpointPo
 	errp := new(error)
 	go func() {
 		defer close(done)
-		*st, *errp = eng.MapReadsFromCkpt(&chanSource{ch: ch}, acc, 0, pol)
+		*st, *errp = eng.MapReadsFrom(&chanSource{ch: ch}, acc, 0, pol)
 	}()
 	return ch, done, st, errp
 }
@@ -204,10 +219,7 @@ func streamDeal(c *cluster.Comm, eng *Engine, src fastq.Source, acc genome.Accum
 	var pol *CheckpointPolicy
 	if ck != nil {
 		sinkCh = make(chan ckptPayload, 1)
-		pol = &CheckpointPolicy{Sink: func(consumed int64, st Stats, state []byte) error {
-			sinkCh <- ckptPayload{State: state, Mapped: st.Mapped, Unmapped: st.Unmapped, Locations: st.Locations}
-			return nil
-		}}
+		pol = payloadPolicy(sinkCh)
 	}
 	localCh, mapDone, mapStats, mapErr := localPipe(eng, acc, queue, pol)
 	outstanding := make([]int, size)
@@ -390,11 +402,7 @@ deal:
 // through the in-band barrier, send the snapshot to rank 0, continue.
 func streamReceive(c *cluster.Comm, eng *Engine, acc genome.Accumulator, cfg Config) (Stats, error) {
 	payloadCh := make(chan ckptPayload, 1)
-	pol := &CheckpointPolicy{Sink: func(consumed int64, st Stats, state []byte) error {
-		payloadCh <- ckptPayload{State: state, Mapped: st.Mapped, Unmapped: st.Unmapped, Locations: st.Locations}
-		return nil
-	}}
-	localCh, mapDone, mapStats, mapErr := localPipe(eng, acc, cfg.Queue, pol)
+	localCh, mapDone, mapStats, mapErr := localPipe(eng, acc, cfg.Queue, payloadPolicy(payloadCh))
 	for {
 		v, err := c.Recv(0, streamShardTag)
 		if err != nil {

@@ -13,9 +13,9 @@ import (
 	"gnumap/internal/obs"
 )
 
-// The streaming execution path. MapReads materializes every read
-// before mapping, so resident memory grows with the dataset;
-// MapReadsFrom instead pulls reads from a fastq.Source through a
+// The one shared-memory mapping run. MapReadsFrom pulls reads from a
+// fastq.Source (a file, a channel of dealt batches, or an in-memory
+// slice via fastq.SliceSource — MapReads is that wrapper) through a
 // bounded producer/consumer pipeline whose footprint is fixed by
 // configuration:
 //
@@ -26,11 +26,13 @@ import (
 //     (Queue + Workers) buffers, so the producer blocks — backpressure
 //     on the input stream — once every buffer is filled or being
 //     mapped. Resident reads never exceed (Queue + Workers) · Batch;
-//   - the existing mapper worker pool drains the queue, each worker
-//     reusing its zero-allocation scratch state across batches;
+//   - the mapper worker pool drains the queue, each worker reusing its
+//     zero-allocation scratch state across batches;
 //   - the first failure (worker or source) latches the error and a
 //     stop signal: workers stop picking up batches, the producer stops
-//     reading, and MapReadsFrom returns the first error.
+//     reading, and MapReadsFrom returns the first error;
+//   - the producer can park the whole pipeline at a quiesce barrier and
+//     run the policy's subscribers against a consistent accumulator.
 //
 // See DESIGN.md §10 for the invariants and the observability hooks.
 
@@ -76,70 +78,76 @@ type readBatch struct {
 	reads []*fastq.Read
 }
 
-// ErrStopped is returned by MapReadsFromCkpt after a cooperative stop:
-// the pipeline drained, the final checkpoint sink ran, and mapping
-// ended early by request rather than by error or end of input.
+// ErrStopped is returned by MapReadsFrom after a cooperative stop: the
+// pipeline drained, every barrier subscriber ran one last time, and
+// mapping ended early by request rather than by error or end of input.
 var ErrStopped = errors.New("core: stop requested; run state checkpointed")
 
 // ErrCkptBarrier is a sentinel a fastq.Source may return to request an
-// out-of-band quiesce + checkpoint instead of more reads. The streaming
-// pipeline drains in-flight batches, runs the checkpoint sink, and then
-// resumes pulling from the source. The cluster dealing protocol uses it
-// to propagate rank 0's checkpoint rounds into each rank's local
-// pipeline; it is not an error and never escapes MapReadsFromCkpt.
+// out-of-band barrier instead of more reads. The streaming pipeline
+// drains in-flight batches, runs every subscriber, and then resumes
+// pulling from the source. The cluster dealing protocol uses it to
+// propagate rank 0's checkpoint rounds into each rank's local pipeline;
+// it is not an error and never escapes MapReadsFrom.
 var ErrCkptBarrier = errors.New("core: checkpoint barrier")
 
-// CheckpointPolicy makes MapReadsFromCkpt periodically quiesce the
-// pipeline and hand a consistent snapshot to Sink.
-type CheckpointPolicy struct {
-	// EveryReads triggers a checkpoint each time this many reads have
-	// been consumed since the last one (0 = no read-count trigger).
+// Barrier is the parked pipeline as a subscriber sees it: the work
+// queue drained, every worker idle, every accumulator write visible.
+type Barrier struct {
+	// Consumed counts the reads pulled from the source so far THIS RUN;
+	// Stats are the mapping outcomes of exactly those reads.
+	Consumed int64
+	Stats    Stats
+	acc      genome.Accumulator
+}
+
+// State serializes the accumulator as of this barrier (including any
+// state loaded before the run) without disturbing live worker shards.
+// The returned slice is private to the caller.
+func (b *Barrier) State() ([]byte, error) { return genome.SnapshotState(b.acc) }
+
+// BarrierSubscriber is one listener on the pipeline's quiesce barrier,
+// with its own cadence.
+type BarrierSubscriber struct {
+	// EveryReads makes the subscriber due each time this many reads have
+	// been consumed since it last ran (0 = no read-count trigger).
 	EveryReads int64
-	// Every triggers a checkpoint when this much wall time has passed
-	// since the last one (0 = no time trigger). Both triggers may be
-	// set; whichever fires first wins.
+	// Every makes it due when this much wall time has passed since it
+	// last ran (0 = no time trigger). Both may be set; whichever fires
+	// first wins. With neither set the subscriber runs only at source
+	// barriers and the final barrier of a requested stop.
 	Every time.Duration
-	// Sink receives each snapshot: reads consumed from the source so
-	// far THIS RUN, the mapping stats so far this run, and the
-	// serialized accumulator state (which includes any state loaded
-	// before the run). A Sink error aborts the pipeline.
-	Sink func(consumed int64, st Stats, state []byte) error
+	// Run is called while the pipeline is parked; it may read the
+	// accumulator directly. An error aborts the run.
+	Run func(b *Barrier) error
+}
+
+// CheckpointPolicy is what MapReadsFrom does at quiesce barriers. The
+// pipeline parks whenever some subscriber is due and runs the due ones
+// (in list order) before resuming, so the durable-checkpoint sink and
+// the incremental calling sweep share one quiesce. A source barrier
+// (ErrCkptBarrier) and a requested stop run every subscriber.
+type CheckpointPolicy struct {
+	Subscribers []BarrierSubscriber
 	// StopRequested, when non-nil, is polled between batches; returning
-	// true drains the pipeline, runs a final Sink, and makes
-	// MapReadsFromCkpt return ErrStopped.
+	// true drains the pipeline, runs every subscriber one last time, and
+	// makes MapReadsFrom return ErrStopped.
 	StopRequested func() bool
-	// Quiesced, when non-nil, runs at every checkpoint barrier while
-	// the pipeline is still parked — the work queue drained, every
-	// worker idle, every accumulator write visible — and before the
-	// pipeline resumes. The incremental caller hangs its per-region
-	// sweep here. An error aborts the pipeline. A policy with only
-	// Quiesced set (no Sink) still quiesces on the usual triggers; the
-	// durable-state snapshot is skipped.
-	Quiesced func(consumed int64) error
 }
 
 // MapReadsFrom maps every read src yields, accumulating online into
-// acc exactly as MapReads does, while holding at most
-// (Queue + Workers) · Batch reads in memory. Accumulator index 0
-// corresponds to global position accOffset.
+// acc, while holding at most (Queue + Workers) · Batch reads in memory.
+// Accumulator index 0 corresponds to global position accOffset (zero
+// for a whole-genome accumulator). At Workers = 1 reads are mapped in
+// source order, so the accumulated bytes depend only on the input.
 //
-// The result is call-identical to MapReads over the materialized
-// stream: same Stats, same accumulated mass (up to the float
-// accumulation-order tolerance the worker pool already has).
-func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffset int) (Stats, error) {
-	return e.MapReadsFromCkpt(src, acc, accOffset, nil)
-}
-
-// MapReadsFromCkpt is MapReadsFrom with a checkpoint policy: every
-// EveryReads reads / Every wall time (or when the source returns
-// ErrCkptBarrier) the producer quiesces the pipeline — it collects all
+// A non-nil policy adds quiesce barriers: the producer collects all
 // (Queue + Workers) recycled buffers from the free list, which can only
 // succeed once the work queue is empty and every worker has finished
-// its batch, so the channel handoffs give the producer a happens-before
-// edge over every accumulator write — snapshots the stats and
-// accumulator state, hands them to policy.Sink, and resumes. A nil
-// policy makes it exactly MapReadsFrom.
-func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accOffset int, policy *CheckpointPolicy) (Stats, error) {
+// its batch — so the channel handoffs give the producer a
+// happens-before edge over every accumulator write — runs the
+// subscribers, and resumes.
+func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffset int, policy *CheckpointPolicy) (Stats, error) {
 	var st Stats
 	if acc == nil {
 		return st, fmt.Errorf("core: nil accumulator")
@@ -147,18 +155,11 @@ func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accO
 	if src == nil {
 		return st, fmt.Errorf("core: nil read source")
 	}
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
+	if policy == nil {
+		policy = &CheckpointPolicy{}
 	}
-	batchSz := e.cfg.Batch
-	if batchSz < 1 {
-		batchSz = 64
-	}
-	queue := e.cfg.Queue
-	if queue < 1 {
-		queue = 4
-	}
+	subs := policy.Subscribers
+	workers, batchSz, queue := e.cfg.Workers, e.cfg.Batch, e.cfg.Queue
 	sm := newStreamMetrics(e.cfg.Metrics)
 
 	// The free list is the memory bound: (queue + workers) buffers in
@@ -185,15 +186,20 @@ func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accO
 	var resident, peak atomic.Int64
 
 	// Producer: fill batches from the source until EOF, error, or stop,
-	// quiescing for a checkpoint whenever the policy (or a source
-	// barrier) asks for one.
+	// parking the pipeline whenever a subscriber is due (or the source
+	// or a stop request asks for a barrier).
 	var prodWG sync.WaitGroup
 	prodWG.Add(1)
 	go func() {
 		defer prodWG.Done()
 		defer close(work)
-		var consumed, sinceCkpt int64
-		lastCkpt := time.Now()
+		var consumed int64
+		// Per-subscriber trigger state: reads and wall time since it ran.
+		since := make([]int64, len(subs))
+		last := make([]time.Time, len(subs))
+		for i := range last {
+			last[i] = time.Now()
+		}
 		held := make([]*readBatch, 0, nbuf)
 		release := func() {
 			for _, hb := range held {
@@ -215,54 +221,54 @@ func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accO
 			}
 			return true
 		}
-		// checkpoint quiesces, snapshots (stats + accumulator state),
-		// runs the sink, and resumes the pipeline. False aborts the run.
-		checkpoint := func() bool {
-			if policy == nil || (policy.Sink == nil && policy.Quiesced == nil) {
+		// barrier runs the subscribers that are due (every one when all
+		// is set) with the pipeline parked, then resumes; with none to run
+		// it does not park. False aborts the run.
+		run := make([]int, 0, len(subs))
+		barrier := func(all bool) bool {
+			run = run[:0]
+			for i, s := range subs {
+				if all || (s.EveryReads > 0 && since[i] >= s.EveryReads) ||
+					(s.Every > 0 && time.Since(last[i]) >= s.Every) {
+					run = append(run, i)
+				}
+			}
+			if len(run) == 0 {
 				return true
 			}
 			if !quiesce() {
 				return false
 			}
 			stallStart := time.Now()
-			snap := Stats{
-				Mapped:    atomic.LoadInt64(&st.Mapped),
-				Unmapped:  atomic.LoadInt64(&st.Unmapped),
-				Locations: atomic.LoadInt64(&st.Locations),
+			b := &Barrier{
+				Consumed: consumed,
+				Stats: Stats{
+					Mapped:    atomic.LoadInt64(&st.Mapped),
+					Unmapped:  atomic.LoadInt64(&st.Unmapped),
+					Locations: atomic.LoadInt64(&st.Locations),
+				},
+				acc: acc,
 			}
-			var state []byte
 			var err error
-			if policy.Sink != nil {
-				state, err = genome.SnapshotState(acc)
-			}
-			if err == nil && policy.Quiesced != nil {
-				// Must run before release(): the hook reads the
-				// accumulator and needs the quiesced view.
-				if qerr := policy.Quiesced(consumed); qerr != nil {
-					err = fmt.Errorf("core: quiesced hook: %w", qerr)
+			for _, i := range run {
+				if err = subs[i].Run(b); err != nil {
+					break
 				}
+				since[i], last[i] = 0, time.Now()
 			}
 			release()
 			if err != nil {
-				latch(err)
+				latch(fmt.Errorf("core: barrier subscriber: %w", err))
 				return false
-			}
-			if policy.Sink != nil {
-				if err := policy.Sink(consumed, snap, state); err != nil {
-					latch(fmt.Errorf("core: checkpoint sink: %w", err))
-					return false
-				}
 			}
 			if sm != nil {
 				sm.ckptStall.ObserveDuration(time.Since(stallStart))
 			}
-			sinceCkpt = 0
-			lastCkpt = time.Now()
 			return true
 		}
 		for {
-			if policy != nil && policy.StopRequested != nil && policy.StopRequested() {
-				if checkpoint() {
+			if policy.StopRequested != nil && policy.StopRequested() {
+				if barrier(true) {
 					latch(ErrStopped)
 				}
 				return
@@ -283,7 +289,7 @@ func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accO
 				}
 				b.reads = append(b.reads, rd)
 			}
-			barrier := errors.Is(srcErr, ErrCkptBarrier)
+			srcBarrier := errors.Is(srcErr, ErrCkptBarrier)
 			if n := len(b.reads); n > 0 {
 				r := resident.Add(int64(n))
 				for {
@@ -306,13 +312,15 @@ func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accO
 					return
 				}
 				consumed += int64(n)
-				sinceCkpt += int64(n)
+				for i := range since {
+					since[i] += int64(n)
+				}
 			} else {
 				// Unused buffer goes straight back so quiesce can count it.
 				free <- b
 			}
-			if barrier {
-				if !checkpoint() {
+			if srcBarrier {
+				if !barrier(true) {
 					return
 				}
 				continue
@@ -323,12 +331,8 @@ func (e *Engine) MapReadsFromCkpt(src fastq.Source, acc genome.Accumulator, accO
 				}
 				return
 			}
-			if policy != nil &&
-				((policy.EveryReads > 0 && sinceCkpt >= policy.EveryReads) ||
-					(policy.Every > 0 && time.Since(lastCkpt) >= policy.Every)) {
-				if !checkpoint() {
-					return
-				}
+			if !barrier(false) {
+				return
 			}
 		}
 	}()

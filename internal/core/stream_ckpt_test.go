@@ -17,13 +17,27 @@ type sinkRecord struct {
 	state    []byte
 }
 
-// TestMapReadsFromCkptSinkInvariants exercises the periodic quiesce
+// stateSink is a checkpoint-shaped subscriber: every everyReads reads
+// (0 = source/stop barriers only) it snapshots the accumulator state
+// and hands the barrier's view to record.
+func stateSink(everyReads int64, record func(sinkRecord)) BarrierSubscriber {
+	return BarrierSubscriber{EveryReads: everyReads, Run: func(b *Barrier) error {
+		state, err := b.State()
+		if err != nil {
+			return err
+		}
+		record(sinkRecord{b.Consumed, b.Stats, state})
+		return nil
+	}}
+}
+
+// TestMapReadsFromBarrierSinkInvariants exercises the periodic quiesce
 // barrier with a sharded accumulator (the layout where a destructive
 // snapshot would corrupt the run): sinks fire at the configured
 // interval, consumed counts are monotone and consistent with the stats
 // snapshot, and the pipeline's final result is unchanged by the
 // barriers.
-func TestMapReadsFromCkptSinkInvariants(t *testing.T) {
+func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 51)
 	cfg := Config{Workers: 4, Batch: 16, Queue: 2, Accum: AccumSharded}
 	eng, err := NewEngine(p.ref, cfg)
@@ -36,7 +50,7 @@ func TestMapReadsFromCkptSinkInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0)
+	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +60,10 @@ func TestMapReadsFromCkptSinkInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sinks []sinkRecord
-	pol := &CheckpointPolicy{
-		EveryReads: 100,
-		Sink: func(consumed int64, st Stats, state []byte) error {
-			sinks = append(sinks, sinkRecord{consumed, st, state})
-			return nil
-		},
-	}
-	gotSt, err := eng.MapReadsFromCkpt(fastq.SliceSource(p.reads), acc, 0, pol)
+	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(r sinkRecord) {
+		sinks = append(sinks, r)
+	})}}
+	gotSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +89,11 @@ func TestMapReadsFromCkptSinkInvariants(t *testing.T) {
 	compareAccums(t, want, acc, p.ref.Len())
 }
 
-// TestMapReadsFromCkptResumeIdentity is the resume invariant at the
+// TestMapReadsFromBarrierResumeIdentity is the resume invariant at the
 // engine level: interrupt a run at a checkpoint, load the checkpoint
 // state into a fresh accumulator, skip the watermark, map the rest —
 // the final accumulated mass matches the uninterrupted run.
-func TestMapReadsFromCkptResumeIdentity(t *testing.T) {
+func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 53)
 	cfg := Config{Workers: 4, Batch: 16, Queue: 2, Accum: AccumSharded}
 	eng, err := NewEngine(p.ref, cfg)
@@ -95,7 +105,7 @@ func TestMapReadsFromCkptResumeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), full, 0)
+	fullSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), full, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +118,13 @@ func TestMapReadsFromCkptResumeIdentity(t *testing.T) {
 	var last sinkRecord
 	var nSinks atomic.Int64
 	pol := &CheckpointPolicy{
-		EveryReads: 150,
-		Sink: func(consumed int64, st Stats, state []byte) error {
-			last = sinkRecord{consumed, st, append([]byte(nil), state...)}
+		Subscribers: []BarrierSubscriber{stateSink(150, func(r sinkRecord) {
+			last = r
 			nSinks.Add(1)
-			return nil
-		},
+		})},
 		StopRequested: func() bool { return nSinks.Load() >= 2 },
 	}
-	_, err = eng.MapReadsFromCkpt(fastq.SliceSource(p.reads), acc1, 0, pol)
+	_, err = eng.MapReadsFrom(fastq.SliceSource(p.reads), acc1, 0, pol)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
 	}
@@ -134,7 +142,7 @@ func TestMapReadsFromCkptResumeIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rest := p.reads[last.consumed:]
-	restSt, err := eng.MapReadsFrom(fastq.SliceSource(rest), acc2, 0)
+	restSt, err := eng.MapReadsFrom(fastq.SliceSource(rest), acc2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +153,66 @@ func TestMapReadsFromCkptResumeIdentity(t *testing.T) {
 		t.Errorf("unmapped %d after resume, want %d", got, fullSt.Unmapped)
 	}
 	compareAccums(t, full, acc2, p.ref.Len())
+}
+
+// TestMapReadsFromBarrierSubscribersCompose: two subscribers with
+// different cadences share the pipeline's one quiesce — each runs on
+// its own schedule (and both at a stop), each sees stats that account
+// for exactly the consumed reads, and the mapping result is unchanged.
+func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
+	p := makePipeline(t, 30000, 3, 8, 61)
+	cfg := Config{Workers: 4, Batch: 10, Queue: 2}
+	eng, err := NewEngine(p.ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fast, slow []int64
+	count := func(into *[]int64) func(*Barrier) error {
+		return func(b *Barrier) error {
+			if got := b.Stats.Mapped + b.Stats.Unmapped; got != b.Consumed {
+				t.Errorf("barrier at %d reads: stats account for %d", b.Consumed, got)
+			}
+			*into = append(*into, b.Consumed)
+			return nil
+		}
+	}
+	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{
+		{EveryReads: 100, Run: count(&fast)},
+		{EveryReads: 250, Run: count(&slow)},
+	}}
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(p.reads))
+	if int64(len(fast)) != n/100 {
+		t.Errorf("every-100 subscriber ran %d times over %d reads", len(fast), n)
+	}
+	if int64(len(slow)) != n/250 {
+		t.Errorf("every-250 subscriber ran %d times over %d reads", len(slow), n)
+	}
+	for i, c := range fast {
+		if c != int64(i+1)*100 {
+			t.Errorf("every-100 run %d at %d reads", i, c)
+		}
+	}
+	for i, c := range slow {
+		if c != int64(i+1)*250 {
+			t.Errorf("every-250 run %d at %d reads", i, c)
+		}
+	}
+	compareAccums(t, want, acc, p.ref.Len())
 }
 
 // barrierSource injects ErrCkptBarrier every interval reads.
@@ -169,10 +237,10 @@ func (s *barrierSource) Next() (*fastq.Read, error) {
 	return rd, nil
 }
 
-// TestMapReadsFromCkptBarrierSource drives the out-of-band barrier the
+// TestMapReadsFromSourceBarrier drives the out-of-band barrier the
 // cluster protocol uses: the source itself requests checkpoints, at
 // positions that do not align with batch boundaries.
-func TestMapReadsFromCkptBarrierSource(t *testing.T) {
+func TestMapReadsFromSourceBarrier(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 57)
 	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
 	eng, err := NewEngine(p.ref, cfg)
@@ -183,7 +251,7 @@ func TestMapReadsFromCkptBarrierSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0)
+	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +261,11 @@ func TestMapReadsFromCkptBarrierSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	var consumedAt []int64
-	pol := &CheckpointPolicy{
-		Sink: func(consumed int64, st Stats, state []byte) error {
-			consumedAt = append(consumedAt, consumed)
-			return nil
-		},
-	}
+	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(0, func(r sinkRecord) {
+		consumedAt = append(consumedAt, r.consumed)
+	})}}
 	src := &barrierSource{reads: p.reads, interval: 37}
-	gotSt, err := eng.MapReadsFromCkpt(src, acc, 0, pol)
+	gotSt, err := eng.MapReadsFrom(src, acc, 0, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +283,9 @@ func TestMapReadsFromCkptBarrierSource(t *testing.T) {
 	compareAccums(t, want, acc, p.ref.Len())
 }
 
-// TestMapReadsFromCkptNilPolicyBarrier: a barrier from the source with
+// TestMapReadsFromNilPolicyBarrier: a barrier from the source with
 // no policy attached quietly resumes (no sink, no error).
-func TestMapReadsFromCkptNilPolicyBarrier(t *testing.T) {
+func TestMapReadsFromNilPolicyBarrier(t *testing.T) {
 	p := makePipeline(t, 20000, 2, 6, 59)
 	cfg := Config{Workers: 2, Batch: 8, Queue: 2}
 	eng, err := NewEngine(p.ref, cfg)
@@ -232,7 +297,7 @@ func TestMapReadsFromCkptNilPolicyBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &barrierSource{reads: p.reads, interval: 25}
-	st, err := eng.MapReadsFromCkpt(src, acc, 0, nil)
+	st, err := eng.MapReadsFrom(src, acc, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

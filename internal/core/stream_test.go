@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -53,41 +54,69 @@ func TestMapReadsStopLatch(t *testing.T) {
 	}
 }
 
-// TestMapReadsFromMatchesMapReads checks the streaming path is
-// call-identical to the slice path: same Stats and the same
-// accumulated per-position mass (same float tolerance the worker pool
-// already has for accumulation-order differences).
-func TestMapReadsFromMatchesMapReads(t *testing.T) {
+// TestMapReadsIsSerialAtOneWorker pins what replaced the slice worker
+// pool: MapReads is MapReadsFrom over a slice source, and at Workers=1
+// the pipeline maps reads in source order — so the accumulator bytes
+// equal those of a plain serial loop over the reads, whatever the
+// batch and queue sizes.
+func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 43)
-	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
-	eng, err := NewEngine(p.ref, cfg)
+	eng, err := NewEngine(p.ref, Config{Workers: 1, Batch: 16, Queue: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := genome.New(genome.Norm, p.ref.Len())
+	state := func(acc genome.Accumulator) []byte {
+		t.Helper()
+		b, err := acc.(genome.Stateful).State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	newAcc := func() genome.Accumulator {
+		t.Helper()
+		acc, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+
+	serial := newAcc()
+	m, err := eng.newMapper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSt, err := eng.MapReads(p.reads, want, 0)
-	if err != nil {
-		t.Fatal(err)
+	var wantSt Stats
+	for _, rd := range p.reads {
+		if err := m.consumeRead(rd, serial, 0, &wantSt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := genome.New(genome.Norm, p.ref.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), got, 0)
+	want := state(serial)
+
+	slice := newAcc()
+	gotSt, err := eng.MapReads(p.reads, slice, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotSt.Mapped != wantSt.Mapped || gotSt.Unmapped != wantSt.Unmapped || gotSt.Locations != wantSt.Locations {
-		t.Errorf("stats diverge: stream %+v vs slice %+v", gotSt, wantSt)
+		t.Errorf("stats diverge: MapReads %+v vs serial loop %+v", gotSt, wantSt)
 	}
-	for pos := 0; pos < p.ref.Len(); pos += 101 {
-		a, b := want.Total(pos), got.Total(pos)
-		if math.Abs(a-b) > 1e-3*(1+a) {
-			t.Fatalf("pos %d: stream %v vs slice %v", pos, b, a)
-		}
+	if !bytes.Equal(state(slice), want) {
+		t.Error("MapReads at Workers=1 is not byte-identical to a serial loop")
+	}
+
+	eng2, err := NewEngine(p.ref, Config{Workers: 1, Batch: 5, Queue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newAcc()
+	if _, err := eng2.MapReadsFrom(fastq.SliceSource(p.reads), src, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state(src), want) {
+		t.Error("accumulator bytes at Workers=1 depend on batch/queue sizes")
 	}
 }
 
@@ -111,7 +140,7 @@ func TestMapReadsFromMemoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0); err != nil {
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	peak := reg.Gauge("stream.peak.resident.reads").Value()
@@ -162,7 +191,7 @@ func TestMapReadsFromSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.MapReadsFrom(src, acc, 0)
+	_, err = eng.MapReadsFrom(src, acc, 0, nil)
 	if err == nil || !errorContains(err, "disk on fire") {
 		t.Fatalf("MapReadsFrom error = %v, want wrapped source error", err)
 	}
@@ -200,7 +229,7 @@ func TestMapReadsFromWorkerErrorStopsProducer(t *testing.T) {
 	var mapErr error
 	go func() {
 		defer close(done)
-		_, mapErr = eng.MapReadsFrom(fastq.SliceSource(reads), acc, 0)
+		_, mapErr = eng.MapReadsFrom(fastq.SliceSource(reads), acc, 0, nil)
 	}()
 	select {
 	case <-done:
@@ -226,7 +255,7 @@ func TestMapReadsFromEmptySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.MapReadsFrom(fastq.SliceSource(nil), acc, 0)
+	st, err := eng.MapReadsFrom(fastq.SliceSource(nil), acc, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
