@@ -1,6 +1,7 @@
 package gnumap
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 )
@@ -8,8 +9,8 @@ import (
 // End-to-end identity of the batched wavefront Pair-HMM kernel: running
 // the full streaming pipeline with -phmm-batch on vs. off must produce
 // exactly the same SNP calls. Batched lanes are bit-identical to scalar
-// AlignBanded calls and flushPending emits locations in candidate
-// order, so not even the call scores may drift. Runs under -race in CI
+// AlignBanded calls and the mapper emits each read's locations in
+// candidate order, so not even the call scores may drift. Runs under -race in CI
 // (make race covers the root package).
 func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 	ds := dataset(t)
@@ -53,5 +54,42 @@ func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 	// internal/core). Width 5 exercises the scalar-leftover fallback.
 	for _, width := range []int{8, 5} {
 		sameCalls(t, "batched streaming", call(width), want)
+	}
+}
+
+// TestBatchSizeVCFIdentityE2E: lanes are packed across the reads of a
+// work batch, so -batch decides which alignments share a sweep — and
+// must decide nothing else. On one worker the VCF is byte-identical
+// whether a batch is one read (no packing), one chunk, or several, and
+// identical to the scalar kernel's.
+func TestBatchSizeVCFIdentityE2E(t *testing.T) {
+	ds := dataset(t)
+	vcf := func(batch, phmmBatch int) []byte {
+		t.Helper()
+		p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1, Batch: batch, PhmmBatch: phmmBatch}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.MapReads(ds.Reads); err != nil {
+			t.Fatal(err)
+		}
+		calls, _, err := p.Call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteVCF(&buf, calls); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := vcf(1, -1) // scalar kernel, a read at a time
+	if !bytes.Contains(want, []byte("\tPASS\t")) {
+		t.Fatal("scalar baseline called no SNPs; dataset too weak for an identity test")
+	}
+	for _, batch := range []int{1, 64, 200} {
+		if got := vcf(batch, 0); !bytes.Equal(got, want) {
+			t.Errorf("-batch %d: VCF differs from the scalar read-at-a-time run", batch)
+		}
 	}
 }

@@ -175,6 +175,7 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		}, []string{"-checkpoint"}},
 		{"incremental", func(string) []string { return []string{"-incremental-every", "700"} }, []string{"-incremental-every"}},
 		{"sam", func(tag string) []string { return []string{"-sam", filepath.Join(data, tag+".sam")} }, []string{"-sam"}},
+		{"pileup", func(tag string) []string { return []string{"-pileup", filepath.Join(data, tag+".tsv")} }, []string{"-pileup"}},
 		{"fit", func(string) []string { return []string{"-fit"} }, []string{"-fit"}},
 		{"read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read"} }, []string{"-nodes", "-split"}},
 		{"genome-split", func(string) []string { return []string{"-nodes", "2", "-split", "genome"} }, []string{"-nodes", "-split"}},
@@ -187,6 +188,10 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		"checkpoint+genome-split":  true, // cluster watermarks need the streamed read-split dealer
 		"incremental+read-split":   true, // cluster runs keep their own call flow
 		"incremental+genome-split": true,
+		"sam+read-split":           true, // side outputs come from the single-process Pipeline
+		"sam+genome-split":         true,
+		"pileup+read-split":        true,
+		"pileup+genome-split":      true,
 	}
 
 	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {

@@ -109,7 +109,7 @@ func run() error {
 		accumMode  = flag.String("accum-mode", "auto", "accumulator write strategy: auto, striped (lock stripes on one shared copy), or sharded (lock-free per-worker shards, merged before calling)")
 		callWk     = flag.Int("call-workers", 0, "calling-sweep worker count (0 = GOMAXPROCS, 1 = serial; results are bit-identical regardless)")
 		callVec    = flag.Bool("call-vector", true, "vectorized plane-streaming calling sweep (norm layout only; calls are bit-identical to the scalar sweep either way)")
-		batch      = flag.Int("batch", 0, "reads per pipeline batch (0 = default 64)")
+		batch      = flag.Int("batch", 0, "reads per pipeline batch, whose candidate windows share Pair-HMM sweeps (0 = default 64; results are identical at any value)")
 		queue      = flag.Int("queue", 0, "pipeline work-queue bound, in batches (0 = default 4)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
 		phmmBatch  = flag.Int("phmm-batch", gnumap.DefaultPhmmBatch, "batched PHMM kernel width: candidate windows aligned per wavefront sweep (0 = off, scalar kernel; calls are identical either way)")
@@ -219,6 +219,10 @@ func run() error {
 			return fmt.Errorf("-incremental-every runs single-process only (-nodes %d keeps the cluster call flow)", *nodes)
 		}
 		opts.Incremental = &gnumap.IncrementalCallConfig{EveryReads: *incEvery}
+	}
+	if *nodes > 1 && (*samPath != "" || *pileupOut != "") {
+		// A cluster run builds no Pipeline and would silently skip them.
+		return fmt.Errorf("-sam and -pileup are written by the single-process pipeline only, not with -nodes %d -split %s", *nodes, *split)
 	}
 	// The mapping source: the FASTQ stream, or — when fitting or SAM
 	// output needs random access to the whole read set — the loaded

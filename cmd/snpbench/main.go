@@ -29,6 +29,7 @@ import (
 	"gnumap/internal/experiments"
 	"gnumap/internal/genome"
 	"gnumap/internal/obs"
+	"gnumap/internal/phmm"
 	"gnumap/internal/snp"
 )
 
@@ -150,7 +151,12 @@ func main() {
 		ran = true
 	}
 	if all || wants["phmm"] {
-		runPhmmBench(ds, *workers, *phmmBatch, *benchOut)
+		// No repeats: one candidate a read, so lanes fill only across reads.
+		unique, err := experiments.MakeDataset(experiments.DataConfig{GenomeLength: *length, SNPCount: *snps, Coverage: *coverage, Seed: *seed, RepeatFree: true})
+		if err != nil {
+			log.Fatal(err)
+		}
+		runPhmmBench(ds, unique, *workers, *phmmBatch, *benchOut)
 		ran = true
 	}
 	if all || wants["stream"] {
@@ -289,7 +295,7 @@ func runSweep(ds *experiments.Dataset, workers int) {
 // the batched rows verified bit-exact against scalar before timing —
 // plus end-to-end engine reads/sec, and writes the machine-readable
 // BENCH_phmm.json used to track the kernel across PRs.
-func runPhmmBench(ds *experiments.Dataset, workers, phmmBatch int, outPath string) {
+func runPhmmBench(ds, unique *experiments.Dataset, workers, phmmBatch int, outPath string) {
 	fmt.Println("PHMM KERNEL — scalar vs batched wavefront, 62-bp read / 78-bp window")
 	rows, err := experiments.PhmmKernelBench()
 	if err != nil {
@@ -310,22 +316,27 @@ func runPhmmBench(ds *experiments.Dataset, workers, phmmBatch int, outPath strin
 	if phmmBatch >= 2 {
 		widths = []int{phmmBatch}
 	}
-	fmt.Printf("\nPHMM ENGINE — end-to-end mapping, %d reads, workers=%d\n", len(ds.Reads), workers)
-	engineRows, err := experiments.PhmmEngineBench(ds, workers, widths)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Printf("\nPHMM ENGINE — end-to-end mapping, %d reads, workers=%d, batch kernel %s\n", len(ds.Reads), workers, phmm.BatchKernel())
+	var engineRows []experiments.PhmmEngineBenchRow
+	for i, d := range []*experiments.Dataset{ds, unique} {
+		rows, err := experiments.PhmmEngineBench(d, [2]string{"repeats", "unique"}[i], workers, widths)
+		if err != nil {
+			log.Fatal(err)
+		}
+		engineRows = append(engineRows, rows...)
 	}
-	fmt.Printf("%-16s %8s %8s %10s %12s\n", "config", "mapped", "locs", "wall", "reads/sec")
+	fmt.Printf("%-8s %-16s %8s %8s %10s %12s\n", "dataset", "config", "mapped", "locs", "wall", "reads/sec")
 	for _, r := range engineRows {
 		wall := time.Duration(r.WallNs)
-		fmt.Printf("%-16s %8d %8d %10s %12.0f\n",
-			r.Name, r.Mapped, r.Locations, wall.Round(msRound(wall)), r.ReadsPerSec)
+		fmt.Printf("%-8s %-16s %8d %8d %10s %12.0f\n",
+			r.Dataset, r.Name, r.Mapped, r.Locations, wall.Round(msRound(wall)), r.ReadsPerSec)
 	}
 
 	report := struct {
 		Generated  string                           `json:"generated"`
 		GoOS       string                           `json:"goos"`
 		GoArch     string                           `json:"goarch"`
+		Kernel     string                           `json:"batch_kernel"`
 		Input      string                           `json:"input"`
 		Rows       []experiments.PhmmBenchRow       `json:"rows"`
 		EngineRows []experiments.PhmmEngineBenchRow `json:"engine_rows"`
@@ -333,7 +344,8 @@ func runPhmmBench(ds *experiments.Dataset, workers, phmmBatch int, outPath strin
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
-		Input:      fmt.Sprintf("62bp read vs 78bp window, diag 8; engine: %d reads, workers=%d", len(ds.Reads), workers),
+		Kernel:     phmm.BatchKernel(),
+		Input:      fmt.Sprintf("62bp read vs 78bp window, diag 8; engine: %d reads (repeats) / %d (unique), workers=%d", len(ds.Reads), len(unique.Reads), workers),
 		Rows:       rows,
 		EngineRows: engineRows,
 	}

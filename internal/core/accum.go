@@ -115,14 +115,15 @@ func NewAccumulator(mode genome.Mode, length int, cfg Config) (genome.Accumulato
 // striped base and returns it; a plain striped accumulator passes
 // through untouched. Callers must have quiesced the mapping workers
 // (MapReads/MapReadsFrom have returned). The shard count and merge
-// wall time are published as accum.shards / accum.merge.seconds.
+// wall time are published as accum.shards / accum.merge.seconds (a
+// repeated combine, with no shards left, keeps the run's shard count).
 func CombineAccumulator(acc genome.Accumulator, reg *obs.Registry) (genome.Accumulator, error) {
 	sp, ok := acc.(genome.ShardProvider)
 	if !ok {
 		return acc, nil
 	}
-	if reg != nil {
-		reg.Gauge("accum.shards").Set(float64(sp.ShardCount()))
+	if n := sp.ShardCount(); reg != nil && n > 0 {
+		reg.Gauge("accum.shards").Set(float64(n))
 	}
 	start := time.Now()
 	base, err := sp.Combine()

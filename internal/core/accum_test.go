@@ -158,6 +158,11 @@ func TestMapReadsShardedMatchesStriped(t *testing.T) {
 			t.Fatalf("pos %d: striped %v vs sharded %v", pos, a, b)
 		}
 	}
+	// A second combine (what CoverageStats does after Call) finds no
+	// shards and must not zero the gauge.
+	if _, err := CombineAccumulator(shardedAcc, reg); err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot(0)
 	if snap.Gauges["accum.shards"] <= 0 {
 		t.Errorf("accum.shards gauge not published: %v", snap.Gauges)

@@ -116,15 +116,20 @@ func TestWeightsRenormalized(t *testing.T) {
 	}
 }
 
-// TestMapReadSteadyStateZeroAllocs verifies the zero-allocation hot
-// path: after warmup, repeated mapRead+weights rounds must not allocate.
-func TestMapReadSteadyStateZeroAllocs(t *testing.T) {
+// TestMapBatchSteadyStateZeroAllocs verifies the zero-allocation hot
+// path: after warmup, mapping and accumulating whole batches — full
+// chunks and a ragged last one — must not allocate.
+func TestMapBatchSteadyStateZeroAllocs(t *testing.T) {
 	p := makePipeline(t, 30000, 4, 4, 55)
 	eng, err := NewEngine(p.ref, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.newMapper()
+	m, err := eng.getMapper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +137,16 @@ func TestMapReadSteadyStateZeroAllocs(t *testing.T) {
 	if len(reads) > 200 {
 		reads = reads[:200]
 	}
+	var st Stats
+	sink := m.accumulate(acc, 0, &st)
 	round := func() {
-		for _, rd := range reads {
-			locs, err := m.mapRead(rd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.wbuf = eng.weights(locs, m.wbuf)
+		if err := m.mapBatch(reads, false, sink); err != nil {
+			t.Fatal(err)
 		}
 	}
 	round() // warmup: grows arenas and scratch to the high-water mark
 	avg := testing.AllocsPerRun(5, round)
 	if avg > 0 {
-		t.Errorf("steady-state mapRead allocates %.1f times per %d reads, want 0", avg, len(reads))
+		t.Errorf("steady-state mapBatch allocates %.1f times per %d reads, want 0", avg, len(reads))
 	}
 }

@@ -1,59 +1,158 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
+	"gnumap/internal/dna"
+	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 	"gnumap/internal/obs"
+	"gnumap/internal/simulate"
 )
 
-// runMapping maps the pipeline's reads with the given batch width on a
-// single worker and returns the accumulator, stats, and the engine's
-// phmm.cells counter.
-func runMapping(t *testing.T, p *pipeline, phmmBatch int) (genome.Accumulator, Stats, int64) {
+// mapRead is the read-at-a-time oracle: one read per mapBatch call, so
+// no lanes are ever packed across reads.
+func (m *mapper) mapRead(rd *fastq.Read, emit func(int, []location) error) error {
+	return m.mapBatch([]*fastq.Read{rd}, false, emit)
+}
+
+// identityReads builds the property matrix of the cross-read identity
+// test on a repeat-rich reference: simulated reads of three lengths
+// from both strands (multi-mapped where they fall in repeat copies),
+// interleaved so every chunk mixes shapes; reads within Pad of both
+// genome edges, whose clipped windows land in odd (window, diag) bins;
+// reads from another genome (unmapped); and malformed reads.
+func identityReads(t *testing.T) (*genome.Reference, []*fastq.Read) {
+	t.Helper()
+	g, err := simulate.Genome(simulate.GenomeConfig{Length: 24000, DispersedRepeatFraction: 0.3, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := simulate.Catalog(g, simulate.CatalogConfig{Count: 5, Seed: 78})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ind, err := simulate.Mutate(g, cat, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads []*fastq.Read
+	for i, length := range []int{40, 62, 100} {
+		rs, err := simulate.Reads(ind, simulate.ReadConfig{Length: length, Coverage: 1.2, Seed: int64(80 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads = append(reads, rs...)
+	}
+	other, err := simulate.Genome(simulate.GenomeConfig{Length: 3000, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(name string, from dna.Seq, pos, length int, rc bool) *fastq.Read {
+		seq := append(dna.Seq(nil), from[pos:pos+length]...)
+		if rc {
+			seq = seq.ReverseComplement()
+		}
+		qual := make([]uint8, length)
+		for i := range qual {
+			qual[i] = uint8(20 + (pos+i)%20)
+		}
+		return &fastq.Read{Name: name, Seq: seq, Qual: qual}
+	}
+	for off := 0; off < 8; off++ {
+		for _, length := range []int{40, 62} {
+			reads = append(reads,
+				cut("left", g, off, length, off%2 == 1),
+				cut("right", g, len(g)-length-off, length, off%2 == 0))
+		}
+		reads = append(reads, cut("foreign", other, 100*off, 62, false))
+	}
+	reads = append(reads,
+		&fastq.Read{Name: "short-qual", Seq: g[500:562], Qual: make([]uint8, 10)},
+		&fastq.Read{Name: "empty"},
+		&fastq.Read{Name: "all-N", Seq: make(dna.Seq, 62), Qual: make([]uint8, 62)})
+	for i := range reads[len(reads)-1].Seq {
+		reads[len(reads)-1].Seq[i] = dna.N
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
+	ref, err := genome.NewSingleContig("chrI", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref, reads
+}
+
+// mappingOutcome is everything a mapping run must reproduce bit for bit.
+type mappingOutcome struct {
+	state []byte
+	stats Stats
+	cells int64
+}
+
+// runMapping maps reads on a single worker and returns the outcome plus
+// the run's metrics registry.
+func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Config) (mappingOutcome, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	eng, err := NewEngine(p.ref, Config{
-		Workers:   1,
-		PhmmBatch: phmmBatch,
-		Metrics:   reg,
-	})
+	cfg.Workers, cfg.Metrics = 1, reg
+	eng, err := NewEngine(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := genome.New(genome.Norm, p.ref.Len())
+	acc, err := genome.New(genome.Norm, ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.MapReads(p.reads, acc, 0)
+	st, err := eng.MapReads(reads, acc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return acc, st, reg.Counter("phmm.cells").Value()
+	state, err := acc.(genome.Stateful).State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mappingOutcome{state: state, stats: st, cells: reg.Counter("phmm.cells").Value()}, reg
 }
 
 // TestMapReadsBatchedMatchesScalar is the engine-level identity gate of
-// the batched kernel: with a single worker (deterministic accumulation
-// order), mapping with the batched path must produce bit-identical
-// accumulator state, identical stats, and an identical phmm.cells
-// metric to the scalar path. Odd widths exercise the scalar-leftover
-// fallback inside flushPending.
+// cross-read lane packing: with a single worker (deterministic
+// accumulation order), every (Batch, PhmmBatch) combination must produce
+// bit-identical accumulator state, identical stats, and an identical
+// phmm.cells metric to the scalar kernel mapping one read at a time.
+// Batch sizes straddle the 64-read chunk (1 packs nothing; 65 and 200
+// leave ragged chunks); width 3 exercises narrow groups and scalar
+// leftovers.
 func TestMapReadsBatchedMatchesScalar(t *testing.T) {
-	p := makePipeline(t, 30000, 4, 6, 19)
-	accS, stS, cellsS := runMapping(t, p, -1) // scalar only
+	ref, reads := identityReads(t)
+	want, _ := runMapping(t, ref, reads, Config{PhmmBatch: -1, Batch: 1})
+	if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
+		t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
+	}
 	for _, width := range []int{8, 3} {
-		accB, stB, cellsB := runMapping(t, p, width)
-		if stB.Mapped != stS.Mapped || stB.Unmapped != stS.Unmapped || stB.Locations != stS.Locations {
-			t.Fatalf("width %d: stats %+v != scalar %+v", width, stB, stS)
-		}
-		if cellsB != cellsS {
-			t.Fatalf("width %d: phmm.cells %d != scalar %d", width, cellsB, cellsS)
-		}
-		for pos := 0; pos < p.ref.Len(); pos++ {
-			vS, vB := accS.Vector(pos), accB.Vector(pos)
-			if vS != vB {
-				t.Fatalf("width %d: accumulator diverges at %d: batched %v, scalar %v",
-					width, pos, vB, vS)
+		for _, batch := range []int{1, 7, 64, 65, 200} {
+			got, reg := runMapping(t, ref, reads, Config{PhmmBatch: width, Batch: batch})
+			if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
+				got.stats.Locations != want.stats.Locations {
+				t.Errorf("width %d batch %d: stats %+v != scalar %+v", width, batch, got.stats, want.stats)
+			}
+			if got.cells != want.cells {
+				t.Errorf("width %d batch %d: phmm.cells %d != scalar %d", width, batch, got.cells, want.cells)
+			}
+			if !bytes.Equal(got.state, want.state) {
+				t.Errorf("width %d batch %d: accumulator state diverges from scalar", width, batch)
+			}
+			full := reg.Counter("phmm.batch.lanes.full").Value()
+			partial := reg.Counter("phmm.batch.lanes.partial").Value()
+			scalar := reg.Counter("phmm.scalar.alignments").Value()
+			if n := reg.Counter("map.alignments").Value(); full+partial+scalar != n {
+				t.Errorf("width %d batch %d: lanes %d full + %d partial + %d scalar != %d alignments",
+					width, batch, full, partial, scalar, n)
+			}
+			if batch >= 64 && full < 2*(partial+scalar) {
+				t.Errorf("width %d batch %d: only %d of %d alignments in full-width groups",
+					width, batch, full, full+partial+scalar)
 			}
 		}
 	}
@@ -79,7 +178,7 @@ func TestPhmmBatchConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := eng.newMapper()
+		m, err := eng.getMapper()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,5 +188,46 @@ func TestPhmmBatchConfig(t *testing.T) {
 		if tc.wantBatch && m.batchWidth != tc.wantWidth {
 			t.Errorf("cfg %+v: width %d, want %d", tc.cfg, m.batchWidth, tc.wantWidth)
 		}
+	}
+}
+
+// TestMapperScratchOutlivesCall: the engine keeps its mappers between
+// mapping calls, so a second call reuses the first one's warm scratch
+// and keeps billing phmm.cells as deltas against the reused aligners;
+// a zero-read call builds no batch scratch at all.
+func TestMapperScratchOutlivesCall(t *testing.T) {
+	p := makePipeline(t, 20000, 2, 2, 61)
+	reg := obs.NewRegistry()
+	eng, err := NewEngine(p.ref, Config{Workers: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapAll := func(reads []*fastq.Read) int64 {
+		t.Helper()
+		acc, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reg.Counter("phmm.cells").Value()
+		if _, err := eng.MapReads(reads, acc, 0); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("phmm.cells").Value() - before
+	}
+	mapAll(nil)
+	if len(eng.idle) != 1 {
+		t.Fatalf("%d idle mappers after a one-worker call, want 1", len(eng.idle))
+	}
+	m := eng.idle[0]
+	if m.pwms != nil || m.pending != nil || m.arena != nil {
+		t.Error("a zero-read call allocated batch scratch")
+	}
+	first := mapAll(p.reads)
+	second := mapAll(p.reads)
+	if first == 0 || second != first {
+		t.Errorf("phmm.cells billed %d then %d for the same reads on a reused mapper", first, second)
+	}
+	if len(eng.idle) != 1 || eng.idle[0] != m {
+		t.Error("later calls did not reuse the idle mapper")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
@@ -204,7 +203,7 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 	if err != nil {
 		return nil, 0, 0, st, err
 	}
-	m, err := eng.newMapper()
+	m, err := eng.getMapper()
 	if err != nil {
 		return nil, 0, 0, st, err
 	}
@@ -219,44 +218,18 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 		// Phase 1: local alignment of the batch.
 		batchLocs := make([][]location, b)
 		localMax := make([]float64, b)
-		for i := range localMax {
-			localMax[i] = math.Inf(-1)
-		}
-		for i := 0; i < b; i++ {
-			var tRead time.Time
-			if m.met != nil {
-				tRead = time.Now()
-			}
-			locs, err := m.mapRead(reads[base+i])
-			if err != nil {
-				return nil, 0, 0, st, err
-			}
-			if m.met != nil {
-				m.met.readSec.ObserveDuration(time.Since(tRead))
-			}
-			// mapRead's result — including every contribs slice, which
-			// is carved from the mapper's reusable arena — aliases the
-			// mapper and dies at its next call; deep-copy into one
-			// batch-lived backing array.
-			cp := make([]location, len(locs))
-			copy(cp, locs)
-			nvec := 0
+		// keep: the round's locations must outlive the Allreduce rounds.
+		err := m.mapBatch(reads[base:end], true, func(i int, locs []location) error {
+			batchLocs[i], localMax[i] = locs, math.Inf(-1)
 			for _, l := range locs {
-				nvec += len(l.contribs)
-			}
-			backing := make([]genome.Vec, nvec)
-			off := 0
-			for j := range cp {
-				n := copy(backing[off:off+len(cp[j].contribs)], cp[j].contribs)
-				cp[j].contribs = backing[off : off+n : off+n]
-				off += n
-			}
-			batchLocs[i] = cp
-			for _, l := range cp {
 				if l.logLik > localMax[i] {
 					localMax[i] = l.logLik
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, 0, 0, st, err
 		}
 		// Phase 2: global normalization (distributed log-sum-exp).
 		gmaxAny, err := c.Allreduce(localMax, cluster.MaxFloat64s)
@@ -332,7 +305,7 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 			}
 		}
 	}
-	// The genome-split path drives mapRead directly rather than going
+	// The genome-split path drives mapBatch directly rather than going
 	// through MapReads, so mirror its read-level metric accounting here
 	// (local counts: mapped/unmapped are nonzero only at rank 0, which
 	// counts each read once globally).

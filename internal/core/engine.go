@@ -20,6 +20,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,7 +63,8 @@ type Config struct {
 	Workers int
 	// Batch is the number of reads per unit of worker-pool work: the
 	// size of the batches MapReadsFrom's producer fills and its workers
-	// claim (default 64).
+	// claim (default 64). A worker packs Pair-HMM lanes across the reads
+	// of its batch (1 = no packing); results are identical at any value.
 	Batch int
 	// Queue bounds the pipeline's work queue, in batches (default 4).
 	// MapReadsFrom recycles (Queue + Workers) batch
@@ -97,9 +99,9 @@ type Config struct {
 	// the engine's "does this read map here at all" filter.
 	MinLocLogLik float64
 	// PhmmBatch is the lane width of the batched wavefront Pair-HMM
-	// kernel: a read's same-shape candidate windows are swept together,
-	// up to this many per phmm.AlignBatch call, with scalar AlignBanded
-	// picking up odd-shaped and leftover candidates. Batched lanes are
+	// kernel: the same-shape candidate windows of a work batch's reads
+	// are swept together, up to this many per phmm.AlignBatch call, with
+	// scalar AlignBanded picking up one-lane leftovers. Batched lanes are
 	// bit-identical to scalar calls, so this is purely a throughput
 	// knob. 0 selects the default (DefaultPhmmBatch); 1 or negative
 	// disables batching. ViterbiOnly mode always uses the scalar path.
@@ -125,15 +127,17 @@ type Config struct {
 	// memory in bytes (default DefaultAccumMemBudget, 1 GiB).
 	AccumMemBudget int64
 	// Metrics, when non-nil, receives the engine's stage timers and
-	// counters: map.seed.seconds (PWM build + candidate lookup),
-	// map.align.seconds (Pair-HMM over all of a read's candidates),
-	// map.accum.seconds (accumulator updates), map.read.seconds
-	// (whole-read latency), plus map.candidates / map.alignments /
-	// map.mapped / map.unmapped / map.locations and phmm.cells (DP
-	// cells computed). Seed selectivity is tracked by map.seed.hits
-	// (index positions voted), map.seed.masked (read seeds dropped by
-	// MaxBucket), the map.candidates.per.read histogram, and the
-	// index.bytes gauge. Nil disables instrumentation; the hot path
+	// counters: map.seed.seconds (per read: PWM build + candidate
+	// lookup), map.align.seconds (per sweep of one bin of same-shape
+	// windows), map.accum.seconds (per mapped read: accumulator updates),
+	// map.read.seconds (per read: its batch's wall / reads), plus
+	// map.candidates / map.alignments / map.mapped / map.unmapped /
+	// map.locations, phmm.cells (DP cells computed) and the lane
+	// occupancy of the batched kernel (phmm.batch.lanes.full / .partial,
+	// phmm.scalar.alignments). Seed selectivity is tracked by
+	// map.seed.hits (index positions voted), map.seed.masked (read seeds
+	// dropped by MaxBucket), the map.candidates.per.read histogram, and
+	// the index.bytes gauge. Nil disables instrumentation; the hot path
 	// then pays only a pointer check.
 	Metrics *obs.Registry
 }
@@ -290,13 +294,8 @@ type engineMetrics struct {
 	mapped, unmapped, locations          *obs.Counter
 	seedHits, seedMasked                 *obs.Counter
 	candPerRead                          *obs.Histogram
-}
-
-// alignmentsInc is a nil-safe helper for the inner align loop.
-func (em *engineMetrics) alignmentsInc() {
-	if em != nil {
-		em.alignments.Inc()
-	}
+	// Alignments swept in full-width groups, narrower ones, and singly.
+	lanesFull, lanesPartial, scalarAligns *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -318,6 +317,9 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		seedMasked: reg.Counter("map.seed.masked"),
 		candPerRead: reg.Histogram(
 			"map.candidates.per.read", obs.CountBuckets),
+		lanesFull:    reg.Counter("phmm.batch.lanes.full"),
+		lanesPartial: reg.Counter("phmm.batch.lanes.partial"),
+		scalarAligns: reg.Counter("phmm.scalar.alignments"),
 	}
 }
 
@@ -345,6 +347,9 @@ type Engine struct {
 	// region so the incremental caller can re-sweep only regions that
 	// changed between quiesce points.
 	tracker *genome.RegionTracker
+	// idle holds warm mappers between mapping calls.
+	idleMu sync.Mutex
+	idle   []*mapper
 }
 
 // SetRegionTracker registers a per-region write tracker: every accepted
@@ -405,17 +410,16 @@ func (e *Engine) Config() Config { return e.cfg }
 // IndexMemoryBytes reports the k-mer index footprint.
 func (e *Engine) IndexMemoryBytes() int64 { return e.idx.MemoryBytes() }
 
-// location is one accepted mapping of a read.
+// location is one accepted mapping of a read, len(contribs) wide.
 type location struct {
 	// windowStart is the global position of contribs[0].
 	windowStart int
 	logLik      float64
 	contribs    []genome.Vec
-	// minus marks a reverse-strand alignment.
+	// minus marks a reverse-strand alignment; p is that strand's PWM, a
+	// mapper slot rewritten when the next chunk of reads is seeded.
 	minus bool
-	// windowLen is the candidate window length (for re-alignment when
-	// a concrete path is needed, e.g. SAM output).
-	windowLen int
+	p     *pwm.Matrix
 }
 
 // scoredCand pairs a candidate with its source strand (0 = forward,
@@ -425,27 +429,27 @@ type scoredCand struct {
 	cand kmer.Candidate
 }
 
-// pendingAlign is one candidate window waiting for the batched kernel:
-// the alignment inputs plus, after the flush, the outcome. Keeping the
-// outcome on the pending entry lets flushPending sweep batches in
-// whatever grouping is efficient and still emit accepted locations in
-// the original candidate order — so softmax weighting and accumulation
-// see the exact float sequence the scalar path produces.
+// mapChunk is how many reads mapBatch packs Pair-HMM lanes across at a
+// time. Per-chunk scratch (PWM slots, pending list) is sized by it, so a
+// larger Config.Batch costs a worker no extra memory.
+const mapChunk = 64
+
+// pendingAlign is one candidate window of one read of the chunk; the
+// sweep adds loc's logLik and contribs on acceptance. Keeping the outcome
+// on the entry lets mapBatch sweep lanes in whatever grouping is
+// efficient and still emit each read's locations in candidate order —
+// the float sequence a read-at-a-time scalar mapper accumulates.
 type pendingAlign struct {
-	p           *pwm.Matrix
-	window      dna.Seq
-	windowStart int
-	readLen     int
-	diag        int
-	minus       bool
-	done        bool
-	accepted    bool
-	loc         location
+	read           int // index of the read in its chunk
+	window         dna.Seq
+	diag           int
+	done, accepted bool
+	loc            location
 }
 
-// mapper holds per-worker scratch state. All of it is reused across
-// mapRead calls so the steady-state mapping hot path performs no heap
-// allocations.
+// mapper holds per-worker scratch state, reused across mapBatch calls
+// and — through the engine's idle list — across mapping calls: the warm
+// hot path does not allocate. Nothing batch-sized exists before a chunk.
 type mapper struct {
 	e       *Engine
 	aligner *phmm.Aligner
@@ -454,33 +458,34 @@ type mapper struct {
 	batch      *phmm.BatchAligner
 	batchWidth int
 	// met aliases e.met; lastCells tracks the cumulative DP cell count
-	// across both kernels so each read publishes only its delta.
+	// across both kernels so each chunk publishes only its delta.
 	met       *engineMetrics
 	lastCells int64
-	locs      []location
 	totals    []float64
-	// Per-read scratch.
-	fwdPWM, revPWM pwm.Matrix
-	candBuf        kmer.CandidateBuf
-	scored         []scoredCand
-	wbuf           []float64
-	// Batched-alignment scratch: the read's pending candidate windows,
-	// the (shape, diag) group index, and the lane input views.
+	wbuf      []float64
+	// Per-chunk: a forward and a reverse-complement PWM per read slot
+	// (lanes of one sweep come from different reads, so they outlive
+	// phase 1) and every read's pending windows, in read order.
+	pwms    []pwm.Matrix
 	pending []pendingAlign
-	bidx    []int
-	bxs     []*pwm.Matrix
-	bys     []dna.Seq
-	// arena backs the contribs slices of the current read's locations;
-	// arenaOff is the bump-pointer, reset at the top of every mapRead.
+	candBuf kmer.CandidateBuf
+	scored  []scoredCand
+	// One bin's members and the lane input views of one sweep.
+	bidx []int
+	bxs  []*pwm.Matrix
+	bys  []dna.Seq
+	// locs and arena back the locations handed to emit and their
+	// contribs; both restart with every chunk (every call, under keep).
+	locs     []location
 	arena    []genome.Vec
 	arenaOff int
 }
 
 // grabContribs carves a zeroed n-element chunk from the arena. Chunks
-// stay referenced by m.locs until the next mapRead resets arenaOff, so
-// growth swaps in a fresh backing array instead of copying: live chunks
-// keep pointing into the old one. After a few reads the arena reaches
-// the high-water mark and grabs stop allocating.
+// stay referenced by pending entries and locations until the arena
+// restarts, so growth swaps in a fresh backing array instead of copying:
+// live chunks keep pointing into the old one. After a few batches the
+// arena reaches the high-water mark and grabs stop allocating.
 func (m *mapper) grabContribs(n int) []genome.Vec {
 	if m.arenaOff+n > len(m.arena) {
 		sz := 2 * (m.arenaOff + n)
@@ -498,48 +503,123 @@ func (m *mapper) grabContribs(n int) []genome.Vec {
 	return c
 }
 
-func (e *Engine) newMapper() (*mapper, error) {
+// getMapper hands out an idle mapper, or builds one: a mapper's warm
+// scratch (DP planes, PWM slots, vote table) and its cell bookkeeping
+// outlive the mapping call that grew them.
+func (e *Engine) getMapper() (*mapper, error) {
+	e.idleMu.Lock()
+	if n := len(e.idle); n > 0 {
+		m := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		e.idleMu.Unlock()
+		return m, nil
+	}
+	e.idleMu.Unlock()
 	al, err := phmm.NewAligner(e.cfg.PHMM, e.cfg.AlignMode)
 	if err != nil {
 		return nil, err
 	}
 	m := &mapper{e: e, aligner: al, met: e.met}
 	if e.cfg.PhmmBatch >= 2 && !e.cfg.ViterbiOnly {
-		ba, err := phmm.NewBatchAligner(e.cfg.PHMM, e.cfg.AlignMode)
-		if err != nil {
+		m.batchWidth = e.cfg.PhmmBatch
+		if m.batch, err = phmm.NewBatchAligner(e.cfg.PHMM, e.cfg.AlignMode); err != nil {
 			return nil, err
 		}
-		m.batch = ba
-		m.batchWidth = e.cfg.PhmmBatch
 	}
 	return m, nil
 }
 
-// mapRead computes the accepted locations of one read with raw
-// log-likelihoods; posterior weighting happens in the caller so the
-// genome-split mode can normalize globally. The returned slice aliases
-// m.locs and is valid until the next mapRead call.
-func (m *mapper) mapRead(rd *fastq.Read) ([]location, error) {
-	m.locs = m.locs[:0]
-	m.arenaOff = 0
+// putMapper returns a mapper for the next call to reuse.
+func (e *Engine) putMapper(m *mapper) {
+	e.idleMu.Lock()
+	e.idle = append(e.idle, m)
+	e.idleMu.Unlock()
+}
+
+// mapBatch maps reads a chunk at a time and calls emit once per read, in
+// source order, with the read's index in reads and its accepted
+// locations carrying raw log-likelihoods (posterior weighting is emit's,
+// so genome-split can normalize globally). Per chunk: (1) seedRead
+// queues every read's candidate windows; (2) alignPending sweeps them,
+// lanes packed across reads; (3) each read's accepted locations are
+// emitted in candidate order. An alignment does not depend on the lanes
+// beside it, so emit sees — and accumulates, in order — what a
+// read-at-a-time scalar mapper produces, bit for bit (DESIGN.md §12).
+// The locations alias mapper scratch: they die when the next chunk
+// starts or, with keep set (scratch then grows with len(reads)), at the
+// next mapBatch call.
+func (m *mapper) mapBatch(reads []*fastq.Read, keep bool, emit func(i int, locs []location) error) error {
+	for base := 0; base < len(reads); base += mapChunk {
+		chunk := reads[base:min(base+mapChunk, len(reads))]
+		if m.pwms == nil {
+			m.pwms = make([]pwm.Matrix, 2*mapChunk)
+		}
+		if base == 0 || !keep {
+			m.locs, m.arenaOff = m.locs[:0], 0
+		}
+		var t0 time.Time
+		if m.met != nil {
+			t0 = time.Now()
+		}
+		m.pending = m.pending[:0]
+		for i, rd := range chunk {
+			if hook := m.e.testMapErr; hook != nil {
+				if err := hook(rd); err != nil {
+					return err
+				}
+			}
+			m.seedRead(i, rd)
+		}
+		if err := m.alignPending(); err != nil {
+			return err
+		}
+		k := 0
+		for i := range chunk {
+			first := len(m.locs)
+			for ; k < len(m.pending) && m.pending[k].read == i; k++ {
+				if m.pending[k].accepted {
+					m.locs = append(m.locs, m.pending[k].loc)
+				}
+			}
+			if err := emit(base+i, m.locs[first:len(m.locs):len(m.locs)]); err != nil {
+				return err
+			}
+		}
+		if m.met != nil {
+			perRead := time.Since(t0) / time.Duration(len(chunk))
+			for range chunk {
+				m.met.readSec.ObserveDuration(perRead)
+			}
+		}
+	}
+	return nil
+}
+
+// fillPWM builds rd's forward PWM in p; a malformed read is an error.
+func (e *Engine) fillPWM(p *pwm.Matrix, rd *fastq.Read) error {
+	if !e.cfg.IgnoreQualities {
+		return p.FillFromRead(rd) // validates the read
+	}
+	if err := rd.Validate(); err != nil {
+		return err
+	}
+	return p.FillSeqUniformError(rd.Seq, 0)
+}
+
+// seedRead is phase 1 for the chunk's read-th read: PWMs (into its
+// slot), candidates, windows. A malformed read queues nothing and so
+// comes out unmapped, not fatal.
+func (m *mapper) seedRead(read int, rd *fastq.Read) {
+	fwd, rev := &m.pwms[2*read], &m.pwms[2*read+1]
 	var t0 time.Time
 	if m.met != nil {
 		t0 = time.Now()
 	}
-	if err := rd.Validate(); err != nil {
-		return nil, nil // malformed read: unmapped, not fatal
-	}
-	var err error
-	if m.e.cfg.IgnoreQualities {
-		err = m.fwdPWM.FillSeqUniformError(rd.Seq, 0)
-	} else {
-		err = m.fwdPWM.FillFromRead(rd)
-	}
-	if err != nil {
-		return nil, nil
-	}
-	m.revPWM.FillReverseComplementOf(&m.fwdPWM)
 	e := m.e
+	if e.fillPWM(fwd, rd) != nil {
+		return
+	}
+	rev.FillReverseComplementOf(fwd)
 	minVotes := e.cfg.MinSeedVotes
 	if len(rd.Seq) < 2*e.cfg.K {
 		minVotes = 1
@@ -558,7 +638,7 @@ func (m *mapper) mapRead(rd *fastq.Read) ([]location, error) {
 		pad = 0
 		opts.Slack = 0
 	}
-	strands := [2]*pwm.Matrix{&m.fwdPWM, &m.revPWM}
+	strands := [2]*pwm.Matrix{fwd, rev}
 	// Collect candidates from both strands first so the vote filter is
 	// relative to the read's best location overall. The CandidatesInto
 	// result aliases m.candBuf and is invalidated by the second strand's
@@ -578,21 +658,9 @@ func (m *mapper) mapRead(rd *fastq.Read) ([]location, error) {
 		seedMasked += m.candBuf.Stats.Masked
 	}
 	m.scored = cands
-	// The seed phase ends here: PWM construction plus k-mer candidate
-	// lookup on both strands. Everything below is the align phase.
-	var tSeed time.Time
-	if m.met != nil {
-		tSeed = time.Now()
-		m.met.seedSec.ObserveDuration(tSeed.Sub(t0))
-		m.met.candidates.Add(int64(len(cands)))
-		m.met.seedHits.Add(seedHits)
-		m.met.seedMasked.Add(seedMasked)
-		m.met.candPerRead.Observe(float64(len(cands)))
-	}
 	voteCut := int32(e.cfg.MinVoteFraction * float64(bestVotes))
 	for _, cs := range cands {
 		cand := cs.cand
-		minus := cs.sc == 1
 		if cand.Votes < voteCut {
 			continue
 		}
@@ -600,9 +668,7 @@ func (m *mapper) mapRead(rd *fastq.Read) ([]location, error) {
 		if globalStart < e.ownLo || globalStart >= e.ownHi {
 			continue
 		}
-		winStart := globalStart - pad
-		winLen := len(rd.Seq) + 2*pad
-		window, clippedStart := e.ref.Window(winStart, winLen)
+		window, clippedStart := e.ref.Window(globalStart-pad, len(rd.Seq)+2*pad)
 		if len(window) < len(rd.Seq) && e.cfg.AlignMode == phmm.Global {
 			continue
 		}
@@ -613,129 +679,118 @@ func (m *mapper) mapRead(rd *fastq.Read) ([]location, error) {
 		// globalStart, i.e. window column globalStart-clippedStart
 		// (= Pad unless the window was clipped at a genome edge) — the
 		// diagonal the banded kernel anchors to.
-		diag := globalStart - clippedStart
-		if m.batch != nil {
-			// Defer to the batched wavefront kernel: same-shape windows
-			// are swept together after the candidate loop.
-			m.pending = append(m.pending, pendingAlign{
-				p: strands[cs.sc], window: window, windowStart: clippedStart,
-				readLen: len(rd.Seq), diag: diag, minus: minus,
-			})
-			continue
-		}
-		if err := m.alignAt(strands[cs.sc], window, clippedStart, len(rd.Seq), diag, minus); err != nil {
-			return nil, err
-		}
-	}
-	if m.batch != nil {
-		if err := m.flushPending(); err != nil {
-			return nil, err
-		}
+		m.pending = append(m.pending, pendingAlign{
+			read: read, window: window, diag: globalStart - clippedStart,
+			loc: location{windowStart: clippedStart, minus: cs.sc == 1, p: strands[cs.sc]},
+		})
 	}
 	if m.met != nil {
-		m.met.alignSec.ObserveDuration(time.Since(tSeed))
-		c := m.aligner.CellsComputed()
-		if m.batch != nil {
-			c += m.batch.CellsComputed()
-		}
-		if c != m.lastCells {
-			m.met.cells.Add(c - m.lastCells)
-			m.lastCells = c
-		}
+		m.met.seedSec.ObserveDuration(time.Since(t0))
+		m.met.candidates.Add(int64(len(cands)))
+		m.met.seedHits.Add(seedHits)
+		m.met.seedMasked.Add(seedMasked)
+		m.met.candPerRead.Observe(float64(len(cands)))
 	}
-	return m.locs, nil
 }
 
-// flushPending sweeps the read's pending candidate windows through the
-// batched kernel: entries are grouped by (window length, diag) — read
-// length and band are constant within a read — and each group is swept
-// in chunks of at most batchWidth lanes. Chunks of one fall back to the
-// scalar kernel (identical results, no batch overhead). Accepted
-// locations are then emitted in the original candidate order, keeping
-// the downstream softmax and accumulation float sequences bit-identical
-// to the unbatched path.
-func (m *mapper) flushPending() error {
+// alignPending is phase 2: every pending window of the chunk is aligned
+// and finished. With the batched kernel, entries are binned by (read
+// length, window length, diag) and each bin is swept in groups of at
+// most batchWidth lanes; a leftover of one takes the scalar kernel
+// (identical results, no batch overhead), as does everything without it.
+func (m *mapper) alignPending() error {
 	pend := m.pending
+	width := max(m.batchWidth, 1)
+	var full, partial, scalar int64
 	for start := range pend {
 		if pend[start].done {
 			continue
 		}
-		wlen, diag := len(pend[start].window), pend[start].diag
-		idxs := m.bidx[:0]
-		for k := start; k < len(pend); k++ {
-			if !pend[k].done && len(pend[k].window) == wlen && pend[k].diag == diag {
-				idxs = append(idxs, k)
+		var t0 time.Time
+		if m.met != nil {
+			t0 = time.Now()
+		}
+		idxs := append(m.bidx[:0], start)
+		if m.batch != nil {
+			n, wlen, diag := pend[start].loc.p.Len(), len(pend[start].window), pend[start].diag
+			for k := start + 1; k < len(pend); k++ {
+				if pa := &pend[k]; !pa.done && pa.loc.p.Len() == n && len(pa.window) == wlen && pa.diag == diag {
+					idxs = append(idxs, k)
+				}
 			}
 		}
 		m.bidx = idxs
-		for off := 0; off < len(idxs); off += m.batchWidth {
-			end := off + m.batchWidth
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			chunk := idxs[off:end]
-			if len(chunk) == 1 {
-				if err := m.alignPending(&pend[chunk[0]]); err != nil {
+		for off := 0; off < len(idxs); off += width {
+			group := idxs[off:min(off+width, len(idxs))]
+			if len(group) == 1 {
+				scalar++
+				if err := m.alignScalar(&pend[group[0]]); err != nil {
 					return err
 				}
 				continue
 			}
+			if len(group) == width {
+				full += int64(len(group))
+			} else {
+				partial += int64(len(group))
+			}
 			bxs, bys := m.bxs[:0], m.bys[:0]
-			for _, k := range chunk {
-				bxs = append(bxs, pend[k].p)
+			for _, k := range group {
+				bxs = append(bxs, pend[k].loc.p)
 				bys = append(bys, pend[k].window)
-				m.met.alignmentsInc()
 			}
 			m.bxs, m.bys = bxs, bys
-			results, err := m.batch.AlignBatch(bxs, bys, diag, m.e.band)
+			results, err := m.batch.AlignBatch(bxs, bys, pend[start].diag, m.e.band)
 			if err != nil {
 				return err
 			}
 			// Results are views into the batch aligner's buffers,
 			// invalidated by the next AlignBatch call — finish each lane
 			// (filter + contributions into the arena) before moving on.
-			for l, k := range chunk {
+			for l, k := range group {
 				pa := &pend[k]
 				pa.done = true
-				res := &results[l]
-				if res.Err != nil {
-					continue
+				if res := &results[l]; res.Err == nil {
+					if err := m.finishAlignment(res.LogLik, res, pa); err != nil {
+						return err
+					}
 				}
-				loc, ok, err := m.finishAlignment(res.LogLik, res, pa)
-				if err != nil {
-					return err
-				}
-				pa.loc, pa.accepted = loc, ok
 			}
 		}
-	}
-	for i := range pend {
-		if pend[i].accepted {
-			m.locs = append(m.locs, pend[i].loc)
+		if m.met != nil {
+			m.met.alignSec.ObserveDuration(time.Since(t0))
 		}
 	}
-	m.pending = pend[:0]
+	if m.met != nil {
+		m.met.alignments.Add(int64(len(pend)))
+		m.met.lanesFull.Add(full)
+		m.met.lanesPartial.Add(partial)
+		m.met.scalarAligns.Add(scalar)
+		c := m.aligner.CellsComputed()
+		if m.batch != nil {
+			c += m.batch.CellsComputed()
+		}
+		m.met.cells.Add(c - m.lastCells)
+		m.lastCells = c
+	}
 	return nil
 }
 
-// alignPending runs one pending candidate through the scalar kernel —
-// the leftover path of flushPending.
-func (m *mapper) alignPending(pa *pendingAlign) error {
+// alignScalar runs one pending window through the scalar kernel (or,
+// under ViterbiOnly, the single-best-path ablation).
+func (m *mapper) alignScalar(pa *pendingAlign) error {
 	pa.done = true
-	m.met.alignmentsInc()
-	res, err := m.aligner.AlignBanded(pa.p, pa.window, pa.diag, m.e.band)
+	if m.e.cfg.ViterbiOnly {
+		return m.viterbi(pa)
+	}
+	res, err := m.aligner.AlignBanded(pa.loc.p, pa.window, pa.diag, m.e.band)
 	if err == phmm.ErrNoAlignment {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	loc, ok, err := m.finishAlignment(res.LogLik, res, pa)
-	if err != nil {
-		return err
-	}
-	pa.loc, pa.accepted = loc, ok
-	return nil
+	return m.finishAlignment(res.LogLik, res, pa)
 }
 
 // contribSource is the posterior-contribution view shared by the scalar
@@ -745,86 +800,50 @@ type contribSource interface {
 }
 
 // finishAlignment applies the per-location acceptance filters and
-// extracts contributions — the shared tail of the scalar and batched
-// alignment paths.
-func (m *mapper) finishAlignment(logLik float64, src contribSource, pa *pendingAlign) (location, bool, error) {
+// extracts contributions into the arena — the shared tail of the scalar
+// and batched kernels.
+func (m *mapper) finishAlignment(logLik float64, src contribSource, pa *pendingAlign) error {
 	e := m.e
-	if logLik/float64(pa.readLen) < e.cfg.MinLocLogLik {
-		return location{}, false, nil
+	if logLik/float64(pa.loc.p.Len()) < e.cfg.MinLocLogLik {
+		return nil
 	}
-	window := pa.window
-	contribs := m.grabContribs(len(window))
-	if cap(m.totals) < len(window) {
-		m.totals = make([]float64, len(window))
+	contribs := m.grabContribs(len(pa.window))
+	if cap(m.totals) < len(contribs) {
+		m.totals = make([]float64, len(contribs))
 	}
-	totals := m.totals[:len(window)]
+	totals := m.totals[:len(contribs)]
 	if err := src.ContributionsInto(e.cfg.Attribution, contribs, totals); err != nil {
-		return location{}, false, err
+		return err
 	}
-	any := false
 	for j := range contribs {
 		if totals[j] > 0.5 {
 			// Positions materially covered by the alignment keep
 			// their normalized channel vector; lightly grazed window
 			// padding (total << 1) is noise and is zeroed.
-			any = true
+			pa.accepted = true
 		} else {
 			contribs[j] = genome.Vec{}
 		}
 	}
-	if !any {
-		return location{}, false, nil
-	}
-	return location{
-		windowStart: pa.windowStart, logLik: logLik, contribs: contribs,
-		minus: pa.minus, windowLen: len(window),
-	}, true, nil
-}
-
-// alignAt aligns a PWM to a window (banded around diag when the engine
-// has a band configured) and appends an accepted location.
-func (m *mapper) alignAt(p *pwm.Matrix, window dna.Seq, windowStart, readLen, diag int, minus bool) error {
-	e := m.e
-	if e.cfg.ViterbiOnly {
-		return m.viterbiAt(p, window, windowStart, readLen, diag, minus)
-	}
-	m.met.alignmentsInc()
-	res, err := m.aligner.AlignBanded(p, window, diag, e.band)
-	if err == phmm.ErrNoAlignment {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	pa := pendingAlign{
-		p: p, window: window, windowStart: windowStart,
-		readLen: readLen, diag: diag, minus: minus,
-	}
-	loc, ok, err := m.finishAlignment(res.LogLik, res, &pa)
-	if err != nil {
-		return err
-	}
-	if ok {
-		m.locs = append(m.locs, loc)
-	}
+	pa.loc.logLik, pa.loc.contribs = logLik, contribs
 	return nil
 }
 
-// viterbiAt is the single-best-path ablation: the best alignment's
+// viterbi is the single-best-path ablation: the best alignment's
 // matched bases contribute deterministically (probability one each).
-func (m *mapper) viterbiAt(p *pwm.Matrix, window dna.Seq, windowStart, readLen, diag int, minus bool) error {
-	m.met.alignmentsInc()
-	path, err := m.aligner.ViterbiBanded(p, window, diag, m.e.band)
+func (m *mapper) viterbi(pa *pendingAlign) error {
+	p := pa.loc.p
+	path, err := m.aligner.ViterbiBanded(p, pa.window, pa.diag, m.e.band)
 	if err == phmm.ErrNoAlignment {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if path.LogProb/float64(readLen) < m.e.cfg.MinLocLogLik {
+	if path.LogProb/float64(p.Len()) < m.e.cfg.MinLocLogLik {
 		return nil
 	}
-	contribs := m.grabContribs(len(window))
+	contribs := m.grabContribs(len(pa.window))
 	i := 0 // read cursor
 	j := path.Start - 1
 	for _, op := range path.Ops {
@@ -843,10 +862,8 @@ func (m *mapper) viterbiAt(p *pwm.Matrix, window dna.Seq, windowStart, readLen, 
 			j++
 		}
 	}
-	m.locs = append(m.locs, location{
-		windowStart: windowStart, logLik: path.LogProb, contribs: contribs,
-		minus: minus, windowLen: len(window),
-	})
+	pa.accepted = true
+	pa.loc.logLik, pa.loc.contribs = path.LogProb, contribs
 	return nil
 }
 
@@ -906,60 +923,45 @@ func (e *Engine) weights(locs []location, buf []float64) []float64 {
 	return w
 }
 
-// consumeRead maps one read and folds its weighted contributions into
-// acc — the per-read body of the MapReadsFrom worker loop. Stats fields
+// accumulate returns the emit callback of an accumulating run: it folds
+// each read's posterior-weighted contributions into acc. Stats fields
 // are updated atomically; the accumulator handles its own locking.
-func (m *mapper) consumeRead(rd *fastq.Read, acc genome.Accumulator, accOffset int, st *Stats) error {
-	met := m.met
-	var tRead time.Time
-	if met != nil {
-		tRead = time.Now()
-	}
-	if hook := m.e.testMapErr; hook != nil {
-		if err := hook(rd); err != nil {
-			return err
+func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) func(int, []location) error {
+	met, tracker := m.met, m.e.tracker
+	return func(_ int, locs []location) error {
+		if len(locs) == 0 {
+			atomic.AddInt64(&st.Unmapped, 1)
+			if met != nil {
+				met.unmapped.Inc()
+			}
+			return nil
 		}
-	}
-	locs, err := m.mapRead(rd)
-	if err != nil {
-		return err
-	}
-	if len(locs) == 0 {
-		atomic.AddInt64(&st.Unmapped, 1)
+		atomic.AddInt64(&st.Mapped, 1)
+		ws := m.e.weights(locs, m.wbuf)
+		m.wbuf = ws
+		var tAcc time.Time
 		if met != nil {
-			met.unmapped.Inc()
-			met.readSec.ObserveDuration(time.Since(tRead))
+			tAcc = time.Now()
+		}
+		accepted := int64(0)
+		for i, loc := range locs {
+			if ws[i] == 0 {
+				continue
+			}
+			accepted++
+			acc.AddRange(loc.windowStart-accOffset, loc.contribs, ws[i])
+			if tracker != nil {
+				tracker.Touch(loc.windowStart-accOffset, len(loc.contribs))
+			}
+		}
+		atomic.AddInt64(&st.Locations, accepted)
+		if met != nil {
+			met.accumSec.ObserveDuration(time.Since(tAcc))
+			met.mapped.Inc()
+			met.locations.Add(accepted)
 		}
 		return nil
 	}
-	atomic.AddInt64(&st.Mapped, 1)
-	ws := m.e.weights(locs, m.wbuf)
-	m.wbuf = ws
-	var tAcc time.Time
-	if met != nil {
-		tAcc = time.Now()
-	}
-	accepted := int64(0)
-	tracker := m.e.tracker
-	for i, loc := range locs {
-		if ws[i] == 0 {
-			continue
-		}
-		accepted++
-		acc.AddRange(loc.windowStart-accOffset, loc.contribs, ws[i])
-		if tracker != nil {
-			tracker.Touch(loc.windowStart-accOffset, len(loc.contribs))
-		}
-	}
-	atomic.AddInt64(&st.Locations, accepted)
-	if met != nil {
-		now := time.Now()
-		met.accumSec.ObserveDuration(now.Sub(tAcc))
-		met.readSec.ObserveDuration(now.Sub(tRead))
-		met.mapped.Inc()
-		met.locations.Add(accepted)
-	}
-	return nil
 }
 
 // MapReads maps an in-memory read slice: MapReadsFrom over a slice

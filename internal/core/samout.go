@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"gnumap/internal/fastq"
-	"gnumap/internal/pwm"
 	"gnumap/internal/sam"
 )
 
@@ -23,20 +22,15 @@ func (e *Engine) WriteAlignments(w io.Writer, reads []*fastq.Read, program strin
 	if err := sw.WriteHeader(e.ref.Contigs(), program); err != nil {
 		return err
 	}
-	m, err := e.newMapper()
+	m, err := e.getMapper()
 	if err != nil {
 		return err
 	}
-	for _, rd := range reads {
-		locs, err := m.mapRead(rd)
-		if err != nil {
-			return err
-		}
+	defer e.putMapper(m)
+	err = m.mapBatch(reads, false, func(i int, locs []location) error {
+		rd := reads[i]
 		if len(locs) == 0 {
-			if err := sw.Write(sam.UnmappedRecord(rd)); err != nil {
-				return err
-			}
-			continue
+			return sw.Write(sam.UnmappedRecord(rd))
 		}
 		weights := e.weights(locs, nil)
 		best := 0
@@ -49,37 +43,27 @@ func (e *Engine) WriteAlignments(w io.Writer, reads []*fastq.Read, program strin
 		if err != nil {
 			return err
 		}
-		if err := sw.Write(rec); err != nil {
-			return err
-		}
+		return sw.Write(rec)
+	})
+	if err != nil {
+		return err
 	}
 	return sw.Flush()
 }
 
-// samRecord renders one location as a SAM record, re-running Viterbi
-// on the location's window to obtain a concrete path.
+// samRecord renders one location as a SAM record, re-running Viterbi on
+// its window for a concrete path — from emit, while loc.p is live.
 func (e *Engine) samRecord(m *mapper, rd *fastq.Read, loc location, weight float64) (*sam.Record, error) {
-	var p *pwm.Matrix
-	var err error
-	if e.cfg.IgnoreQualities {
-		p, err = pwm.FromSeqUniformError(rd.Seq, 0)
-	} else {
-		p, err = pwm.FromRead(rd)
-	}
-	if err != nil {
-		return nil, err
-	}
 	seq, qual := rd.Seq, rd.Qual
 	if loc.minus {
-		p = p.ReverseComplement()
 		seq = rd.Seq.ReverseComplement()
 		qual = make([]uint8, len(rd.Qual))
 		for i, q := range rd.Qual {
 			qual[len(rd.Qual)-1-i] = q
 		}
 	}
-	window, winStart := e.ref.Window(loc.windowStart, loc.windowLen)
-	path, err := m.aligner.Viterbi(p, window)
+	window, winStart := e.ref.Window(loc.windowStart, len(loc.contribs))
+	path, err := m.aligner.Viterbi(loc.p, window)
 	if err != nil {
 		return nil, fmt.Errorf("core: sam viterbi: %w", err)
 	}

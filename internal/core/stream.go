@@ -343,12 +343,13 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := e.newMapper()
+			m, err := e.getMapper()
 			if err != nil {
 				latch(err)
 				return
 			}
-			target := workerTarget(acc)
+			defer e.putMapper(m)
+			sink := m.accumulate(workerTarget(acc), accOffset, &st)
 			for b := range work {
 				select {
 				case <-stopCh:
@@ -359,11 +360,9 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 				if sm != nil {
 					sm.queueDepth.Set(float64(len(work)))
 				}
-				for _, rd := range b.reads {
-					if err := m.consumeRead(rd, target, accOffset, &st); err != nil {
-						latch(err)
-						return
-					}
+				if err := m.mapBatch(b.reads, false, sink); err != nil {
+					latch(err)
+					return
 				}
 				resident.Add(-int64(len(b.reads)))
 				b.reads = b.reads[:0]

@@ -83,13 +83,14 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 	}
 
 	serial := newAcc()
-	m, err := eng.newMapper()
+	m, err := eng.getMapper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wantSt Stats
+	sink := m.accumulate(serial, 0, &wantSt)
 	for _, rd := range p.reads {
-		if err := m.consumeRead(rd, serial, 0, &wantSt); err != nil {
+		if err := m.mapRead(rd, sink); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"gnumap/internal/fastq"
@@ -20,21 +21,19 @@ func (e *Engine) CollectTrainingPairs(reads []*fastq.Read, max int, minWeight fl
 	if minWeight < 0.5 || minWeight > 1 {
 		return nil, fmt.Errorf("core: training minWeight %g out of [0.5, 1]", minWeight)
 	}
-	m, err := e.newMapper()
+	m, err := e.getMapper()
 	if err != nil {
 		return nil, err
 	}
+	defer e.putMapper(m)
 	var pairs []phmm.TrainingPair
-	for _, rd := range reads {
+	errFull := errors.New("core: training pairs full")
+	err = m.mapBatch(reads, false, func(i int, locs []location) error {
 		if max > 0 && len(pairs) >= max {
-			break
-		}
-		locs, err := m.mapRead(rd)
-		if err != nil {
-			return nil, err
+			return errFull // stop mapping: the bound is reached
 		}
 		if len(locs) == 0 {
-			continue
+			return nil
 		}
 		ws := e.weights(locs, nil)
 		best, bestW := -1, 0.0
@@ -44,26 +43,26 @@ func (e *Engine) CollectTrainingPairs(reads []*fastq.Read, max int, minWeight fl
 			}
 		}
 		if best < 0 || bestW < minWeight {
-			continue
+			return nil
 		}
 		loc := locs[best]
-		window, _ := e.ref.Window(loc.windowStart, loc.windowLen)
+		window, _ := e.ref.Window(loc.windowStart, len(loc.contribs))
 		if len(window) == 0 {
-			continue
+			return nil
 		}
-		var x *pwm.Matrix
-		if e.cfg.IgnoreQualities {
-			x, err = pwm.FromSeqUniformError(rd.Seq, 0)
-		} else {
-			x, err = pwm.FromRead(rd)
-		}
-		if err != nil {
-			continue
+		// The pair outlives the mapper's PWM slots: build its own.
+		x := new(pwm.Matrix)
+		if e.fillPWM(x, reads[i]) != nil {
+			return nil
 		}
 		if loc.minus {
 			x = x.ReverseComplement()
 		}
 		pairs = append(pairs, phmm.TrainingPair{X: x, Y: window})
+		return nil
+	})
+	if err != nil && !errors.Is(err, errFull) {
+		return nil, err
 	}
 	return pairs, nil
 }

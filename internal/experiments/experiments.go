@@ -51,6 +51,9 @@ type DataConfig struct {
 	Coverage     float64 // default 12
 	ReadLength   int     // default 62
 	Seed         int64   // default 1
+	// RepeatFree drops the repeat structure, so nearly every read has
+	// one candidate location (the PHMM engine bench's second dataset).
+	RepeatFree bool
 }
 
 func (c DataConfig) withDefaults() DataConfig {
@@ -79,12 +82,16 @@ func (c DataConfig) withDefaults() DataConfig {
 // structure matching the paper's emphasis on repeat regions.
 func MakeDataset(cfg DataConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
-	g, err := simulate.Genome(simulate.GenomeConfig{
+	gc := simulate.GenomeConfig{
 		Length:                  cfg.GenomeLength,
 		TandemRepeatFraction:    0.03,
 		DispersedRepeatFraction: 0.08,
 		Seed:                    cfg.Seed,
-	})
+	}
+	if cfg.RepeatFree {
+		gc.TandemRepeatFraction, gc.DispersedRepeatFraction = 0, 0
+	}
+	g, err := simulate.Genome(gc)
 	if err != nil {
 		return nil, err
 	}

@@ -209,6 +209,9 @@ func phmmRow(name string, band, batch, cells int, r testing.BenchmarkResult, exa
 // PhmmEngineBenchRow is one end-to-end mapping measurement comparing
 // the batched and scalar kernels through the full engine.
 type PhmmEngineBenchRow struct {
+	// Dataset names the reads mapped: "repeats" (several candidates a
+	// read) or "unique" (one — lanes fill only by packing across reads).
+	Dataset string `json:"dataset"`
 	// Name identifies the configuration (engine_scalar, engine_batchN).
 	Name string `json:"name"`
 	// PhmmBatch is the Config.PhmmBatch value (-1 = scalar kernel).
@@ -223,21 +226,20 @@ type PhmmEngineBenchRow struct {
 	ReadsPerSec float64 `json:"reads_per_sec"`
 }
 
-// PhmmEngineBench maps the dataset once per kernel configuration —
-// scalar, then each batch width in widths — and reports end-to-end
-// reads/sec. Mapping outcomes (mapped reads, accepted locations) must
-// be identical across configurations; a divergence is an error.
-func PhmmEngineBench(ds *Dataset, workers int, widths []int) ([]PhmmEngineBenchRow, error) {
-	configs := []struct {
+// PhmmEngineBench maps the dataset (labelled name in the rows) once per
+// kernel configuration — scalar, then each batch width in widths — and
+// reports end-to-end reads/sec. Mapping outcomes (mapped reads, accepted
+// locations) must be identical across configurations; a divergence is
+// an error.
+func PhmmEngineBench(ds *Dataset, name string, workers int, widths []int) ([]PhmmEngineBenchRow, error) {
+	type config struct {
 		name  string
 		width int
-	}{{"engine_scalar", -1}}
+	}
+	configs := []config{{"engine_scalar", -1}}
 	for _, w := range widths {
 		if w >= 2 {
-			configs = append(configs, struct {
-				name  string
-				width int
-			}{fmt.Sprintf("engine_batch%d", w), w})
+			configs = append(configs, config{fmt.Sprintf("engine_batch%d", w), w})
 		}
 	}
 	var rows []PhmmEngineBenchRow
@@ -257,7 +259,7 @@ func PhmmEngineBench(ds *Dataset, workers int, widths []int) ([]PhmmEngineBenchR
 		}
 		wall := time.Since(start)
 		rows = append(rows, PhmmEngineBenchRow{
-			Name: c.name, PhmmBatch: c.width,
+			Dataset: name, Name: c.name, PhmmBatch: c.width,
 			Reads: len(ds.Reads), Mapped: st.Mapped, Locations: st.Locations,
 			WallNs:      wall.Nanoseconds(),
 			ReadsPerSec: float64(len(ds.Reads)) / wall.Seconds(),
@@ -265,8 +267,8 @@ func PhmmEngineBench(ds *Dataset, workers int, widths []int) ([]PhmmEngineBenchR
 	}
 	for _, r := range rows[1:] {
 		if r.Mapped != rows[0].Mapped || r.Locations != rows[0].Locations {
-			return nil, fmt.Errorf("experiments: %s mapping outcome (%d mapped, %d locations) diverges from scalar (%d, %d)",
-				r.Name, r.Mapped, r.Locations, rows[0].Mapped, rows[0].Locations)
+			return nil, fmt.Errorf("experiments: %s/%s mapping outcome (%d mapped, %d locations) diverges from scalar (%d, %d)",
+				name, r.Name, r.Mapped, r.Locations, rows[0].Mapped, rows[0].Locations)
 		}
 	}
 	return rows, nil

@@ -73,6 +73,15 @@ func NewBatchAligner(p Params, mode Mode) (*BatchAligner, error) {
 	return &BatchAligner{params: p, mode: mode, mean: p.meanMatch()}, nil
 }
 
+// BatchKernel names the row kernel of a full simdLanes-wide batch here:
+// "avx2", or "generic" (the Go lane loops every other width takes too).
+func BatchKernel() string {
+	if batchAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
+
 // Params returns the aligner's parameter set.
 func (b *BatchAligner) Params() Params { return b.params }
 

@@ -210,3 +210,48 @@ func BenchmarkAlignBatch(b *testing.B) {
 		benchmarkAlignBatch(b, 8, 0)
 	})
 }
+
+// BenchmarkContributionsInto compares posterior extraction per
+// alignment from the scalar kernel's contiguous planes and from one lane
+// of an 8-lane batch's striped planes, at the engine's band.
+func BenchmarkContributionsInto(b *testing.B) {
+	p, window := benchInputs(b)
+	dst := make([][dna.NumChannels]float64, len(window))
+	totals := make([]float64, len(window))
+	b.Run("scalar", func(b *testing.B) {
+		a, err := NewAligner(DefaultParams(), SemiGlobal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := a.AlignBanded(p.Matrix, window, 8, benchBand)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := res.ContributionsInto(ByCall, dst, totals); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lane-of-8", func(b *testing.B) {
+		ba, err := NewBatchAligner(DefaultParams(), SemiGlobal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs, ys := make([]*pwm.Matrix, 8), make([]dna.Seq, 8)
+		for l := range xs {
+			xs[l], ys[l] = p.Matrix, window
+		}
+		results, err := ba.AlignBatch(xs, ys, 8, benchBand)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := results[i%8].ContributionsInto(ByCall, dst, totals); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -40,6 +40,28 @@ func FromRead(r *fastq.Read) (*Matrix, error) {
 	return m, nil
 }
 
+// qualWeights[q] is (1-e, e/3) for Phred score q — the weight of the
+// called base and of each alternative. A read row is a lookup, not a
+// math.Pow per base; the entries are the very expressions the per-base
+// computation evaluated, so rows are bit-identical to it.
+var qualWeights = func() (t [256][2]float64) {
+	for q := range t {
+		e := fastq.ErrorProb(uint8(q))
+		t[q] = [2]float64{1 - e, e / 3}
+	}
+	return t
+}()
+
+// uniformRow is the row of an ambiguous base (N), whatever its quality.
+var uniformRow = calledRow(dna.A, 1.0/dna.NumBases, 1.0/dna.NumBases)
+
+// calledRow is the row of concrete base b: hit on b, miss elsewhere.
+func calledRow(b dna.Code, hit, miss float64) [dna.NumBases]float64 {
+	row := [dna.NumBases]float64{miss, miss, miss, miss}
+	row[b] = hit
+	return row
+}
+
 // FillFromRead is FromRead into an existing Matrix, reusing its
 // storage — the mapper's per-read hot path, which must not allocate in
 // steady state.
@@ -47,25 +69,26 @@ func (m *Matrix) FillFromRead(r *fastq.Read) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	m.reset(len(r.Seq))
-	copy(m.calls, r.Seq)
-	for i, b := range r.Seq {
+	m.fill(r.Seq, r.Qual, nil)
+	return nil
+}
+
+// fill sets one row per base of s: weighted by its quality, or by the
+// flat (hit, miss) pair when qual is nil.
+func (m *Matrix) fill(s dna.Seq, qual []uint8, flat *[2]float64) {
+	m.reset(len(s))
+	copy(m.calls, s)
+	for i, b := range s {
 		if !b.IsConcrete() {
-			for k := 0; k < dna.NumBases; k++ {
-				m.rows[i][k] = 1.0 / dna.NumBases
-			}
+			m.rows[i] = uniformRow
 			continue
 		}
-		e := fastq.ErrorProb(r.Qual[i])
-		for k := 0; k < dna.NumBases; k++ {
-			if dna.Code(k) == b {
-				m.rows[i][k] = 1 - e
-			} else {
-				m.rows[i][k] = e / 3
-			}
+		w := flat
+		if qual != nil {
+			w = &qualWeights[qual[i]]
 		}
+		m.rows[i] = calledRow(b, w[0], w[1])
 	}
-	return nil
 }
 
 // FromSeqUniformError builds a PWM from a bare sequence with a single
@@ -86,23 +109,7 @@ func (m *Matrix) FillSeqUniformError(s dna.Seq, e float64) error {
 	if e < 0 || e >= 1 {
 		return fmt.Errorf("pwm: error probability %g out of [0,1)", e)
 	}
-	m.reset(len(s))
-	copy(m.calls, s)
-	for i, b := range s {
-		if !b.IsConcrete() {
-			for k := 0; k < dna.NumBases; k++ {
-				m.rows[i][k] = 1.0 / dna.NumBases
-			}
-			continue
-		}
-		for k := 0; k < dna.NumBases; k++ {
-			if dna.Code(k) == b {
-				m.rows[i][k] = 1 - e
-			} else {
-				m.rows[i][k] = e / 3
-			}
-		}
-	}
+	m.fill(s, nil, &[2]float64{1 - e, e / 3})
 	return nil
 }
 
@@ -150,12 +157,9 @@ func (m *Matrix) ReverseComplement() *Matrix {
 func (m *Matrix) FillReverseComplementOf(src *Matrix) {
 	n := len(src.rows)
 	m.reset(n)
-	for i := 0; i < n; i++ {
-		r := src.rows[n-1-i]
-		m.rows[i][dna.A] = r[dna.T]
-		m.rows[i][dna.T] = r[dna.A]
-		m.rows[i][dna.C] = r[dna.G]
-		m.rows[i][dna.G] = r[dna.C]
+	for i := range m.rows {
+		r := &src.rows[n-1-i]
+		m.rows[i] = [dna.NumBases]float64{dna.A: r[dna.T], dna.C: r[dna.G], dna.G: r[dna.C], dna.T: r[dna.A]}
 		m.calls[i] = src.calls[n-1-i].Complement()
 	}
 }

@@ -216,3 +216,51 @@ func TestFillReuseMatchesAllocating(t *testing.T) {
 		t.Errorf("warm Fill methods allocate %.1f/op, want 0", avg)
 	}
 }
+
+// TestFillRowsEqualPerBaseExpression pins the lookup-table fill to the
+// per-base computation it replaced: for every quality 0–255 and every
+// base code (N included) the row must be == — not ≈ — the row built from
+// fastq.ErrorProb with the original two expressions, 1-e and e/3.
+func TestFillRowsEqualPerBaseExpression(t *testing.T) {
+	codes := []dna.Code{dna.A, dna.C, dna.G, dna.T, dna.N}
+	for q := 0; q < 256; q++ {
+		e := fastq.ErrorProb(uint8(q))
+		rd := &fastq.Read{Name: "r", Seq: dna.Seq(codes), Qual: make([]uint8, len(codes))}
+		for i := range rd.Qual {
+			rd.Qual[i] = uint8(q)
+		}
+		fromRead, err := FromRead(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Uniform errors are only defined on [0,1): q=0 (e=1) has no
+		// FillSeqUniformError counterpart.
+		var uniform *Matrix
+		if e < 1 {
+			if uniform, err = FromSeqUniformError(rd.Seq, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, b := range codes {
+			var want [dna.NumBases]float64
+			for k := 0; k < dna.NumBases; k++ {
+				switch {
+				case !b.IsConcrete():
+					want[k] = 1.0 / dna.NumBases
+				case dna.Code(k) == b:
+					want[k] = 1 - e
+				default:
+					want[k] = e / 3
+				}
+			}
+			if got := fromRead.Row(i); got != want {
+				t.Fatalf("q=%d base %v: FillFromRead row %v, want %v", q, b, got, want)
+			}
+			if uniform != nil {
+				if got := uniform.Row(i); got != want {
+					t.Fatalf("e=%g base %v: FillSeqUniformError row %v, want %v", e, b, got, want)
+				}
+			}
+		}
+	}
+}
