@@ -373,10 +373,13 @@ func runIndex(ds *experiments.Dataset, workers, seedLen, selLength int, outPath 
 	fmt.Printf("%-20s %5s %8s %10s %10s %9s %9s %12s %7s %7s %10s %10s\n",
 		"dataset", "k", "reads", "hits/rd", "cand/rd", "align/rd", "build", "reads/sec", "TP", "FP", "precision", "recall")
 	for _, r := range rep.Rows {
-		fmt.Printf("%-20s %5d %8d %10.1f %10.2f %9.2f %8.2fs %12.0f %7d %7d %9.1f%% %9.1f%%\n",
+		fmt.Printf("%-20s %5d %8d %10.1f %10.2f %9.2f %8.2fs %12.0f",
 			r.Dataset, r.SeedLen, r.Reads, r.SeedHitsPerRead, r.CandidatesPerRead,
-			r.AlignmentsPerRead, r.BuildSeconds, r.ReadsPerSec,
-			r.TP, r.FP, 100*r.Precision, 100*r.Recall)
+			r.AlignmentsPerRead, r.BuildSeconds, r.ReadsPerSec)
+		if r.IndexAccuracy != nil {
+			fmt.Printf(" %7d %7d %9.1f%% %9.1f%%", r.TP, r.FP, 100*r.Precision, 100*r.Recall)
+		}
+		fmt.Println()
 	}
 	p := rep.Persist
 	fmt.Printf("\nPERSIST — s=%d over %d bp: %s file, build %.2fs, write %.3fs, mmap load %.6fs (%.0fx), vcf identical: %v\n",

@@ -98,11 +98,18 @@ type IndexBenchRow struct {
 	AlignmentsPerRead float64 `json:"alignments_per_read"`
 	WallNs            int64   `json:"wall_ns"`
 	ReadsPerSec       float64 `json:"reads_per_sec"`
-	TP                int     `json:"tp"`
-	FP                int     `json:"fp"`
-	FN                int     `json:"fn"`
-	Precision         float64 `json:"precision"`
-	Recall            float64 `json:"recall"`
+	// Nil (absent from the JSON) on the selectivity rows, whose dataset
+	// is too thinly sequenced to call on at any seed length.
+	*IndexAccuracy
+}
+
+// IndexAccuracy is the call-set score of an accuracy row.
+type IndexAccuracy struct {
+	TP        int     `json:"tp"`
+	FP        int     `json:"fp"`
+	FN        int     `json:"fn"`
+	Precision float64 `json:"precision"`
+	Recall    float64 `json:"recall"`
 }
 
 // IndexPersistRow records the persistence leg.
@@ -162,8 +169,10 @@ func runWithIndex(ds *Dataset, ix kmer.SeedIndex, workers int) (IndexBenchRow, [
 		AlignmentsPerRead: float64(reg.Counter("map.alignments").Value()) / n,
 		WallNs:            wall.Nanoseconds(),
 		ReadsPerSec:       n / wall.Seconds(),
-		TP:                m.TP, FP: m.FP, FN: m.FN,
-		Precision: m.Precision(), Recall: m.Sensitivity(),
+		IndexAccuracy: &IndexAccuracy{
+			TP: m.TP, FP: m.FP, FN: m.FN,
+			Precision: m.Precision(), Recall: m.Sensitivity(),
+		},
 	}
 	return row, calls, nil
 }
@@ -219,6 +228,9 @@ func IndexBench(ds *Dataset, cfg IndexBenchConfig) (*IndexBenchReport, error) {
 		row, _, err := benchConfig(c.ds, c.name, c.k, cfg.Workers, c.repeats)
 		if err != nil {
 			return nil, err
+		}
+		if c.ds == sel {
+			row.IndexAccuracy = nil
 		}
 		rep.Rows = append(rep.Rows, row)
 	}

@@ -12,7 +12,8 @@ package kmer
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"math/bits"
 
 	"gnumap/internal/dna"
 )
@@ -43,15 +44,16 @@ type SeedIndex interface {
 	CandidatesInto(read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate
 }
 
-// seedSource is the per-seed lookup behind the shared voting loop:
-// positions is the stored (possibly frequency-capped) sample for the
-// seed, total its true occurrence count in the reference. The direct
-// Index always stores every occurrence (total == len(positions)); the
-// LargeIndex may truncate hot seeds but still reports the true total so
-// repeat masking sees the real frequency.
+// seedSource is the group lookup behind the shared voting loop. resolve
+// fills lo, n and total of every seed in b.seeds and returns the
+// position array those ranges index: lo:lo+n is the stored (possibly
+// frequency-capped) sample, total the seed's true occurrence count in
+// the reference. The direct Index always stores every occurrence
+// (total == n); the LargeIndex may truncate hot seeds but still reports
+// the true total so repeat masking sees the real frequency.
 type seedSource interface {
 	K() int
-	lookupTotal(m dna.Kmer) (positions []int32, total int)
+	resolve(b *CandidateBuf) (positions []int32)
 }
 
 // Build constructs the appropriate index representation for k: the
@@ -110,25 +112,7 @@ func New(seq dna.Seq, k int) (*Index, error) {
 // forEachKmer calls fn for every packable k-mer window in seq, using a
 // rolling pack that restarts after ambiguous bases.
 func forEachKmer(seq dna.Seq, k int, fn func(m dna.Kmer, pos int32)) {
-	if len(seq) < k {
-		return
-	}
-	var m dna.Kmer
-	valid := 0 // number of consecutive concrete bases ending at i
-	mask := dna.Kmer(1)<<(2*uint(k)) - 1
-	for i := 0; i < len(seq); i++ {
-		c := seq[i]
-		if !c.IsConcrete() {
-			valid = 0
-			m = 0
-			continue
-		}
-		m = (m<<2 | dna.Kmer(c)) & mask
-		valid++
-		if valid >= k {
-			fn(m, int32(i-k+1))
-		}
-	}
+	forEachKmerRange(seq, k, 0, len(seq), fn)
 }
 
 // K returns the indexed mer size.
@@ -149,13 +133,6 @@ func (ix *Index) Lookup(m dna.Kmer) []int32 {
 // BucketSize returns the number of occurrences of the packed k-mer.
 func (ix *Index) BucketSize(m dna.Kmer) int { return len(ix.Lookup(m)) }
 
-// lookupTotal implements seedSource: the direct index stores every
-// occurrence, so the sample is the bucket and the total its length.
-func (ix *Index) lookupTotal(m dna.Kmer) ([]int32, int) {
-	hits := ix.Lookup(m)
-	return hits, len(hits)
-}
-
 // MemoryBytes reports the approximate heap footprint of the index,
 // used by the Table II memory accounting.
 func (ix *Index) MemoryBytes() int64 {
@@ -171,10 +148,6 @@ type Candidate struct {
 
 // CandidateOptions tunes candidate-region generation.
 type CandidateOptions struct {
-	// Stride is the spacing between sampled seed offsets within the
-	// read; 1 samples every offset. Larger strides trade sensitivity
-	// for speed. Zero means 1.
-	Stride int
 	// MaxBucket masks k-mers occurring more often than this in the
 	// reference (repeat masking). Zero means no masking.
 	MaxBucket int
@@ -195,17 +168,17 @@ type CandidateOptions struct {
 //
 // The diagonal-voting table is open-addressed (linear probing) rather
 // than a Go map: per read it is cleared by bumping an epoch counter
-// instead of rehashing or rezeroing, so the steady-state cost per read
-// is a handful of cache-line touches with no map-bucket churn.
+// instead of rehashing or rezeroing, and a read probes only a prefix
+// sized from its own hit count (DESIGN.md §16, "Query path").
 type CandidateBuf struct {
-	// Slot i is live iff epoch[i] == cur; keys/vals are only meaningful
-	// for live slots. used lists the live slots for O(live) emission.
-	keys  []int32
-	vals  []int32
-	epoch []uint32
-	used  []int32
+	seeds []seedRef  // the strand's seed group
+	slots []voteSlot // slot i is live iff slots[i].epoch == cur
+	qual  []int32    // slots that reached MinVotes, in the order they did
 	cur   uint32
 	out   []Candidate
+	// touched absorbs the group passes' early loads so the compiler
+	// cannot drop them; its value means nothing.
+	touched int32
 	// Stats describes the call that last used this buffer; it is reset
 	// at the top of every CandidatesInto, so callers that want
 	// per-strand selectivity read it between calls.
@@ -221,79 +194,87 @@ type SeedStats struct {
 	Seeds, Masked, Hits int64
 }
 
-// minVoteTable is the initial open-addressing table size; must be a
-// power of two.
-const minVoteTable = 64
+// seedRef is one packable seed of the read: its packed value and read
+// offset, then — filled by seedSource.resolve — the range lo:lo+n of
+// the source's position array holding its stored sample, and its true
+// occurrence count.
+type seedRef struct {
+	m            dna.Kmer
+	off          int32
+	lo, n, total int32
+}
 
-// beginRead prepares the table for a new read's votes by advancing the
-// epoch. On the (rare) uint32 wraparound the epoch array is rezeroed so
-// stale epochs can never alias the new one.
-func (b *CandidateBuf) beginRead() {
-	if len(b.keys) == 0 {
-		b.keys = make([]int32, minVoteTable)
-		b.vals = make([]int32, minVoteTable)
-		b.epoch = make([]uint32, minVoteTable)
+// voteSlot is one vote-table entry: one cache line per probe.
+type voteSlot struct {
+	key, val int32
+	epoch    uint32
+}
+
+// voteTable returns the table prefix for a read about to cast hits
+// votes: a power of two at most half full, so a probe always ends at a
+// dead slot, and every slot of it dead. Growing allocates, but the
+// array never shrinks, so a warm buffer runs allocation-free.
+func (b *CandidateBuf) voteTable(hits int64) []voteSlot {
+	size := max(64, int(nextPow2(2*hits)))
+	if size > len(b.slots) {
+		b.slots = make([]voteSlot, size)
+		b.cur = 0
 	}
-	b.used = b.used[:0]
 	b.cur++
-	if b.cur == 0 {
-		clear(b.epoch)
+	if b.cur == 0 { // uint32 wraparound: stale epochs must not alias
+		clear(b.slots)
 		b.cur = 1
 	}
+	return b.slots[:size]
 }
 
-// vote adds one vote for the (possibly negative) diagonal key.
-func (b *CandidateBuf) vote(key int32) {
-	mask := uint32(len(b.keys) - 1)
-	// Fibonacci-style multiplicative hash; the table size is a power of
-	// two so the low bits of the product index it directly.
-	for i := uint32(key) * 2654435761 & mask; ; i = (i + 1) & mask {
-		if b.epoch[i] != b.cur {
-			b.epoch[i] = b.cur
-			b.keys[i] = key
-			b.vals[i] = 1
-			b.used = append(b.used, int32(i))
-			if 4*len(b.used) >= 3*len(b.keys) {
-				b.growTable()
+// castVotes votes every stored position of every seed into tab on its
+// true (possibly negative) diagonal — clamping here used to pool every
+// read-hangs-off-the-left-edge diagonal into position 0, inflating its
+// vote count — and appends to qual each slot as it reaches minVotes.
+func castVotes(tab []voteSlot, cur uint32, seeds []seedRef, positions []int32, grid, minVotes int32, qual []int32) []int32 {
+	mask := uint32(len(tab) - 1)
+	shift := (32 - bits.TrailingZeros32(uint32(len(tab)))) & 31
+	for i := range seeds {
+		s := &seeds[i]
+		for _, p := range positions[s.lo : s.lo+s.n] {
+			start := p - s.off
+			// Snap the diagonal to a grid so small indel shifts coalesce
+			// into the same candidate region. Go's % keeps the sign, so
+			// negative diagonals land on a uniform grid too (-6, -3, 0, 3
+			// for slack 2). The engine's two grids divide by a constant.
+			switch grid {
+			case 1:
+			case 3:
+				start -= start % 3
+			default:
+				start -= start % grid
 			}
-			return
-		}
-		if b.keys[i] == key {
-			b.vals[i]++
-			return
-		}
-	}
-}
-
-// growTable doubles the table and reinserts the live slots. Growth
-// allocates, but the table never shrinks, so a warm buffer reaches its
-// high-water size once and then runs allocation-free.
-func (b *CandidateBuf) growTable() {
-	oldKeys, oldVals, oldUsed := b.keys, b.vals, b.used
-	n := 2 * len(oldKeys)
-	b.keys = make([]int32, n)
-	b.vals = make([]int32, n)
-	b.epoch = make([]uint32, n)
-	b.used = make([]int32, 0, len(oldUsed)*2)
-	b.cur = 1
-	mask := uint32(n - 1)
-	for _, slot := range oldUsed {
-		key, val := oldKeys[slot], oldVals[slot]
-		for i := uint32(key) * 2654435761 & mask; ; i = (i + 1) & mask {
-			if b.epoch[i] != b.cur {
-				b.epoch[i] = b.cur
-				b.keys[i] = key
-				b.vals[i] = val
-				b.used = append(b.used, int32(i))
-				break
+			// Fibonacci hashing: the product's high bits index the table.
+			j := uint32(start) * 2654435761 >> shift
+			sl := &tab[j]
+			for sl.epoch == cur && sl.key != start {
+				j = (j + 1) & mask
+				sl = &tab[j]
+			}
+			// Opening a diagonal and re-voting one share a path: which
+			// it will be is a coin flip the branch predictor loses.
+			v := sl.val + 1
+			if sl.epoch != cur {
+				v = 1
+			}
+			*sl = voteSlot{key: start, val: v, epoch: cur}
+			if v == minVotes {
+				qual = append(qual, int32(j))
 			}
 		}
 	}
+	return qual
 }
 
-// Candidates seeds every (strided) k-mer of the read into the index and
-// votes on implied read start positions ("diagonals"). It returns
-// candidates sorted by descending votes, ties by ascending start.
+// Candidates seeds every k-mer of the read into the index and votes on
+// implied read start positions ("diagonals"). It returns candidates
+// sorted by descending votes, ties by ascending start.
 func (ix *Index) Candidates(read dna.Seq, opt CandidateOptions) []Candidate {
 	return ix.CandidatesInto(read, opt, &CandidateBuf{})
 }
@@ -305,82 +286,101 @@ func (ix *Index) CandidatesInto(read dna.Seq, opt CandidateOptions, buf *Candida
 	return candidatesInto(ix, read, opt, buf)
 }
 
+// resolve implements seedSource. The direct index stores every
+// occurrence, so the sample is the bucket and the total its length.
+func (ix *Index) resolve(b *CandidateBuf) []int32 {
+	for i := range b.seeds {
+		s := &b.seeds[i]
+		lo, hi := ix.offsets[s.m], ix.offsets[s.m+1]
+		s.lo, s.n, s.total = lo, hi-lo, hi-lo
+	}
+	return ix.positions
+}
+
 // candidatesInto is the diagonal-voting loop shared by every index
-// representation. The source supplies, per seed, a stored position
-// sample plus the seed's true occurrence count; repeat masking
-// (MaxBucket) tests the true count so a frequency-capped index masks
-// exactly the seeds the direct index would.
+// representation. A strand's seeds are handled as a group, one pass per
+// step, because every step but the voting is a scattered load: Go has
+// no prefetch intrinsic, but the loads of one pass do not depend on
+// each other, so the core overlaps their cache misses instead of
+// paying them one seed at a time.
 func candidatesInto(ix seedSource, read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate {
-	stride := opt.Stride
-	if stride <= 0 {
-		stride = 1
+	// Every packable seed, O(1) each.
+	if cap(buf.seeds) < len(read) {
+		buf.seeds = make([]seedRef, len(read))
 	}
-	minVotes := opt.MinVotes
-	if minVotes <= 0 {
-		minVotes = 1
-	}
-	k := ix.K()
-	buf.beginRead()
-	buf.Stats = SeedStats{}
-	for off := 0; off+k <= len(read); off += stride {
-		m, ok := dna.PackKmer(read, off, k)
-		if !ok {
-			continue
-		}
-		buf.Stats.Seeds++
-		hits, total := ix.lookupTotal(m)
-		if opt.MaxBucket > 0 && total > opt.MaxBucket {
-			buf.Stats.Masked++
-			continue
-		}
-		buf.Stats.Hits += int64(len(hits))
-		for _, p := range hits {
-			start := p - int32(off)
-			if opt.Slack > 0 {
-				// Snap the diagonal to a grid so small indel shifts
-				// coalesce into the same candidate region. Go's % keeps
-				// the sign, so negative diagonals land on a uniform grid
-				// too (-6, -3, 0, 3 for slack 2).
-				start -= start % int32(opt.Slack+1)
-			}
-			// Vote on the true (possibly negative) diagonal. Clamping
-			// here used to pool every read-hangs-off-the-left-edge
-			// diagonal into position 0, inflating its vote count.
-			buf.vote(start)
-		}
-	}
-	cands := buf.out[:0]
-	for _, slot := range buf.used {
-		if v := buf.vals[slot]; int(v) >= minVotes {
-			cands = append(cands, Candidate{Start: buf.keys[slot], Votes: v})
-		}
-	}
-	slices.SortFunc(cands, func(a, b Candidate) int {
-		if a.Votes != b.Votes {
-			return int(b.Votes - a.Votes)
-		}
-		return int(a.Start - b.Start)
+	seeds, n := buf.seeds[:len(read)], 0
+	forEachKmer(read, ix.K(), func(m dna.Kmer, off int32) {
+		seeds[n].m, seeds[n].off = m, off
+		n++
 	})
-	// Clamp negative implied starts to 0 only now, after voting. The
-	// clamp can make several candidates collide at start 0; keep the
-	// best-voted one (they describe the same leftmost alignment window,
-	// and summing would reintroduce the pooling bug).
-	kept := cands[:0]
-	zeroSeen := false
-	for _, c := range cands {
-		if c.Start <= 0 {
-			if zeroSeen {
-				continue
-			}
-			zeroSeen = true
-			c.Start = 0
+	seeds = seeds[:n]
+	buf.seeds = seeds
+	positions := ix.resolve(buf)
+
+	// Repeat masking tests the true count so a frequency-capped index
+	// masks exactly the seeds the direct index would. Touch each
+	// surviving bucket's first position before any vote needs it.
+	stats := SeedStats{Seeds: int64(n)}
+	touched := buf.touched
+	for i := range seeds {
+		s := &seeds[i]
+		if opt.MaxBucket > 0 && int(s.total) > opt.MaxBucket {
+			stats.Masked++
+			s.n = 0
 		}
-		kept = append(kept, c)
+		if s.n > 0 {
+			stats.Hits += int64(s.n)
+			touched += positions[s.lo]
+		}
 	}
-	cands = kept
+	buf.touched, buf.Stats = touched, stats
+
+	tab := buf.voteTable(stats.Hits)
+	minVotes := int32(min(max(opt.MinVotes, 1), math.MaxInt32))
+	qual := castVotes(tab, buf.cur, seeds, positions, int32(opt.Slack+1), minVotes, buf.qual[:0])
+	buf.qual = qual
+
+	// Keep the best MaxCandidates under the total order (votes
+	// descending, start ascending). Starts are distinct, so this is the
+	// sorted list's prefix whatever order the slots arrive in. Negative
+	// implied starts clamp to 0 only now, after voting, where several can
+	// collide: they describe the same leftmost alignment window, so the
+	// best-voted one stands for all (summing would reintroduce the
+	// pooling bug) and competes as a single candidate at 0.
+	limit := opt.MaxCandidates
+	if limit <= 0 {
+		limit = len(qual)
+	}
+	cands, edgeVotes := buf.out[:0], int32(0)
+	for _, j := range qual {
+		if sl := tab[j]; sl.key <= 0 {
+			edgeVotes = max(edgeVotes, sl.val)
+		} else {
+			cands = insertTop(cands, Candidate{Start: sl.key, Votes: sl.val}, limit)
+		}
+	}
+	if edgeVotes > 0 {
+		cands = insertTop(cands, Candidate{Start: 0, Votes: edgeVotes}, limit)
+	}
 	buf.out = cands
-	if opt.MaxCandidates > 0 && len(cands) > opt.MaxCandidates {
-		cands = cands[:opt.MaxCandidates]
-	}
 	return cands
+}
+
+// insertTop inserts c into the ordered list top, which holds at most
+// limit candidates, dropping the worst when full.
+func insertTop(top []Candidate, c Candidate, limit int) []Candidate {
+	before := func(a, b Candidate) bool {
+		return a.Votes > b.Votes || a.Votes == b.Votes && a.Start < b.Start
+	}
+	if len(top) < limit {
+		top = append(top, c)
+	} else if !before(c, top[limit-1]) {
+		return top
+	}
+	i := len(top) - 1
+	for ; i > 0 && before(c, top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = c
+	return top
 }

@@ -178,23 +178,6 @@ func TestCandidatesCapAndOrdering(t *testing.T) {
 	}
 }
 
-func TestCandidateStride(t *testing.T) {
-	genome := dna.MustParseSeq("TTTTTTTTTTACGTACGGCCATTTTTTTTTT")
-	read := dna.MustParseSeq("ACGTACGGCCA")
-	ix, err := New(genome, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := ix.Candidates(read, CandidateOptions{Stride: 1})
-	strided := ix.Candidates(read, CandidateOptions{Stride: 4})
-	if len(strided) == 0 || strided[0].Start != full[0].Start {
-		t.Errorf("strided candidates lost the hit: %v vs %v", strided, full)
-	}
-	if strided[0].Votes >= full[0].Votes {
-		t.Errorf("stride must reduce votes: %d >= %d", strided[0].Votes, full[0].Votes)
-	}
-}
-
 func TestNegativeDiagonalClamped(t *testing.T) {
 	// Read hangs off the start of the genome: diagonal would be negative.
 	genome := dna.MustParseSeq("ACGGCCATTAACGGTT")

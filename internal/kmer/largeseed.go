@@ -372,19 +372,20 @@ func (ix *LargeIndex) MemoryBytes() int64 {
 		int64(len(ix.positions))*4
 }
 
-// lookupTotal implements seedSource: the stored sample (at most
-// MaxStore positions, ascending) plus the seed's true occurrence
-// count. Absent seeds return (nil, 0). The bounds guards make lookups
-// on a structurally corrupt mapping return "absent" instead of
-// panicking; the probe counter bounds the scan on a table with no free
-// slots (impossible for a built index, reachable only via corruption).
-func (ix *LargeIndex) lookupTotal(m dna.Kmer) ([]int32, int) {
+// find is the probe loop: where the seed's stored sample (at most
+// MaxStore positions, ascending) starts in positions, its length, and
+// the seed's true occurrence count; all zero when absent. The bounds
+// guards make lookups on a structurally corrupt mapping return "absent"
+// instead of panicking; the probe counter bounds the scan on a table
+// with no free slots (impossible for a built index, reachable only via
+// corruption).
+func (ix *LargeIndex) find(m dna.Kmer) (start, stored, total int32) {
 	h := mix64(uint64(m))
 	p := h >> (64 - ix.partBits)
 	lo, hi := ix.slotOff[p], ix.slotOff[p+1]
 	size := hi - lo
 	if size <= 0 {
-		return nil, 0
+		return 0, 0, 0
 	}
 	mask := uint64(size - 1)
 	i := h & mask
@@ -392,7 +393,7 @@ func (ix *LargeIndex) lookupTotal(m dna.Kmer) ([]int32, int) {
 		s := lo + int64(i)
 		c := ix.counts[s]
 		if c <= 0 { // 0 = free slot; negative only via a corrupt file
-			return nil, 0
+			return 0, 0, 0
 		}
 		if ix.keys[s] == uint64(m) {
 			stored := int64(c)
@@ -401,27 +402,49 @@ func (ix *LargeIndex) lookupTotal(m dna.Kmer) ([]int32, int) {
 			}
 			st := int64(ix.starts[s])
 			if st < 0 || st+stored > int64(len(ix.positions)) {
-				return nil, 0
+				return 0, 0, 0
 			}
-			return ix.positions[st : st+stored], int(c)
+			return int32(st), int32(stored), c
 		}
 		i = (i + 1) & mask
 	}
-	return nil, 0
+	return 0, 0, 0
+}
+
+// resolve implements seedSource. A probe is a chain of dependent cache
+// misses, so the group first loads every seed's home slot — independent
+// loads whose misses overlap — and only then runs the probe loop, which
+// finds its lines cached. starts is left out: half a read's seeds (the
+// wrong strand) are absent, and fetching their lines too costs more
+// than the present seeds' late miss.
+func (ix *LargeIndex) resolve(b *CandidateBuf) []int32 {
+	for i := range b.seeds {
+		h := mix64(uint64(b.seeds[i].m))
+		p := h >> (64 - ix.partBits)
+		if lo, hi := ix.slotOff[p], ix.slotOff[p+1]; hi > lo {
+			s := lo + int64(h&uint64(hi-lo-1))
+			b.touched += ix.counts[s] + int32(ix.keys[s])
+		}
+	}
+	for i := range b.seeds {
+		s := &b.seeds[i]
+		s.lo, s.n, s.total = ix.find(s.m)
+	}
+	return ix.positions
 }
 
 // Lookup returns the stored position sample of the packed k-mer (at
 // most MaxStore entries, ascending). The slice aliases the index.
 func (ix *LargeIndex) Lookup(m dna.Kmer) []int32 {
-	hits, _ := ix.lookupTotal(m)
-	return hits
+	start, stored, _ := ix.find(m)
+	return ix.positions[start : start+stored]
 }
 
 // BucketSize returns the true occurrence count of the packed k-mer,
 // even when the stored sample is capped below it.
 func (ix *LargeIndex) BucketSize(m dna.Kmer) int {
-	_, total := ix.lookupTotal(m)
-	return total
+	_, _, total := ix.find(m)
+	return int(total)
 }
 
 // Candidates votes the read's seeds into mapping regions; see

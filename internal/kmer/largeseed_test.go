@@ -55,7 +55,7 @@ func TestLargeIndexMatchesDirect(t *testing.T) {
 		}
 		for _, m := range probe {
 			want := direct.Lookup(m)
-			got, total := large.lookupTotal(m)
+			got, total := large.Lookup(m), large.BucketSize(m)
 			if total != len(want) || !equalI32(got, want) {
 				t.Fatalf("k=%d kmer %v: large %v/%d != direct %v", k, m, got, total, want)
 			}
