@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-check bench-phmm bench-stream bench-call bench-index fuzz chaos chaos-resume metrics check
+.PHONY: build test race vet bench bench-check fuzz chaos chaos-resume check
 
 build:
 	$(GO) build ./...
@@ -20,46 +20,24 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Kernel + engine benchmarks with allocation accounting (the banded
-# speedup and the 0 allocs/op gates live here).
+# Kernel + engine micro-benchmarks with allocation accounting (the
+# banded speedup and the 0 allocs/op gates live here), and the calling
+# sweep's worker ladder. Performance numbers and claims come from the
+# repo benchmark (bench/, BENCHMARK.json), not from these.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/phmm/
 	$(GO) test -bench 'BenchmarkMapRead' -benchmem -benchtime 2000x -run '^$$' ./internal/core/
+	$(GO) test -bench 'BenchmarkCollectRange' -run '^$$' ./internal/snp/
 
-# Machine-readable kernel trajectory: scalar and batched kernel rows
-# (batched verified bit-exact against scalar before timing) plus
-# end-to-end engine reads/sec (writes BENCH_phmm.json).
-bench-phmm:
-	$(GO) run ./cmd/snpbench -exp phmm -length 120000 -coverage 4
-
-# The mapping pipeline plain and with each combination of its barrier
-# subscribers (durable checkpoints, incremental calling) on the same
-# FASTQ (writes BENCH_stream.json: reads/sec, peak heap, peak resident
-# reads, checkpoint stall, time to first call).
-bench-stream:
-	$(GO) run ./cmd/snpbench -exp stream -length 120000 -coverage 6
-
-# Parallel post-map phase: scalar and vectorized calling sweeps at
-# 1/2/4/8 workers (every row asserted identical to the scalar serial
-# reference), prescreen ns/position per sweep flavor with the dispatched
-# kernel stamped, plus striped-vs-sharded accumulation throughput
-# (writes BENCH_call.json).
-bench-call:
-	$(GO) run ./cmd/snpbench -exp call -length 150000 -coverage 6
-
-# Large-seed index vs the k=10 direct table: candidate selectivity,
-# throughput, accuracy, and the mmap persistence leg (writes
-# BENCH_index.json; the CI gate asserts the selectivity ratio, the
-# load speedup, and VCF identity through a save/load cycle).
-bench-index:
-	$(GO) run ./cmd/snpbench -exp index -length 400000 -coverage 12
-
-# Short coverage-guided fuzz passes: the FASTQ parser and the on-disk
-# seed-index decoder (both checked-in seed corpora always run as part
-# of plain `go test`).
+# Short coverage-guided fuzz passes over the byte-level inputs: the
+# FASTA and FASTQ parsers, the on-disk seed-index decoder and the
+# accumulator state codec (every seed corpus always runs as part of
+# plain `go test`).
 fuzz:
+	$(GO) test -fuzz FuzzRead -fuzztime 20s ./internal/fasta/
 	$(GO) test -fuzz FuzzReaderNext -fuzztime 20s ./internal/fastq/
 	$(GO) test -fuzz FuzzDecodeIndex -fuzztime 20s ./internal/kmer/
+	$(GO) test -fuzz FuzzLoadStateBytes -fuzztime 20s ./internal/genome/
 
 # Fault-tolerance gate: seeded chaos collectives, crash/heartbeat
 # detection, TCP hardening, and degraded-mode read-split — all
@@ -75,11 +53,6 @@ chaos:
 # graceful-stop path (drain, final checkpoint, exit code 3, resume).
 chaos-resume:
 	$(GO) test -count=1 -timeout 20m -run 'ChaosKillResume|GracefulStopResume' ./cmd/
-
-# Observability smoke: a small 2-node cluster run that writes
-# metrics.json, schema-checks it, and prints the merged summary.
-metrics:
-	$(GO) run ./cmd/snpbench -exp metrics -length 60000 -coverage 4 -metrics-out metrics.json
 
 # The repo's benchmark (bench/, see BENCHMARK.json) is its own module
 # pinned to this tree's API by a replace directive, so `go build ./...`

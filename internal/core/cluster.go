@@ -148,12 +148,11 @@ func GenomeSlice(refLen, size, rank int) (lo, hi int) {
 // applied.
 type spillBatch []float64
 
-// GenomeSplitBatch is the number of reads per genome-split
+// genomeSplitBatch is the number of reads per genome-split
 // normalization round: each batch costs three Allreduce collectives (a
 // max, a sum, and a post-threshold survivor-mass sum, each over one
-// float64 per read). Exported so the performance model in
-// internal/experiments can count collective rounds.
-const GenomeSplitBatch = 256
+// float64 per read).
+const genomeSplitBatch = 256
 
 // RunGenomeSplit executes genome-split mapping on one cluster node.
 // Every rank maps *all* reads against its genome slice; per-read
@@ -209,8 +208,8 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 	}
 	spills := make(map[int]spillBatch) // destination rank -> flattened
 
-	for base := 0; base < len(reads); base += GenomeSplitBatch {
-		end := base + GenomeSplitBatch
+	for base := 0; base < len(reads); base += genomeSplitBatch {
+		end := base + genomeSplitBatch
 		if end > len(reads) {
 			end = len(reads)
 		}

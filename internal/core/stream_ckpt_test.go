@@ -6,9 +6,11 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
+	"gnumap/internal/obs"
 )
 
 type sinkRecord struct {
@@ -87,6 +89,38 @@ func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 		t.Errorf("stats diverge with checkpointing: %+v vs %+v", gotSt, wantSt)
 	}
 	compareAccums(t, want, acc, p.ref.Len())
+}
+
+// TestCheckpointStallIsRecorded: what checkpointing adds to the critical
+// path — the window with every worker parked, snapshot through sink
+// return — lands in stream.ckpt.stall.seconds once per barrier, which
+// is where -metrics-out gets the number an operator reads.
+func TestCheckpointStallIsRecorded(t *testing.T) {
+	p := makePipeline(t, 30000, 3, 8, 51)
+	reg := obs.NewRegistry()
+	cfg := Config{Workers: 2, Batch: 16, Queue: 2, Metrics: reg}
+	eng, err := NewEngine(p.ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var barriers int64
+	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(sinkRecord) { barriers++ })}}
+	start := time.Now()
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Seconds()
+	stall := reg.Timer("stream.ckpt.stall.seconds")
+	if barriers < 2 || stall.Count() != barriers {
+		t.Errorf("%d stall observations for %d barriers", stall.Count(), barriers)
+	}
+	if sum := stall.Sum(); !(sum > 0 && sum < wall) {
+		t.Errorf("stall sum %gs not inside (0, wall %gs)", sum, wall)
+	}
 }
 
 // TestMapReadsFromBarrierResumeIdentity is the resume invariant at the

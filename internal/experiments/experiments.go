@@ -21,6 +21,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"gnumap/internal/baseline"
@@ -29,7 +30,6 @@ import (
 	"gnumap/internal/dna"
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
-	"gnumap/internal/kmer"
 	"gnumap/internal/simulate"
 	"gnumap/internal/snp"
 )
@@ -51,9 +51,6 @@ type DataConfig struct {
 	Coverage     float64 // default 12
 	ReadLength   int     // default 62
 	Seed         int64   // default 1
-	// RepeatFree drops the repeat structure, so nearly every read has
-	// one candidate location (the PHMM engine bench's second dataset).
-	RepeatFree bool
 }
 
 func (c DataConfig) withDefaults() DataConfig {
@@ -82,16 +79,12 @@ func (c DataConfig) withDefaults() DataConfig {
 // structure matching the paper's emphasis on repeat regions.
 func MakeDataset(cfg DataConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
-	gc := simulate.GenomeConfig{
+	g, err := simulate.Genome(simulate.GenomeConfig{
 		Length:                  cfg.GenomeLength,
 		TandemRepeatFraction:    0.03,
 		DispersedRepeatFraction: 0.08,
 		Seed:                    cfg.Seed,
-	}
-	if cfg.RepeatFree {
-		gc.TandemRepeatFraction, gc.DispersedRepeatFraction = 0, 0
-	}
-	g, err := simulate.Genome(gc)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -256,223 +249,76 @@ func Table3(ds *Dataset, workers int) ([]Table3Row, error) {
 	return rows, nil
 }
 
+// Cores is the parallelism a measurement can really have here: the
+// host's CPUs, or GOMAXPROCS when that is set lower. Fig4 and Fig5 stop
+// their ladders at it — nodes or workers beyond it would timeshare, and
+// the row would report scheduling, not scaling.
+func Cores() int {
+	return min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+}
+
 // Fig4Point is one measurement of Figure 4.
 type Fig4Point struct {
 	Nodes int
 	// Mode is "read-split" (the paper's "shared memory" series) or
 	// "genome-split" (the paper's "spread memory" series).
 	Mode string
-	// MeasuredRate is reads/second of the actual run. On a single-CPU
-	// host all node goroutines serialize, so this stays roughly flat
-	// for read-split and *decreases* for genome-split (whose total
-	// work grows with node count) — the relative ordering of the two
-	// curves is still the paper's Figure 4 shape.
-	MeasuredRate float64
-	// ModeledRate is reads/second under critical-path accounting:
-	// per-node compute calibrated from the single-node run, plus the
-	// measured cost of the mode's communication phases (state
-	// reduction for read-split; 3 collectives per read batch plus the
-	// spill exchange for genome-split). On a real N-CPU cluster the
-	// measured and modeled curves coincide up to scheduling noise.
-	ModeledRate float64
+	// Rate is reads/second of the run, wall clock.
+	Rate float64
 }
 
 // Fig4 measures sequence processing rate against node count for both
 // distributed modes on an in-process cluster (one mapping worker per
-// node, as with MPI ranks). See Fig4Point for the measured/modeled
-// distinction.
+// node, as with MPI ranks), for 1..min(maxNodes, Cores()) nodes.
 func Fig4(ds *Dataset, maxNodes int, transport cluster.TransportKind) ([]Fig4Point, error) {
 	if maxNodes <= 0 {
 		maxNodes = 4
 	}
-	R := len(ds.Reads)
-
-	// Calibration 1: single-node read-split wall -> per-read compute
-	// cost (the genome-replicated mapping cost).
-	wall1, err := timeClusterRun(1, transport, func(c *cluster.Comm) error {
-		_, _, err := core.RunReadSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fig4 calibration read-split: %w", err)
-	}
-	tRead := wall1.Seconds() / float64(R)
-
-	// Calibration 2: single-node genome-split wall. Its compute has a
-	// non-scaling part (every node seed-scans every read) and a
-	// scaling part (alignments of the 1/N owned slice).
-	wall1g, err := timeClusterRun(1, transport, func(c *cluster.Comm) error {
-		_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fig4 calibration genome-split: %w", err)
-	}
-	// Calibration 3: scan-only cost (index lookups without alignment).
-	tScanTotal, err := scanOnlySeconds(ds)
-	if err != nil {
-		return nil, err
-	}
-	alignSeconds := wall1g.Seconds() - tScanTotal
-	if alignSeconds < 0 {
-		alignSeconds = 0
-	}
-
-	// Calibration 4: communication micro-costs.
-	tStateReduce, err := stateReduceSeconds(ds.Ref.Len())
-	if err != nil {
-		return nil, err
-	}
-
-	var points []Fig4Point
-	for nodes := 1; nodes <= maxNodes; nodes++ {
-		// Read-split: measured.
-		wall, err := timeClusterRun(nodes, transport, func(c *cluster.Comm) error {
+	maxNodes = min(maxNodes, Cores())
+	modes := []struct {
+		name string
+		run  func(*cluster.Comm) error
+	}{
+		{"read-split", func(c *cluster.Comm) error {
 			_, _, err := core.RunReadSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
 			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig4 read-split nodes=%d: %w", nodes, err)
-		}
-		// Read-split: modeled = biggest shard's compute + the root's
-		// serialized state reduction ((N-1) decode+merge rounds).
-		maxShard := (R + nodes - 1) / nodes
-		model := tRead*float64(maxShard) + float64(nodes-1)*tStateReduce
-		points = append(points, Fig4Point{
-			Nodes: nodes, Mode: "read-split",
-			MeasuredRate: float64(R) / wall.Seconds(),
-			ModeledRate:  float64(R) / model,
-		})
-
-		// Genome-split: measured.
-		wall, err = timeClusterRun(nodes, transport, func(c *cluster.Comm) error {
+		}},
+		{"genome-split", func(c *cluster.Comm) error {
 			_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
 			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig4 genome-split nodes=%d: %w", nodes, err)
+		}},
+	}
+	var points []Fig4Point
+	for nodes := 1; nodes <= maxNodes; nodes++ {
+		for _, m := range modes {
+			start := time.Now()
+			if err := cluster.Run(nodes, transport, m.run); err != nil {
+				return nil, fmt.Errorf("fig4 %s nodes=%d: %w", m.name, nodes, err)
+			}
+			points = append(points, Fig4Point{
+				Nodes: nodes, Mode: m.name,
+				Rate: float64(len(ds.Reads)) / time.Since(start).Seconds(),
+			})
 		}
-		// Genome-split: modeled = full scan + 1/N of alignment work +
-		// three collectives per read batch (max, sum, survivor mass).
-		nBatches := (R + core.GenomeSplitBatch - 1) / core.GenomeSplitBatch
-		tColl, err := allreduceSeconds(nodes, transport)
-		if err != nil {
-			return nil, err
-		}
-		model = tScanTotal + alignSeconds/float64(nodes) + float64(3*nBatches)*tColl
-		points = append(points, Fig4Point{
-			Nodes: nodes, Mode: "genome-split",
-			MeasuredRate: float64(R) / wall.Seconds(),
-			ModeledRate:  float64(R) / model,
-		})
 	}
 	return points, nil
-}
-
-// timeClusterRun times one cluster execution.
-func timeClusterRun(nodes int, transport cluster.TransportKind, fn func(*cluster.Comm) error) (time.Duration, error) {
-	start := time.Now()
-	if err := cluster.Run(nodes, transport, fn); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
-}
-
-// scanOnlySeconds measures the seed-scanning cost over all reads (both
-// strands), the non-scaling component of genome-split compute — as the
-// engine pays it: one warm buffer, reverse strands made beforehand (the
-// engine reads them off a PWM it needs anyway).
-func scanOnlySeconds(ds *Dataset) (float64, error) {
-	idx, err := kmer.New(ds.Ref.Seq(), kmer.DefaultK)
-	if err != nil {
-		return 0, err
-	}
-	opts := kmer.CandidateOptions{MaxCandidates: 8, MinVotes: 2, MaxBucket: 1024, Slack: 2}
-	rev := make([]dna.Seq, len(ds.Reads))
-	for i, rd := range ds.Reads {
-		rev[i] = rd.Seq.ReverseComplement()
-	}
-	var buf kmer.CandidateBuf
-	start := time.Now()
-	for i, rd := range ds.Reads {
-		idx.CandidatesInto(rd.Seq, opts, &buf)
-		idx.CandidatesInto(rev[i], opts, &buf)
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-// stateReduceSeconds measures one serialize+transfer+deserialize+merge
-// round of a NORM accumulator of the given length — the unit cost of
-// the read-split reduction.
-func stateReduceSeconds(length int) (float64, error) {
-	a, err := genome.New(genome.Norm, length)
-	if err != nil {
-		return 0, err
-	}
-	b, err := genome.New(genome.Norm, length)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	data, err := a.(genome.Stateful).State()
-	if err != nil {
-		return 0, err
-	}
-	tmp, err := genome.CloneEmpty(a)
-	if err != nil {
-		return 0, err
-	}
-	if err := tmp.(genome.Stateful).LoadStateBytes(data); err != nil {
-		return 0, err
-	}
-	if err := b.Merge(tmp); err != nil {
-		return 0, err
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-// allreduceSeconds measures the per-collective cost of an Allreduce of
-// one GenomeSplitBatch-sized float64 vector on an N-node cluster.
-func allreduceSeconds(nodes int, transport cluster.TransportKind) (float64, error) {
-	const rounds = 20
-	payload := make([]float64, core.GenomeSplitBatch)
-	start := time.Now()
-	err := cluster.Run(nodes, transport, func(c *cluster.Comm) error {
-		for i := 0; i < rounds; i++ {
-			if _, err := c.Allreduce(payload, cluster.SumFloat64s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return time.Since(start).Seconds() / rounds, nil
 }
 
 // Fig5Point is one measurement of Figure 5.
 type Fig5Point struct {
 	Workers int
 	Mode    genome.Mode
-	// MeasuredRate is reads/second of the actual run (flat on a
-	// single-CPU host).
-	MeasuredRate float64
-	// ModeledRate assumes the workers' independent read shards run
-	// concurrently (they interact only through striped accumulator
-	// locks): single-worker rate × workers. The per-mode *ordering* —
-	// CENTDISC slowest because of its nearest-centroid search on every
-	// update — is measured, not modeled.
-	ModeledRate float64
+	// Rate is reads/second of the run, wall clock.
+	Rate float64
 }
 
 // Fig5 measures shared-memory throughput against worker count for each
-// memory layout.
+// memory layout, for 1..min(maxWorkers, Cores()) workers.
 func Fig5(ds *Dataset, maxWorkers int) ([]Fig5Point, error) {
 	if maxWorkers <= 0 {
 		maxWorkers = 4
 	}
-	base := map[genome.Mode]float64{}
+	maxWorkers = min(maxWorkers, Cores())
 	var points []Fig5Point
 	for workers := 1; workers <= maxWorkers; workers++ {
 		for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
@@ -488,14 +334,9 @@ func Fig5(ds *Dataset, maxWorkers int) ([]Fig5Point, error) {
 			if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
 				return nil, err
 			}
-			rate := float64(len(ds.Reads)) / time.Since(start).Seconds()
-			if workers == 1 {
-				base[mode] = rate
-			}
 			points = append(points, Fig5Point{
 				Workers: workers, Mode: mode,
-				MeasuredRate: rate,
-				ModeledRate:  base[mode] * float64(workers),
+				Rate: float64(len(ds.Reads)) / time.Since(start).Seconds(),
 			})
 		}
 	}

@@ -7,8 +7,7 @@ import (
 	"gnumap/internal/dna"
 )
 
-func benchGenome(b *testing.B, n int) dna.Seq {
-	b.Helper()
+func benchGenome(n int) dna.Seq {
 	rng := rand.New(rand.NewSource(2))
 	g := make(dna.Seq, n)
 	for i := range g {
@@ -17,8 +16,22 @@ func benchGenome(b *testing.B, n int) dna.Seq {
 	return g
 }
 
+// benchStrands samples n 62-bp reads across g, one substitution each,
+// with their reverse complements.
+func benchStrands(g dna.Seq, n int, seed int64) [][2]dna.Seq {
+	rng := rand.New(rand.NewSource(seed))
+	strands := make([][2]dna.Seq, n)
+	for i := range strands {
+		at := rng.Intn(len(g) - 62)
+		read := g[at : at+62].Clone()
+		read[rng.Intn(62)] = dna.Code(rng.Intn(4))
+		strands[i] = [2]dna.Seq{read, read.ReverseComplement()}
+	}
+	return strands
+}
+
 func BenchmarkIndexBuild1M(b *testing.B) {
-	g := benchGenome(b, 1_000_000)
+	g := benchGenome(1_000_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := New(g, DefaultK); err != nil {
@@ -29,7 +42,7 @@ func BenchmarkIndexBuild1M(b *testing.B) {
 }
 
 func BenchmarkCandidates62(b *testing.B) {
-	g := benchGenome(b, 1_000_000)
+	g := benchGenome(1_000_000)
 	idx, err := New(g, DefaultK)
 	if err != nil {
 		b.Fatal(err)
@@ -60,19 +73,12 @@ func BenchmarkCandidatesInto(b *testing.B) {
 		{"hash-k20-4Mbp", 20, 4_000_000},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			g := benchGenome(b, c.n)
+			g := benchGenome(c.n)
 			idx, err := Build(g, c.k)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(3))
-			strands := make([][2]dna.Seq, 4096)
-			for i := range strands {
-				at := rng.Intn(len(g) - 62)
-				read := g[at : at+62].Clone()
-				read[rng.Intn(62)] = dna.Code(rng.Intn(4))
-				strands[i] = [2]dna.Seq{read, read.ReverseComplement()}
-			}
+			strands := benchStrands(g, 4096, 3)
 			var buf CandidateBuf
 			var hits int64
 			b.ReportAllocs()

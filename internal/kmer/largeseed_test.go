@@ -230,3 +230,48 @@ func TestSeedStats(t *testing.T) {
 		t.Fatalf("masking did not reduce hits: %d >= %d", buf.Stats.Hits, unmaskedHits)
 	}
 }
+
+// TestLargeSeedSelectivity is the reason the large-seed index exists,
+// as counts: chance seed hits scale as L/4^s, so on a repeat-free
+// genome s=20 must hand the diagonal voter >= 10x fewer index
+// positions than the k=10 direct table, and propose >= 10x fewer
+// candidate windows, for the same reads under the engine's options.
+// 3.5 Mbp because a read's own locus answers ~45 of its k=10 seeds and
+// ~32 of its s=20 seeds whatever L is; the chance hits (~1.4 per k=10
+// seed per 1.5 Mbp) have to outnumber that tenfold.
+func TestLargeSeedSelectivity(t *testing.T) {
+	g := benchGenome(3_500_000)
+	const nReads = 500
+	reads := benchStrands(g, nReads, 11)
+	opts := CandidateOptions{MaxCandidates: 8, MinVotes: 2, MaxBucket: 1024, Slack: 2}
+	count := func(ix SeedIndex) (hits, cands int64) {
+		var buf CandidateBuf
+		for _, strands := range reads {
+			for _, s := range strands {
+				cands += int64(len(ix.CandidatesInto(s, opts, &buf)))
+				hits += buf.Stats.Hits
+			}
+		}
+		return hits, cands
+	}
+	direct, err := New(g, DefaultK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := NewLarge(g, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dHits, dCands := count(direct)
+	lHits, lCands := count(large)
+	t.Logf("%d reads: k=%d %d hits, %d candidates; s=20 %d hits, %d candidates", nReads, DefaultK, dHits, dCands, lHits, lCands)
+	if lCands < nReads*9/10 {
+		t.Errorf("s=20 proposed %d candidates for %d reads: it is selective by losing the true locus", lCands, nReads)
+	}
+	if dHits < 10*lHits {
+		t.Errorf("seed hits only %.1fx lower (%d -> %d), need >= 10x", float64(dHits)/float64(lHits), dHits, lHits)
+	}
+	if dCands < 10*lCands {
+		t.Errorf("candidates only %.1fx lower (%d -> %d), need >= 10x", float64(dCands)/float64(lCands), dCands, lCands)
+	}
+}

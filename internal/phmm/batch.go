@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"gnumap/internal/cpu"
 	"gnumap/internal/dna"
 	"gnumap/internal/pwm"
 )
@@ -76,7 +77,7 @@ func NewBatchAligner(p Params, mode Mode) (*BatchAligner, error) {
 // BatchKernel names the row kernel of a full simdLanes-wide batch here:
 // "avx2", or "generic" (the Go lane loops every other width takes too).
 func BatchKernel() string {
-	if batchAVX2 {
+	if cpu.HasAVX2 {
 		return "avx2"
 	}
 	return "generic"
@@ -305,7 +306,7 @@ func (b *BatchAligner) forward(n, m int) {
 		entry = 1
 	}
 	rs := b.rowSum
-	useAsm := batchAVX2 && L == simdLanes
+	useAsm := cpu.HasAVX2 && L == simdLanes
 	var a fwdRow8
 	if useAsm {
 		a.rs = &rs[0]
@@ -412,7 +413,7 @@ func (b *BatchAligner) finishForwardRow(i, lo, hi, cur int) {
 		scaleRow[l] = rs[l]
 		inv[l] = 1 / rs[l]
 	}
-	if batchAVX2 && L == simdLanes {
+	if cpu.HasAVX2 && L == simdLanes {
 		a := scaleRow8{
 			pM: &fM[(cur+lo)*L], pX: &fX[(cur+lo)*L], pY: &fY[(cur+lo)*L],
 			inv:   &inv[0],
@@ -540,7 +541,7 @@ func (b *BatchAligner) backward(n, m int) {
 	// product changes no rounding.
 	tmgq := p.TMG * p.Q
 	tggq := p.TGG * p.Q
-	useAsm := batchAVX2 && L == simdLanes
+	useAsm := cpu.HasAVX2 && L == simdLanes
 	var a bwdRow8
 	if useAsm {
 		a.iv = &iv[0]

@@ -17,9 +17,6 @@ import "unsafe"
 // simdLanes is the lane count the assembly kernels are specialized for.
 const simdLanes = 8
 
-// batchAVX2 gates the assembly kernels on CPU and OS support.
-var batchAVX2 = detectAVX2()
-
 // fwdRow8 carries one forward row sweep's operands to assembly. Field
 // offsets are fixed by the 8-byte layout and asserted below; the .s
 // file indexes them by constant.
@@ -69,27 +66,3 @@ func scaleRowAVX2(a *scaleRow8)
 
 //go:noescape
 func backwardRowAVX2(a *bwdRow8)
-
-// cpuidex and xgetbv0 are implemented in batch_amd64.s.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
-
-// detectAVX2 reports whether the CPU supports AVX2 and the OS preserves
-// YMM state across context switches.
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return false
-	}
-	if lo, _ := xgetbv0(); lo&0x6 != 0x6 {
-		return false
-	}
-	_, b7, _, _ := cpuidex(7, 0)
-	return b7&(1<<5) != 0
-}

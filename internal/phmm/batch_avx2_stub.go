@@ -6,8 +6,6 @@ package phmm
 
 const simdLanes = 8
 
-var batchAVX2 = false
-
 type fwdRow8 struct {
 	outM, outX, outY    *float64
 	ps                  *float64

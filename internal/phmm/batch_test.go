@@ -120,6 +120,37 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 	}
 }
 
+// TestAlignBatchEngineShapeExact pins the configurations the engine
+// really runs, which the random sweep above only meets by chance: the
+// paper's 62-bp read against its 78-bp padded window at diagonal 8, at
+// the auto band, a narrow band and unbanded, in 4-, 8- (the width the
+// AVX2 rows serve) and 16-lane batches.
+func TestAlignBatchEngineShapeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	scalar := mustAligner(t, SemiGlobal)
+	batch := mustBatchAligner(t, SemiGlobal)
+	for _, band := range []int{18, 8, 0} {
+		for _, L := range []int{4, simdLanes, 16} {
+			xs := make([]*pwm.Matrix, L)
+			ys := make([]dna.Seq, L)
+			for l := range xs {
+				xs[l], ys[l] = randomPWM(rng, 62), randomSeq(rng, 78)
+			}
+			results, err := batch.AlignBatch(xs, ys, 8, band)
+			if err != nil {
+				t.Fatalf("L=%d band=%d: %v", L, band, err)
+			}
+			for l := range results {
+				want, err := scalar.AlignBanded(xs[l], ys[l], 8, band)
+				if err != nil || results[l].Err != nil {
+					t.Fatalf("L=%d band=%d lane %d: scalar err %v, batch err %v", L, band, l, err, results[l].Err)
+				}
+				requireLaneExact(t, "engine shape", want, &results[l])
+			}
+		}
+	}
+}
+
 // TestAlignBatchMixedDeadLanes builds a Global-mode batch where some
 // lanes have zero alignment probability (one-hot reads against
 // mismatching windows under a zero-tolerance match matrix): dead lanes

@@ -14,7 +14,7 @@ import (
 // bigFixture plants pseudo-random evidence across a genome long enough
 // to clear minParallelRange, mixing hom-alt, het, ref-confirming, and
 // thin-coverage sites so every caller branch is exercised.
-func bigFixture(t *testing.T, length int, seed int64) (*genome.Reference, genome.Accumulator) {
+func bigFixture(t testing.TB, length int, seed int64) (*genome.Reference, genome.Accumulator) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	seq := make(dna.Seq, length)

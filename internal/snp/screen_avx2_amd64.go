@@ -5,6 +5,7 @@ package snp
 import (
 	"unsafe"
 
+	"gnumap/internal/cpu"
 	"gnumap/internal/dna"
 )
 
@@ -19,9 +20,6 @@ import (
 // FMA, so the three mask bytes per block are bit-identical across the
 // assembly, the generic loop, and the scalar prescreen; the property
 // tests compare all three.
-
-// screenAVX2 gates the assembly kernel on CPU and OS support.
-var screenAVX2 = detectScreenAVX2()
 
 // screen8 carries one prescreen sweep's operands to assembly. Field
 // offsets are fixed by the 8-byte layout and asserted below; the .s
@@ -52,36 +50,11 @@ var (
 //go:noescape
 func prescreenBlocksAVX2(a *screen8)
 
-// cpuidex and xgetbv0 are implemented in screen_amd64.s.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
-
-// detectScreenAVX2 reports whether the CPU supports AVX2 and the OS
-// preserves YMM state across context switches (the same probe the
-// batched PHMM kernels use).
-func detectScreenAVX2() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return false
-	}
-	if lo, _ := xgetbv0(); lo&0x6 != 0x6 {
-		return false
-	}
-	_, b7, _, _ := cpuidex(7, 0)
-	return b7&(1<<5) != 0
-}
-
 // prescreenBlocksSIMD runs the AVX2 kernel when the host supports it,
 // reporting false (untouched out) otherwise so the caller falls back
 // to the generic loop.
 func prescreenBlocksSIMD(planes *[dna.NumChannels][]float32, start int, refc []dna.Code, out []uint8, blocks int, minDepth, hetFrac float64, diploid bool) bool {
-	if !screenAVX2 {
+	if !cpu.HasAVX2 {
 		return false
 	}
 	if blocks == 0 {

@@ -4,10 +4,6 @@ package snp
 
 import "gnumap/internal/dna"
 
-// screenAVX2 is always false off amd64: the generic prescreen loop is
-// the only kernel.
-const screenAVX2 = false
-
 // prescreenBlocksSIMD reports false so the dispatcher falls back to
 // prescreenBlocksGeneric.
 func prescreenBlocksSIMD(planes *[dna.NumChannels][]float32, start int, refc []dna.Code, out []uint8, blocks int, minDepth, hetFrac float64, diploid bool) bool {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"gnumap/internal/cpu"
 	"gnumap/internal/dna"
 	"gnumap/internal/genome"
 	"gnumap/internal/lrt"
@@ -72,7 +73,7 @@ const maxFinite32 = float32(math.MaxFloat32)
 // on their rows so cross-host comparisons don't silently mix code
 // paths.
 func VectorKernel() string {
-	if screenAVX2 {
+	if cpu.HasAVX2 {
 		return "avx2"
 	}
 	return "generic"
