@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-check fuzz chaos chaos-resume check
+.PHONY: build test race vet bench bench-check fuzz chaos chaos-resume check loc
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ test:
 # property tests, including the lrt batch evaluator) and the FASTQ
 # parser (fuzz seed corpus).
 race:
-	$(GO) test -race . ./internal/core/... ./internal/phmm/... ./internal/cluster/... ./internal/genome/... ./internal/snp/... ./internal/lrt/... ./internal/obs/... ./internal/fastq/... ./internal/ckpt/... ./internal/kmer/...
+	$(GO) test -race . ./internal/core/... ./internal/phmm/... ./internal/cluster/... ./internal/genome/... ./internal/snp/... ./internal/lrt/... ./internal/obs/... ./internal/fastq/... ./internal/ckpt/... ./internal/binfmt/... ./internal/kmer/...
 
 vet:
 	$(GO) vet ./...
@@ -29,15 +29,16 @@ bench:
 	$(GO) test -bench 'BenchmarkMapRead' -benchmem -benchtime 2000x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkCollectRange' -run '^$$' ./internal/snp/
 
-# Short coverage-guided fuzz passes over the byte-level inputs: the
+# Short coverage-guided fuzz passes over the byte-level inputs — the
 # FASTA and FASTQ parsers, the on-disk seed-index decoder and the
-# accumulator state codec (every seed corpus always runs as part of
-# plain `go test`).
+# accumulator state codec — and the vector prescreen's lanes (every seed
+# corpus always runs as part of plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 20s ./internal/fasta/
 	$(GO) test -fuzz FuzzReaderNext -fuzztime 20s ./internal/fastq/
 	$(GO) test -fuzz FuzzDecodeIndex -fuzztime 20s ./internal/kmer/
 	$(GO) test -fuzz FuzzLoadStateBytes -fuzztime 20s ./internal/genome/
+	$(GO) test -fuzz FuzzPrescreenVector -fuzztime 20s ./internal/snp/
 
 # Fault-tolerance gate: seeded chaos collectives, crash/heartbeat
 # detection, TCP hardening, and degraded-mode read-split — all
@@ -62,3 +63,8 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 check: build vet test race bench-check
+
+# The number ROADMAP tracks: non-test Go lines outside bench/. A report,
+# not a gate.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

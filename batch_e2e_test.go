@@ -7,7 +7,7 @@ import (
 )
 
 // End-to-end identity of the batched wavefront Pair-HMM kernel: running
-// the full streaming pipeline with -phmm-batch on vs. off must produce
+// the full streaming pipeline with Engine.PhmmBatch on vs. off must produce
 // exactly the same SNP calls. Batched lanes are bit-identical to scalar
 // AlignBanded calls and the mapper emits each read's locations in
 // candidate order, so not even the call scores may drift. Runs under -race in CI

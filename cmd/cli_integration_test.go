@@ -207,9 +207,16 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		}
 		return vcf, string(raw), nil
 	}
-	plain, out, err := vcfOf("plain")
+	metricsPath := filepath.Join(data, "plain.metrics.json")
+	plain, out, err := vcfOf("plain", "-metrics-out", metricsPath)
 	if err != nil {
 		t.Fatalf("plain run: %v\n%s", err, out)
+	}
+	// -workers is the one parallelism knob: at -workers 1 the calling
+	// sweep is serial too, whatever GOMAXPROCS is (the chunked sweep
+	// would have counted its chunks).
+	if m, err := os.ReadFile(metricsPath); err != nil || strings.Contains(string(m), "call.chunks") {
+		t.Errorf("-workers 1 ran the chunked calling sweep (read metrics: %v)", err)
 	}
 	if !strings.Contains(string(plain), "\tPASS\t") {
 		t.Fatal("plain run called no SNPs; dataset too weak for an identity table")
@@ -255,9 +262,20 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		}
 	}
 
-	// There is no -stream knob: a slice is a source of the one pipeline.
-	_, out, err = vcfOf("stream-flag", "-stream=false")
-	if err == nil || !strings.Contains(out, "flag provided but not defined: -stream") {
-		t.Errorf("-stream=false: err=%v, want an unknown-flag failure:\n%s", err, out)
+	// Retired flags: -stream (a slice is a source of the one pipeline) and
+	// the five execution knobs whose value is now a constant or derived
+	// from -workers / -op-timeout. Each must be an unknown flag.
+	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s"} {
+		name, _, _ := strings.Cut(retired, "=")
+		_, out, err = vcfOf("retired-flag", retired)
+		if err == nil || !strings.Contains(out, "flag provided but not defined: "+name) {
+			t.Errorf("%s: err=%v, want an unknown-flag failure:\n%s", retired, err, out)
+		}
+	}
+
+	// Flag budget: options only go down from here (36 before PR 19).
+	usage, _ := exec.Command(bin, "-h").CombinedOutput()
+	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 31 {
+		t.Errorf("gnumap-snp -h lists %d flags, budget is 31:\n%s", n, usage)
 	}
 }

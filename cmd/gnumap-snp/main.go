@@ -6,11 +6,10 @@
 //
 //	gnumap-snp -ref reference.fa -reads reads.fq -o calls.vcf \
 //	    [-diploid] [-alpha 0.05] [-fdr] [-memory norm|chardisc|centdisc] \
-//	    [-workers N] [-accum-mode auto|striped|sharded] [-call-workers N] \
-//	    [-batch 64] [-queue 4] \
+//	    [-workers N] [-accum-mode auto|striped|sharded] [-batch 64] \
 //	    [-incremental-every 5000] \
 //	    [-nodes N -split read|genome [-tcp]] \
-//	    [-op-timeout 5s] [-heartbeat 100ms] [-chaos seed=42,drop=0.01] \
+//	    [-op-timeout 5s] [-chaos seed=42,drop=0.01] \
 //	    [-metrics-out metrics.json] [-pprof localhost:6060] \
 //	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -18,8 +17,9 @@
 // cluster (goroutine nodes; -tcp switches to loopback TCP), using the
 // paper's read-split or genome-split strategy. -op-timeout bounds every
 // cluster operation (and, in read-split mode, enables shard
-// reassignment when a worker dies); -heartbeat tunes failure detection;
-// -chaos injects deterministic faults for resilience testing.
+// reassignment when a worker dies, detected by heartbeats every tenth of
+// the deadline); -chaos injects deterministic faults for resilience
+// testing.
 //
 // Observability: -metrics-out writes the run's merged metrics report
 // (per-rank stage timers, counters, and communication gauges) as JSON
@@ -105,14 +105,10 @@ func run() error {
 		seedLen    = flag.Int("seed-len", 0, "seed length k (0 = default 10; >14 selects the frequency-capped large-seed index)")
 		indexPath  = flag.String("index", "", "mmap a persisted seed index built by -index-write; validated against the reference, and sets the seed length from the file when -seed-len is unset")
 		indexWrite = flag.String("index-write", "", "build the large-seed index (requires -seed-len > 14), persist it to this file, and continue mapping")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "shared-memory worker count")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "shared-memory worker count, for mapping and for the calling sweep")
 		accumMode  = flag.String("accum-mode", "auto", "accumulator write strategy: auto, striped (lock stripes on one shared copy), or sharded (lock-free per-worker shards, merged before calling)")
-		callWk     = flag.Int("call-workers", 0, "calling-sweep worker count (0 = GOMAXPROCS, 1 = serial; results are bit-identical regardless)")
-		callVec    = flag.Bool("call-vector", true, "vectorized plane-streaming calling sweep (norm layout only; calls are bit-identical to the scalar sweep either way)")
 		batch      = flag.Int("batch", 0, "reads per pipeline batch, whose candidate windows share Pair-HMM sweeps (0 = default 64; results are identical at any value)")
-		queue      = flag.Int("queue", 0, "pipeline work-queue bound, in batches (0 = default 4)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
-		phmmBatch  = flag.Int("phmm-batch", gnumap.DefaultPhmmBatch, "batched PHMM kernel width: candidate windows aligned per wavefront sweep (0 = off, scalar kernel; calls are identical either way)")
 		fit        = flag.Bool("fit", false, "fit PHMM parameters to the data (Baum-Welch) before mapping")
 		samPath    = flag.String("sam", "", "also write best alignments as SAM to this file (single-process mode only)")
 		pileupOut  = flag.String("pileup", "", "also write the probability pileup as TSV to this file (single-process mode only)")
@@ -120,7 +116,6 @@ func run() error {
 		split      = flag.String("split", "read", "cluster strategy: read (replicate genome) or genome (partition genome)")
 		tcp        = flag.Bool("tcp", false, "use loopback TCP between simulated nodes")
 		opTimeout  = flag.Duration("op-timeout", 0, "cluster per-operation deadline; >0 also enables read-split shard reassignment on worker death (0 = block forever)")
-		heartbeat  = flag.Duration("heartbeat", 0, "cluster heartbeat period for failure detection (0 = auto when -op-timeout is set)")
 		chaos      = flag.String("chaos", "", "deterministic fault injection spec, e.g. seed=42,drop=0.02,dup=0.01,crash=2@100")
 		ckptPath   = flag.String("checkpoint", "", "write crash-safe checkpoints to this file; SIGINT/SIGTERM drain, checkpoint, and exit with code 3")
 		ckptEvery  = flag.String("checkpoint-every", "5000", "checkpoint interval: an integer (reads) or a duration (e.g. 30s)")
@@ -273,24 +268,15 @@ func run() error {
 	}
 	opts.Engine.Workers = *workers
 	opts.Engine.Band = *band
-	// Config semantics: 0 means "default width", so the flag's 0=off
-	// convention maps to the explicit disable value.
-	if *phmmBatch <= 0 {
-		opts.Engine.PhmmBatch = -1
-	} else {
-		opts.Engine.PhmmBatch = *phmmBatch
-	}
 	opts.Engine.Batch = *batch
-	opts.Engine.Queue = *queue
 	accum, err := gnumap.ParseAccumStrategy(*accumMode)
 	if err != nil {
 		return err
 	}
 	opts.Engine.Accum = accum
-	opts.Caller.CallWorkers = *callWk
-	if !*callVec {
-		opts.Caller.CallVector = -1
-	}
+	// -workers is the one parallelism knob: it bounds the calling sweep
+	// as well as mapping.
+	opts.Caller.CallWorkers = *workers
 	if *fit {
 		sample := reads
 		if len(sample) > 2000 {
@@ -320,12 +306,9 @@ func run() error {
 			transport = gnumap.TCP
 		}
 		opts.Cluster.OpTimeout = *opTimeout
-		opts.Cluster.Heartbeat = *heartbeat
-		if *opTimeout > 0 && *heartbeat == 0 {
-			// Failure detection needs heartbeats; derive a period well
-			// inside the deadline so slow ranks are not declared dead.
-			opts.Cluster.Heartbeat = *opTimeout / 10
-		}
+		// Failure detection needs heartbeats; derive a period well inside
+		// the deadline so slow ranks are not declared dead.
+		opts.Cluster.Heartbeat = *opTimeout / 10
 		if *chaos != "" {
 			fc, err := gnumap.ParseChaosSpec(*chaos)
 			if err != nil {

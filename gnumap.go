@@ -400,11 +400,7 @@ func (p *Pipeline) SaveState(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, ok := acc.(genome.Stateful)
-	if !ok {
-		return fmt.Errorf("gnumap: memory mode %v is not serializable", acc.Mode())
-	}
-	data, err := st.State()
+	data, err := acc.State()
 	if err != nil {
 		return err
 	}
@@ -445,11 +441,7 @@ func (p *Pipeline) LoadState(r io.Reader) error {
 // adopt replaces the pipeline's accumulated state and cumulative
 // accounting with a fingerprint-checked checkpoint's.
 func (p *Pipeline) adopt(cp *ckpt.Checkpoint) error {
-	st, ok := p.acc.(genome.Stateful)
-	if !ok {
-		return fmt.Errorf("gnumap: memory mode %v is not serializable", p.acc.Mode())
-	}
-	if err := st.LoadStateBytes(cp.State); err != nil {
+	if err := p.acc.LoadStateBytes(cp.State); err != nil {
 		return err
 	}
 	p.cum = MapStats{Mapped: cp.Mapped, Unmapped: cp.Unmapped, Locations: cp.Locations}
@@ -1039,7 +1031,7 @@ func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
 			} else {
 				ck, cw = streamCkptFor(ckr, opts.Engine.Metrics)
 			}
-			acc, st, err = core.RunReadSplitStreamCkpt(c, ref, src, opts.Memory, opts.Engine, ck)
+			acc, st, err = core.RunReadSplitStream(c, ref, src, opts.Memory, opts.Engine, ck)
 			if cw != nil {
 				err = cw.finish(err)
 			}

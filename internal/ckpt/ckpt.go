@@ -19,17 +19,15 @@
 //	magic   [8]byte  "GNUMAPCP"
 //	version uint16   (little-endian; currently 1)
 //	hlen    uint32   header length
-//	header  [hlen]byte (fixed v1 binary layout, see encodeHeader)
+//	header  [hlen]byte (fixed v1 binary layout, see headerV1)
 //	hcrc    uint32   CRC-32 (IEEE) of header
 //	plen    uint64   payload length
 //	payload [plen]byte (accumulator state blob)
 //	pcrc    uint32   CRC-32 (IEEE) of payload
 //
-// WriteFile is atomic: the bytes go to a temp file in the destination
-// directory, are fsynced, and are renamed over the destination (then
-// the directory is fsynced), so a crash at any instant leaves either
-// the previous complete checkpoint or the new complete checkpoint —
-// never a torn file.
+// The preamble (magic through header CRC), the typed errors and the
+// atomic file replacement are internal/binfmt's; this package owns the
+// header fields, the payload section and the fingerprint check.
 package ckpt
 
 import (
@@ -41,7 +39,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"gnumap/internal/binfmt"
 )
 
 // Magic identifies a checkpoint file.
@@ -50,26 +49,35 @@ var Magic = [8]byte{'G', 'N', 'U', 'M', 'A', 'P', 'C', 'P'}
 // Version is the current format version.
 const Version = 1
 
+// headerV1 is the version-1 header as it lies on disk: encoding/binary
+// renders the fields in declaration order, little-endian, unpadded.
+type headerV1 struct {
+	Fingerprint
+	ReadsConsumed, Mapped, Unmapped, Locations int64
+}
+
 // v1HeaderLen is the exact encoded header size of version 1.
 const v1HeaderLen = 32 + 8 + 4 + 4 + 4 + 32 + 8 + 8 + 8 + 8
 
-// maxHeaderLen bounds the declared header length before allocation.
-const maxHeaderLen = 1 << 12
+// frame is the checkpoint container: CRC-32 (IEEE) sections, declared
+// header length bounded at 4 KiB before allocation.
+var frame = binfmt.Frame{Magic: Magic, Version: Version, CRC: crc32.IEEETable, MaxHeader: 1 << 12}
 
 // Typed failure modes. Every decode error wraps exactly one of these,
 // so callers distinguish "not a checkpoint" from "damaged checkpoint"
-// from "checkpoint for a different run" with errors.Is.
+// from "checkpoint for a different run" with errors.Is. The first five
+// are the shared container sentinels (internal/binfmt).
 var (
 	// ErrNotCheckpoint: the data does not start with the magic bytes.
-	ErrNotCheckpoint = errors.New("ckpt: not a checkpoint file")
+	ErrNotCheckpoint = binfmt.ErrMagic
 	// ErrVersion: the format version is not supported by this build.
-	ErrVersion = errors.New("ckpt: unsupported checkpoint version")
+	ErrVersion = binfmt.ErrVersion
 	// ErrTruncated: the data ends before a declared section does.
-	ErrTruncated = errors.New("ckpt: truncated checkpoint")
+	ErrTruncated = binfmt.ErrTruncated
 	// ErrChecksum: a section's CRC does not match its contents.
-	ErrChecksum = errors.New("ckpt: checksum mismatch")
+	ErrChecksum = binfmt.ErrChecksum
 	// ErrTooLarge: a declared section length exceeds the caller's bound.
-	ErrTooLarge = errors.New("ckpt: declared length exceeds limit")
+	ErrTooLarge = binfmt.ErrTooLarge
 	// ErrMismatch: the checkpoint's config fingerprint does not match
 	// the pipeline trying to load it.
 	ErrMismatch = errors.New("ckpt: config fingerprint mismatch")
@@ -145,218 +153,98 @@ func MaxPayloadFor(refLen int) int64 {
 
 // Encode serializes a checkpoint.
 func Encode(cp *Checkpoint) []byte {
-	header := encodeHeader(cp)
-	buf := make([]byte, 0, len(header)+len(cp.State)+8+2+4+4+8+4)
-	buf = append(buf, Magic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(header)))
-	buf = append(buf, header...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(header))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(cp.State)))
-	buf = append(buf, cp.State...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(cp.State))
-	return buf
+	var buf bytes.Buffer
+	buf.Grow(binfmt.PreambleLen(v1HeaderLen) + 8 + len(cp.State) + 4)
+	WriteTo(&buf, cp) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// WriteTo encodes cp to w — the framed header, then the length-prefixed
+// and checksummed payload, the state blob itself written in place
+// rather than copied — and returns the byte count.
+func WriteTo(w io.Writer, cp *Checkpoint) (int64, error) {
+	pre := frame.AppendPreamble(make([]byte, 0, binfmt.PreambleLen(v1HeaderLen)+8), encodeHeader(cp))
+	pre = binary.LittleEndian.AppendUint64(pre, uint64(len(cp.State)))
+	pcrc := binary.LittleEndian.AppendUint32(nil, frame.Sum(cp.State))
+	var total int64
+	for _, part := range [][]byte{pre, cp.State, pcrc} {
+		n, err := w.Write(part)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 func encodeHeader(cp *Checkpoint) []byte {
-	b := make([]byte, 0, v1HeaderLen)
-	b = append(b, cp.Fingerprint.RefDigest[:]...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(cp.Fingerprint.RefLen))
-	b = binary.LittleEndian.AppendUint32(b, uint32(cp.Fingerprint.Memory))
-	b = binary.LittleEndian.AppendUint32(b, uint32(cp.Fingerprint.Band))
-	b = binary.LittleEndian.AppendUint32(b, uint32(cp.Fingerprint.Ploidy))
-	b = append(b, cp.Fingerprint.ParamsDigest[:]...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(cp.ReadsConsumed))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cp.Mapped))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cp.Unmapped))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cp.Locations))
-	return b
+	var b bytes.Buffer
+	b.Grow(v1HeaderLen)
+	// A fixed-size struct into a bytes.Buffer cannot fail.
+	binary.Write(&b, binary.LittleEndian, headerV1{cp.Fingerprint, cp.ReadsConsumed, cp.Mapped, cp.Unmapped, cp.Locations})
+	return b.Bytes()
 }
 
 func decodeHeader(h []byte) (*Checkpoint, error) {
-	if len(h) < v1HeaderLen {
+	var v headerV1
+	if err := binary.Read(bytes.NewReader(h), binary.LittleEndian, &v); err != nil {
 		return nil, fmt.Errorf("%w: header %d bytes, need %d", ErrTruncated, len(h), v1HeaderLen)
 	}
-	cp := &Checkpoint{}
-	copy(cp.Fingerprint.RefDigest[:], h[0:32])
-	cp.Fingerprint.RefLen = int64(binary.LittleEndian.Uint64(h[32:40]))
-	cp.Fingerprint.Memory = int32(binary.LittleEndian.Uint32(h[40:44]))
-	cp.Fingerprint.Band = int32(binary.LittleEndian.Uint32(h[44:48]))
-	cp.Fingerprint.Ploidy = int32(binary.LittleEndian.Uint32(h[48:52]))
-	copy(cp.Fingerprint.ParamsDigest[:], h[52:84])
-	cp.ReadsConsumed = int64(binary.LittleEndian.Uint64(h[84:92]))
-	cp.Mapped = int64(binary.LittleEndian.Uint64(h[92:100]))
-	cp.Unmapped = int64(binary.LittleEndian.Uint64(h[100:108]))
-	cp.Locations = int64(binary.LittleEndian.Uint64(h[108:116]))
-	return cp, nil
+	return &Checkpoint{
+		Fingerprint: v.Fingerprint, ReadsConsumed: v.ReadsConsumed,
+		Mapped: v.Mapped, Unmapped: v.Unmapped, Locations: v.Locations,
+	}, nil
 }
 
-// Decode parses a checkpoint from data. maxPayload bounds the declared
-// payload length (use MaxPayloadFor; <= 0 rejects any payload). Decode
-// never panics on hostile input; every failure wraps one of the typed
-// sentinel errors.
+// Decode parses a checkpoint from data: ReadFrom over the bytes, so the
+// two cannot disagree about any input. Decode never panics on hostile
+// input; every failure wraps one of the typed sentinel errors.
 func Decode(data []byte, maxPayload int64) (*Checkpoint, error) {
-	if len(data) < len(Magic) {
-		return nil, fmt.Errorf("%w: %d bytes", ErrNotCheckpoint, len(data))
-	}
-	if !bytes.Equal(data[:len(Magic)], Magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrNotCheckpoint, data[:len(Magic)])
-	}
-	rest := data[len(Magic):]
-	if len(rest) < 2+4 {
-		return nil, fmt.Errorf("%w: missing version/header length", ErrTruncated)
-	}
-	ver := binary.LittleEndian.Uint16(rest[0:2])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, ver, Version)
-	}
-	hlen := int64(binary.LittleEndian.Uint32(rest[2:6]))
-	if hlen > maxHeaderLen {
-		return nil, fmt.Errorf("%w: header %d bytes > %d", ErrTooLarge, hlen, maxHeaderLen)
-	}
-	rest = rest[6:]
-	if int64(len(rest)) < hlen+4 {
-		return nil, fmt.Errorf("%w: header section", ErrTruncated)
-	}
-	header := rest[:hlen]
-	hcrc := binary.LittleEndian.Uint32(rest[hlen : hlen+4])
-	if crc32.ChecksumIEEE(header) != hcrc {
-		return nil, fmt.Errorf("%w: header", ErrChecksum)
-	}
-	cp, err := decodeHeader(header)
-	if err != nil {
-		return nil, err
-	}
-	rest = rest[hlen+4:]
-	if len(rest) < 8 {
-		return nil, fmt.Errorf("%w: missing payload length", ErrTruncated)
-	}
-	plen := binary.LittleEndian.Uint64(rest[0:8])
-	if plen > uint64(maxPayload) || maxPayload <= 0 {
-		return nil, fmt.Errorf("%w: payload %d bytes > %d", ErrTooLarge, plen, maxPayload)
-	}
-	rest = rest[8:]
-	if uint64(len(rest)) < plen+4 {
-		return nil, fmt.Errorf("%w: payload section", ErrTruncated)
-	}
-	payload := rest[:plen]
-	pcrc := binary.LittleEndian.Uint32(rest[plen : plen+4])
-	if crc32.ChecksumIEEE(payload) != pcrc {
-		return nil, fmt.Errorf("%w: payload", ErrChecksum)
-	}
-	// Copy so the checkpoint does not alias the caller's buffer.
-	cp.State = append([]byte(nil), payload...)
-	return cp, nil
+	return ReadFrom(bytes.NewReader(data), maxPayload)
 }
 
 // ReadFrom decodes a checkpoint from a stream, reading section by
 // section so the declared payload length is validated against
-// maxPayload before any large allocation.
+// maxPayload (use MaxPayloadFor; <= 0 rejects any payload) before any
+// large allocation. The returned State is a private buffer.
 func ReadFrom(r io.Reader, maxPayload int64) (*Checkpoint, error) {
-	var pre [8 + 2 + 4]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, readErr(err, ErrNotCheckpoint, "preamble")
-	}
-	if !bytes.Equal(pre[:8], Magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrNotCheckpoint, pre[:8])
-	}
-	ver := binary.LittleEndian.Uint16(pre[8:10])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, ver, Version)
-	}
-	hlen := int64(binary.LittleEndian.Uint32(pre[10:14]))
-	if hlen > maxHeaderLen {
-		return nil, fmt.Errorf("%w: header %d bytes > %d", ErrTooLarge, hlen, maxHeaderLen)
-	}
-	header := make([]byte, hlen+4)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, readErr(err, ErrTruncated, "header")
-	}
-	hcrc := binary.LittleEndian.Uint32(header[hlen:])
-	header = header[:hlen]
-	if crc32.ChecksumIEEE(header) != hcrc {
-		return nil, fmt.Errorf("%w: header", ErrChecksum)
+	header, err := frame.ReadPreamble(r)
+	if err != nil {
+		return nil, err
 	}
 	cp, err := decodeHeader(header)
 	if err != nil {
 		return nil, err
 	}
 	var plenBuf [8]byte
-	if _, err := io.ReadFull(r, plenBuf[:]); err != nil {
-		return nil, readErr(err, ErrTruncated, "payload length")
+	if err := binfmt.ReadFull(r, plenBuf[:], "payload length"); err != nil {
+		return nil, err
 	}
 	plen := binary.LittleEndian.Uint64(plenBuf[:])
 	if maxPayload <= 0 || plen > uint64(maxPayload) {
 		return nil, fmt.Errorf("%w: payload %d bytes > %d", ErrTooLarge, plen, maxPayload)
 	}
 	payload := make([]byte, plen+4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, readErr(err, ErrTruncated, "payload")
+	if err := binfmt.ReadFull(r, payload, "payload section"); err != nil {
+		return nil, err
 	}
 	pcrc := binary.LittleEndian.Uint32(payload[plen:])
 	payload = payload[:plen]
-	if crc32.ChecksumIEEE(payload) != pcrc {
+	if frame.Sum(payload) != pcrc {
 		return nil, fmt.Errorf("%w: payload", ErrChecksum)
 	}
 	cp.State = payload
 	return cp, nil
 }
 
-func readErr(err error, sentinel error, what string) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: %s", sentinel, what)
-	}
-	return fmt.Errorf("ckpt: read %s: %w", what, err)
-}
-
-// WriteTo encodes cp to w and returns the byte count.
-func WriteTo(w io.Writer, cp *Checkpoint) (int64, error) {
-	data := Encode(cp)
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// WriteFile atomically replaces path with the encoded checkpoint:
-// temp file in the same directory, fsync, rename, directory fsync. A
-// crash at any point leaves either the old complete file or the new
-// complete file. Returns the encoded size.
+// WriteFile atomically replaces path with the encoded checkpoint
+// (binfmt.WriteFileAtomic: a crash at any point leaves either the old
+// complete file or the new complete file). Returns the encoded size.
 func WriteFile(path string, cp *Checkpoint) (int64, error) {
-	data := Encode(cp)
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp.*")
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("ckpt: write %s: %w", path, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("ckpt: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("ckpt: write %s: %w", path, err)
-	}
-	// Durability of the rename itself: fsync the directory. Failure
-	// here does not invalidate the (already complete) file contents.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return int64(len(data)), nil
+	return binfmt.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := WriteTo(w, cp)
+		return err
+	})
 }
 
 // ReadFile reads and decodes the checkpoint at path.

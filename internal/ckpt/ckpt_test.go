@@ -225,3 +225,54 @@ func TestReadFileMissing(t *testing.T) {
 		t.Errorf("got %v, want os.ErrNotExist", err)
 	}
 }
+
+// TestEveryCutPointIsTruncated: a checkpoint cut anywhere after its
+// eight magic bytes is a truncated checkpoint through both entry points
+// (ReadFrom used to call a 10-byte file with a valid magic "not a
+// checkpoint"); cut inside the magic it is not a checkpoint at all.
+func TestEveryCutPointIsTruncated(t *testing.T) {
+	valid := Encode(sampleCheckpoint())
+	maxP := MaxPayloadFor(120000)
+	for cut := 0; cut < len(valid); cut++ {
+		want := ErrTruncated
+		if cut < len(Magic) {
+			want = ErrNotCheckpoint
+		}
+		if _, err := Decode(valid[:cut], maxP); !errors.Is(err, want) {
+			t.Errorf("Decode(valid[:%d]) = %v, want %v", cut, err, want)
+		}
+		if _, err := ReadFrom(bytes.NewReader(valid[:cut]), maxP); !errors.Is(err, want) {
+			t.Errorf("ReadFrom(valid[:%d]) = %v, want %v", cut, err, want)
+		}
+	}
+}
+
+// TestGoldenBytes pins the on-disk format: testdata/golden.ckpt was
+// written by the encoder as it stood before the container moved to
+// internal/binfmt, and must decode to the sample and re-encode to the
+// same bytes — in memory and through the atomic file writer.
+func TestGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadFile(filepath.Join("testdata", "golden.ckpt"), MaxPayloadFor(120000))
+	if err != nil {
+		t.Fatalf("golden checkpoint does not load: %v", err)
+	}
+	want := sampleCheckpoint()
+	if cp.Fingerprint != want.Fingerprint || cp.ReadsConsumed != want.ReadsConsumed || cp.Mapped != want.Mapped ||
+		cp.Unmapped != want.Unmapped || cp.Locations != want.Locations || !bytes.Equal(cp.State, want.State) {
+		t.Errorf("golden checkpoint decoded to %+v", cp)
+	}
+	if got := Encode(cp); !bytes.Equal(got, golden) {
+		t.Errorf("re-encoded golden checkpoint differs:\n got %x\nwant %x", got, golden)
+	}
+	path := filepath.Join(t.TempDir(), "again.ckpt")
+	if _, err := WriteFile(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, golden) {
+		t.Errorf("rewritten golden checkpoint differs (%v)", err)
+	}
+}

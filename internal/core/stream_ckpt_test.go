@@ -172,7 +172,7 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := acc2.(genome.Stateful).LoadStateBytes(last.state); err != nil {
+	if err := acc2.LoadStateBytes(last.state); err != nil {
 		t.Fatal(err)
 	}
 	rest := p.reads[last.consumed:]

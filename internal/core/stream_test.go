@@ -67,7 +67,7 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 	}
 	state := func(acc genome.Accumulator) []byte {
 		t.Helper()
-		b, err := acc.(genome.Stateful).State()
+		b, err := acc.State()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
 			if c.Rank() == 0 {
 				src = fastq.SliceSource(p.reads)
 			}
-			acc, st, err := RunReadSplitStream(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2})
+			acc, st, err := RunReadSplitStream(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2}, nil)
 			if err != nil {
 				return err
 			}
@@ -321,7 +321,7 @@ func TestRunReadSplitStreamRejectsFT(t *testing.T) {
 		if c.Rank() == 0 {
 			src = fastq.SliceSource(p.reads)
 		}
-		_, _, err := RunReadSplitStream(c, p.ref, src, genome.Norm, Config{Workers: 1})
+		_, _, err := RunReadSplitStream(c, p.ref, src, genome.Norm, Config{Workers: 1}, nil)
 		if err == nil {
 			return fmt.Errorf("fault-tolerant streaming accepted")
 		}

@@ -145,15 +145,6 @@ func IsTransition(a, b Code) bool {
 	return (a.IsPurine() && b.IsPurine()) || (a.IsPyrimidine() && b.IsPyrimidine())
 }
 
-// IsTransversion reports whether a substitution from a to b is a
-// transversion (purine<->pyrimidine).
-func IsTransversion(a, b Code) bool {
-	if a == b || !a.IsConcrete() || !b.IsConcrete() {
-		return false
-	}
-	return !IsTransition(a, b)
-}
-
 // Seq is a nucleotide sequence in Code representation.
 type Seq []Code
 
@@ -282,16 +273,6 @@ func PackKmer(s Seq, offset, k int) (kmer Kmer, ok bool) {
 		kmer = kmer<<2 | Kmer(c)
 	}
 	return kmer, true
-}
-
-// UnpackKmer expands a packed k-mer of length k back to a Seq.
-func UnpackKmer(kmer Kmer, k int) Seq {
-	out := make(Seq, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = Code(kmer & 3)
-		kmer >>= 2
-	}
-	return out
 }
 
 // NextKmer rolls the packed k-mer one base to the right: it drops the

@@ -77,6 +77,9 @@ type Accumulator interface {
 	// Merge folds another accumulator of the same mode and length into
 	// this one (the MPI reduction step).
 	Merge(other Accumulator) error
+	// Stateful: every layout serializes, so checkpoints and the cluster
+	// reduction need no capability check.
+	Stateful
 }
 
 // New constructs an accumulator of the given mode and length.
@@ -232,20 +235,5 @@ func (a *normAcc) Merge(other Accumulator) error {
 	for i := range a.data {
 		a.data[i] += o.data[i]
 	}
-	return nil
-}
-
-// RawState exposes the flat channel array in the accumulator's internal
-// (plane-major) layout. The returned slice aliases live state; callers
-// must quiesce writers first, and must only feed it back to LoadState —
-// the cross-process wire format is State (position-major; see state.go).
-func (a *normAcc) RawState() []float32 { return a.data }
-
-// LoadState overwrites the accumulator from a RawState array.
-func (a *normAcc) LoadState(data []float32) error {
-	if len(data) != len(a.data) {
-		return fmt.Errorf("genome: NORM state length %d, want %d", len(data), len(a.data))
-	}
-	copy(a.data, data)
 	return nil
 }

@@ -406,21 +406,6 @@ func TestConcurrentAddRange(t *testing.T) {
 	}
 }
 
-func TestNormRawStateRoundTrip(t *testing.T) {
-	a := newNormAcc(8)
-	a.AddRange(2, []Vec{{1, 2, 3, 4, 5}}, 1)
-	b := newNormAcc(8)
-	if err := b.LoadState(a.RawState()); err != nil {
-		t.Fatal(err)
-	}
-	if b.Vector(2) != a.Vector(2) {
-		t.Errorf("state round trip mismatch: %v vs %v", b.Vector(2), a.Vector(2))
-	}
-	if err := b.LoadState(make([]float32, 3)); err == nil {
-		t.Error("bad state length accepted")
-	}
-}
-
 // quantize invariants: outputs always sum to fracDenom for positive
 // totals, and reconstruct within one quantization unit per channel.
 func TestQuantizeProperty(t *testing.T) {

@@ -115,32 +115,14 @@ func (f *Frozen) Total(pos int) float64 {
 	}
 }
 
-// Plane returns channel k's contiguous NORM position plane (nil for the
-// discretized modes, whose channel state is byte-packed — use Vector).
-func (f *Frozen) Plane(k int) []float32 {
-	if f.mode != Norm {
-		return nil
-	}
-	return f.planes[k]
-}
-
-// Planes returns all five channel planes of a NORM view at once, for
-// sweeps that stream every channel in lockstep (the vectorized calling
-// prescreen). ok is false for the discretized modes, whose channel
-// state is byte-packed — such callers fall back to Vector. The slices
-// alias the accumulator's arrays, zero-copy, exactly like Plane.
-func (f *Frozen) Planes() (planes [dna.NumChannels][]float32, ok bool) {
-	if f.mode != Norm {
-		return planes, false
-	}
-	return f.planes, true
-}
-
-// PlaneWindow returns the five channel planes sliced to positions
-// [lo, hi), the block-iteration form of Planes: a plane-streaming
-// sweep asks for exactly the window it is about to classify, and the
-// bounds check lives here instead of at every call site. ok is false
-// for the discretized modes or an invalid window.
+// PlaneWindow returns the five channel planes of a NORM view sliced to
+// positions [lo, hi), for sweeps that stream every channel in lockstep
+// (the vectorized calling prescreen): a plane-streaming sweep asks for
+// exactly the window it is about to classify, and the bounds check
+// lives here instead of at every call site. The slices alias the
+// accumulator's arrays, zero-copy. ok is false for an invalid window
+// and for the discretized modes, whose channel state is byte-packed —
+// such callers fall back to Vector.
 func (f *Frozen) PlaneWindow(lo, hi int) (planes [dna.NumChannels][]float32, ok bool) {
 	if f.mode != Norm || lo < 0 || hi > f.length || lo > hi {
 		return planes, false
@@ -150,7 +132,3 @@ func (f *Frozen) PlaneWindow(lo, hi int) (planes [dna.NumChannels][]float32, ok 
 	}
 	return planes, true
 }
-
-// TotalPlane returns the contiguous per-position total plane of the
-// discretized modes (nil for NORM, which stores no separate totals).
-func (f *Frozen) TotalPlane() []float32 { return f.total }

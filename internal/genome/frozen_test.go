@@ -90,16 +90,16 @@ func TestFrozenPlaneAccessors(t *testing.T) {
 	if fz.Mode() != Norm {
 		t.Fatalf("Mode = %v, want Norm", fz.Mode())
 	}
-	if fz.TotalPlane() != nil {
-		t.Error("NORM view has a total plane")
+	planes, ok := fz.PlaneWindow(0, 64)
+	if !ok {
+		t.Fatal("NORM view refused its whole-range plane window")
 	}
-	for k := 0; k < 5; k++ {
-		p := fz.Plane(k)
+	for k, p := range planes {
 		if len(p) != 64 {
-			t.Fatalf("Plane(%d) length %d, want 64", k, len(p))
+			t.Fatalf("plane %d length %d, want 64", k, len(p))
 		}
 		if got, want := float64(p[3]), norm.Vector(3)[k]; got != want {
-			t.Errorf("Plane(%d)[3] = %v, want %v", k, got, want)
+			t.Errorf("plane %d at 3 = %v, want %v", k, got, want)
 		}
 	}
 
@@ -112,23 +112,19 @@ func TestFrozenPlaneAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfz.Plane(0) != nil {
+	if _, ok := cfz.PlaneWindow(0, 64); ok {
 		t.Error("CharDisc view has channel planes")
 	}
-	tp := cfz.TotalPlane()
-	if len(tp) != 64 {
-		t.Fatalf("TotalPlane length %d, want 64", len(tp))
-	}
-	if got, want := float64(tp[3]), cd.Total(3); got != want {
-		t.Errorf("TotalPlane[3] = %v, want %v", got, want)
+	if got, want := cfz.Total(3), cd.Total(3); got != want {
+		t.Errorf("frozen Total(3) = %v, want %v", got, want)
 	}
 }
 
-// The bulk plane accessors feeding the vectorized calling sweep:
-// NORM views hand out all five planes (whole or windowed) whose
-// converted values match Vector exactly; the discretized modes refuse
-// (ok = false) because their channel state is byte-packed — Plane is
-// nil there and TotalPlane carries the per-position totals instead.
+// The bulk plane accessor feeding the vectorized calling sweep: NORM
+// views hand out all five planes (whole or windowed) whose converted
+// values match Vector exactly; the discretized modes refuse (ok =
+// false) because their channel state is byte-packed — Total carries
+// the per-position totals there.
 func TestFrozenPlaneIteration(t *testing.T) {
 	const L = 96
 	rng := rand.New(rand.NewSource(17))
@@ -136,15 +132,6 @@ func TestFrozenPlaneIteration(t *testing.T) {
 	fz, err := Freeze(norm)
 	if err != nil {
 		t.Fatal(err)
-	}
-	planes, ok := fz.Planes()
-	if !ok {
-		t.Fatal("NORM view refused Planes")
-	}
-	for k := range planes {
-		if len(planes[k]) != L {
-			t.Fatalf("Planes()[%d] length %d, want %d", k, len(planes[k]), L)
-		}
 	}
 	for _, w := range [][2]int{{0, L}, {0, 0}, {5, 5}, {7, 31}, {L - 9, L}} {
 		win, ok := fz.PlaneWindow(w[0], w[1])
@@ -173,24 +160,12 @@ func TestFrozenPlaneIteration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := dfz.Planes(); ok {
-				t.Error("discrete view handed out channel planes")
-			}
 			if _, ok := dfz.PlaneWindow(0, L); ok {
 				t.Error("discrete view handed out a plane window")
 			}
-			for k := 0; k < 5; k++ {
-				if dfz.Plane(k) != nil {
-					t.Errorf("discrete Plane(%d) non-nil", k)
-				}
-			}
-			tp := dfz.TotalPlane()
-			if len(tp) != L {
-				t.Fatalf("TotalPlane length %d, want %d", len(tp), L)
-			}
 			for pos := 0; pos < L; pos++ {
-				if got, want := float64(tp[pos]), acc.Total(pos); got != want {
-					t.Fatalf("TotalPlane[%d] = %v, want %v", pos, got, want)
+				if got, want := dfz.Total(pos), acc.Total(pos); got != want {
+					t.Fatalf("frozen Total(%d) = %v, want %v", pos, got, want)
 				}
 			}
 		})

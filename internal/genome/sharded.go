@@ -202,7 +202,7 @@ func (s *Sharded) State() ([]byte, error) {
 	if err := s.combineLocked(); err != nil {
 		return nil, err
 	}
-	return s.base.(Stateful).State()
+	return s.base.State()
 }
 
 // LoadStateBytes implements Stateful. Outstanding shards are dropped:
@@ -213,7 +213,7 @@ func (s *Sharded) LoadStateBytes(data []byte) error {
 	defer s.mu.Unlock()
 	s.shards = nil
 	s.clean = true
-	return s.base.(Stateful).LoadStateBytes(data)
+	return s.base.LoadStateBytes(data)
 }
 
 // MergeTree folds accs[1:]... into accs[0] with ceil(log2(n)) rounds of

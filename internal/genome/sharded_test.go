@@ -162,7 +162,7 @@ func TestShardedStateInterop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := striped.(Stateful).LoadStateBytes(blob); err != nil {
+		if err := striped.LoadStateBytes(blob); err != nil {
 			t.Fatalf("%v: load into striped: %v", mode, err)
 		}
 		for pos := 0; pos < L; pos += 7 {

@@ -43,7 +43,7 @@ func TestSnapshotStateNonDestructive(t *testing.T) {
 			}
 			want.AddRange(40, zs, 1.0)
 			want.AddRange(200, zs, 2.0)
-			wantState, err := want.(Stateful).State()
+			wantState, err := want.State()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestSnapshotStateStriped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SnapshotState: %v", err)
 	}
-	direct, err := a.(Stateful).State()
+	direct, err := a.State()
 	if err != nil {
 		t.Fatal(err)
 	}

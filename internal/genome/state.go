@@ -2,17 +2,18 @@ package genome
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
+	"gnumap/internal/binfmt"
 	"gnumap/internal/dna"
 )
 
-// Stateful is implemented by accumulators that can serialize their
-// per-position state for transport between cluster nodes (the paper's
-// MPI genome-state communication). LoadState requires an accumulator of
-// the same mode and length; callers must quiesce writers around both
-// calls.
+// Stateful is the half of Accumulator that serializes per-position
+// state for transport between cluster nodes (the paper's MPI
+// genome-state communication) and for checkpoints. LoadStateBytes
+// requires an accumulator of the same mode and length; callers must
+// quiesce writers around both calls.
 type Stateful interface {
 	// State serializes the accumulator's per-position state.
 	State() ([]byte, error)
@@ -31,6 +32,10 @@ type Stateful interface {
 //	u64 accumulator length (positions)
 //	u64 float count + that many float32 (LE bit patterns)
 //	u64 byte count  + that many raw bytes
+//
+// The blob carries no CRC of its own (on disk it is a checkpoint's
+// checksummed payload section); the float array goes through
+// internal/binfmt's slice codec.
 const (
 	stateVersion = 1
 	stateHdrLen  = 3 + 1 + 1 + 8
@@ -38,17 +43,28 @@ const (
 
 var stateMagic = [3]byte{'G', 'S', 'T'}
 
+// Typed failure modes of LoadStateBytes: every rejection wraps exactly
+// one of these. The first three are the shared container sentinels
+// (internal/binfmt).
+var (
+	// ErrStateMagic: the data does not start with the state magic.
+	ErrStateMagic = binfmt.ErrMagic
+	// ErrStateVersion: written by a codec version this build does not read.
+	ErrStateVersion = binfmt.ErrVersion
+	// ErrStateTruncated: the data ends before a declared array does.
+	ErrStateTruncated = binfmt.ErrTruncated
+	// ErrStateMismatch: a well-formed blob, but for another layout,
+	// another accumulator length, or with bytes past its last array.
+	ErrStateMismatch = errors.New("genome: state blob does not match the accumulator")
+)
+
 // encodeState serializes one accumulator's arrays under its mode tag.
 func encodeState(tag byte, length int, f []float32, b []uint8) []byte {
 	buf := make([]byte, 0, stateHdrLen+16+4*len(f)+len(b))
 	buf = append(buf, stateMagic[0], stateMagic[1], stateMagic[2], tag, stateVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(length))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(f)))
-	buf = append(buf, make([]byte, 4*len(f))...)
-	fb := buf[len(buf)-4*len(f):]
-	for i, v := range f {
-		binary.LittleEndian.PutUint32(fb[4*i:], math.Float32bits(v))
-	}
+	buf = append(buf, binfmt.Bytes(f)...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b)))
 	return append(buf, b...)
 }
@@ -57,43 +73,45 @@ func encodeState(tag byte, length int, f []float32, b []uint8) []byte {
 // counts and fills f and b in place (copy semantics, like the encoders'
 // callers always had).
 func decodeState(data []byte, tag byte, length int, f []float32, b []uint8) error {
+	if len(data) < len(stateMagic) || [3]byte(data[:3]) != stateMagic {
+		return fmt.Errorf("genome: decode state: %w", ErrStateMagic)
+	}
 	if len(data) < stateHdrLen {
-		return fmt.Errorf("genome: decode state: %d bytes is shorter than the header", len(data))
-	}
-	if data[0] != stateMagic[0] || data[1] != stateMagic[1] || data[2] != stateMagic[2] {
-		return fmt.Errorf("genome: decode state: bad magic %q", data[:3])
-	}
-	if data[3] != tag {
-		return fmt.Errorf("genome: decode state: mode tag %q, want %q", data[3], tag)
+		return fmt.Errorf("genome: decode state: %w: %d-byte header", ErrStateTruncated, len(data))
 	}
 	if data[4] != stateVersion {
-		return fmt.Errorf("genome: decode state: version %d, want %d", data[4], stateVersion)
+		return fmt.Errorf("genome: decode state: %w: version %d, want %d", ErrStateVersion, data[4], stateVersion)
+	}
+	if data[3] != tag {
+		return fmt.Errorf("genome: decode state: %w: mode tag %q, want %q", ErrStateMismatch, data[3], tag)
 	}
 	if got := binary.LittleEndian.Uint64(data[5:]); got != uint64(length) {
-		return fmt.Errorf("genome: state for length %d, have %d", got, length)
+		return fmt.Errorf("genome: decode state: %w: state for length %d, have %d", ErrStateMismatch, got, length)
 	}
 	rest := data[stateHdrLen:]
 	if len(rest) < 8 {
-		return fmt.Errorf("genome: decode state: truncated float section")
+		return fmt.Errorf("genome: decode state: %w: float section", ErrStateTruncated)
 	}
 	nf := binary.LittleEndian.Uint64(rest)
 	rest = rest[8:]
-	if nf != uint64(len(f)) || uint64(len(rest)) < 4*nf {
-		return fmt.Errorf("genome: decode state: %d floats, want %d", nf, len(f))
+	if nf != uint64(len(f)) {
+		return fmt.Errorf("genome: decode state: %w: %d floats, want %d", ErrStateMismatch, nf, len(f))
 	}
-	for i := range f {
-		f[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
+	if uint64(len(rest)) < 4*nf+8 {
+		return fmt.Errorf("genome: decode state: %w: %d floats and a byte section in %d bytes", ErrStateTruncated, nf, len(rest))
 	}
-	rest = rest[4*nf:]
-	if len(rest) < 8 {
-		return fmt.Errorf("genome: decode state: truncated byte section")
+	nb := binary.LittleEndian.Uint64(rest[4*nf:])
+	tail := rest[4*nf+8:]
+	switch {
+	case nb != uint64(len(b)):
+		return fmt.Errorf("genome: decode state: %w: %d bytes, want %d", ErrStateMismatch, nb, len(b))
+	case uint64(len(tail)) < nb:
+		return fmt.Errorf("genome: decode state: %w: byte section", ErrStateTruncated)
+	case uint64(len(tail)) > nb:
+		return fmt.Errorf("genome: decode state: %w: %d trailing bytes", ErrStateMismatch, uint64(len(tail))-nb)
 	}
-	nb := binary.LittleEndian.Uint64(rest)
-	rest = rest[8:]
-	if nb != uint64(len(b)) || uint64(len(rest)) != nb {
-		return fmt.Errorf("genome: decode state: %d bytes, want %d", nb, len(b))
-	}
-	copy(b, rest)
+	binfmt.Decode(f, rest)
+	copy(b, tail)
 	return nil
 }
 
@@ -184,18 +202,14 @@ func SnapshotState(acc Accumulator) ([]byte, error) {
 	if s, ok := acc.(*Sharded); ok {
 		return s.snapshotState()
 	}
-	st, ok := acc.(Stateful)
-	if !ok {
-		return nil, fmt.Errorf("genome: mode %v is not serializable", acc.Mode())
-	}
-	return st.State()
+	return acc.State()
 }
 
 func (s *Sharded) snapshotState() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.shards) == 0 {
-		return s.base.(Stateful).State()
+		return s.base.State()
 	}
 	scratch, err := New(s.mode, s.length)
 	if err != nil {
@@ -204,7 +218,7 @@ func (s *Sharded) snapshotState() ([]byte, error) {
 	if err := s.snapshotIntoLocked(scratch); err != nil {
 		return nil, err
 	}
-	return scratch.(Stateful).State()
+	return scratch.State()
 }
 
 // snapshotIntoLocked merges the base and every live shard into scratch,

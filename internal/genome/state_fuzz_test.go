@@ -3,13 +3,15 @@ package genome
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
 // FuzzLoadStateBytes hands arbitrary bytes to the GST state codec of
 // every layout (the checkpoint payload and the cluster wire format):
-// LoadStateBytes never panics, and a blob it accepts is the blob the
-// accumulator serializes back, byte for byte.
+// LoadStateBytes never panics, every rejection wraps one of the typed
+// sentinels, and a blob it accepts is the blob the accumulator
+// serializes back, byte for byte.
 func FuzzLoadStateBytes(f *testing.F) {
 	const length = 9
 	for i, m := range allModes() {
@@ -18,7 +20,7 @@ func FuzzLoadStateBytes(f *testing.F) {
 			f.Fatal(err)
 		}
 		a.AddRange(2, []Vec{{0.7, 0.3, 0, 0, 0}, {0, 0, 1, 0, 0}}, 2)
-		good, err := a.(Stateful).State()
+		good, err := a.State()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -46,11 +48,15 @@ func FuzzLoadStateBytes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := a.(Stateful)
-		if st.LoadStateBytes(data) != nil {
-			return
+		if err := a.LoadStateBytes(data); err != nil {
+			for _, s := range []error{ErrStateMagic, ErrStateVersion, ErrStateTruncated, ErrStateMismatch} {
+				if errors.Is(err, s) {
+					return
+				}
+			}
+			t.Fatalf("untyped state error: %v", err)
 		}
-		back, err := st.State()
+		back, err := a.State()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,9 +130,6 @@ func (ix *Index) Lookup(m dna.Kmer) []int32 {
 	return ix.positions[ix.offsets[m]:ix.offsets[m+1]]
 }
 
-// BucketSize returns the number of occurrences of the packed k-mer.
-func (ix *Index) BucketSize(m dna.Kmer) int { return len(ix.Lookup(m)) }
-
 // MemoryBytes reports the approximate heap footprint of the index,
 // used by the Table II memory accounting.
 func (ix *Index) MemoryBytes() int64 {

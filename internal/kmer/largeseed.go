@@ -440,13 +440,6 @@ func (ix *LargeIndex) Lookup(m dna.Kmer) []int32 {
 	return ix.positions[start : start+stored]
 }
 
-// BucketSize returns the true occurrence count of the packed k-mer,
-// even when the stored sample is capped below it.
-func (ix *LargeIndex) BucketSize(m dna.Kmer) int {
-	_, _, total := ix.find(m)
-	return int(total)
-}
-
 // Candidates votes the read's seeds into mapping regions; see
 // Index.Candidates.
 func (ix *LargeIndex) Candidates(read dna.Seq, opt CandidateOptions) []Candidate {
@@ -457,28 +450,4 @@ func (ix *LargeIndex) Candidates(read dna.Seq, opt CandidateOptions) []Candidate
 // loop is shared with the direct index (candidatesInto).
 func (ix *LargeIndex) CandidatesInto(read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate {
 	return candidatesInto(ix, read, opt, buf)
-}
-
-// LargeSummary describes a built index for benches and reports.
-type LargeSummary struct {
-	// Seeds is the number of distinct indexed seeds, Capped how many of
-	// them stored a truncated sample, Slots the open-addressing table
-	// size, Positions the stored position count.
-	Seeds, Capped int64
-	Slots         int64
-	Positions     int64
-}
-
-// Summary scans the slot arrays (O(slots); not for hot paths).
-func (ix *LargeIndex) Summary() LargeSummary {
-	s := LargeSummary{Slots: int64(len(ix.keys)), Positions: int64(len(ix.positions))}
-	for _, c := range ix.counts {
-		if c != 0 {
-			s.Seeds++
-			if int(c) > ix.maxStore {
-				s.Capped++
-			}
-		}
-	}
-	return s
 }

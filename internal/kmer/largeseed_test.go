@@ -55,8 +55,8 @@ func TestLargeIndexMatchesDirect(t *testing.T) {
 		}
 		for _, m := range probe {
 			want := direct.Lookup(m)
-			got, total := large.Lookup(m), large.BucketSize(m)
-			if total != len(want) || !equalI32(got, want) {
+			got := large.Lookup(m)
+			if _, _, total := large.find(m); int(total) != len(want) || !equalI32(got, want) {
 				t.Fatalf("k=%d kmer %v: large %v/%d != direct %v", k, m, got, total, want)
 			}
 		}
@@ -125,7 +125,7 @@ func TestLargeIndexFrequencyCap(t *testing.T) {
 		t.Fatal("pack failed")
 	}
 	wantTotal := len(seq) - k + 1
-	if got := ix.BucketSize(m); got != wantTotal {
+	if _, _, got := ix.find(m); int(got) != wantTotal {
 		t.Fatalf("true count = %d, want %d", got, wantTotal)
 	}
 	hits := ix.Lookup(m)
@@ -143,9 +143,14 @@ func TestLargeIndexFrequencyCap(t *testing.T) {
 	if buf.Stats.Hits > int64(4*(len(read)-k+1)) {
 		t.Fatalf("cap leaked: %d hits voted", buf.Stats.Hits)
 	}
-	sum := ix.Summary()
-	if sum.Seeds != 1 || sum.Capped != 1 || sum.Positions != 4 {
-		t.Fatalf("summary = %+v", sum)
+	seeds := 0
+	for _, c := range ix.counts {
+		if c != 0 {
+			seeds++
+		}
+	}
+	if seeds != 1 || len(ix.positions) != 4 {
+		t.Fatalf("%d distinct seeds storing %d positions, want one capped seed storing 4", seeds, len(ix.positions))
 	}
 }
 

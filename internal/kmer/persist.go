@@ -31,20 +31,22 @@
 // (directory shape, bounds) always runs, and lookups bounds-guard, so
 // a torn file can degrade lookups but never corrupt memory.
 //
-// WriteIndexFile is atomic exactly like ckpt.WriteFile: temp file in
-// the destination directory, fsync, rename, directory fsync.
+// The preamble (magic through header CRC), the shared typed errors, the
+// little-endian section codec and the atomic file replacement are
+// internal/binfmt's — the same container ckpt files use, here with
+// CRC-32C and the header padded out to a page.
 package kmer
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"unsafe"
+
+	"gnumap/internal/binfmt"
 )
 
 // IndexMagic identifies a persisted seed-index file.
@@ -60,42 +62,46 @@ const ixHeaderLen = 32 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 5*4
 // every section offset is page-aligned relative to the mmap base.
 const ixPage = 4096
 
+// ixFrame is the index container: CRC-32C sections, and v1's one header
+// length as the bound on what a file may declare.
+var ixFrame = binfmt.Frame{Magic: IndexMagic, Version: IndexVersion, CRC: crc32.MakeTable(crc32.Castagnoli), MaxHeader: ixHeaderLen}
+
 // Typed failure modes of the index loader, mirroring package ckpt:
-// every load error wraps exactly one of these.
+// every load error wraps exactly one of these. The first four are the
+// shared container sentinels (internal/binfmt).
 var (
 	// ErrNotIndex: the data does not start with the magic bytes.
-	ErrNotIndex = errors.New("kmer: not a seed-index file")
+	ErrNotIndex = binfmt.ErrMagic
 	// ErrVersion: the format version is not supported by this build.
-	ErrVersion = errors.New("kmer: unsupported seed-index version")
+	ErrVersion = binfmt.ErrVersion
 	// ErrTruncated: the data ends before a declared section does.
-	ErrTruncated = errors.New("kmer: truncated seed-index")
+	ErrTruncated = binfmt.ErrTruncated
 	// ErrChecksum: a section's CRC does not match its contents.
-	ErrChecksum = errors.New("kmer: seed-index checksum mismatch")
+	ErrChecksum = binfmt.ErrChecksum
 	// ErrCorrupt: the checksummed framing parses but the declared
-	// structure is impossible (directory not power-of-two sized, counts
-	// out of range, trailing bytes).
+	// structure is impossible (header not v1-sized, directory not
+	// power-of-two sized, counts out of range, trailing bytes).
 	ErrCorrupt = errors.New("kmer: corrupt seed-index structure")
 	// ErrRefMismatch: the index was built for a different reference (or
 	// different seed parameters) than the one being mapped.
 	ErrRefMismatch = errors.New("kmer: seed-index reference mismatch")
 )
 
-// hostLittle reports whether this host stores integers little-endian —
-// the precondition for zero-copy reinterpretation of the on-disk
-// sections.
-var hostLittle = binary.NativeEndian.Uint16([]byte{0x01, 0x02}) == 0x0201
-
-// indexHeader is the decoded fixed header.
+// indexHeader is the fixed v1 header as it lies on disk: encoding/binary
+// renders the fields in declaration order, little-endian, unpadded —
+// the reference fingerprint, the seed parameters, the section element
+// counts, and one CRC-32C per section.
 type indexHeader struct {
-	refDigest          [32]byte
-	refLen, seqLen     int64
-	k, maxStore        int
-	partBits           uint
-	nParts             int64
-	nSlots, nPos       int64
-	crcSlotOff         uint32
-	crcKeys, crcStarts uint32
-	crcCounts, crcPos  uint32
+	RefDigest          [32]byte
+	RefLen, SeqLen     int64
+	K, MaxStore        int32
+	PartBits           uint32
+	_                  uint32 // reserved
+	NParts             int64
+	NSlots, NPos       int64
+	CrcSlotOff         uint32
+	CrcKeys, CrcStarts uint32
+	CrcCounts, CrcPos  uint32
 }
 
 // IndexInfo is the publicly inspectable part of a persisted index
@@ -124,199 +130,50 @@ func align8(n int64) int64 { return (n + 7) &^ 7 }
 // counts are impossible (overflow, int32 position cursors exceeded).
 func layoutFor(h *indexHeader) (indexLayout, error) {
 	var l indexLayout
-	if h.partBits < 1 || h.partBits > 16 || h.nParts != 1<<h.partBits {
-		return l, fmt.Errorf("%w: %d partitions for %d partition bits", ErrCorrupt, h.nParts, h.partBits)
+	if h.PartBits < 1 || h.PartBits > 16 || h.NParts != 1<<h.PartBits {
+		return l, fmt.Errorf("%w: %d partitions for %d partition bits", ErrCorrupt, h.NParts, h.PartBits)
 	}
-	if h.k < 1 || h.k > 32 {
-		return l, fmt.Errorf("%w: seed length %d", ErrCorrupt, h.k)
+	if h.K < 1 || h.K > 32 {
+		return l, fmt.Errorf("%w: seed length %d", ErrCorrupt, h.K)
 	}
-	if h.maxStore < 1 {
-		return l, fmt.Errorf("%w: max-store %d", ErrCorrupt, h.maxStore)
+	if h.MaxStore < 1 {
+		return l, fmt.Errorf("%w: max-store %d", ErrCorrupt, h.MaxStore)
 	}
-	if h.seqLen < 0 || h.seqLen > 1<<31-1 || h.refLen < 0 {
-		return l, fmt.Errorf("%w: sequence length %d", ErrCorrupt, h.seqLen)
+	if h.SeqLen < 0 || h.SeqLen > 1<<31-1 || h.RefLen < 0 {
+		return l, fmt.Errorf("%w: sequence length %d", ErrCorrupt, h.SeqLen)
 	}
 	// starts index positions with int32, and slots can be at most 4x
 	// the distinct seed count, itself bounded by the sequence length.
-	if h.nPos < 0 || h.nPos > 1<<31-1 || h.nSlots < 0 || h.nSlots > 1<<33 {
-		return l, fmt.Errorf("%w: %d slots / %d positions", ErrCorrupt, h.nSlots, h.nPos)
+	if h.NPos < 0 || h.NPos > 1<<31-1 || h.NSlots < 0 || h.NSlots > 1<<33 {
+		return l, fmt.Errorf("%w: %d slots / %d positions", ErrCorrupt, h.NSlots, h.NPos)
 	}
 	l.slotOff = ixPage
-	l.keys = l.slotOff + (h.nParts+1)*8
-	l.starts = l.keys + h.nSlots*8
-	l.counts = align8(l.starts + h.nSlots*4)
-	l.positions = align8(l.counts + h.nSlots*4)
-	l.size = l.positions + h.nPos*4
+	l.keys = l.slotOff + (h.NParts+1)*8
+	l.starts = l.keys + h.NSlots*8
+	l.counts = align8(l.starts + h.NSlots*4)
+	l.positions = align8(l.counts + h.NSlots*4)
+	l.size = l.positions + h.NPos*4
 	return l, nil
-}
-
-var crcTab = crc32.MakeTable(crc32.Castagnoli)
-
-func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTab) }
-
-// viewBytes reinterprets a slice's backing memory as raw bytes. Only
-// meaningful on little-endian hosts, where the in-memory layout equals
-// the on-disk layout.
-func viewBytes[E int32 | int64 | uint64](s []E) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-}
-
-// sectionBytes renders a slice in the on-disk (little-endian) layout:
-// zero-copy on little-endian hosts, an encoded copy elsewhere.
-func i64LE(s []int64) []byte {
-	if hostLittle {
-		return viewBytes(s)
-	}
-	b := make([]byte, len(s)*8)
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
-	}
-	return b
-}
-
-func u64LE(s []uint64) []byte {
-	if hostLittle {
-		return viewBytes(s)
-	}
-	b := make([]byte, len(s)*8)
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(b[i*8:], v)
-	}
-	return b
-}
-
-func i32LE(s []int32) []byte {
-	if hostLittle {
-		return viewBytes(s)
-	}
-	b := make([]byte, len(s)*4)
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
-	}
-	return b
-}
-
-// aligned reports whether b's backing memory is n-byte aligned.
-func aligned(b []byte, n uintptr) bool {
-	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%n == 0
-}
-
-// decI64 decodes a little-endian int64 section: a zero-copy
-// reinterpretation of b when host endianness and alignment allow, an
-// element-wise copy otherwise. The result may alias b.
-func decI64(b []byte) []int64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && aligned(b, 8) {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func decU64(b []byte) []uint64 {
-	n := len(b) / 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && aligned(b, 8) {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
-}
-
-func decI32(b []byte) []int32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && aligned(b, 4) {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// encodeIndexHeader renders the fixed v1 header.
-func encodeIndexHeader(h *indexHeader) []byte {
-	b := make([]byte, 0, ixHeaderLen)
-	b = append(b, h.refDigest[:]...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(h.refLen))
-	b = binary.LittleEndian.AppendUint64(b, uint64(h.seqLen))
-	b = binary.LittleEndian.AppendUint32(b, uint32(h.k))
-	b = binary.LittleEndian.AppendUint32(b, uint32(h.maxStore))
-	b = binary.LittleEndian.AppendUint32(b, uint32(h.partBits))
-	b = binary.LittleEndian.AppendUint32(b, 0) // reserved
-	b = binary.LittleEndian.AppendUint64(b, uint64(h.nParts))
-	b = binary.LittleEndian.AppendUint64(b, uint64(h.nSlots))
-	b = binary.LittleEndian.AppendUint64(b, uint64(h.nPos))
-	b = binary.LittleEndian.AppendUint32(b, h.crcSlotOff)
-	b = binary.LittleEndian.AppendUint32(b, h.crcKeys)
-	b = binary.LittleEndian.AppendUint32(b, h.crcStarts)
-	b = binary.LittleEndian.AppendUint32(b, h.crcCounts)
-	b = binary.LittleEndian.AppendUint32(b, h.crcPos)
-	return b
 }
 
 // parseIndexHeader validates the preamble and the CRC-guarded header
 // from the first bytes of a file (at least the first ixPage bytes, or
 // the whole file when smaller).
 func parseIndexHeader(block []byte) (*indexHeader, error) {
-	if len(block) < len(IndexMagic) {
-		return nil, fmt.Errorf("%w: %d bytes", ErrNotIndex, len(block))
+	hb, err := ixFrame.ParsePreamble(block)
+	// v1 has exactly one header length, so a file declaring any other is
+	// structurally impossible, not "too large": that keeps the loader's
+	// six-sentinel contract (FuzzDecodeIndex) as it was.
+	if errors.Is(err, binfmt.ErrTooLarge) || (err == nil && len(hb) != ixHeaderLen) {
+		return nil, fmt.Errorf("%w: declared header length is not v1's %d", ErrCorrupt, ixHeaderLen)
 	}
-	if string(block[:len(IndexMagic)]) != string(IndexMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrNotIndex, block[:len(IndexMagic)])
-	}
-	if len(block) < 14 {
-		return nil, fmt.Errorf("%w: missing version/header length", ErrTruncated)
-	}
-	ver := binary.LittleEndian.Uint16(block[8:10])
-	if ver != IndexVersion {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, ver, IndexVersion)
-	}
-	hlen := int64(binary.LittleEndian.Uint32(block[10:14]))
-	if hlen != ixHeaderLen {
-		return nil, fmt.Errorf("%w: header length %d, v1 is %d", ErrCorrupt, hlen, ixHeaderLen)
-	}
-	if int64(len(block)) < 14+hlen+4 {
-		return nil, fmt.Errorf("%w: header section", ErrTruncated)
-	}
-	hb := block[14 : 14+hlen]
-	hcrc := binary.LittleEndian.Uint32(block[14+hlen : 14+hlen+4])
-	if crcOf(hb) != hcrc {
-		return nil, fmt.Errorf("%w: header", ErrChecksum)
+	if err != nil {
+		return nil, err
 	}
 	h := &indexHeader{}
-	copy(h.refDigest[:], hb[0:32])
-	h.refLen = int64(binary.LittleEndian.Uint64(hb[32:40]))
-	h.seqLen = int64(binary.LittleEndian.Uint64(hb[40:48]))
-	h.k = int(int32(binary.LittleEndian.Uint32(hb[48:52])))
-	h.maxStore = int(int32(binary.LittleEndian.Uint32(hb[52:56])))
-	h.partBits = uint(binary.LittleEndian.Uint32(hb[56:60]))
-	h.nParts = int64(binary.LittleEndian.Uint64(hb[64:72]))
-	h.nSlots = int64(binary.LittleEndian.Uint64(hb[72:80]))
-	h.nPos = int64(binary.LittleEndian.Uint64(hb[80:88]))
-	h.crcSlotOff = binary.LittleEndian.Uint32(hb[88:92])
-	h.crcKeys = binary.LittleEndian.Uint32(hb[92:96])
-	h.crcStarts = binary.LittleEndian.Uint32(hb[96:100])
-	h.crcCounts = binary.LittleEndian.Uint32(hb[100:104])
-	h.crcPos = binary.LittleEndian.Uint32(hb[104:108])
+	if err := binary.Read(bytes.NewReader(hb), binary.LittleEndian, h); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err) // unreachable: hb is exactly the struct's size
+	}
 	return h, nil
 }
 
@@ -324,116 +181,66 @@ func parseIndexHeader(block []byte) (*indexHeader, error) {
 // fingerprint. Large indexes should prefer WriteIndexFile, which
 // streams sections without concatenating the whole file in memory.
 func EncodeIndex(ix *LargeIndex, refDigest [32]byte, refLen int64) []byte {
-	h, secs := indexSections(ix, refDigest, refLen)
-	lay, err := layoutFor(h)
-	if err != nil {
-		// A built index always lays out; this is unreachable.
+	var buf bytes.Buffer
+	if err := writeIndex(&buf, ix, refDigest, refLen); err != nil {
+		// A built index always lays out, and a bytes.Buffer write
+		// cannot fail; this is unreachable.
 		panic(err)
 	}
-	out := make([]byte, lay.size)
-	copy(out, IndexMagic[:])
-	binary.LittleEndian.PutUint16(out[8:10], IndexVersion)
-	binary.LittleEndian.PutUint32(out[10:14], ixHeaderLen)
-	hb := encodeIndexHeader(h)
-	copy(out[14:], hb)
-	binary.LittleEndian.PutUint32(out[14+ixHeaderLen:], crcOf(hb))
-	for i, off := range []int64{lay.slotOff, lay.keys, lay.starts, lay.counts, lay.positions} {
-		copy(out[off:], secs[i])
-	}
-	return out
+	return buf.Bytes()
 }
 
-// indexSections renders the five section byte images and the header
-// carrying their CRCs.
-func indexSections(ix *LargeIndex, refDigest [32]byte, refLen int64) (*indexHeader, [5][]byte) {
+// writeIndex streams the file image: the framed header padded to a
+// page, then the five sections at their layout offsets.
+func writeIndex(w io.Writer, ix *LargeIndex, refDigest [32]byte, refLen int64) error {
 	secs := [5][]byte{
-		i64LE(ix.slotOff), u64LE(ix.keys), i32LE(ix.starts),
-		i32LE(ix.counts), i32LE(ix.positions),
+		binfmt.Bytes(ix.slotOff), binfmt.Bytes(ix.keys), binfmt.Bytes(ix.starts),
+		binfmt.Bytes(ix.counts), binfmt.Bytes(ix.positions),
 	}
 	h := &indexHeader{
-		refDigest: refDigest, refLen: refLen, seqLen: int64(ix.seqLen),
-		k: ix.k, maxStore: ix.maxStore, partBits: ix.partBits,
-		nParts: int64(len(ix.slotOff)) - 1,
-		nSlots: int64(len(ix.keys)), nPos: int64(len(ix.positions)),
-		crcSlotOff: crcOf(secs[0]), crcKeys: crcOf(secs[1]),
-		crcStarts: crcOf(secs[2]), crcCounts: crcOf(secs[3]),
-		crcPos: crcOf(secs[4]),
+		RefDigest: refDigest, RefLen: refLen, SeqLen: int64(ix.seqLen),
+		K: int32(ix.k), MaxStore: int32(ix.maxStore), PartBits: uint32(ix.partBits),
+		NParts: int64(len(ix.slotOff)) - 1,
+		NSlots: int64(len(ix.keys)), NPos: int64(len(ix.positions)),
+		CrcSlotOff: ixFrame.Sum(secs[0]), CrcKeys: ixFrame.Sum(secs[1]),
+		CrcStarts: ixFrame.Sum(secs[2]), CrcCounts: ixFrame.Sum(secs[3]),
+		CrcPos: ixFrame.Sum(secs[4]),
 	}
-	return h, secs
+	lay, err := layoutFor(h)
+	if err != nil {
+		return err
+	}
+	var hb bytes.Buffer
+	binary.Write(&hb, binary.LittleEndian, h) // a fixed-size struct into a bytes.Buffer cannot fail
+	block := ixFrame.AppendPreamble(make([]byte, 0, ixPage), hb.Bytes())
+	if _, err := w.Write(block[:ixPage]); err != nil { // zero padding to the page
+		return err
+	}
+	written := int64(ixPage)
+	var pad [8]byte
+	for i, off := range []int64{lay.slotOff, lay.keys, lay.starts, lay.counts, lay.positions} {
+		if _, err := w.Write(pad[:off-written]); err != nil {
+			return err
+		}
+		if _, err := w.Write(secs[i]); err != nil {
+			return err
+		}
+		written = off + int64(len(secs[i]))
+	}
+	return nil
 }
 
 // WriteIndexFile atomically persists the index for the reference with
-// the given fingerprint: sections stream through a buffered writer to a
-// temp file in the destination directory, which is fsynced and renamed
-// over path (then the directory is fsynced). Returns the file size.
+// the given fingerprint (binfmt.WriteFileAtomic; sections stream to the
+// temp file without being concatenated in memory). Returns the file
+// size.
 func WriteIndexFile(path string, ix *LargeIndex, refDigest [32]byte, refLen int64) (int64, error) {
 	if ix.mapped != nil {
 		return 0, fmt.Errorf("kmer: refusing to rewrite an mmap-loaded index")
 	}
-	h, secs := indexSections(ix, refDigest, refLen)
-	lay, err := layoutFor(h)
-	if err != nil {
-		return 0, fmt.Errorf("kmer: write %s: %w", path, err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp.*")
-	if err != nil {
-		return 0, fmt.Errorf("kmer: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("kmer: write %s: %w", path, err)
-	}
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	hb := encodeIndexHeader(h)
-	block := make([]byte, ixPage)
-	copy(block, IndexMagic[:])
-	binary.LittleEndian.PutUint16(block[8:10], IndexVersion)
-	binary.LittleEndian.PutUint32(block[10:14], ixHeaderLen)
-	copy(block[14:], hb)
-	binary.LittleEndian.PutUint32(block[14+ixHeaderLen:], crcOf(hb))
-	if _, err := w.Write(block); err != nil {
-		return fail(err)
-	}
-	offs := []int64{lay.slotOff, lay.keys, lay.starts, lay.counts, lay.positions}
-	written := int64(ixPage)
-	var pad [8]byte
-	for i, sec := range secs {
-		if gap := offs[i] - written; gap > 0 {
-			if _, err := w.Write(pad[:gap]); err != nil {
-				return fail(err)
-			}
-			written += gap
-		}
-		if _, err := w.Write(sec); err != nil {
-			return fail(err)
-		}
-		written += int64(len(sec))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("kmer: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("kmer: write %s: %w", path, err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return written, nil
+	return binfmt.WriteFileAtomic(path, func(w io.Writer) error {
+		return writeIndex(w, ix, refDigest, refLen)
+	})
 }
 
 // LoadOptions controls LoadIndexFile.
@@ -450,49 +257,64 @@ type LoadOptions struct {
 	NoMmap bool
 }
 
+// openIndex opens a persisted index and validates what its header
+// block alone can show: the preamble, the header CRC and the layout the
+// header declares. The caller closes the file.
+func openIndex(path string) (f *os.File, size int64, h *indexHeader, lay indexLayout, err error) {
+	if f, err = os.Open(path); err != nil {
+		return nil, 0, nil, lay, err
+	}
+	fail := func(err error) (*os.File, int64, *indexHeader, indexLayout, error) {
+		f.Close()
+		return nil, 0, nil, lay, fmt.Errorf("%s: %w", path, err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return fail(err)
+	}
+	block := make([]byte, min(st.Size(), ixPage))
+	if err := binfmt.ReadFull(f, block, "header block"); err != nil {
+		return fail(err)
+	}
+	if h, err = parseIndexHeader(block); err != nil {
+		return fail(err)
+	}
+	if lay, err = layoutFor(h); err != nil {
+		return fail(err)
+	}
+	return f, st.Size(), h, lay, nil
+}
+
+// checkSize holds an image to exactly the length its header declares.
+func (l indexLayout) checkSize(size int64) error {
+	switch {
+	case size < l.size:
+		return fmt.Errorf("%w: %d bytes of %d", ErrTruncated, size, l.size)
+	case size > l.size:
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, size-l.size)
+	}
+	return nil
+}
+
 // LoadIndexFile opens a persisted index. On little-endian unix hosts
 // the file is mmap'd and the slot arrays are zero-copy views of the
 // mapping (close the index to release it); elsewhere — or with NoMmap —
 // the file is read and decoded with full CRC verification. Every
 // failure wraps one of the typed sentinel errors.
 func LoadIndexFile(path string, opt LoadOptions) (*LargeIndex, error) {
-	f, err := os.Open(path)
+	f, size, h, lay, err := openIndex(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("kmer: %s: %w", path, err)
-	}
-	size := st.Size()
-	blockLen := int64(ixPage)
-	if size < blockLen {
-		blockLen = size
-	}
-	block := make([]byte, blockLen)
-	if _, err := io.ReadFull(f, block); err != nil {
-		return nil, fmt.Errorf("%s: %w: header block", path, ErrTruncated)
-	}
-	h, err := parseIndexHeader(block)
-	if err != nil {
+	if err := lay.checkSize(size); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	lay, err := layoutFor(h)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	switch {
-	case size < lay.size:
-		return nil, fmt.Errorf("%s: %w: %d bytes of %d", path, ErrTruncated, size, lay.size)
-	case size > lay.size:
-		return nil, fmt.Errorf("%s: %w: %d trailing bytes", path, ErrCorrupt, size-lay.size)
 	}
 	if err := checkRef(h, opt); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if !opt.NoMmap && mmapSupported && hostLittle {
-		if b, merr := mmapFile(f, size); merr == nil {
+	if !opt.NoMmap && mmapSupported && binfmt.HostLittle {
+		if b, merr := mmapFile(f, lay.size); merr == nil {
 			ix, err := indexFromBytes(h, lay, b, b, opt.Verify)
 			if err != nil {
 				munmap(b)
@@ -502,12 +324,12 @@ func LoadIndexFile(path string, opt LoadOptions) (*LargeIndex, error) {
 		}
 		// mmap unavailable for this file: fall through to the copy path.
 	}
-	data := make([]byte, size)
+	data := make([]byte, lay.size)
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("kmer: %s: %w", path, err)
 	}
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, fmt.Errorf("%s: %w: body", path, ErrTruncated)
+	if err := binfmt.ReadFull(f, data, "body"); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	ix, err := indexFromBytes(h, lay, data, nil, true)
 	if err != nil {
@@ -521,11 +343,11 @@ func checkRef(h *indexHeader, opt LoadOptions) error {
 	if opt.RefLen == 0 && opt.RefDigest == ([32]byte{}) {
 		return nil
 	}
-	if h.refDigest != opt.RefDigest {
-		return fmt.Errorf("%w: reference digest %x != %x", ErrRefMismatch, h.refDigest[:8], opt.RefDigest[:8])
+	if h.RefDigest != opt.RefDigest {
+		return fmt.Errorf("%w: reference digest %x != %x", ErrRefMismatch, h.RefDigest[:8], opt.RefDigest[:8])
 	}
-	if h.refLen != opt.RefLen {
-		return fmt.Errorf("%w: reference length %d != %d", ErrRefMismatch, h.refLen, opt.RefLen)
+	if h.RefLen != opt.RefLen {
+		return fmt.Errorf("%w: reference length %d != %d", ErrRefMismatch, h.RefLen, opt.RefLen)
 	}
 	return nil
 }
@@ -543,11 +365,8 @@ func DecodeIndex(data []byte) (*LargeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case int64(len(data)) < lay.size:
-		return nil, fmt.Errorf("%w: %d bytes of %d", ErrTruncated, len(data), lay.size)
-	case int64(len(data)) > lay.size:
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, int64(len(data))-lay.size)
+	if err := lay.checkSize(int64(len(data))); err != nil {
+		return nil, err
 	}
 	return indexFromBytes(h, lay, data, nil, true)
 }
@@ -556,40 +375,40 @@ func DecodeIndex(data []byte) (*LargeIndex, error) {
 // read buffer), optionally CRC-verifying sections, and always
 // validating the directory structure.
 func indexFromBytes(h *indexHeader, lay indexLayout, data, mapped []byte, verify bool) (*LargeIndex, error) {
-	sl := data[lay.slotOff : lay.slotOff+(h.nParts+1)*8]
-	kb := data[lay.keys : lay.keys+h.nSlots*8]
-	sb := data[lay.starts : lay.starts+h.nSlots*4]
-	cb := data[lay.counts : lay.counts+h.nSlots*4]
-	pb := data[lay.positions : lay.positions+h.nPos*4]
+	sl := data[lay.slotOff : lay.slotOff+(h.NParts+1)*8]
+	kb := data[lay.keys : lay.keys+h.NSlots*8]
+	sb := data[lay.starts : lay.starts+h.NSlots*4]
+	cb := data[lay.counts : lay.counts+h.NSlots*4]
+	pb := data[lay.positions : lay.positions+h.NPos*4]
 	if verify {
 		for _, s := range []struct {
 			name string
 			b    []byte
 			want uint32
 		}{
-			{"slotOff", sl, h.crcSlotOff}, {"keys", kb, h.crcKeys},
-			{"starts", sb, h.crcStarts}, {"counts", cb, h.crcCounts},
-			{"positions", pb, h.crcPos},
+			{"slotOff", sl, h.CrcSlotOff}, {"keys", kb, h.CrcKeys},
+			{"starts", sb, h.CrcStarts}, {"counts", cb, h.CrcCounts},
+			{"positions", pb, h.CrcPos},
 		} {
-			if crcOf(s.b) != s.want {
+			if ixFrame.Sum(s.b) != s.want {
 				return nil, fmt.Errorf("%w: %s section", ErrChecksum, s.name)
 			}
 		}
 	}
 	ix := &LargeIndex{
-		k: h.k, seqLen: int(h.seqLen), maxStore: h.maxStore, partBits: h.partBits,
-		slotOff: decI64(sl), keys: decU64(kb),
-		starts: decI32(sb), counts: decI32(cb), positions: decI32(pb),
+		k: int(h.K), seqLen: int(h.SeqLen), maxStore: int(h.MaxStore), partBits: uint(h.PartBits),
+		slotOff: binfmt.Slice[int64](sl), keys: binfmt.Slice[uint64](kb),
+		starts: binfmt.Slice[int32](sb), counts: binfmt.Slice[int32](cb), positions: binfmt.Slice[int32](pb),
 		mapped: mapped,
 	}
 	// Directory structure: monotone, power-of-two (or empty) partition
 	// regions covering exactly the slot array. With this validated,
 	// lookupTotal's probe arithmetic stays inside the arrays for any
 	// section contents.
-	if ix.slotOff[0] != 0 || ix.slotOff[h.nParts] != h.nSlots {
+	if ix.slotOff[0] != 0 || ix.slotOff[h.NParts] != h.NSlots {
 		return nil, fmt.Errorf("%w: directory bounds", ErrCorrupt)
 	}
-	for p := int64(0); p < h.nParts; p++ {
+	for p := int64(0); p < h.NParts; p++ {
 		size := ix.slotOff[p+1] - ix.slotOff[p]
 		if size < 0 || (size != 0 && size&(size-1) != 0) {
 			return nil, fmt.Errorf("%w: partition %d size %d", ErrCorrupt, p, size)
@@ -602,34 +421,15 @@ func indexFromBytes(h *indexHeader, lay indexLayout, data, mapped []byte, verify
 // index — cheap inspection for CLIs (adopting the stored seed length,
 // explaining mismatches) without loading the sections.
 func ReadIndexInfo(path string) (IndexInfo, error) {
-	f, err := os.Open(path)
+	f, size, h, _, err := openIndex(path)
 	if err != nil {
 		return IndexInfo{}, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return IndexInfo{}, fmt.Errorf("kmer: %s: %w", path, err)
-	}
-	blockLen := int64(ixPage)
-	if st.Size() < blockLen {
-		blockLen = st.Size()
-	}
-	block := make([]byte, blockLen)
-	if _, err := io.ReadFull(f, block); err != nil {
-		return IndexInfo{}, fmt.Errorf("%s: %w: header block", path, ErrTruncated)
-	}
-	h, err := parseIndexHeader(block)
-	if err != nil {
-		return IndexInfo{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := layoutFor(h); err != nil {
-		return IndexInfo{}, fmt.Errorf("%s: %w", path, err)
-	}
+	f.Close()
 	return IndexInfo{
-		RefDigest: h.refDigest, RefLen: h.refLen, SeqLen: h.seqLen,
-		K: h.k, MaxStore: h.maxStore, Slots: h.nSlots, Positions: h.nPos,
-		FileBytes: st.Size(),
+		RefDigest: h.RefDigest, RefLen: h.RefLen, SeqLen: h.SeqLen,
+		K: int(h.K), MaxStore: int(h.MaxStore), Slots: h.NSlots, Positions: h.NPos,
+		FileBytes: size,
 	}, nil
 }
 

@@ -127,10 +127,8 @@ func FuzzDecodeIndex(f *testing.F) {
 		// A decode that succeeds must be safe to query.
 		for _, m := range []dna.Kmer{0, 1, dna.Kmer(1)<<35 - 1} {
 			got.Lookup(m)
-			got.BucketSize(m)
 		}
 		got.Candidates(read, CandidateOptions{MinVotes: 1, MaxBucket: 100, MaxCandidates: 4})
-		got.Summary()
 		got.MemoryBytes()
 	})
 }

@@ -1,6 +1,7 @@
 package kmer
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gnumap/internal/binfmt"
 	"gnumap/internal/dna"
 )
 
@@ -200,7 +202,7 @@ func TestLoadTypedErrors(t *testing.T) {
 // mmap path accepts a section bit-flip (only the header is checked) but
 // lookups still never panic; the copy path always catches it.
 func TestMmapSkipsSectionCRC(t *testing.T) {
-	if !mmapSupported || !hostLittle {
+	if !mmapSupported || !binfmt.HostLittle {
 		t.Skip("no mmap fast path on this host")
 	}
 	ix, digest, refLen := buildTestIndex(t)
@@ -237,5 +239,50 @@ func TestWriteRefusesMappedIndex(t *testing.T) {
 	}
 	if _, err := WriteIndexFile(filepath.Join(dir, "again.gnix"), got, digest, refLen); err == nil {
 		t.Fatal("WriteIndexFile accepted an mmap-loaded index")
+	}
+}
+
+// TestGoldenIndexBytes pins the on-disk format: testdata/golden.gnix was
+// written by WriteIndexFile as it stood before the container moved to
+// internal/binfmt. It must load on both paths, answer like a fresh
+// build of the same sequence, and re-encode — in memory and through the
+// atomic file writer — to the same bytes.
+func TestGoldenIndexBytes(t *testing.T) {
+	path := filepath.Join("testdata", "golden.gnix")
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(91))
+	seq := randSeq(rng, 400, 0.01)
+	for i := 100; i < 160; i++ {
+		seq[i] = dna.Code(2)
+	}
+	built, err := NewLargeWith(seq, 16, LargeConfig{MaxStore: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := sha256.Sum256([]byte("golden-reference"))
+	for _, noMmap := range []bool{false, true} {
+		ix, err := LoadIndexFile(path, LoadOptions{RefDigest: digest, RefLen: int64(len(seq)), Verify: true, NoMmap: noMmap})
+		if err != nil {
+			t.Fatalf("golden index does not load (NoMmap=%v): %v", noMmap, err)
+		}
+		sameIndex(t, built, ix)
+		ix.Close()
+	}
+	ix, err := DecodeIndex(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EncodeIndex(ix, digest, int64(len(seq))); !bytes.Equal(got, golden) {
+		t.Error("re-encoded golden index differs from the committed bytes")
+	}
+	again := filepath.Join(t.TempDir(), "again.gnix")
+	if _, err := WriteIndexFile(again, ix, digest, int64(len(seq))); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, golden) {
+		t.Errorf("rewritten golden index differs (%v)", err)
 	}
 }

@@ -70,8 +70,7 @@ type Result struct {
 	// homozygous model fits better.
 	HetStat float64
 	// Alleles is the number of equally dominant channels in the
-	// winning alternative (1 for homozygous, 2 for heterozygous, more
-	// only under TestPolyploid).
+	// winning alternative (1 for homozygous, 2 for heterozygous).
 	Alleles int
 	// MinorFraction is z(4)/n, the runner-up channel's share of the
 	// total mass — the allele balance callers use to separate true
@@ -229,19 +228,9 @@ func testInto(z Vector, ploidy Ploidy, res *Result) error {
 	return nil
 }
 
-// CriticalValue returns the χ²₁ critical value at the paper's adjusted
-// level: the (1 - α/5) quantile, accounting for the five per-channel
-// background comparisons.
-func CriticalValue(alpha float64) (float64, error) {
-	adj, err := stats.BonferroniAlpha(alpha, dna.NumChannels)
-	if err != nil {
-		return 0, err
-	}
-	return stats.ChiSquareQuantile(1-adj, 1)
-}
-
-// AdjustedPValueCutoff returns the per-test p-value threshold matching
-// CriticalValue: α/5.
+// AdjustedPValueCutoff returns the per-test p-value threshold at the
+// paper's adjusted level, α/5, accounting for the five per-channel
+// background comparisons (as a statistic: the χ²₁ (1 - α/5) quantile).
 func AdjustedPValueCutoff(alpha float64) (float64, error) {
 	return stats.BonferroniAlpha(alpha, dna.NumChannels)
 }
@@ -254,84 +243,4 @@ func (r Result) Significant(alpha float64) (bool, error) {
 		return false, err
 	}
 	return r.PValue <= cut, nil
-}
-
-// TestPolyploid generalizes the test to organisms with up to maxAlleles
-// allele copies per site (the paper names "larger polyploid organisms"
-// as a target; its Eq. 1/Eq. 2 families are the maxAlleles = 1 and 2
-// special cases). The alternative family allows the top j channels,
-// for any j <= maxAlleles, to share a common elevated proportion while
-// the remaining channels share the background:
-//
-//	H1(j):  p(5) = ... = p(5-j+1) > p(5-j) = ... = p(1)
-//
-// Every H1(j) has one free parameter, so the winning j is a plain
-// likelihood comparison, and the reported Stat refers the winner to
-// χ²₁ against the uniform null exactly as in the diploid case.
-func TestPolyploid(z Vector, maxAlleles int) (Result, error) {
-	if maxAlleles < 1 || maxAlleles > dna.NumChannels-1 {
-		return Result{}, fmt.Errorf("lrt: maxAlleles %d out of [1,%d]", maxAlleles, dna.NumChannels-1)
-	}
-	var n float64
-	for k, v := range z {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return Result{}, fmt.Errorf("lrt: channel %v has invalid mass %g", dna.Channel(k), v)
-		}
-		n += v
-	}
-	idx := order(z)
-	res := Result{
-		N:       n,
-		Top:     dna.Channel(idx[0]),
-		Second:  dna.Channel(idx[1]),
-		Alleles: 1,
-	}
-	if n == 0 {
-		res.PValue = 1
-		return res, nil
-	}
-	res.MinorFraction = z[idx[1]] / n
-	logNull := n * math.Log(background)
-	bestLL := math.Inf(-1)
-	var logHom, logHet float64
-	topSum := 0.0
-	for j := 1; j <= maxAlleles; j++ {
-		topSum += z[idx[j-1]]
-		rest := n - topSum
-		pTop := topSum / (float64(j) * n)
-		pRest := rest / (float64(dna.NumChannels-j) * n)
-		ll := xlogy(topSum, pTop) + xlogy(rest, pRest)
-		if j == 1 {
-			logHom = ll
-		}
-		if j == 2 {
-			logHet = ll
-		}
-		if ll > bestLL {
-			bestLL = ll
-			res.Alleles = j
-		}
-	}
-	res.Heterozygous = res.Alleles == 2
-	if maxAlleles >= 2 {
-		res.HetStat = 2 * (logHet - logHom)
-		if res.HetStat < 0 {
-			res.HetStat = 0
-		}
-	}
-	stat := -2 * (logNull - bestLL)
-	if stat < 0 {
-		stat = 0
-	}
-	res.Stat = stat
-	p, err := stats.ChiSquareSF(stat, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	p *= float64(maxAlleles) // union bound over the k families
-	if p > 1 {
-		p = 1
-	}
-	res.PValue = p
-	return res, nil
 }

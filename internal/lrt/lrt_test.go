@@ -206,16 +206,16 @@ func abs1(v float64) float64 {
 }
 
 func TestCriticalValueMatchesQuantile(t *testing.T) {
-	cv, err := CriticalValue(0.05)
+	cut, err := AdjustedPValueCutoff(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := stats.ChiSquareQuantile(0.99, 1)
+	if math.Abs(cut-0.01) > 1e-15 {
+		t.Errorf("AdjustedPValueCutoff(0.05) = %v, want α/5 = 0.01", cut)
+	}
+	cv, err := stats.ChiSquareQuantile(1-cut, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if math.Abs(cv-want) > 1e-9 {
-		t.Errorf("CriticalValue(0.05) = %v, want χ²₁(0.99) = %v", cv, want)
 	}
 	// Consistency: a statistic exactly at the critical value has
 	// p-value exactly α/5.
@@ -294,80 +294,6 @@ func TestSingleErrorReadNotHeterozygous(t *testing.T) {
 	}
 	if !bal.Heterozygous {
 		t.Errorf("10:10 split not heterozygous (HetStat=%v)", bal.HetStat)
-	}
-}
-
-func TestPolyploidMatchesMonoDiploid(t *testing.T) {
-	vectors := []Vector{
-		{14, 1, 3, 2, 0},
-		{10, 10, 0, 0, 0},
-		{19, 1, 0, 0, 0},
-		{4, 4, 4, 4, 4},
-		{},
-		{8, 6, 1, 1, 0},
-	}
-	for _, z := range vectors {
-		mono, err := Test(z, Monoploid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p1, err := TestPolyploid(z, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(mono.Stat-p1.Stat) > 1e-10 || mono.Top != p1.Top {
-			t.Errorf("z=%v: TestPolyploid(1) Stat %v != monoploid %v", z, p1.Stat, mono.Stat)
-		}
-		di, err := Test(z, Diploid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := TestPolyploid(z, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(di.Stat-p2.Stat) > 1e-10 || di.Heterozygous != p2.Heterozygous {
-			t.Errorf("z=%v: TestPolyploid(2) = %+v != diploid %+v", z, p2, di)
-		}
-		if math.Abs(di.HetStat-p2.HetStat) > 1e-10 {
-			t.Errorf("z=%v: HetStat %v != %v", z, p2.HetStat, di.HetStat)
-		}
-	}
-}
-
-func TestPolyploidTriallelic(t *testing.T) {
-	// A tetraploid-style site with three equal alleles far above
-	// background: the j=3 alternative must win.
-	res, err := TestPolyploid(Vector{10, 10, 10, 0, 0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Alleles != 3 {
-		t.Errorf("Alleles = %d, want 3 (%+v)", res.Alleles, res)
-	}
-	sig, _ := res.Significant(0.05)
-	if !sig {
-		t.Errorf("triallelic site not significant: %+v", res)
-	}
-	// A single dominant channel stays hom even with maxAlleles = 4.
-	res, err = TestPolyploid(Vector{30, 1, 0, 0, 0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Alleles != 1 {
-		t.Errorf("clean hom site got Alleles = %d", res.Alleles)
-	}
-}
-
-func TestPolyploidValidation(t *testing.T) {
-	if _, err := TestPolyploid(Vector{1, 0, 0, 0, 0}, 0); err == nil {
-		t.Error("maxAlleles 0 accepted")
-	}
-	if _, err := TestPolyploid(Vector{1, 0, 0, 0, 0}, 5); err == nil {
-		t.Error("maxAlleles 5 accepted")
-	}
-	if _, err := TestPolyploid(Vector{-1, 0, 0, 0, 0}, 2); err == nil {
-		t.Error("negative mass accepted")
 	}
 }
 

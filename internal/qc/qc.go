@@ -91,43 +91,6 @@ func (st ReadStats) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// RefStats summarizes a reference.
-type RefStats struct {
-	Contigs int
-	// Length is the total contig length (spacers excluded).
-	Length int
-	GC     float64
-	NCount int
-}
-
-// SummarizeReference scans a reference's contigs.
-func SummarizeReference(ref *genome.Reference) RefStats {
-	var st RefStats
-	if ref == nil {
-		return st
-	}
-	gc, concrete := 0, 0
-	for _, c := range ref.Contigs() {
-		st.Contigs++
-		st.Length += len(c.Seq)
-		for _, b := range c.Seq {
-			switch {
-			case b == dna.G || b == dna.C:
-				gc++
-				concrete++
-			case b.IsConcrete():
-				concrete++
-			default:
-				st.NCount++
-			}
-		}
-	}
-	if concrete > 0 {
-		st.GC = float64(gc) / float64(concrete)
-	}
-	return st
-}
-
 // CoverageStats summarizes accumulated mapping depth.
 type CoverageStats struct {
 	// Positions is the number of accumulator positions inspected.

@@ -2,13 +2,11 @@ package qc
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"gnumap/internal/dna"
-	"gnumap/internal/fasta"
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 )
@@ -54,37 +52,6 @@ func TestSummarizeReadsEmpty(t *testing.T) {
 	st := SummarizeReads(nil)
 	if st.Count != 0 || st.MinLen != 0 || st.MeanQuality != 0 {
 		t.Errorf("empty stats: %+v", st)
-	}
-}
-
-func mustRef(t *testing.T, seqs ...string) *genome.Reference {
-	t.Helper()
-	var recs []*fasta.Record
-	for i, s := range seqs {
-		recs = append(recs, &fasta.Record{
-			Name: fmt.Sprintf("c%d", i),
-			Seq:  dna.MustParseSeq(s),
-		})
-	}
-	ref, err := genome.NewReference(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref
-}
-
-func TestSummarizeReferenceStats(t *testing.T) {
-	ref := mustRef(t, "ACGTNN", "GGGGCC")
-	st := SummarizeReference(ref)
-	if st.Contigs != 2 || st.Length != 12 || st.NCount != 2 {
-		t.Errorf("ref stats: %+v", st)
-	}
-	// Concrete: ACGT + GGGGCC = 10, GC = 2+6 = 8 -> 0.8.
-	if math.Abs(st.GC-0.8) > 1e-12 {
-		t.Errorf("GC = %v", st.GC)
-	}
-	if SummarizeReference(nil).Contigs != 0 {
-		t.Error("nil reference not empty")
 	}
 }
 

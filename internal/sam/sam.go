@@ -44,9 +44,8 @@ type Record struct {
 
 // Writer emits a SAM header followed by records.
 type Writer struct {
-	w          *bufio.Writer
-	wroteHead  bool
-	numRecords int
+	w         *bufio.Writer
+	wroteHead bool
 }
 
 // NewWriter returns a Writer targeting w.
@@ -101,17 +100,11 @@ func (w *Writer) Write(r *Record) error {
 	}
 	_, err := fmt.Fprintf(w.w, "%s\t%d\t%s\t%d\t%d\t%s\t*\t0\t0\t%s\t%s\n",
 		sanitize(r.QName), r.Flag, rname, pos, r.MapQ, cigar, r.Seq.String(), qualStr)
-	if err == nil {
-		w.numRecords++
-	}
 	return err
 }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
-
-// NumRecords returns the number of records written.
-func (w *Writer) NumRecords() int { return w.numRecords }
 
 // sanitize replaces field-breaking characters in read names.
 func sanitize(name string) string {

@@ -44,8 +44,8 @@ func TestHeaderAndRecord(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if w.NumRecords() != 1 {
-		t.Errorf("NumRecords = %d", w.NumRecords())
+	if n := strings.Count(out, "\n") - strings.Count(out, "\n@") - 1; n != 1 {
+		t.Errorf("%d record lines, want 1:\n%s", n, out)
 	}
 }
 
