@@ -41,8 +41,10 @@ fuzz:
 	$(GO) test -fuzz FuzzPrescreenVector -fuzztime 20s ./internal/snp/
 
 # Fault-tolerance gate: seeded chaos collectives, crash/heartbeat
-# detection, TCP hardening, and degraded-mode read-split — all
-# deterministic (fixed seeds live in the tests) and race-checked.
+# detection, TCP hardening, and degraded-mode read-split (the streamed
+# dealer's ledger; its tests carry Degraded or FTMatches in their
+# names) — all deterministic (fixed seeds live in the tests) and
+# race-checked.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Crash|Heartbeat|RecvPatient|Degraded|FTMatches|Dial|Frame|Hardening|Timeout' ./internal/cluster/ ./internal/core/
 

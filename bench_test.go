@@ -24,6 +24,7 @@ import (
 	"gnumap/internal/cluster"
 	"gnumap/internal/core"
 	"gnumap/internal/experiments"
+	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 	"gnumap/internal/snp"
 )
@@ -168,7 +169,7 @@ func benchFig4(b *testing.B, readSplit bool) {
 			for i := 0; i < b.N; i++ {
 				err := cluster.Run(nodes, cluster.Channels, func(c *cluster.Comm) error {
 					if readSplit {
-						_, _, err := core.RunReadSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
+						_, _, err := core.RunReadSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1}, nil)
 						return err
 					}
 					_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})

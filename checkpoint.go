@@ -48,8 +48,8 @@ var (
 )
 
 // CheckpointConfig configures durable checkpointing of a mapping run
-// (Options.Checkpoint: honored by Pipeline.MapReadsFrom and by
-// RunClusterStream in ReadSplit mode).
+// (Options.Checkpoint: honored by Pipeline.MapReadsFrom and by the
+// cluster runners in ReadSplit mode).
 type CheckpointConfig struct {
 	// Path is the checkpoint file. Every write atomically replaces it
 	// (temp file + fsync + rename), so a crash at any instant leaves

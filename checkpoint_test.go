@@ -3,6 +3,7 @@ package gnumap
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -228,8 +229,10 @@ func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	callsEqual(t, wantCalls, gotCalls)
 }
 
-// TestRunClusterStreamCheckpointRejects: modes whose watermark story
-// does not exist refuse checkpointing loudly.
+// TestRunClusterStreamCheckpointRejects: the mode whose watermark story
+// does not exist (genome-split) refuses checkpointing loudly; the
+// fault-tolerant read-split run, refused before the dealer kept a
+// ledger, now checkpoints and calls what the plain run calls.
 func TestRunClusterStreamCheckpointRejects(t *testing.T) {
 	ds := ckptDataset(t)
 	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), EveryReads: 100}
@@ -238,8 +241,17 @@ func TestRunClusterStreamCheckpointRejects(t *testing.T) {
 	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
 		t.Error("genome-split checkpointing accepted")
 	}
-	opts = Options{Checkpoint: ck, Cluster: ClusterConfig{OpTimeout: time.Second}}
-	if _, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
-		t.Error("fault-tolerant checkpointing accepted")
+	want, _, err := RunCluster(2, Channels, ReadSplit, ds.Reference, ds.Reads, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cluster = ClusterConfig{OpTimeout: 5 * time.Second}
+	got, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
+	if err != nil {
+		t.Fatalf("fault-tolerant checkpointing: %v", err)
+	}
+	callsEqual(t, want, got)
+	if _, err := os.Stat(ck.Path); err != nil {
+		t.Errorf("fault-tolerant run wrote no checkpoint: %v", err)
 	}
 }

@@ -179,19 +179,24 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		{"fit", func(string) []string { return []string{"-fit"} }, []string{"-fit"}},
 		{"read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read"} }, []string{"-nodes", "-split"}},
 		{"genome-split", func(string) []string { return []string{"-nodes", "2", "-split", "genome"} }, []string{"-nodes", "-split"}},
-		{"op-timeout", func(string) []string { return []string{"-op-timeout", "30s"} }, []string{"-op-timeout"}},
+		// The fault-tolerant row is a cluster mode: -op-timeout without
+		// -nodes > 1 is refused (below), so the row cannot be a no-op.
+		{"ft-read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read", "-op-timeout", "30s"} }, []string{"-nodes", "-split", "-op-timeout"}},
 	}
 	// The holes that remain in the mode matrix (DESIGN.md §10); every
 	// other pair must compose — checkpoint+incremental, checkpoint+sam
 	// and incremental+sam included.
 	mustRefuse := map[string]bool{
-		"checkpoint+genome-split":  true, // cluster watermarks need the streamed read-split dealer
-		"incremental+read-split":   true, // cluster runs keep their own call flow
-		"incremental+genome-split": true,
-		"sam+read-split":           true, // side outputs come from the single-process Pipeline
-		"sam+genome-split":         true,
-		"pileup+read-split":        true,
-		"pileup+genome-split":      true,
+		"checkpoint+genome-split":   true, // cluster watermarks need the streamed read-split dealer
+		"incremental+read-split":    true, // cluster runs keep their own call flow
+		"incremental+genome-split":  true,
+		"sam+read-split":            true, // side outputs come from the single-process Pipeline
+		"sam+genome-split":          true,
+		"pileup+read-split":         true,
+		"pileup+genome-split":       true,
+		"incremental+ft-read-split": true,
+		"sam+ft-read-split":         true,
+		"pileup+ft-read-split":      true,
 	}
 
 	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {
@@ -229,8 +234,8 @@ func TestCLIModeFlagPairs(t *testing.T) {
 	for i, a := range modes {
 		for _, b := range modes[i+1:] {
 			pair := a.name + "+" + b.name
-			if pair == "read-split+genome-split" {
-				continue // two values of one flag, not a pair of modes
+			if strings.HasSuffix(a.name, "-split") && strings.HasSuffix(b.name, "-split") {
+				continue // values of one flag (-split, with or without deadlines), not a pair of modes
 			}
 			got, out, err := vcfOf(pair, append(a.args(pair), b.args(pair)...)...)
 			if err != nil {
@@ -259,6 +264,15 @@ func TestCLIModeFlagPairs(t *testing.T) {
 			if string(got) != string(want) {
 				t.Errorf("%s: VCF differs from the reference run:\n--- want ---\n%s\n--- got ---\n%s", pair, want, got)
 			}
+		}
+	}
+
+	// The cluster flags without a cluster: refused, naming the flag and
+	// -nodes, instead of silently ignored.
+	for _, args := range [][]string{{"-op-timeout", "30s"}, {"-chaos", "seed=1,drop=0.01"}, {"-tcp"}} {
+		_, out, err = vcfOf("no-cluster", args...)
+		if err == nil || !strings.Contains(out, args[0]) || !strings.Contains(out, "-nodes") {
+			t.Errorf("%v at -nodes 1: err=%v, want a refusal naming %s and -nodes:\n%s", args, err, args[0], out)
 		}
 	}
 

@@ -16,10 +16,12 @@
 // With -nodes > 1 the run executes on a simulated message-passing
 // cluster (goroutine nodes; -tcp switches to loopback TCP), using the
 // paper's read-split or genome-split strategy. -op-timeout bounds every
-// cluster operation (and, in read-split mode, enables shard
-// reassignment when a worker dies, detected by heartbeats every tenth of
-// the deadline); -chaos injects deterministic faults for resilience
-// testing.
+// cluster operation; in read-split mode rank 0 then also keeps a ledger
+// of the batches it dealt since the last checkpoint round and re-deals
+// a lost worker's share (loss detected by heartbeats every tenth of the
+// deadline), still streaming the FASTQ. -chaos injects deterministic
+// faults for resilience testing. All three are cluster flags and are
+// refused without -nodes > 1.
 //
 // Observability: -metrics-out writes the run's merged metrics report
 // (per-rank stage timers, counters, and communication gauges) as JSON
@@ -42,9 +44,9 @@
 // kill and the final VCF matches an uninterrupted run. SIGINT/SIGTERM
 // trigger a graceful stop: drain the pipeline, write a final
 // checkpoint, flush -metrics-out, exit with code 3 (a second signal
-// aborts immediately). On clusters checkpointing needs the streamed
-// read-split path: it is refused with -split genome, -op-timeout, and
-// -chaos.
+// aborts immediately). On clusters checkpointing rides the read-split
+// dealer's rounds (with or without -op-timeout/-chaos); it is refused
+// with -split genome, which has no stream to watermark.
 //
 // Incremental calling: -incremental-every N overlaps SNP calling with
 // mapping in single-process runs — every N reads the
@@ -115,7 +117,7 @@ func run() error {
 		nodes      = flag.Int("nodes", 1, "simulated cluster size (1 = single process)")
 		split      = flag.String("split", "read", "cluster strategy: read (replicate genome) or genome (partition genome)")
 		tcp        = flag.Bool("tcp", false, "use loopback TCP between simulated nodes")
-		opTimeout  = flag.Duration("op-timeout", 0, "cluster per-operation deadline; >0 also enables read-split shard reassignment on worker death (0 = block forever)")
+		opTimeout  = flag.Duration("op-timeout", 0, "cluster per-operation deadline; >0 also makes read-split re-deal a lost worker's batches (0 = block forever; needs -nodes > 1)")
 		chaos      = flag.String("chaos", "", "deterministic fault injection spec, e.g. seed=42,drop=0.02,dup=0.01,crash=2@100")
 		ckptPath   = flag.String("checkpoint", "", "write crash-safe checkpoints to this file; SIGINT/SIGTERM drain, checkpoint, and exit with code 3")
 		ckptEvery  = flag.String("checkpoint-every", "5000", "checkpoint interval: an integer (reads) or a duration (e.g. 30s)")
@@ -179,10 +181,10 @@ func run() error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *ckptPath != "" {
-		// Cluster watermarks count reads dealt from the stream, which the
-		// materializing cluster modes do not have.
-		if *nodes > 1 && (*split != "read" || *opTimeout > 0 || *chaos != "") {
-			return fmt.Errorf("-checkpoint on a cluster supports only -split read without -op-timeout/-chaos")
+		// Cluster watermarks count reads dealt from the stream, which
+		// genome-split (it materializes the reads) does not have.
+		if *nodes > 1 && *split != "read" {
+			return fmt.Errorf("-checkpoint on a cluster (-nodes %d) supports only -split read, not -split %s", *nodes, *split)
 		}
 		everyReads, every, err := parseCheckpointEvery(*ckptEvery)
 		if err != nil {
@@ -214,6 +216,18 @@ func run() error {
 			return fmt.Errorf("-incremental-every runs single-process only (-nodes %d keeps the cluster call flow)", *nodes)
 		}
 		opts.Incremental = &gnumap.IncrementalCallConfig{EveryReads: *incEvery}
+	}
+	if *nodes <= 1 {
+		// The cluster flags configure a transport a single process does
+		// not have; accepting them would pair a no-op with every mode.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-op-timeout", *opTimeout > 0}, {"-chaos", *chaos != ""}, {"-tcp", *tcp}} {
+			if f.set {
+				return fmt.Errorf("%s configures the simulated cluster and needs -nodes > 1 (got -nodes %d)", f.name, *nodes)
+			}
+		}
 	}
 	if *nodes > 1 && (*samPath != "" || *pileupOut != "") {
 		// A cluster run builds no Pipeline and would silently skip them.
@@ -368,7 +382,7 @@ func run() error {
 		return err
 	}
 	if stats.Degraded() {
-		fmt.Fprintf(os.Stderr, "WARNING: degraded run — lost rank(s) %v; their read shards were reassigned to survivors\n", stats.LostRanks)
+		fmt.Fprintf(os.Stderr, "WARNING: degraded run — lost rank(s) %v; their batches were re-dealt to the survivors\n", stats.LostRanks)
 	}
 	var qcStats *gnumap.CoverageStats
 	if p != nil && stopErr == nil {

@@ -148,12 +148,11 @@ type Options struct {
 	// cluster runs instead build one registry per rank — use
 	// RunClusterReport to get the aggregated result.
 	Metrics *MetricsRegistry
-	// Checkpoint, when non-nil, makes Pipeline.MapReadsFrom and
-	// RunClusterStream write durable checkpoints (and honor
-	// Resume/StopRequested). On a cluster only the streamed ReadSplit
-	// path supports it; fault-tolerant (OpTimeout > 0) and chaos runs
-	// are rejected — shard reassignment and checkpoint watermarks cannot
-	// both own the replay story.
+	// Checkpoint, when non-nil, makes Pipeline.MapReadsFrom and the
+	// cluster runners write durable checkpoints (and honor
+	// Resume/StopRequested). On a cluster only ReadSplit supports it
+	// (with or without OpTimeout); GenomeSplit is rejected — it has no
+	// stream to watermark.
 	Checkpoint *CheckpointConfig
 	// Incremental, when non-nil, overlaps SNP calling with a Pipeline's
 	// mapping: the caller re-sweeps written genome regions at quiesce
@@ -203,8 +202,8 @@ func ValidateMetricsJSON(data []byte) error { return obs.ValidateReportJSON(data
 // injection.
 type ClusterConfig struct {
 	// OpTimeout bounds every cluster Send/Recv/collective; in read-split
-	// mode it also switches to the fault-tolerant coordinator protocol
-	// that reassigns a dead worker's read shard (0 = off).
+	// mode rank 0 then also keeps a ledger of dealt batches and re-deals
+	// a lost worker's share (0 = off).
 	OpTimeout time.Duration
 	// Heartbeat enables the failure detector at this period (0 = off).
 	Heartbeat time.Duration
@@ -848,23 +847,22 @@ func (m SplitMode) String() string {
 func RunCluster(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, reads []*Read, opts Options) ([]SNPCall, MapStats, error) {
 
-	calls, stats, _, err := runCluster(nodes, transport, mode, reference, reads, nil, opts, false)
-	return calls, stats, err
+	return RunClusterStream(nodes, transport, mode, reference, SliceReadSource(reads), opts)
 }
 
-// RunClusterStream is RunCluster with the reads streamed rather than
-// replicated: rank 0 owns the source and deals fixed-size batches
-// round-robin to the ranks under a bounded credit window, so
-// cluster-wide resident reads stay capped by Engine.{Batch,Queue,
-// Workers} while the call set matches the materialized run. Modes that
-// need the full read slice on every rank fall back transparently by
-// materializing the source first: GenomeSplit (every rank maps all
-// reads) and fault-tolerant runs (OpTimeout > 0 reassigns whole shards,
-// which a stream cannot replay).
+// RunClusterStream is RunCluster over a read source. In ReadSplit mode
+// rank 0 owns the source and deals fixed-size batches round-robin to
+// the ranks under a bounded credit window, so cluster-wide resident
+// reads stay capped by Engine.{Batch,Queue,Workers}; with
+// Cluster.OpTimeout set it also retains what it dealt since the last
+// checkpoint round, to re-deal a lost rank's share. GenomeSplit shows
+// every rank all reads and sizes its index slices from the longest one,
+// which a stream does not know up front, so it materializes the source
+// first.
 func RunClusterStream(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, error) {
 
-	calls, stats, _, err := runClusterStream(nodes, transport, mode, reference, src, opts, false)
+	calls, stats, _, err := runCluster(nodes, transport, mode, reference, src, opts, false)
 	return calls, stats, err
 }
 
@@ -873,36 +871,11 @@ func RunClusterStream(nodes int, transport Transport, mode SplitMode,
 func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 
-	return runClusterStream(nodes, transport, mode, reference, src, opts, true)
+	return runCluster(nodes, transport, mode, reference, src, opts, true)
 }
 
-func runClusterStream(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
-
-	if opts.Checkpoint != nil {
-		// Checkpoint watermarks count reads dealt from the stream; the
-		// materialized fallbacks below (and fault-tolerant shard
-		// reassignment) have no stream to watermark, so reject rather
-		// than silently run without durability.
-		if mode != ReadSplit {
-			return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing requires read-split mode, not %v", mode)
-		}
-		if opts.Cluster.OpTimeout > 0 || opts.Cluster.Fault != nil {
-			return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing is incompatible with fault-tolerant and chaos cluster runs")
-		}
-	}
-	if mode != ReadSplit || opts.Cluster.OpTimeout > 0 {
-		reads, err := materializeReads(src)
-		if err != nil {
-			return nil, MapStats{}, nil, err
-		}
-		return runCluster(nodes, transport, mode, reference, reads, nil, opts, withMetrics)
-	}
-	return runCluster(nodes, transport, mode, reference, nil, src, opts, withMetrics)
-}
-
-// materializeReads drains a source into a slice (the fallback for
-// cluster modes that need random access to every read).
+// materializeReads drains a source into a slice (genome-split needs
+// every read on every rank).
 func materializeReads(src ReadSource) ([]*Read, error) {
 	var reads []*Read
 	for {
@@ -925,26 +898,37 @@ func materializeReads(src ReadSource) ([]*Read, error) {
 func RunClusterReport(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, reads []*Read, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 
-	return runCluster(nodes, transport, mode, reference, reads, nil, opts, true)
+	return runCluster(nodes, transport, mode, reference, SliceReadSource(reads), opts, true)
 }
 
-// runCluster executes a cluster run. Exactly one of reads and src is
-// set: a non-nil src selects the streaming read-split path, with rank 0
-// owning the source.
+// runCluster executes a cluster run over src, which rank 0 owns in
+// read-split mode and which genome-split materializes for every rank.
 func runCluster(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, reads []*Read, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
+	reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
 
 	if opts.Incremental != nil {
 		return nil, MapStats{}, nil, fmt.Errorf("gnumap: incremental calling runs single-process only; cluster runs keep their own call flow")
+	}
+	if opts.Checkpoint != nil && mode != ReadSplit {
+		// Checkpoint watermarks count reads dealt from the stream, which
+		// the materializing mode does not have: reject rather than
+		// silently run without durability.
+		return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing requires read-split mode, not %v", mode)
 	}
 	ref, err := genome.NewReference(reference)
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
 	var ckr *clusterCkpt
-	if src != nil && opts.Checkpoint != nil {
+	if opts.Checkpoint != nil {
 		ckr, err = prepareClusterCkpt(ref, src, opts)
 		if err != nil {
+			return nil, MapStats{}, nil, err
+		}
+	}
+	var reads []*Read
+	if mode == GenomeSplit {
+		if reads, err = materializeReads(src); err != nil {
 			return nil, MapStats{}, nil, err
 		}
 	}
@@ -1020,23 +1004,16 @@ func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
 
 	switch mode {
 	case ReadSplit:
-		var acc genome.Accumulator
-		var st MapStats
-		var err error
-		if src != nil {
-			var ck *core.StreamCkpt
-			var cw *ckptCommitter
-			if c.Rank() != 0 {
-				src = nil // only rank 0 owns the stream
-			} else {
-				ck, cw = streamCkptFor(ckr, opts.Engine.Metrics)
-			}
-			acc, st, err = core.RunReadSplitStream(c, ref, src, opts.Memory, opts.Engine, ck)
-			if cw != nil {
-				err = cw.finish(err)
-			}
-		} else {
-			acc, st, err = core.RunReadSplit(c, ref, reads, opts.Memory, opts.Engine)
+		// Only rank 0 owns the stream (the others ignore src) and drives
+		// the checkpoint rounds.
+		var ck *core.StreamCkpt
+		var cw *ckptCommitter
+		if c.Rank() == 0 {
+			ck, cw = streamCkptFor(ckr, opts.Engine.Metrics)
+		}
+		acc, st, err := core.RunReadSplit(c, ref, src, opts.Memory, opts.Engine, ck)
+		if cw != nil {
+			err = cw.finish(err)
 		}
 		if err != nil {
 			// ErrStopped propagates: the final checkpoint is on disk and

@@ -813,40 +813,3 @@ func MaxFloat64s(a, b any) (any, error) {
 	}
 	return out, nil
 }
-
-// ReduceTree folds every rank's payload at root with op along a
-// binomial tree: ⌈log2(N)⌉ rounds instead of the linear Gather-based
-// Reduce, with the fold work distributed across internal tree nodes —
-// how production MPI implements MPI_Reduce. op must be associative and
-// commutative (pairings depend on tree shape). The result is returned
-// at root and nil elsewhere.
-func (c *Comm) ReduceTree(root int, payload any, op ReduceOp) (any, error) {
-	defer c.collTimer("reduce-tree")()
-	tag := c.nextCollTag()
-	if root < 0 || root >= c.size {
-		return nil, fmt.Errorf("cluster: reduce root %d of %d", root, c.size)
-	}
-	// Rotate ranks so the tree is rooted at 0.
-	vrank := (c.rank - root + c.size) % c.size
-	acc := payload
-	var err error
-	for step := 1; step < c.size; step <<= 1 {
-		if vrank&step != 0 {
-			// Send accumulated value to the partner below and exit.
-			partner := ((vrank - step) + root) % c.size
-			return nil, c.send(partner, tag, acc, "reduce-tree")
-		}
-		if vrank+step < c.size {
-			partner := (vrank + step + root) % c.size
-			v, err2 := c.recv(partner, tag, "reduce-tree")
-			if err2 != nil {
-				return nil, err2
-			}
-			acc, err = op(acc, v)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return acc, nil
-}

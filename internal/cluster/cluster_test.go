@@ -399,72 +399,3 @@ func TestMaxFloat64s(t *testing.T) {
 		t.Error("type mismatch accepted")
 	}
 }
-
-func TestReduceTreeMatchesLinear(t *testing.T) {
-	for _, tk := range transports() {
-		for _, size := range []int{1, 2, 3, 4, 5, 8} {
-			for root := 0; root < size; root += 2 {
-				err := Run(size, tk, func(c *Comm) error {
-					mine := []float64{float64(c.Rank() + 1), 2}
-					linear, err := c.Reduce(root, mine, SumFloat64s)
-					if err != nil {
-						return err
-					}
-					tree, err := c.ReduceTree(root, mine, SumFloat64s)
-					if err != nil {
-						return err
-					}
-					if c.Rank() == root {
-						lv, tv := linear.([]float64), tree.([]float64)
-						if lv[0] != tv[0] || lv[1] != tv[1] {
-							return fmt.Errorf("tree %v != linear %v", tv, lv)
-						}
-						wantSum := float64(size*(size+1)) / 2
-						if tv[0] != wantSum {
-							return fmt.Errorf("tree sum %v, want %v", tv[0], wantSum)
-						}
-					} else if tree != nil {
-						return fmt.Errorf("non-root got a tree-reduce result")
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%v size=%d root=%d: %v", tk, size, root, err)
-				}
-			}
-		}
-	}
-}
-
-// TestAllreduceTree: a tree reduction to rank 0 followed by a broadcast
-// is an allreduce — the two collectives compose on consecutive tags.
-func TestAllreduceTree(t *testing.T) {
-	err := Run(6, Channels, func(c *Comm) error {
-		v, err := c.ReduceTree(0, []float64{1}, SumFloat64s)
-		if err != nil {
-			return err
-		}
-		if v, err = c.Broadcast(0, v); err != nil {
-			return err
-		}
-		if v.([]float64)[0] != 6 {
-			return fmt.Errorf("allreduce tree = %v", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReduceTreeValidation(t *testing.T) {
-	err := Run(2, Channels, func(c *Comm) error {
-		if _, err := c.ReduceTree(9, 1, SumFloat64s); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Error(err)
-	}
-}

@@ -40,7 +40,7 @@ func TestRunReadSplitStreamCkptRounds(t *testing.T) {
 				},
 			}
 		}
-		acc, st, err := RunReadSplitStream(c, p.ref, src, genome.Norm, cfg, ck)
+		acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, ck)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func TestRunReadSplitStreamCkptStopResume(t *testing.T) {
 				StopRequested: func() bool { return rounds.Load() >= 2 },
 			}
 		}
-		_, _, err := RunReadSplitStream(c, p.ref, src, genome.Norm, cfg, ck)
+		_, _, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, ck)
 		if c.Rank() == 0 {
 			if !errors.Is(err, ErrStopped) {
 				return fmt.Errorf("rank 0: err = %v, want ErrStopped", err)
@@ -137,7 +137,7 @@ func TestRunReadSplitStreamCkptStopResume(t *testing.T) {
 			src = fastq.SliceSource(p.reads[last.consumed:])
 			ck = &StreamCkpt{ResumeState: last.state}
 		}
-		acc, st, err := RunReadSplitStream(c, p.ref, src, genome.Norm, cfg, ck)
+		acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, ck)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func runFullStreamStats(t *testing.T, p *pipeline, cfg Config) Stats {
 		if c.Rank() == 0 {
 			src = fastq.SliceSource(p.reads)
 		}
-		_, s, err := RunReadSplitStream(c, p.ref, src, genome.Norm, cfg, nil)
+		_, s, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, nil)
 		if err != nil {
 			return err
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"gnumap/internal/cluster"
@@ -13,66 +15,97 @@ import (
 
 func init() {
 	gob.Register(streamShard{})
-	gob.Register(ckptPayload{})
+	gob.Register(roundPayload{})
 }
 
-// Streaming read-split: instead of replicating the full read slice on
-// every rank and pre-splitting it (RunReadSplit), rank 0 owns the input
-// stream and deals fixed-size batches round-robin to the ranks — batch
-// i goes to rank i mod size, so the shard assignment is deterministic
-// regardless of relative rank speed. A per-rank credit window of
-// Config.Queue unacknowledged batches gives the same backpressure the
-// local pipeline has: rank 0 never buffers more than Queue batches per
-// remote rank plus its own (Queue + Workers)-buffer local pipeline, so
-// cluster-wide resident reads stay bounded by configuration while the
-// input can be arbitrarily large.
+// Read-split, the one protocol. Rank 0 owns the input stream and deals
+// fixed-size batches round-robin to the ranks — batch i goes to rank
+// i mod size, so the shard assignment is deterministic regardless of
+// relative rank speed. A per-rank credit window of Config.Queue
+// unacknowledged batches gives the same backpressure the local pipeline
+// has: rank 0 never buffers more than Queue batches per remote rank
+// plus its own (Queue + Workers)-buffer local pipeline, so cluster-wide
+// resident reads stay bounded by configuration while the input can be
+// arbitrarily large. Each rank feeds its arriving batches into
+// Engine.MapReadsFrom through a channel-backed Source.
 //
-// Each rank feeds its arriving batches into Engine.MapReadsFrom through
-// a channel-backed Source, then the ordinary read-split collective tail
-// (stats Allreduce + accumulator ReduceTree) runs unchanged — so the
-// streamed result is call-identical to RunReadSplit over the
-// materialized stream.
+// Rounds drain. On a round marker every rank quiesces its pipeline,
+// ships {accumulator state, stats} for the batches dealt to it since
+// its last round and resets its accumulator; rank 0 folds each payload
+// straight into its own accumulator, which therefore holds the
+// cluster-wide state as of the marker. Per-(sender, tag) FIFO ordering
+// guarantees a payload covers exactly the batches dealt before the
+// marker. A checkpoint is a round followed by Sink; the end of the
+// stream is one more round followed by Done carrying the global stats
+// (the paper's "communicate the state of their genome", §VI Step 1) —
+// there is no separate final reduction.
 //
-// The fault-tolerant protocol needs replayable shards (a dead worker's
-// whole shard is re-mapped elsewhere), which a stream cannot offer;
-// callers with OpTimeout configured must materialize and use
-// RunReadSplit. gnumap.RunClusterStream handles that fallback.
+// Fault tolerance is the ledger. With an op timeout configured rank 0
+// retains each remote rank's batches since that rank's last collected
+// payload, and every wait is a patient receive (a plain blocking one at
+// timeout 0, so the plain and the fault-tolerant run are the same
+// code). A rank whose ack or payload never arrives, or whose payload
+// does not account for exactly its ledger's reads (a dropped or
+// duplicated batch), leaves the rotation and its ledger is re-dealt
+// through the normal dealing path: to the survivors and, like any
+// batch, to rank 0's own pipeline. A round that lost a rank repeats
+// until clean before Sink is called, so a committed watermark never
+// covers reads whose mass died with a rank; every read's mass is in
+// the result exactly once. Done goes to every non-root rank, lost or
+// not: a rank wrongly declared lost is alive and waiting for it.
+//
+// Rank 0 itself is not recoverable — it holds the merge — so its death
+// aborts the run (workers detect it via heartbeat loss and error out).
+//
+// Memory: without an op timeout nothing is retained. With one, the
+// ledger holds the remote ranks' share of one round interval when
+// checkpoint rounds are on, and of the whole input otherwise
+// (stream.ledger.peak.reads is the witness).
 
-// streamShard is one dealt batch of reads, the end-of-stream marker
-// (Done), or a checkpoint-round marker (Ckpt): on Ckpt the receiving
-// rank quiesces its local pipeline and sends its snapshot to rank 0 on
-// streamCkptTag before processing further batches. Per-(sender, tag)
-// FIFO ordering guarantees the snapshot covers exactly the batches
-// dealt before the marker.
+// streamShard is one message of the dealing protocol: a batch of reads,
+// a round marker (Round > 0, the round's sequence number) or the end of
+// the run (Done, with the global Stats).
 type streamShard struct {
 	Reads []*fastq.Read
+	Round int
 	Done  bool
-	Ckpt  bool
+	Stats Stats
 }
 
-// ckptPayload is one rank's quiesced contribution to a cluster
-// checkpoint round: its serialized accumulator state and its share of
-// the mapping statistics so far.
-type ckptPayload struct {
-	State                       []byte
-	Mapped, Unmapped, Locations int64
+// roundPayload is one rank's quiesced contribution to a round: its
+// serialized accumulator state and mapping statistics since its
+// previous round. Round echoes the marker, so rank 0 can tell a
+// duplicated or delayed payload of an earlier round from this one's.
+type roundPayload struct {
+	Round int
+	State []byte
+	Stats Stats
 }
 
-// Streaming tags live in the same user tag space as the FT protocol
-// (1001-1003); the two paths are mutually exclusive but keep the tags
-// distinct anyway.
+// The protocol's tags (user tag space; 1003 is GatherMetrics').
 const (
 	streamShardTag = 1004
 	streamAckTag   = 1005
-	streamCkptTag  = 1006
+	streamRoundTag = 1006
 )
 
-// StreamCkpt threads durable checkpointing through a streamed
-// read-split run. Rank 0 drives: every EveryReads dealt reads / Every
-// wall time it broadcasts a checkpoint marker, quiesces its own
-// pipeline, collects every rank's snapshot, merges them, and hands the
-// cluster-wide result to Sink. Worker ranks need no configuration —
-// they respond to markers unconditionally.
+// ftMaxExtensions bounds how many deadline extensions a patient
+// receive grants a peer whose heartbeats still arrive. A worker grants
+// rank 0 as many as it needs: rank 0 may itself be waiting out a lost
+// rank, and a worker that gave up first would fail the run.
+const (
+	ftMaxExtensions = 40
+	workerPatience  = math.MaxInt32
+)
+
+// errLedgerMismatch marks a round payload that does not account for
+// exactly the reads dealt to its rank since the previous round.
+var errLedgerMismatch = errors.New("core: round payload disagrees with the rank's ledger")
+
+// StreamCkpt threads durable checkpointing through a read-split run.
+// Rank 0 drives: every EveryReads dealt reads / Every wall time it runs
+// a round and hands the cluster-wide result to Sink. Worker ranks need
+// no configuration — they respond to markers unconditionally.
 type StreamCkpt struct {
 	// EveryReads / Every trigger a round (see BarrierSubscriber).
 	EveryReads int64
@@ -80,13 +113,13 @@ type StreamCkpt struct {
 	// Sink receives the dealt-read watermark, the global mapping stats
 	// of THIS RUN, and the merged accumulator state. Runs on rank 0.
 	Sink func(consumed int64, st Stats, state []byte) error
-	// StopRequested, polled by rank 0 between batches, triggers a final
-	// round followed by a graceful end-of-stream; the run then returns
-	// ErrStopped after the normal collective tail.
+	// StopRequested, polled by rank 0 between batches, ends the stream
+	// early: the final round calls Sink, every rank is released as at
+	// end of input, and rank 0 returns ErrStopped.
 	StopRequested func() bool
 	// ResumeState, when non-empty, preloads rank 0's accumulator before
-	// mapping (the checkpointed merged state being resumed from). The
-	// final reduction folds it into the global result exactly once.
+	// mapping (the checkpointed merged state being resumed from), so it
+	// is in the global result exactly once.
 	ResumeState []byte
 }
 
@@ -104,7 +137,7 @@ func (s *chanSource) Next() (*fastq.Read, error) {
 			return nil, io.EOF
 		}
 		if b == nil {
-			// A nil batch is the in-band checkpoint barrier: the local
+			// A nil batch is the in-band round barrier: the local
 			// pipeline quiesces and snapshots, then keeps reading.
 			return nil, ErrCkptBarrier
 		}
@@ -115,329 +148,479 @@ func (s *chanSource) Next() (*fastq.Read, error) {
 	return rd, nil
 }
 
-// RunReadSplitStream executes read-split mapping with the reads
-// streamed from rank 0. src must be non-nil on rank 0 and is ignored
-// elsewhere. The returned accumulator is the merged result at rank 0
-// and nil elsewhere; Stats are global on every rank. A non-nil ck adds
-// cluster-wide checkpoint rounds driven by rank 0 (see StreamCkpt);
-// after a cooperative stop the normal collective tail still runs on
-// every rank (so no rank deadlocks in the reduction) and rank 0 returns
-// ErrStopped.
-func RunReadSplitStream(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats, error) {
-	var st Stats
-	if c.OpTimeout() > 0 {
-		return nil, st, fmt.Errorf("core: streaming read-split does not support the fault-tolerant protocol (shards are not replayable); materialize the reads and use RunReadSplit")
-	}
+// RunReadSplit executes read-split mapping on one cluster node (§VI
+// Step 1; the protocol is described above). src must be non-nil on
+// rank 0 and is ignored elsewhere. The returned accumulator is the
+// merged result at rank 0 and nil elsewhere; Stats are global on every
+// rank, with LostRanks set at rank 0. A non-nil ck adds checkpoint
+// rounds driven by rank 0 (see StreamCkpt); after a cooperative stop
+// every rank is released normally and rank 0 returns ErrStopped.
+func RunReadSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats, error) {
 	cfg = cfg.withDefaults()
 	eng, err := NewEngine(ref, cfg)
 	if err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
 	acc, err := NewAccumulator(mode, ref.Len(), cfg)
 	if err != nil {
+		return nil, Stats{}, err
+	}
+	if c.Rank() != 0 {
+		st, err := streamReceive(c, startPipe(eng, acc, cfg.Queue, true))
 		return nil, st, err
 	}
-	var local Stats
-	var stopped bool
-	if c.Rank() == 0 {
-		if src == nil {
-			return nil, st, fmt.Errorf("core: rank 0 needs a read source")
-		}
-		if ck != nil && len(ck.ResumeState) > 0 {
-			if err := acc.LoadStateBytes(ck.ResumeState); err != nil {
-				return nil, st, err
-			}
-		}
-		local, stopped, err = streamDeal(c, eng, src, acc, cfg, ck)
-	} else {
-		local, err = streamReceive(c, eng, acc, cfg)
+	if src == nil {
+		return nil, Stats{}, fmt.Errorf("core: rank 0 needs a read source")
 	}
+	if ck == nil {
+		ck = &StreamCkpt{}
+	}
+	if len(ck.ResumeState) > 0 {
+		if err := acc.LoadStateBytes(ck.ResumeState); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	d := &dealer{c: c, src: src, acc: acc, cfg: cfg, ck: ck,
+		pipe: startPipe(eng, acc, cfg.Queue, false), peers: make([]peer, c.Size())}
+	stopped, err := d.run()
 	if err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
-	// Fold worker shards before the cross-rank reduction (no-op for a
-	// striped accumulator).
+	// Fold worker shards (no-op for a striped accumulator), so callers
+	// always see a plain striped accumulator.
 	combined, err := CombineAccumulator(acc, cfg.Metrics)
-	if err != nil {
-		return nil, st, err
-	}
-	racc, rst, err := reduceReadSplit(c, combined, local)
 	if err == nil && stopped {
 		err = ErrStopped
 	}
-	return racc, rst, err
+	return combined, d.total, err
 }
 
-// payloadPolicy is a rank's local barrier policy in a streamed cluster
-// run: one subscriber with no trigger of its own, so it runs exactly at
-// the in-band barriers the dealing protocol feeds, and hands the rank's
-// quiesced snapshot to ch.
-func payloadPolicy(ch chan<- ckptPayload) *CheckpointPolicy {
-	return &CheckpointPolicy{Subscribers: []BarrierSubscriber{{Run: func(b *Barrier) error {
-		state, err := b.State()
-		if err != nil {
-			return err
+// localPipe is a rank's MapReadsFrom running on a channel-backed
+// source. The goroutine that feeds it is its only feeder, so between a
+// barrier and the next batch fed the pipeline is idle and that
+// goroutine may touch the accumulator.
+type localPipe struct {
+	// ch carries batches (nil = barrier) with Queue of slack, the same
+	// backpressure the credit window gives a remote rank.
+	ch     chan []*fastq.Read
+	rounds chan roundPayload
+	done   chan struct{}
+	closed bool
+	err    error
+}
+
+// startPipe starts the pipeline. Its one barrier subscriber has no
+// trigger of its own, so it runs exactly at the barriers fed in band,
+// and reports the mapping stats since the previous barrier; with ship
+// set (worker ranks) it also snapshots the accumulator state and resets
+// the accumulator, so every payload carries only new mass.
+func startPipe(eng *Engine, acc genome.Accumulator, queue int, ship bool) *localPipe {
+	p := &localPipe{ch: make(chan []*fastq.Read, queue), rounds: make(chan roundPayload, 1), done: make(chan struct{})}
+	var prev Stats
+	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{{Run: func(b *Barrier) error {
+		out := roundPayload{Stats: Stats{Mapped: b.Stats.Mapped - prev.Mapped,
+			Unmapped: b.Stats.Unmapped - prev.Unmapped, Locations: b.Stats.Locations - prev.Locations}}
+		prev = b.Stats
+		if ship {
+			var err error
+			if out.State, err = b.State(); err != nil {
+				return err
+			}
+			if err := genome.Reset(acc); err != nil {
+				return err
+			}
 		}
-		ch <- ckptPayload{State: state, Mapped: b.Stats.Mapped, Unmapped: b.Stats.Unmapped, Locations: b.Stats.Locations}
+		p.rounds <- out
 		return nil
 	}}}}
-}
-
-// localPipe starts MapReadsFrom on a channel-backed source and returns
-// the feed channel, a done channel, and accessors for the result. A nil
-// batch fed into the channel propagates as a barrier to the policy's
-// subscribers.
-func localPipe(eng *Engine, acc genome.Accumulator, queue int, pol *CheckpointPolicy) (chan<- []*fastq.Read, <-chan struct{}, *Stats, *error) {
-	ch := make(chan []*fastq.Read, queue)
-	done := make(chan struct{})
-	st := new(Stats)
-	errp := new(error)
 	go func() {
-		defer close(done)
-		*st, *errp = eng.MapReadsFrom(&chanSource{ch: ch}, acc, 0, pol)
+		defer close(p.done)
+		_, p.err = eng.MapReadsFrom(&chanSource{ch: p.ch}, acc, 0, pol)
 	}()
-	return ch, done, st, errp
+	return p
 }
 
-// streamDeal is rank 0's half: read the source, deal batches
-// round-robin (keeping its own share), enforce the per-rank credit
-// window, run checkpoint rounds when the policy asks, then signal
-// end-of-stream. The bool result reports a cooperative stop.
-func streamDeal(c *cluster.Comm, eng *Engine, src fastq.Source, acc genome.Accumulator, cfg Config, ck *StreamCkpt) (Stats, bool, error) {
-	size := c.Size()
-	queue := cfg.Queue
-	var sinkCh chan ckptPayload
-	var pol *CheckpointPolicy
-	if ck != nil {
-		sinkCh = make(chan ckptPayload, 1)
-		pol = payloadPolicy(sinkCh)
-	}
-	localCh, mapDone, mapStats, mapErr := localPipe(eng, acc, queue, pol)
-	outstanding := make([]int, size)
-	var srcErr error
-	batchIdx := 0
-	var dealt, sinceCkpt int64
-	lastCkpt := time.Now()
-	stopped := false
-
-	// round runs one cluster-wide checkpoint: marker to every worker,
-	// barrier through the local pipeline, collect and merge every
-	// rank's snapshot, hand the global result to the sink. FIFO per
-	// (sender, tag) makes the watermark exact: every batch dealt before
-	// the marker is fully accumulated in some rank's snapshot.
-	round := func() error {
-		for r := 1; r < size; r++ {
-			if err := c.Send(r, streamShardTag, streamShard{Ckpt: true}); err != nil {
-				return err
-			}
-		}
-		select {
-		case localCh <- nil:
-		case <-mapDone:
-			if *mapErr != nil {
-				return *mapErr
-			}
-			return fmt.Errorf("core: local pipeline ended before checkpoint round")
-		}
-		var total ckptPayload
-		select {
-		case total = <-sinkCh:
-		case <-mapDone:
-			if *mapErr != nil {
-				return *mapErr
-			}
-			return fmt.Errorf("core: local pipeline ended during checkpoint round")
-		}
-		merged, err := genome.CloneEmpty(acc)
-		if err != nil {
-			return err
-		}
-		if err := merged.LoadStateBytes(total.State); err != nil {
-			return err
-		}
-		for r := 1; r < size; r++ {
-			v, err := c.Recv(r, streamCkptTag)
-			if err != nil {
-				return err
-			}
-			p, ok := v.(ckptPayload)
-			if !ok {
-				return fmt.Errorf("core: rank %d sent checkpoint payload %T", r, v)
-			}
-			if err := mergeStateInto(merged, p.State); err != nil {
-				return err
-			}
-			total.Mapped += p.Mapped
-			total.Unmapped += p.Unmapped
-			total.Locations += p.Locations
-		}
-		state, err := merged.State()
-		if err != nil {
-			return err
-		}
-		st := Stats{Mapped: total.Mapped, Unmapped: total.Unmapped, Locations: total.Locations}
-		if err := ck.Sink(dealt, st, state); err != nil {
-			return fmt.Errorf("core: checkpoint sink: %w", err)
-		}
-		sinceCkpt = 0
-		lastCkpt = time.Now()
+// feed hands the pipeline a batch (nil = barrier), or reports why it
+// has ended.
+func (p *localPipe) feed(b []*fastq.Read) error {
+	select {
+	case p.ch <- b:
 		return nil
+	case <-p.done:
+		return p.ended()
 	}
+}
 
-deal:
+func (p *localPipe) ended() error {
+	if p.err != nil {
+		return p.err
+	}
+	return fmt.Errorf("core: local pipeline ended before its feeder")
+}
+
+// quiesce drains the pipeline through a barrier and returns what it
+// mapped since the previous one.
+func (p *localPipe) quiesce() (roundPayload, error) {
+	if err := p.feed(nil); err != nil {
+		return roundPayload{}, err
+	}
+	select {
+	case out := <-p.rounds:
+		return out, nil
+	case <-p.done:
+		return roundPayload{}, p.ended()
+	}
+}
+
+// finish closes the feed, waits the pipeline out and returns its error.
+// Safe to call more than once.
+func (p *localPipe) finish() error {
+	if !p.closed {
+		p.closed = true
+		close(p.ch)
+	}
+	<-p.done
+	return p.err
+}
+
+// peer is what rank 0 knows about one remote rank.
+type peer struct {
+	lost bool
+	// outstanding counts batches sent whose ack has not been received:
+	// the credit window.
+	outstanding int
+	// reads counts the reads dealt since the rank's last collected
+	// payload; ledger retains those batches when the run can re-deal
+	// them (op timeout configured).
+	reads  int64
+	ledger [][]*fastq.Read
+}
+
+// dealer is rank 0's half of the protocol.
+type dealer struct {
+	c     *cluster.Comm
+	src   fastq.Source
+	acc   genome.Accumulator
+	cfg   Config
+	ck    *StreamCkpt
+	pipe  *localPipe
+	peers []peer // by rank; peers[0] is unused
+	// next is the rotation cursor: batch i of a loss-free run goes to
+	// rank i mod size.
+	next int
+	// redeal queues lost ranks' ledgers for the normal dealing path.
+	redeal [][]*fastq.Read
+	eof    bool
+	// dealt is the source watermark; sinceRound and lastRound drive the
+	// checkpoint triggers.
+	dealt, sinceRound int64
+	lastRound         time.Time
+	// seq numbers the rounds. held counts the reads dealt to remote
+	// ranks and not yet collected — what the ledgers retain — and peak
+	// is its high-water mark.
+	seq        int
+	held, peak int64
+	total      Stats // every collected payload plus rank 0's own share
+}
+
+// run deals the stream, runs the due rounds and the final one, and
+// releases every rank. The bool result reports a cooperative stop.
+func (d *dealer) run() (stopped bool, err error) {
+	defer d.pipe.finish()
+	d.lastRound = time.Now()
 	for {
-		if ck != nil && ck.StopRequested != nil && ck.StopRequested() {
-			if err := round(); err != nil {
-				close(localCh)
-				<-mapDone
-				return Stats{}, false, err
-			}
+		if d.ck.StopRequested != nil && d.ck.StopRequested() {
 			stopped = true
 			break
 		}
-		batch := make([]*fastq.Read, 0, cfg.Batch)
-		for len(batch) < cfg.Batch {
-			rd, err := src.Next()
-			if err != nil {
-				if err != io.EOF {
-					srcErr = fmt.Errorf("core: read source: %w", err)
-				}
-				break
-			}
-			batch = append(batch, rd)
+		batch, err := d.nextBatch()
+		if err != nil {
+			return false, err
 		}
-		if len(batch) > 0 {
-			r := batchIdx % size
-			batchIdx++
-			if r == 0 {
-				select {
-				case localCh <- batch:
-				case <-mapDone:
-					// The local mapper latched an error; stop dealing.
-					break deal
-				}
-			} else {
-				if outstanding[r] >= queue {
-					// Credit window full: wait for this rank to finish a
-					// batch before handing it another.
-					if _, err := c.Recv(r, streamAckTag); err != nil {
-						close(localCh)
-						<-mapDone
-						return Stats{}, false, err
-					}
-					outstanding[r]--
-				}
-				if err := c.Send(r, streamShardTag, streamShard{Reads: batch}); err != nil {
-					close(localCh)
-					<-mapDone
-					return Stats{}, false, err
-				}
-				outstanding[r]++
-			}
-			dealt += int64(len(batch))
-			sinceCkpt += int64(len(batch))
-		}
-		if srcErr != nil || len(batch) < cfg.Batch {
+		if batch == nil {
 			break
 		}
-		if ck != nil &&
-			((ck.EveryReads > 0 && sinceCkpt >= ck.EveryReads) ||
-				(ck.Every > 0 && time.Since(lastCkpt) >= ck.Every)) {
-			if err := round(); err != nil {
-				close(localCh)
-				<-mapDone
-				return Stats{}, false, err
+		if err := d.deal(batch); err != nil {
+			return false, err
+		}
+		if (d.ck.EveryReads > 0 && d.sinceRound >= d.ck.EveryReads) ||
+			(d.ck.Every > 0 && time.Since(d.lastRound) >= d.ck.Every) {
+			if err := d.round(true); err != nil {
+				return false, err
 			}
 		}
 	}
-	close(localCh)
-	// Drain remaining credits so no worker is left with an unreceived
-	// ack in flight, then release everyone.
-	var commErr error
-	for r := 1; r < size; r++ {
-		for outstanding[r] > 0 {
-			if _, err := c.Recv(r, streamAckTag); err != nil {
-				commErr = err
-				break
-			}
-			outstanding[r]--
-		}
-		if commErr == nil {
-			if err := c.Send(r, streamShardTag, streamShard{Done: true}); err != nil {
-				commErr = err
-			}
-		}
+	// The tail is the last round; only a stopped run needs it on disk.
+	// Its payloads account for every batch dealt, so acks still in
+	// flight are not waited for.
+	if err := d.round(stopped); err != nil {
+		return false, err
 	}
-	<-mapDone
-	switch {
-	case *mapErr != nil:
-		return Stats{}, false, *mapErr
-	case srcErr != nil:
-		return Stats{}, false, srcErr
-	case commErr != nil:
-		return Stats{}, false, commErr
+	for r := 1; r < len(d.peers); r++ {
+		// A rank that dies right here misses only the Done message;
+		// ignore the failure rather than aborting a finished run.
+		_ = d.c.Send(r, streamShardTag, streamShard{Done: true, Stats: d.total})
 	}
-	return *mapStats, stopped, nil
+	if reg := d.cfg.Metrics; reg != nil && d.c.OpTimeout() > 0 {
+		reg.Gauge("stream.ledger.peak.reads").Set(float64(d.peak))
+	}
+	return stopped, d.pipe.finish()
 }
 
-// streamReceive is a worker rank's half: receive batches, feed the
-// local pipeline, ack each batch to open the next credit. Checkpoint
-// markers are handled unconditionally: quiesce the local pipeline
-// through the in-band barrier, send the snapshot to rank 0, continue.
-func streamReceive(c *cluster.Comm, eng *Engine, acc genome.Accumulator, cfg Config) (Stats, error) {
-	payloadCh := make(chan ckptPayload, 1)
-	localCh, mapDone, mapStats, mapErr := localPipe(eng, acc, cfg.Queue, payloadPolicy(payloadCh))
-	for {
-		v, err := c.Recv(0, streamShardTag)
+// nextBatch returns the next batch to deal: a lost rank's, while there
+// are any, else up to Config.Batch reads of the source; nil at its end.
+func (d *dealer) nextBatch() ([]*fastq.Read, error) {
+	if n := len(d.redeal); n > 0 {
+		batch := d.redeal[n-1]
+		d.redeal = d.redeal[:n-1]
+		return batch, nil
+	}
+	if d.eof {
+		return nil, nil
+	}
+	batch := make([]*fastq.Read, 0, d.cfg.Batch)
+	for len(batch) < d.cfg.Batch {
+		rd, err := d.src.Next()
+		if err == io.EOF {
+			d.eof = true
+			break
+		}
 		if err != nil {
-			close(localCh)
-			<-mapDone
-			return Stats{}, err
+			return nil, fmt.Errorf("core: read source: %w", err)
 		}
-		sh, ok := v.(streamShard)
-		if !ok {
-			close(localCh)
-			<-mapDone
-			return Stats{}, fmt.Errorf("core: rank %d: unexpected stream payload %T", c.Rank(), v)
+		batch = append(batch, rd)
+	}
+	d.dealt += int64(len(batch))
+	d.sinceRound += int64(len(batch))
+	if len(batch) == 0 {
+		return nil, nil
+	}
+	return batch, nil
+}
+
+// deal hands one batch to the next rank of the rotation that takes it.
+func (d *dealer) deal(batch []*fastq.Read) error {
+	for {
+		r := d.next % len(d.peers)
+		d.next++
+		if r == 0 {
+			return d.pipe.feed(batch)
 		}
-		if sh.Ckpt {
-			select {
-			case localCh <- nil:
-			case <-mapDone:
-				return Stats{}, *mapErr
+		if d.peers[r].lost {
+			continue
+		}
+		err := d.send(r, batch)
+		if err == nil {
+			return nil
+		}
+		if err := d.drop(r, err); err != nil {
+			return err
+		}
+	}
+}
+
+// send enforces rank r's credit window, sends it the batch and enters
+// the batch in its ledger.
+func (d *dealer) send(r int, batch []*fastq.Read) error {
+	p := &d.peers[r]
+	if p.outstanding >= d.cfg.Queue {
+		// Credit window full: wait for this rank to finish a batch
+		// before handing it another.
+		if _, err := d.c.RecvPatient(r, streamAckTag, d.c.OpTimeout(), ftMaxExtensions); err != nil {
+			return err
+		}
+		p.outstanding--
+	}
+	if err := d.c.Send(r, streamShardTag, streamShard{Reads: batch}); err != nil {
+		return err
+	}
+	p.outstanding++
+	p.reads += int64(len(batch))
+	if d.held += int64(len(batch)); d.held > d.peak {
+		d.peak = d.held
+	}
+	if d.c.OpTimeout() > 0 {
+		p.ledger = append(p.ledger, batch)
+	}
+	return nil
+}
+
+// drop takes rank r out of the rotation over cause and queues its
+// ledger for re-dealing. A cause that is not the loss of the rank, or
+// a run that keeps no ledgers, gets the cause back as the run's error.
+func (d *dealer) drop(r int, cause error) error {
+	if d.c.OpTimeout() <= 0 || !(isCommLoss(cause) || errors.Is(cause, errLedgerMismatch)) {
+		return cause
+	}
+	p := &d.peers[r]
+	d.redeal = append(d.redeal, p.ledger...)
+	d.held -= p.reads
+	*p = peer{lost: true}
+	d.total.LostRanks = unionRanks(d.total.LostRanks, []int{r})
+	return nil
+}
+
+// round brings rank 0's accumulator up to the cluster-wide state of
+// every read dealt so far, then (sink set) hands it to the checkpoint
+// sink. A collection that lost a rank leaves that rank's ledger to
+// re-deal, so it repeats until one collects from every rank it asked.
+func (d *dealer) round(sink bool) error {
+	if reg := d.cfg.Metrics; reg != nil {
+		// One of the collectives the benchmark sums as cluster.coll_s.
+		defer reg.StartTimer("comm.coll.round.seconds")()
+	}
+	for {
+		for len(d.redeal) > 0 {
+			batch, err := d.nextBatch()
+			if err == nil {
+				err = d.deal(batch)
 			}
-			select {
-			case p := <-payloadCh:
-				if err := c.Send(0, streamCkptTag, p); err != nil {
-					close(localCh)
-					<-mapDone
-					return Stats{}, err
-				}
-			case <-mapDone:
-				return Stats{}, *mapErr
+			if err != nil {
+				return err
+			}
+		}
+		if err := d.collect(); err != nil {
+			return err
+		}
+		if len(d.redeal) == 0 {
+			break
+		}
+	}
+	d.sinceRound, d.lastRound = 0, time.Now()
+	if !sink || d.ck.Sink == nil {
+		return nil
+	}
+	state, err := genome.SnapshotState(d.acc)
+	if err != nil {
+		return err
+	}
+	if err := d.ck.Sink(d.dealt, d.total, state); err != nil {
+		return fmt.Errorf("core: checkpoint sink: %w", err)
+	}
+	return nil
+}
+
+// collect is one marker/payload exchange: marker to every live rank,
+// barrier through the local pipeline, then every live rank's payload
+// folded into rank 0's accumulator — the one place accumulator state
+// crosses ranks.
+func (d *dealer) collect() error {
+	d.seq++
+	for r := 1; r < len(d.peers); r++ {
+		if d.peers[r].lost {
+			continue
+		}
+		if err := d.c.Send(r, streamShardTag, streamShard{Round: d.seq}); err != nil {
+			if err := d.drop(r, err); err != nil {
+				return err
+			}
+		}
+	}
+	own, err := d.pipe.quiesce()
+	if err != nil {
+		return err
+	}
+	d.total.add(own.Stats)
+	for r := 1; r < len(d.peers); r++ {
+		p := &d.peers[r]
+		if p.lost {
+			continue
+		}
+		pl, err := d.recvPayload(r)
+		if err == nil && pl.Stats.Mapped+pl.Stats.Unmapped != p.reads {
+			err = fmt.Errorf("rank %d accounts for %d reads of %d dealt: %w", r, pl.Stats.Mapped+pl.Stats.Unmapped, p.reads, errLedgerMismatch)
+		}
+		if err != nil {
+			if err := d.drop(r, err); err != nil {
+				return err
 			}
 			continue
 		}
-		if sh.Done {
-			break
+		if err := mergeStateInto(d.acc, pl.State); err != nil {
+			return err
 		}
-		select {
-		case localCh <- sh.Reads:
-		case <-mapDone:
-			// Mapper latched an error; returning tears down the
-			// transport, which unblocks rank 0.
-			return Stats{}, *mapErr
+		d.total.add(pl.Stats)
+		d.held -= p.reads
+		p.reads, p.ledger = 0, nil
+	}
+	return nil
+}
+
+// recvPayload waits for rank r's payload of the current round,
+// discarding duplicated or delayed payloads of earlier ones.
+func (d *dealer) recvPayload(r int) (roundPayload, error) {
+	for {
+		v, err := d.c.RecvPatient(r, streamRoundTag, d.c.OpTimeout(), ftMaxExtensions)
+		if err != nil {
+			return roundPayload{}, err
 		}
-		if err := c.Send(0, streamAckTag, 1); err != nil {
-			close(localCh)
-			<-mapDone
-			return Stats{}, err
+		pl, ok := v.(roundPayload)
+		if !ok {
+			return roundPayload{}, fmt.Errorf("core: rank %d sent round payload %T", r, v)
+		}
+		if pl.Round == d.seq {
+			return pl, nil
 		}
 	}
-	close(localCh)
-	<-mapDone
-	if *mapErr != nil {
-		return Stats{}, *mapErr
+}
+
+// mergeStateInto deserializes a peer's accumulator state into a scratch
+// accumulator of dst's layout and merges it into dst.
+func mergeStateInto(dst genome.Accumulator, state []byte) error {
+	tmp, err := genome.CloneEmpty(dst)
+	if err != nil {
+		return err
 	}
-	return *mapStats, nil
+	if err := tmp.LoadStateBytes(state); err != nil {
+		return err
+	}
+	return dst.Merge(tmp)
+}
+
+// isCommLoss classifies errors that mean "the peer is gone or
+// unreachable" — grounds for reassignment rather than abort.
+func isCommLoss(err error) bool {
+	return errors.Is(err, cluster.ErrTimeout) ||
+		errors.Is(err, cluster.ErrRankDead) ||
+		errors.Is(err, cluster.ErrCrashed) ||
+		errors.Is(err, cluster.ErrClosed)
+}
+
+// streamReceive is a worker rank's half: receive batches, feed the
+// local pipeline, ack each batch to open the next credit; on a round
+// marker quiesce the pipeline and ship its payload; on Done return the
+// global stats.
+func streamReceive(c *cluster.Comm, pipe *localPipe) (Stats, error) {
+	// Returning on an error tears down the transport, which unblocks
+	// rank 0.
+	defer pipe.finish()
+	for {
+		v, err := c.RecvPatient(0, streamShardTag, c.OpTimeout(), workerPatience)
+		if err != nil {
+			return Stats{}, fmt.Errorf("rank %d: await rank 0: %w", c.Rank(), err)
+		}
+		sh, ok := v.(streamShard)
+		switch {
+		case !ok:
+			return Stats{}, fmt.Errorf("core: rank %d: unexpected stream payload %T", c.Rank(), v)
+		case sh.Done:
+			return sh.Stats, pipe.finish()
+		case sh.Round > 0:
+			pl, err := pipe.quiesce()
+			if err != nil {
+				return Stats{}, err
+			}
+			pl.Round = sh.Round
+			if err := c.Send(0, streamRoundTag, pl); err != nil {
+				return Stats{}, err
+			}
+		default:
+			if err := pipe.feed(sh.Reads); err != nil {
+				return Stats{}, err
+			}
+			if err := c.Send(0, streamAckTag, 1); err != nil {
+				return Stats{}, err
+			}
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gnumap/internal/cluster"
+	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 	"gnumap/internal/snp"
 )
@@ -36,7 +37,7 @@ func TestReadSplitMatchesSharedMemory(t *testing.T) {
 		var got genome.Accumulator
 		var mu sync.Mutex
 		err := cluster.Run(nodes, cluster.Channels, func(c *cluster.Comm) error {
-			acc, st, err := RunReadSplit(c, p.ref, p.reads, genome.Norm, Config{Workers: 1})
+			acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 			if err != nil {
 				return err
 			}
@@ -73,7 +74,7 @@ func TestReadSplitOverTCP(t *testing.T) {
 	var got genome.Accumulator
 	var mu sync.Mutex
 	err := cluster.Run(3, cluster.TCP, func(c *cluster.Comm) error {
-		acc, _, err := RunReadSplit(c, p.ref, p.reads, genome.Norm, Config{Workers: 1})
+		acc, _, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if err != nil {
 			return err
 		}
@@ -102,7 +103,7 @@ func TestReadSplitDiscretizedModes(t *testing.T) {
 		var got genome.Accumulator
 		var mu sync.Mutex
 		err := cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
-			acc, _, err := RunReadSplit(c, p.ref, p.reads, mode, Config{Workers: 1})
+			acc, _, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), mode, Config{Workers: 1}, nil)
 			if err != nil {
 				return err
 			}

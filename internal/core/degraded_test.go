@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"gnumap/internal/cluster"
+	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
+	"gnumap/internal/obs"
 	"gnumap/internal/snp"
 )
 
@@ -33,7 +35,7 @@ func TestReadSplitFTMatchesPlainPath(t *testing.T) {
 	var got genome.Accumulator
 	var mu sync.Mutex
 	err := cluster.RunWithConfig(4, ftRunConfig(nil), func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, p.reads, genome.Norm, Config{Workers: 1})
+		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if err != nil {
 			return err
 		}
@@ -86,7 +88,7 @@ func TestReadSplitDegradedSurvivesDeadWorker(t *testing.T) {
 	var mu sync.Mutex
 	start := time.Now()
 	err = cluster.RunWithConfig(4, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, p.reads, genome.Norm, Config{Workers: 1})
+		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if c.Rank() == fault.CrashRank {
 			// The crashed rank observes its own death; returning the
 			// ErrCrashed-wrapped error tells the runtime it "exited".
@@ -151,7 +153,7 @@ func TestReadSplitDegradedAllWorkersDead(t *testing.T) {
 	var rootStats Stats
 	var mu sync.Mutex
 	err := cluster.RunWithConfig(2, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, p.reads, genome.Norm, Config{Workers: 1})
+		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if c.Rank() == 1 {
 			return err // ErrCrashed, treated as a simulated death
 		}
@@ -207,5 +209,256 @@ func TestGenomeSplitCrashAbortsWithinDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 60*time.Second {
 		t.Errorf("genome-split abort took %v", elapsed)
+	}
+}
+
+// callSet is an accumulator's SNP calls as position/allele pairs — the
+// identity the degraded suite holds a recovered run to.
+func callSet(t *testing.T, ref *genome.Reference, acc genome.Accumulator) []string {
+	t.Helper()
+	calls, _, err := snp.CallAll(ref, acc, snp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(calls))
+	for i, c := range calls {
+		out[i] = fmt.Sprintf("%d/%v", c.GlobalPos, c.Allele)
+	}
+	return out
+}
+
+// midStreamCrash kills rank 2 of 4 after it has acked a few batches, so
+// it dies holding mapped mass rank 0 has not collected.
+func midStreamCrash() *cluster.FaultConfig {
+	fault := cluster.NewFaultConfig(9)
+	fault.CrashRank, fault.CrashAfterSends = 2, 3
+	return &fault
+}
+
+// runDegraded runs np=4 read-split under midStreamCrash and returns
+// rank 0's result; ck and cfg.Metrics (both optional) go to rank 0 only.
+func runDegraded(t *testing.T, p *pipeline, src fastq.Source, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats) {
+	t.Helper()
+	var got genome.Accumulator
+	var rootStats Stats
+	var mu sync.Mutex
+	err := cluster.RunWithConfig(4, ftRunConfig(midStreamCrash()), func(c *cluster.Comm) error {
+		rcfg, rck := cfg, ck
+		if c.Rank() != 0 {
+			rcfg.Metrics, rck = nil, nil
+		}
+		acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, rcfg, rck)
+		if c.Rank() == 2 {
+			if !errors.Is(err, cluster.ErrCrashed) {
+				return fmt.Errorf("crashed rank: want ErrCrashed, got %v", err)
+			}
+			return err
+		}
+		if err == nil && c.Rank() == 0 {
+			mu.Lock()
+			got, rootStats = acc, st
+			mu.Unlock()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rootStats.LostRanks) != 1 || rootStats.LostRanks[0] != 2 {
+		t.Fatalf("LostRanks = %v, want [2]", rootStats.LostRanks)
+	}
+	if n := rootStats.Mapped + rootStats.Unmapped; n != int64(len(p.reads)) {
+		t.Fatalf("stats cover %d reads, want exactly %d", n, len(p.reads))
+	}
+	return got, rootStats
+}
+
+// TestReadSplitDegradedMidStreamDeath: a worker that dies mid-stream,
+// after mapping batches whose mass rank 0 never collected, costs
+// nothing: its ledger is re-dealt, every read counts exactly once and
+// the call set is the shared-memory baseline's.
+func TestReadSplitDegradedMidStreamDeath(t *testing.T) {
+	p := makePipeline(t, 20000, 4, 10, 73)
+	want := callSet(t, p.ref, sharedBaseline(t, p, genome.Norm))
+	if len(want) == 0 {
+		t.Fatal("baseline produced no SNP calls; test is vacuous")
+	}
+	got, _ := runDegraded(t, p, fastq.SliceSource(p.reads), Config{Workers: 1, Batch: 8, Queue: 2}, nil)
+	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("degraded calls %v, baseline %v", g, want)
+	}
+}
+
+// TestReadSplitDegradedCheckpointRounds is fault tolerance × checkpoint:
+// the same death with rounds on. A round that lost a rank repeats
+// before Sink runs, so every committed watermark — before and after the
+// loss — accounts for exactly its reads, and its state, resumed from
+// over the remaining reads, yields the baseline call set.
+func TestReadSplitDegradedCheckpointRounds(t *testing.T) {
+	p := makePipeline(t, 20000, 4, 10, 73)
+	want := callSet(t, p.ref, sharedBaseline(t, p, genome.Norm))
+	var sinks []sinkRecord
+	ck := &StreamCkpt{EveryReads: 400, Sink: func(consumed int64, st Stats, state []byte) error {
+		sinks = append(sinks, sinkRecord{consumed, st, state}) // rank 0's dealer goroutine only
+		return nil
+	}}
+	// A credit window wider than a round's share of batches: rank 0 never
+	// waits on an ack, so the death is always discovered inside a round,
+	// at the payload that does not come.
+	got, _ := runDegraded(t, p, fastq.SliceSource(p.reads), Config{Workers: 1, Batch: 8, Queue: 64}, ck)
+	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("degraded checkpointed calls %v, baseline %v", g, want)
+	}
+	eng, err := NewEngine(p.ref, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterLoss := 0
+	for i, s := range sinks {
+		if acct := s.st.Mapped + s.st.Unmapped; acct != s.consumed {
+			t.Errorf("sink %d: stats account for %d reads, watermark %d (committed inside a lossy round?)", i, acct, s.consumed)
+		}
+		if !s.st.Degraded() {
+			continue
+		}
+		afterLoss++
+		acc, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.LoadStateBytes(s.state); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.MapReads(p.reads[s.consumed:], acc, 0); err != nil {
+			t.Fatal(err)
+		}
+		if g := callSet(t, p.ref, acc); fmt.Sprint(g) != fmt.Sprint(want) {
+			t.Errorf("sink %d (watermark %d): resumed calls %v, baseline %v", i, s.consumed, g, want)
+		}
+	}
+	if afterLoss == 0 {
+		t.Fatalf("no checkpoint committed after the loss (%d sinks); shrink EveryReads", len(sinks))
+	}
+}
+
+// countingSource counts the reads pulled from it, so a test can bound
+// what rank 0 has taken in and not yet committed.
+type countingSource struct {
+	fastq.Source
+	pulled int64
+	check  func(pulled int64)
+}
+
+func (s *countingSource) Next() (*fastq.Read, error) {
+	rd, err := s.Source.Next()
+	if err == nil {
+		s.pulled++
+		s.check(s.pulled)
+	}
+	return rd, err
+}
+
+// TestReadSplitDegradedLedgerBounded: a fault-tolerant streamed run
+// with rounds on never holds more than one round interval of reads plus
+// the in-flight window — not the whole FASTQ, as the materializing
+// fallback did — even while it re-deals a dead rank's ledger.
+func TestReadSplitDegradedLedgerBounded(t *testing.T) {
+	p := makePipeline(t, 20000, 4, 10, 73)
+	cfg := Config{Workers: 1, Batch: 8, Queue: 2, Metrics: obs.NewRegistry()}
+	const every = 400
+	bound := int64(every + 4*cfg.Queue*cfg.Batch)
+	var committed int64
+	src := &countingSource{Source: fastq.SliceSource(p.reads), check: func(pulled int64) {
+		if pulled-committed > bound {
+			t.Errorf("%d reads pulled past watermark %d, bound %d", pulled-committed, committed, bound)
+		}
+	}}
+	ck := &StreamCkpt{EveryReads: every, Sink: func(consumed int64, _ Stats, _ []byte) error {
+		committed = consumed
+		return nil
+	}}
+	runDegraded(t, p, src, cfg, ck)
+	if int64(len(p.reads)) < 4*bound {
+		t.Fatalf("%d reads do not exercise a bound of %d", len(p.reads), bound)
+	}
+	peak := int64(cfg.Metrics.Gauge("stream.ledger.peak.reads").Value())
+	if peak <= 0 || peak > bound {
+		t.Errorf("ledger peaked at %d reads, want in (0, %d]", peak, bound)
+	}
+	if r := cfg.Metrics.Gauge("stream.peak.resident.reads").Value(); r > float64((cfg.Queue+cfg.Workers)*cfg.Batch) {
+		t.Errorf("rank 0's pipeline held %v reads, above (queue+workers)*batch", r)
+	}
+}
+
+// TestReadSplitDegradedSilentWorkerStillGetsDone: a worker that is
+// alive but whose payload never arrives (timed out, or dropped by the
+// network) is declared lost — and must still be released. The "worker"
+// here speaks the wire protocol by hand and ignores round markers;
+// rank 0 maps its re-dealt ledger itself and sends Done regardless.
+func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
+	p := makePipeline(t, 10000, 2, 4, 89)
+	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 200 * time.Millisecond}
+	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
+		if c.Rank() == 0 {
+			_, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+			if err != nil {
+				return err
+			}
+			if st.Mapped+st.Unmapped != int64(len(p.reads)) || fmt.Sprint(st.LostRanks) != "[1]" {
+				return fmt.Errorf("rank 0: stats %+v for %d reads", st, len(p.reads))
+			}
+			return nil
+		}
+		for {
+			v, err := c.RecvPatient(0, streamShardTag, 20*time.Second, 0)
+			if err != nil {
+				return fmt.Errorf("silent worker never released: %w", err)
+			}
+			switch sh := v.(streamShard); {
+			case sh.Done:
+				if sh.Stats.Mapped+sh.Stats.Unmapped != int64(len(p.reads)) {
+					return fmt.Errorf("Done carries stats %+v for %d reads", sh.Stats, len(p.reads))
+				}
+				return nil
+			case sh.Round == 0:
+				if err := c.Send(0, streamAckTag, 1); err != nil {
+					return err
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadSplitDegradedIgnoredWorkerReturnsNil is the worker's side of
+// the same bug: a real worker whose payload rank 0 (hand-driven here)
+// discards has done nothing wrong, and returns nil with the global
+// stats when Done arrives.
+func TestReadSplitDegradedIgnoredWorkerReturnsNil(t *testing.T) {
+	p := makePipeline(t, 10000, 2, 4, 89)
+	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 5 * time.Second}
+	global := Stats{Mapped: 7, Unmapped: 1, LostRanks: []int{1}}
+	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
+		if c.Rank() == 1 {
+			_, st, err := RunReadSplit(c, p.ref, nil, genome.Norm, Config{Workers: 1}, nil)
+			if err != nil {
+				return fmt.Errorf("discarded worker: %w", err)
+			}
+			if st.Mapped != global.Mapped || fmt.Sprint(st.LostRanks) != "[1]" {
+				return fmt.Errorf("worker returned %+v, want Done's %+v", st, global)
+			}
+			return nil
+		}
+		for _, sh := range []streamShard{{Reads: p.reads[:8]}, {Round: 1}, {Done: true, Stats: global}} {
+			if err := c.Send(1, streamShardTag, sh); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -244,8 +244,8 @@ type Stats struct {
 	// (read, location) pairs — Locations/Mapped > 1 indicates
 	// multi-mapping reads contributing to several loci.
 	Mapped, Unmapped, Locations int64
-	// LostRanks lists cluster ranks that died during a fault-tolerant
-	// read-split run; their shards were reassigned to survivors, so the
+	// LostRanks lists cluster ranks lost during a fault-tolerant
+	// read-split run; their batches were re-dealt to survivors, so the
 	// counts above still cover every read. Empty on healthy runs.
 	LostRanks []int
 }

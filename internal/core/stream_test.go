@@ -280,7 +280,7 @@ func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
 			if c.Rank() == 0 {
 				src = fastq.SliceSource(p.reads)
 			}
-			acc, st, err := RunReadSplitStream(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2}, nil)
+			acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2}, nil)
 			if err != nil {
 				return err
 			}
@@ -311,24 +311,38 @@ func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
 	}
 }
 
-// TestRunReadSplitStreamRejectsFT: the streaming path cannot replay
-// shards, so a configured op deadline must be refused up front rather
-// than failing mid-run.
-func TestRunReadSplitStreamRejectsFT(t *testing.T) {
+// TestReadSplitFTMatchesStreamedBaseline (the inverted
+// TestRunReadSplitStreamRejectsFT): a configured op deadline no longer
+// refuses the streamed dealer — the same setup runs the one protocol
+// with its ledger on and matches the shared-memory baseline.
+func TestReadSplitFTMatchesStreamedBaseline(t *testing.T) {
 	p := makePipeline(t, 10000, 1, 2, 71)
-	err := cluster.RunWithConfig(2, cluster.RunConfig{Kind: cluster.Channels, OpTimeout: time.Second}, func(c *cluster.Comm) error {
-		var src fastq.Source
-		if c.Rank() == 0 {
-			src = fastq.SliceSource(p.reads)
+	want := sharedBaseline(t, p, genome.Norm)
+	var got genome.Accumulator
+	var mu sync.Mutex
+	err := cluster.RunWithConfig(2, cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 5 * time.Second}, func(c *cluster.Comm) error {
+		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+		if err != nil {
+			return err
 		}
-		_, _, err := RunReadSplitStream(c, p.ref, src, genome.Norm, Config{Workers: 1}, nil)
-		if err == nil {
-			return fmt.Errorf("fault-tolerant streaming accepted")
+		if st.Mapped+st.Unmapped != int64(len(p.reads)) || st.Degraded() {
+			return fmt.Errorf("rank %d: stats %+v for %d reads", c.Rank(), st, len(p.reads))
+		}
+		if c.Rank() == 0 {
+			mu.Lock()
+			got = acc
+			mu.Unlock()
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for pos := 0; pos < p.ref.Len(); pos += 301 {
+		a, b := want.Total(pos), got.Total(pos)
+		if math.Abs(a-b) > 1e-3*(1+a) {
+			t.Fatalf("pos=%d: FT stream %v vs baseline %v", pos, b, a)
+		}
 	}
 }
 

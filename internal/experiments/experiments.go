@@ -280,7 +280,7 @@ func Fig4(ds *Dataset, maxNodes int, transport cluster.TransportKind) ([]Fig4Poi
 		run  func(*cluster.Comm) error
 	}{
 		{"read-split", func(c *cluster.Comm) error {
-			_, _, err := core.RunReadSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
+			_, _, err := core.RunReadSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1}, nil)
 			return err
 		}},
 		{"genome-split", func(c *cluster.Comm) error {

@@ -174,8 +174,12 @@ func (s *Sharded) MemoryBytes() int64 {
 	return total
 }
 
-// Merge folds another accumulator into this one. Both sides are
-// combined first; a *Sharded other contributes its base.
+// Merge folds another accumulator into this one's base; a *Sharded
+// other is combined first and contributes its base. The receiver's live
+// worker shards stay in place (reads and State fold them in later):
+// the cluster dealer merges peers' round payloads mid-run, and a
+// destructive fold there would orphan the shard references mapping
+// workers keep across batches, as SnapshotState documents.
 func (s *Sharded) Merge(other Accumulator) error {
 	src := other
 	if o, ok := other.(*Sharded); ok {
@@ -187,9 +191,6 @@ func (s *Sharded) Merge(other Accumulator) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.combineLocked(); err != nil {
-		return err
-	}
 	return s.base.Merge(src)
 }
 
@@ -217,9 +218,8 @@ func (s *Sharded) LoadStateBytes(data []byte) error {
 }
 
 // MergeTree folds accs[1:]... into accs[0] with ceil(log2(n)) rounds of
-// concurrent pairwise merges — the same reduction shape the cluster
-// runtime uses across ranks, applied across worker shards. The final
-// result is left in accs[0]; the other entries are consumed.
+// concurrent pairwise merges across worker shards. The final result is
+// left in accs[0]; the other entries are consumed.
 func MergeTree(accs []Accumulator) error {
 	var firstErr error
 	var errMu sync.Mutex

@@ -238,9 +238,13 @@ func (s *Sharded) snapshotIntoLocked(scratch Accumulator) error {
 	return nil
 }
 
-// reset zeroes an accumulator's per-position state in place, so a
-// scratch copy can be reused across snapshots without reallocating.
-func reset(acc Accumulator) error {
+// Reset zeroes an accumulator's per-position state in place, so a
+// scratch copy can be reused across snapshots without reallocating. A
+// *Sharded accumulator zeroes its base and every live worker shard and
+// keeps the shards registered: a cluster rank resets at a quiesce
+// barrier after shipping its state, and its mapping workers go on
+// writing to the shard references they hold. Writers must be quiesced.
+func Reset(acc Accumulator) error {
 	switch a := acc.(type) {
 	case *normAcc:
 		clear(a.data)
@@ -250,6 +254,14 @@ func reset(acc Accumulator) error {
 	case *centDiscAcc:
 		clear(a.total)
 		clear(a.code)
+	case *Sharded:
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		for _, sh := range append([]Accumulator{a.base}, a.shards...) {
+			if err := Reset(sh); err != nil {
+				return err
+			}
+		}
 	default:
 		return fmt.Errorf("genome: %T cannot be reset", acc)
 	}
@@ -270,7 +282,7 @@ func SnapshotInto(acc, scratch Accumulator) error {
 	if scratch == nil {
 		return fmt.Errorf("genome: nil snapshot scratch")
 	}
-	if err := reset(scratch); err != nil {
+	if err := Reset(scratch); err != nil {
 		return err
 	}
 	if s, ok := acc.(*Sharded); ok {

@@ -148,4 +148,9 @@ func TestStreamingReportCarriesStreamMetrics(t *testing.T) {
 	if report.Merged.Gauges["stream.peak.resident.reads"] <= 0 {
 		t.Error("merged report missing stream.peak.resident.reads")
 	}
+	// The state fold times itself as a collective, so the benchmark's
+	// cluster.coll_s (the comm.coll.* sum) keeps measuring it.
+	if h := report.Merged.Histograms["comm.coll.round.seconds"]; h.Count < 1 || h.Sum <= 0 {
+		t.Errorf("merged report's comm.coll.round.seconds = %+v, want the final round timed", h)
+	}
 }
