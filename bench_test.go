@@ -168,11 +168,19 @@ func benchFig4(b *testing.B, readSplit bool) {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				err := cluster.Run(nodes, cluster.Channels, func(c *cluster.Comm) error {
-					if readSplit {
-						_, _, err := core.RunReadSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1}, nil)
+					if !readSplit {
+						_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1})
 						return err
 					}
-					_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
+					eng, err := core.NewEngine(ds.Ref, core.Config{Workers: 1})
+					if err != nil {
+						return err
+					}
+					acc, err := genome.New(genome.Norm, ds.Ref.Len())
+					if err != nil {
+						return err
+					}
+					_, err = core.RunReadSplit(c, eng, acc, fastq.SliceSource(ds.Reads), nil)
 					return err
 				})
 				if err != nil {

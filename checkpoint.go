@@ -48,8 +48,8 @@ var (
 )
 
 // CheckpointConfig configures durable checkpointing of a mapping run
-// (Options.Checkpoint: honored by Pipeline.MapReadsFrom and by the
-// cluster runners in ReadSplit mode).
+// (Options.Checkpoint: honored by Pipeline.MapReadsFrom, in one process
+// or read-split across ranks).
 type CheckpointConfig struct {
 	// Path is the checkpoint file. Every write atomically replaces it
 	// (temp file + fsync + rename), so a crash at any instant leaves
@@ -105,17 +105,17 @@ func fingerprintFor(ref *genome.Reference, opts Options) ckpt.Fingerprint {
 	}
 }
 
-// ckptCommitter is the streaming pipeline's checkpoint sink, with the
-// durable part taken off the critical path: sink runs while the
-// pipeline is quiesced, folds the run-local counters onto the resumed
-// base, and hands the snapshot to a background goroutine for the
-// temp-file write + fsync + rename. The pipeline stalls only for the
-// state snapshot itself, and at most one commit is ever in flight —
-// sink first waits out the previous commit (surfacing its error, which
-// aborts the run), so commits land in order and a crash at any instant
-// still leaves either the previous or the new complete checkpoint on
-// disk. finish must run after the mapping call returns; until it does,
-// the newest checkpoint may not be durable yet.
+// ckptCommitter is the mapping run's checkpoint subscriber, with the
+// durable part taken off the critical path: it runs while the pipeline
+// (or, read-split, the whole cluster) is quiesced, folds the run-local
+// counters onto the resumed base, and hands the snapshot to a background
+// goroutine for the temp-file write + fsync + rename. The run stalls
+// only for the state snapshot itself, and at most one commit is ever in
+// flight — the subscriber first waits out the previous commit (surfacing
+// its error, which aborts the run), so commits land in order and a crash
+// at any instant still leaves either the previous or the new complete
+// checkpoint on disk. finish must run after the mapping call returns;
+// until it does, the newest checkpoint may not be durable yet.
 type ckptCommitter struct {
 	path string
 	// base is what the run started from: the fingerprint every commit
@@ -134,45 +134,39 @@ func newCkptCommitter(path string, base ckpt.Checkpoint, reg *MetricsRegistry) *
 	return c
 }
 
-// sink receives one barrier's snapshot (core.StreamCkpt.Sink, and the
-// body of subscriber). The state slice is a private snapshot
+// subscriber hangs the committer on a mapping run's quiesce barrier at
+// cc's cadence. The barrier's state is a private snapshot
 // (genome.SnapshotState allocates), so retaining it past the quiesce
 // window is safe.
-func (c *ckptCommitter) sink(consumed int64, st core.Stats, state []byte) error {
-	if err := <-c.pending; err != nil {
-		c.pending <- err // keep finish deterministic after an abort
-		return err
-	}
-	cp := &ckpt.Checkpoint{
-		Fingerprint:   c.base.Fingerprint,
-		ReadsConsumed: c.base.ReadsConsumed + consumed,
-		Mapped:        c.base.Mapped + st.Mapped,
-		Unmapped:      c.base.Unmapped + st.Unmapped,
-		Locations:     c.base.Locations + st.Locations,
-		State:         state,
-	}
-	go func() {
-		start := time.Now()
-		n, err := ckpt.WriteFile(c.path, cp)
-		if err == nil && c.reg != nil {
-			c.reg.Counter("ckpt.writes").Inc()
-			c.reg.Counter("ckpt.bytes").Add(n)
-			c.reg.Timer("ckpt.write.seconds").ObserveDuration(time.Since(start))
-		}
-		c.pending <- err
-	}()
-	return nil
-}
-
-// subscriber hangs the committer on a pipeline's quiesce barrier at
-// cc's cadence.
 func (c *ckptCommitter) subscriber(cc *CheckpointConfig) core.BarrierSubscriber {
 	return core.BarrierSubscriber{EveryReads: cc.EveryReads, Every: cc.Every, Run: func(b *core.Barrier) error {
 		state, err := b.State()
 		if err != nil {
 			return err
 		}
-		return c.sink(b.Consumed, b.Stats, state)
+		if err := <-c.pending; err != nil {
+			c.pending <- err // keep finish deterministic after an abort
+			return err
+		}
+		cp := &ckpt.Checkpoint{
+			Fingerprint:   c.base.Fingerprint,
+			ReadsConsumed: c.base.ReadsConsumed + b.Consumed,
+			Mapped:        c.base.Mapped + b.Stats.Mapped,
+			Unmapped:      c.base.Unmapped + b.Stats.Unmapped,
+			Locations:     c.base.Locations + b.Stats.Locations,
+			State:         state,
+		}
+		go func() {
+			start := time.Now()
+			n, err := ckpt.WriteFile(c.path, cp)
+			if err == nil && c.reg != nil {
+				c.reg.Counter("ckpt.writes").Inc()
+				c.reg.Counter("ckpt.bytes").Add(n)
+				c.reg.Timer("ckpt.write.seconds").ObserveDuration(time.Since(start))
+			}
+			c.pending <- err
+		}()
+		return nil
 	}}
 }
 
@@ -189,28 +183,9 @@ func (c *ckptCommitter) finish(runErr error) error {
 	return runErr
 }
 
-// loadCheckpoint reads the checkpoint a resumed run continues from and
-// checks it against the run's fingerprint. A missing file is a fresh
-// start: (nil, nil).
-func loadCheckpoint(path string, ref *genome.Reference, fp ckpt.Fingerprint) (*ckpt.Checkpoint, error) {
-	cp, err := ckpt.ReadFile(path, ckpt.MaxPayloadFor(ref.Len()))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := fp.Check(cp.Fingerprint); err != nil {
-		return nil, fmt.Errorf("gnumap: resume %s: %w", path, err)
-	}
-	return cp, nil
-}
-
 // skipReads discards the first n reads of src — the already-mapped
 // prefix named by a resume watermark — and counts them into
-// ProcessMetrics (the skip happens before any rank's registry exists on
-// a cluster, so the process registry is the one place both paths can
-// report to). The source ending before n reads is an error: the input
+// ProcessMetrics. The source ending before n reads is an error: the input
 // shrank since the checkpoint was taken.
 func skipReads(src ReadSource, n int64) error {
 	for i := int64(0); i < n; i++ {
@@ -227,12 +202,19 @@ func skipReads(src ReadSource, n int64) error {
 	return nil
 }
 
-// resume adopts the checkpoint at path, if there is one, and leaves its
-// watermark pending for the first source mapped.
+// resume adopts the checkpoint at path, fingerprint-checked, and leaves
+// its watermark pending for the first source mapped. A missing file is a
+// fresh start.
 func (p *Pipeline) resume(path string) error {
-	cp, err := loadCheckpoint(path, p.ref, p.fingerprint())
-	if cp == nil {
+	cp, err := ckpt.ReadFile(path, ckpt.MaxPayloadFor(p.ref.Len()))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
 		return err
+	}
+	if err := p.fingerprint().Check(cp.Fingerprint); err != nil {
+		return fmt.Errorf("gnumap: resume %s: %w", path, err)
 	}
 	if err := p.adopt(cp); err != nil {
 		return fmt.Errorf("gnumap: resume %s: %w", path, err)
@@ -249,53 +231,3 @@ func (p *Pipeline) ReadsConsumed() int64 { return p.consumed }
 // every mapping call of the pipeline's life, including counts adopted
 // from a resumed checkpoint (per-call MapStats cover only their call).
 func (p *Pipeline) CumulativeStats() MapStats { return p.cum }
-
-// clusterCkpt carries a validated checkpoint setup into the cluster
-// node function: the config and the base checkpoint — the run's
-// fingerprint plus, when resuming, the loaded counters that offset
-// every sink write and the state that preloads rank 0's accumulator.
-type clusterCkpt struct {
-	cfg  CheckpointConfig
-	base ckpt.Checkpoint
-}
-
-// prepareClusterCkpt validates Options.Checkpoint for a streamed
-// read-split run and, on Resume, loads the checkpoint and skips the
-// watermark prefix of src (rank 0 owns the source, so this happens
-// once, driver-side).
-func prepareClusterCkpt(ref *genome.Reference, src ReadSource, opts Options) (*clusterCkpt, error) {
-	cc := *opts.Checkpoint
-	if cc.Path == "" {
-		return nil, fmt.Errorf("gnumap: checkpoint path required")
-	}
-	ckr := &clusterCkpt{cfg: cc, base: ckpt.Checkpoint{Fingerprint: fingerprintFor(ref, opts)}}
-	if !cc.Resume {
-		return ckr, nil
-	}
-	cp, err := loadCheckpoint(cc.Path, ref, ckr.base.Fingerprint)
-	if cp == nil {
-		return ckr, err
-	}
-	if err := skipReads(src, cp.ReadsConsumed); err != nil {
-		return nil, err
-	}
-	ckr.base = *cp
-	return ckr, nil
-}
-
-// streamCkptFor builds rank 0's core.StreamCkpt from the prepared
-// cluster checkpoint setup, plus the committer the caller must finish
-// after the run (nil for other ranks and runs without checkpointing).
-func streamCkptFor(ckr *clusterCkpt, reg *MetricsRegistry) (*core.StreamCkpt, *ckptCommitter) {
-	if ckr == nil {
-		return nil, nil
-	}
-	cw := newCkptCommitter(ckr.cfg.Path, ckr.base, reg)
-	return &core.StreamCkpt{
-		EveryReads:    ckr.cfg.EveryReads,
-		Every:         ckr.cfg.Every,
-		StopRequested: ckr.cfg.StopRequested,
-		ResumeState:   ckr.base.State,
-		Sink:          cw.sink,
-	}, cw
-}

@@ -209,9 +209,6 @@ func TestRunClusterStreamCheckpointResume(t *testing.T) {
 		Resume:        true, // no file yet: fresh start
 		StopRequested: func() bool { return reg.Counter("ckpt.writes").Value() >= 2 },
 	}
-	// The registry wiring RunClusterReport would do per rank; for the
-	// sink metrics we want them on the engine registry rank 0 sees.
-	opts1.Engine.Metrics = reg
 	_, _, err = RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts1)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("interrupted cluster run returned %v, want ErrStopped", err)
@@ -229,8 +226,8 @@ func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	callsEqual(t, wantCalls, gotCalls)
 }
 
-// TestRunClusterStreamCheckpointRejects: the mode whose watermark story
-// does not exist (genome-split) refuses checkpointing loudly; the
+// TestRunClusterStreamCheckpointRejects: the placement with no
+// whole-genome state to save (genome-split) refuses checkpointing, typed; the
 // fault-tolerant read-split run, refused before the dealer kept a
 // ledger, now checkpoints and calls what the plain run calls.
 func TestRunClusterStreamCheckpointRejects(t *testing.T) {
@@ -238,10 +235,10 @@ func TestRunClusterStreamCheckpointRejects(t *testing.T) {
 	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), EveryReads: 100}
 
 	opts := Options{Checkpoint: ck}
-	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); err == nil {
-		t.Error("genome-split checkpointing accepted")
+	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("genome-split checkpointing: %v, want ErrModeUnsupported", err)
 	}
-	want, _, err := RunCluster(2, Channels, ReadSplit, ds.Reference, ds.Reads, Options{})
+	want, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,10 +59,16 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	vcfPath := filepath.Join(data, "calls.vcf")
 	samPath := filepath.Join(data, "out.sam")
 	puPath := filepath.Join(data, "pileup.tsv")
+	profPath := filepath.Join(data, "cpu.pprof")
 	run(t, filepath.Join(bins, "gnumap-snp"),
 		"-ref", filepath.Join(data, "reference.fa"),
 		"-reads", filepath.Join(data, "reads.fq"),
-		"-o", vcfPath, "-sam", samPath, "-pileup", puPath, "-workers", "2")
+		"-o", vcfPath, "-sam", samPath, "-pileup", puPath, "-workers", "2", "-cpuprofile", profPath)
+	// A pprof profile is a gzip stream; an empty or unframed file is what
+	// a profile stopped before it was flushed looks like.
+	if prof, err := os.ReadFile(profPath); err != nil || len(prof) < 64 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Errorf("-cpuprofile wrote %d bytes (err %v), want a gzip-framed profile", len(prof), err)
+	}
 
 	calls := parseVCFPositions(t, vcfPath)
 	tp := 0
@@ -95,6 +101,136 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	for pos := range calls {
 		if !calls2[pos] {
 			t.Errorf("cluster run missing call at %d", pos)
+		}
+	}
+}
+
+// TestCLIReadSplitIsThePipeline: read-split is the Pipeline's mapping
+// step placed on N ranks, so what the pipeline offers afterwards does
+// not depend on the placement — a checkpoint written on one placement
+// resumes on another to the uninterrupted run's VCF bytes, and the
+// side outputs of a 2-node run are the single-process files. -workers 1
+// throughout, so accumulation order is fixed per rank.
+func TestCLIReadSplitIsThePipeline(t *testing.T) {
+	bins := buildTools(t)
+	data := t.TempDir()
+	run(t, filepath.Join(bins, "readsim"),
+		"-out", data, "-length", "30000", "-snps", "4", "-coverage", "8", "-seed", "5")
+	bin := filepath.Join(bins, "gnumap-snp")
+	gnumap := func(tag string, extra ...string) (vcf []byte, stderr string) {
+		t.Helper()
+		out := filepath.Join(data, tag+".vcf")
+		stderr = run(t, bin, append([]string{
+			"-ref", filepath.Join(data, "reference.fa"), "-reads", filepath.Join(data, "reads.fq"),
+			"-workers", "1", "-o", out}, extra...)...)
+		vcf, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vcf, stderr
+	}
+	one, two := []string{"-nodes", "1"}, []string{"-nodes", "2", "-split", "read"}
+	sam1, pu1 := filepath.Join(data, "one.sam"), filepath.Join(data, "one.tsv")
+	golden, _ := gnumap("golden", "-sam", sam1, "-pileup", pu1)
+	if !strings.Contains(string(golden), "\tPASS\t") {
+		t.Fatal("golden run called no SNPs; dataset too weak for an identity test")
+	}
+
+	// A run that completes leaves its last periodic checkpoint behind: a
+	// mid-run state (watermark below the read count) on disk without any
+	// signal timing. Resuming it on the other placement maps only the
+	// rest, and must end in the golden bytes.
+	for _, tc := range []struct {
+		name        string
+		write, read []string
+	}{{"nodes1-to-nodes2", one, two}, {"nodes2-to-nodes1", two, one}} {
+		ck := filepath.Join(data, tc.name+".ckpt")
+		first, _ := gnumap(tc.name+".write", append([]string{"-checkpoint", ck, "-checkpoint-every", "1000"}, tc.write...)...)
+		if string(first) != string(golden) {
+			t.Errorf("%s: checkpointed run's VCF differs from the plain run's", tc.name)
+		}
+		got, stderr := gnumap(tc.name+".resume", append([]string{"-checkpoint", ck, "-resume"}, tc.read...)...)
+		if !strings.Contains(stderr, "resuming from") || strings.Contains(stderr, ": 0 reads already mapped") {
+			t.Errorf("%s: second run did not resume mid-run:\n%s", tc.name, stderr)
+		}
+		if string(got) != string(golden) {
+			t.Errorf("%s: resumed VCF differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", tc.name, golden, got)
+		}
+	}
+
+	// Side outputs from the folded accumulator (-pileup) and rank 0's
+	// engine (-sam) on 2 nodes.
+	sam2, pu2 := filepath.Join(data, "two.sam"), filepath.Join(data, "two.tsv")
+	gnumap("two", append([]string{"-sam", sam2, "-pileup", pu2}, two...)...)
+	a, err := os.ReadFile(sam1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(sam2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) == 0 || string(a) != string(b) {
+		t.Errorf("2-node -sam (%d bytes) is not the single-process file (%d bytes)", len(b), len(a))
+	}
+	comparePileups(t, pu1, pu2)
+}
+
+// comparePileups holds two -pileup files to the same rows with every
+// mass column inside the tolerance the accumulator state tests use for
+// float32 sums taken in a different order (1e-3·(1+x)), widened by the
+// files' three printed decimals. A row only one file has is accepted
+// when its depth sits on the writer's depth cutoff (2).
+func comparePileups(t *testing.T, wantPath, gotPath string) {
+	t.Helper()
+	load := func(path string) map[string][]float64 {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[string][]float64{}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			f := strings.Split(line, "\t")
+			if len(f) != 10 {
+				t.Fatalf("%s: malformed pileup row %q", path, line)
+			}
+			var mass []float64
+			for _, col := range f[3:9] { // total, A, C, G, T, gap
+				x, err := strconv.ParseFloat(col, 64)
+				if err != nil {
+					t.Fatalf("%s: row %q: %v", path, line, err)
+				}
+				mass = append(mass, x)
+			}
+			rows[f[0]+":"+f[1]+":"+f[2]] = mass
+		}
+		return rows
+	}
+	want, got := load(wantPath), load(gotPath)
+	if len(want) == 0 {
+		t.Fatal("single-process pileup has no rows")
+	}
+	near := func(a, b float64) bool { return a-b <= 2e-3*(1+b) && b-a <= 2e-3*(1+b) }
+	for key, w := range want {
+		g, ok := got[key]
+		if !ok {
+			if !near(w[0], 2) {
+				t.Errorf("row %s (depth %v) missing from the 2-node pileup", key, w[0])
+			}
+			continue
+		}
+		for i := range w {
+			if !near(g[i], w[i]) {
+				t.Errorf("row %s column %d: %v on 2 nodes, %v in one process", key, i, g[i], w[i])
+			}
+		}
+	}
+	for key, g := range got {
+		if _, ok := want[key]; !ok && !near(g[0], 2) {
+			t.Errorf("row %s (depth %v) only in the 2-node pileup", key, g[0])
 		}
 	}
 }
@@ -183,20 +319,19 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		// -nodes > 1 is refused (below), so the row cannot be a no-op.
 		{"ft-read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read", "-op-timeout", "30s"} }, []string{"-nodes", "-split", "-op-timeout"}},
 	}
-	// The holes that remain in the mode matrix (DESIGN.md §10); every
-	// other pair must compose — checkpoint+incremental, checkpoint+sam
-	// and incremental+sam included.
+	// The holes that remain in the mode matrix (DESIGN.md §10, refused by
+	// gnumap.CheckModes); every other pair must compose — read-split is
+	// the Pipeline's mapping step, so checkpoint, sam and pileup work on
+	// it as they do in one process.
 	mustRefuse := map[string]bool{
-		"checkpoint+genome-split":   true, // cluster watermarks need the streamed read-split dealer
-		"incremental+read-split":    true, // cluster runs keep their own call flow
-		"incremental+genome-split":  true,
-		"sam+read-split":            true, // side outputs come from the single-process Pipeline
-		"sam+genome-split":          true,
-		"pileup+read-split":         true,
-		"pileup+genome-split":       true,
+		// genome-split keeps no whole-genome state on any rank
+		"checkpoint+genome-split":  true,
+		"incremental+genome-split": true,
+		"sam+genome-split":         true,
+		"pileup+genome-split":      true,
+		// the ranks' write-sets do not travel with their state (ROADMAP item 3)
+		"incremental+read-split":    true,
 		"incremental+ft-read-split": true,
-		"sam+ft-read-split":         true,
-		"pileup+ft-read-split":      true,
 	}
 
 	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {

@@ -15,7 +15,10 @@
 //
 // With -nodes > 1 the run executes on a simulated message-passing
 // cluster (goroutine nodes; -tcp switches to loopback TCP), using the
-// paper's read-split or genome-split strategy. -op-timeout bounds every
+// paper's read-split or genome-split strategy. Read-split is the same
+// pipeline with its mapping step placed on N ranks: rank 0 folds their
+// state, so -checkpoint/-resume, -sam, -pileup and the coverage summary
+// work as in one process. -op-timeout bounds every
 // cluster operation; in read-split mode rank 0 then also keeps a ledger
 // of the batches it dealt since the last checkpoint round and re-deals
 // a lost worker's share (loss detected by heartbeats every tenth of the
@@ -33,7 +36,12 @@
 // pipeline (-fit and -sam need the whole read set, so they load it and
 // hand the pipeline the slice as its source). -checkpoint and
 // -incremental-every subscribe to that pipeline's quiesce barrier and
-// compose with each other and with -fit/-sam.
+// compose with each other and with -fit/-sam. The feature × placement
+// pairs that do not compose are refused at startup by the library
+// (gnumap.CheckModes), naming both flags and the reason: -checkpoint,
+// -incremental-every, -sam and -pileup with -split genome (genome-split
+// keeps no whole-genome state on any rank), and -incremental-every with
+// -split read (the ranks' write-sets do not travel with their state).
 //
 // Crash safety: -checkpoint FILE makes the run write its full state
 // (config fingerprint, source watermark, mapping counters, accumulator)
@@ -44,9 +52,9 @@
 // kill and the final VCF matches an uninterrupted run. SIGINT/SIGTERM
 // trigger a graceful stop: drain the pipeline, write a final
 // checkpoint, flush -metrics-out, exit with code 3 (a second signal
-// aborts immediately). On clusters checkpointing rides the read-split
-// dealer's rounds (with or without -op-timeout/-chaos); it is refused
-// with -split genome, which has no stream to watermark.
+// aborts immediately). On a read-split cluster the same checkpoints are
+// taken at the dealer's rounds (with or without -op-timeout/-chaos), and
+// a checkpoint written at one -nodes resumes at any other.
 //
 // Incremental calling: -incremental-every N overlaps SNP calling with
 // mapping in single-process runs — every N reads the
@@ -54,8 +62,7 @@
 // barrier are re-swept, and a provisional call set is produced; the
 // final VCF comes from the last incremental sweep and matches the
 // post-map sweep of an ordinary run. The first-provisional-call time is
-// reported on stderr. Refused on clusters, which keep their own call
-// flow.
+// reported on stderr. Refused on clusters.
 package main
 
 import (
@@ -112,8 +119,8 @@ func run() error {
 		batch      = flag.Int("batch", 0, "reads per pipeline batch, whose candidate windows share Pair-HMM sweeps (0 = default 64; results are identical at any value)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
 		fit        = flag.Bool("fit", false, "fit PHMM parameters to the data (Baum-Welch) before mapping")
-		samPath    = flag.String("sam", "", "also write best alignments as SAM to this file (single-process mode only)")
-		pileupOut  = flag.String("pileup", "", "also write the probability pileup as TSV to this file (single-process mode only)")
+		samPath    = flag.String("sam", "", "also write best alignments as SAM to this file")
+		pileupOut  = flag.String("pileup", "", "also write the probability pileup as TSV to this file")
 		nodes      = flag.Int("nodes", 1, "simulated cluster size (1 = single process)")
 		split      = flag.String("split", "read", "cluster strategy: read (replicate genome) or genome (partition genome)")
 		tcp        = flag.Bool("tcp", false, "use loopback TCP between simulated nodes")
@@ -181,11 +188,6 @@ func run() error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	if *ckptPath != "" {
-		// Cluster watermarks count reads dealt from the stream, which
-		// genome-split (it materializes the reads) does not have.
-		if *nodes > 1 && *split != "read" {
-			return fmt.Errorf("-checkpoint on a cluster (-nodes %d) supports only -split read, not -split %s", *nodes, *split)
-		}
 		everyReads, every, err := parseCheckpointEvery(*ckptEvery)
 		if err != nil {
 			return err
@@ -212,9 +214,6 @@ func run() error {
 		if *incEvery < 0 {
 			return fmt.Errorf("-incremental-every %d: read interval must be positive", *incEvery)
 		}
-		if *nodes > 1 {
-			return fmt.Errorf("-incremental-every runs single-process only (-nodes %d keeps the cluster call flow)", *nodes)
-		}
 		opts.Incremental = &gnumap.IncrementalCallConfig{EveryReads: *incEvery}
 	}
 	if *nodes <= 1 {
@@ -229,9 +228,41 @@ func run() error {
 			}
 		}
 	}
-	if *nodes > 1 && (*samPath != "" || *pileupOut != "") {
-		// A cluster run builds no Pipeline and would silently skip them.
-		return fmt.Errorf("-sam and -pileup are written by the single-process pipeline only, not with -nodes %d -split %s", *nodes, *split)
+	if *nodes > 1 {
+		opts.Cluster.Nodes = *nodes
+		switch *split {
+		case "read":
+		case "genome":
+			opts.Cluster.Split = gnumap.GenomeSplit
+		default:
+			return fmt.Errorf("unknown -split %q (want read or genome)", *split)
+		}
+		if *tcp {
+			opts.Cluster.Transport = gnumap.TCP
+		}
+		opts.Cluster.OpTimeout = *opTimeout
+		// Failure detection needs heartbeats; derive a period well inside
+		// the deadline so slow ranks are not declared dead.
+		opts.Cluster.Heartbeat = *opTimeout / 10
+		if *chaos != "" {
+			fc, err := gnumap.ParseChaosSpec(*chaos)
+			if err != nil {
+				return err
+			}
+			opts.Cluster.Fault = &fc
+		}
+	}
+	// What the run asks for against where it runs: the library refuses
+	// the pairs that do not compose, before anything is loaded.
+	var outputs []string
+	if *samPath != "" {
+		outputs = append(outputs, "-sam")
+	}
+	if *pileupOut != "" {
+		outputs = append(outputs, "-pileup")
+	}
+	if err := gnumap.CheckModes(opts, outputs...); err != nil {
+		return err
 	}
 	// The mapping source: the FASTQ stream, or — when fitting or SAM
 	// output needs random access to the whole read set — the loaded
@@ -309,36 +340,14 @@ func run() error {
 		opts.Caller.Ploidy = gnumap.Diploid
 	}
 
-	splitMode, transport := gnumap.ReadSplit, gnumap.Channels
-	if *nodes > 1 {
-		if *split == "genome" {
-			splitMode = gnumap.GenomeSplit
-		} else if *split != "read" {
-			return fmt.Errorf("unknown -split %q (want read or genome)", *split)
-		}
-		if *tcp {
-			transport = gnumap.TCP
-		}
-		opts.Cluster.OpTimeout = *opTimeout
-		// Failure detection needs heartbeats; derive a period well inside
-		// the deadline so slow ranks are not declared dead.
-		opts.Cluster.Heartbeat = *opTimeout / 10
-		if *chaos != "" {
-			fc, err := gnumap.ParseChaosSpec(*chaos)
-			if err != nil {
-				return err
-			}
-			opts.Cluster.Fault = &fc
-		}
-	}
-	var reg *gnumap.MetricsRegistry
-	if *metricsOut != "" && *nodes <= 1 {
-		reg = gnumap.NewMetricsRegistry()
-		opts.Metrics = reg
+	if *metricsOut != "" {
+		opts.Metrics = gnumap.NewMetricsRegistry()
 	}
 
-	// One mapping run: open the source, map it (on the simulated cluster
-	// or through the one Pipeline), close it.
+	// One mapping run: open the source, map it through the one Pipeline —
+	// in this process or read-split across ranks, the pipeline's business
+	// — close it. Genome-split has no rank that could hold a Pipeline's
+	// state and keeps its own runner.
 	start := time.Now()
 	var src gnumap.ReadSource = gnumap.SliceReadSource(reads)
 	closeSrc := func() error { return nil }
@@ -353,11 +362,12 @@ func run() error {
 	var stats gnumap.MapStats
 	var report *gnumap.MetricsReport
 	var p *gnumap.Pipeline
+	cc := opts.Cluster
 	switch {
-	case *nodes > 1 && *metricsOut != "":
-		calls, stats, report, err = gnumap.RunClusterStreamReport(*nodes, transport, splitMode, reference, src, opts)
-	case *nodes > 1:
-		calls, stats, err = gnumap.RunClusterStream(*nodes, transport, splitMode, reference, src, opts)
+	case cc.Nodes > 1 && cc.Split == gnumap.GenomeSplit && *metricsOut != "":
+		calls, stats, report, err = gnumap.RunClusterStreamReport(cc.Nodes, cc.Transport, cc.Split, reference, src, opts)
+	case cc.Nodes > 1 && cc.Split == gnumap.GenomeSplit:
+		calls, stats, err = gnumap.RunClusterStream(cc.Nodes, cc.Transport, cc.Split, reference, src, opts)
 	default:
 		if p, err = gnumap.NewPipeline(reference, opts); err != nil {
 			break
@@ -411,12 +421,9 @@ func run() error {
 			}
 		}
 	}
-	if reg != nil {
-		report, err = gnumap.NewMetricsReport([]gnumap.MetricsSnapshot{
-			reg.Snapshot(0),
-			gnumap.ProcessMetrics().Snapshot(gnumap.MetricsProcessRank),
-		}, nil)
-		if err != nil {
+	if p != nil {
+		// Nil without -metrics-out; on a cluster it merges every rank.
+		if report, err = p.MetricsReport(); err != nil {
 			return err
 		}
 	}

@@ -58,7 +58,7 @@ func main() {
 	}
 	for _, mode := range []gnumap.SplitMode{gnumap.ReadSplit, gnumap.GenomeSplit} {
 		start := time.Now()
-		calls, stats, err := gnumap.RunCluster(*nodes, transport, mode, ds.Reference, ds.Reads, opts)
+		calls, stats, err := gnumap.RunClusterStream(*nodes, transport, mode, ds.Reference, gnumap.SliceReadSource(ds.Reads), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

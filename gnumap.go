@@ -139,26 +139,26 @@ type Options struct {
 	Memory MemoryMode
 	// Caller tunes SNP calling; zero value = monoploid, α = 0.05.
 	Caller CallerConfig
-	// Cluster tunes the fault model of simulated-cluster runs (op
-	// deadlines, heartbeat failure detection, chaos injection). The
-	// zero value keeps the historical block-forever behavior.
+	// Cluster places the run: in this process (the zero value) or on a
+	// simulated cluster, with its fault model (op deadlines, heartbeat
+	// failure detection, chaos injection).
 	Cluster ClusterConfig
 	// Metrics, when non-nil, receives the pipeline's stage timers and
-	// counters (mapping, Pair-HMM, calling). It applies to NewPipeline;
-	// cluster runs instead build one registry per rank — use
-	// RunClusterReport to get the aggregated result.
+	// counters (mapping, Pair-HMM, calling). On a cluster it is rank 0's
+	// registry and the other ranks get one each;
+	// Pipeline.MetricsReport merges them.
 	Metrics *MetricsRegistry
-	// Checkpoint, when non-nil, makes Pipeline.MapReadsFrom and the
-	// cluster runners write durable checkpoints (and honor
-	// Resume/StopRequested). On a cluster only ReadSplit supports it
-	// (with or without OpTimeout); GenomeSplit is rejected — it has no
-	// stream to watermark.
+	// Checkpoint, when non-nil, makes Pipeline.MapReadsFrom write durable
+	// checkpoints (and honor Resume/StopRequested), in one process or
+	// read-split across ranks alike.
 	Checkpoint *CheckpointConfig
 	// Incremental, when non-nil, overlaps SNP calling with a Pipeline's
 	// mapping: the caller re-sweeps written genome regions at quiesce
 	// barriers (the same barriers Checkpoint uses, each on its own
-	// cadence) and Pipeline.Call returns its final sweep. Cluster runs
-	// keep their own call flow and reject it.
+	// cadence) and Pipeline.Call returns its final sweep.
+	//
+	// Not every feature composes with every placement; CheckModes says
+	// which do not, and why.
 	Incremental *IncrementalCallConfig
 }
 
@@ -182,13 +182,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // rank-independent activity such as FASTA/FASTQ file I/O.
 func ProcessMetrics() *MetricsRegistry { return obs.Default() }
 
-// MetricsProcessRank tags a snapshot as process-wide (rank-independent)
-// rather than belonging to a cluster rank.
-const MetricsProcessRank = obs.ProcessRank
-
-// NewMetricsReport merges per-scope snapshots into a report. Cluster
-// runs get this done by RunClusterReport; single-process callers can
-// assemble one from their registry's snapshot plus ProcessMetrics().
+// NewMetricsReport merges per-scope snapshots into a report.
+// Pipeline.MetricsReport does it for a pipeline's run.
 func NewMetricsReport(snaps []MetricsSnapshot, deadRanks []int) (*MetricsReport, error) {
 	return obs.NewReport(snaps, deadRanks)
 }
@@ -197,10 +192,21 @@ func NewMetricsReport(snaps []MetricsSnapshot, deadRanks []int) (*MetricsReport,
 // MetricsReport with internally consistent merged totals.
 func ValidateMetricsJSON(data []byte) error { return obs.ValidateReportJSON(data) }
 
-// ClusterConfig is the fault model for RunCluster: operation deadlines,
-// heartbeat failure detection, and optional deterministic fault
-// injection.
+// ClusterConfig is where a run executes — its placement (Nodes,
+// Transport, Split: the parameters RunClusterStream takes positionally)
+// — and the cluster's fault model: operation deadlines, heartbeat
+// failure detection, and optional deterministic fault injection.
 type ClusterConfig struct {
+	// Nodes is the simulated cluster size. Above 1, a Pipeline's mapping
+	// calls run read-split on that many ranks (rank 0 is the pipeline's
+	// own engine and accumulator); 0 and 1 map in this process.
+	Nodes int
+	// Transport connects the nodes (default Channels).
+	Transport Transport
+	// Split is the paper's parallelization strategy (default ReadSplit).
+	// A Pipeline holds the whole genome, so it runs ReadSplit only;
+	// GenomeSplit goes through RunClusterStream.
+	Split SplitMode
 	// OpTimeout bounds every cluster Send/Recv/collective; in read-split
 	// mode rank 0 then also keeps a ledger of dealt batches and re-deals
 	// a lost worker's share (0 = off).
@@ -239,12 +245,25 @@ type Pipeline struct {
 	skip int64
 	// inc is the incremental caller (Options.Incremental), nil otherwise.
 	inc *incrementalRun
+	// rankRegs are the worker ranks' registries of a cluster pipeline
+	// with metrics on (index 0 unused: rank 0 records into the engine's),
+	// rankSnaps what the latest mapping call gathered from them, and
+	// deadRanks the ranks that were lost or never reported.
+	rankRegs  []*MetricsRegistry
+	rankSnaps []MetricsSnapshot
+	deadRanks []int
 }
 
 // NewPipeline indexes the reference and allocates the accumulator. With
 // Options.Checkpoint.Resume it also adopts the checkpoint file's state
 // when one exists.
 func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
+	if err := CheckModes(opts); err != nil {
+		return nil, err
+	}
+	if opts.Cluster.Nodes > 1 && opts.Cluster.Split != ReadSplit {
+		return nil, fmt.Errorf("%w: a Pipeline holds the whole genome and runs read-split; %v runs through RunClusterStream", ErrModeUnsupported, opts.Cluster.Split)
+	}
 	if opts.Metrics != nil {
 		if opts.Engine.Metrics == nil {
 			opts.Engine.Metrics = opts.Metrics
@@ -302,7 +321,11 @@ func (p *Pipeline) MapReads(reads []*Read) (MapStats, error) {
 // mapping pipeline: resident memory is capped at
 // (Engine.Queue + Engine.Workers) · Engine.Batch reads regardless of
 // the input size. It may be called repeatedly; the returned stats cover
-// this call (CumulativeStats covers the pipeline's life).
+// this call (CumulativeStats covers the pipeline's life). With
+// Options.Cluster.Nodes > 1 the same step runs read-split on that many
+// ranks — this process deals the source and folds the ranks' state into
+// the pipeline's accumulator — and everything after it (Call,
+// WritePileup, WriteSAM, CoverageStats, SaveState) is unchanged.
 //
 // Options.Checkpoint and Options.Incremental subscribe to the run's
 // quiesce barriers. Checkpoint counters are cumulative across the
@@ -325,19 +348,104 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 	if p.inc != nil {
 		pol.Subscribers = append(pol.Subscribers, p.inc.subscriber(p.consumed))
 	}
-	st, err := p.eng.MapReadsFrom(src, p.acc, 0, &pol)
+	var st MapStats
+	var err error
+	if p.opts.Cluster.Nodes > 1 {
+		st, err = p.mapReadSplit(src, &pol)
+	} else {
+		st, err = p.eng.MapReadsFrom(src, p.acc, 0, &pol)
+	}
 	if cw != nil {
 		err = cw.finish(err) // the newest checkpoint must be durable before we return
 	}
 	if err == nil || errors.Is(err, ErrStopped) {
 		// Every read counts as exactly one of mapped/unmapped, so their
 		// sum is the number of reads consumed.
-		p.cum.Mapped += st.Mapped
-		p.cum.Unmapped += st.Unmapped
-		p.cum.Locations += st.Locations
+		p.cum.Add(st)
 		p.consumed += st.Mapped + st.Unmapped
 	}
 	return st, err
+}
+
+// mapReadSplit is MapReadsFrom's mapping step on Options.Cluster.Nodes
+// ranks: rank 0 is the pipeline's engine and accumulator and owns src
+// and the barrier policy; every other rank gets an engine (over rank 0's
+// seed index) and an accumulator of its own for the call.
+func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (MapStats, error) {
+	cc := p.opts.Cluster
+	reg := p.opts.Engine.Metrics
+	if reg != nil && p.rankRegs == nil {
+		p.rankRegs = make([]*MetricsRegistry, cc.Nodes)
+		for r := 1; r < cc.Nodes; r++ {
+			p.rankRegs[r] = obs.NewRegistry()
+		}
+	}
+	// Written by rank 0's node goroutine only; read after the run, which
+	// waits every goroutine out.
+	var st MapStats
+	err := cluster.RunWithConfig(cc.Nodes, cc.runConfig(), func(c *cluster.Comm) error {
+		eng, acc, rreg := p.eng, p.acc, reg // this rank's
+		if c.Rank() != 0 {
+			// The simulated ranks share this process's memory: adopt rank
+			// 0's immutable index rather than build N-1 copies after it.
+			cfg := p.opts.Engine
+			cfg.SeedIndex = p.eng.SeedIndex()
+			if reg != nil {
+				rreg = p.rankRegs[c.Rank()]
+				cfg.Metrics = rreg
+			}
+			var err error
+			if eng, err = core.NewEngine(p.ref, cfg); err != nil {
+				return err
+			}
+			if acc, err = core.NewAccumulator(p.opts.Memory, p.ref.Len(), cfg); err != nil {
+				return err
+			}
+		}
+		c.SetMetrics(rreg)
+		got, err := core.RunReadSplit(c, eng, acc, src, pol)
+		if c.Rank() == 0 {
+			st = got
+		}
+		if err != nil || rreg == nil {
+			// ErrStopped propagates: the final checkpoint is on disk and
+			// the caller decides whether to call on partial state.
+			return err
+		}
+		snaps, dead, err := gatherRankMetrics(c, rreg)
+		if c.Rank() == 0 && err == nil {
+			p.rankSnaps, p.deadRanks = snaps[1:], unionInts(p.deadRanks, dead)
+		}
+		return err
+	})
+	p.deadRanks = unionInts(p.deadRanks, st.LostRanks)
+	return st, err
+}
+
+// gatherRankMetrics publishes the rank's communication counters and
+// gathers every rank's snapshot at rank 0 (tolerating dead ranks on
+// fault-tolerant runs).
+func gatherRankMetrics(c *cluster.Comm, reg *MetricsRegistry) ([]MetricsSnapshot, []int, error) {
+	c.PublishStats()
+	return core.GatherMetrics(c, reg.Snapshot(c.Rank()))
+}
+
+// MetricsReport merges what the pipeline has recorded: the engine's
+// registry (Options.Metrics) as rank 0, the worker ranks' snapshots of
+// the latest cluster mapping call, and the process-wide I/O metrics.
+// Nil when the pipeline records no metrics.
+func (p *Pipeline) MetricsReport() (*MetricsReport, error) {
+	reg := p.opts.Engine.Metrics
+	if reg == nil {
+		return nil, nil
+	}
+	return newRunReport(append([]MetricsSnapshot{reg.Snapshot(0)}, p.rankSnaps...), p.deadRanks)
+}
+
+// newRunReport merges rank snapshots with the rank-independent activity
+// (file I/O) of this process.
+func newRunReport(snaps []MetricsSnapshot, dead []int) (*MetricsReport, error) {
+	return obs.NewReport(append(snaps, obs.Default().Snapshot(obs.ProcessRank)), dead)
 }
 
 // Call runs the likelihood-ratio SNP caller over the accumulated state.
@@ -834,31 +942,73 @@ func (m SplitMode) String() string {
 	}
 }
 
-// RunCluster maps reads and calls SNPs on a simulated cluster of the
-// given size, returning the calls and global mapping statistics. In
-// ReadSplit mode the reduction happens at rank 0, which also calls
-// SNPs; in GenomeSplit mode every rank calls SNPs on its genome slice
-// and the calls are gathered — except under FDR control, where the
-// per-position LRT candidates are gathered to rank 0 and the
-// Benjamini-Hochberg pass runs once over the global candidate list
-// (BH thresholds depend on the full ranked p-value list, so running it
-// per shard changes the call set with the node count). Either way the
-// result is equivalent to a single-process run.
-func RunCluster(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, reads []*Read, opts Options) ([]SNPCall, MapStats, error) {
-
-	return RunClusterStream(nodes, transport, mode, reference, SliceReadSource(reads), opts)
+// runConfig is the cluster runtime's view of the configuration.
+func (cc ClusterConfig) runConfig() cluster.RunConfig {
+	return cluster.RunConfig{Kind: cc.Transport, OpTimeout: cc.OpTimeout, Heartbeat: cc.Heartbeat, Fault: cc.Fault}
 }
 
-// RunClusterStream is RunCluster over a read source. In ReadSplit mode
-// rank 0 owns the source and deals fixed-size batches round-robin to
-// the ranks under a bounded credit window, so cluster-wide resident
-// reads stay capped by Engine.{Batch,Queue,Workers}; with
-// Cluster.OpTimeout set it also retains what it dealt since the last
-// checkpoint round, to re-deal a lost rank's share. GenomeSplit shows
-// every rank all reads and sizes its index slices from the longest one,
-// which a stream does not know up front, so it materializes the source
-// first.
+// ErrModeUnsupported is wrapped by every refusal of a feature on a
+// placement that cannot serve it (CheckModes).
+var ErrModeUnsupported = errors.New("gnumap: unsupported mode combination")
+
+// CheckModes reports whether what a run asks for composes with where it
+// runs (opts.Cluster), naming both sides by their gnumap-snp flags when
+// it does not. outputs lists the side outputs the caller means to write
+// from the accumulated genome ("-sam", "-pileup"): they are Pipeline
+// methods rather than options, but need the same whole-genome state.
+// The pairs refused, all wrapping ErrModeUnsupported:
+//
+//   - Checkpoint, Incremental and every side output × GenomeSplit:
+//     genome-split keeps no whole-genome state on any rank, so there is
+//     nothing to checkpoint, sweep incrementally or write a pileup from.
+//   - Incremental × ReadSplit (with or without OpTimeout): the
+//     incremental caller re-sweeps the regions its own rank wrote, and
+//     the ranks' write-sets are not carried to rank 0 with their state.
+func CheckModes(opts Options, outputs ...string) error {
+	cc := opts.Cluster
+	if cc.Nodes <= 1 {
+		return nil
+	}
+	var placement, why string
+	var features []string
+	if opts.Incremental != nil {
+		features = append(features, "-incremental-every")
+	}
+	switch cc.Split {
+	case ReadSplit:
+		placement, why = "read", "incremental calling re-sweeps what its own rank wrote, and the ranks' write-sets do not travel with their state"
+	case GenomeSplit:
+		placement, why = "genome", "genome-split keeps no whole-genome state on any rank"
+		if opts.Checkpoint != nil {
+			features = append(features, "-checkpoint")
+		}
+		features = append(features, outputs...)
+	default:
+		return fmt.Errorf("gnumap: unknown split mode %d", int(cc.Split))
+	}
+	if len(features) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %s with -nodes %d -split %s: %s", ErrModeUnsupported, features[0], cc.Nodes, placement, why)
+}
+
+// RunClusterStream maps src and calls SNPs on a simulated cluster of the
+// given size, returning the calls and global mapping statistics: the
+// cluster placement spelled as parameters (they override
+// opts.Cluster.Nodes/Transport/Split). In ReadSplit mode it is a
+// Pipeline run — rank 0 owns the source and deals fixed-size batches
+// round-robin to the ranks under a bounded credit window, so
+// cluster-wide resident reads stay capped by
+// Engine.{Batch,Queue,Workers}; with Cluster.OpTimeout set it also
+// retains what it dealt since the last checkpoint round, to re-deal a
+// lost rank's share; rank 0 calls SNPs. In GenomeSplit mode rank 0
+// broadcasts the source a batch at a time, every rank calls SNPs on its
+// genome slice and the calls are gathered — except under FDR control,
+// where the per-position LRT candidates are gathered to rank 0 and the
+// Benjamini-Hochberg pass runs once over the global candidate list (BH
+// thresholds depend on the full ranked p-value list, so running it per
+// shard changes the call set with the node count). Either way the
+// result is equivalent to a single-process run.
 func RunClusterStream(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, error) {
 
@@ -866,192 +1016,97 @@ func RunClusterStream(nodes int, transport Transport, mode SplitMode,
 	return calls, stats, err
 }
 
-// RunClusterStreamReport is RunClusterStream with the per-rank
-// observability of RunClusterReport.
+// RunClusterStreamReport is RunClusterStream with per-rank
+// observability: every rank records its mapping, calling, and
+// communication activity into its own registry; at the end the
+// snapshots are gathered at rank 0 (tolerating dead ranks on
+// fault-tolerant runs) and merged into a MetricsReport alongside the
+// process-wide I/O metrics.
 func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 
 	return runCluster(nodes, transport, mode, reference, src, opts, true)
 }
 
-// materializeReads drains a source into a slice (genome-split needs
-// every read on every rank).
-func materializeReads(src ReadSource) ([]*Read, error) {
-	var reads []*Read
-	for {
-		rd, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return reads, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		reads = append(reads, rd)
-	}
-}
-
-// RunClusterReport is RunCluster with per-rank observability: every
-// rank records its mapping, calling, and communication activity into
-// its own registry; at the end the snapshots are gathered at rank 0
-// (tolerating dead ranks on fault-tolerant runs) and merged into a
-// MetricsReport alongside the process-wide I/O metrics.
-func RunClusterReport(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, reads []*Read, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
-
-	return runCluster(nodes, transport, mode, reference, SliceReadSource(reads), opts, true)
-}
-
-// runCluster executes a cluster run over src, which rank 0 owns in
-// read-split mode and which genome-split materializes for every rank.
+// runCluster is both spellings: a Pipeline run for read-split, the
+// genome-split runner otherwise.
 func runCluster(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
 
-	if opts.Incremental != nil {
-		return nil, MapStats{}, nil, fmt.Errorf("gnumap: incremental calling runs single-process only; cluster runs keep their own call flow")
+	if nodes < 1 {
+		return nil, MapStats{}, nil, fmt.Errorf("gnumap: cluster of %d nodes", nodes)
 	}
-	if opts.Checkpoint != nil && mode != ReadSplit {
-		// Checkpoint watermarks count reads dealt from the stream, which
-		// the materializing mode does not have: reject rather than
-		// silently run without durability.
-		return nil, MapStats{}, nil, fmt.Errorf("gnumap: checkpointing requires read-split mode, not %v", mode)
+	opts.Cluster.Nodes, opts.Cluster.Transport, opts.Cluster.Split = nodes, transport, mode
+	if mode == GenomeSplit {
+		return runGenomeSplit(reference, src, opts, withMetrics)
+	}
+	if withMetrics && opts.Metrics == nil {
+		opts.Metrics = NewMetricsRegistry()
+	}
+	p, err := NewPipeline(reference, opts)
+	if err != nil {
+		return nil, MapStats{}, nil, err
+	}
+	if _, err := p.MapReadsFrom(src); err != nil {
+		// ErrStopped included: the final checkpoint is on disk, and the
+		// caller relaunches with Resume rather than call on partial state.
+		return nil, MapStats{}, nil, err
+	}
+	calls, _, err := p.Call()
+	if err != nil {
+		return nil, MapStats{}, nil, err
+	}
+	var report *MetricsReport
+	if withMetrics {
+		if report, err = p.MetricsReport(); err != nil {
+			return nil, MapStats{}, nil, err
+		}
+	}
+	// Cumulative, so a resumed job reports the whole job's totals.
+	return calls, p.CumulativeStats(), report, nil
+}
+
+// runGenomeSplit executes a genome-split cluster run over src, which
+// rank 0 owns: every rank maps every read against its genome slice, then
+// calls SNPs on it (or collects LRT candidates for the global FDR pass).
+func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
+	if err := CheckModes(opts); err != nil {
+		return nil, MapStats{}, nil, err
 	}
 	ref, err := genome.NewReference(reference)
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
-	var ckr *clusterCkpt
-	if opts.Checkpoint != nil {
-		ckr, err = prepareClusterCkpt(ref, src, opts)
-		if err != nil {
-			return nil, MapStats{}, nil, err
-		}
-	}
-	var reads []*Read
-	if mode == GenomeSplit {
-		if reads, err = materializeReads(src); err != nil {
-			return nil, MapStats{}, nil, err
-		}
-	}
-	var calls []SNPCall
-	var stats MapStats
+	nodes := opts.Cluster.Nodes
 	collect := make([][]SNPCall, nodes)
-	statsCh := make(chan MapStats, nodes)
 	// Written only by rank 0's node goroutine; read after RunWithConfig
 	// returns (which waits all goroutines out).
-	var gotSnaps []MetricsSnapshot
-	var gotDead []int
-
-	runCfg := cluster.RunConfig{
-		Kind:      transport,
-		OpTimeout: opts.Cluster.OpTimeout,
-		Heartbeat: opts.Cluster.Heartbeat,
-		Fault:     opts.Cluster.Fault,
-	}
-	err = cluster.RunWithConfig(nodes, runCfg, func(c *cluster.Comm) error {
-		nodeOpts := opts
-		var reg *obs.Registry
+	var stats MapStats
+	var snaps []MetricsSnapshot
+	var dead []int
+	err = cluster.RunWithConfig(nodes, opts.Cluster.runConfig(), func(c *cluster.Comm) error {
+		engCfg, caller := opts.Engine, opts.Caller
+		var reg *MetricsRegistry
 		if withMetrics {
 			reg = obs.NewRegistry()
-			nodeOpts.Engine.Metrics = reg
-			nodeOpts.Caller.Metrics = reg
+			engCfg.Metrics, caller.Metrics = reg, reg
 			c.SetMetrics(reg)
 		}
-		if err := runClusterNode(c, mode, ref, reads, src, nodeOpts, ckr, collect, statsCh); err != nil {
-			return err
-		}
-		if withMetrics {
-			c.PublishStats()
-			snaps, dead, err := core.GatherMetrics(c, reg.Snapshot(c.Rank()))
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				gotSnaps, gotDead = snaps, dead
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, MapStats{}, nil, err
-	}
-	close(statsCh)
-	for st := range statsCh {
-		stats = st
-	}
-	for _, cs := range collect {
-		calls = append(calls, cs...)
-	}
-	var report *MetricsReport
-	if withMetrics {
-		// Rank-independent activity (file I/O) rides along as a
-		// ProcessRank snapshot when there is any.
-		ioSnap := obs.Default().Snapshot(obs.ProcessRank)
-		if len(ioSnap.Counters)+len(ioSnap.Gauges)+len(ioSnap.Histograms) > 0 {
-			gotSnaps = append(gotSnaps, ioSnap)
-		}
-		report, err = obs.NewReport(gotSnaps, unionInts(gotDead, stats.LostRanks))
-		if err != nil {
-			return nil, MapStats{}, nil, err
-		}
-	}
-	return calls, stats, report, nil
-}
-
-// runClusterNode is one rank's work: map, then call (or collect LRT
-// candidates for the global FDR pass).
-func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
-	reads []*Read, src ReadSource, opts Options, ckr *clusterCkpt, collect [][]SNPCall, statsCh chan MapStats) error {
-
-	switch mode {
-	case ReadSplit:
-		// Only rank 0 owns the stream (the others ignore src) and drives
-		// the checkpoint rounds.
-		var ck *core.StreamCkpt
-		var cw *ckptCommitter
-		if c.Rank() == 0 {
-			ck, cw = streamCkptFor(ckr, opts.Engine.Metrics)
-		}
-		acc, st, err := core.RunReadSplit(c, ref, src, opts.Memory, opts.Engine, ck)
-		if cw != nil {
-			err = cw.finish(err)
-		}
-		if err != nil {
-			// ErrStopped propagates: the final checkpoint is on disk and
-			// the caller decides whether to call on partial state.
-			return err
-		}
-		if c.Rank() == 0 {
-			if ckr != nil {
-				// Fold the resumed base back in so the reported totals
-				// cover the whole job, not just this invocation.
-				st.Mapped += ckr.base.Mapped
-				st.Unmapped += ckr.base.Unmapped
-				st.Locations += ckr.base.Locations
-			}
-			statsCh <- st
-			cs, _, err := snp.CallAll(ref, acc, opts.Caller)
-			if err != nil {
-				return err
-			}
-			collect[0] = cs
-		}
-		return nil
-	case GenomeSplit:
-		acc, lo, hi, st, err := core.RunGenomeSplit(c, ref, reads, opts.Memory, opts.Engine)
+		acc, lo, hi, st, err := core.RunGenomeSplit(c, ref, src, opts.Memory, engCfg)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
-			statsCh <- st
+			stats = st
 		}
-		if opts.Caller.UseFDR {
+		if caller.UseFDR {
 			// The Benjamini-Hochberg threshold for each hypothesis
 			// depends on the rank of its p-value in the FULL sorted list.
 			// Running CallRange per shard applied BH with shard-local
 			// lists and shard-local n, so genome-split call sets diverged
 			// from single-process runs. Gather the candidates and apply
 			// one global BH pass at rank 0 instead.
-			cands, _, err := snp.CollectRangeParallel(ref, acc, lo, lo, hi, opts.Caller)
+			cands, _, err := snp.CollectRangeParallel(ref, acc, lo, lo, hi, caller)
 			if err != nil {
 				return err
 			}
@@ -1068,23 +1123,36 @@ func runClusterNode(c *cluster.Comm, mode SplitMode, ref *genome.Reference,
 					}
 					merged = append(merged, part...)
 				}
-				cs, _, err := snp.FinalizeCalls(merged, opts.Caller)
-				if err != nil {
+				if collect[0], _, err = snp.FinalizeCalls(merged, caller); err != nil {
 					return err
 				}
-				collect[0] = cs
 			}
-			return nil
-		}
-		cs, _, err := snp.CallRange(ref, acc, lo, lo, hi, opts.Caller)
-		if err != nil {
+		} else if collect[c.Rank()], _, err = snp.CallRange(ref, acc, lo, lo, hi, caller); err != nil {
 			return err
 		}
-		collect[c.Rank()] = cs
-		return nil
-	default:
-		return fmt.Errorf("gnumap: unknown split mode %d", int(mode))
+		if reg == nil {
+			return nil
+		}
+		got, gotDead, err := gatherRankMetrics(c, reg)
+		if c.Rank() == 0 {
+			snaps, dead = got, gotDead
+		}
+		return err
+	})
+	if err != nil {
+		return nil, MapStats{}, nil, err
 	}
+	var calls []SNPCall
+	for _, cs := range collect {
+		calls = append(calls, cs...)
+	}
+	var report *MetricsReport
+	if withMetrics {
+		if report, err = newRunReport(snaps, dead); err != nil {
+			return nil, MapStats{}, nil, err
+		}
+	}
+	return calls, stats, report, nil
 }
 
 // unionInts merges two int lists (duplicates removed; order left to

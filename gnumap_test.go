@@ -1,12 +1,14 @@
 package gnumap
 
 import (
-	"time"
-
 	"bytes"
-	"gnumap/internal/obs"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"gnumap/internal/obs"
 )
 
 func dataset(t *testing.T) *Dataset {
@@ -199,8 +201,7 @@ func TestRunClusterBothModes(t *testing.T) {
 	}
 
 	for _, mode := range []SplitMode{ReadSplit, GenomeSplit} {
-		calls, st, err := RunCluster(3, Channels, mode,
-			ds.Reference, ds.Reads, Options{Engine: EngineConfig{Workers: 1}})
+		calls, st, err := RunClusterStream(3, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -221,11 +222,82 @@ func TestRunClusterBothModes(t *testing.T) {
 
 func TestRunClusterValidation(t *testing.T) {
 	ds := dataset(t)
-	if _, _, err := RunCluster(2, Channels, SplitMode(9), ds.Reference, ds.Reads[:10], Options{}); err == nil {
+	if _, _, err := RunClusterStream(2, Channels, SplitMode(9), ds.Reference, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
 		t.Error("bad split mode accepted")
 	}
-	if _, _, err := RunCluster(2, Channels, ReadSplit, nil, ds.Reads[:10], Options{}); err == nil {
+	if _, _, err := RunClusterStream(2, Channels, ReadSplit, nil, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
 		t.Error("nil reference accepted")
+	}
+}
+
+// TestCheckModesTyped: the six feature × placement pairs that do not
+// compose are refused by one function with one sentinel, naming both
+// sides by their CLI flags and the reason; every entry point that could
+// run such a pair returns it, and the pairs that compose pass.
+func TestCheckModesTyped(t *testing.T) {
+	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt")}
+	inc := &IncrementalCallConfig{}
+	on := func(split SplitMode, ft bool) ClusterConfig {
+		cc := ClusterConfig{Nodes: 2, Split: split}
+		if ft {
+			cc.OpTimeout = 30 * time.Second
+		}
+		return cc
+	}
+	refused := []struct {
+		name    string
+		opts    Options
+		outputs []string
+		names   []string
+	}{
+		{"checkpoint+genome-split", Options{Checkpoint: ck, Cluster: on(GenomeSplit, false)}, nil, []string{"-checkpoint", "-split genome", "no whole-genome state"}},
+		{"incremental+genome-split", Options{Incremental: inc, Cluster: on(GenomeSplit, false)}, nil, []string{"-incremental-every", "-split genome", "no whole-genome state"}},
+		{"sam+genome-split", Options{Cluster: on(GenomeSplit, false)}, []string{"-sam"}, []string{"-sam", "-split genome", "no whole-genome state"}},
+		{"pileup+genome-split", Options{Cluster: on(GenomeSplit, false)}, []string{"-pileup"}, []string{"-pileup", "-split genome", "no whole-genome state"}},
+		{"incremental+read-split", Options{Incremental: inc, Cluster: on(ReadSplit, false)}, nil, []string{"-incremental-every", "-split read", "write-sets"}},
+		{"incremental+ft-read-split", Options{Incremental: inc, Cluster: on(ReadSplit, true)}, nil, []string{"-incremental-every", "-split read", "write-sets"}},
+	}
+	for _, tc := range refused {
+		err := CheckModes(tc.opts, tc.outputs...)
+		if !errors.Is(err, ErrModeUnsupported) {
+			t.Errorf("%s: %v, want ErrModeUnsupported", tc.name, err)
+			continue
+		}
+		for _, n := range append(tc.names, "-nodes 2") {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("%s: refusal does not name %q: %v", tc.name, n, err)
+			}
+		}
+	}
+	composing := []struct {
+		name    string
+		opts    Options
+		outputs []string
+	}{
+		{"everything in one process", Options{Checkpoint: ck, Incremental: inc}, []string{"-sam", "-pileup"}},
+		{"checkpoint+sam+pileup on read-split", Options{Checkpoint: ck, Cluster: on(ReadSplit, true)}, []string{"-sam", "-pileup"}},
+		{"plain genome-split", Options{Cluster: on(GenomeSplit, false)}, nil},
+		{"a one-node cluster is one process", Options{Checkpoint: ck, Incremental: inc, Cluster: ClusterConfig{Nodes: 1, Split: GenomeSplit}}, []string{"-sam"}},
+	}
+	for _, tc := range composing {
+		if err := CheckModes(tc.opts, tc.outputs...); err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+	}
+
+	// The entry points return what CheckModes says.
+	ds := dataset(t)
+	if _, err := NewPipeline(ds.Reference, Options{Incremental: inc, Cluster: on(ReadSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("NewPipeline, incremental x read-split: %v", err)
+	}
+	if _, err := NewPipeline(ds.Reference, Options{Cluster: on(GenomeSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("NewPipeline on genome-split (a Pipeline holds the whole genome): %v", err)
+	}
+	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("RunClusterStream, incremental x genome-split: %v", err)
+	}
+	if _, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("RunClusterStream, incremental x read-split: %v", err)
 	}
 }
 
@@ -525,7 +597,7 @@ func TestGenomeSplitGlobalFDRMatchesSingleProcess(t *testing.T) {
 		t.Fatal("single-process FDR run produced no calls; test is vacuous")
 	}
 	for _, nodes := range []int{1, 4} {
-		calls, st, err := RunCluster(nodes, Channels, GenomeSplit, ds.Reference, ds.Reads, opts)
+		calls, st, err := RunClusterStream(nodes, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 		if err != nil {
 			t.Fatalf("np=%d: %v", nodes, err)
 		}
@@ -546,8 +618,8 @@ func TestGenomeSplitGlobalFDRMatchesSingleProcess(t *testing.T) {
 
 func TestRunClusterReportHealthy(t *testing.T) {
 	ds := dataset(t)
-	calls, st, report, err := RunClusterReport(3, Channels, GenomeSplit,
-		ds.Reference, ds.Reads, Options{Engine: EngineConfig{Workers: 1}})
+	calls, st, report, err := RunClusterStreamReport(3, Channels, GenomeSplit,
+		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,8 +681,8 @@ func TestRunClusterReportDegraded(t *testing.T) {
 			Fault:     &FaultConfig{Seed: 9, CrashRank: 2},
 		},
 	}
-	calls, st, report, err := RunClusterReport(4, Channels, ReadSplit,
-		ds.Reference, ds.Reads, opts)
+	calls, st, report, err := RunClusterStreamReport(4, Channels, ReadSplit,
+		ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,19 @@ import (
 	"testing"
 )
 
-// BenchmarkAllreduce measures the per-collective cost of the
-// genome-split mode's normalization rounds.
-func BenchmarkAllreduce(b *testing.B) {
+// BenchmarkGatherBroadcast measures the cost of the genome-split mode's
+// per-batch exchange: a Gather to rank 0 and a Broadcast back.
+func BenchmarkGatherBroadcast(b *testing.B) {
 	for _, tk := range []TransportKind{Channels, TCP} {
 		for _, nodes := range []int{2, 4} {
 			b.Run(fmt.Sprintf("%s/nodes=%d", tk, nodes), func(b *testing.B) {
 				payload := make([]float64, 256)
 				err := Run(nodes, tk, func(c *Comm) error {
 					for i := 0; i < b.N; i++ {
-						if _, err := c.Allreduce(payload, SumFloat64s); err != nil {
+						if _, err := c.Gather(0, payload); err != nil {
+							return err
+						}
+						if _, err := c.Broadcast(0, payload); err != nil {
 							return err
 						}
 					}

@@ -1,8 +1,7 @@
 // Package cluster is the message-passing substrate standing in for MPI
 // (paper §VI Step 1). It provides rank-addressed point-to-point
 // messaging plus the collectives GNUMAP-SNP's two parallel modes need
-// (Barrier, Broadcast, Gather, Scatter, Reduce, Allreduce), over two
-// interchangeable transports:
+// (Barrier, Broadcast, Gather), over two interchangeable transports:
 //
 //   - ChannelTransport: goroutine "nodes" exchanging serialized
 //     messages over Go channels — the default for experiments.
@@ -592,82 +591,8 @@ func (c *Comm) Gather(root int, payload any) ([]any, error) {
 	return nil, c.send(root, tag, payload, "gather")
 }
 
-// Scatter distributes parts[r] from root to each rank r; every rank
-// returns its own part. parts is only read at root and must have one
-// entry per rank there.
-func (c *Comm) Scatter(root int, parts []any) (any, error) {
-	defer c.collTimer("scatter")()
-	tag := c.nextCollTag()
-	if root < 0 || root >= c.size {
-		return nil, fmt.Errorf("cluster: scatter root %d of %d", root, c.size)
-	}
-	if c.rank == root {
-		if len(parts) != c.size {
-			return nil, fmt.Errorf("cluster: scatter with %d parts for %d ranks", len(parts), c.size)
-		}
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.send(r, tag, parts[r], "scatter"); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	return c.recv(root, tag, "scatter")
-}
-
-// ReduceOp folds b into a and returns the result. It must be
-// associative; Reduce applies it in ascending rank order.
-type ReduceOp func(a, b any) (any, error)
-
-// Reduce folds every rank's payload at root with op; the result is
-// returned at root (nil elsewhere).
-func (c *Comm) Reduce(root int, payload any, op ReduceOp) (any, error) {
-	vals, err := c.Gather(root, payload)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	acc := vals[0]
-	for r := 1; r < c.size; r++ {
-		acc, err = op(acc, vals[r])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// Allreduce folds every rank's payload and returns the result on every
-// rank (Reduce to rank 0, then Broadcast).
-func (c *Comm) Allreduce(payload any, op ReduceOp) (any, error) {
-	v, err := c.Reduce(0, payload, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.Broadcast(0, v)
-}
-
-// SumFloat64s is a ReduceOp summing []float64 elementwise.
-func SumFloat64s(a, b any) (any, error) {
-	av, aok := a.([]float64)
-	bv, bok := b.([]float64)
-	if !aok || !bok || len(av) != len(bv) {
-		return nil, fmt.Errorf("cluster: SumFloat64s on %T/%T", a, b)
-	}
-	out := make([]float64, len(av))
-	for i := range av {
-		out[i] = av[i] + bv[i]
-	}
-	return out, nil
-}
-
-// SumFloat32s is a ReduceOp summing []float32 elementwise — the
-// reduction used for NORM accumulator state.
+// SumFloat32s sums two []float32 elementwise — the fold of two NORM
+// accumulator states.
 func SumFloat32s(a, b any) (any, error) {
 	av, aok := a.([]float32)
 	bv, bok := b.([]float32)
@@ -792,24 +717,4 @@ func RunWithConfig(size int, cfg RunConfig, fn func(c *Comm) error) error {
 		}
 	}
 	return nil
-}
-
-// MaxFloat64s is a ReduceOp taking the elementwise maximum of
-// []float64 — used for the global log-sum-exp normalization in
-// genome-split mapping.
-func MaxFloat64s(a, b any) (any, error) {
-	av, aok := a.([]float64)
-	bv, bok := b.([]float64)
-	if !aok || !bok || len(av) != len(bv) {
-		return nil, fmt.Errorf("cluster: MaxFloat64s on %T/%T", a, b)
-	}
-	out := make([]float64, len(av))
-	for i := range av {
-		if av[i] >= bv[i] {
-			out[i] = av[i]
-		} else {
-			out[i] = bv[i]
-		}
-	}
-	return out, nil
 }

@@ -98,12 +98,12 @@ func TestChaosLosslessFaultsStillComplete(t *testing.T) {
 				if err := c.Barrier(); err != nil {
 					return fmt.Errorf("round %d barrier: %w", round, err)
 				}
-				v, err := c.Allreduce([]float64{1}, SumFloat64s)
+				got, err := gatherSum(c, 1)
 				if err != nil {
-					return fmt.Errorf("round %d allreduce: %w", round, err)
+					return fmt.Errorf("round %d gather+broadcast: %w", round, err)
 				}
-				if got := v.([]float64)[0]; got != 4 {
-					return fmt.Errorf("round %d allreduce = %v", round, got)
+				if got != 4 {
+					return fmt.Errorf("round %d gather+broadcast = %v", round, got)
 				}
 			}
 			return nil
@@ -133,7 +133,7 @@ func TestChaosCollectivesCompleteOrFailInDeadline(t *testing.T) {
 		err := RunWithConfig(size, rc, func(c *Comm) error {
 			for round := 0; round < 4; round++ {
 				start := time.Now()
-				_, err := c.Allreduce([]float64{float64(c.Rank())}, SumFloat64s)
+				_, err := gatherSum(c, float64(c.Rank()))
 				elapsed := time.Since(start)
 				if elapsed > budget {
 					return fmt.Errorf("round %d blocked %v (> %v budget)", round, elapsed, budget)
@@ -344,12 +344,8 @@ func TestChaosOverTCP(t *testing.T) {
 	cfg.MaxDelay = time.Millisecond
 	rc := RunConfig{Kind: TCP, OpTimeout: chaosOpTimeout, Heartbeat: 20 * time.Millisecond, Fault: &cfg}
 	err := RunWithConfig(3, rc, func(c *Comm) error {
-		v, err := c.Allreduce([]float64{2}, SumFloat64s)
-		if err != nil {
-			return err
-		}
-		if v.([]float64)[0] != 6 {
-			return fmt.Errorf("allreduce = %v", v)
+		if sum, err := gatherSum(c, 2); err != nil || sum != 6 {
+			return fmt.Errorf("gather+broadcast = %v, %v", sum, err)
 		}
 		return c.Barrier()
 	})

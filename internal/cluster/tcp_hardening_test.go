@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -131,12 +132,8 @@ func TestTCPRunWithHardening(t *testing.T) {
 		TCP:       TCPConfig{ReadTimeout: 50 * time.Millisecond, MaxFrame: 1 << 20},
 	}
 	err := RunWithConfig(3, rc, func(c *Comm) error {
-		v, err := c.Allreduce([]float64{float64(c.Rank() + 1)}, SumFloat64s)
-		if err != nil {
-			return err
-		}
-		if v.([]float64)[0] != 6 {
-			return errors.New("bad allreduce under hardened TCP")
+		if sum, err := gatherSum(c, float64(c.Rank()+1)); err != nil || sum != 6 {
+			return fmt.Errorf("gather+broadcast under hardened TCP = %v, %v", sum, err)
 		}
 		return c.Barrier()
 	})

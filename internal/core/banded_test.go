@@ -82,7 +82,7 @@ func TestWeightsRenormalized(t *testing.T) {
 		{logLik: -3.5},
 		{logLik: -3.6},
 	}
-	w := eng.weights(locs, nil)
+	w := eng.weights(logLiks(locs, nil))
 	sum := 0.0
 	nonzero := 0
 	for _, wi := range w {
@@ -104,7 +104,7 @@ func TestWeightsRenormalized(t *testing.T) {
 	// Buffer reuse: a second call into the same buffer must not read
 	// stale state (BestHitOnly path zeroes explicitly).
 	engBest := &Engine{cfg: Config{BestHitOnly: true}.withDefaults()}
-	w2 := engBest.weights(locs, w)
+	w2 := engBest.weights(logLiks(locs, w[:0]))
 	for i, wi := range w2 {
 		want := 0.0
 		if i == 0 {

@@ -1,15 +1,24 @@
 package core
 
 import (
+	"encoding/gob"
+	"errors"
 	"fmt"
-	"math"
+	"io"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 )
 
-// The paper's two MPI modes (§VI Step 1):
+func init() {
+	gob.Register([]*fastq.Read{})
+	gob.Register(batchLogLiks{})
+	gob.Register([]batchLogLiks{})
+}
+
+// The paper's two MPI modes (§VI Step 1) are two placements of one
+// algorithm:
 //
 //   - Read-split ("shared memory" in Figure 4): every node holds the
 //     whole genome and accumulator, maps a 1/N share of the reads, and
@@ -18,16 +27,21 @@ import (
 //
 //   - Genome-split ("spread memory" in Figure 4): every node holds a
 //     1/N slice of the genome and accumulator, and every node maps all
-//     reads against its slice. Posterior-location normalization needs
-//     the *global* likelihood mass of each read, so nodes exchange
-//     per-read likelihood sums every batch (three Allreduce rounds: a
-//     max and a sum giving a distributed log-sum-exp, then a
-//     survivor-mass sum so post-threshold renormalization matches the
-//     shared-memory engine). Alignments
-//     spilling over a slice boundary route their out-of-range
-//     contributions to the owning node point-to-point at the end.
-//     Minimal memory, more communication — which is why the paper's
-//     Figure 4 shows it processing fewer sequences per second.
+//     reads against its slice. Rank 0 owns the read stream and
+//     broadcasts it a batch at a time, so no rank ever holds more than
+//     one batch. A read's posterior weights need the likelihoods of its
+//     locations on every slice, so after mapping a batch the ranks meet
+//     in ONE exchange: each contributes the log-likelihoods of the
+//     locations it accepted, per read, and receives everyone's;
+//     concatenated in rank order they are the input of the engine's own
+//     weights — thresholding, renormalization, best-hit selection and
+//     the mapped/unmapped/locations counts are the shared-memory code
+//     run on every rank with the same input, so every rank also ends up
+//     with the global Stats. Alignments spilling over a slice boundary
+//     route their out-of-range contributions to the owning node
+//     point-to-point at the end. Minimal memory, more communication —
+//     which is why the paper's Figure 4 shows it processing fewer
+//     sequences per second.
 
 // GenomeSlice returns the [lo, hi) slice of the reference owned by a
 // rank in genome-split mode.
@@ -40,20 +54,86 @@ func GenomeSlice(refLen, size, rank int) (lo, hi int) {
 // applied.
 type spillBatch []float64
 
-// genomeSplitBatch is the number of reads per genome-split
-// normalization round: each batch costs three Allreduce collectives (a
-// max, a sum, and a post-threshold survivor-mass sum, each over one
-// float64 per read).
+// genomeSplitBatch is the number of reads rank 0 broadcasts, and the
+// ranks normalize, at a time: a batch costs one broadcast and one
+// exchange, and bounds the reads any rank holds.
 const genomeSplitBatch = 256
 
-// RunGenomeSplit executes genome-split mapping on one cluster node.
-// Every rank maps *all* reads against its genome slice; per-read
-// location posteriors are normalized globally via per-batch Allreduce
-// (log-sum-exp split into a max round and a sum round), and
-// contributions spilling outside the slice are routed to their owning
-// rank at the end. Returns the local slice accumulator, the owned
-// range, and global Stats.
-func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read, mode genome.Mode, cfg Config) (genome.Accumulator, int, int, Stats, error) {
+// batchLogLiks is one rank's side of a batch's exchange: N[i] is the
+// number of locations the rank accepted for the batch's i-th read and
+// LL their log-likelihoods, flattened in read order.
+type batchLogLiks struct {
+	N  []int32
+	LL []float64
+}
+
+// exchange is the per-batch collective: every rank contributes its side
+// and receives all of them, indexed by rank.
+func exchange(c *cluster.Comm, mine batchLogLiks) ([]batchLogLiks, error) {
+	vals, err := c.Gather(0, mine)
+	if err != nil {
+		return nil, err
+	}
+	var all []batchLogLiks
+	for r, v := range vals { // rank 0 only
+		side, ok := v.(batchLogLiks)
+		if !ok {
+			return nil, fmt.Errorf("core: rank %d sent exchange payload %T", r, v)
+		}
+		all = append(all, side)
+	}
+	v, err := c.Broadcast(0, all)
+	if err != nil {
+		return nil, err
+	}
+	all, ok := v.([]batchLogLiks)
+	if !ok || len(all) != c.Size() {
+		return nil, fmt.Errorf("core: rank %d received exchange payload %T", c.Rank(), v)
+	}
+	return all, nil
+}
+
+// nextSplitBatch is the batch broadcast: rank 0 pulls up to
+// genomeSplitBatch reads from src and every rank returns them; an empty
+// batch is the end of the input. A source error fails rank 0, which
+// tears the run down for the others.
+func nextSplitBatch(c *cluster.Comm, src fastq.Source) ([]*fastq.Read, error) {
+	var batch []*fastq.Read
+	if c.Rank() == 0 {
+		if src == nil {
+			return nil, fmt.Errorf("core: rank 0 needs a read source")
+		}
+		batch = make([]*fastq.Read, 0, genomeSplitBatch)
+		for len(batch) < genomeSplitBatch {
+			rd, err := src.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: read source: %w", err)
+			}
+			batch = append(batch, rd)
+		}
+	}
+	v, err := c.Broadcast(0, batch)
+	if err != nil {
+		return nil, err
+	}
+	batch, ok := v.([]*fastq.Read)
+	if !ok {
+		return nil, fmt.Errorf("core: rank %d received batch payload %T", c.Rank(), v)
+	}
+	return batch, nil
+}
+
+// RunGenomeSplit executes genome-split mapping on one cluster node (the
+// protocol is described above). src must be non-nil on rank 0 and is
+// ignored elsewhere. Each rank indexes its slice extended by the longest
+// read seen so far (plus padding), so boundary-straddling reads are
+// found, and re-indexes when a batch brings a longer one — every rank
+// sees every read, so they all decide alike. Returns the local slice
+// accumulator, the owned range, and global Stats.
+func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config) (genome.Accumulator, int, int, Stats, error) {
 	var st Stats
 	cfg = cfg.withDefaults()
 	size, rank := c.Size(), c.Rank()
@@ -65,145 +145,111 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 		return nil, 0, 0, st, fmt.Errorf("core: %d nodes for a %d-base reference leaves empty slices", size, L)
 	}
 	lo, hi := GenomeSlice(L, size, rank)
-	// Index an extended slice so boundary-straddling reads are found;
-	// ownership of a location is decided by its seed start.
-	maxReadLen := 0
-	for _, rd := range reads {
-		if len(rd.Seq) > maxReadLen {
-			maxReadLen = len(rd.Seq)
-		}
-	}
-	ext := maxReadLen + cfg.Pad + 1
-	idxLo, idxHi := lo-ext, hi+ext
-	if idxLo < 0 {
-		idxLo = 0
-	}
-	if idxHi > L {
-		idxHi = L
-	}
-	eng, err := newEngineSlice(ref, idxLo, idxHi, cfg)
-	if err != nil {
-		return nil, 0, 0, st, err
-	}
-	eng.ownLo, eng.ownHi = lo, hi
-
-	// Genome-split drives one serial mapper per rank (the Allreduce
-	// rounds are the bottleneck, not lock contention), so the striped
-	// accumulator is always the right layout here.
+	// Genome-split drives one serial mapper per rank (the exchange is
+	// the bottleneck, not lock contention), so the striped accumulator
+	// is always the right layout here.
 	acc, err := genome.New(mode, hi-lo)
 	if err != nil {
 		return nil, 0, 0, st, err
 	}
-	m, err := eng.getMapper()
-	if err != nil {
-		return nil, 0, 0, st, err
-	}
+	var m *mapper
+	maxReadLen, peakResident := 0, 0
 	spills := make(map[int]spillBatch) // destination rank -> flattened
+	var lls []float64
+	ownLocations := int64(0)
+	cursor := make([]int, size)
 
-	for base := 0; base < len(reads); base += genomeSplitBatch {
-		end := base + genomeSplitBatch
-		if end > len(reads) {
-			end = len(reads)
+	for {
+		batch, err := nextSplitBatch(c, src)
+		if err != nil {
+			return nil, 0, 0, st, err
 		}
-		b := end - base
-		// Phase 1: local alignment of the batch.
-		batchLocs := make([][]location, b)
-		localMax := make([]float64, b)
-		// keep: the round's locations must outlive the Allreduce rounds.
-		err := m.mapBatch(reads[base:end], true, func(i int, locs []location) error {
-			batchLocs[i], localMax[i] = locs, math.Inf(-1)
-			for _, l := range locs {
-				if l.logLik > localMax[i] {
-					localMax[i] = l.logLik
-				}
+		if len(batch) == 0 {
+			break
+		}
+		peakResident = max(peakResident, len(batch))
+		longest := maxReadLen
+		for _, rd := range batch {
+			longest = max(longest, len(rd.Seq))
+		}
+		if m == nil || longest > maxReadLen {
+			// Ownership of a location is decided by its seed start, so the
+			// index only has to reach one read (and its padding) past the
+			// slice on either side.
+			maxReadLen = longest
+			ext := maxReadLen + cfg.Pad + 1
+			eng, err := newEngineSlice(ref, max(lo-ext, 0), min(hi+ext, L), cfg)
+			if err != nil {
+				return nil, 0, 0, st, err
 			}
+			eng.ownLo, eng.ownHi = lo, hi
+			if m, err = eng.getMapper(); err != nil {
+				return nil, 0, 0, st, err
+			}
+		}
+		// Local alignment of the batch; keep: the locations must outlive
+		// the exchange.
+		batchLocs := make([][]location, len(batch))
+		mine := batchLogLiks{N: make([]int32, len(batch))}
+		err = m.mapBatch(batch, true, func(i int, locs []location) error {
+			batchLocs[i], mine.N[i] = locs, int32(len(locs))
+			mine.LL = logLiks(locs, mine.LL)
 			return nil
 		})
 		if err != nil {
 			return nil, 0, 0, st, err
 		}
-		// Phase 2: global normalization (distributed log-sum-exp).
-		gmaxAny, err := c.Allreduce(localMax, cluster.MaxFloat64s)
+		all, err := exchange(c, mine)
 		if err != nil {
 			return nil, 0, 0, st, err
 		}
-		gmax := gmaxAny.([]float64)
-		localSum := make([]float64, b)
-		for i := 0; i < b; i++ {
-			if math.IsInf(gmax[i], -1) {
+		// Weigh each read's locations from every rank together and apply
+		// this rank's; spill out-of-range positions to their owners.
+		clear(cursor)
+		for i, locs := range batchLocs {
+			lls = lls[:0]
+			own := 0
+			for r, side := range all {
+				if r == rank {
+					own = len(lls)
+				}
+				n := int(side.N[i])
+				lls = append(lls, side.LL[cursor[r]:cursor[r]+n]...)
+				cursor[r] += n
+			}
+			if len(lls) == 0 {
+				st.Unmapped++
 				continue
 			}
-			for _, l := range batchLocs[i] {
-				localSum[i] += math.Exp(l.logLik - gmax[i])
-			}
-		}
-		gsumAny, err := c.Allreduce(localSum, cluster.SumFloat64s)
-		if err != nil {
-			return nil, 0, 0, st, err
-		}
-		gsum := gsumAny.([]float64)
-		// Phase 2b: survivor-mass round. The shared-memory engine
-		// renormalizes the weights surviving the MinPosterior threshold
-		// so each mapped read deposits unit mass; mirroring that needs
-		// the *global* surviving mass, hence a third Allreduce.
-		localSurv := make([]float64, b)
-		if !cfg.BestHitOnly {
-			for i := 0; i < b; i++ {
-				if math.IsInf(gmax[i], -1) || gsum[i] <= 0 {
-					continue
-				}
-				for _, l := range batchLocs[i] {
-					if w := math.Exp(l.logLik-gmax[i]) / gsum[i]; w >= cfg.MinPosterior {
-						localSurv[i] += w
-					}
+			st.Mapped++
+			ws := m.e.weights(lls)
+			for _, w := range ws {
+				if w != 0 {
+					st.Locations++
 				}
 			}
-		}
-		gsurvAny, err := c.Allreduce(localSurv, cluster.SumFloat64s)
-		if err != nil {
-			return nil, 0, 0, st, err
-		}
-		gsurv := gsurvAny.([]float64)
-		// Phase 3: apply weighted contributions; spill out-of-range
-		// positions to their owners.
-		for i := 0; i < b; i++ {
-			if rank == 0 { // read-level stats counted once globally
-				if math.IsInf(gmax[i], -1) || gsum[i] <= 0 {
-					st.Unmapped++
-				} else {
-					st.Mapped++
+			for k, l := range locs {
+				if w := ws[own+k]; w != 0 {
+					ownLocations++
+					applySliceContribution(acc, lo, hi, L, size, l, w, spills)
 				}
-			}
-			for _, l := range batchLocs[i] {
-				var w float64
-				if cfg.BestHitOnly {
-					if l.logLik == gmax[i] {
-						w = 1
-					}
-				} else if gsum[i] > 0 {
-					w = math.Exp(l.logLik-gmax[i]) / gsum[i]
-					if w < cfg.MinPosterior {
-						w = 0
-					} else if gsurv[i] > 0 && gsurv[i] < 1 {
-						w /= gsurv[i]
-					}
-				}
-				if w == 0 {
-					continue
-				}
-				st.Locations++
-				applySliceContribution(acc, lo, hi, L, size, l, w, spills)
 			}
 		}
 	}
 	// The genome-split path drives mapBatch directly rather than going
-	// through MapReads, so mirror its read-level metric accounting here
-	// (local counts: mapped/unmapped are nonzero only at rank 0, which
-	// counts each read once globally).
-	if m.met != nil {
-		m.met.mapped.Add(st.Mapped)
-		m.met.unmapped.Add(st.Unmapped)
-		m.met.locations.Add(st.Locations)
+	// through MapReads, so mirror its read-level metric accounting here:
+	// every rank holds the global read counts, so rank 0 alone publishes
+	// them; locations are published by the rank that applied them.
+	if m != nil && m.met != nil {
+		if rank == 0 {
+			m.met.mapped.Add(st.Mapped)
+			m.met.unmapped.Add(st.Unmapped)
+		}
+		m.met.locations.Add(ownLocations)
+	}
+	if cfg.Metrics != nil {
+		// The reads this rank held at once: one batch, whatever the input.
+		cfg.Metrics.Gauge("stream.peak.resident.reads").Set(float64(peakResident))
 	}
 	// Boundary exchange: everyone sends every other rank its spill
 	// (possibly empty), then receives.
@@ -235,15 +281,6 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, reads []*fastq.Read,
 			acc.AddRange(pos-lo, []genome.Vec{vec}, 1)
 		}
 	}
-	// Global stats.
-	sv, err := c.Allreduce([]float64{
-		float64(st.Mapped), float64(st.Unmapped), float64(st.Locations),
-	}, cluster.SumFloat64s)
-	if err != nil {
-		return nil, 0, 0, st, err
-	}
-	gs := sv.([]float64)
-	st = Stats{Mapped: int64(gs[0]), Unmapped: int64(gs[1]), Locations: int64(gs[2])}
 	return acc, lo, hi, st, nil
 }
 

@@ -27,20 +27,16 @@ func TestRunReadSplitStreamCkptRounds(t *testing.T) {
 	var got genome.Accumulator
 	err := cluster.Run(4, cluster.Channels, func(c *cluster.Comm) error {
 		var src fastq.Source
-		var ck *StreamCkpt
+		var ck *CheckpointPolicy
 		if c.Rank() == 0 {
 			src = fastq.SliceSource(p.reads)
-			ck = &StreamCkpt{
-				EveryReads: 100,
-				Sink: func(consumed int64, st Stats, state []byte) error {
-					mu.Lock()
-					sinks = append(sinks, sinkRecord{consumed, st, state})
-					mu.Unlock()
-					return nil
-				},
-			}
+			ck = &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(r sinkRecord) {
+				mu.Lock()
+				sinks = append(sinks, r)
+				mu.Unlock()
+			})}}
 		}
-		acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, ck)
+		acc, st, err := readSplit(c, p.ref, src, genome.Norm, cfg, ck)
 		if err != nil {
 			return err
 		}
@@ -96,22 +92,20 @@ func TestRunReadSplitStreamCkptStopResume(t *testing.T) {
 	var rounds atomic.Int64
 	err := cluster.Run(4, cluster.Channels, func(c *cluster.Comm) error {
 		var src fastq.Source
-		var ck *StreamCkpt
+		var ck *CheckpointPolicy
 		if c.Rank() == 0 {
 			src = fastq.SliceSource(p.reads)
-			ck = &StreamCkpt{
-				EveryReads: 100,
-				Sink: func(consumed int64, st Stats, state []byte) error {
+			ck = &CheckpointPolicy{
+				Subscribers: []BarrierSubscriber{stateSink(100, func(r sinkRecord) {
 					mu.Lock()
-					last = sinkRecord{consumed, st, append([]byte(nil), state...)}
+					last = r
 					mu.Unlock()
 					rounds.Add(1)
-					return nil
-				},
+				})},
 				StopRequested: func() bool { return rounds.Load() >= 2 },
 			}
 		}
-		_, _, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, ck)
+		_, _, err := readSplit(c, p.ref, src, genome.Norm, cfg, ck)
 		if c.Rank() == 0 {
 			if !errors.Is(err, ErrStopped) {
 				return fmt.Errorf("rank 0: err = %v, want ErrStopped", err)
@@ -132,12 +126,10 @@ func TestRunReadSplitStreamCkptStopResume(t *testing.T) {
 	var restSt Stats
 	err = cluster.Run(4, cluster.Channels, func(c *cluster.Comm) error {
 		var src fastq.Source
-		var ck *StreamCkpt
 		if c.Rank() == 0 {
 			src = fastq.SliceSource(p.reads[last.consumed:])
-			ck = &StreamCkpt{ResumeState: last.state}
 		}
-		acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, ck)
+		acc, st, err := readSplit(c, p.ref, src, genome.Norm, cfg, nil, last.state)
 		if err != nil {
 			return err
 		}
@@ -176,7 +168,7 @@ func runFullStreamStats(t *testing.T, p *pipeline, cfg Config) Stats {
 		if c.Rank() == 0 {
 			src = fastq.SliceSource(p.reads)
 		}
-		_, s, err := RunReadSplit(c, p.ref, src, genome.Norm, cfg, nil)
+		_, s, err := readSplit(c, p.ref, src, genome.Norm, cfg, nil)
 		if err != nil {
 			return err
 		}

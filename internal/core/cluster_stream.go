@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
@@ -35,24 +34,32 @@ func init() {
 // straight into its own accumulator, which therefore holds the
 // cluster-wide state as of the marker. Per-(sender, tag) FIFO ordering
 // guarantees a payload covers exactly the batches dealt before the
-// marker. A checkpoint is a round followed by Sink; the end of the
-// stream is one more round followed by Done carrying the global stats
-// (the paper's "communicate the state of their genome", §VI Step 1) —
-// there is no separate final reduction.
+// marker. The rounds are the quiesce barriers of the CheckpointPolicy
+// Engine.MapReadsFrom takes: when a subscriber of the policy is due,
+// rank 0 runs a round and then the due subscribers on a Barrier whose
+// Consumed is the dealt-read watermark and whose Stats and state are
+// cluster-wide — so a checkpoint sink written for one process works on N
+// ranks unchanged. The end of the stream is one more round followed by
+// Done carrying the global stats (the paper's "communicate the state of
+// their genome", §VI Step 1) — there is no separate final reduction.
 //
 // Fault tolerance is the ledger. With an op timeout configured rank 0
 // retains each remote rank's batches since that rank's last collected
 // payload, and every wait is a patient receive (a plain blocking one at
 // timeout 0, so the plain and the fault-tolerant run are the same
-// code). A rank whose ack or payload never arrives, or whose payload
-// does not account for exactly its ledger's reads (a dropped or
-// duplicated batch), leaves the rotation and its ledger is re-dealt
-// through the normal dealing path: to the survivors and, like any
-// batch, to rank 0's own pipeline. A round that lost a rank repeats
-// until clean before Sink is called, so a committed watermark never
-// covers reads whose mass died with a rank; every read's mass is in
-// the result exactly once. Done goes to every non-root rank, lost or
-// not: a rank wrongly declared lost is alive and waiting for it.
+// code). Acks are cumulative — each carries the number of batches the
+// worker has taken so far — and a collected payload settles the rank's
+// window, so a lost ack is superseded by the next one or the next round
+// instead of costing the rank a credit for good. A rank whose ack or
+// payload never arrives, or whose payload does not account for exactly
+// its ledger's reads (a dropped or duplicated batch), leaves the
+// rotation and its ledger is re-dealt through the normal dealing path:
+// to the survivors and, like any batch, to rank 0's own pipeline. A
+// round that lost a rank repeats until clean before any subscriber
+// runs, so a committed watermark never covers reads whose mass died
+// with a rank; every read's mass is in the result exactly once. Done
+// goes to every non-root rank, lost or not: a rank wrongly declared
+// lost is alive and waiting for it.
 //
 // Rank 0 itself is not recoverable — it holds the merge — so its death
 // aborts the run (workers detect it via heartbeat loss and error out).
@@ -102,27 +109,6 @@ const (
 // exactly the reads dealt to its rank since the previous round.
 var errLedgerMismatch = errors.New("core: round payload disagrees with the rank's ledger")
 
-// StreamCkpt threads durable checkpointing through a read-split run.
-// Rank 0 drives: every EveryReads dealt reads / Every wall time it runs
-// a round and hands the cluster-wide result to Sink. Worker ranks need
-// no configuration — they respond to markers unconditionally.
-type StreamCkpt struct {
-	// EveryReads / Every trigger a round (see BarrierSubscriber).
-	EveryReads int64
-	Every      time.Duration
-	// Sink receives the dealt-read watermark, the global mapping stats
-	// of THIS RUN, and the merged accumulator state. Runs on rank 0.
-	Sink func(consumed int64, st Stats, state []byte) error
-	// StopRequested, polled by rank 0 between batches, ends the stream
-	// early: the final round calls Sink, every rank is released as at
-	// end of input, and rank 0 returns ErrStopped.
-	StopRequested func() bool
-	// ResumeState, when non-empty, preloads rank 0's accumulator before
-	// mapping (the checkpointed merged state being resumed from), so it
-	// is in the global result exactly once.
-	ResumeState []byte
-}
-
 // chanSource adapts a channel of read batches to a fastq.Source.
 type chanSource struct {
 	ch  <-chan []*fastq.Read
@@ -149,50 +135,35 @@ func (s *chanSource) Next() (*fastq.Read, error) {
 }
 
 // RunReadSplit executes read-split mapping on one cluster node (§VI
-// Step 1; the protocol is described above). src must be non-nil on
-// rank 0 and is ignored elsewhere. The returned accumulator is the
-// merged result at rank 0 and nil elsewhere; Stats are global on every
-// rank, with LostRanks set at rank 0. A non-nil ck adds checkpoint
-// rounds driven by rank 0 (see StreamCkpt); after a cooperative stop
-// every rank is released normally and rank 0 returns ErrStopped.
-func RunReadSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats, error) {
-	cfg = cfg.withDefaults()
-	eng, err := NewEngine(ref, cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	acc, err := NewAccumulator(mode, ref.Len(), cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
+// Step 1; the protocol is described above) with the rank's own engine
+// and accumulator. src and policy belong to rank 0 — it must have a
+// source — and are ignored elsewhere. When rank 0 returns, its
+// accumulator holds the cluster-wide state on top of whatever it held
+// before (a resumed checkpoint, an earlier mapping call); the others'
+// are drained. Stats are global on every rank, with LostRanks set at
+// rank 0. The policy's subscribers run at rank 0 on cluster-wide
+// barriers (see above); after a requested stop every rank is released
+// normally and rank 0 returns ErrStopped.
+func RunReadSplit(c *cluster.Comm, eng *Engine, acc genome.Accumulator, src fastq.Source, policy *CheckpointPolicy) (Stats, error) {
 	if c.Rank() != 0 {
-		st, err := streamReceive(c, startPipe(eng, acc, cfg.Queue, true))
-		return nil, st, err
+		return streamReceive(c, startPipe(eng, acc, true))
 	}
 	if src == nil {
-		return nil, Stats{}, fmt.Errorf("core: rank 0 needs a read source")
+		return Stats{}, fmt.Errorf("core: rank 0 needs a read source")
 	}
-	if ck == nil {
-		ck = &StreamCkpt{}
+	if policy == nil {
+		policy = &CheckpointPolicy{}
 	}
-	if len(ck.ResumeState) > 0 {
-		if err := acc.LoadStateBytes(ck.ResumeState); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	d := &dealer{c: c, src: src, acc: acc, cfg: cfg, ck: ck,
-		pipe: startPipe(eng, acc, cfg.Queue, false), peers: make([]peer, c.Size())}
+	d := &dealer{c: c, src: src, acc: acc, cfg: eng.cfg, policy: policy, cad: newCadence(policy.Subscribers),
+		pipe: startPipe(eng, acc, false), peers: make([]peer, c.Size())}
 	stopped, err := d.run()
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
-	// Fold worker shards (no-op for a striped accumulator), so callers
-	// always see a plain striped accumulator.
-	combined, err := CombineAccumulator(acc, cfg.Metrics)
-	if err == nil && stopped {
+	if stopped {
 		err = ErrStopped
 	}
-	return combined, d.total, err
+	return d.total, err
 }
 
 // localPipe is a rank's MapReadsFrom running on a channel-backed
@@ -214,8 +185,8 @@ type localPipe struct {
 // and reports the mapping stats since the previous barrier; with ship
 // set (worker ranks) it also snapshots the accumulator state and resets
 // the accumulator, so every payload carries only new mass.
-func startPipe(eng *Engine, acc genome.Accumulator, queue int, ship bool) *localPipe {
-	p := &localPipe{ch: make(chan []*fastq.Read, queue), rounds: make(chan roundPayload, 1), done: make(chan struct{})}
+func startPipe(eng *Engine, acc genome.Accumulator, ship bool) *localPipe {
+	p := &localPipe{ch: make(chan []*fastq.Read, eng.cfg.Queue), rounds: make(chan roundPayload, 1), done: make(chan struct{})}
 	var prev Stats
 	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{{Run: func(b *Barrier) error {
 		out := roundPayload{Stats: Stats{Mapped: b.Stats.Mapped - prev.Mapped,
@@ -286,9 +257,9 @@ func (p *localPipe) finish() error {
 // peer is what rank 0 knows about one remote rank.
 type peer struct {
 	lost bool
-	// outstanding counts batches sent whose ack has not been received:
-	// the credit window.
-	outstanding int
+	// sent counts the batches sent to the rank and acked the most it has
+	// reported taking; sent - acked is the credit window in use.
+	sent, acked int
 	// reads counts the reads dealt since the rank's last collected
 	// payload; ledger retains those batches when the run can re-deal
 	// them (op timeout configured).
@@ -298,23 +269,23 @@ type peer struct {
 
 // dealer is rank 0's half of the protocol.
 type dealer struct {
-	c     *cluster.Comm
-	src   fastq.Source
-	acc   genome.Accumulator
-	cfg   Config
-	ck    *StreamCkpt
-	pipe  *localPipe
-	peers []peer // by rank; peers[0] is unused
+	c   *cluster.Comm
+	src fastq.Source
+	acc genome.Accumulator
+	cfg Config
+	// policy is the run's barrier policy and cad its trigger state.
+	policy *CheckpointPolicy
+	cad    *cadence
+	pipe   *localPipe
+	peers  []peer // by rank; peers[0] is unused
 	// next is the rotation cursor: batch i of a loss-free run goes to
 	// rank i mod size.
 	next int
 	// redeal queues lost ranks' ledgers for the normal dealing path.
 	redeal [][]*fastq.Read
 	eof    bool
-	// dealt is the source watermark; sinceRound and lastRound drive the
-	// checkpoint triggers.
-	dealt, sinceRound int64
-	lastRound         time.Time
+	// dealt is the source watermark.
+	dealt int64
 	// seq numbers the rounds. held counts the reads dealt to remote
 	// ranks and not yet collected — what the ledgers retain — and peak
 	// is its high-water mark.
@@ -323,13 +294,13 @@ type dealer struct {
 	total      Stats // every collected payload plus rank 0's own share
 }
 
-// run deals the stream, runs the due rounds and the final one, and
-// releases every rank. The bool result reports a cooperative stop.
+// run deals the stream, runs a round whenever a subscriber is due and
+// one at the end, and releases every rank. The bool result reports a
+// requested stop.
 func (d *dealer) run() (stopped bool, err error) {
 	defer d.pipe.finish()
-	d.lastRound = time.Now()
 	for {
-		if d.ck.StopRequested != nil && d.ck.StopRequested() {
+		if d.policy.StopRequested != nil && d.policy.StopRequested() {
 			stopped = true
 			break
 		}
@@ -343,17 +314,20 @@ func (d *dealer) run() (stopped bool, err error) {
 		if err := d.deal(batch); err != nil {
 			return false, err
 		}
-		if (d.ck.EveryReads > 0 && d.sinceRound >= d.ck.EveryReads) ||
-			(d.ck.Every > 0 && time.Since(d.lastRound) >= d.ck.Every) {
-			if err := d.round(true); err != nil {
+		if due := d.cad.dueNow(false); len(due) > 0 {
+			if err := d.round(due); err != nil {
 				return false, err
 			}
 		}
 	}
-	// The tail is the last round; only a stopped run needs it on disk.
-	// Its payloads account for every batch dealt, so acks still in
-	// flight are not waited for.
-	if err := d.round(stopped); err != nil {
+	// The tail is the last round; as in one process, a stop runs every
+	// subscriber on it and the end of input none. Its payloads account
+	// for every batch dealt, so acks still in flight are not waited for.
+	var due []int
+	if stopped {
+		due = d.cad.dueNow(true)
+	}
+	if err := d.round(due); err != nil {
 		return false, err
 	}
 	for r := 1; r < len(d.peers); r++ {
@@ -391,7 +365,7 @@ func (d *dealer) nextBatch() ([]*fastq.Read, error) {
 		batch = append(batch, rd)
 	}
 	d.dealt += int64(len(batch))
-	d.sinceRound += int64(len(batch))
+	d.cad.advance(int64(len(batch)))
 	if len(batch) == 0 {
 		return nil, nil
 	}
@@ -423,18 +397,24 @@ func (d *dealer) deal(batch []*fastq.Read) error {
 // the batch in its ledger.
 func (d *dealer) send(r int, batch []*fastq.Read) error {
 	p := &d.peers[r]
-	if p.outstanding >= d.cfg.Queue {
-		// Credit window full: wait for this rank to finish a batch
-		// before handing it another.
-		if _, err := d.c.RecvPatient(r, streamAckTag, d.c.OpTimeout(), ftMaxExtensions); err != nil {
+	for p.sent-p.acked >= d.cfg.Queue {
+		// Credit window full: wait for this rank to take a batch before
+		// handing it another. Any ack that reports more than the last
+		// opens the window, whichever acks before it were lost; one that
+		// does not (a duplicate, or one a round has since settled) is
+		// skipped.
+		v, err := d.c.RecvPatient(r, streamAckTag, d.c.OpTimeout(), ftMaxExtensions)
+		if err != nil {
 			return err
 		}
-		p.outstanding--
+		if n, _ := v.(int); n > p.acked {
+			p.acked = n
+		}
 	}
 	if err := d.c.Send(r, streamShardTag, streamShard{Reads: batch}); err != nil {
 		return err
 	}
-	p.outstanding++
+	p.sent++
 	p.reads += int64(len(batch))
 	if d.held += int64(len(batch)); d.held > d.peak {
 		d.peak = d.held
@@ -461,10 +441,10 @@ func (d *dealer) drop(r int, cause error) error {
 }
 
 // round brings rank 0's accumulator up to the cluster-wide state of
-// every read dealt so far, then (sink set) hands it to the checkpoint
-// sink. A collection that lost a rank leaves that rank's ledger to
-// re-deal, so it repeats until one collects from every rank it asked.
-func (d *dealer) round(sink bool) error {
+// every read dealt so far, then runs the due subscribers on it. A
+// collection that lost a rank leaves that rank's ledger to re-deal, so
+// it repeats until one collects from every rank it asked.
+func (d *dealer) round(due []int) error {
 	if reg := d.cfg.Metrics; reg != nil {
 		// One of the collectives the benchmark sums as cluster.coll_s.
 		defer reg.StartTimer("comm.coll.round.seconds")()
@@ -486,18 +466,7 @@ func (d *dealer) round(sink bool) error {
 			break
 		}
 	}
-	d.sinceRound, d.lastRound = 0, time.Now()
-	if !sink || d.ck.Sink == nil {
-		return nil
-	}
-	state, err := genome.SnapshotState(d.acc)
-	if err != nil {
-		return err
-	}
-	if err := d.ck.Sink(d.dealt, d.total, state); err != nil {
-		return fmt.Errorf("core: checkpoint sink: %w", err)
-	}
-	return nil
+	return d.cad.run(due, &Barrier{Consumed: d.dealt, Stats: d.total, acc: d.acc})
 }
 
 // collect is one marker/payload exchange: marker to every live rank,
@@ -520,7 +489,7 @@ func (d *dealer) collect() error {
 	if err != nil {
 		return err
 	}
-	d.total.add(own.Stats)
+	d.total.Add(own.Stats)
 	for r := 1; r < len(d.peers); r++ {
 		p := &d.peers[r]
 		if p.lost {
@@ -539,9 +508,10 @@ func (d *dealer) collect() error {
 		if err := mergeStateInto(d.acc, pl.State); err != nil {
 			return err
 		}
-		d.total.add(pl.Stats)
+		d.total.Add(pl.Stats)
 		d.held -= p.reads
-		p.reads, p.ledger = 0, nil
+		// A quiesced rank has taken everything it was sent.
+		p.reads, p.ledger, p.acked = 0, nil, p.sent
 	}
 	return nil
 }
@@ -587,13 +557,14 @@ func isCommLoss(err error) bool {
 }
 
 // streamReceive is a worker rank's half: receive batches, feed the
-// local pipeline, ack each batch to open the next credit; on a round
-// marker quiesce the pipeline and ship its payload; on Done return the
-// global stats.
+// local pipeline, ack each batch (cumulatively) to open the next credit;
+// on a round marker quiesce the pipeline and ship its payload; on Done
+// return the global stats.
 func streamReceive(c *cluster.Comm, pipe *localPipe) (Stats, error) {
 	// Returning on an error tears down the transport, which unblocks
 	// rank 0.
 	defer pipe.finish()
+	taken := 0 // batches fed so far: what every ack reports
 	for {
 		v, err := c.RecvPatient(0, streamShardTag, c.OpTimeout(), workerPatience)
 		if err != nil {
@@ -618,7 +589,8 @@ func streamReceive(c *cluster.Comm, pipe *localPipe) (Stats, error) {
 			if err := pipe.feed(sh.Reads); err != nil {
 				return Stats{}, err
 			}
-			if err := c.Send(0, streamAckTag, 1); err != nil {
+			taken++
+			if err := c.Send(0, streamAckTag, taken); err != nil {
 				return Stats{}, err
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -29,6 +30,37 @@ func sharedBaseline(t *testing.T, p *pipeline, mode genome.Mode) genome.Accumula
 	return acc
 }
 
+// readSplit runs one rank of a read-split run the way gnumap.Pipeline
+// does — the rank's own engine and accumulator (rank 0's preloaded with
+// resume, when given) through RunReadSplit — and hands rank 0 its
+// accumulator back with worker shards folded, nil elsewhere.
+func readSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, pol *CheckpointPolicy, resume ...[]byte) (genome.Accumulator, Stats, error) {
+	eng, err := NewEngine(ref, cfg)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	acc, err := NewAccumulator(mode, ref.Len(), eng.Config())
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if c.Rank() == 0 {
+		for _, state := range resume {
+			if err := acc.LoadStateBytes(state); err != nil {
+				return nil, Stats{}, err
+			}
+		}
+	}
+	st, err := RunReadSplit(c, eng, acc, src, pol)
+	if c.Rank() != 0 || (err != nil && !errors.Is(err, ErrStopped)) {
+		return nil, st, err
+	}
+	combined, cerr := CombineAccumulator(acc, cfg.Metrics)
+	if cerr != nil {
+		return nil, st, cerr
+	}
+	return combined, st, err
+}
+
 func TestReadSplitMatchesSharedMemory(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 41)
 	want := sharedBaseline(t, p, genome.Norm)
@@ -37,7 +69,7 @@ func TestReadSplitMatchesSharedMemory(t *testing.T) {
 		var got genome.Accumulator
 		var mu sync.Mutex
 		err := cluster.Run(nodes, cluster.Channels, func(c *cluster.Comm) error {
-			acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+			acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 			if err != nil {
 				return err
 			}
@@ -74,7 +106,7 @@ func TestReadSplitOverTCP(t *testing.T) {
 	var got genome.Accumulator
 	var mu sync.Mutex
 	err := cluster.Run(3, cluster.TCP, func(c *cluster.Comm) error {
-		acc, _, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+		acc, _, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if err != nil {
 			return err
 		}
@@ -103,7 +135,7 @@ func TestReadSplitDiscretizedModes(t *testing.T) {
 		var got genome.Accumulator
 		var mu sync.Mutex
 		err := cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
-			acc, _, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), mode, Config{Workers: 1}, nil)
+			acc, _, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), mode, Config{Workers: 1}, nil)
 			if err != nil {
 				return err
 			}
@@ -139,7 +171,7 @@ func collectGenomeSplit(t *testing.T, p *pipeline, nodes int, kind cluster.Trans
 	parts := make([]part, nodes)
 	var mu sync.Mutex
 	err := cluster.Run(nodes, kind, func(c *cluster.Comm) error {
-		acc, lo, hi, st, err := RunGenomeSplit(c, p.ref, p.reads, genome.Norm, cfg)
+		acc, lo, hi, st, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, cfg)
 		if err != nil {
 			return err
 		}
@@ -235,7 +267,7 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, _, _, _, err = RunGenomeSplit(c, tiny, p.reads, genome.Norm, Config{})
+		_, _, _, _, err = RunGenomeSplit(c, tiny, fastq.SliceSource(p.reads), genome.Norm, Config{})
 		if err == nil {
 			return fmt.Errorf("empty slice accepted")
 		}

@@ -35,7 +35,7 @@ func TestReadSplitFTMatchesPlainPath(t *testing.T) {
 	var got genome.Accumulator
 	var mu sync.Mutex
 	err := cluster.RunWithConfig(4, ftRunConfig(nil), func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+		acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func TestReadSplitDegradedSurvivesDeadWorker(t *testing.T) {
 	var mu sync.Mutex
 	start := time.Now()
 	err = cluster.RunWithConfig(4, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+		acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if c.Rank() == fault.CrashRank {
 			// The crashed rank observes its own death; returning the
 			// ErrCrashed-wrapped error tells the runtime it "exited".
@@ -153,7 +153,7 @@ func TestReadSplitDegradedAllWorkersDead(t *testing.T) {
 	var rootStats Stats
 	var mu sync.Mutex
 	err := cluster.RunWithConfig(2, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+		acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if c.Rank() == 1 {
 			return err // ErrCrashed, treated as a simulated death
 		}
@@ -191,7 +191,7 @@ func TestGenomeSplitCrashAbortsWithinDeadline(t *testing.T) {
 	fault.CrashRank = 1
 	start := time.Now()
 	err := cluster.RunWithConfig(3, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		_, _, _, _, err := RunGenomeSplit(c, p.ref, p.reads, genome.Norm, Config{Workers: 1})
+		_, _, _, _, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1})
 		if c.Rank() == 1 {
 			return err // crashed rank's own failure is a simulated death
 		}
@@ -237,7 +237,7 @@ func midStreamCrash() *cluster.FaultConfig {
 
 // runDegraded runs np=4 read-split under midStreamCrash and returns
 // rank 0's result; ck and cfg.Metrics (both optional) go to rank 0 only.
-func runDegraded(t *testing.T, p *pipeline, src fastq.Source, cfg Config, ck *StreamCkpt) (genome.Accumulator, Stats) {
+func runDegraded(t *testing.T, p *pipeline, src fastq.Source, cfg Config, ck *CheckpointPolicy) (genome.Accumulator, Stats) {
 	t.Helper()
 	var got genome.Accumulator
 	var rootStats Stats
@@ -247,7 +247,7 @@ func runDegraded(t *testing.T, p *pipeline, src fastq.Source, cfg Config, ck *St
 		if c.Rank() != 0 {
 			rcfg.Metrics, rck = nil, nil
 		}
-		acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, rcfg, rck)
+		acc, st, err := readSplit(c, p.ref, src, genome.Norm, rcfg, rck)
 		if c.Rank() == 2 {
 			if !errors.Is(err, cluster.ErrCrashed) {
 				return fmt.Errorf("crashed rank: want ErrCrashed, got %v", err)
@@ -291,17 +291,16 @@ func TestReadSplitDegradedMidStreamDeath(t *testing.T) {
 
 // TestReadSplitDegradedCheckpointRounds is fault tolerance × checkpoint:
 // the same death with rounds on. A round that lost a rank repeats
-// before Sink runs, so every committed watermark — before and after the
+// before any subscriber runs, so every committed watermark — before and after the
 // loss — accounts for exactly its reads, and its state, resumed from
 // over the remaining reads, yields the baseline call set.
 func TestReadSplitDegradedCheckpointRounds(t *testing.T) {
 	p := makePipeline(t, 20000, 4, 10, 73)
 	want := callSet(t, p.ref, sharedBaseline(t, p, genome.Norm))
 	var sinks []sinkRecord
-	ck := &StreamCkpt{EveryReads: 400, Sink: func(consumed int64, st Stats, state []byte) error {
-		sinks = append(sinks, sinkRecord{consumed, st, state}) // rank 0's dealer goroutine only
-		return nil
-	}}
+	ck := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(400, func(r sinkRecord) {
+		sinks = append(sinks, r) // rank 0's dealer goroutine only
+	})}}
 	// A credit window wider than a round's share of batches: rank 0 never
 	// waits on an ack, so the death is always discovered inside a round,
 	// at the payload that does not come.
@@ -373,10 +372,10 @@ func TestReadSplitDegradedLedgerBounded(t *testing.T) {
 			t.Errorf("%d reads pulled past watermark %d, bound %d", pulled-committed, committed, bound)
 		}
 	}}
-	ck := &StreamCkpt{EveryReads: every, Sink: func(consumed int64, _ Stats, _ []byte) error {
-		committed = consumed
+	ck := &CheckpointPolicy{Subscribers: []BarrierSubscriber{{EveryReads: every, Run: func(b *Barrier) error {
+		committed = b.Consumed
 		return nil
-	}}
+	}}}}
 	runDegraded(t, p, src, cfg, ck)
 	if int64(len(p.reads)) < 4*bound {
 		t.Fatalf("%d reads do not exercise a bound of %d", len(p.reads), bound)
@@ -400,7 +399,7 @@ func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
 	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 200 * time.Millisecond}
 	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
 		if c.Rank() == 0 {
-			_, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+			_, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 			if err != nil {
 				return err
 			}
@@ -409,6 +408,7 @@ func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
 			}
 			return nil
 		}
+		taken := 0
 		for {
 			v, err := c.RecvPatient(0, streamShardTag, 20*time.Second, 0)
 			if err != nil {
@@ -421,7 +421,8 @@ func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
 				}
 				return nil
 			case sh.Round == 0:
-				if err := c.Send(0, streamAckTag, 1); err != nil {
+				taken++
+				if err := c.Send(0, streamAckTag, taken); err != nil {
 					return err
 				}
 			}
@@ -429,6 +430,100 @@ func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadSplitDegradedDroppedAcksKeepTheRank: a live worker whose acks
+// the network eats must keep its place. The worker here is the real one
+// (a localPipe behind the wire protocol) except that two of every three
+// acks never reach rank 0 — dropped by hand, because a seeded
+// FaultTransport hands its rolls to packets in goroutine-schedule order
+// and cannot be aimed at acks. Every window of Queue = 4 batches still
+// sees one ack (only the loss of a whole window's acks has to wait for
+// the deadline), and acks are cumulative, so the one that arrives (or
+// the next round) supersedes the lost ones: the run finishes
+// without waiting out a deadline, loses no rank and calls what the
+// fault-free run calls. With per-ack credits every lost ack cost the
+// window a slot for good, and after Queue of them rank 0 waited out the
+// deadline and declared the rank lost.
+func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
+	p := makePipeline(t, 20000, 4, 10, 73)
+	want := callSet(t, p.ref, sharedBaseline(t, p, genome.Norm))
+	if len(want) == 0 {
+		t.Fatal("baseline produced no SNP calls; test is vacuous")
+	}
+	cfg := Config{Workers: 1, Batch: 8, Queue: 4}
+	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 2 * time.Second}
+	var got genome.Accumulator
+	var rootStats Stats
+	dropped := 0
+	start := time.Now()
+	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
+		if c.Rank() == 0 {
+			pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(400, func(sinkRecord) {})}}
+			acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, cfg, pol)
+			got, rootStats = acc, st
+			return err
+		}
+		eng, err := NewEngine(p.ref, cfg)
+		if err != nil {
+			return err
+		}
+		acc, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			return err
+		}
+		pipe := startPipe(eng, acc, true)
+		defer pipe.finish()
+		taken := 0
+		for {
+			v, err := c.RecvPatient(0, streamShardTag, 20*time.Second, 0)
+			if err != nil {
+				return err
+			}
+			switch sh := v.(streamShard); {
+			case sh.Done:
+				return pipe.finish()
+			case sh.Round > 0:
+				pl, err := pipe.quiesce()
+				if err != nil {
+					return err
+				}
+				pl.Round = sh.Round
+				if err := c.Send(0, streamRoundTag, pl); err != nil {
+					return err
+				}
+			default:
+				if err := pipe.feed(sh.Reads); err != nil {
+					return err
+				}
+				if taken++; taken%3 != 0 {
+					dropped++ // this ack is lost on the wire
+					continue
+				}
+				if err := c.Send(0, streamAckTag, taken); err != nil {
+					return err
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 3*rc.OpTimeout {
+		t.Errorf("run took %v with a %v deadline: a lost ack was waited out", elapsed, rc.OpTimeout)
+	}
+	if rootStats.Degraded() {
+		t.Errorf("LostRanks = %v: a live rank lost its place over dropped acks", rootStats.LostRanks)
+	}
+	if n := rootStats.Mapped + rootStats.Unmapped; n != int64(len(p.reads)) {
+		t.Errorf("stats cover %d reads, want exactly %d", n, len(p.reads))
+	}
+	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("calls %v, fault-free baseline %v", g, want)
+	}
+	if dropped <= cfg.Queue {
+		t.Errorf("only %d acks dropped; not enough to exhaust a window of %d", dropped, cfg.Queue)
 	}
 }
 
@@ -442,7 +537,7 @@ func TestReadSplitDegradedIgnoredWorkerReturnsNil(t *testing.T) {
 	global := Stats{Mapped: 7, Unmapped: 1, LostRanks: []int{1}}
 	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
 		if c.Rank() == 1 {
-			_, st, err := RunReadSplit(c, p.ref, nil, genome.Norm, Config{Workers: 1}, nil)
+			_, st, err := readSplit(c, p.ref, nil, genome.Norm, Config{Workers: 1}, nil)
 			if err != nil {
 				return fmt.Errorf("discarded worker: %w", err)
 			}

@@ -253,11 +253,11 @@ type Stats struct {
 // Degraded reports whether the run lost (and recovered from) ranks.
 func (s Stats) Degraded() bool { return len(s.LostRanks) > 0 }
 
-// add merges another Stats (used when aggregating across nodes).
-// LostRanks is the union of both sides (deduped, sorted): dropping it
-// here silently cleared Degraded() whenever per-node stats were folded
-// together, hiding a degraded run from the caller.
-func (s *Stats) add(o Stats) {
+// Add merges another Stats (across nodes, or across the mapping calls of
+// one job). LostRanks is the union of both sides (deduped, sorted):
+// dropping it here silently cleared Degraded() whenever per-node stats
+// were folded together, hiding a degraded run from the caller.
+func (s *Stats) Add(o Stats) {
 	s.Mapped += o.Mapped
 	s.Unmapped += o.Unmapped
 	s.Locations += o.Locations
@@ -406,6 +406,10 @@ func newEngineSlice(ref *genome.Reference, lo, hi int, cfg Config) (*Engine, err
 
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// SeedIndex returns the engine's seed index (immutable, safe to share:
+// pass it as another engine's Config.SeedIndex over the same reference).
+func (e *Engine) SeedIndex() kmer.SeedIndex { return e.idx }
 
 // IndexMemoryBytes reports the k-mer index footprint.
 func (e *Engine) IndexMemoryBytes() int64 { return e.idx.MemoryBytes() }
@@ -867,40 +871,49 @@ func (m *mapper) viterbi(pa *pendingAlign) error {
 	return nil
 }
 
-// weights converts location log-likelihoods to posterior weights with a
-// numerically safe softmax; locations below MinPosterior are zeroed and
-// the surviving weights are renormalized so each mapped read deposits
-// exactly one unit of posterior mass (instead of silently leaking the
-// thresholded share). With BestHitOnly, the best location gets weight 1.
-// buf, when non-nil with sufficient capacity, backs the returned slice.
-func (e *Engine) weights(locs []location, buf []float64) []float64 {
-	if cap(buf) < len(locs) {
-		buf = make([]float64, len(locs))
+// logLiks appends the locations' log-likelihoods to buf, in order.
+func logLiks(locs []location, buf []float64) []float64 {
+	for i := range locs {
+		buf = append(buf, locs[i].logLik)
 	}
-	w := buf[:len(locs)]
-	if len(locs) == 0 {
+	return buf
+}
+
+// weights converts one read's location log-likelihoods, in place, to
+// posterior weights with a numerically safe softmax; locations below
+// MinPosterior are zeroed and the surviving weights are renormalized so
+// each mapped read deposits exactly one unit of posterior mass (instead
+// of silently leaking the thresholded share). With BestHitOnly, the
+// best location (the first, among equals) gets weight 1. It takes bare
+// log-likelihoods so that genome-split can hand it a read's locations
+// from every rank: the thresholding and renormalization there are this
+// code, not a mirror of it.
+func (e *Engine) weights(w []float64) []float64 {
+	if len(w) == 0 {
 		return w
 	}
 	if e.cfg.BestHitOnly {
 		best := 0
-		for i := range locs {
-			w[i] = 0
-			if locs[i].logLik > locs[best].logLik {
+		for i := range w {
+			if w[i] > w[best] {
 				best = i
 			}
+		}
+		for i := range w {
+			w[i] = 0
 		}
 		w[best] = 1
 		return w
 	}
 	maxLL := math.Inf(-1)
-	for i := range locs {
-		if locs[i].logLik > maxLL {
-			maxLL = locs[i].logLik
+	for _, ll := range w {
+		if ll > maxLL {
+			maxLL = ll
 		}
 	}
 	sum := 0.0
-	for i := range locs {
-		w[i] = math.Exp(locs[i].logLik - maxLL)
+	for i := range w {
+		w[i] = math.Exp(w[i] - maxLL)
 		sum += w[i]
 	}
 	surviving := 0.0
@@ -912,7 +925,7 @@ func (e *Engine) weights(locs []location, buf []float64) []float64 {
 			surviving += w[i]
 		}
 	}
-	// The best location always clears any MinPosterior < 1/len(locs)...
+	// The best location always clears any MinPosterior < 1/len(w)...
 	// but guard against a degenerate threshold zeroing everything.
 	if surviving > 0 && surviving < 1 {
 		inv := 1 / surviving
@@ -937,7 +950,7 @@ func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) fu
 			return nil
 		}
 		atomic.AddInt64(&st.Mapped, 1)
-		ws := m.e.weights(locs, m.wbuf)
+		ws := m.e.weights(logLiks(locs, m.wbuf[:0]))
 		m.wbuf = ws
 		var tAcc time.Time
 		if met != nil {

@@ -324,7 +324,7 @@ func TestAccumulatorOffsets(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Mapped: 1, Unmapped: 2, Locations: 3}
-	a.add(Stats{Mapped: 10, Unmapped: 20, Locations: 30})
+	a.Add(Stats{Mapped: 10, Unmapped: 20, Locations: 30})
 	if a.Mapped != 11 || a.Unmapped != 22 || a.Locations != 33 {
 		t.Errorf("add = %+v", a)
 	}

@@ -32,7 +32,7 @@ func (e *Engine) WriteAlignments(w io.Writer, reads []*fastq.Read, program strin
 		if len(locs) == 0 {
 			return sw.Write(sam.UnmappedRecord(rd))
 		}
-		weights := e.weights(locs, nil)
+		weights := e.weights(logLiks(locs, nil))
 		best := 0
 		for i := range locs {
 			if locs[i].logLik > locs[best].logLik {

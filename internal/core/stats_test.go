@@ -36,7 +36,7 @@ func TestStatsAddUnionsLostRanks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.a
-			got.add(tc.b)
+			got.Add(tc.b)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("add(%+v, %+v) = %+v, want %+v", tc.a, tc.b, got, tc.want)
 			}

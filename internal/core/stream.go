@@ -135,6 +135,58 @@ type CheckpointPolicy struct {
 	StopRequested func() bool
 }
 
+// cadence is a policy's trigger state: per subscriber, the reads
+// consumed and the wall time since it last ran. Whoever owns a barrier
+// — MapReadsFrom's producer in one process, the read-split dealer across
+// ranks — asks it which subscribers are due, parks, and has it run them.
+type cadence struct {
+	subs  []BarrierSubscriber
+	since []int64
+	last  []time.Time
+	due   []int // scratch for dueNow's result
+}
+
+func newCadence(subs []BarrierSubscriber) *cadence {
+	c := &cadence{subs: subs, since: make([]int64, len(subs)), last: make([]time.Time, len(subs)), due: make([]int, 0, len(subs))}
+	for i := range c.last {
+		c.last[i] = time.Now()
+	}
+	return c
+}
+
+// advance counts n more consumed reads toward every read-count trigger.
+func (c *cadence) advance(n int64) {
+	for i := range c.since {
+		c.since[i] += n
+	}
+}
+
+// dueNow lists the subscribers a barrier taken now would run: every one
+// when all is set, else those whose trigger has fired. The result is
+// valid until the next call.
+func (c *cadence) dueNow(all bool) []int {
+	c.due = c.due[:0]
+	for i, s := range c.subs {
+		if all || (s.EveryReads > 0 && c.since[i] >= s.EveryReads) ||
+			(s.Every > 0 && time.Since(c.last[i]) >= s.Every) {
+			c.due = append(c.due, i)
+		}
+	}
+	return c.due
+}
+
+// run calls the listed subscribers, in order, on the parked state b and
+// restarts their triggers.
+func (c *cadence) run(due []int, b *Barrier) error {
+	for _, i := range due {
+		if err := c.subs[i].Run(b); err != nil {
+			return fmt.Errorf("core: barrier subscriber: %w", err)
+		}
+		c.since[i], c.last[i] = 0, time.Now()
+	}
+	return nil
+}
+
 // MapReadsFrom maps every read src yields, accumulating online into
 // acc, while holding at most (Queue + Workers) · Batch reads in memory.
 // Accumulator index 0 corresponds to global position accOffset (zero
@@ -158,7 +210,6 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 	if policy == nil {
 		policy = &CheckpointPolicy{}
 	}
-	subs := policy.Subscribers
 	workers, batchSz, queue := e.cfg.Workers, e.cfg.Batch, e.cfg.Queue
 	sm := newStreamMetrics(e.cfg.Metrics)
 
@@ -194,12 +245,7 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 		defer prodWG.Done()
 		defer close(work)
 		var consumed int64
-		// Per-subscriber trigger state: reads and wall time since it ran.
-		since := make([]int64, len(subs))
-		last := make([]time.Time, len(subs))
-		for i := range last {
-			last[i] = time.Now()
-		}
+		cad := newCadence(policy.Subscribers)
 		held := make([]*readBatch, 0, nbuf)
 		release := func() {
 			for _, hb := range held {
@@ -224,23 +270,16 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 		// barrier runs the subscribers that are due (every one when all
 		// is set) with the pipeline parked, then resumes; with none to run
 		// it does not park. False aborts the run.
-		run := make([]int, 0, len(subs))
 		barrier := func(all bool) bool {
-			run = run[:0]
-			for i, s := range subs {
-				if all || (s.EveryReads > 0 && since[i] >= s.EveryReads) ||
-					(s.Every > 0 && time.Since(last[i]) >= s.Every) {
-					run = append(run, i)
-				}
-			}
-			if len(run) == 0 {
+			due := cad.dueNow(all)
+			if len(due) == 0 {
 				return true
 			}
 			if !quiesce() {
 				return false
 			}
 			stallStart := time.Now()
-			b := &Barrier{
+			err := cad.run(due, &Barrier{
 				Consumed: consumed,
 				Stats: Stats{
 					Mapped:    atomic.LoadInt64(&st.Mapped),
@@ -248,17 +287,10 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 					Locations: atomic.LoadInt64(&st.Locations),
 				},
 				acc: acc,
-			}
-			var err error
-			for _, i := range run {
-				if err = subs[i].Run(b); err != nil {
-					break
-				}
-				since[i], last[i] = 0, time.Now()
-			}
+			})
 			release()
 			if err != nil {
-				latch(fmt.Errorf("core: barrier subscriber: %w", err))
+				latch(err)
 				return false
 			}
 			if sm != nil {
@@ -312,9 +344,7 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 					return
 				}
 				consumed += int64(n)
-				for i := range since {
-					since[i] += int64(n)
-				}
+				cad.advance(int64(n))
 			} else {
 				// Unused buffer goes straight back so quiesce can count it.
 				free <- b

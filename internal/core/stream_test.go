@@ -280,7 +280,7 @@ func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
 			if c.Rank() == 0 {
 				src = fastq.SliceSource(p.reads)
 			}
-			acc, st, err := RunReadSplit(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2}, nil)
+			acc, st, err := readSplit(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2}, nil)
 			if err != nil {
 				return err
 			}
@@ -321,7 +321,7 @@ func TestReadSplitFTMatchesStreamedBaseline(t *testing.T) {
 	var got genome.Accumulator
 	var mu sync.Mutex
 	err := cluster.RunWithConfig(2, cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 5 * time.Second}, func(c *cluster.Comm) error {
-		acc, st, err := RunReadSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
+		acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1}, nil)
 		if err != nil {
 			return err
 		}

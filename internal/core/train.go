@@ -35,7 +35,7 @@ func (e *Engine) CollectTrainingPairs(reads []*fastq.Read, max int, minWeight fl
 		if len(locs) == 0 {
 			return nil
 		}
-		ws := e.weights(locs, nil)
+		ws := e.weights(logLiks(locs, nil))
 		best, bestW := -1, 0.0
 		for i, w := range ws {
 			if w > bestW {

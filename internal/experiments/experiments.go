@@ -280,11 +280,20 @@ func Fig4(ds *Dataset, maxNodes int, transport cluster.TransportKind) ([]Fig4Poi
 		run  func(*cluster.Comm) error
 	}{
 		{"read-split", func(c *cluster.Comm) error {
-			_, _, err := core.RunReadSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1}, nil)
+			// Every rank indexes the whole reference, inside the timed run.
+			eng, err := core.NewEngine(ds.Ref, core.Config{Workers: 1})
+			if err != nil {
+				return err
+			}
+			acc, err := genome.New(genome.Norm, ds.Ref.Len())
+			if err != nil {
+				return err
+			}
+			_, err = core.RunReadSplit(c, eng, acc, fastq.SliceSource(ds.Reads), nil)
 			return err
 		}},
 		{"genome-split", func(c *cluster.Comm) error {
-			_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, ds.Reads, genome.Norm, core.Config{Workers: 1})
+			_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1})
 			return err
 		}},
 	}

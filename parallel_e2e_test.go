@@ -16,7 +16,7 @@ func TestClusterParallelCallerDeterminism(t *testing.T) {
 			base := Options{Engine: EngineConfig{Workers: 1}}
 			base.Caller.UseFDR = true
 			base.Caller.CallWorkers = 1
-			want, wantSt, err := RunCluster(nodes, Channels, mode, ds.Reference, ds.Reads, base)
+			want, wantSt, err := RunClusterStream(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), base)
 			if err != nil {
 				t.Fatalf("np=%d %v serial: %v", nodes, mode, err)
 			}
@@ -27,7 +27,7 @@ func TestClusterParallelCallerDeterminism(t *testing.T) {
 			par := base
 			par.Caller.CallWorkers = 4
 			par.Caller.CallChunk = 4096
-			got, gotSt, err := RunCluster(nodes, Channels, mode, ds.Reference, ds.Reads, par)
+			got, gotSt, err := RunClusterStream(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), par)
 			if err != nil {
 				t.Fatalf("np=%d %v parallel: %v", nodes, mode, err)
 			}

@@ -103,28 +103,87 @@ func TestStreamingIdentityE2E(t *testing.T) {
 	sameCalls(t, "np=4 streaming", calls4, want)
 }
 
-// TestStreamingGenomeSplitFallback: modes that need the whole read set
-// (genome-split) must transparently materialize the stream and still
-// match the baseline call set.
-func TestStreamingGenomeSplitFallback(t *testing.T) {
+// countedSource counts the reads pulled from the source it wraps.
+type countedSource struct {
+	ReadSource
+	pulled int
+}
+
+func (s *countedSource) Next() (*Read, error) {
+	rd, err := s.ReadSource.Next()
+	if err == nil {
+		s.pulled++
+	}
+	return rd, err
+}
+
+// TestStreamingGenomeSplit: genome-split streams — rank 0 pulls the
+// source once and broadcasts it a batch at a time, so no rank holds more
+// than one batch however long the input — and still calls what one
+// process calls. The slice indexes are sized from the reads seen so far:
+// a read more than twice as long as any before it, arriving in the last
+// batch and lying across a slice boundary, maps like the rest.
+func TestStreamingGenomeSplit(t *testing.T) {
 	ds := dataset(t)
-	p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 2}})
+	// 150 bases across the rank 0 / rank 1 boundary of a 3-node run (the
+	// simulated reads are 62 long), read perfectly.
+	ref := ds.Reference[0].Seq
+	boundary := len(ref) / 3
+	long := &Read{Name: "long", Seq: ref[boundary-100 : boundary+50], Qual: make([]uint8, 150)}
+	for i := range long.Qual {
+		long.Qual[i] = 40
+	}
+	reads := append(append([]*Read(nil), ds.Reads...), long)
+
+	opts := Options{Engine: EngineConfig{Workers: 1}}
+	p, err := NewPipeline(ds.Reference, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.MapReads(ds.Reads); err != nil {
+	wantSt, err := p.MapReads(ds.Reads)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if st, err := p.MapReads([]*Read{long}); err != nil || st.Mapped != 1 {
+		t.Fatalf("the long read does not map in one process (%+v, %v); test is vacuous", st, err)
+	}
+	wantSt.Mapped++
 	want, _, err := p.Call()
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls, _, err := RunClusterStream(3, Channels, GenomeSplit,
-		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
+	if len(want) == 0 {
+		t.Fatal("baseline called no SNPs; dataset too weak for an identity test")
 	}
-	sameCalls(t, "genome-split fallback", calls, want)
+
+	for _, nodes := range []int{1, 3} {
+		src := &countedSource{ReadSource: SliceReadSource(reads)}
+		calls, st, report, err := RunClusterStreamReport(nodes, Channels, GenomeSplit, ds.Reference, src, opts)
+		if err != nil {
+			t.Fatalf("np=%d: %v", nodes, err)
+		}
+		sameCalls(t, "streamed genome-split", calls, want)
+		if src.pulled != len(reads) {
+			t.Errorf("np=%d: %d reads pulled from the source, want each of %d once", nodes, src.pulled, len(reads))
+		}
+		if st.Mapped != wantSt.Mapped || st.Unmapped != wantSt.Unmapped {
+			t.Errorf("np=%d: mapped/unmapped %d/%d, one process %d/%d (long read lost at the boundary?)",
+				nodes, st.Mapped, st.Unmapped, wantSt.Mapped, wantSt.Unmapped)
+		}
+		ranks := 0
+		for _, snap := range report.Ranks {
+			if snap.Rank < 0 {
+				continue // process-wide I/O
+			}
+			ranks++
+			if peak := snap.Gauges["stream.peak.resident.reads"]; peak <= 0 || peak > 256 {
+				t.Errorf("np=%d rank %d held %v reads at once, want one batch (<= 256) of %d", nodes, snap.Rank, peak, len(reads))
+			}
+		}
+		if ranks != nodes {
+			t.Errorf("np=%d: report carries %d rank snapshots", nodes, ranks)
+		}
+	}
 }
 
 // TestStreamingReportCarriesStreamMetrics: the per-rank observability
