@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 	"gnumap/internal/obs"
+	"gnumap/internal/phmm"
 	"gnumap/internal/simulate"
 )
 
@@ -20,9 +22,10 @@ func (m *mapper) mapRead(rd *fastq.Read, emit func(int, []location) error) error
 
 // identityReads builds the property matrix of the cross-read identity
 // test on a repeat-rich reference: simulated reads of three lengths
-// from both strands (multi-mapped where they fall in repeat copies),
-// interleaved so every chunk mixes shapes; reads within Pad of both
-// genome edges, whose clipped windows land in odd (window, diag) bins;
+// from both strands (multi-mapped where they fall in repeat copies), a
+// quarter of them with N calls, interleaved so every chunk mixes
+// shapes; reads within Pad of both genome edges, whose clipped windows
+// land in odd (window, diag) bins;
 // reads from another genome (unmapped); and malformed reads.
 func identityReads(t *testing.T) (*genome.Reference, []*fastq.Read) {
 	t.Helper()
@@ -45,6 +48,12 @@ func identityReads(t *testing.T) (*genome.Reference, []*fastq.Read) {
 			t.Fatal(err)
 		}
 		reads = append(reads, rs...)
+	}
+	// N calls in every fourth read: extraction splits their match mass
+	// four ways under ByCall, a branch concrete reads never take.
+	for i := 0; i < len(reads); i += 4 {
+		seq := reads[i].Seq
+		seq[(7*i)%len(seq)], seq[(13*i+5)%len(seq)] = dna.N, dna.N
 	}
 	other, err := simulate.Genome(simulate.GenomeConfig{Length: 3000, Seed: 99})
 	if err != nil {
@@ -117,8 +126,9 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 }
 
 // TestMapReadsBatchedMatchesScalar is the engine-level identity gate of
-// cross-read lane packing: with a single worker (deterministic
-// accumulation order), every (Batch, PhmmBatch) combination must produce
+// cross-read lane packing and of stripe-wide posterior extraction: with
+// a single worker (deterministic accumulation order), every (Batch,
+// PhmmBatch) combination under either attribution must produce
 // bit-identical accumulator state, identical stats, and an identical
 // phmm.cells metric to the scalar kernel mapping one read at a time.
 // Batch sizes straddle the 64-read chunk (1 packs nothing; 65 and 200
@@ -126,33 +136,36 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 // leftovers.
 func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 	ref, reads := identityReads(t)
-	want, _ := runMapping(t, ref, reads, Config{PhmmBatch: -1, Batch: 1})
-	if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
-		t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
-	}
-	for _, width := range []int{8, 3} {
-		for _, batch := range []int{1, 7, 64, 65, 200} {
-			got, reg := runMapping(t, ref, reads, Config{PhmmBatch: width, Batch: batch})
-			if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
-				got.stats.Locations != want.stats.Locations {
-				t.Errorf("width %d batch %d: stats %+v != scalar %+v", width, batch, got.stats, want.stats)
-			}
-			if got.cells != want.cells {
-				t.Errorf("width %d batch %d: phmm.cells %d != scalar %d", width, batch, got.cells, want.cells)
-			}
-			if !bytes.Equal(got.state, want.state) {
-				t.Errorf("width %d batch %d: accumulator state diverges from scalar", width, batch)
-			}
-			full := reg.Counter("phmm.batch.lanes.full").Value()
-			partial := reg.Counter("phmm.batch.lanes.partial").Value()
-			scalar := reg.Counter("phmm.scalar.alignments").Value()
-			if n := reg.Counter("map.alignments").Value(); full+partial+scalar != n {
-				t.Errorf("width %d batch %d: lanes %d full + %d partial + %d scalar != %d alignments",
-					width, batch, full, partial, scalar, n)
-			}
-			if batch >= 64 && full < 2*(partial+scalar) {
-				t.Errorf("width %d batch %d: only %d of %d alignments in full-width groups",
-					width, batch, full, full+partial+scalar)
+	for _, attr := range []phmm.Attribution{phmm.ByCall, phmm.ByPWM} {
+		want, _ := runMapping(t, ref, reads, Config{PhmmBatch: -1, Batch: 1, Attribution: attr})
+		if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
+			t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
+		}
+		for _, width := range []int{8, 3} {
+			for _, batch := range []int{1, 7, 64, 65, 200} {
+				got, reg := runMapping(t, ref, reads, Config{PhmmBatch: width, Batch: batch, Attribution: attr})
+				label := fmt.Sprintf("attribution %d width %d batch %d", attr, width, batch)
+				if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
+					got.stats.Locations != want.stats.Locations {
+					t.Errorf("%s: stats %+v != scalar %+v", label, got.stats, want.stats)
+				}
+				if got.cells != want.cells {
+					t.Errorf("%s: phmm.cells %d != scalar %d", label, got.cells, want.cells)
+				}
+				if !bytes.Equal(got.state, want.state) {
+					t.Errorf("%s: accumulator state diverges from scalar", label)
+				}
+				full := reg.Counter("phmm.batch.lanes.full").Value()
+				partial := reg.Counter("phmm.batch.lanes.partial").Value()
+				scalar := reg.Counter("phmm.scalar.alignments").Value()
+				if n := reg.Counter("map.alignments").Value(); full+partial+scalar != n {
+					t.Errorf("%s: lanes %d full + %d partial + %d scalar != %d alignments",
+						label, full, partial, scalar, n)
+				}
+				if batch >= 64 && full < 2*(partial+scalar) {
+					t.Errorf("%s: only %d of %d alignments in full-width groups",
+						label, full, full+partial+scalar)
+				}
 			}
 		}
 	}

@@ -561,6 +561,14 @@ func (r *Result) ContributionsInto(attr Attribution, dst [][dna.NumChannels]floa
 			}
 		}
 	}
+	normalizeContribs(dst, totals)
+	return nil
+}
+
+// normalizeContribs turns accumulated z-vectors into ContributionsInto's
+// output: totals[j] is column j's mass and dst[j] is divided by it, or
+// zeroed where nothing material was accumulated.
+func normalizeContribs(dst [][dna.NumChannels]float64, totals []float64) {
 	for j := range dst {
 		total := 0.0
 		for _, v := range dst[j] {
@@ -576,5 +584,4 @@ func (r *Result) ContributionsInto(attr Attribution, dst [][dna.NumChannels]floa
 			dst[j] = [dna.NumChannels]float64{}
 		}
 	}
-	return nil
 }

@@ -61,6 +61,13 @@ type BatchAligner struct {
 	xs      []*pwm.Matrix
 	ys      []dna.Seq
 	results []BatchResult
+
+	// zs holds every lane's unnormalized z-vectors under zsAttr, striped
+	// zs[((j-1)*NumChannels+k)*lanes + l]: filled by the first
+	// ContributionsInto after an AlignBatch, which clears zsValid.
+	zs      []float64
+	zsAttr  Attribution
+	zsValid bool
 }
 
 // NewBatchAligner returns a BatchAligner with validated parameters.
@@ -141,6 +148,7 @@ func (b *BatchAligner) AlignBatch(xs []*pwm.Matrix, ys []dna.Seq, diag, band int
 		}
 	}
 	b.lanes = L
+	b.zsValid = false
 	b.n, b.m = n, m
 	b.banded = band > 0
 	b.diag = diag
@@ -669,13 +677,19 @@ func (r *BatchResult) PostGapY(i, j int) float64 {
 // every window position j and totals[j-1] with its unnormalized mass —
 // Result.ContributionsInto over the lane's striped posterior cells,
 // with the same row-major accumulation order so the output is
-// bit-identical to the scalar path's.
+// bit-identical to the scalar path's. A full 8-lane batch on an AVX2
+// host extracts all lanes in one pass instead (stripeLaneInto), which
+// must reproduce the lane-at-a-time loop below.
 func (r *BatchResult) ContributionsInto(attr Attribution, dst [][dna.NumChannels]float64, totals []float64) error {
 	if r.Err != nil {
 		return r.Err
 	}
 	if len(dst) != r.M || len(totals) != r.M {
 		return fmt.Errorf("phmm: ContributionsInto needs length %d, got %d/%d", r.M, len(dst), len(totals))
+	}
+	if cpu.HasAVX2 && r.b.lanes == simdLanes {
+		r.b.stripeLaneInto(attr, r.lane, dst, totals)
+		return nil
 	}
 	for j := range dst {
 		dst[j] = [dna.NumChannels]float64{}
@@ -716,20 +730,96 @@ func (r *BatchResult) ContributionsInto(attr Attribution, dst [][dna.NumChannels
 			}
 		}
 	}
+	normalizeContribs(dst, totals)
+	return nil
+}
+
+// stripeLaneInto is ContributionsInto for one lane of a full 8-lane
+// batch: the first call after an AlignBatch (or a change of attribution)
+// extracts every lane's z-vectors at once, and each call de-stripes and
+// normalizes its own lane's column — so a batch nobody asks pays nothing.
+func (b *BatchAligner) stripeLaneInto(attr Attribution, lane int, dst [][dna.NumChannels]float64, totals []float64) {
+	if !b.zsValid || b.zsAttr != attr {
+		b.extractStripe(attr)
+	}
+	// normalizeContribs fused into the copy (same sum order, same
+	// 1/total), in scalars: a column built as an array value and copied
+	// whole stalls on a failed store forward, tripling this loop's cost.
 	for j := range dst {
-		total := 0.0
-		for _, v := range dst[j] {
-			total += v
-		}
+		at := j*dna.NumChannels*simdLanes + lane
+		col := b.zs[at : at+(dna.NumChannels-1)*simdLanes+1]
+		zA, zC, zG, zT, zGap := col[0], col[simdLanes], col[2*simdLanes], col[3*simdLanes], col[4*simdLanes]
+		total := 0 + zA + zC + zG + zT + zGap
 		totals[j] = total
+		invT := 0.0 // z*0 = +0: the zeroed column
 		if total > 1e-12 {
-			invT := 1 / total
-			for k := range dst[j] {
-				dst[j][k] *= invT
-			}
-		} else {
-			dst[j] = [dna.NumChannels]float64{}
+			invT = 1 / total
+		}
+		d := &dst[j]
+		d[dna.A], d[dna.C], d[dna.G], d[dna.T], d[dna.ChGap] = zA*invT, zC*invT, zG*invT, zT*invT, zGap*invT
+	}
+}
+
+// extractStripe accumulates the unnormalized z-vectors of all 8 lanes
+// into b.zs in one row-major sweep. Per-row, per-lane weights fold the
+// per-lane loop's branches into z[k] += pm*wt[k], bit for bit the same
+// sum (DESIGN.md §12 "Extraction"): pm*1 = pm; pm*0 = +0 and z + (+0) = z
+// for the non-negative z held here, so the pm > 0 / gy > 0 guards drop
+// out too; pm/4 = pm*0.25 exactly; and per (lane, j, k) the additions
+// still arrive in increasing i. A dead lane gets inv = 0 and its column
+// is never read.
+func (b *BatchAligner) extractStripe(attr Attribution) {
+	const L = simdLanes
+	w := b.m + 1
+	need := b.m * dna.NumChannels * L
+	if cap(b.zs) < need {
+		b.zs = make([]float64, need)
+	}
+	b.zs = b.zs[:need]
+	clear(b.zs)
+	for l := range b.inv {
+		b.inv[l] = 0
+		if !b.dead[l] {
+			b.inv[l] = 1 / b.lScaled[l]
 		}
 	}
-	return nil
+	var wt [dna.NumBases * L]float64
+	a := zRow8{wt: &wt[0], inv: &b.inv[0]}
+	for i := 1; i <= b.n; i++ {
+		lo, hi := bandRowBounds(i, b.m, b.diag, b.radius, b.banded)
+		if lo > hi {
+			continue
+		}
+		b.fillWeights(attr, i, &wt)
+		at := (i*w + lo) * L
+		a.fM, a.bM, a.fY, a.bY = &b.fM[at], &b.bM[at], &b.fY[at], &b.bY[at]
+		a.z = &b.zs[(lo-1)*dna.NumChannels*L]
+		a.steps = int64(hi - lo + 1)
+		extractRowAVX2(&a)
+	}
+	b.zsAttr, b.zsValid = attr, true
+}
+
+// fillWeights sets wt[k*8+l] to lane l's attribution weight of base k at
+// read position i (1-based): the PWM row under ByPWM; under ByCall
+// one-hot at a concrete call and a quarter each at an N.
+func (b *BatchAligner) fillWeights(attr Attribution, i int, wt *[dna.NumBases * simdLanes]float64) {
+	if attr == ByPWM {
+		for l, x := range b.xs[:simdLanes] {
+			for k, v := range x.Row(i - 1) {
+				wt[k*simdLanes+l] = v
+			}
+		}
+		return
+	}
+	clear(wt[:])
+	for l, x := range b.xs[:simdLanes] {
+		if call := x.Call(i - 1); call.IsConcrete() {
+			wt[int(call)*simdLanes+l] = 1
+			continue
+		}
+		for k := 0; k < dna.NumBases; k++ {
+			wt[k*simdLanes+l] = 0.25
+		}
+	}
 }

@@ -240,3 +240,93 @@ bwdloop:
 
 	VZEROUPPER
 	RET
+
+// func extractRowAVX2(a *zRow8)
+//
+// One row of posterior extraction, j ascending over [lo, hi]; z is the
+// lane-striped accumulator, five channels of 8 lanes per column:
+//   pm        = (fM[i][j] * bM[i][j]) * inv
+//   z[j][k]  += pm * wt[k]                      k = A, C, G, T
+//   z[j][gap] += (fY[i][j] * bY[i][j]) * inv
+// wt is the row's per-lane attribution weight (wt[k*8+l]), which makes
+// ByCall and ByPWM one expression — see extractStripe in batch.go for
+// why that is bit-identical to the branchy per-lane loop. Columns are
+// independent, so unlike the sweeps there is no serial chain here: the
+// loop is bound by its memory traffic, four plane lines in and ten
+// half-lines of z updated per column.
+TEXT ·extractRowAVX2(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), AX
+	MOVQ 0(AX), R8    // fM  = &fM[(cur+lo)*8]
+	MOVQ 8(AX), R9    // bM  = &bM[(cur+lo)*8]
+	MOVQ 16(AX), R10  // fY  = &fY[(cur+lo)*8]
+	MOVQ 24(AX), R11  // bY  = &bY[(cur+lo)*8]
+	MOVQ 32(AX), R12  // z   = &zs[(lo-1)*5*8]
+	MOVQ 40(AX), R13  // wt
+	MOVQ 48(AX), DI   // inv
+	MOVQ 56(AX), CX   // steps
+	VMOVUPD (DI), Y0      // inv, lanes 0-3
+	VMOVUPD 32(DI), Y1    // inv, lanes 4-7
+	VMOVUPD (R13), Y2     // wt[A], lanes 0-3
+	VMOVUPD 32(R13), Y3   // wt[A], lanes 4-7
+	VMOVUPD 64(R13), Y4   // wt[C]
+	VMOVUPD 96(R13), Y5
+	VMOVUPD 128(R13), Y6  // wt[G]
+	VMOVUPD 160(R13), Y7
+	VMOVUPD 192(R13), Y8  // wt[T]
+	VMOVUPD 224(R13), Y9
+
+zloop:
+	// ---- lanes 0-3 ----
+	VMOVUPD (R8), Y10
+	VMULPD  (R9), Y10, Y10    // fM*bM
+	VMULPD  Y0, Y10, Y10      // pm
+	VMULPD  Y2, Y10, Y11      // pm*wt[A]
+	VADDPD  (R12), Y11, Y11
+	VMOVUPD Y11, (R12)        // z[j][A]
+	VMULPD  Y4, Y10, Y12
+	VADDPD  64(R12), Y12, Y12
+	VMOVUPD Y12, 64(R12)      // z[j][C]
+	VMULPD  Y6, Y10, Y13
+	VADDPD  128(R12), Y13, Y13
+	VMOVUPD Y13, 128(R12)     // z[j][G]
+	VMULPD  Y8, Y10, Y14
+	VADDPD  192(R12), Y14, Y14
+	VMOVUPD Y14, 192(R12)     // z[j][T]
+	VMOVUPD (R10), Y11
+	VMULPD  (R11), Y11, Y11   // fY*bY
+	VMULPD  Y0, Y11, Y11
+	VADDPD  256(R12), Y11, Y11
+	VMOVUPD Y11, 256(R12)     // z[j][gap]
+
+	// ---- lanes 4-7 ----
+	VMOVUPD 32(R8), Y10
+	VMULPD  32(R9), Y10, Y10
+	VMULPD  Y1, Y10, Y10
+	VMULPD  Y3, Y10, Y11
+	VADDPD  32(R12), Y11, Y11
+	VMOVUPD Y11, 32(R12)
+	VMULPD  Y5, Y10, Y12
+	VADDPD  96(R12), Y12, Y12
+	VMOVUPD Y12, 96(R12)
+	VMULPD  Y7, Y10, Y13
+	VADDPD  160(R12), Y13, Y13
+	VMOVUPD Y13, 160(R12)
+	VMULPD  Y9, Y10, Y14
+	VADDPD  224(R12), Y14, Y14
+	VMOVUPD Y14, 224(R12)
+	VMOVUPD 32(R10), Y11
+	VMULPD  32(R11), Y11, Y11
+	VMULPD  Y1, Y11, Y11
+	VADDPD  288(R12), Y11, Y11
+	VMOVUPD Y11, 288(R12)
+
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	ADDQ $320, R12
+	DECQ CX
+	JNZ  zloop
+
+	VZEROUPPER
+	RET

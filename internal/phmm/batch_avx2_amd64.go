@@ -47,6 +47,15 @@ type bwdRow8 struct {
 	tmm, tgm, tmgq, tggq float64  // +64, +72, +80, +88
 }
 
+// zRow8 carries one row of posterior extraction to assembly.
+type zRow8 struct {
+	fM, bM, fY, bY *float64 // +0, +8, +16, +24: &plane[(cur+lo)*8]
+	z              *float64 // +32: &zs[(lo-1)*5*8]
+	wt             *float64 // +40: the row's 4x8 attribution weights, wt[k*8+l]
+	inv            *float64 // +48: 1/lScaled per lane (0 for a dead lane)
+	steps          int64    // +56: hi - lo + 1
+}
+
 // Compile-time layout assertions: a non-zero difference makes the array
 // length negative and the package fails to build.
 var (
@@ -56,6 +65,8 @@ var (
 	_ [unsafe.Offsetof(scaleRow8{}.steps) - 32]struct{}
 	_ [unsafe.Offsetof(bwdRow8{}.iv) - 48]struct{}
 	_ [unsafe.Offsetof(bwdRow8{}.tggq) - 88]struct{}
+	_ [unsafe.Offsetof(zRow8{}.z) - 32]struct{}
+	_ [unsafe.Offsetof(zRow8{}.steps) - 56]struct{}
 )
 
 //go:noescape
@@ -66,3 +77,6 @@ func scaleRowAVX2(a *scaleRow8)
 
 //go:noescape
 func backwardRowAVX2(a *bwdRow8)
+
+//go:noescape
+func extractRowAVX2(a *zRow8)

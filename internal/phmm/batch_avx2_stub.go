@@ -31,6 +31,13 @@ type bwdRow8 struct {
 	tmm, tgm, tmgq, tggq float64
 }
 
+type zRow8 struct {
+	fM, bM, fY, bY *float64
+	z, wt, inv     *float64
+	steps          int64
+}
+
 func forwardRowAVX2(*fwdRow8)  { panic("phmm: no AVX2 kernel on this architecture") }
 func scaleRowAVX2(*scaleRow8)  { panic("phmm: no AVX2 kernel on this architecture") }
 func backwardRowAVX2(*bwdRow8) { panic("phmm: no AVX2 kernel on this architecture") }
+func extractRowAVX2(*zRow8)    { panic("phmm: no AVX2 kernel on this architecture") }

@@ -1,10 +1,13 @@
 package phmm
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"gnumap/internal/dna"
+	"gnumap/internal/fastq"
 	"gnumap/internal/pwm"
 )
 
@@ -343,15 +346,197 @@ func TestAlignBatchAllocFree(t *testing.T) {
 		xs[l] = randomPWM(rng, 62)
 		ys[l] = randomSeq(rng, 78)
 	}
-	if _, err := batch.AlignBatch(xs, ys, 8, 18); err != nil {
-		t.Fatal(err) // warm-up
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := batch.AlignBatch(xs, ys, 8, 18); err != nil {
+	dst := make([][dna.NumChannels]float64, 78)
+	totals := make([]float64, 78)
+	sweep := func() {
+		results, err := batch.AlignBatch(xs, ys, 8, 18)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm AlignBatch allocates %.1f objects per sweep, want 0", allocs)
+		for l := range results {
+			if err := results[l].ContributionsInto(ByCall, dst, totals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sweep() // warm-up
+	if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
+		t.Fatalf("warm AlignBatch + extraction allocates %.1f objects per sweep, want 0", allocs)
+	}
+}
+
+// qualityRead is a read with per-base qualities in [2, 41) and N calls
+// planted at about one position in eight, so ByCall meets its {1/4} branch
+// and ByPWM meets rows that differ from position to position.
+func qualityRead(rng *rand.Rand, n int) *pwm.Matrix {
+	rd := &fastq.Read{Seq: randomSeq(rng, n), Qual: make([]uint8, n)}
+	for i := range rd.Qual {
+		rd.Qual[i] = uint8(2 + rng.Intn(39))
+		if rng.Intn(8) == 0 {
+			rd.Seq[i] = dna.N
+		}
+	}
+	m, err := pwm.FromRead(rd)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// requireExtractionExact asks one lane for its contributions under attr
+// and requires the scalar kernel's, bit for bit (so +0 != -0).
+func requireExtractionExact(t *testing.T, label string, attr Attribution, scalar *Result, lane *BatchResult) {
+	t.Helper()
+	dstS, dstB := make([][dna.NumChannels]float64, scalar.M), make([][dna.NumChannels]float64, lane.M)
+	totS, totB := make([]float64, scalar.M), make([]float64, lane.M)
+	if err := scalar.ContributionsInto(attr, dstS, totS); err != nil {
+		t.Fatal(err)
+	}
+	if err := lane.ContributionsInto(attr, dstB, totB); err != nil {
+		t.Fatal(err)
+	}
+	for j := range dstS {
+		if math.Float64bits(totS[j]) != math.Float64bits(totB[j]) {
+			t.Fatalf("%s attr %d col %d: total scalar %v != batch %v", label, attr, j, totS[j], totB[j])
+		}
+		for k := range dstS[j] {
+			if math.Float64bits(dstS[j][k]) != math.Float64bits(dstB[j][k]) {
+				t.Fatalf("%s attr %d col %d ch %d: scalar %v != batch %v", label, attr, j, k, dstS[j][k], dstB[j][k])
+			}
+		}
+	}
+}
+
+// TestExtractionMatchesScalar is the exactness property test of
+// posterior extraction: every lane of batches of 1..13 lanes (8 is the
+// stripe-wide AVX2 pass, everything else the per-lane loop), under both
+// attributions asked in alternating order of the same batch, on reads
+// with quality-weighted rows and N calls, with dead lanes mixed in, must
+// reproduce the scalar kernel's ContributionsInto bit for bit — once
+// with the vector rows and once with cpu.HasAVX2 switched off.
+func TestExtractionMatchesScalar(t *testing.T) {
+	// Zero-tolerance emissions: a one-hot read against a window with a
+	// mismatch has no alignment, which is how lanes die.
+	strict := DefaultParams()
+	for y := range strict.Match {
+		for k := range strict.Match[y] {
+			strict.Match[y][k] = 0
+		}
+		strict.Match[y][y] = 1
+	}
+	for _, avx2 := range []bool{true, false} {
+		name := "generic"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if !setAVX2(t, avx2) {
+				t.Skip("host has no AVX2")
+			}
+			if BatchKernel() != name {
+				t.Fatalf("BatchKernel() = %q, want %q", BatchKernel(), name)
+			}
+			rng := rand.New(rand.NewSource(22))
+			dead, live := 0, 0
+			for trial := 0; trial < 78; trial++ {
+				L := 1 + trial%13
+				p, mode := DefaultParams(), SemiGlobal
+				n, m, diag, band := 62, 78, 8, 18 // the engine's shape
+				xs, ys := make([]*pwm.Matrix, L), make([]dna.Seq, L)
+				switch trial % 3 {
+				case 0:
+					for l := range xs {
+						xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
+					}
+				case 1:
+					m = 12 + rng.Intn(80)
+					n = 4 + rng.Intn(m-3)
+					diag = rng.Intn(m - n + 1)
+					band = []int{0, 6 + 2*rng.Intn(6), fullWidthBand(n, m)}[rng.Intn(3)]
+					for l := range xs {
+						xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
+					}
+				case 2:
+					// Global, exact reads (an N matches anything): odd
+					// lanes get a window whose first base is wrong.
+					p, mode = strict, Global
+					n, m, diag, band = 30, 30, 0, 0
+					for l := range xs {
+						ys[l] = randomSeq(rng, m)
+						read := ys[l].Clone()
+						read[1+rng.Intn(n-1)] = dna.N
+						if l%2 == 1 {
+							read[0] = dna.Code((int(read[0]) + 1) % 4)
+						}
+						x, err := pwm.FromSeqUniformError(read, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						xs[l] = x
+					}
+				}
+				scalar, err := NewAligner(p, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := NewBatchAligner(p, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, err := batch.AlignBatch(xs, ys, diag, band)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				// Both attributions of every lane, then the first again:
+				// each switch re-extracts the stripe.
+				attrs := []Attribution{ByCall, ByPWM, ByCall}
+				if trial%2 == 1 {
+					attrs = []Attribution{ByPWM, ByCall, ByPWM}
+				}
+				for _, attr := range attrs {
+					for l := range results {
+						want, errS := scalar.AlignBanded(xs[l], ys[l], diag, band)
+						if (errS == nil) != (results[l].Err == nil) {
+							t.Fatalf("trial %d lane %d: scalar err %v, batch err %v", trial, l, errS, results[l].Err)
+						}
+						if errS != nil {
+							dead++
+							continue
+						}
+						live++
+						requireExtractionExact(t, fmt.Sprintf("trial %d L=%d lane %d", trial, L, l), attr, want, &results[l])
+					}
+				}
+			}
+			if dead == 0 || live == 0 {
+				t.Fatalf("degenerate setup: %d dead, %d live lane extractions", dead, live)
+			}
+		})
+	}
+}
+
+// TestExtractionFollowsTheBatch: the stripe buffer belongs to one
+// AlignBatch. A second batch of the same shape must not be answered
+// from the first one's z-vectors.
+func TestExtractionFollowsTheBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	scalar := mustAligner(t, SemiGlobal)
+	batch := mustBatchAligner(t, SemiGlobal)
+	for round := 0; round < 3; round++ {
+		xs, ys := make([]*pwm.Matrix, simdLanes), make([]dna.Seq, simdLanes)
+		for l := range xs {
+			xs[l], ys[l] = qualityRead(rng, 62), randomSeq(rng, 78)
+		}
+		results, err := batch.AlignBatch(xs, ys, 8, 18)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []int{3, 0} {
+			want, err := scalar.AlignBanded(xs[l], ys[l], 8, 18)
+			if err != nil || results[l].Err != nil {
+				t.Fatalf("round %d lane %d: scalar err %v, batch err %v", round, l, err, results[l].Err)
+			}
+			requireExtractionExact(t, fmt.Sprintf("round %d lane %d", round, l), ByCall, want, &results[l])
+		}
 	}
 }

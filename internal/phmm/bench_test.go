@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gnumap/internal/dna"
+	"gnumap/internal/fastq"
 	"gnumap/internal/pwm"
 )
 
@@ -211,9 +212,36 @@ func BenchmarkAlignBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkContributionsInto compares posterior extraction per
-// alignment from the scalar kernel's contiguous planes and from one lane
-// of an 8-lane batch's striped planes, at the engine's band.
+// rampBenchInputs is batchBenchInputs with each read's PWM built from
+// per-base qualities on the simulator's ramp (error 0.002 at the 5' end
+// rising to 0.02, Phred +-2 of jitter) instead of one flat error: the
+// rows the engine's reads have.
+func rampBenchInputs(b *testing.B, L int) ([]*pwm.Matrix, []dna.Seq) {
+	b.Helper()
+	xs, ys := batchBenchInputs(b, L)
+	rng := rand.New(rand.NewSource(2))
+	for l := range xs {
+		rd := &fastq.Read{Seq: xs[l].Calls().Clone(), Qual: make([]uint8, xs[l].Len())}
+		for i := range rd.Qual {
+			e := 0.002 + (0.02-0.002)*float64(i)/float64(len(rd.Qual)-1)
+			rd.Qual[i] = uint8(int(fastq.PhredFromErrorProb(e)) + rng.Intn(5) - 2)
+		}
+		x, err := pwm.FromRead(rd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs[l] = x
+	}
+	return xs, ys
+}
+
+// BenchmarkContributionsInto measures posterior extraction per
+// alignment at the engine's band: from the scalar kernel's contiguous
+// planes, and from an 8-lane batch of distinct quality-ramp reads with
+// every lane extracted after the invalidation a fresh AlignBatch does —
+// what the mapper pays — under the vector and the generic rows.
+// subnormal-cells/alignment counts the band cells whose fM*bM product
+// is subnormal (each costs a microcode assist; see EXPERIMENTS.md).
 func BenchmarkContributionsInto(b *testing.B) {
 	p, window := benchInputs(b)
 	dst := make([][dna.NumChannels]float64, len(window))
@@ -234,24 +262,46 @@ func BenchmarkContributionsInto(b *testing.B) {
 			}
 		}
 	})
-	b.Run("lane-of-8", func(b *testing.B) {
-		ba, err := NewBatchAligner(DefaultParams(), SemiGlobal)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xs, ys := make([]*pwm.Matrix, 8), make([]dna.Seq, 8)
-		for l := range xs {
-			xs[l], ys[l] = p.Matrix, window
-		}
-		results, err := ba.AlignBatch(xs, ys, 8, benchBand)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := results[i%8].ContributionsInto(ByCall, dst, totals); err != nil {
+	for _, kernel := range []string{"avx2", "generic"} {
+		b.Run("batch-of-8/"+kernel, func(b *testing.B) {
+			if !setAVX2(b, kernel == "avx2") {
+				b.Skip("host has no AVX2")
+			}
+			ba, err := NewBatchAligner(DefaultParams(), SemiGlobal)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			xs, ys := rampBenchInputs(b, simdLanes)
+			results, err := ba.AlignBatch(xs, ys, 8, benchBand)
+			if err != nil {
+				b.Fatal(err)
+			}
+			subnormal := 0
+			for l := range results {
+				for i := 1; i <= results[l].N; i++ {
+					lo, hi := results[l].rowBounds(i)
+					for j := lo; j <= hi; j++ {
+						at := results[l].idx(i, j)
+						if pm := ba.fM[at] * ba.bM[at]; pm > 0 && pm < 0x1p-1022 {
+							subnormal++
+						}
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ba.zsValid = false
+				for l := range results {
+					if err := results[l].ContributionsInto(ByCall, dst, totals); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perAlign := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / simdLanes
+			b.ReportMetric(perAlign, "ns/alignment")
+			b.ReportMetric(perAlign/float64(BandCells(62, 78, 8, benchBand)), "ns/cell")
+			b.ReportMetric(float64(subnormal)/simdLanes, "subnormal-cells/alignment")
+		})
+	}
 }

@@ -124,37 +124,61 @@ func SummarizeCoverage(acc genome.Accumulator, maxBucket int) CoverageStats {
 		return st
 	}
 	// QC runs after mapping has quiesced; a frozen view reads the
-	// accumulator without per-position lock round trips.
+	// accumulator without per-position lock round trips, and a NORM one
+	// hands over its five planes, summed here in Total's channel order.
 	total := acc.Total
+	var planes [dna.NumChannels][]float32
+	norm := false
 	if fz, err := genome.Freeze(acc); err == nil {
 		total = fz.Total
+		planes, norm = fz.PlaneWindow(0, fz.Len())
 	}
+	// Depths are produced a block at a time so that the tally is a loop
+	// with no call in it and keeps its state in registers.
 	var sum float64
-	var b1, b4, b10 int
-	for pos := 0; pos < acc.Len(); pos++ {
-		d := total(pos)
-		st.Positions++
-		sum += d
-		if d > st.MaxDepth {
-			st.MaxDepth = d
+	var b1, b4, b10, uncovered int
+	var block [512]float64
+	for lo, n := 0, acc.Len(); lo < n; lo += len(block) {
+		depths := block[:min(len(block), n-lo)]
+		if norm {
+			pA, pC, pG, pT, pGap := planes[dna.A][lo:], planes[dna.C][lo:], planes[dna.G][lo:], planes[dna.T][lo:], planes[dna.ChGap][lo:]
+			for i := range depths {
+				depths[i] = 0 + float64(pA[i]) + float64(pC[i]) + float64(pG[i]) + float64(pT[i]) + float64(pGap[i])
+			}
+		} else {
+			for i := range depths {
+				depths[i] = total(lo + i)
+			}
 		}
-		if d >= 1 {
-			b1++
+		for _, d := range depths {
+			if d == 0 {
+				uncovered++ // nothing to add, compare or round
+				continue
+			}
+			sum += d
+			if d > st.MaxDepth {
+				st.MaxDepth = d
+			}
+			if d >= 1 {
+				b1++
+			}
+			if d >= 4 {
+				b4++
+			}
+			if d >= 10 {
+				b10++
+			}
+			// Nearest-integer bucketing (see Hist doc): posterior depth
+			// is fractional, and int(d) would misfile depth 0.9 as "0x".
+			bucket := int(math.Round(d))
+			if bucket > maxBucket {
+				bucket = maxBucket
+			}
+			st.Hist[bucket]++
 		}
-		if d >= 4 {
-			b4++
-		}
-		if d >= 10 {
-			b10++
-		}
-		// Nearest-integer bucketing (see Hist doc): posterior depth is
-		// fractional, and int(d) would misfile depth 0.9 as "0x".
-		bucket := int(math.Round(d))
-		if bucket > maxBucket {
-			bucket = maxBucket
-		}
-		st.Hist[bucket]++
+		st.Positions += len(depths)
 	}
+	st.Hist[0] += int64(uncovered)
 	if st.Positions > 0 {
 		st.MeanDepth = sum / float64(st.Positions)
 		st.Breadth1 = float64(b1) / float64(st.Positions)

@@ -3,6 +3,8 @@ package qc
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,5 +127,36 @@ func TestSummarizeCoverageOverflowBucket(t *testing.T) {
 	}
 	if SummarizeCoverage(nil, 0).Positions != 0 {
 		t.Error("nil accumulator not empty")
+	}
+}
+
+// foreign hides an accumulator's concrete type, so genome.Freeze refuses
+// it and SummarizeCoverage falls back to one locked Total per position.
+type foreign struct{ genome.Accumulator }
+
+// TestSummarizeCoverageWalksAgree: the NORM plane walk, the frozen Total
+// walk of the discretized layouts and the locked Total walk are one
+// summary, every field == (depth sums included).
+func TestSummarizeCoverageWalksAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
+		acc, err := genome.New(mode, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4000; i++ {
+			var v genome.Vec
+			for k := range v {
+				v[k] = rng.Float64() * rng.Float64()
+			}
+			acc.AddRange(rng.Intn(2500), []genome.Vec{v, v}, rng.Float64())
+		}
+		got, want := SummarizeCoverage(acc, 16), SummarizeCoverage(foreign{acc}, 16)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: frozen walk %+v != locked walk %+v", mode, got, want)
+		}
+		if got.MaxDepth == 0 {
+			t.Errorf("%v: nothing accumulated", mode)
+		}
 	}
 }
