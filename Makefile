@@ -21,13 +21,16 @@ vet:
 	$(GO) vet ./...
 
 # Kernel + engine micro-benchmarks with allocation accounting (the
-# banded speedup and the 0 allocs/op gates live here), and the calling
-# sweep's worker ladder. Performance numbers and claims come from the
-# repo benchmark (bench/, BENCHMARK.json), not from these.
+# banded speedup and the 0 allocs/op gates live here), the calling
+# sweep's worker ladder, and the accumulator's writer ladder (striped-w1
+# minus unlocked-w1 is what the stripe locks cost per range).
+# Performance numbers and claims come from the repo benchmark (bench/,
+# BENCHMARK.json), not from these.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/phmm/
 	$(GO) test -bench 'BenchmarkMapRead' -benchmem -benchtime 2000x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkCollectRange' -run '^$$' ./internal/snp/
+	$(GO) test -bench 'BenchmarkAccumulatorContention|BenchmarkMerge' -benchmem -run '^$$' ./internal/genome/
 
 # Short coverage-guided fuzz passes over the byte-level inputs — the
 # FASTA and FASTQ parsers, the on-disk seed-index decoder and the

@@ -81,10 +81,10 @@ func (p *Pipeline) fingerprint() ckpt.Fingerprint {
 }
 
 // fingerprintFor renders the call-affecting configuration — and only
-// that; execution knobs (workers, batch, queue, accumulation strategy,
-// PHMM lane width) may change freely across a resume — into a
-// checkpoint fingerprint. Both configs are resolved first so a zero
-// value and its explicit default fingerprint identically.
+// that; execution knobs (workers, batch, queue, PHMM lane width) may
+// change freely across a resume — into a checkpoint fingerprint. Both
+// configs are resolved first so a zero value and its explicit default
+// fingerprint identically.
 func fingerprintFor(ref *genome.Reference, opts Options) ckpt.Fingerprint {
 	ec := opts.Engine.Resolved()
 	cc := opts.Caller.Resolved()
@@ -135,9 +135,8 @@ func newCkptCommitter(path string, base ckpt.Checkpoint, reg *MetricsRegistry) *
 }
 
 // subscriber hangs the committer on a mapping run's quiesce barrier at
-// cc's cadence. The barrier's state is a private snapshot
-// (genome.SnapshotState allocates), so retaining it past the quiesce
-// window is safe.
+// cc's cadence. The barrier's state is a private snapshot (State
+// allocates), so retaining it past the quiesce window is safe.
 func (c *ckptCommitter) subscriber(cc *CheckpointConfig) core.BarrierSubscriber {
 	return core.BarrierSubscriber{EveryReads: cc.EveryReads, Every: cc.Every, Run: func(b *core.Barrier) error {
 		state, err := b.State()

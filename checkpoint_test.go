@@ -144,7 +144,7 @@ func TestResumeCheckpointMismatch(t *testing.T) {
 	}
 	// Execution knobs must NOT invalidate the checkpoint.
 	p3, err := NewPipeline(ds.Reference, Options{
-		Engine:     EngineConfig{Workers: 2, Batch: 8, PhmmBatch: -1, Accum: AccumStriped},
+		Engine:     EngineConfig{Workers: 2, Batch: 8, PhmmBatch: -1},
 		Checkpoint: resume,
 	})
 	if err != nil {

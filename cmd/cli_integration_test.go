@@ -5,6 +5,7 @@
 package cmd_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -411,20 +412,24 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		}
 	}
 
-	// Retired flags: -stream (a slice is a source of the one pipeline) and
+	// Retired flags: -stream (a slice is a source of the one pipeline),
 	// the five execution knobs whose value is now a constant or derived
-	// from -workers / -op-timeout. Each must be an unknown flag.
-	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s"} {
+	// from -workers / -op-timeout, and -accum-mode (striped is the only
+	// write strategy; no accept-and-ignore shim). Each must be an unknown
+	// flag: the flag package's message and its exit code 2.
+	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s", "-accum-mode=striped"} {
 		name, _, _ := strings.Cut(retired, "=")
 		_, out, err = vcfOf("retired-flag", retired)
-		if err == nil || !strings.Contains(out, "flag provided but not defined: "+name) {
-			t.Errorf("%s: err=%v, want an unknown-flag failure:\n%s", retired, err, out)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "flag provided but not defined: "+name) {
+			t.Errorf("%s: err=%v, want an unknown-flag failure with exit code 2:\n%s", retired, err, out)
 		}
 	}
 
-	// Flag budget: options only go down from here (36 before PR 19).
+	// Flag budget: options only go down from here (36 before PR 19, 31
+	// before PR 24).
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
-	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 31 {
-		t.Errorf("gnumap-snp -h lists %d flags, budget is 31:\n%s", n, usage)
+	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 30 {
+		t.Errorf("gnumap-snp -h lists %d flags, budget is 30:\n%s", n, usage)
 	}
 }

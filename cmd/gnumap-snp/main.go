@@ -6,7 +6,7 @@
 //
 //	gnumap-snp -ref reference.fa -reads reads.fq -o calls.vcf \
 //	    [-diploid] [-alpha 0.05] [-fdr] [-memory norm|chardisc|centdisc] \
-//	    [-workers N] [-accum-mode auto|striped|sharded] [-batch 64] \
+//	    [-workers N] [-batch 64] \
 //	    [-incremental-every 5000] \
 //	    [-nodes N -split read|genome [-tcp]] \
 //	    [-op-timeout 5s] [-chaos seed=42,drop=0.01] \
@@ -115,7 +115,6 @@ func run() error {
 		indexPath  = flag.String("index", "", "mmap a persisted seed index built by -index-write; validated against the reference, and sets the seed length from the file when -seed-len is unset")
 		indexWrite = flag.String("index-write", "", "build the large-seed index (requires -seed-len > 14), persist it to this file, and continue mapping")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "shared-memory worker count, for mapping and for the calling sweep")
-		accumMode  = flag.String("accum-mode", "auto", "accumulator write strategy: auto, striped (lock stripes on one shared copy), or sharded (lock-free per-worker shards, merged before calling)")
 		batch      = flag.Int("batch", 0, "reads per pipeline batch, whose candidate windows share Pair-HMM sweeps (0 = default 64; results are identical at any value)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
 		fit        = flag.Bool("fit", false, "fit PHMM parameters to the data (Baum-Welch) before mapping")
@@ -314,11 +313,6 @@ func run() error {
 	opts.Engine.Workers = *workers
 	opts.Engine.Band = *band
 	opts.Engine.Batch = *batch
-	accum, err := gnumap.ParseAccumStrategy(*accumMode)
-	if err != nil {
-		return err
-	}
-	opts.Engine.Accum = accum
 	// -workers is the one parallelism knob: it bounds the calling sweep
 	// as well as mapping.
 	opts.Caller.CallWorkers = *workers

@@ -85,29 +85,6 @@ const (
 	MemCentDisc = genome.CentDisc
 )
 
-// AccumStrategy selects how parallel mapping workers write the
-// accumulator: through 4096-position lock stripes on one shared copy,
-// or lock-free into private per-worker shards folded by a parallel
-// tree merge before the first read. Set via EngineConfig.Accum.
-type AccumStrategy = core.AccumStrategy
-
-// The accumulation strategies.
-const (
-	// AccumAuto picks sharded when Workers > 1 and the per-worker
-	// copies fit EngineConfig.AccumMemBudget, striped otherwise.
-	AccumAuto = core.AccumAuto
-	// AccumStriped forces the single lock-striped accumulator.
-	AccumStriped = core.AccumStriped
-	// AccumSharded forces private per-worker shards.
-	AccumSharded = core.AccumSharded
-)
-
-// ParseAccumStrategy parses "auto", "striped", or "sharded" (the
-// -accum-mode CLI values) into an AccumStrategy.
-func ParseAccumStrategy(s string) (AccumStrategy, error) {
-	return core.ParseAccumStrategy(s)
-}
-
 // DefaultPhmmBatch is the default lane width of the batched wavefront
 // Pair-HMM kernel. Set via EngineConfig.PhmmBatch (0 selects this
 // default; 1 or negative forces the scalar kernel).
@@ -280,7 +257,7 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc, err := core.NewAccumulator(opts.Memory, ref.Len(), opts.Engine)
+	acc, err := genome.New(opts.Memory, ref.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -301,14 +278,6 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 		}
 	}
 	return p, nil
-}
-
-// combined folds any outstanding per-worker shards into the base
-// accumulator (a no-op for the striped layout) so read paths — calling,
-// pileup, coverage, checkpointing — see the full accumulated mass
-// without paying the sharded wrapper's per-position locking.
-func (p *Pipeline) combined() (genome.Accumulator, error) {
-	return core.CombineAccumulator(p.acc, p.opts.Engine.Metrics)
 }
 
 // MapReads maps an in-memory batch of reads: MapReadsFrom over a slice
@@ -398,7 +367,7 @@ func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (Map
 			if eng, err = core.NewEngine(p.ref, cfg); err != nil {
 				return err
 			}
-			if acc, err = core.NewAccumulator(p.opts.Memory, p.ref.Len(), cfg); err != nil {
+			if acc, err = genome.New(p.opts.Memory, p.ref.Len()); err != nil {
 				return err
 			}
 		}
@@ -455,8 +424,7 @@ func newRunReport(snaps []MetricsSnapshot, dead []int) (*MetricsReport, error) {
 // the single global significance pass. An incremental pipeline instead
 // finishes with one more incremental sweep — touching only the regions
 // written since the last barrier — which is bit-identical to the
-// one-shot sweep on a striped accumulator (sharded runs carry the usual
-// merge-order tolerance).
+// one-shot sweep over the same accumulator at any worker count.
 func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
 	if p.inc != nil {
 		if err := p.inc.sweep(); err != nil {
@@ -464,11 +432,7 @@ func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
 		}
 		return p.inc.ic.Provisional()
 	}
-	acc, err := p.combined()
-	if err != nil {
-		return nil, CallStats{}, err
-	}
-	return snp.CallAll(p.ref, acc, p.opts.Caller)
+	return snp.CallAll(p.ref, p.acc, p.opts.Caller)
 }
 
 // WriteVCF writes calls as VCF 4.2.
@@ -490,11 +454,7 @@ func (p *Pipeline) WriteSAM(w io.Writer, reads []*Read) error {
 // WritePileup writes the per-position probability pileup as TSV for
 // positions with at least minDepth accumulated mass.
 func (p *Pipeline) WritePileup(w io.Writer, minDepth float64) error {
-	acc, err := p.combined()
-	if err != nil {
-		return err
-	}
-	return snp.WritePileup(w, p.ref, acc, 0, 0, p.ref.Len(), minDepth)
+	return snp.WritePileup(w, p.ref, p.acc, 0, 0, p.ref.Len(), minDepth)
 }
 
 // SaveState serializes the pipeline's accumulated per-position state
@@ -503,11 +463,7 @@ func (p *Pipeline) WritePileup(w io.Writer, minDepth float64) error {
 // (internal/ckpt) carrying the config fingerprint and cumulative
 // mapping counters alongside the accumulator state.
 func (p *Pipeline) SaveState(w io.Writer) error {
-	acc, err := p.combined()
-	if err != nil {
-		return err
-	}
-	data, err := acc.State()
+	data, err := p.acc.State()
 	if err != nil {
 		return err
 	}
@@ -672,13 +628,7 @@ func SummarizeReads(reads []*Read) ReadStats {
 // CoverageStats summarizes the pipeline's accumulated depth after
 // MapReads.
 func (p *Pipeline) CoverageStats() CoverageStats {
-	acc, err := p.combined()
-	if err != nil {
-		// Combine only fails on layout mismatches a Pipeline cannot
-		// produce; fall back to the lazily-combining wrapper.
-		acc = p.acc
-	}
-	return qc.SummarizeCoverage(acc, 64)
+	return qc.SummarizeCoverage(p.acc, 64)
 }
 
 // Allele is a called base channel (A, C, G, T, or gap).

@@ -20,7 +20,7 @@ import (
 func TestRunReadSplitStreamCkptRounds(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 73)
 	want := sharedBaseline(t, p, genome.Norm)
-	cfg := Config{Workers: 2, Batch: 8, Queue: 2, Accum: AccumSharded}
+	cfg := Config{Workers: 2, Batch: 8, Queue: 2}
 
 	var mu sync.Mutex
 	var sinks []sinkRecord
@@ -82,7 +82,7 @@ func TestRunReadSplitStreamCkptRounds(t *testing.T) {
 func TestRunReadSplitStreamCkptStopResume(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 79)
 	want := sharedBaseline(t, p, genome.Norm)
-	cfg := Config{Workers: 2, Batch: 8, Queue: 2, Accum: AccumSharded}
+	cfg := Config{Workers: 2, Batch: 8, Queue: 2}
 
 	fullSt := runFullStreamStats(t, p, cfg)
 

@@ -33,13 +33,13 @@ func sharedBaseline(t *testing.T, p *pipeline, mode genome.Mode) genome.Accumula
 // readSplit runs one rank of a read-split run the way gnumap.Pipeline
 // does — the rank's own engine and accumulator (rank 0's preloaded with
 // resume, when given) through RunReadSplit — and hands rank 0 its
-// accumulator back with worker shards folded, nil elsewhere.
+// accumulator back, nil elsewhere.
 func readSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config, pol *CheckpointPolicy, resume ...[]byte) (genome.Accumulator, Stats, error) {
 	eng, err := NewEngine(ref, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	acc, err := NewAccumulator(mode, ref.Len(), eng.Config())
+	acc, err := genome.New(mode, ref.Len())
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -54,11 +54,7 @@ func readSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode ge
 	if c.Rank() != 0 || (err != nil && !errors.Is(err, ErrStopped)) {
 		return nil, st, err
 	}
-	combined, cerr := CombineAccumulator(acc, cfg.Metrics)
-	if cerr != nil {
-		return nil, st, cerr
-	}
-	return combined, st, err
+	return acc, st, err
 }
 
 func TestReadSplitMatchesSharedMemory(t *testing.T) {

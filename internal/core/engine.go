@@ -116,16 +116,6 @@ type Config struct {
 	// BestHitOnly keeps only the highest-likelihood location per read
 	// (ablation of multi-location posterior weighting).
 	BestHitOnly bool
-	// Accum selects how mapping workers share the accumulator: striped
-	// locks (memory-tight), per-worker lock-free shards (contention-
-	// free), or the default auto heuristic — sharded iff Workers > 1
-	// and (Workers+1) genome-state copies fit AccumMemBudget. The
-	// strategy takes effect for accumulators built via NewAccumulator;
-	// the worker pool shards any genome.ShardProvider handed to it.
-	Accum AccumStrategy
-	// AccumMemBudget bounds the auto strategy's total accumulator
-	// memory in bytes (default DefaultAccumMemBudget, 1 GiB).
-	AccumMemBudget int64
 	// Metrics, when non-nil, receives the engine's stage timers and
 	// counters: map.seed.seconds (per read: PWM build + candidate
 	// lookup), map.align.seconds (per sweep of one bin of same-shape
@@ -193,20 +183,7 @@ func (c Config) withDefaults() Config {
 	if c.PhmmBatch == 0 {
 		c.PhmmBatch = DefaultPhmmBatch
 	}
-	if c.AccumMemBudget == 0 {
-		c.AccumMemBudget = DefaultAccumMemBudget
-	}
 	return c
-}
-
-// workerTarget resolves the accumulator one worker goroutine should
-// write through: a private lock-free shard when the accumulator is
-// sharded, the shared (striped) accumulator otherwise.
-func workerTarget(acc genome.Accumulator) genome.Accumulator {
-	if sp, ok := acc.(genome.ShardProvider); ok {
-		return sp.WorkerShard()
-	}
-	return acc
 }
 
 // effectiveBand resolves the Band knob into the width passed to

@@ -102,9 +102,9 @@ type Barrier struct {
 }
 
 // State serializes the accumulator as of this barrier (including any
-// state loaded before the run) without disturbing live worker shards.
-// The returned slice is private to the caller.
-func (b *Barrier) State() ([]byte, error) { return genome.SnapshotState(b.acc) }
+// state loaded before the run). The returned slice is private to the
+// caller.
+func (b *Barrier) State() ([]byte, error) { return b.acc.State() }
 
 // BarrierSubscriber is one listener on the pipeline's quiesce barrier,
 // with its own cadence.
@@ -379,7 +379,7 @@ func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffse
 				return
 			}
 			defer e.putMapper(m)
-			sink := m.accumulate(workerTarget(acc), accOffset, &st)
+			sink := m.accumulate(acc, accOffset, &st)
 			for b := range work {
 				select {
 				case <-stopCh:

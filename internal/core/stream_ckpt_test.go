@@ -34,21 +34,20 @@ func stateSink(everyReads int64, record func(sinkRecord)) BarrierSubscriber {
 }
 
 // TestMapReadsFromBarrierSinkInvariants exercises the periodic quiesce
-// barrier with a sharded accumulator (the layout where a destructive
-// snapshot would corrupt the run): sinks fire at the configured
+// barrier with four workers writing: sinks fire at the configured
 // interval, consumed counts are monotone and consistent with the stats
 // snapshot, and the pipeline's final result is unchanged by the
 // barriers.
 func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 51)
-	cfg := Config{Workers: 4, Batch: 16, Queue: 2, Accum: AccumSharded}
+	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
 	eng, err := NewEngine(p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference run without checkpointing.
-	want, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	want, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestCheckpointStallIsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +128,13 @@ func TestCheckpointStallIsRecorded(t *testing.T) {
 // the final accumulated mass matches the uninterrupted run.
 func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 53)
-	cfg := Config{Workers: 4, Batch: 16, Queue: 2, Accum: AccumSharded}
+	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
 	eng, err := NewEngine(p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	full, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	full, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 	}
 
 	// Interrupted run: stop cooperatively after the second checkpoint.
-	acc1, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc1, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 
 	// Resume: fresh accumulator, load the checkpoint, skip the
 	// watermark, map the remainder.
-	acc2, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc2, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	want, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +280,7 @@ func TestMapReadsFromSourceBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	want, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +289,7 @@ func TestMapReadsFromSourceBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +325,7 @@ func TestMapReadsFromNilPolicyBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := NewAccumulator(genome.Norm, p.ref.Len(), cfg)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,21 @@ func New(mode Mode, length int) (Accumulator, error) {
 	}
 }
 
+// EstimateBytes predicts what MemoryBytes reports for one accumulator
+// of the given mode and length (CENTDISC's shared codebook aside),
+// without allocating it.
+func EstimateBytes(mode Mode, length int) int64 {
+	l := int64(length)
+	switch mode {
+	case CharDisc:
+		return 9 * l // float32 total + five byte fractions
+	case CentDisc:
+		return 5 * l // float32 total + one codebook byte
+	default:
+		return 20 * l // five float32 per position
+	}
+}
+
 // stripeShift gives 4096-position lock stripes: small enough for low
 // contention across workers mapping different genome regions, large
 // enough that a read-length range spans at most two stripes.

@@ -446,3 +446,22 @@ func TestQuantizeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEstimateBytes pins the per-position estimates against the real
+// allocators (CentDisc adds a shared codebook on top of its 5 B/base).
+func TestEstimateBytes(t *testing.T) {
+	const L = 10_000
+	for _, mode := range allModes() {
+		acc, err := New(mode, L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, real := EstimateBytes(mode, L), acc.MemoryBytes()
+		if est > real {
+			t.Errorf("%v: estimate %d exceeds real footprint %d", mode, est, real)
+		}
+		if real > est+512*1024 { // codebook & slack stay well under this
+			t.Errorf("%v: estimate %d far below real footprint %d", mode, est, real)
+		}
+	}
+}

@@ -27,55 +27,48 @@ func BenchmarkAddRange(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulatorContention compares striped-lock accumulation
-// against per-worker lock-free shards under concurrent writers. Every
-// goroutine hammers AddRange over the same genome; the sharded variant
-// pays a final Combine (tree merge), which is included in the measured
-// time so the comparison is end-to-end honest.
+// BenchmarkAccumulatorContention times AddRange on the one striped
+// accumulator under 1/2/4/8 concurrent writers, and once on its
+// lock-free twin with a single writer. striped-w1 minus unlocked-w1 is
+// what the stripe locks cost per range — the number the write-strategy
+// question reduced to (DESIGN §11), and the one a fixed-point mass
+// representation must not make worse.
 func BenchmarkAccumulatorContention(b *testing.B) {
 	const genomeLen = 100_000
 	zs := make([]Vec, 62)
 	for i := range zs {
 		zs[i] = Vec{0.9, 0.05, 0.03, 0.02, 0}
 	}
-	run := func(b *testing.B, workers int, makeAcc func() (Accumulator, error)) {
-		acc, err := makeAcc()
+	run := func(b *testing.B, workers int, acc Accumulator, err error) {
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			target := acc
-			if sp, ok := acc.(ShardProvider); ok {
-				target = sp.WorkerShard()
-			}
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				// Interleaved positions: all workers touch all stripes,
 				// the worst case for striped locking.
 				for i := 0; i < b.N; i++ {
-					target.AddRange(((i*workers+w)*977)%(genomeLen-70), zs, 1)
+					acc.AddRange(((i*workers+w)*977)%(genomeLen-70), zs, 1)
 				}
 			}(w)
 		}
 		wg.Wait()
-		if sp, ok := acc.(ShardProvider); ok {
-			if _, err := sp.Combine(); err != nil {
-				b.Fatal(err)
-			}
-		}
 		b.ReportMetric(float64(b.N*workers)/b.Elapsed().Seconds(), "adds/s")
 	}
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("striped-w%d", workers), func(b *testing.B) {
-			run(b, workers, func() (Accumulator, error) { return New(Norm, genomeLen) })
-		})
-		b.Run(fmt.Sprintf("sharded-w%d", workers), func(b *testing.B) {
-			run(b, workers, func() (Accumulator, error) { return NewSharded(Norm, genomeLen) })
+			acc, err := New(Norm, genomeLen)
+			run(b, workers, acc, err)
 		})
 	}
+	b.Run("unlocked-w1", func(b *testing.B) {
+		acc, err := newUnlocked(Norm, genomeLen)
+		run(b, 1, acc, err)
+	})
 }
 
 func BenchmarkMerge(b *testing.B) {

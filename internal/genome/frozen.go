@@ -33,20 +33,11 @@ type Frozen struct {
 	cb   *Codebook
 }
 
-// Freeze returns a frozen view of acc. A *Sharded accumulator is
-// combined first (destructively, like its own lazy Vector path — for a
-// non-destructive mid-run view, SnapshotInto a scratch accumulator and
-// freeze that). Accumulator implementations outside this package have
-// no frozen form and return an error; callers fall back to the locked
-// interface.
+// Freeze returns a frozen view of acc. Accumulator implementations
+// outside this package have no frozen form and return an error; callers
+// fall back to the locked interface.
 func Freeze(acc Accumulator) (*Frozen, error) {
 	switch a := acc.(type) {
-	case *Sharded:
-		base, err := a.Combine()
-		if err != nil {
-			return nil, err
-		}
-		return Freeze(base)
 	case *normAcc:
 		f := &Frozen{mode: Norm, length: a.length}
 		for k := range f.planes {

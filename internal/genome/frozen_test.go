@@ -7,7 +7,7 @@ import (
 
 // Property: a frozen view is bit-identical to the locked interface on
 // every position — Vector and Total — for every mode, including after
-// a Merge and after a (non-destructive) state snapshot. The post-map
+// a Merge and after a state snapshot. The post-map
 // sweep swaps the locked reads for a Frozen view on exactly this
 // guarantee.
 func TestFrozenBitIdenticalToAccumulator(t *testing.T) {
@@ -25,9 +25,7 @@ func TestFrozenBitIdenticalToAccumulator(t *testing.T) {
 			if err := acc.Merge(other); err != nil {
 				t.Fatalf("Merge: %v", err)
 			}
-			if _, err := SnapshotState(acc); err != nil {
-				t.Fatalf("SnapshotState: %v", err)
-			}
+			stateOf(t, acc)
 			requireFrozenEqual(t, acc, "after merge+snapshot")
 		})
 	}
@@ -54,25 +52,17 @@ func requireFrozenEqual(t *testing.T, acc Accumulator, when string) {
 	}
 }
 
-// Freezing a sharded accumulator combines it (the same semantics as its
-// lazy Vector path) and the view then matches the combined reads.
+// The lock-free twin bench/ times freezes like the striped accumulator
+// it mirrors: same arrays, same arithmetic, no locks either side.
 func TestFrozenSharded(t *testing.T) {
 	const L = 1024
 	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			s, err := NewSharded(mode, L)
-			if err != nil {
-				t.Fatal(err)
+			tw := twin(t, mode, L)
+			for _, ev := range randomStream(rand.New(rand.NewSource(13)), 300, L, L/2) {
+				tw.AddRange(ev.start, ev.zs, ev.weight)
 			}
-			rng := rand.New(rand.NewSource(13))
-			shard := s.WorkerShard()
-			for _, ev := range randomStream(rng, 200, L, L/2) {
-				shard.AddRange(ev.start, ev.zs, ev.weight)
-			}
-			for _, ev := range randomStream(rng, 100, L, L/2) {
-				s.AddRange(ev.start, ev.zs, ev.weight)
-			}
-			requireFrozenEqual(t, s, "sharded")
+			requireFrozenEqual(t, tw, "lock-free twin")
 		})
 	}
 }
@@ -172,84 +162,57 @@ func TestFrozenPlaneIteration(t *testing.T) {
 	}
 }
 
-// SnapshotInto must be deterministic: two snapshots with no writes in
-// between are bit-identical, and after writes confined to one area the
-// untouched positions keep their exact previous values. The incremental
-// caller's region cache is valid only because of this.
+// What the incremental caller's region cache stands on now that it
+// sweeps the accumulator in place instead of a scratch copy: a frozen
+// view is a view, not a copy. With no writes in between, two reads of
+// it are bit-identical; after writes confined to one area the untouched
+// positions keep their exact previous values and the written one shows
+// through the view taken before the write.
 func TestSnapshotIntoDeterministic(t *testing.T) {
 	const L = 1500
-	s, err := NewSharded(Norm, L)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(17))
-	shardA := s.WorkerShard()
-	shardB := s.WorkerShard()
-	for _, ev := range randomStream(rng, 400, L, L/2) {
-		shardA.AddRange(ev.start, ev.zs, ev.weight)
-	}
-	for _, ev := range randomStream(rng, 400, L, L/2) {
-		shardB.AddRange(ev.start, ev.zs, ev.weight)
-	}
-
-	scratch, err := CloneEmpty(s)
+	acc := feed(t, Norm, L, randomStream(rng, 800, L, L/2))
+	fz, err := Freeze(acc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := SnapshotInto(s, scratch); err != nil {
-		t.Fatalf("SnapshotInto: %v", err)
 	}
 	first := make([]Vec, L)
-	for pos := 0; pos < L; pos++ {
-		first[pos] = scratch.Vector(pos)
+	for pos := range first {
+		first[pos] = fz.Vector(pos)
 	}
-
-	// No writes in between: the second snapshot must be bit-identical.
-	if err := SnapshotInto(s, scratch); err != nil {
-		t.Fatalf("SnapshotInto: %v", err)
-	}
-	for pos := 0; pos < L; pos++ {
-		if got := scratch.Vector(pos); got != first[pos] {
-			t.Fatalf("idle re-snapshot changed position %d: %v -> %v", pos, first[pos], got)
+	for pos := range first {
+		if got := fz.Vector(pos); got != first[pos] {
+			t.Fatalf("idle re-read changed position %d: %v -> %v", pos, first[pos], got)
 		}
 	}
-
-	// Shards must still be live (non-destructive) ...
-	if got := s.ShardCount(); got != 2 {
-		t.Fatalf("SnapshotInto released shards: ShardCount = %d, want 2", got)
-	}
-	// ... and writes confined to the front must leave the back half's
-	// snapshot values bit-identical.
-	shardA.AddRange(10, []Vec{{0.9, 0.1, 0, 0, 0}}, 1)
-	if err := SnapshotInto(s, scratch); err != nil {
-		t.Fatalf("SnapshotInto: %v", err)
-	}
+	acc.AddRange(10, []Vec{{0.9, 0.1, 0, 0, 0}}, 1)
 	for pos := 100; pos < L; pos++ {
-		if got := scratch.Vector(pos); got != first[pos] {
-			t.Fatalf("write at 10 changed snapshot position %d: %v -> %v", pos, first[pos], got)
+		if got := fz.Vector(pos); got != first[pos] {
+			t.Fatalf("write at 10 changed position %d: %v -> %v", pos, first[pos], got)
 		}
 	}
-	if got := scratch.Vector(10); got == first[10] {
-		t.Fatal("write at 10 not visible in the new snapshot")
+	if got := fz.Vector(10); got == first[10] {
+		t.Fatal("write at 10 not visible through the view frozen before it")
 	}
 }
 
-// SnapshotInto on a plain (non-sharded) accumulator is a reset + merge:
-// the scratch equals the source exactly, and a stale scratch is fully
-// overwritten.
+// A state snapshot loaded into a striped accumulator replaces what was
+// there: the target equals the source exactly in every layout, stale
+// mass and all overwritten (resume and the cluster fold's scratch both
+// load into accumulators that are not known to be empty).
 func TestSnapshotIntoStriped(t *testing.T) {
 	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			const L = 256
 			rng := rand.New(rand.NewSource(19))
 			acc := feed(t, mode, L, randomStream(rng, 150, L, L/2))
-			scratch := feed(t, mode, L, randomStream(rng, 50, L, L/2)) // stale content
-			if err := SnapshotInto(acc, scratch); err != nil {
-				t.Fatalf("SnapshotInto: %v", err)
+			stale := feed(t, mode, L, randomStream(rng, 50, L, L/2))
+			if err := stale.LoadStateBytes(stateOf(t, acc)); err != nil {
+				t.Fatalf("LoadStateBytes: %v", err)
 			}
 			for pos := 0; pos < L; pos++ {
-				if got, want := scratch.Vector(pos), acc.Vector(pos); got != want {
-					t.Fatalf("position %d: snapshot %v, source %v", pos, got, want)
+				if got, want := stale.Vector(pos), acc.Vector(pos); got != want {
+					t.Fatalf("position %d: loaded %v, source %v", pos, got, want)
 				}
 			}
 		})

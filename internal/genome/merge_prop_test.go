@@ -1,6 +1,7 @@
 package genome
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,6 +176,62 @@ func TestMergeEmptyShardIsIdentity(t *testing.T) {
 					t.Fatalf("%v pos %d ch %d: vector changed %v -> %v", mode, pos, k, before[pos][k], got[k])
 				}
 			}
+		}
+	}
+}
+
+// TestMergeTreeMatchesSerial: the fold order of a reduction must not
+// matter beyond float32 rounding — rank 0 merges round payloads in
+// arrival order, so any bracketing of the same K states has to agree
+// with the serial left fold. Pairwise (stride-doubling) bracketing is
+// the one furthest from a left fold; odd K exercises its leftover leg.
+func TestMergeTreeMatchesSerial(t *testing.T) {
+	const L, K = 96, 5
+	rng := rand.New(rand.NewSource(11))
+	tree := make([]Accumulator, K)
+	serial, err := New(Norm, L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tree {
+		stream := randomStream(rng, 200, L, 64)
+		tree[i] = feed(t, Norm, L, stream)
+		if err := serial.Merge(feed(t, Norm, L, stream)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for stride := 1; stride < K; stride *= 2 {
+		for i := 0; i+stride < K; i += 2 * stride {
+			if err := tree[i].Merge(tree[i+stride]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for pos := 0; pos < L; pos++ {
+		a, b := serial.Total(pos), tree[0].Total(pos)
+		if math.Abs(a-b) > 1e-3*(1+a) {
+			t.Fatalf("pos %d: pairwise fold %v vs serial fold %v", pos, b, a)
+		}
+	}
+}
+
+// TestMergeTreeError: a mismatched state arriving mid-fold surfaces as
+// an error instead of corrupting — the destination keeps, byte for
+// byte, what the folds before it left there.
+func TestMergeTreeError(t *testing.T) {
+	const L = 64
+	for _, mode := range allModes() {
+		rng := rand.New(rand.NewSource(23))
+		dst := feed(t, mode, L, randomStream(rng, 100, L, 48))
+		if err := dst.Merge(feed(t, mode, L, randomStream(rng, 100, L, 48))); err != nil {
+			t.Fatal(err)
+		}
+		before := stateOf(t, dst)
+		if err := dst.Merge(feed(t, mode, L+1, randomStream(rng, 100, L, 48))); err == nil {
+			t.Fatalf("%v: length mismatch accepted", mode)
+		}
+		if !bytes.Equal(stateOf(t, dst), before) {
+			t.Fatalf("%v: a refused Merge changed the destination", mode)
 		}
 	}
 }

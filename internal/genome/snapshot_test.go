@@ -7,84 +7,74 @@ import (
 	"gnumap/internal/dna"
 )
 
+// stateOf serializes acc or fails the test.
+func stateOf(t *testing.T, acc Accumulator) []byte {
+	t.Helper()
+	b, err := acc.State()
+	if err != nil {
+		t.Fatalf("State: %v", err)
+	}
+	return b
+}
+
 // TestSnapshotStateNonDestructive is the checkpoint-correctness core:
-// snapshotting a sharded accumulator mid-run must not release the
-// worker shards, and writes made to a shard AFTER the snapshot must
-// still land in the final combined result.
+// State() at a barrier is a snapshot, not a hand-over — it equals the
+// state of an accumulator fed the same writes, and the accumulator the
+// mapping workers hold keeps taking writes afterwards, which the next
+// snapshot sees on top of everything before.
 func TestSnapshotStateNonDestructive(t *testing.T) {
-	for _, mode := range []Mode{Norm, CharDisc, CentDisc} {
+	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			const length = 500
-			s, err := NewSharded(mode, length)
+			acc, err := New(mode, length)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shard := s.WorkerShard()
-			zs := make([]Vec, 10)
-			for i := range zs {
-				zs[i] = Vec{0.5, 0.2, 0.2, 0.1, 0}
-			}
-			shard.AddRange(40, zs, 1.0)
-			s.AddRange(200, zs, 2.0) // through the striped base
-
-			snap, err := SnapshotState(s)
-			if err != nil {
-				t.Fatalf("SnapshotState: %v", err)
-			}
-			if got := s.ShardCount(); got != 1 {
-				t.Fatalf("snapshot released shards: ShardCount = %d, want 1", got)
-			}
-
-			// The snapshot equals the state of an equivalent fed-directly
-			// accumulator.
 			want, err := New(mode, length)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.AddRange(40, zs, 1.0)
-			want.AddRange(200, zs, 2.0)
-			wantState, err := want.State()
-			if err != nil {
-				t.Fatal(err)
+			zs := make([]Vec, 10)
+			for i := range zs {
+				zs[i] = Vec{0.5, 0.2, 0.2, 0.1, 0}
 			}
-			if !bytes.Equal(snap, wantState) {
-				t.Errorf("snapshot state diverges from directly-fed state")
+			for _, a := range []Accumulator{acc, want} {
+				a.AddRange(40, zs, 1.0)
+				a.AddRange(200, zs, 2.0)
 			}
-
-			// Writes after the snapshot still reach the combined result
-			// through the SAME shard reference a worker would hold.
-			shard.AddRange(300, zs, 3.0)
-			combined, err := s.Combine()
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(stateOf(t, acc), stateOf(t, want)) {
+				t.Errorf("snapshot diverges from directly-fed state")
 			}
-			if got := combined.Total(300); got <= 0 {
-				t.Errorf("post-snapshot shard write lost: Total(300) = %v", got)
+			// Writes after the snapshot land on top of those before it.
+			acc.AddRange(300, zs, 3.0)
+			want.AddRange(300, zs, 3.0)
+			if acc.Total(300) <= 0 || acc.Total(40) <= 0 {
+				t.Errorf("write lost around a snapshot: Total(40) = %v, Total(300) = %v", acc.Total(40), acc.Total(300))
 			}
-			if got := combined.Total(40); got <= 0 {
-				t.Errorf("pre-snapshot shard write lost: Total(40) = %v", got)
+			if !bytes.Equal(stateOf(t, acc), stateOf(t, want)) {
+				t.Errorf("second snapshot diverges from directly-fed state")
 			}
 		})
 	}
 }
 
-// TestSnapshotStateStriped covers the plain (non-sharded) path.
+// TestSnapshotStateStriped: the snapshot is private to its caller (the
+// checkpoint sink writes it out while mapping has resumed) — later
+// writes to the accumulator do not reach bytes already handed out.
 func TestSnapshotStateStriped(t *testing.T) {
 	a, err := New(Norm, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.AddRange(10, []Vec{{1, 0, 0, 0, 0}}, 1.0)
-	snap, err := SnapshotState(a)
-	if err != nil {
-		t.Fatalf("SnapshotState: %v", err)
+	snap := stateOf(t, a)
+	kept := bytes.Clone(snap)
+	a.AddRange(10, []Vec{{0, 1, 0, 0, 0}}, 1.0)
+	if !bytes.Equal(snap, kept) {
+		t.Errorf("a write after State() changed the snapshot handed out before it")
 	}
-	direct, err := a.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap, direct) {
-		t.Errorf("striped snapshot != State()")
+	if bytes.Equal(stateOf(t, a), kept) {
+		t.Errorf("the write after the snapshot is missing from the next one")
 	}
 }
 
@@ -94,47 +84,33 @@ func TestSnapshotStateStriped(t *testing.T) {
 func TestSnapshotRoundTripsThroughLoad(t *testing.T) {
 	const length = 300
 	zs := []Vec{{0.7, 0.1, 0.1, 0.1, 0}, {0.2, 0.6, 0.1, 0.1, 0}}
+	for _, mode := range allModes() {
+		// Uninterrupted: all writes into one accumulator.
+		full, err := New(mode, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.AddRange(50, zs, 1.0)
+		full.AddRange(120, zs, 1.5)
 
-	// Uninterrupted: all writes into one sharded accumulator.
-	full, err := NewSharded(Norm, length)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := full.WorkerShard()
-	w.AddRange(50, zs, 1.0)
-	w.AddRange(120, zs, 1.5)
-	fullState, err := SnapshotState(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted: snapshot after the first write, load into a fresh
-	// accumulator, replay only the second write.
-	first, err := NewSharded(Norm, length)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := first.WorkerShard()
-	w1.AddRange(50, zs, 1.0)
-	mid, err := SnapshotState(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewSharded(Norm, length)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.LoadStateBytes(mid); err != nil {
-		t.Fatal(err)
-	}
-	w2 := resumed.WorkerShard()
-	w2.AddRange(120, zs, 1.5)
-	resumedState, err := SnapshotState(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumedState, fullState) {
-		t.Errorf("resumed state diverges from uninterrupted state")
+		// Interrupted: snapshot after the first write, load into a fresh
+		// accumulator, replay only the second write.
+		first, err := New(mode, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.AddRange(50, zs, 1.0)
+		resumed, err := New(mode, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.LoadStateBytes(stateOf(t, first)); err != nil {
+			t.Fatal(err)
+		}
+		resumed.AddRange(120, zs, 1.5)
+		if !bytes.Equal(stateOf(t, resumed), stateOf(t, full)) {
+			t.Errorf("%v: resumed state diverges from uninterrupted state", mode)
+		}
 	}
 }
 

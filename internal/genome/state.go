@@ -187,63 +187,9 @@ func CloneEmpty(a Accumulator) (Accumulator, error) {
 	return New(a.Mode(), a.Len())
 }
 
-// SnapshotState serializes the accumulator's full current state
-// WITHOUT consuming it — the mid-run checkpoint primitive. For a
-// *Sharded accumulator this matters: Combine/State fold and release
-// the outstanding worker shards, but mapping workers resolve their
-// shard reference once and keep writing to it across batches, so a
-// destructive fold mid-run would silently drop every subsequent write.
-// SnapshotState instead merges the base and the live shards into a
-// scratch copy and serializes that, leaving every shard in place.
-//
-// Callers must quiesce writers for the duration of the call (the
-// streaming pipeline's checkpoint barrier does exactly that).
-func SnapshotState(acc Accumulator) ([]byte, error) {
-	if s, ok := acc.(*Sharded); ok {
-		return s.snapshotState()
-	}
-	return acc.State()
-}
-
-func (s *Sharded) snapshotState() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.shards) == 0 {
-		return s.base.State()
-	}
-	scratch, err := New(s.mode, s.length)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.snapshotIntoLocked(scratch); err != nil {
-		return nil, err
-	}
-	return scratch.State()
-}
-
-// snapshotIntoLocked merges the base and every live shard into scratch,
-// in a fixed order (base first, then shards in registration order).
-// Incremental calling depends on this order being deterministic across
-// a run: a genome region untouched between two snapshots then holds
-// bit-identical values in both, so its cached sweep result stays valid.
-func (s *Sharded) snapshotIntoLocked(scratch Accumulator) error {
-	if err := scratch.Merge(s.base); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		if err := scratch.Merge(sh); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reset zeroes an accumulator's per-position state in place, so a
-// scratch copy can be reused across snapshots without reallocating. A
-// *Sharded accumulator zeroes its base and every live worker shard and
-// keeps the shards registered: a cluster rank resets at a quiesce
-// barrier after shipping its state, and its mapping workers go on
-// writing to the shard references they hold. Writers must be quiesced.
+// Reset zeroes an accumulator's per-position state in place: a cluster
+// rank resets at a quiesce barrier after shipping its state and goes on
+// accumulating into the same arrays. Writers must be quiesced.
 func Reset(acc Accumulator) error {
 	switch a := acc.(type) {
 	case *normAcc:
@@ -254,41 +200,8 @@ func Reset(acc Accumulator) error {
 	case *centDiscAcc:
 		clear(a.total)
 		clear(a.code)
-	case *Sharded:
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		for _, sh := range append([]Accumulator{a.base}, a.shards...) {
-			if err := Reset(sh); err != nil {
-				return err
-			}
-		}
 	default:
 		return fmt.Errorf("genome: %T cannot be reset", acc)
 	}
 	return nil
-}
-
-// SnapshotInto overwrites scratch with acc's full current state WITHOUT
-// consuming acc's outstanding worker shards — the non-destructive read
-// the incremental caller uses mid-run (a destructive Combine would
-// orphan the shard references mapping workers keep across batches, as
-// SnapshotState documents). scratch must be a plain (non-sharded)
-// accumulator of the same mode and length; writers must be quiesced for
-// the duration of the call. For a non-sharded acc this is a plain copy
-// (merge into zeroed state), bit-identical to acc for NORM and
-// CENTDISC; CHARDISC re-quantizes byte fractions exactly as every
-// existing snapshot/merge path does.
-func SnapshotInto(acc, scratch Accumulator) error {
-	if scratch == nil {
-		return fmt.Errorf("genome: nil snapshot scratch")
-	}
-	if err := Reset(scratch); err != nil {
-		return err
-	}
-	if s, ok := acc.(*Sharded); ok {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.snapshotIntoLocked(scratch)
-	}
-	return scratch.Merge(acc)
 }

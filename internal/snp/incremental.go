@@ -8,18 +8,16 @@ import (
 
 // IncrementalCaller overlaps SNP calling with mapping. The streaming
 // pipeline already quiesces every writer at checkpoint barriers; at
-// each barrier the caller snapshots the accumulator (non-destructively,
-// leaving live worker shards in place), consults a RegionTracker for
-// which fixed-size genome regions received writes since the previous
-// barrier, and re-sweeps only those regions — unchanged regions reuse
-// their cached candidates, which stay bit-valid because SnapshotInto
-// merges base and shards in a fixed order, so an untouched region's
-// scratch values are identical across snapshots. Provisional call sets
-// are then one FinalizeCalls pass over the concatenated caches, and the
-// final set (after the last batch retires) reuses everything already
-// swept — time-to-first-call moves from "after mapping" to "during
-// mapping", and the final sweep touches only the regions the tail of
-// the read stream wrote.
+// each barrier the caller consults a RegionTracker for which fixed-size
+// genome regions received writes since the previous barrier and
+// re-sweeps only those regions, reading the parked accumulator in place
+// (CollectRange freezes a view, it copies nothing) — unchanged regions
+// reuse their cached candidates, which stay bit-valid because nothing
+// wrote there. Provisional call sets are then one FinalizeCalls pass
+// over the concatenated caches, and the final set (after the last batch
+// retires) reuses everything already swept — time-to-first-call moves
+// from "after mapping" to "during mapping", and the final sweep touches
+// only the regions the tail of the read stream wrote.
 //
 // The caller assumes a full-genome accumulator (offset 0); the
 // distributed genome-split path keeps its own collect/gather flow.
@@ -31,7 +29,6 @@ type IncrementalCaller struct {
 	acc     genome.Accumulator
 	cfg     Config // resolved; Metrics stripped (sweeps re-run per barrier)
 	tracker *genome.RegionTracker
-	scratch genome.Accumulator
 	prev    []int64 // per-region tracker counts at last sweep (-1 = never)
 	cur     []int64
 	cands   [][]Candidate
@@ -61,10 +58,6 @@ func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, regionS
 	if err != nil {
 		return nil, err
 	}
-	scratch, err := genome.CloneEmpty(acc)
-	if err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	// Per-region sweeps repeat across barriers; the one-shot sweep
 	// counters (call.tested etc.) would double-count, so the incremental
@@ -76,7 +69,7 @@ func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, regionS
 		prev[i] = -1
 	}
 	return &IncrementalCaller{
-		ref: ref, acc: acc, cfg: cfg, tracker: tracker, scratch: scratch,
+		ref: ref, acc: acc, cfg: cfg, tracker: tracker,
 		prev: prev, cands: make([][]Candidate, n), tested: make([]int, n),
 	}, nil
 }
@@ -89,9 +82,6 @@ func (ic *IncrementalCaller) Tracker() *genome.RegionTracker { return ic.tracker
 // the last Sweep. Writers must be quiesced.
 func (ic *IncrementalCaller) Sweep() error {
 	ic.cur = ic.tracker.Snapshot(ic.cur)
-	if err := genome.SnapshotInto(ic.acc, ic.scratch); err != nil {
-		return err
-	}
 	ic.sweeps++
 	for i := range ic.cur {
 		if ic.cur[i] == ic.prev[i] {
@@ -99,7 +89,7 @@ func (ic *IncrementalCaller) Sweep() error {
 			continue
 		}
 		from, to := ic.tracker.Bounds(i)
-		cands, st, err := CollectRange(ic.ref, ic.scratch, 0, from, to, ic.cfg)
+		cands, st, err := CollectRange(ic.ref, ic.acc, 0, from, to, ic.cfg)
 		if err != nil {
 			return err
 		}
@@ -134,10 +124,8 @@ func (ic *IncrementalCaller) Provisional() ([]Call, Stats, error) {
 }
 
 // Finalize runs a last Sweep (writers must have quiesced for good) and
-// returns the final call set. On a striped accumulator the result is
-// bit-identical to CallAll over the same state; sharded accumulators
-// can differ by float-merge-order ulps, the same tolerance every
-// sharded path already carries.
+// returns the final call set, bit-identical to CallAll over the same
+// accumulator.
 func (ic *IncrementalCaller) Finalize() ([]Call, Stats, error) {
 	if err := ic.Sweep(); err != nil {
 		return nil, Stats{}, err

@@ -1,8 +1,10 @@
 package snp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gnumap/internal/dna"
@@ -10,12 +12,22 @@ import (
 	"gnumap/internal/lrt"
 )
 
-// Incremental calling in waves against a striped accumulator: every
-// AddRange is mirrored by a tracker Touch (exactly what the engine
-// does), sweeps run at quiesce points, and the final call set must be
-// bit-identical to a one-shot CallAll over the same state. Regions
-// untouched between sweeps must be reused, not re-swept.
+// Incremental calling in waves: every AddRange is mirrored by a tracker
+// Touch (exactly what the engine does), sweeps run at quiesce points —
+// the writers of a wave joined, as at a pipeline barrier — and both the
+// provisional set after the last barrier and the final set must be
+// bit-identical to a one-shot CallAll over the same accumulator, with
+// one writer and with four writing concurrently. Regions untouched
+// between sweeps must be reused, not re-swept.
 func TestIncrementalMatchesCallAll(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			testIncrementalMatchesCallAll(t, workers)
+		})
+	}
+}
+
+func testIncrementalMatchesCallAll(t *testing.T, workers int) {
 	const length = 40_000
 	rng := rand.New(rand.NewSource(37))
 	seq := make(dna.Seq, length)
@@ -40,6 +52,31 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 		t.Fatalf("Regions = %d, want 10", got)
 	}
 
+	// A wave is drawn from rng up front and then written by `workers`
+	// goroutines, each taking every workers-th event; write returns
+	// once all of them have — the quiesce point.
+	type event struct {
+		pos int
+		zs  []genome.Vec
+		w   float64
+	}
+	var wave []event
+	write := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(wave); i += workers {
+					ev := wave[i]
+					acc.AddRange(ev.pos, ev.zs, ev.w)
+					tracker.Touch(ev.pos, len(ev.zs))
+				}
+			}(w)
+		}
+		wg.Wait()
+		wave = wave[:0]
+	}
 	add := func(lo, hi, n int) {
 		for i := 0; i < n; i++ {
 			pos := lo + rng.Intn(hi-lo-4)
@@ -50,11 +87,9 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 				z[rng.Intn(4)] += 0.3
 				zs[j] = z
 			}
-			acc.AddRange(pos, zs, 0.5+rng.Float64())
-			tracker.Touch(pos, len(zs))
+			wave = append(wave, event{pos, zs, 0.5 + rng.Float64()})
 		}
 	}
-
 	// plant drops clear homozygous-alt evidence at pos so the waves
 	// produce real calls, not just noise.
 	plant := func(pos int) {
@@ -62,8 +97,7 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 		var z genome.Vec
 		z[alt] = 3
 		for i := 0; i < 3; i++ {
-			acc.AddRange(pos, []genome.Vec{z}, 1)
-			tracker.Touch(pos, 1)
+			wave = append(wave, event{pos, []genome.Vec{z}, 1})
 		}
 	}
 
@@ -72,6 +106,7 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 	for p := 100; p < length/2; p += 997 {
 		plant(p)
 	}
+	write()
 	if err := ic.Sweep(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +133,7 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 	// Wave 2: a single back-half region; the next sweep must only touch
 	// the written region(s).
 	add(length-6_000, length-1_000, 400)
+	write()
 	sweptBefore := ic.RegionsSwept()
 	if err := ic.Sweep(); err != nil {
 		t.Fatal(err)
@@ -106,16 +142,31 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 		t.Fatalf("localized wave re-swept %d regions, want 1-3", delta)
 	}
 
-	// Wave 3 then finalize: bit-identical to the one-shot sweep.
+	// Wave 3, its barrier's provisional set, then finalize: each
+	// bit-identical to the one-shot sweep.
 	add(0, length, 1_500)
 	for p := length/2 + 250; p < length; p += 1_501 {
 		plant(p)
 	}
-	calls, st, err := ic.Finalize()
+	write()
+	want, wantSt, err := CallAll(ref, acc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := CallAll(ref, acc, cfg)
+	if len(want) == 0 {
+		t.Fatal("vacuous: no calls produced")
+	}
+	if err := ic.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	prov, provSt, err := ic.Provisional()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prov, want) || provSt != wantSt {
+		t.Fatalf("provisional calls after the last barrier diverge from CallAll: %d vs %d, stats %+v vs %+v", len(prov), len(want), provSt, wantSt)
+	}
+	calls, st, err := ic.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,63 +176,8 @@ func TestIncrementalMatchesCallAll(t *testing.T) {
 	if st != wantSt {
 		t.Fatalf("incremental stats %+v, CallAll %+v", st, wantSt)
 	}
-	if len(calls) == 0 {
-		t.Fatal("vacuous: no calls produced")
-	}
-	if ic.Sweeps() != 4 {
-		t.Fatalf("Sweeps = %d, want 4", ic.Sweeps())
-	}
-}
-
-// The incremental caller must also track a sharded accumulator
-// non-destructively: worker shards stay live across sweeps, and the
-// final calls match CallAll over the same (combined) state.
-func TestIncrementalSharded(t *testing.T) {
-	const length = 20_000
-	rng := rand.New(rand.NewSource(41))
-	seq := make(dna.Seq, length)
-	for i := range seq {
-		seq[i] = dna.Code(rng.Intn(4))
-	}
-	ref, err := genome.NewSingleContig("chrShard", seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := genome.NewSharded(genome.Norm, length)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Ploidy: lrt.Diploid}
-	ic, err := NewIncrementalCaller(ref, s, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := s.WorkerShard()
-	for i := 0; i < 2_000; i++ {
-		pos := rng.Intn(length - 2)
-		var z genome.Vec
-		z[rng.Intn(4)] = 0.9
-		shard.AddRange(pos, []genome.Vec{z}, 1)
-		ic.Tracker().Touch(pos, 1)
-	}
-	if err := ic.Sweep(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardCount(); got != 1 {
-		t.Fatalf("sweep released worker shards: ShardCount = %d, want 1", got)
-	}
-	shard.AddRange(500, []genome.Vec{{0, 0.9, 0, 0, 0}}, 10)
-	ic.Tracker().Touch(500, 1)
-	calls, _, err := ic.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := CallAll(ref, s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("sharded incremental calls diverge: %d vs %d", len(calls), len(want))
+	if ic.Sweeps() != 5 {
+		t.Fatalf("Sweeps = %d, want 5", ic.Sweeps())
 	}
 }
 

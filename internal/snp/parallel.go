@@ -28,9 +28,7 @@ const minCallChunk = 2048
 // cfg.CallWorkers workers in cfg.CallChunk-position chunks. Results are
 // identical to CollectRange (same candidates in the same order, same
 // Stats); errors are reported deterministically (the lowest-positioned
-// failing chunk wins). Reads against a sharded accumulator should
-// combine it first — the wrapper's per-position lazy path is correct
-// but serializes on a mutex.
+// failing chunk wins).
 func CollectRangeParallel(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config) ([]Candidate, Stats, error) {
 	cfg = cfg.withDefaults()
 	var st Stats

@@ -51,8 +51,6 @@ func vectorFixture(t *testing.T, mode genome.Mode, source string, length int, se
 	switch source {
 	case "striped":
 		acc, err = genome.New(mode, ref.Len())
-	case "sharded":
-		acc, err = genome.NewSharded(mode, ref.Len())
 	case "opaque":
 		var base genome.Accumulator
 		base, err = genome.New(mode, ref.Len())
@@ -123,7 +121,7 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 	}
 	seed := int64(4000)
 	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		for _, source := range []string{"striped", "sharded", "opaque"} {
+		for _, source := range []string{"striped", "opaque"} {
 			// Discrete modes and opaque sources take the scalar path under
 			// both knob settings (vectorEligible); run a reduced matrix
 			// there — the interesting surface is NORM.
