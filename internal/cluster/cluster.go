@@ -591,21 +591,6 @@ func (c *Comm) Gather(root int, payload any) ([]any, error) {
 	return nil, c.send(root, tag, payload, "gather")
 }
 
-// SumFloat32s sums two []float32 elementwise — the fold of two NORM
-// accumulator states.
-func SumFloat32s(a, b any) (any, error) {
-	av, aok := a.([]float32)
-	bv, bok := b.([]float32)
-	if !aok || !bok || len(av) != len(bv) {
-		return nil, fmt.Errorf("cluster: SumFloat32s on %T/%T", a, b)
-	}
-	out := make([]float32, len(av))
-	for i := range av {
-		out[i] = av[i] + bv[i]
-	}
-	return out, nil
-}
-
 // TransportKind selects the transport for Run.
 type TransportKind int
 

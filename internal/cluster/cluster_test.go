@@ -243,23 +243,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestSumFloat32s(t *testing.T) {
-	v, err := SumFloat32s([]float32{1, 2}, []float32{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.([]float32)
-	if got[0] != 4 || got[1] != 6 {
-		t.Errorf("sum = %v", got)
-	}
-	if _, err := SumFloat32s([]float32{1}, []float32{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := SumFloat32s("x", []float32{1}); err == nil {
-		t.Error("type mismatch accepted")
-	}
-}
-
 func TestNodeErrorPropagates(t *testing.T) {
 	for _, tk := range transports() {
 		sentinel := errors.New("node 2 exploded")

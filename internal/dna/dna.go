@@ -240,17 +240,6 @@ func (s Seq) GCContent() float64 {
 	return float64(gc) / float64(total)
 }
 
-// CountN returns the number of ambiguous (N) bases.
-func (s Seq) CountN() int {
-	n := 0
-	for _, c := range s {
-		if c == N {
-			n++
-		}
-	}
-	return n
-}
-
 // Kmer is a 2-bit packed k-mer. With 2 bits per base it holds up to 32
 // bases; the mapper's default k is 10.
 type Kmer uint64

@@ -159,12 +159,6 @@ func TestGCContent(t *testing.T) {
 	}
 }
 
-func TestCountN(t *testing.T) {
-	if got := MustParseSeq("ANNGTN").CountN(); got != 3 {
-		t.Errorf("CountN = %d, want 3", got)
-	}
-}
-
 func TestClone(t *testing.T) {
 	s := MustParseSeq("ACGT")
 	c := s.Clone()

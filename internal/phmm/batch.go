@@ -28,7 +28,9 @@ import (
 type BatchAligner struct {
 	params Params
 	mode   Mode
-	mean   [dna.NumBases]float64
+	// emit holds the match emission rows p(k | y) for y = A, C, G, T and,
+	// last, the ambiguous genome base's mean row.
+	emit [dna.NumBases + 1][dna.NumBases]float64
 
 	// Lane-striped DP planes, indexed ((i*(m+1))+j)*lanes + l. Only the
 	// cells each pass writes are (re-)initialized, with one guard cell
@@ -39,6 +41,13 @@ type BatchAligner struct {
 	pstar      []float64
 	// scale[i*lanes+l] is lane l's forward scaling factor of row i.
 	scale []float64
+
+	// The batch's inputs striped for the vector rows (stripeInputs):
+	// codes[(j-1)*8+l] is lane l's window code at column j as an index
+	// into a row's emission table, pw[((i-1)*4+k)*8+l] lane l's PWM
+	// probability of base k at read position i.
+	codes []int32
+	pw    []float64
 
 	// Per-lane scratch (length = lanes of the current batch).
 	rowSum, inv, lScaled []float64
@@ -52,6 +61,9 @@ type BatchAligner struct {
 	n, m         int
 	banded       bool
 	diag, radius int
+	// vector is set when the batch runs the AVX2 rows — 8 lanes on an
+	// AVX2 host — which then also extract its posteriors.
+	vector bool
 
 	// cells accumulates DP cells computed (band geometry × lanes, the
 	// same accounting as Aligner.cells) across the aligner's lifetime.
@@ -78,7 +90,10 @@ func NewBatchAligner(p Params, mode Mode) (*BatchAligner, error) {
 	if mode != Global && mode != SemiGlobal {
 		return nil, fmt.Errorf("phmm: unknown mode %d", int(mode))
 	}
-	return &BatchAligner{params: p, mode: mode, mean: p.meanMatch()}, nil
+	b := &BatchAligner{params: p, mode: mode}
+	copy(b.emit[:], p.Match[:])
+	b.emit[dna.NumBases] = p.meanMatch()
+	return b, nil
 }
 
 // BatchKernel names the row kernel of a full simdLanes-wide batch here:
@@ -167,7 +182,12 @@ func (b *BatchAligner) AlignBatch(xs []*pwm.Matrix, ys []dna.Seq, diag, band int
 	}
 	b.results = results
 
-	b.fillEmissions(n, m)
+	b.vector = cpu.HasAVX2 && L == simdLanes
+	if b.vector {
+		b.stripeInputs(n, m) // the forward rows select p* themselves
+	} else {
+		b.fillEmissions(n, m)
+	}
 	b.forward(n, m)
 	b.terminalSums(n, m)
 	anyLive := false
@@ -182,8 +202,26 @@ func (b *BatchAligner) AlignBatch(xs []*pwm.Matrix, ys []dna.Seq, diag, band int
 		return results, nil
 	}
 	b.backward(n, m)
+	var lg logSum8
+	if b.vector {
+		// Every lane's sum at vector width; a lane that meets a value the
+		// vector log does not take is summed again below with math.Log.
+		lg.rows, lg.n = &b.scale[simdLanes], int64(n)
+		for l := range lg.sum {
+			lg.sum[l] = 1 // a dead lane's terminal sum may be anything
+			if !b.dead[l] {
+				lg.sum[l] = b.lScaled[l]
+			}
+		}
+		logLikAVX2(&lg)
+	}
 	for l := 0; l < L; l++ {
 		if b.dead[l] {
+			continue
+		}
+		results[l].lScaled = b.lScaled[l]
+		if b.vector && lg.bad>>l&1 == 0 {
+			results[l].LogLik = lg.sum[l]
 			continue
 		}
 		logLik := math.Log(b.lScaled[l])
@@ -191,7 +229,6 @@ func (b *BatchAligner) AlignBatch(xs []*pwm.Matrix, ys []dna.Seq, diag, band int
 			logLik += math.Log(b.scale[i*L+l])
 		}
 		results[l].LogLik = logLik
-		results[l].lScaled = b.lScaled[l]
 	}
 	return results, nil
 }
@@ -201,13 +238,16 @@ func (b *BatchAligner) AlignBatch(xs []*pwm.Matrix, ys []dna.Seq, diag, band int
 func (b *BatchAligner) resize(n, m, L int) {
 	need := (n + 1) * (m + 1) * L
 	if cap(b.fM) < need {
-		b.fM = make([]float64, need)
-		b.fX = make([]float64, need)
-		b.fY = make([]float64, need)
-		b.bM = make([]float64, need)
-		b.bX = make([]float64, need)
-		b.bY = make([]float64, need)
-		b.pstar = make([]float64, need)
+		// One allocation, plane p starting p·576 bytes past a 4 KiB
+		// boundary: allocated apart, every plane starts on one, and then
+		// a sweep's loads from one plane 4K-alias the stores it has just
+		// made to another at the same offset and wait for them (16% of
+		// AlignBatch at the engine's shape on a 2.1 GHz Xeon).
+		stride := (need+511)/512*512 + 72
+		buf := make([]float64, 7*stride)
+		for p, pl := range [...]*[]float64{&b.fM, &b.fX, &b.fY, &b.bM, &b.bX, &b.bY, &b.pstar} {
+			*pl = buf[p*stride : p*stride+need : (p+1)*stride]
+		}
 	}
 	b.fM = b.fM[:need]
 	b.fX = b.fX[:need]
@@ -220,6 +260,14 @@ func (b *BatchAligner) resize(n, m, L int) {
 		b.scale = make([]float64, (n+1)*L)
 	}
 	b.scale = b.scale[:(n+1)*L]
+	if cap(b.codes) < m*L {
+		b.codes = make([]int32, m*L)
+	}
+	b.codes = b.codes[:m*L]
+	if cap(b.pw) < n*dna.NumBases*L {
+		b.pw = make([]float64, n*dna.NumBases*L)
+	}
+	b.pw = b.pw[:n*dna.NumBases*L]
 	if cap(b.rowSum) < L {
 		b.rowSum = make([]float64, L)
 		b.inv = make([]float64, L)
@@ -258,11 +306,10 @@ func (b *BatchAligner) fillEmissions(n, m int) {
 			x, y := b.xs[l], b.ys[l]
 			row := x.Row(i - 1) // PWM is 0-based
 			var e [dna.NumBases + 1]float64
-			for v := 0; v < dna.NumBases; v++ {
-				mr := &b.params.Match[v]
+			for v := range e {
+				mr := &b.emit[v]
 				e[v] = row[dna.A]*mr[dna.A] + row[dna.C]*mr[dna.C] + row[dna.G]*mr[dna.G] + row[dna.T]*mr[dna.T]
 			}
-			e[dna.NumBases] = row[dna.A]*b.mean[dna.A] + row[dna.C]*b.mean[dna.C] + row[dna.G]*b.mean[dna.G] + row[dna.T]*b.mean[dna.T]
 			base := i*w*L + l
 			ys := y[lo-1 : hi]
 			for o, yj := range ys {
@@ -276,8 +323,34 @@ func (b *BatchAligner) fillEmissions(n, m int) {
 	}
 }
 
-// zeroLanes zeroes one striped cell (all lanes) of the three planes.
+// stripeInputs fills b.codes and b.pw for a full 8-lane batch: lane l's
+// window code at column j becomes code*8 + l, every non-concrete code
+// landing on the ambiguous entry, and its PWM rows are transposed so one
+// load takes a base's probability for four lanes.
+func (b *BatchAligner) stripeInputs(n, m int) {
+	for l, y := range b.ys[:simdLanes] {
+		for j, c := range y[:m] {
+			b.codes[j*simdLanes+l] = int32(min(int(c), dna.NumBases)*simdLanes + l)
+		}
+	}
+	for i := 0; i < n; i++ {
+		p := (*[dna.NumBases * simdLanes]float64)(b.pw[i*dna.NumBases*simdLanes:])
+		for l, x := range b.xs[:simdLanes] {
+			p[l], p[simdLanes+l] = x.Prob(i, dna.A), x.Prob(i, dna.C)
+			p[2*simdLanes+l], p[3*simdLanes+l] = x.Prob(i, dna.G), x.Prob(i, dna.T)
+		}
+	}
+}
+
+// zeroLanes zeroes one striped cell (all lanes) of the three planes; at
+// the AVX2 width that is one 64-byte store per plane, not a memclr call.
 func zeroLanes(pM, pX, pY []float64, at, L int) {
+	if L == simdLanes {
+		*(*[simdLanes]float64)(pM[at:]) = [simdLanes]float64{}
+		*(*[simdLanes]float64)(pX[at:]) = [simdLanes]float64{}
+		*(*[simdLanes]float64)(pY[at:]) = [simdLanes]float64{}
+		return
+	}
 	clear(pM[at : at+L])
 	clear(pX[at : at+L])
 	clear(pY[at : at+L])
@@ -314,11 +387,10 @@ func (b *BatchAligner) forward(n, m int) {
 		entry = 1
 	}
 	rs := b.rowSum
-	useAsm := cpu.HasAVX2 && L == simdLanes
 	var a fwdRow8
-	if useAsm {
-		a.rs = &rs[0]
-		a.tmm, a.tgm, a.tmg, a.tgg, a.q = p.TMM, p.TGM, p.TMG, p.TGG, p.Q
+	if b.vector {
+		a.emit = &b.emit[0][0]
+		a.tmm, a.tgm, a.tmg, a.tgg, a.q = splat(p.TMM), splat(p.TGM), splat(p.TMG), splat(p.TGG), splat(p.Q)
 	}
 	for i := 1; i <= n; i++ {
 		lo, hi := bandRowBounds(i, m, b.diag, b.radius, b.banded)
@@ -332,25 +404,32 @@ func (b *BatchAligner) forward(n, m int) {
 		}
 		prev := (i - 1) * w
 		cur := i * w
-		// Left guard (see the scalar kernel for the reads it covers).
-		zeroLanes(fM, fX, fY, (cur+lo-1)*L, L)
 		rowEntry := 0.0
 		if i == 1 {
 			rowEntry = entry
 		}
+		if b.vector {
+			// The row's emissions, its sweep, its tail and both guards:
+			// the generic steps below, at vector width, in one call.
+			at, pv := (cur+lo)*L, (prev+lo)*L
+			a.outM, a.outX, a.outY, a.ps = &fM[at], &fX[at], &fY[at], &ps[at]
+			a.prevM, a.prevX, a.prevY = &fM[pv], &fX[pv], &fY[pv]
+			a.codes = &b.codes[(lo-1)*L]
+			a.pw = &b.pw[(i-1)*dna.NumBases*L]
+			a.scale = &b.scale[i*L]
+			a.steps = int64(hi - lo + 1)
+			a.guard = 0
+			if hi < m {
+				a.guard = 1
+			}
+			a.rowEntry = splat(rowEntry)
+			forwardRowAVX2(&a)
+			continue
+		}
+		// Left guard (see the scalar kernel for the reads it covers).
+		zeroLanes(fM, fX, fY, (cur+lo-1)*L, L)
 		for l := range rs {
 			rs[l] = 0
-		}
-		if useAsm {
-			// Vectorized row sweep: same expression tree, 4-wide.
-			a.outM, a.outX, a.outY = &fM[(cur+lo)*L], &fX[(cur+lo)*L], &fY[(cur+lo)*L]
-			a.ps = &ps[(cur+lo)*L]
-			a.prevM, a.prevX, a.prevY = &fM[(prev+lo)*L], &fX[(prev+lo)*L], &fY[(prev+lo)*L]
-			a.steps = int64(hi - lo + 1)
-			a.rowEntry = rowEntry
-			forwardRowAVX2(&a)
-			b.finishForwardRow(i, lo, hi, cur)
-			continue
 		}
 		for j := lo; j <= hi; j++ {
 			c := (cur + j) * L
@@ -397,12 +476,19 @@ func (b *BatchAligner) forward(n, m int) {
 		}
 		b.finishForwardRow(i, lo, hi, cur)
 	}
+	if b.vector {
+		for l, d := range a.dead {
+			b.dead[l] = d != 0
+		}
+	}
 }
+
+// splat is x in each of the four lanes of a packed operand.
+func splat(x float64) [4]float64 { return [4]float64{x, x, x, x} }
 
 // finishForwardRow turns the row sums into scale factors (marking
 // dead lanes), rescales the row's three planes, and zeroes the right
-// band guard for row i+1 — the tail of one forward row, shared by the
-// generic and vectorized sweeps.
+// band guard for row i+1 — the tail of one generic forward row.
 func (b *BatchAligner) finishForwardRow(i, lo, hi, cur int) {
 	L := b.lanes
 	fM, fX, fY := b.fM, b.fX, b.fY
@@ -421,26 +507,17 @@ func (b *BatchAligner) finishForwardRow(i, lo, hi, cur int) {
 		scaleRow[l] = rs[l]
 		inv[l] = 1 / rs[l]
 	}
-	if cpu.HasAVX2 && L == simdLanes {
-		a := scaleRow8{
-			pM: &fM[(cur+lo)*L], pX: &fX[(cur+lo)*L], pY: &fY[(cur+lo)*L],
-			inv:   &inv[0],
-			steps: int64(hi - lo + 1),
-		}
-		scaleRowAVX2(&a)
-	} else {
-		for j := lo; j <= hi; j++ {
-			c := (cur + j) * L
-			outM := fM[c : c+L : c+L]
-			outX := fX[c : c+L : c+L]
-			outY := fY[c : c+L : c+L]
-			iv := inv[:L]
-			_ = iv[L-1]
-			for l := range outM {
-				outM[l] *= iv[l]
-				outX[l] *= iv[l]
-				outY[l] *= iv[l]
-			}
+	for j := lo; j <= hi; j++ {
+		c := (cur + j) * L
+		outM := fM[c : c+L : c+L]
+		outX := fX[c : c+L : c+L]
+		outY := fY[c : c+L : c+L]
+		iv := inv[:L]
+		_ = iv[L-1]
+		for l := range outM {
+			outM[l] *= iv[l]
+			outX[l] *= iv[l]
+			outY[l] *= iv[l]
 		}
 	}
 	// Right guard: row i+1's band may extend one column past hi.
@@ -549,16 +626,26 @@ func (b *BatchAligner) backward(n, m int) {
 	// product changes no rounding.
 	tmgq := p.TMG * p.Q
 	tggq := p.TGG * p.Q
-	useAsm := cpu.HasAVX2 && L == simdLanes
-	var a bwdRow8
-	if useAsm {
-		a.iv = &iv[0]
-		a.tmm, a.tgm, a.tmgq, a.tggq = p.TMM, p.TGM, tmgq, tggq
-	}
+	a := bwdRow8{tmm: p.TMM, tgm: p.TGM, tmgq: tmgq, tggq: tggq}
 	for i := n - 1; i >= 1; i-- {
 		lo, hi := bandRowBounds(i, m, b.diag, b.radius, b.banded)
 		cur := i * w
 		next := (i + 1) * w
+		if b.vector {
+			// The whole row — 1/scale, column m or the right guard, the
+			// sweep, the left guard — in one call.
+			at, nx := (cur+hi)*L, (next+hi)*L
+			a.outM, a.outX, a.outY = &bM[at], &bX[at], &bY[at]
+			a.nextM, a.nextX, a.ps = &bM[nx], &bX[nx], &ps[nx]
+			a.scale = &b.scale[(i+1)*L]
+			a.steps = int64(hi - lo + 1)
+			a.atM = 0
+			if hi == m {
+				a.atM = 1
+			}
+			backwardRowAVX2(&a)
+			continue
+		}
 		scaleNext := b.scale[(i+1)*L : (i+1)*L+L]
 		for l := 0; l < L; l++ {
 			iv[l] = 1 / scaleNext[l]
@@ -587,39 +674,31 @@ func (b *BatchAligner) backward(n, m int) {
 			// read it too; out-of-band means zero.
 			zeroLanes(bM, bX, bY, (cur+hi+1)*L, L)
 		}
-		if useAsm && start >= lo {
-			a.outM, a.outX, a.outY = &bM[(cur+start)*L], &bX[(cur+start)*L], &bY[(cur+start)*L]
-			a.nextM, a.nextX = &bM[(next+start)*L], &bX[(next+start)*L]
-			a.ps = &ps[(next+start)*L]
-			a.steps = int64(start - lo + 1)
-			backwardRowAVX2(&a)
-		} else {
-			for j := start; j >= lo; j-- {
-				c := (cur + j) * L
-				outM := bM[c : c+L : c+L]
-				outX := bX[c : c+L : c+L]
-				outY := bY[c : c+L : c+L]
-				nd := (next + j + 1) * L
-				psnd := ps[nd : nd+L]
-				bMnd := bM[nd : nd+L]
-				nu := (next + j) * L
-				bXnu := bX[nu : nu+L]
-				rt := (cur + j + 1) * L
-				bYrt := bY[rt : rt+L]
-				ivs := iv[:L]
-				_ = psnd[L-1]
-				_ = bMnd[L-1]
-				_ = bXnu[L-1]
-				_ = bYrt[L-1]
-				_ = ivs[L-1]
-				for l := range outM {
-					diag := psnd[l] * bMnd[l] * ivs[l] // through M at (i+1, j+1)
-					bx := bXnu[l] * ivs[l]             // through GX at (i+1, j)
-					by := bYrt[l]                      // through GY at (i, j+1), same row
-					outM[l] = p.TMM*diag + tmgq*bx + tmgq*by
-					outX[l] = p.TGM*diag + tggq*bx
-					outY[l] = p.TGM*diag + tggq*by
-				}
+		for j := start; j >= lo; j-- {
+			c := (cur + j) * L
+			outM := bM[c : c+L : c+L]
+			outX := bX[c : c+L : c+L]
+			outY := bY[c : c+L : c+L]
+			nd := (next + j + 1) * L
+			psnd := ps[nd : nd+L]
+			bMnd := bM[nd : nd+L]
+			nu := (next + j) * L
+			bXnu := bX[nu : nu+L]
+			rt := (cur + j + 1) * L
+			bYrt := bY[rt : rt+L]
+			ivs := iv[:L]
+			_ = psnd[L-1]
+			_ = bMnd[L-1]
+			_ = bXnu[L-1]
+			_ = bYrt[L-1]
+			_ = ivs[L-1]
+			for l := range outM {
+				diag := psnd[l] * bMnd[l] * ivs[l] // through M at (i+1, j+1)
+				bx := bXnu[l] * ivs[l]             // through GX at (i+1, j)
+				by := bYrt[l]                      // through GY at (i, j+1), same row
+				outM[l] = p.TMM*diag + tmgq*bx + tmgq*by
+				outX[l] = p.TGM*diag + tggq*bx
+				outY[l] = p.TGM*diag + tggq*by
 			}
 		}
 		// Left guard for row i-1's reads.
@@ -677,9 +756,9 @@ func (r *BatchResult) PostGapY(i, j int) float64 {
 // every window position j and totals[j-1] with its unnormalized mass —
 // Result.ContributionsInto over the lane's striped posterior cells,
 // with the same row-major accumulation order so the output is
-// bit-identical to the scalar path's. A full 8-lane batch on an AVX2
-// host extracts all lanes in one pass instead (stripeLaneInto), which
-// must reproduce the lane-at-a-time loop below.
+// bit-identical to the scalar path's. A batch the AVX2 rows aligned
+// extracts all lanes in one pass instead (stripeLaneInto), which must
+// reproduce the lane-at-a-time loop below.
 func (r *BatchResult) ContributionsInto(attr Attribution, dst [][dna.NumChannels]float64, totals []float64) error {
 	if r.Err != nil {
 		return r.Err
@@ -687,7 +766,7 @@ func (r *BatchResult) ContributionsInto(attr Attribution, dst [][dna.NumChannels
 	if len(dst) != r.M || len(totals) != r.M {
 		return fmt.Errorf("phmm: ContributionsInto needs length %d, got %d/%d", r.M, len(dst), len(totals))
 	}
-	if cpu.HasAVX2 && r.b.lanes == simdLanes {
+	if r.b.vector {
 		r.b.stripeLaneInto(attr, r.lane, dst, totals)
 		return nil
 	}
@@ -784,13 +863,18 @@ func (b *BatchAligner) extractStripe(attr Attribution) {
 		}
 	}
 	var wt [dna.NumBases * L]float64
-	a := zRow8{wt: &wt[0], inv: &b.inv[0]}
+	a := zRow8{inv: &b.inv[0]}
 	for i := 1; i <= b.n; i++ {
 		lo, hi := bandRowBounds(i, b.m, b.diag, b.radius, b.banded)
 		if lo > hi {
 			continue
 		}
-		b.fillWeights(attr, i, &wt)
+		if attr == ByPWM {
+			a.wt = &b.pw[(i-1)*dna.NumBases*L] // the row's PWM, already striped
+		} else {
+			b.callWeights(i, &wt)
+			a.wt = &wt[0]
+		}
 		at := (i*w + lo) * L
 		a.fM, a.bM, a.fY, a.bY = &b.fM[at], &b.bM[at], &b.fY[at], &b.bY[at]
 		a.z = &b.zs[(lo-1)*dna.NumChannels*L]
@@ -800,18 +884,10 @@ func (b *BatchAligner) extractStripe(attr Attribution) {
 	b.zsAttr, b.zsValid = attr, true
 }
 
-// fillWeights sets wt[k*8+l] to lane l's attribution weight of base k at
-// read position i (1-based): the PWM row under ByPWM; under ByCall
-// one-hot at a concrete call and a quarter each at an N.
-func (b *BatchAligner) fillWeights(attr Attribution, i int, wt *[dna.NumBases * simdLanes]float64) {
-	if attr == ByPWM {
-		for l, x := range b.xs[:simdLanes] {
-			for k, v := range x.Row(i - 1) {
-				wt[k*simdLanes+l] = v
-			}
-		}
-		return
-	}
+// callWeights sets wt[k*8+l] to lane l's ByCall attribution weight of
+// base k at read position i (1-based): one-hot at a concrete call and a
+// quarter each at an N. (Under ByPWM the weights are the striped PWM.)
+func (b *BatchAligner) callWeights(i int, wt *[dna.NumBases * simdLanes]float64) {
 	clear(wt[:])
 	for l, x := range b.xs[:simdLanes] {
 		if call := x.Call(i - 1); call.IsConcrete() {

@@ -32,12 +32,32 @@ func batchContribsOf(t *testing.T, res *BatchResult) ([][dna.NumChannels]float64
 }
 
 // requireLaneExact compares one batch lane against the scalar kernel on
-// the same pair: LogLik, contributions, and sampled posteriors must be
-// bit-identical (==, not approximately equal).
+// the same pair: LogLik, the terminal and row scale factors, every
+// in-band cell of the six planes and the contributions must be
+// bit-identical (Float64bits, not ==, so -0 and NaN payloads count).
 func requireLaneExact(t *testing.T, label string, scalar *Result, lane *BatchResult) {
 	t.Helper()
-	if scalar.LogLik != lane.LogLik {
+	if math.Float64bits(scalar.LogLik) != math.Float64bits(lane.LogLik) {
 		t.Fatalf("%s: LogLik scalar %v != batch %v", label, scalar.LogLik, lane.LogLik)
+	}
+	if math.Float64bits(scalar.lScaled) != math.Float64bits(lane.lScaled) {
+		t.Fatalf("%s: terminal sum scalar %v != batch %v", label, scalar.lScaled, lane.lScaled)
+	}
+	a, b := scalar.a, lane.b
+	w := scalar.M + 1
+	planes := [][2][]float64{{a.fM, b.fM}, {a.fX, b.fX}, {a.fY, b.fY}, {a.bM, b.bM}, {a.bX, b.bX}, {a.bY, b.bY}}
+	for i := 1; i <= scalar.N; i++ {
+		if s, g := a.scale[i], b.scale[i*b.lanes+lane.lane]; math.Float64bits(s) != math.Float64bits(g) {
+			t.Fatalf("%s row %d: scale scalar %v != batch %v", label, i, s, g)
+		}
+		lo, hi := lane.rowBounds(i)
+		for j := lo; j <= hi; j++ {
+			for k, pl := range planes {
+				if s, g := pl[0][i*w+j], pl[1][lane.idx(i, j)]; math.Float64bits(s) != math.Float64bits(g) {
+					t.Fatalf("%s (%d,%d) plane %d: scalar %v != batch %v", label, i, j, k, s, g)
+				}
+			}
+		}
 	}
 	dstS, totS := contribsOf(t, scalar)
 	dstB, totB := batchContribsOf(t, lane)
@@ -49,106 +69,357 @@ func requireLaneExact(t *testing.T, label string, scalar *Result, lane *BatchRes
 			t.Fatalf("%s col %d: contribs scalar %v != batch %v", label, j, dstS[j], dstB[j])
 		}
 	}
-	for i := 1; i <= scalar.N; i++ {
-		for j := 1; j <= scalar.M; j++ {
-			if pm, bm := scalar.PostMatch(i, j), lane.PostMatch(i, j); pm != bm {
-				t.Fatalf("%s (%d,%d): PostMatch scalar %v != batch %v", label, i, j, pm, bm)
-			}
-			if px, bx := scalar.PostGapX(i, j), lane.PostGapX(i, j); px != bx {
-				t.Fatalf("%s (%d,%d): PostGapX scalar %v != batch %v", label, i, j, px, bx)
-			}
-			if py, by := scalar.PostGapY(i, j), lane.PostGapY(i, j); py != by {
-				t.Fatalf("%s (%d,%d): PostGapY scalar %v != batch %v", label, i, j, py, by)
+}
+
+// requireDeadLane checks a lane the scalar kernel just failed on (its
+// buffers still hold that run): up to the row where the scalar forward
+// pass stopped, the lane's scales and forward rows are the scalar's bit
+// for bit; from that row on it follows the dead-lane convention, scale 1
+// and rows of +0. Rows the band has left are never written.
+func requireDeadLane(t *testing.T, label string, a *Aligner, lane *BatchResult) {
+	t.Helper()
+	b := lane.b
+	w := lane.M + 1
+	forward := [][2][]float64{{a.fM, b.fM}, {a.fX, b.fX}, {a.fY, b.fY}}
+	died := false
+	for i := 1; i <= lane.N; i++ {
+		lo, hi := lane.rowBounds(i)
+		if lo > hi {
+			break
+		}
+		got := b.scale[i*b.lanes+lane.lane]
+		died = died || math.Float64bits(got) != math.Float64bits(a.scale[i])
+		if died && got != 1 {
+			t.Fatalf("%s row %d: dead lane scale %v, want 1", label, i, got)
+		}
+		for j := lo; j <= hi; j++ {
+			for k, pl := range forward {
+				want := pl[0][i*w+j]
+				if died {
+					want = 0
+				}
+				if g := pl[1][lane.idx(i, j)]; math.Float64bits(want) != math.Float64bits(g) {
+					t.Fatalf("%s (%d,%d) plane %d: dead lane %v, want %v", label, i, j, k, g, want)
+				}
 			}
 		}
 	}
+}
+
+// requireBatchExact aligns every lane's pair with the scalar kernel and
+// holds the lane to it: bit-identical when the scalar kernel succeeds,
+// ErrNoAlignment plus the dead-lane convention when it fails. It returns
+// the number of dead lanes.
+func requireBatchExact(t *testing.T, label string, scalar *Aligner, xs []*pwm.Matrix, ys []dna.Seq, diag, band int, results []BatchResult) (dead int) {
+	t.Helper()
+	if len(results) != len(xs) {
+		t.Fatalf("%s: %d results, want %d", label, len(results), len(xs))
+	}
+	for l := range results {
+		want, err := scalar.AlignBanded(xs[l], ys[l], diag, band)
+		lane := &results[l]
+		label := fmt.Sprintf("%s lane %d", label, l)
+		if (err == nil) != (lane.Err == nil) {
+			t.Fatalf("%s: scalar err %v, batch err %v", label, err, lane.Err)
+		}
+		if err != nil {
+			if lane.Err != ErrNoAlignment {
+				t.Fatalf("%s: batch err %v, want ErrNoAlignment", label, lane.Err)
+			}
+			requireDeadLane(t, label, scalar, lane)
+			dead++
+			continue
+		}
+		requireLaneExact(t, label, want, lane)
+	}
+	return dead
+}
+
+// forEachKernel runs test as two subtests: "avx2" with the vector rows
+// (skipped on a host without AVX2) and "generic" with cpu.HasAVX2
+// switched off, so one host covers both kernels.
+func forEachKernel(t *testing.T, test func(t *testing.T)) {
+	for _, kernel := range []string{"avx2", "generic"} {
+		t.Run(kernel, func(t *testing.T) {
+			if !setAVX2(t, kernel == "avx2") {
+				t.Skip("host has no AVX2")
+			}
+			if BatchKernel() != kernel {
+				t.Fatalf("BatchKernel() = %q, want %q", BatchKernel(), kernel)
+			}
+			test(t)
+		})
+	}
+}
+
+// plantAmbiguous overwrites a few bases of y with non-concrete codes —
+// N and codes past it, which every emission path must treat as N.
+func plantAmbiguous(rng *rand.Rand, y dna.Seq) {
+	for k := 0; k < 1+len(y)/10; k++ {
+		y[rng.Intn(len(y))] = []dna.Code{dna.N, dna.N + 1, 17, 255}[rng.Intn(4)]
+	}
+}
+
+// dyingBatch is an 8-lane SemiGlobal batch under zero-tolerance
+// emissions (band 2 on diagonal 1) whose lanes die at chosen rows beside
+// live ones. The read is ACGACG..., which no two bases of a row's
+// three-column band repeat, and the window is the read followed by TT,
+// so each row's only match is on the diagonal and all M and GX mass
+// stays there; lane l's window has that base replaced by T at row
+// dieAt[l] (0: never), which empties that row.
+func dyingBatch(t *testing.T) (p Params, xs []*pwm.Matrix, ys []dna.Seq, diag, band int) {
+	t.Helper()
+	p = DefaultParams()
+	for y := range p.Match {
+		for k := range p.Match[y] {
+			p.Match[y][k] = 0
+		}
+		p.Match[y][y] = 1
+	}
+	const n = 40
+	read := make(dna.Seq, n)
+	for i := range read {
+		read[i] = dna.Code(i % 3)
+	}
+	x, err := pwm.FromSeqUniformError(read, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dieAt := [simdLanes]int{0, 5, 0, 1, 17, 0, n, 30}
+	for _, row := range dieAt {
+		y := append(read.Clone(), dna.T, dna.T)
+		if row > 0 {
+			y[row-1] = dna.T
+		}
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	return p, xs, ys, 1, 2
 }
 
 // TestAlignBatchMatchesScalarRandom is the tentpole's bit-exactness
 // property test: randomized (read length, window length, diag, band)
 // bins in both modes, each batch compared lane-by-lane against scalar
 // AlignBanded. Bands include narrow, wide, and full-width (== unbanded)
-// geometries, and lane counts vary from 1 to 13.
+// geometries; every other batch is 8 lanes (the vector rows' width), the
+// rest 1 to 13; windows carry N and other non-concrete codes in every
+// lane and half the reads have N rows. Then lanes that die mid-batch
+// beside live ones, and a band that slides off the rectangle part way
+// down. All of it under the AVX2 rows and the generic lane loops.
 func TestAlignBatchMatchesScalarRandom(t *testing.T) {
-	for _, mode := range []Mode{Global, SemiGlobal} {
-		rng := rand.New(rand.NewSource(int64(42 + mode)))
-		scalar := mustAligner(t, mode)
-		batch := mustBatchAligner(t, mode)
-		for trial := 0; trial < 40; trial++ {
-			m := 12 + rng.Intn(80)
-			n := m // Global: exact-size windows
-			diag := 0
-			if mode == SemiGlobal {
-				n = 4 + rng.Intn(m-3)
-				diag = rng.Intn(m - n + 1)
-			}
-			band := 0 // full kernel
-			switch rng.Intn(3) {
-			case 0:
-				band = 6 + 2*rng.Intn(6) // narrow
-			case 1:
-				band = fullWidthBand(n, m) // full-width band
-			}
-			L := 1 + rng.Intn(13)
-			xs := make([]*pwm.Matrix, L)
-			ys := make([]dna.Seq, L)
-			for l := 0; l < L; l++ {
-				ys[l] = randomSeq(rng, m)
-				xs[l] = randomPWM(rng, n)
-			}
-			results, err := batch.AlignBatch(xs, ys, diag, band)
-			if err != nil {
-				t.Fatalf("mode %v trial %d: AlignBatch: %v", mode, trial, err)
-			}
-			if len(results) != L {
-				t.Fatalf("mode %v trial %d: %d results, want %d", mode, trial, len(results), L)
-			}
-			for l := 0; l < L; l++ {
-				resS, errS := scalar.AlignBanded(xs[l], ys[l], diag, band)
-				lane := &results[l]
-				if (errS == nil) != (lane.Err == nil) {
-					t.Fatalf("mode %v trial %d lane %d: scalar err %v, batch err %v",
-						mode, trial, l, errS, lane.Err)
+	forEachKernel(t, func(t *testing.T) {
+		for _, mode := range []Mode{Global, SemiGlobal} {
+			rng := rand.New(rand.NewSource(int64(42 + mode)))
+			scalar := mustAligner(t, mode)
+			batch := mustBatchAligner(t, mode)
+			for trial := 0; trial < 40; trial++ {
+				m := 12 + rng.Intn(80)
+				n := m // Global: exact-size windows
+				diag := 0
+				if mode == SemiGlobal {
+					n = 4 + rng.Intn(m-3)
+					diag = rng.Intn(m - n + 1)
 				}
-				if errS != nil {
-					if lane.Err != ErrNoAlignment {
-						t.Fatalf("mode %v trial %d lane %d: batch err %v, want ErrNoAlignment",
-							mode, trial, l, lane.Err)
+				band := 0 // full kernel
+				switch rng.Intn(3) {
+				case 0:
+					band = 6 + 2*rng.Intn(6) // narrow
+				case 1:
+					band = fullWidthBand(n, m) // full-width band
+				}
+				L := simdLanes
+				if trial%2 == 1 {
+					L = 1 + rng.Intn(13)
+				}
+				xs := make([]*pwm.Matrix, L)
+				ys := make([]dna.Seq, L)
+				for l := 0; l < L; l++ {
+					ys[l] = randomSeq(rng, m)
+					if trial%4 < 2 {
+						plantAmbiguous(rng, ys[l])
 					}
-					continue
+					xs[l] = randomPWM(rng, n)
+					if trial%3 == 0 {
+						xs[l] = qualityRead(rng, n)
+					}
 				}
-				requireLaneExact(t, "random", resS, lane)
+				results, err := batch.AlignBatch(xs, ys, diag, band)
+				if err != nil {
+					t.Fatalf("mode %v trial %d: AlignBatch: %v", mode, trial, err)
+				}
+				requireBatchExact(t, fmt.Sprintf("mode %v trial %d", mode, trial), scalar, xs, ys, diag, band, results)
 			}
 		}
-	}
+
+		p, xs, ys, diag, band := dyingBatch(t)
+		scalar, err := NewAligner(p, SemiGlobal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := NewBatchAligner(p, SemiGlobal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, L := range []int{simdLanes, 5} {
+			results, err := batch.AlignBatch(xs[:L], ys[:L], diag, band)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := requireBatchExact(t, fmt.Sprintf("dying L=%d", L), scalar, xs[:L], ys[:L], diag, band, results)
+			if dead == 0 || dead == L {
+				t.Fatalf("dying L=%d: %d of %d lanes dead, want a mix", L, dead, L)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(45))
+		scalar, batch = mustAligner(t, SemiGlobal), mustBatchAligner(t, SemiGlobal)
+		xs, ys = xs[:0], ys[:0]
+		for l := 0; l < simdLanes; l++ {
+			xs, ys = append(xs, qualityRead(rng, 30)), append(ys, randomSeq(rng, 40))
+		}
+		// Diagonal 20, radius 2 on a 40-base window: rows past 22 have no
+		// column in the band.
+		results, err := batch.AlignBatch(xs, ys, 20, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dead := requireBatchExact(t, "band off", scalar, xs, ys, 20, 4, results); dead != simdLanes {
+			t.Fatalf("band off: %d of %d lanes dead", dead, simdLanes)
+		}
+	})
 }
 
 // TestAlignBatchEngineShapeExact pins the configurations the engine
 // really runs, which the random sweep above only meets by chance: the
 // paper's 62-bp read against its 78-bp padded window at diagonal 8, at
 // the auto band, a narrow band and unbanded, in 4-, 8- (the width the
-// AVX2 rows serve) and 16-lane batches.
+// AVX2 rows serve) and 16-lane batches, with quality-weighted reads
+// carrying N calls and windows carrying non-concrete codes in every
+// lane — under both kernels.
 func TestAlignBatchEngineShapeExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	scalar := mustAligner(t, SemiGlobal)
-	batch := mustBatchAligner(t, SemiGlobal)
-	for _, band := range []int{18, 8, 0} {
-		for _, L := range []int{4, simdLanes, 16} {
-			xs := make([]*pwm.Matrix, L)
-			ys := make([]dna.Seq, L)
-			for l := range xs {
-				xs[l], ys[l] = randomPWM(rng, 62), randomSeq(rng, 78)
-			}
-			results, err := batch.AlignBatch(xs, ys, 8, band)
-			if err != nil {
-				t.Fatalf("L=%d band=%d: %v", L, band, err)
-			}
-			for l := range results {
-				want, err := scalar.AlignBanded(xs[l], ys[l], 8, band)
-				if err != nil || results[l].Err != nil {
-					t.Fatalf("L=%d band=%d lane %d: scalar err %v, batch err %v", L, band, l, err, results[l].Err)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		scalar := mustAligner(t, SemiGlobal)
+		batch := mustBatchAligner(t, SemiGlobal)
+		for _, band := range []int{18, 8, 0} {
+			for _, L := range []int{4, simdLanes, 16} {
+				xs := make([]*pwm.Matrix, L)
+				ys := make([]dna.Seq, L)
+				for l := range xs {
+					xs[l], ys[l] = qualityRead(rng, 62), randomSeq(rng, 78)
+					plantAmbiguous(rng, ys[l])
 				}
-				requireLaneExact(t, "engine shape", want, &results[l])
+				results, err := batch.AlignBatch(xs, ys, 8, band)
+				if err != nil {
+					t.Fatalf("L=%d band=%d: %v", L, band, err)
+				}
+				label := fmt.Sprintf("L=%d band=%d", L, band)
+				if dead := requireBatchExact(t, label, scalar, xs, ys, 8, band, results); dead != 0 {
+					t.Fatalf("%s: %d dead lanes", label, dead)
+				}
+			}
+		}
+	})
+}
+
+// TestLogLanesMatchesMathLog: the vector log must return math.Log's bits
+// for every positive finite input — random bit patterns over the whole
+// exponent range, subnormals, every power of two, both sides of and on
+// sqrt(2)/2 in many binades, 1 and MaxFloat64 — and its sum over rows
+// must be the scalar loop's. A lane holding 0, a negative, ±Inf or NaN,
+// at the start or in any row, must be flagged (its sum is redone with
+// math.Log) without disturbing the other lanes.
+func TestLogLanesMatchesMathLog(t *testing.T) {
+	if !setAVX2(t, true) {
+		t.Skip("host has no AVX2")
+	}
+	rng := rand.New(rand.NewSource(25))
+	var xs []float64
+	for i := 0; i < 40000; i++ {
+		xs = append(xs, math.Float64frombits(1+uint64(rng.Int63n(0x7FF0000000000000-1))))
+	}
+	for i := 0; i < 500; i++ {
+		xs = append(xs, math.Float64frombits(1+uint64(rng.Int63n(1<<52-1)))) // subnormal
+	}
+	for e := -1074; e <= 1023; e++ {
+		xs = append(xs, math.Ldexp(1, e))
+	}
+	for e := -1072; e <= 1023; e += 3 {
+		h := math.Ldexp(math.Sqrt2/2, e)
+		xs = append(xs, math.Nextafter(h, 0), h, math.Nextafter(h, math.Inf(1)))
+	}
+	xs = append(xs, 1, math.Nextafter(1, 0), math.Nextafter(1, 2), math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022)
+	for len(xs)%simdLanes != 0 {
+		xs = append(xs, 1)
+	}
+
+	var noRows [simdLanes]float64
+	for at := 0; at < len(xs); at += simdLanes {
+		a := logSum8{rows: &noRows[0]}
+		copy(a.sum[:], xs[at:])
+		logLikAVX2(&a)
+		if a.bad != 0 {
+			t.Fatalf("lanes %v flagged bad %08b", xs[at:at+simdLanes], a.bad)
+		}
+		for l, x := range xs[at : at+simdLanes] {
+			if want := math.Log(x); math.Float64bits(a.sum[l]) != math.Float64bits(want) {
+				t.Fatalf("log(%v) (bits %#x) = %v, math.Log %v", x, math.Float64bits(x), a.sum[l], want)
+			}
+		}
+	}
+
+	// Sums over rows, in the generic loop's order.
+	const n = 62
+	rows := make([]float64, n*simdLanes)
+	sumOf := func(first [simdLanes]float64, l int) float64 {
+		s := math.Log(first[l])
+		for i := 0; i < n; i++ {
+			s += math.Log(rows[i*simdLanes+l])
+		}
+		return s
+	}
+	for trial := 0; trial < 200; trial++ {
+		var first [simdLanes]float64
+		for l := range first {
+			first[l] = xs[rng.Intn(len(xs))]
+		}
+		for i := range rows {
+			rows[i] = xs[rng.Intn(len(xs))]
+		}
+		a := logSum8{rows: &rows[0], n: n, sum: first}
+		logLikAVX2(&a)
+		for l := range first {
+			if want := sumOf(first, l); a.bad != 0 || math.Float64bits(a.sum[l]) != math.Float64bits(want) {
+				t.Fatalf("trial %d lane %d: sum %v, scalar loop %v (bad %08b)", trial, l, a.sum[l], want, a.bad)
+			}
+		}
+	}
+
+	specials := []float64{0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, sp := range specials {
+		for lane := 0; lane < simdLanes; lane++ {
+			for _, row := range []int{-1, 0, n - 1} { // -1: the terminal sum
+				var first [simdLanes]float64
+				for l := range first {
+					first[l] = 0.5 + rng.Float64()
+				}
+				for i := range rows {
+					rows[i] = 0.5 + rng.Float64()
+				}
+				if row < 0 {
+					first[lane] = sp
+				} else {
+					rows[row*simdLanes+lane] = sp
+				}
+				a := logSum8{rows: &rows[0], n: n, sum: first}
+				logLikAVX2(&a)
+				if a.bad != 1<<lane {
+					t.Fatalf("%v at lane %d row %d: bad %08b", sp, lane, row, a.bad)
+				}
+				for l := range first {
+					if want := sumOf(first, l); l != lane && math.Float64bits(a.sum[l]) != math.Float64bits(want) {
+						t.Fatalf("%v at lane %d: lane %d sum %v, want %v", sp, lane, l, a.sum[l], want)
+					}
+				}
 			}
 		}
 	}
@@ -424,95 +695,83 @@ func TestExtractionMatchesScalar(t *testing.T) {
 		}
 		strict.Match[y][y] = 1
 	}
-	for _, avx2 := range []bool{true, false} {
-		name := "generic"
-		if avx2 {
-			name = "avx2"
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		dead, live := 0, 0
+		for trial := 0; trial < 78; trial++ {
+			L := 1 + trial%13
+			p, mode := DefaultParams(), SemiGlobal
+			n, m, diag, band := 62, 78, 8, 18 // the engine's shape
+			xs, ys := make([]*pwm.Matrix, L), make([]dna.Seq, L)
+			switch trial % 3 {
+			case 0:
+				for l := range xs {
+					xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
+				}
+			case 1:
+				m = 12 + rng.Intn(80)
+				n = 4 + rng.Intn(m-3)
+				diag = rng.Intn(m - n + 1)
+				band = []int{0, 6 + 2*rng.Intn(6), fullWidthBand(n, m)}[rng.Intn(3)]
+				for l := range xs {
+					xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
+				}
+			case 2:
+				// Global, exact reads (an N matches anything): odd
+				// lanes get a window whose first base is wrong.
+				p, mode = strict, Global
+				n, m, diag, band = 30, 30, 0, 0
+				for l := range xs {
+					ys[l] = randomSeq(rng, m)
+					read := ys[l].Clone()
+					read[1+rng.Intn(n-1)] = dna.N
+					if l%2 == 1 {
+						read[0] = dna.Code((int(read[0]) + 1) % 4)
+					}
+					x, err := pwm.FromSeqUniformError(read, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					xs[l] = x
+				}
+			}
+			scalar, err := NewAligner(p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := NewBatchAligner(p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := batch.AlignBatch(xs, ys, diag, band)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			// Both attributions of every lane, then the first again:
+			// each switch re-extracts the stripe.
+			attrs := []Attribution{ByCall, ByPWM, ByCall}
+			if trial%2 == 1 {
+				attrs = []Attribution{ByPWM, ByCall, ByPWM}
+			}
+			for _, attr := range attrs {
+				for l := range results {
+					want, errS := scalar.AlignBanded(xs[l], ys[l], diag, band)
+					if (errS == nil) != (results[l].Err == nil) {
+						t.Fatalf("trial %d lane %d: scalar err %v, batch err %v", trial, l, errS, results[l].Err)
+					}
+					if errS != nil {
+						dead++
+						continue
+					}
+					live++
+					requireExtractionExact(t, fmt.Sprintf("trial %d L=%d lane %d", trial, L, l), attr, want, &results[l])
+				}
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			if !setAVX2(t, avx2) {
-				t.Skip("host has no AVX2")
-			}
-			if BatchKernel() != name {
-				t.Fatalf("BatchKernel() = %q, want %q", BatchKernel(), name)
-			}
-			rng := rand.New(rand.NewSource(22))
-			dead, live := 0, 0
-			for trial := 0; trial < 78; trial++ {
-				L := 1 + trial%13
-				p, mode := DefaultParams(), SemiGlobal
-				n, m, diag, band := 62, 78, 8, 18 // the engine's shape
-				xs, ys := make([]*pwm.Matrix, L), make([]dna.Seq, L)
-				switch trial % 3 {
-				case 0:
-					for l := range xs {
-						xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
-					}
-				case 1:
-					m = 12 + rng.Intn(80)
-					n = 4 + rng.Intn(m-3)
-					diag = rng.Intn(m - n + 1)
-					band = []int{0, 6 + 2*rng.Intn(6), fullWidthBand(n, m)}[rng.Intn(3)]
-					for l := range xs {
-						xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
-					}
-				case 2:
-					// Global, exact reads (an N matches anything): odd
-					// lanes get a window whose first base is wrong.
-					p, mode = strict, Global
-					n, m, diag, band = 30, 30, 0, 0
-					for l := range xs {
-						ys[l] = randomSeq(rng, m)
-						read := ys[l].Clone()
-						read[1+rng.Intn(n-1)] = dna.N
-						if l%2 == 1 {
-							read[0] = dna.Code((int(read[0]) + 1) % 4)
-						}
-						x, err := pwm.FromSeqUniformError(read, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						xs[l] = x
-					}
-				}
-				scalar, err := NewAligner(p, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batch, err := NewBatchAligner(p, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				results, err := batch.AlignBatch(xs, ys, diag, band)
-				if err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
-				}
-				// Both attributions of every lane, then the first again:
-				// each switch re-extracts the stripe.
-				attrs := []Attribution{ByCall, ByPWM, ByCall}
-				if trial%2 == 1 {
-					attrs = []Attribution{ByPWM, ByCall, ByPWM}
-				}
-				for _, attr := range attrs {
-					for l := range results {
-						want, errS := scalar.AlignBanded(xs[l], ys[l], diag, band)
-						if (errS == nil) != (results[l].Err == nil) {
-							t.Fatalf("trial %d lane %d: scalar err %v, batch err %v", trial, l, errS, results[l].Err)
-						}
-						if errS != nil {
-							dead++
-							continue
-						}
-						live++
-						requireExtractionExact(t, fmt.Sprintf("trial %d L=%d lane %d", trial, L, l), attr, want, &results[l])
-					}
-				}
-			}
-			if dead == 0 || live == 0 {
-				t.Fatalf("degenerate setup: %d dead, %d live lane extractions", dead, live)
-			}
-		})
-	}
+		if dead == 0 || live == 0 {
+			t.Fatalf("degenerate setup: %d dead, %d live lane extractions", dead, live)
+		}
+	})
 }
 
 // TestExtractionFollowsTheBatch: the stripe buffer belongs to one

@@ -177,8 +177,7 @@ func batchBenchInputs(b *testing.B, L int) ([]*pwm.Matrix, []dna.Seq) {
 	return xs, ys
 }
 
-func benchmarkAlignBatch(b *testing.B, L, band int) {
-	xs, ys := batchBenchInputs(b, L)
+func benchmarkAlignBatch(b *testing.B, xs []*pwm.Matrix, ys []dna.Seq, band int) {
 	ba, err := NewBatchAligner(DefaultParams(), SemiGlobal)
 	if err != nil {
 		b.Fatal(err)
@@ -193,23 +192,36 @@ func benchmarkAlignBatch(b *testing.B, L, band int) {
 			b.Fatal(err)
 		}
 	}
-	cells := BandCells(62, 78, 8, band) * L
+	cells := BandCells(62, 78, 8, band) * len(xs)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/alignment")
 }
 
-// BenchmarkAlignBatch sweeps lane counts at the engine's default band;
-// the 0-alloc assertion for the warm path lives in
-// TestAlignBatchAllocFree.
+// BenchmarkAlignBatch sweeps lane counts at the engine's default band,
+// then times a full batch of distinct quality-ramp reads (the rows the
+// engine's reads have) under the vector and the generic rows; the 0-alloc
+// assertion for the warm path lives in TestAlignBatchAllocFree.
 func BenchmarkAlignBatch(b *testing.B) {
 	for _, L := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("lanes=%d/band=%d", L, benchBand), func(b *testing.B) {
-			benchmarkAlignBatch(b, L, benchBand)
+			xs, ys := batchBenchInputs(b, L)
+			benchmarkAlignBatch(b, xs, ys, benchBand)
 		})
 	}
 	b.Run("lanes=8/band=full", func(b *testing.B) {
-		benchmarkAlignBatch(b, 8, 0)
+		xs, ys := batchBenchInputs(b, 8)
+		benchmarkAlignBatch(b, xs, ys, 0)
 	})
+	for _, kernel := range []string{"avx2", "generic"} {
+		b.Run(fmt.Sprintf("lanes=%d/band=%d/ramp/%s", simdLanes, benchBand, kernel), func(b *testing.B) {
+			if !setAVX2(b, kernel == "avx2") {
+				b.Skip("host has no AVX2")
+			}
+			xs, ys := rampBenchInputs(b, simdLanes)
+			benchmarkAlignBatch(b, xs, ys, benchBand)
+		})
+	}
 }
 
 // rampBenchInputs is batchBenchInputs with each read's PWM built from
