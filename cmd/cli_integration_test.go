@@ -320,19 +320,17 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		// -nodes > 1 is refused (below), so the row cannot be a no-op.
 		{"ft-read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read", "-op-timeout", "30s"} }, []string{"-nodes", "-split", "-op-timeout"}},
 	}
-	// The holes that remain in the mode matrix (DESIGN.md §10, refused by
-	// gnumap.CheckModes); every other pair must compose — read-split is
-	// the Pipeline's mapping step, so checkpoint, sam and pileup work on
-	// it as they do in one process.
+	// The four holes that remain in the mode matrix (DESIGN.md §10,
+	// refused by gnumap.CheckModes); every other pair must compose —
+	// read-split is the Pipeline's mapping step, so checkpoint,
+	// incremental calling, sam and pileup work on it as they do in one
+	// process.
 	mustRefuse := map[string]bool{
 		// genome-split keeps no whole-genome state on any rank
 		"checkpoint+genome-split":  true,
 		"incremental+genome-split": true,
 		"sam+genome-split":         true,
 		"pileup+genome-split":      true,
-		// the ranks' write-sets do not travel with their state (ROADMAP item 3)
-		"incremental+read-split":    true,
-		"incremental+ft-read-split": true,
 	}
 
 	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {

@@ -36,12 +36,11 @@
 // pipeline (-fit and -sam need the whole read set, so they load it and
 // hand the pipeline the slice as its source). -checkpoint and
 // -incremental-every subscribe to that pipeline's quiesce barrier and
-// compose with each other and with -fit/-sam. The feature × placement
-// pairs that do not compose are refused at startup by the library
-// (gnumap.CheckModes), naming both flags and the reason: -checkpoint,
-// -incremental-every, -sam and -pileup with -split genome (genome-split
-// keeps no whole-genome state on any rank), and -incremental-every with
-// -split read (the ranks' write-sets do not travel with their state).
+// compose with each other, with -fit/-sam and with -split read. The
+// four feature × placement pairs that do not compose are refused at
+// startup by the library (gnumap.CheckModes), naming both flags and the
+// reason: -checkpoint, -incremental-every, -sam and -pileup with -split
+// genome (genome-split keeps no whole-genome state on any rank).
 //
 // Crash safety: -checkpoint FILE makes the run write its full state
 // (config fingerprint, source watermark, mapping counters, accumulator)
@@ -57,12 +56,14 @@
 // a checkpoint written at one -nodes resumes at any other.
 //
 // Incremental calling: -incremental-every N overlaps SNP calling with
-// mapping in single-process runs — every N reads the
-// pipeline quiesces, only the genome regions written since the last
-// barrier are re-swept, and a provisional call set is produced; the
-// final VCF comes from the last incremental sweep and matches the
-// post-map sweep of an ordinary run. The first-provisional-call time is
-// reported on stderr. Refused on clusters.
+// mapping — every N reads the pipeline quiesces (on a read-split
+// cluster, rank 0 after folding every rank's state), only the
+// 4096-position genome tiles written since the last barrier are
+// re-swept, on -workers goroutines, and a provisional call set is
+// produced; the final VCF comes from the last incremental sweep and
+// matches the post-map sweep of an ordinary run. The
+// first-provisional-call time is reported on stderr. Refused with
+// -split genome.
 package main
 
 import (
@@ -128,7 +129,7 @@ func run() error {
 		ckptPath   = flag.String("checkpoint", "", "write crash-safe checkpoints to this file; SIGINT/SIGTERM drain, checkpoint, and exit with code 3")
 		ckptEvery  = flag.String("checkpoint-every", "5000", "checkpoint interval: an integer (reads) or a duration (e.g. 30s)")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if the file exists (fresh start otherwise)")
-		incEvery   = flag.Int64("incremental-every", 0, "overlap SNP calling with mapping: quiesce and re-sweep written genome regions every N reads, reporting time to first provisional call (0 = off; single-process only)")
+		incEvery   = flag.Int64("incremental-every", 0, "overlap SNP calling with mapping: quiesce and re-sweep written genome tiles every N reads, reporting time to first provisional call (0 = off)")
 		metricsOut = flag.String("metrics-out", "", "write the merged metrics report as JSON to this file (and a summary to stderr)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")

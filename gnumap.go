@@ -130,7 +130,7 @@ type Options struct {
 	// read-split across ranks alike.
 	Checkpoint *CheckpointConfig
 	// Incremental, when non-nil, overlaps SNP calling with a Pipeline's
-	// mapping: the caller re-sweeps written genome regions at quiesce
+	// mapping: the caller re-sweeps written genome tiles at quiesce
 	// barriers (the same barriers Checkpoint uses, each on its own
 	// cadence) and Pipeline.Call returns its final sweep.
 	//
@@ -273,7 +273,7 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 		}
 	}
 	if opts.Incremental != nil {
-		if err := p.resetIncremental(); err != nil {
+		if p.inc, err = p.newIncrementalRun(); err != nil {
 			return nil, err
 		}
 	}
@@ -422,7 +422,7 @@ func newRunReport(snaps []MetricsSnapshot, dead []int) (*MetricsReport, error) {
 // chunked across a worker pool; the result is bit-identical to the
 // serial sweep because candidates concatenate in genome order before
 // the single global significance pass. An incremental pipeline instead
-// finishes with one more incremental sweep — touching only the regions
+// finishes with one more incremental sweep — touching only the tiles
 // written since the last barrier — which is bit-identical to the
 // one-shot sweep over the same accumulator at any worker count.
 func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
@@ -509,10 +509,6 @@ func (p *Pipeline) adopt(cp *ckpt.Checkpoint) error {
 	}
 	p.cum = MapStats{Mapped: cp.Mapped, Unmapped: cp.Unmapped, Locations: cp.Locations}
 	p.consumed = cp.ReadsConsumed
-	if p.inc != nil {
-		// The region caches describe the replaced state.
-		return p.resetIncremental()
-	}
 	return nil
 }
 
@@ -906,40 +902,36 @@ var ErrModeUnsupported = errors.New("gnumap: unsupported mode combination")
 // it does not. outputs lists the side outputs the caller means to write
 // from the accumulated genome ("-sam", "-pileup"): they are Pipeline
 // methods rather than options, but need the same whole-genome state.
-// The pairs refused, all wrapping ErrModeUnsupported:
-//
-//   - Checkpoint, Incremental and every side output × GenomeSplit:
-//     genome-split keeps no whole-genome state on any rank, so there is
-//     nothing to checkpoint, sweep incrementally or write a pileup from.
-//   - Incremental × ReadSplit (with or without OpTimeout): the
-//     incremental caller re-sweeps the regions its own rank wrote, and
-//     the ranks' write-sets are not carried to rank 0 with their state.
+// The four pairs refused, all wrapping ErrModeUnsupported, are
+// Checkpoint, Incremental and both side outputs × GenomeSplit:
+// genome-split keeps no whole-genome state on any rank, so there is
+// nothing to checkpoint, sweep incrementally or write a pileup from.
+// Everything composes with ReadSplit, whose rank 0 holds the whole
+// genome's state — write-set included — after every round.
 func CheckModes(opts Options, outputs ...string) error {
 	cc := opts.Cluster
 	if cc.Nodes <= 1 {
 		return nil
 	}
-	var placement, why string
+	switch cc.Split {
+	case ReadSplit:
+		return nil
+	case GenomeSplit:
+	default:
+		return fmt.Errorf("gnumap: unknown split mode %d", int(cc.Split))
+	}
 	var features []string
 	if opts.Incremental != nil {
 		features = append(features, "-incremental-every")
 	}
-	switch cc.Split {
-	case ReadSplit:
-		placement, why = "read", "incremental calling re-sweeps what its own rank wrote, and the ranks' write-sets do not travel with their state"
-	case GenomeSplit:
-		placement, why = "genome", "genome-split keeps no whole-genome state on any rank"
-		if opts.Checkpoint != nil {
-			features = append(features, "-checkpoint")
-		}
-		features = append(features, outputs...)
-	default:
-		return fmt.Errorf("gnumap: unknown split mode %d", int(cc.Split))
+	if opts.Checkpoint != nil {
+		features = append(features, "-checkpoint")
 	}
+	features = append(features, outputs...)
 	if len(features) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%w: %s with -nodes %d -split %s: %s", ErrModeUnsupported, features[0], cc.Nodes, placement, why)
+	return fmt.Errorf("%w: %s with -nodes %d -split genome: genome-split keeps no whole-genome state on any rank", ErrModeUnsupported, features[0], cc.Nodes)
 }
 
 // RunClusterStream maps src and calls SNPs on a simulated cluster of the

@@ -254,8 +254,6 @@ func TestCheckModesTyped(t *testing.T) {
 		{"incremental+genome-split", Options{Incremental: inc, Cluster: on(GenomeSplit, false)}, nil, []string{"-incremental-every", "-split genome", "no whole-genome state"}},
 		{"sam+genome-split", Options{Cluster: on(GenomeSplit, false)}, []string{"-sam"}, []string{"-sam", "-split genome", "no whole-genome state"}},
 		{"pileup+genome-split", Options{Cluster: on(GenomeSplit, false)}, []string{"-pileup"}, []string{"-pileup", "-split genome", "no whole-genome state"}},
-		{"incremental+read-split", Options{Incremental: inc, Cluster: on(ReadSplit, false)}, nil, []string{"-incremental-every", "-split read", "write-sets"}},
-		{"incremental+ft-read-split", Options{Incremental: inc, Cluster: on(ReadSplit, true)}, nil, []string{"-incremental-every", "-split read", "write-sets"}},
 	}
 	for _, tc := range refused {
 		err := CheckModes(tc.opts, tc.outputs...)
@@ -276,6 +274,8 @@ func TestCheckModesTyped(t *testing.T) {
 	}{
 		{"everything in one process", Options{Checkpoint: ck, Incremental: inc}, []string{"-sam", "-pileup"}},
 		{"checkpoint+sam+pileup on read-split", Options{Checkpoint: ck, Cluster: on(ReadSplit, true)}, []string{"-sam", "-pileup"}},
+		{"incremental+read-split", Options{Incremental: inc, Cluster: on(ReadSplit, false)}, nil},
+		{"incremental+ft-read-split", Options{Incremental: inc, Checkpoint: ck, Cluster: on(ReadSplit, true)}, []string{"-sam", "-pileup"}},
 		{"plain genome-split", Options{Cluster: on(GenomeSplit, false)}, nil},
 		{"a one-node cluster is one process", Options{Checkpoint: ck, Incremental: inc, Cluster: ClusterConfig{Nodes: 1, Split: GenomeSplit}}, []string{"-sam"}},
 	}
@@ -287,7 +287,7 @@ func TestCheckModesTyped(t *testing.T) {
 
 	// The entry points return what CheckModes says.
 	ds := dataset(t)
-	if _, err := NewPipeline(ds.Reference, Options{Incremental: inc, Cluster: on(ReadSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
+	if _, err := NewPipeline(ds.Reference, Options{Incremental: inc, Cluster: on(ReadSplit, false)}); err != nil {
 		t.Errorf("NewPipeline, incremental x read-split: %v", err)
 	}
 	if _, err := NewPipeline(ds.Reference, Options{Cluster: on(GenomeSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
@@ -296,7 +296,7 @@ func TestCheckModesTyped(t *testing.T) {
 	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
 		t.Errorf("RunClusterStream, incremental x genome-split: %v", err)
 	}
-	if _, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
+	if _, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); err != nil {
 		t.Errorf("RunClusterStream, incremental x read-split: %v", err)
 	}
 }

@@ -1,11 +1,12 @@
 package gnumap
 
 // Incremental calling overlapped with mapping (DESIGN.md §14). The
-// mapping pipeline quiesces every writer at barriers; an incremental
-// run subscribes the snp.IncrementalCaller to them, so provisional SNP
-// calls are available while mapping is still running and the final call
-// set reuses almost every region sweep — time-to-first-call moves from
-// "after mapping" to "during mapping".
+// mapping pipeline quiesces every writer at barriers — in one process,
+// or at rank 0 once a read-split round has folded every rank's state —
+// and an incremental run subscribes the snp.IncrementalCaller to them,
+// so provisional SNP calls are available while mapping is still running
+// and the final call set reuses almost every tile sweep —
+// time-to-first-call moves from "after mapping" to "during mapping".
 
 import (
 	"time"
@@ -19,9 +20,6 @@ type IncrementalCallConfig struct {
 	// EveryReads quiesces and re-sweeps after this many reads
 	// (default 5000, the checkpoint default cadence).
 	EveryReads int64
-	// RegionSize is the sweep granularity in genome positions
-	// (default 16384; see snp.NewIncrementalCaller).
-	RegionSize int
 	// OnProvisional, when non-nil, receives every provisional call set
 	// (calls valid until the next sweep; copy to retain) with the
 	// pipeline's cumulative source watermark. It runs while the pipeline
@@ -40,14 +38,14 @@ type IncrementalStats struct {
 	FirstCallSeconds float64
 	FirstCallReads   int64
 	// Sweeps / RegionsSwept / RegionsReused expose the incremental
-	// cache behaviour: reused counts regions whose cached candidates
-	// were still valid at a sweep.
+	// cache behaviour: a region is one accumulator tile
+	// (genome.TileSize positions), and reused counts tiles whose cached
+	// candidates were still valid at a sweep.
 	Sweeps, RegionsSwept, RegionsReused int64
 }
 
 // incrementalRun is a Pipeline's incremental-calling state: the caller
-// over the pipeline's accumulator (its region tracker registered with
-// the engine for the pipeline's life) and the overlap accounting.
+// over the pipeline's accumulator and the overlap accounting.
 // Metrics (when enabled) gain call.first.seconds / call.first.reads
 // gauges and call.inc.sweeps / call.inc.regions.swept /
 // call.inc.regions.reused counters.
@@ -62,24 +60,22 @@ type incrementalRun struct {
 	firstReads   int64
 }
 
-// resetIncremental (re)builds the incremental caller over the current
-// accumulator contents: every region starts unswept, so state adopted
-// from a checkpoint or LoadState is swept like freshly mapped reads.
-func (p *Pipeline) resetIncremental() error {
+// newIncrementalRun builds the incremental caller over the pipeline's
+// accumulator. State adopted later (LoadState) needs no rebuild: loading
+// counts a write on every tile, so the next sweep covers it.
+func (p *Pipeline) newIncrementalRun() (*incrementalRun, error) {
 	cfg := *p.opts.Incremental
 	if cfg.EveryReads <= 0 {
 		cfg.EveryReads = 5000
 	}
-	ic, err := snp.NewIncrementalCaller(p.ref, p.acc, cfg.RegionSize, p.opts.Caller)
+	ic, err := snp.NewIncrementalCaller(p.ref, p.acc, p.opts.Caller)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.eng.SetRegionTracker(ic.Tracker())
-	p.inc = &incrementalRun{cfg: cfg, ic: ic, reg: p.opts.Engine.Metrics}
-	return nil
+	return &incrementalRun{cfg: cfg, ic: ic, reg: p.opts.Engine.Metrics}, nil
 }
 
-// sweep re-sweeps the regions written since the previous sweep. Writers
+// sweep re-sweeps the tiles written since the previous sweep. Writers
 // must be quiesced.
 func (r *incrementalRun) sweep() error {
 	swept, reused := r.ic.RegionsSwept(), r.ic.RegionsReused()

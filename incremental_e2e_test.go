@@ -3,9 +3,13 @@ package gnumap
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"gnumap/internal/genome"
 	"gnumap/internal/snp"
@@ -84,19 +88,21 @@ func TestIncrementalMappingIdentityE2E(t *testing.T) {
 	}
 }
 
-// Satellite e2e for the vectorized sweep: a streaming run with
-// incremental calling must produce byte-identical provisional AND
-// final VCFs whether the sweeps run the vectorized (CallVector 0) or
-// scalar (CallVector -1) path — the engine-level form of the
-// bit-identity the snp-package property harness asserts. Runs under
-// -race in CI (make race covers the root package).
+// Satellite e2e for the parallel incremental sweep: a streaming run
+// with incremental calling must produce byte-identical provisional AND
+// final VCFs whether its tile sweeps run on one call worker or on four
+// — the engine-level form of the identity TestIncrementalMatchesCallAll
+// asserts. The sweeps take the vectorized path; its identity with the
+// scalar loop is TestVectorSweepIdentityRandomized's and
+// FuzzPrescreenVector's. Runs under -race in CI (make race covers the
+// root package).
 func TestIncrementalVectorVCFByteIdentityE2E(t *testing.T) {
 	ds := dataset(t)
-	run := func(callVector int) (provisional []string, final string) {
+	run := func(callWorkers int) (provisional []string, final string) {
 		t.Helper()
-		caller := CallerConfig{UseFDR: true, CallVector: callVector}
+		caller := CallerConfig{UseFDR: true, CallWorkers: callWorkers}
 		p, err := NewPipeline(ds.Reference, Options{
-			Engine: EngineConfig{Workers: 4, Batch: 32, Queue: 2},
+			Engine: EngineConfig{Workers: 1, Batch: 32, Queue: 2},
 			Caller: caller,
 			Incremental: &IncrementalCallConfig{
 				EveryReads: 2_000,
@@ -127,27 +133,112 @@ func TestIncrementalVectorVCFByteIdentityE2E(t *testing.T) {
 		return provisional, buf.String()
 	}
 
-	scalarProv, scalarFinal := run(-1)
-	vectorProv, vectorFinal := run(0)
+	serialProv, serialFinal := run(1)
+	parProv, parFinal := run(4)
 
-	if vectorFinal != scalarFinal {
-		t.Errorf("final VCF diverges between vectorized and scalar sweeps:\n--- scalar ---\n%s\n--- vector ---\n%s", scalarFinal, vectorFinal)
+	if parFinal != serialFinal {
+		t.Errorf("final VCF diverges between 1 and 4 call workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", serialFinal, parFinal)
 	}
-	if len(vectorProv) != len(scalarProv) {
-		t.Fatalf("provisional VCF counts diverge: vector %d, scalar %d", len(vectorProv), len(scalarProv))
+	if len(parProv) != len(serialProv) {
+		t.Fatalf("provisional VCF counts diverge: 4 workers %d, 1 worker %d", len(parProv), len(serialProv))
 	}
 	var nonEmpty int
-	for i := range scalarProv {
-		if vectorProv[i] != scalarProv[i] {
-			t.Errorf("provisional VCF %d diverges between vectorized and scalar sweeps", i)
+	for i := range serialProv {
+		if parProv[i] != serialProv[i] {
+			t.Errorf("provisional VCF %d diverges between 1 and 4 call workers", i)
 		}
-		if strings.Contains(scalarProv[i], "\tPASS\t") {
+		if strings.Contains(serialProv[i], "\tPASS\t") {
 			nonEmpty++
 		}
 	}
-	if len(scalarProv) < 2 || nonEmpty == 0 {
-		t.Fatalf("identity test is vacuous: %d provisional VCFs, %d with calls", len(scalarProv), nonEmpty)
+	if len(serialProv) < 2 || nonEmpty == 0 {
+		t.Fatalf("identity test is vacuous: %d provisional VCFs, %d with calls", len(serialProv), nonEmpty)
 	}
+}
+
+// Incremental calling composes with read-split: rank 0 folds every
+// round's payloads through Merge, which moves the write counters of the
+// tiles they reach, so the incremental caller there re-sweeps exactly
+// what the whole cluster wrote. At 4 nodes — plain, and fault-tolerant
+// under seeded packet drops — the final calls equal the single-process
+// incremental run's, provisional sets surface during mapping, and tiles
+// a round did not reach are reused. The reads stream in genome order,
+// as from coordinate-sorted input, so a round writes a few tiles and
+// leaves the rest alone.
+func TestIncrementalReadSplitE2E(t *testing.T) {
+	ds := dataset(t)
+	reads := byOrigin(t, ds.Reads)
+	run := func(t *testing.T, cc ClusterConfig) ([]SNPCall, IncrementalStats, int) {
+		t.Helper()
+		provisional := 0
+		p, err := NewPipeline(ds.Reference, Options{
+			Engine:  EngineConfig{Workers: 1},
+			Caller:  CallerConfig{UseFDR: true},
+			Cluster: cc,
+			Incremental: &IncrementalCallConfig{
+				EveryReads:    1_000,
+				OnProvisional: func([]SNPCall, CallStats, int64) { provisional++ },
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.MapReadsFrom(SliceReadSource(reads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Mapped+st.Unmapped != int64(len(reads)) {
+			t.Fatalf("mapped %d reads of %d", st.Mapped+st.Unmapped, len(reads))
+		}
+		calls, _, err := p.Call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls, p.IncrementalStats(), provisional
+	}
+	want, _, _ := run(t, ClusterConfig{})
+	if len(want) == 0 {
+		t.Fatal("single-process run called no SNPs; dataset too weak for an identity test")
+	}
+	drops, err := ParseChaosSpec("seed=7,drop=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cc   ClusterConfig
+	}{
+		{"read-split", ClusterConfig{Nodes: 4}},
+		{"ft-read-split-drops", ClusterConfig{Nodes: 4, OpTimeout: 100 * time.Millisecond, Heartbeat: 25 * time.Millisecond, Fault: &drops}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, st, provisional := run(t, tc.cc)
+			sameCalls(t, tc.name, got, want)
+			if provisional < 2 {
+				t.Errorf("%d provisional call sets surfaced, want at least 2", provisional)
+			}
+			if st.RegionsReused == 0 {
+				t.Errorf("no tile reused across %d sweeps (%d swept)", st.Sweeps, st.RegionsSwept)
+			}
+		})
+	}
+}
+
+// byOrigin returns the reads sorted by the reference position they were
+// sequenced from (the simulator names a read sim_<i>_pos<start>_...).
+func byOrigin(t *testing.T, reads []*Read) []*Read {
+	t.Helper()
+	origin := make(map[*Read]int, len(reads))
+	for _, r := range reads {
+		var i, pos int
+		if _, err := fmt.Sscanf(r.Name, "sim_%d_pos%d_", &i, &pos); err != nil {
+			t.Fatalf("read %q: %v", r.Name, err)
+		}
+		origin[r] = pos
+	}
+	out := slices.Clone(reads)
+	sort.SliceStable(out, func(a, b int) bool { return origin[out[a]] < origin[out[b]] })
+	return out
 }
 
 // Composition on the one quiesce barrier: a run with Options.Checkpoint

@@ -59,7 +59,9 @@ func init() {
 // runs, so a committed watermark never covers reads whose mass died
 // with a rank; every read's mass is in the result exactly once. Done
 // goes to every non-root rank, lost or not: a rank wrongly declared
-// lost is alive and waiting for it.
+// lost is alive and waiting for it. A rank acks Done (a farewell) and
+// rank 0 re-sends Done a few times while it hears none, so a Done the
+// network eats does not strand a worker.
 //
 // Rank 0 itself is not recoverable — it holds the merge — so its death
 // aborts the run (workers detect it via heartbeat loss and error out).
@@ -94,6 +96,13 @@ const (
 	streamShardTag = 1004
 	streamAckTag   = 1005
 	streamRoundTag = 1006
+)
+
+// farewell is the ack a worker sends on Done (every other ack counts
+// batches taken and is positive); doneTries bounds the Done re-sends.
+const (
+	farewell  = -1
+	doneTries = 3
 )
 
 // ftMaxExtensions bounds how many deadline extensions a patient
@@ -331,14 +340,40 @@ func (d *dealer) run() (stopped bool, err error) {
 		return false, err
 	}
 	for r := 1; r < len(d.peers); r++ {
-		// A rank that dies right here misses only the Done message;
-		// ignore the failure rather than aborting a finished run.
-		_ = d.c.Send(r, streamShardTag, streamShard{Done: true, Stats: d.total})
+		d.release(r)
 	}
 	if reg := d.cfg.Metrics; reg != nil && d.c.OpTimeout() > 0 {
 		reg.Gauge("stream.ledger.peak.reads").Set(float64(d.peak))
 	}
 	return stopped, d.pipe.finish()
+}
+
+// release sends rank r Done and waits for its farewell, sending Done
+// again each time a deadline passes without one, up to doneTries times:
+// a Done the network ate would leave a live worker waiting for rank 0
+// until rank 0's heartbeats stop, and then fail the finished run. Lost
+// ranks are released too — a rank wrongly declared lost is alive and
+// waiting — but one the failure detector counts dead gets Done once.
+// Any failure ends the wait as the farewell does: a rank that died, or
+// returned after a farewell the network ate, cannot undo a finished
+// run.
+func (d *dealer) release(r int) {
+	done := streamShard{Done: true, Stats: d.total}
+	for try := 0; try < doneTries; try++ {
+		if d.c.Send(r, streamShardTag, done) != nil || !d.c.Alive(r) {
+			return
+		}
+		for {
+			v, err := d.c.RecvPatient(r, streamAckTag, d.c.OpTimeout(), 0)
+			if errors.Is(err, cluster.ErrTimeout) {
+				break // alive (or no failure detector) but silent: send again
+			}
+			if n, _ := v.(int); err != nil || n == farewell {
+				return
+			}
+			// A stale cumulative ack; the farewell is behind it.
+		}
+	}
 }
 
 // nextBatch returns the next batch to deal: a lost rank's, while there
@@ -575,6 +610,9 @@ func streamReceive(c *cluster.Comm, pipe *localPipe) (Stats, error) {
 		case !ok:
 			return Stats{}, fmt.Errorf("core: rank %d: unexpected stream payload %T", c.Rank(), v)
 		case sh.Done:
+			// The farewell stops rank 0 re-sending Done. Its error is
+			// moot: rank 0 stops waiting once this rank goes quiet.
+			_ = c.Send(0, streamAckTag, farewell)
 			return sh.Stats, pipe.finish()
 		case sh.Round > 0:
 			pl, err := pipe.quiesce()

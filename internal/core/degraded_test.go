@@ -419,7 +419,7 @@ func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
 				if sh.Stats.Mapped+sh.Stats.Unmapped != int64(len(p.reads)) {
 					return fmt.Errorf("Done carries stats %+v for %d reads", sh.Stats, len(p.reads))
 				}
-				return nil
+				return c.Send(0, streamAckTag, farewell)
 			case sh.Round == 0:
 				taken++
 				if err := c.Send(0, streamAckTag, taken); err != nil {
@@ -483,6 +483,9 @@ func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
 			}
 			switch sh := v.(streamShard); {
 			case sh.Done:
+				if err := c.Send(0, streamAckTag, farewell); err != nil {
+					return err
+				}
 				return pipe.finish()
 			case sh.Round > 0:
 				pl, err := pipe.quiesce()
@@ -555,5 +558,83 @@ func TestReadSplitDegradedIgnoredWorkerReturnsNil(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadSplitDegradedLostDoneIsResent: the network eats the first Done
+// a live worker is sent (dropped by hand, as in
+// TestReadSplitDegradedDroppedAcksKeepTheRank). Rank 0 hears no farewell
+// within the deadline, sees the worker's heartbeats and sends Done
+// again, so the worker is released and the finished run succeeds.
+// Without the farewell the worker waited until rank 0's heartbeats
+// stopped, then failed the run.
+func TestReadSplitDegradedLostDoneIsResent(t *testing.T) {
+	p := makePipeline(t, 10000, 2, 4, 89)
+	cfg := Config{Workers: 1}
+	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 200 * time.Millisecond, Heartbeat: 10 * time.Millisecond}
+	var rootStats Stats
+	dones := 0
+	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
+		if c.Rank() == 0 {
+			_, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, cfg, nil)
+			rootStats = st
+			return err
+		}
+		eng, err := NewEngine(p.ref, cfg)
+		if err != nil {
+			return err
+		}
+		acc, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			return err
+		}
+		pipe := startPipe(eng, acc, true)
+		defer pipe.finish()
+		taken := 0
+		for {
+			v, err := c.RecvPatient(0, streamShardTag, 20*time.Second, 0)
+			if err != nil {
+				return err
+			}
+			switch sh := v.(streamShard); {
+			case sh.Done:
+				if dones++; dones == 1 {
+					continue // this Done is lost on the wire
+				}
+				if err := c.Send(0, streamAckTag, farewell); err != nil {
+					return err
+				}
+				return pipe.finish()
+			case sh.Round > 0:
+				pl, err := pipe.quiesce()
+				if err != nil {
+					return err
+				}
+				pl.Round = sh.Round
+				if err := c.Send(0, streamRoundTag, pl); err != nil {
+					return err
+				}
+			default:
+				if err := pipe.feed(sh.Reads); err != nil {
+					return err
+				}
+				taken++
+				if err := c.Send(0, streamAckTag, taken); err != nil {
+					return err
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dones != 2 {
+		t.Errorf("worker saw %d Done messages, want the lost one and its re-send", dones)
+	}
+	if rootStats.Degraded() {
+		t.Errorf("LostRanks = %v: a live rank was lost over a lost Done", rootStats.LostRanks)
+	}
+	if n := rootStats.Mapped + rootStats.Unmapped; n != int64(len(p.reads)) {
+		t.Errorf("stats cover %d reads, want exactly %d", n, len(p.reads))
 	}
 }

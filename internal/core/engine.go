@@ -320,19 +320,10 @@ type Engine struct {
 	// Test-only: it lets the stop-latch and streaming error paths
 	// inject deterministic per-read failures.
 	testMapErr func(*fastq.Read) error
-	// tracker, when non-nil, counts accumulator writes per genome
-	// region so the incremental caller can re-sweep only regions that
-	// changed between quiesce points.
-	tracker *genome.RegionTracker
 	// idle holds warm mappers between mapping calls.
 	idleMu sync.Mutex
 	idle   []*mapper
 }
-
-// SetRegionTracker registers a per-region write tracker: every accepted
-// accumulator contribution also touches the tracker. Set it before
-// mapping starts; nil disables tracking.
-func (e *Engine) SetRegionTracker(t *genome.RegionTracker) { e.tracker = t }
 
 // NewEngine indexes the full reference.
 func NewEngine(ref *genome.Reference, cfg Config) (*Engine, error) {
@@ -917,7 +908,7 @@ func (e *Engine) weights(w []float64) []float64 {
 // each read's posterior-weighted contributions into acc. Stats fields
 // are updated atomically; the accumulator handles its own locking.
 func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) func(int, []location) error {
-	met, tracker := m.met, m.e.tracker
+	met := m.met
 	return func(_ int, locs []location) error {
 		if len(locs) == 0 {
 			atomic.AddInt64(&st.Unmapped, 1)
@@ -940,9 +931,6 @@ func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) fu
 			}
 			accepted++
 			acc.AddRange(loc.windowStart-accOffset, loc.contribs, ws[i])
-			if tracker != nil {
-				tracker.Touch(loc.windowStart-accOffset, len(loc.contribs))
-			}
 		}
 		atomic.AddInt64(&st.Locations, accepted)
 		if met != nil {

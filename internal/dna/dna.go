@@ -264,17 +264,6 @@ func PackKmer(s Seq, offset, k int) (kmer Kmer, ok bool) {
 	return kmer, true
 }
 
-// NextKmer rolls the packed k-mer one base to the right: it drops the
-// leading base and appends c. It returns ok=false when c is ambiguous,
-// in which case the window must be re-packed after the N run ends.
-func NextKmer(kmer Kmer, k int, c Code) (Kmer, bool) {
-	if !c.IsConcrete() {
-		return 0, false
-	}
-	mask := Kmer(1)<<(2*uint(k)) - 1
-	return (kmer<<2 | Kmer(c)) & mask, true
-}
-
 // Hamming returns the Hamming distance between equal-length sequences
 // and an error if the lengths differ. N mismatches everything, including
 // another N, because an ambiguous base carries no evidence of identity.

@@ -1,7 +1,6 @@
 package dna
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -205,35 +204,6 @@ func TestPackKmerRejects(t *testing.T) {
 	}
 	if _, ok := PackKmer(s, 0, MaxKmerLen+1); ok {
 		t.Error("k beyond MaxKmerLen must not pack")
-	}
-}
-
-func TestNextKmerMatchesRepack(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := make(Seq, 200)
-	for i := range s {
-		s[i] = Code(rng.Intn(4))
-	}
-	const k = 10
-	rolling, ok := PackKmer(s, 0, k)
-	if !ok {
-		t.Fatal("initial pack failed")
-	}
-	for off := 1; off+k <= len(s); off++ {
-		rolling, ok = NextKmer(rolling, k, s[off+k-1])
-		if !ok {
-			t.Fatalf("NextKmer failed at off=%d", off)
-		}
-		direct, _ := PackKmer(s, off, k)
-		if rolling != direct {
-			t.Fatalf("rolling != direct at off=%d: %x != %x", off, rolling, direct)
-		}
-	}
-}
-
-func TestNextKmerRejectsN(t *testing.T) {
-	if _, ok := NextKmer(0, 4, N); ok {
-		t.Error("NextKmer must reject N")
 	}
 }
 

@@ -119,10 +119,59 @@ func EstimateBytes(mode Mode, length int) int64 {
 // enough that a read-length range spans at most two stripes.
 const stripeShift = 12
 
-// stripes builds the lock set for a given length.
-func stripes(length int) []sync.Mutex {
-	n := (length >> stripeShift) + 1
-	return make([]sync.Mutex, n)
+// TileSize is the width in positions of one lock stripe, which is also
+// the unit of the accumulator's write-set: tile i covers positions
+// [i·TileSize, (i+1)·TileSize), the last tile possibly short.
+const TileSize = 1 << stripeShift
+
+// tiles is what every layout keeps per tile: the stripe lock guarding
+// its positions and a counter of the writes that may have changed them.
+// A counter only moves under its tile's lock — AddRange bumps every tile
+// its range spans, Merge, LoadStateBytes and Reset every tile whose
+// bytes they may change — so a tile whose counter is equal in two
+// Writes snapshots holds the same bytes at both.
+type tiles struct {
+	locks  []sync.Mutex
+	writes []uint64
+}
+
+func newTiles(length int) tiles {
+	n := (length + TileSize - 1) >> stripeShift
+	return tiles{locks: make([]sync.Mutex, n), writes: make([]uint64, n)}
+}
+
+// tileSet gives Writes the tiles of any in-package layout.
+func (t *tiles) tileSet() *tiles { return t }
+
+// mark counts a write on every tile [from, to) spans (a clamped,
+// non-empty range). The caller holds those tiles' locks.
+func (t *tiles) mark(from, to int) {
+	for i := from >> stripeShift; i <= (to-1)>>stripeShift; i++ {
+		t.writes[i]++
+	}
+}
+
+// markAll counts a write on every tile. The caller holds every lock.
+func (t *tiles) markAll() {
+	for i := range t.writes {
+		t.writes[i]++
+	}
+}
+
+// Writes copies acc's per-tile write counters into dst (reallocating
+// when dst is short) and returns it: one counter per TileSize positions.
+// It takes the stripe locks the way State does, so it is coherent
+// whenever writers are quiesced. Accumulator implementations outside
+// this package keep no write-set and return an error.
+func Writes(acc Accumulator, dst []uint64) ([]uint64, error) {
+	ts, ok := acc.(interface{ tileSet() *tiles })
+	if !ok {
+		return nil, fmt.Errorf("genome: %T keeps no write-set", acc)
+	}
+	t := ts.tileSet()
+	first, last := lockRange(t.locks, 0, acc.Len())
+	defer unlockRange(t.locks, first, last)
+	return append(dst[:0], t.writes...), nil
 }
 
 // lockRange locks every stripe covering [start, end) and returns the
@@ -182,14 +231,14 @@ func clampRange(start, n, length int) (from, to, zsFrom int, ok bool) {
 type normAcc struct {
 	length int
 	data   []float32 // len = 5·length, plane-major
-	locks  []sync.Mutex
+	tiles
 }
 
 func newNormAcc(length int) *normAcc {
 	return &normAcc{
 		length: length,
 		data:   make([]float32, dna.NumChannels*length),
-		locks:  stripes(length),
+		tiles:  newTiles(length),
 	}
 }
 
@@ -208,6 +257,7 @@ func (a *normAcc) AddRange(start int, zs []Vec, weight float64) {
 	}
 	lkFirst, lkLast := lockRange(a.locks, from, to)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	a.mark(from, to)
 	for k := 0; k < dna.NumChannels; k++ {
 		pk := a.plane(k)
 		zi := zsFrom - from
@@ -247,8 +297,23 @@ func (a *normAcc) Merge(other Accumulator) error {
 	}
 	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
 	defer unlockRange(a.locks, lkFirst, lkLast)
-	for i := range a.data {
-		a.data[i] += o.data[i]
+	// Tile by tile, adding only what other holds: a tile where it holds
+	// no mass keeps its bytes and stays unmarked.
+	for i := range a.writes {
+		from, to := i<<stripeShift, min((i+1)<<stripeShift, a.length)
+		moved := false
+		for k := 0; k < dna.NumChannels; k++ {
+			dst, src := a.plane(k)[from:to], o.plane(k)[from:to]
+			for pos, v := range src {
+				if v != 0 {
+					dst[pos] += v
+					moved = true
+				}
+			}
+		}
+		if moved {
+			a.writes[i]++
+		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package genome
 
 import (
 	"fmt"
-	"sync"
 
 	"gnumap/internal/dna"
 )
@@ -194,7 +193,7 @@ type centDiscAcc struct {
 	total  []float32
 	code   []uint8
 	cb     *Codebook
-	locks  []sync.Mutex
+	tiles
 }
 
 func newCentDiscAcc(length int) *centDiscAcc {
@@ -203,7 +202,7 @@ func newCentDiscAcc(length int) *centDiscAcc {
 		total:  make([]float32, length),
 		code:   make([]uint8, length),
 		cb:     DefaultCodebook(),
-		locks:  stripes(length),
+		tiles:  newTiles(length),
 	}
 }
 
@@ -226,6 +225,7 @@ func (a *centDiscAcc) AddRange(start int, zs []Vec, weight float64) {
 	}
 	lkFirst, lkLast := lockRange(a.locks, from, to)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	a.mark(from, to)
 	for pos := from; pos < to; pos++ {
 		z := &zs[zsFrom+pos-from]
 		var mass float64
@@ -286,9 +286,11 @@ func (a *centDiscAcc) Merge(other Accumulator) error {
 	defer unlockRange(a.locks, lkFirst, lkLast)
 	for pos := 0; pos < a.length; pos++ {
 		ta, to := float64(a.total[pos]), float64(o.total[pos])
-		switch {
-		case to == 0:
+		if to == 0 {
 			continue
+		}
+		a.writes[pos>>stripeShift]++
+		switch {
 		case ta == 0:
 			a.total[pos] = o.total[pos]
 			a.code[pos] = o.code[pos]

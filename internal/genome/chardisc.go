@@ -2,7 +2,6 @@ package genome
 
 import (
 	"fmt"
-	"sync"
 
 	"gnumap/internal/dna"
 )
@@ -19,7 +18,7 @@ type charDiscAcc struct {
 	length int
 	total  []float32 // len = length
 	frac   []uint8   // len = 5·length
-	locks  []sync.Mutex
+	tiles
 }
 
 func newCharDiscAcc(length int) *charDiscAcc {
@@ -27,7 +26,7 @@ func newCharDiscAcc(length int) *charDiscAcc {
 		length: length,
 		total:  make([]float32, length),
 		frac:   make([]uint8, dna.NumChannels*length),
-		locks:  stripes(length),
+		tiles:  newTiles(length),
 	}
 }
 
@@ -99,6 +98,7 @@ func (a *charDiscAcc) AddRange(start int, zs []Vec, weight float64) {
 	}
 	lkFirst, lkLast := lockRange(a.locks, from, to)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	a.mark(from, to)
 	for pos := from; pos < to; pos++ {
 		z := &zs[zsFrom+pos-from]
 		v := a.realVec(pos)
@@ -136,6 +136,9 @@ func (a *charDiscAcc) Merge(other Accumulator) error {
 	}
 	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	// Every position is re-quantized, even where other holds nothing, and
+	// re-quantizing a stored vector is not proven to return its bytes.
+	a.markAll()
 	for pos := 0; pos < a.length; pos++ {
 		ov := o.realVec(pos)
 		v := a.realVec(pos)

@@ -135,10 +135,13 @@ func (a *normAcc) State() ([]byte, error) {
 }
 
 // LoadStateBytes implements Stateful (position-major wire format; see
-// State).
+// State). Every load counts a write on every tile; a failed one changes
+// nothing (decodeState validates the whole blob before it writes a
+// byte), so for it the marks are merely conservative.
 func (a *normAcc) LoadStateBytes(data []byte) error {
 	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	a.markAll()
 	inter := make([]float32, len(a.data))
 	if err := decodeState(data, 'N', a.length, inter, nil); err != nil {
 		return err
@@ -163,6 +166,7 @@ func (a *charDiscAcc) State() ([]byte, error) {
 func (a *charDiscAcc) LoadStateBytes(data []byte) error {
 	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	a.markAll()
 	return decodeState(data, 'C', a.length, a.total, a.frac)
 }
 
@@ -179,6 +183,7 @@ func (a *centDiscAcc) State() ([]byte, error) {
 func (a *centDiscAcc) LoadStateBytes(data []byte) error {
 	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
 	defer unlockRange(a.locks, lkFirst, lkLast)
+	a.markAll()
 	return decodeState(data, 'D', a.length, a.total, a.code)
 }
 
@@ -189,17 +194,21 @@ func CloneEmpty(a Accumulator) (Accumulator, error) {
 
 // Reset zeroes an accumulator's per-position state in place: a cluster
 // rank resets at a quiesce barrier after shipping its state and goes on
-// accumulating into the same arrays. Writers must be quiesced.
+// accumulating into the same arrays. Every tile counts a write. Writers
+// must be quiesced.
 func Reset(acc Accumulator) error {
 	switch a := acc.(type) {
 	case *normAcc:
 		clear(a.data)
+		a.markAll()
 	case *charDiscAcc:
 		clear(a.total)
 		clear(a.frac)
+		a.markAll()
 	case *centDiscAcc:
 		clear(a.total)
 		clear(a.code)
+		a.markAll()
 	default:
 		return fmt.Errorf("genome: %T cannot be reset", acc)
 	}

@@ -4,20 +4,23 @@ import (
 	"fmt"
 
 	"gnumap/internal/genome"
+	"gnumap/internal/obs"
 )
 
-// IncrementalCaller overlaps SNP calling with mapping. The streaming
-// pipeline already quiesces every writer at checkpoint barriers; at
-// each barrier the caller consults a RegionTracker for which fixed-size
-// genome regions received writes since the previous barrier and
-// re-sweeps only those regions, reading the parked accumulator in place
-// (CollectRange freezes a view, it copies nothing) — unchanged regions
-// reuse their cached candidates, which stay bit-valid because nothing
-// wrote there. Provisional call sets are then one FinalizeCalls pass
-// over the concatenated caches, and the final set (after the last batch
-// retires) reuses everything already swept — time-to-first-call moves
-// from "after mapping" to "during mapping", and the final sweep touches
-// only the regions the tail of the read stream wrote.
+// IncrementalCaller overlaps SNP calling with mapping. It is the
+// one-shot sweep plus a per-tile cache: the streaming pipeline quiesces
+// every writer at barriers, and at each one the caller reads the
+// accumulator's write-set (genome.Writes) and hands the tiles whose
+// write counter moved since their last sweep to the parallel sweep's
+// worker pool, reading the parked accumulator in place (CollectRange
+// freezes a view, it copies nothing). Every other tile reuses its
+// cached candidates, which stay bit-valid because nothing changed its
+// bytes — whether mass arrived through the engine's AddRange, a
+// read-split round's Merge or a checkpoint's LoadStateBytes, the
+// counters move alike. Provisional call sets are then one FinalizeCalls
+// pass over the caches concatenated in genome order, and the final set
+// (after the last batch retires) re-sweeps only the tiles the tail of
+// the read stream wrote.
 //
 // The caller assumes a full-genome accumulator (offset 0); the
 // distributed genome-split path keeps its own collect/gather flow.
@@ -25,12 +28,15 @@ import (
 // mapping runs, or inside the streaming pipeline's quiesce window) —
 // the caller itself is not safe for concurrent use.
 type IncrementalCaller struct {
-	ref     *genome.Reference
-	acc     genome.Accumulator
-	cfg     Config // resolved; Metrics stripped (sweeps re-run per barrier)
-	tracker *genome.RegionTracker
-	prev    []int64 // per-region tracker counts at last sweep (-1 = never)
-	cur     []int64
+	ref *genome.Reference
+	acc genome.Accumulator
+	cfg Config // resolved; Metrics stripped (tiles are re-swept per barrier)
+	// reg receives the pool's call.workers, call.chunks and
+	// call.sweep.seconds.
+	reg     *obs.Registry
+	workers int
+	seen    []uint64 // per-tile write count at the tile's last sweep
+	cur     []uint64
 	cands   [][]Candidate
 	tested  []int
 	sweeps  int64
@@ -38,64 +44,62 @@ type IncrementalCaller struct {
 	reused  int64
 }
 
-// DefaultRegionSize is the default incremental sweep granularity: large
-// enough that Touch adds at most a couple of atomic increments per
-// alignment, small enough that a barrier's re-sweep tracks the mapped
-// working set rather than the whole genome.
-const DefaultRegionSize = 16_384
+// unswept is the seen count of a tile no sweep has covered: write
+// counters start at zero and never reach it.
+const unswept = ^uint64(0)
 
-// NewIncrementalCaller builds an incremental caller over acc. Register
-// the Tracker() with the mapping engine before mapping starts;
-// regionSize <= 0 selects DefaultRegionSize.
-func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, regionSize int, cfg Config) (*IncrementalCaller, error) {
+// NewIncrementalCaller builds an incremental caller over acc, which
+// must keep a write-set (every genome.New layout does). Every tile
+// starts unswept, so state acc already holds is swept like freshly
+// mapped reads.
+func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, cfg Config) (*IncrementalCaller, error) {
 	if ref == nil || acc == nil {
 		return nil, fmt.Errorf("snp: nil reference or accumulator")
 	}
-	if regionSize <= 0 {
-		regionSize = DefaultRegionSize
-	}
-	tracker, err := genome.NewRegionTracker(acc.Len(), regionSize)
+	seen, err := genome.Writes(acc, nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	// Per-region sweeps repeat across barriers; the one-shot sweep
-	// counters (call.tested etc.) would double-count, so the incremental
-	// path reports through its own gauges (see Sweeps/RegionsSwept).
-	cfg.Metrics = nil
-	n := tracker.Regions()
-	prev := make([]int64, n)
-	for i := range prev {
-		prev[i] = -1
+	for i := range seen {
+		seen[i] = unswept
 	}
+	cfg = cfg.withDefaults()
+	// Tiles are re-swept barrier after barrier; the one-shot sweep
+	// counters (call.tested etc.) would double-count, so the incremental
+	// path reports through its own gauges (see Sweeps/RegionsSwept) and
+	// the pool's.
+	reg := cfg.Metrics
+	cfg.Metrics = nil
 	return &IncrementalCaller{
-		ref: ref, acc: acc, cfg: cfg, tracker: tracker,
-		prev: prev, cands: make([][]Candidate, n), tested: make([]int, n),
+		ref: ref, acc: acc, cfg: cfg, reg: reg, workers: callWorkers(&cfg),
+		seen: seen, cands: make([][]Candidate, len(seen)), tested: make([]int, len(seen)),
 	}, nil
 }
 
-// Tracker returns the per-region write tracker to register with the
-// mapping engine (core.Engine.SetRegionTracker).
-func (ic *IncrementalCaller) Tracker() *genome.RegionTracker { return ic.tracker }
-
-// Sweep refreshes the candidate caches of every region written since
-// the last Sweep. Writers must be quiesced.
+// Sweep refreshes the candidate caches of every tile written since its
+// last Sweep, on cfg.CallWorkers workers. Writers must be quiesced.
 func (ic *IncrementalCaller) Sweep() error {
-	ic.cur = ic.tracker.Snapshot(ic.cur)
+	var err error
+	if ic.cur, err = genome.Writes(ic.acc, ic.cur); err != nil {
+		return err
+	}
 	ic.sweeps++
-	for i := range ic.cur {
-		if ic.cur[i] == ic.prev[i] {
+	var dirty []int
+	var chunks []span
+	for i, w := range ic.cur {
+		if w == ic.seen[i] {
 			ic.reused++
 			continue
 		}
-		from, to := ic.tracker.Bounds(i)
-		cands, st, err := CollectRange(ic.ref, ic.acc, 0, from, to, ic.cfg)
-		if err != nil {
-			return err
+		dirty = append(dirty, i)
+		chunks = append(chunks, span{i * genome.TileSize, min((i+1)*genome.TileSize, ic.acc.Len())})
+	}
+	for j, r := range sweepChunks(ic.ref, ic.acc, 0, chunks, ic.workers, ic.cfg, ic.reg) {
+		if r.err != nil {
+			return r.err
 		}
-		ic.cands[i] = cands
-		ic.tested[i] = st.Tested
-		ic.prev[i] = ic.cur[i]
+		i := dirty[j]
+		ic.cands[i], ic.tested[i], ic.seen[i] = r.cands, r.st.Tested, ic.cur[i]
 		ic.reswept++
 	}
 	return nil
@@ -103,8 +107,8 @@ func (ic *IncrementalCaller) Sweep() error {
 
 // Provisional finalizes the current caches into a call set: one
 // FinalizeCalls pass (the single global significance decision) over the
-// region caches concatenated in genome order, exactly like the one-shot
-// sweep. Stats.Tested covers every region's last sweep.
+// tile caches concatenated in genome order, exactly like the one-shot
+// sweep. Stats.Tested covers every tile's last sweep.
 func (ic *IncrementalCaller) Provisional() ([]Call, Stats, error) {
 	total, tested := 0, 0
 	for i := range ic.cands {
@@ -136,9 +140,10 @@ func (ic *IncrementalCaller) Finalize() ([]Call, Stats, error) {
 // Sweeps returns how many Sweep passes have run.
 func (ic *IncrementalCaller) Sweeps() int64 { return ic.sweeps }
 
-// RegionsSwept returns the cumulative count of region sweeps executed.
+// RegionsSwept returns the cumulative count of tile sweeps executed.
 func (ic *IncrementalCaller) RegionsSwept() int64 { return ic.reswept }
 
-// RegionsReused returns the cumulative count of cache hits — regions a
-// Sweep skipped because no write touched them since their last sweep.
+// RegionsReused returns the cumulative count of cache hits — tiles a
+// Sweep skipped because their write counter had not moved since their
+// last sweep.
 func (ic *IncrementalCaller) RegionsReused() int64 { return ic.reused }

@@ -10,24 +10,30 @@ import (
 	"gnumap/internal/dna"
 	"gnumap/internal/genome"
 	"gnumap/internal/lrt"
+	"gnumap/internal/obs"
 )
 
-// Incremental calling in waves: every AddRange is mirrored by a tracker
-// Touch (exactly what the engine does), sweeps run at quiesce points —
+// Incremental calling in waves: writers AddRange into the accumulator,
+// which counts its own writes per tile; sweeps run at quiesce points —
 // the writers of a wave joined, as at a pipeline barrier — and both the
 // provisional set after the last barrier and the final set must be
 // bit-identical to a one-shot CallAll over the same accumulator, with
-// one writer and with four writing concurrently. Regions untouched
-// between sweeps must be reused, not re-swept.
+// one writer and with four writing concurrently, and with the sweeps on
+// one call worker and on four. Tiles untouched between sweeps must be
+// reused, not re-swept.
 func TestIncrementalMatchesCallAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			testIncrementalMatchesCallAll(t, workers)
+			for _, callWorkers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("call-workers-%d", callWorkers), func(t *testing.T) {
+					testIncrementalMatchesCallAll(t, workers, callWorkers)
+				})
+			}
 		})
 	}
 }
 
-func testIncrementalMatchesCallAll(t *testing.T, workers int) {
+func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 	const length = 40_000
 	rng := rand.New(rand.NewSource(37))
 	seq := make(dna.Seq, length)
@@ -42,14 +48,17 @@ func testIncrementalMatchesCallAll(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
-	ic, err := NewIncrementalCaller(ref, acc, 4_000, cfg)
+	reg := obs.NewRegistry()
+	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true, CallWorkers: callWorkers}
+	icCfg := cfg
+	icCfg.Metrics = reg
+	ic, err := NewIncrementalCaller(ref, acc, icCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker := ic.Tracker()
-	if got := tracker.Regions(); got != 10 {
-		t.Fatalf("Regions = %d, want 10", got)
+	const tiles = (length + genome.TileSize - 1) / genome.TileSize
+	if tiles != 10 {
+		t.Fatalf("%d tiles, want 10", tiles)
 	}
 
 	// A wave is drawn from rng up front and then written by `workers`
@@ -70,7 +79,6 @@ func testIncrementalMatchesCallAll(t *testing.T, workers int) {
 				for i := w; i < len(wave); i += workers {
 					ev := wave[i]
 					acc.AddRange(ev.pos, ev.zs, ev.w)
-					tracker.Touch(ev.pos, len(ev.zs))
 				}
 			}(w)
 		}
@@ -114,8 +122,14 @@ func testIncrementalMatchesCallAll(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	sweptAfter1 := ic.RegionsSwept()
-	if sweptAfter1 == 0 {
-		t.Fatal("first sweep touched no regions")
+	if sweptAfter1 != tiles {
+		t.Fatalf("first sweep covered %d tiles, want all %d", sweptAfter1, tiles)
+	}
+	if got := reg.Counter("call.chunks").Value(); got != tiles {
+		t.Fatalf("call.chunks = %d after the first sweep, want one per tile (%d)", got, tiles)
+	}
+	if got := reg.Gauge("call.workers").Value(); got != float64(callWorkers) {
+		t.Fatalf("call.workers = %v, want %d", got, callWorkers)
 	}
 
 	// Idle sweep: nothing written, everything must be reused.
@@ -124,22 +138,22 @@ func testIncrementalMatchesCallAll(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	if ic.RegionsSwept() != sweptAfter1 {
-		t.Fatalf("idle sweep re-swept regions: %d -> %d", sweptAfter1, ic.RegionsSwept())
+		t.Fatalf("idle sweep re-swept tiles: %d -> %d", sweptAfter1, ic.RegionsSwept())
 	}
-	if ic.RegionsReused() != reusedBefore+int64(tracker.Regions()) {
-		t.Fatalf("idle sweep reused %d regions, want all %d", ic.RegionsReused()-reusedBefore, tracker.Regions())
+	if ic.RegionsReused() != reusedBefore+tiles {
+		t.Fatalf("idle sweep reused %d tiles, want all %d", ic.RegionsReused()-reusedBefore, tiles)
 	}
 
-	// Wave 2: a single back-half region; the next sweep must only touch
-	// the written region(s).
+	// Wave 2: the last two tiles only; the next sweep must only touch
+	// the written tiles.
 	add(length-6_000, length-1_000, 400)
 	write()
 	sweptBefore := ic.RegionsSwept()
 	if err := ic.Sweep(); err != nil {
 		t.Fatal(err)
 	}
-	if delta := ic.RegionsSwept() - sweptBefore; delta < 1 || delta > 3 {
-		t.Fatalf("localized wave re-swept %d regions, want 1-3", delta)
+	if delta := ic.RegionsSwept() - sweptBefore; delta != 2 {
+		t.Fatalf("localized wave re-swept %d tiles, want 2", delta)
 	}
 
 	// Wave 3, its barrier's provisional set, then finalize: each
@@ -183,10 +197,14 @@ func testIncrementalMatchesCallAll(t *testing.T, workers int) {
 
 func TestIncrementalCallerValidation(t *testing.T) {
 	ref, acc := fixture(t)
-	if _, err := NewIncrementalCaller(nil, acc, 0, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(nil, acc, Config{}); err == nil {
 		t.Error("nil reference accepted")
 	}
-	if _, err := NewIncrementalCaller(ref, nil, 0, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(ref, nil, Config{}); err == nil {
 		t.Error("nil accumulator accepted")
+	}
+	// The cache is only as good as the write-set it reads.
+	if _, err := NewIncrementalCaller(ref, opaqueAcc{acc}, Config{}); err == nil {
+		t.Error("accumulator without a write-set accepted")
 	}
 }

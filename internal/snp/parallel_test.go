@@ -66,7 +66,8 @@ func bigFixture(t testing.TB, length int, seed int64) (*genome.Reference, genome
 
 // Satellite: the parallel caller must be bit-identical to the serial
 // one — candidates, calls, stats, and FDR decisions — at several worker
-// counts, including one (7) that does not divide the chunk count.
+// counts, including one (7) that does not divide the chunk count and
+// exceeds it.
 func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	const length = 20_000
 	ref, acc := bigFixture(t, length, 42)
@@ -83,7 +84,6 @@ func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4, 7} {
 		cfg := base
 		cfg.CallWorkers = workers
-		cfg.CallChunk = 1009 // prime, so chunks straddle evidence sites unevenly
 		gotCands, gotSt, err := CollectRangeParallel(ref, acc, 0, 0, length, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -114,7 +114,6 @@ func TestCallRangeParallelFDRIdentical(t *testing.T) {
 	for _, workers := range []int{4, 7} {
 		cfg := serial
 		cfg.CallWorkers = workers
-		cfg.CallChunk = 2048
 		gotCalls, gotSt, err := CallRange(ref, acc, 0, 0, length, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -141,7 +140,6 @@ func TestCollectRangeParallelOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.CallWorkers = 4
-	cfg.CallChunk = 1536
 	gotCands, gotSt, err := CollectRangeParallel(ref, full, 0, offset-500, offset+subLen+999, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,13 +150,14 @@ func TestCollectRangeParallelOffset(t *testing.T) {
 }
 
 // The sweep must publish call.workers / call.chunks / call.sweep.seconds
-// when a registry is attached, and fall back to the serial path (no
-// metrics beyond what CollectRange emits) for short ranges.
+// when a registry is attached — one chunk per tile here, at four workers
+// — and fall back to the serial path (no metrics beyond what
+// CollectRange emits) for short ranges.
 func TestCollectRangeParallelMetrics(t *testing.T) {
 	const length = 20_000
 	ref, acc := bigFixture(t, length, 5)
 	reg := obs.NewRegistry()
-	cfg := Config{Ploidy: lrt.Diploid, CallWorkers: 4, CallChunk: 2048, Metrics: reg}
+	cfg := Config{Ploidy: lrt.Diploid, CallWorkers: 4, Metrics: reg}
 	if _, _, err := CollectRangeParallel(ref, acc, 0, 0, length, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestCollectRangeParallelMetrics(t *testing.T) {
 	if got := snap.Gauges["call.workers"]; got != 4 {
 		t.Errorf("call.workers = %v, want 4", got)
 	}
-	wantChunks := (length + 2048 - 1) / 2048
+	wantChunks := (length + genome.TileSize - 1) / genome.TileSize
 	if got := snap.Counters["call.chunks"]; got != int64(wantChunks) {
 		t.Errorf("call.chunks = %v, want %d", got, wantChunks)
 	}

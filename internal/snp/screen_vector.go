@@ -12,7 +12,7 @@ import (
 
 // The plane-streaming vectorized calling sweep.
 //
-// The scalar sweep (CollectRange's per-position loop) gathers a
+// The scalar sweep (collectScalar's per-position loop) gathers a
 // [5]float64 vector, sums its depth, screens it, and only rarely — at
 // loci with a variant signal — pays for lrt.Test. The vectorized path
 // restructures exactly that work around the frozen NORM planes
@@ -80,11 +80,11 @@ func VectorKernel() string {
 }
 
 // vectorEligible reports whether the plane-streaming sweep can replace
-// the scalar loop: the knob is on (non-negative), the prescreen is not
-// bypassed (the test-only exhaustive sweep stays scalar), and the
-// frozen view exposes NORM channel planes.
+// the scalar loop: the prescreen is not bypassed (the test-only
+// exhaustive sweep stays scalar) and the frozen view exposes NORM
+// channel planes.
 func vectorEligible(cfg *Config, fz *genome.Frozen) bool {
-	return cfg.CallVector >= 0 && !cfg.noPrescreen && fz != nil && fz.Mode() == genome.Norm
+	return !cfg.noPrescreen && fz != nil && fz.Mode() == genome.Norm
 }
 
 // prescreenBlocks classifies blocks×8 consecutive positions, writing
@@ -195,11 +195,10 @@ func prescreenBlocksGeneric(planes *[dna.NumChannels][]float32, start int, refc 
 
 // collectRangeVector is CollectRange's plane-streaming body: classify
 // whole lane-blocks through prescreenBlocks, gather survivors into
-// dense batches for lrt.TestBatch, and fall back to the scalar
-// per-position code only for the sub-block tail. Returns the
-// candidates in genome order plus the tested and screened counts;
-// on error the counts cover exactly the positions the scalar sweep
-// would have processed before failing.
+// dense batches for lrt.TestBatch, and hand only the sub-block tail to
+// the scalar sweep. Returns the candidates in genome order plus the
+// tested and screened counts; on error the counts cover exactly the
+// positions the scalar sweep would have processed before failing.
 func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, to int, cfg *Config) ([]Candidate, int, int64, error) {
 	planes, ok := fz.PlaneWindow(0, fz.Len())
 	if !ok {
@@ -234,28 +233,7 @@ func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, 
 		for i := 0; i < nb; i++ {
 			tested++
 			g := batchG[i]
-			contig, local, err := ref.Locate(g)
-			if err != nil {
-				// Inter-contig spacer positions are not callable.
-				continue
-			}
-			res := &batchR[i]
-			candidates = append(candidates, Candidate{
-				Call: Call{
-					Contig:    contig,
-					Pos:       local,
-					GlobalPos: g,
-					Ref:       refSeq[g],
-					Allele:    res.Top,
-					Allele2:   res.Top,
-					Het:       res.Heterozygous,
-					Stat:      res.Stat,
-					PValue:    res.PValue,
-					Depth:     batchD[i],
-				},
-				Second:        res.Second,
-				MinorFraction: res.MinorFraction,
-			})
+			candidates = appendCandidate(candidates, ref, g, refSeq[g], batchD[i], &batchR[i])
 		}
 		nb = 0
 		return nil
@@ -342,47 +320,7 @@ func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, 
 		return nil, tested, screened, err
 	}
 
-	// Sub-block tail: the scalar per-position path, byte for byte.
-	for g := from + nBlocks*screenLanes; g < to; g++ {
-		v := fz.Vector(g - offset)
-		var depth float64
-		for _, x := range v {
-			depth += x
-		}
-		if depth < cfg.MinDepth {
-			continue
-		}
-		refBase := refSeq[g]
-		if prescreenSkip(v, depth, refBase, cfg) {
-			tested++
-			screened++
-			continue
-		}
-		res, err := lrt.Test(v, cfg.Ploidy)
-		if err != nil {
-			return nil, tested, screened, err
-		}
-		tested++
-		contig, local, err := ref.Locate(g)
-		if err != nil {
-			continue
-		}
-		candidates = append(candidates, Candidate{
-			Call: Call{
-				Contig:    contig,
-				Pos:       local,
-				GlobalPos: g,
-				Ref:       refBase,
-				Allele:    res.Top,
-				Allele2:   res.Top,
-				Het:       res.Heterozygous,
-				Stat:      res.Stat,
-				PValue:    res.PValue,
-				Depth:     depth,
-			},
-			Second:        res.Second,
-			MinorFraction: res.MinorFraction,
-		})
-	}
-	return candidates, tested, screened, nil
+	// Sub-block tail: the scalar sweep itself.
+	candidates, tailTested, tailScreened, err := collectScalar(ref, fz, offset, from+nBlocks*screenLanes, to, cfg, candidates)
+	return candidates, tested + tailTested, screened + tailScreened, err
 }

@@ -73,28 +73,17 @@ type Config struct {
 	MinHetMinorFraction float64
 	// CallWorkers sets the calling sweep's worker count: 0 uses
 	// GOMAXPROCS, 1 or negative forces the serial sweep. The parallel
-	// sweep is bit-identical to the serial one — chunks are
-	// concatenated in genome order before the single global
-	// significance pass.
+	// sweep cuts the range into chunks of whole accumulator tiles
+	// (genome.TileSize) and is bit-identical to the serial one — chunks
+	// are concatenated in genome order before the single global
+	// significance pass. It is an execution knob, deliberately absent
+	// from checkpoint fingerprints.
 	CallWorkers int
-	// CallChunk is the chunk size, in genome positions, of the
-	// parallel calling sweep (0 picks range/(4·workers), floored at
-	// 2048, so chunks stay large enough to amortize dispatch but small
-	// enough to balance load).
-	CallChunk int
-	// CallVector selects the plane-streaming vectorized sweep
-	// (screen_vector.go): 0 (the default) uses it wherever the frozen
-	// view exposes NORM planes, a negative value forces the scalar
-	// per-position loop everywhere. The vectorized sweep is
-	// bit-identical to the scalar one by construction, so this is an
-	// execution knob like CallWorkers — it is deliberately absent from
-	// checkpoint fingerprints and may change freely across a resume.
-	CallVector int
 	// Metrics, when non-nil, receives the caller's stage timers and
 	// counters (call.collect.seconds, call.finalize.seconds,
 	// call.tested, call.prescreened, call.significant, call.snps; the
-	// parallel sweep adds call.workers, call.chunks and per-chunk
-	// call.sweep.seconds).
+	// parallel and incremental sweeps add call.workers, call.chunks and
+	// per-chunk call.sweep.seconds).
 	Metrics *obs.Registry
 
 	// noPrescreen bypasses the coverage/allele prescreen (see
@@ -183,10 +172,18 @@ func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) 
 // The sweep reads through a lock-free frozen view when the accumulator
 // supports one (every in-tree layout does), falling back to the locked
 // per-position interface otherwise, and runs the conservative
-// prescreen (prescreen.go) in front of the LRT. Both paths and the
-// parallel sweep screen identically, so serial and parallel results
-// stay bit-identical.
+// prescreen (prescreen.go) in front of the LRT. NORM planes stream
+// through the vectorized sweep (screen_vector.go), everything else
+// through the scalar loop (collectScalar); both screen identically, so
+// the two and the parallel sweep are bit-identical.
 func CollectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config) ([]Candidate, Stats, error) {
+	return collectRange(ref, acc, offset, from, to, cfg, true)
+}
+
+// collectRange is CollectRange with the vectorized sweep allowed or not:
+// tests pass vector=false to pin the scalar loop, the oracle the
+// vectorized sweep must match.
+func collectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config, vector bool) ([]Candidate, Stats, error) {
 	cfg = cfg.withDefaults()
 	var st Stats
 	if ref == nil || acc == nil {
@@ -196,33 +193,41 @@ func CollectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, t
 	from, to = clampSweep(ref, acc.Len(), offset, from, to)
 	// A frozen view reads the quiesced accumulator without the stripe
 	// locks; non-freezable implementations keep the locked path.
-	fz, fzErr := genome.Freeze(acc)
-	if fzErr != nil {
-		fz = nil
-	}
-	if vectorEligible(&cfg, fz) {
-		// Plane-streaming vectorized sweep: classifies 8-position lane
-		// blocks straight off the frozen NORM planes and batches the
-		// LRT over the survivors. Bit-identical to the loop below by
-		// construction (see screen_vector.go).
-		candidates, tested, screened, err := collectRangeVector(ref, fz, offset, from, to, &cfg)
-		st.Tested = tested
-		if err != nil {
-			return nil, st, err
-		}
-		cfg.Metrics.Counter("call.tested").Add(int64(tested))
-		cfg.Metrics.Counter("call.prescreened").Add(screened)
-		return candidates, st, nil
+	var src vectorSource = acc
+	fz, err := genome.Freeze(acc)
+	if err == nil {
+		src = fz
 	}
 	var candidates []Candidate
 	var screened int64
+	if vector && vectorEligible(&cfg, fz) {
+		candidates, st.Tested, screened, err = collectRangeVector(ref, fz, offset, from, to, &cfg)
+	} else {
+		candidates, st.Tested, screened, err = collectScalar(ref, src, offset, from, to, &cfg, nil)
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	cfg.Metrics.Counter("call.tested").Add(int64(st.Tested))
+	cfg.Metrics.Counter("call.prescreened").Add(screened)
+	return candidates, st, nil
+}
+
+// vectorSource is what the scalar sweep reads positions from: a frozen
+// view, or the locked interface of an accumulator that has none.
+type vectorSource interface{ Vector(pos int) genome.Vec }
+
+// collectScalar is the per-position sweep over global positions
+// [from, to): gather the channel vector, sum its depth, screen, test,
+// and append the survivors to cands. It is the whole sweep for the
+// discrete layouts, foreign accumulators and the unscreened oracle, and
+// the vectorized sweep's sub-block tail. Returns the tested and
+// screened counts; on error they cover the positions before it.
+func collectScalar(ref *genome.Reference, src vectorSource, offset, from, to int, cfg *Config, cands []Candidate) ([]Candidate, int, int64, error) {
+	var tested int
+	var screened int64
 	for g := from; g < to; g++ {
-		var v genome.Vec
-		if fz != nil {
-			v = fz.Vector(g - offset)
-		} else {
-			v = acc.Vector(g - offset)
-		}
+		v := src.Vector(g - offset)
 		var depth float64
 		for _, x := range v {
 			depth += x
@@ -232,45 +237,48 @@ func CollectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, t
 		}
 		refBase, err := ref.Base(g)
 		if err != nil {
-			return nil, st, err
+			return nil, tested, screened, err
 		}
-		if !cfg.noPrescreen && prescreenSkip(v, depth, refBase, &cfg) {
+		if !cfg.noPrescreen && prescreenSkip(v, depth, refBase, cfg) {
 			// Provably cannot produce a SNP call at any significance
 			// threshold; counted as tested, never a candidate.
-			st.Tested++
+			tested++
 			screened++
 			continue
 		}
 		res, err := lrt.Test(v, cfg.Ploidy)
 		if err != nil {
-			return nil, st, err
+			return nil, tested, screened, err
 		}
-		st.Tested++
-		contig, local, err := ref.Locate(g)
-		if err != nil {
-			// Inter-contig spacer positions are not callable.
-			continue
-		}
-		candidates = append(candidates, Candidate{
-			Call: Call{
-				Contig:    contig,
-				Pos:       local,
-				GlobalPos: g,
-				Ref:       refBase,
-				Allele:    res.Top,
-				Allele2:   res.Top,
-				Het:       res.Heterozygous,
-				Stat:      res.Stat,
-				PValue:    res.PValue,
-				Depth:     depth,
-			},
-			Second:        res.Second,
-			MinorFraction: res.MinorFraction,
-		})
+		tested++
+		cands = appendCandidate(cands, ref, g, refBase, depth, &res)
 	}
-	cfg.Metrics.Counter("call.tested").Add(int64(st.Tested))
-	cfg.Metrics.Counter("call.prescreened").Add(screened)
-	return candidates, st, nil
+	return cands, tested, screened, nil
+}
+
+// appendCandidate appends tested position g to cands, unless it falls in
+// an inter-contig spacer, which is not callable.
+func appendCandidate(cands []Candidate, ref *genome.Reference, g int, refBase dna.Code, depth float64, res *lrt.Result) []Candidate {
+	contig, local, err := ref.Locate(g)
+	if err != nil {
+		return cands
+	}
+	return append(cands, Candidate{
+		Call: Call{
+			Contig:    contig,
+			Pos:       local,
+			GlobalPos: g,
+			Ref:       refBase,
+			Allele:    res.Top,
+			Allele2:   res.Top,
+			Het:       res.Heterozygous,
+			Stat:      res.Stat,
+			PValue:    res.PValue,
+			Depth:     depth,
+		},
+		Second:        res.Second,
+		MinorFraction: res.MinorFraction,
+	})
 }
 
 // FinalizeCalls applies the significance decision — the fixed

@@ -122,9 +122,9 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 	seed := int64(4000)
 	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
 		for _, source := range []string{"striped", "opaque"} {
-			// Discrete modes and opaque sources take the scalar path under
-			// both knob settings (vectorEligible); run a reduced matrix
-			// there — the interesting surface is NORM.
+			// Discrete modes and opaque sources take the scalar path either
+			// way (vectorEligible); run a reduced matrix there — the
+			// interesting surface is NORM.
 			cfgs, maxWorkers := configs, 8
 			if mode != genome.Norm || source == "opaque" {
 				cfgs, maxWorkers = configs[:2], 4
@@ -133,9 +133,7 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 			ref, acc := vectorFixture(t, mode, source, length, seed)
 			for _, tc := range cfgs {
 				scalar := tc.cfg
-				scalar.CallVector = -1
-				scalar.CallWorkers = 1
-				wantCands, wantSt, err := CollectRange(ref, acc, 0, 0, ref.Len(), scalar)
+				wantCands, wantSt, err := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +147,6 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 				for workers := 1; workers <= maxWorkers; workers++ {
 					vec := tc.cfg
 					vec.CallWorkers = workers
-					vec.CallChunk = 3072
 					name := fmt.Sprintf("%v/%s/%s/w%d", mode, source, tc.name, workers)
 					gotCands, gotSt, err := CollectRangeParallel(ref, acc, 0, 0, ref.Len(), vec)
 					if err != nil {
@@ -305,8 +302,8 @@ func TestVectorSweepErrorIdentity(t *testing.T) {
 	ref, acc := vectorFixture(t, genome.Norm, "striped", length, 9)
 	// Plant a negative channel with enough depth to pass every filter.
 	acc.AddRange(1234, []genome.Vec{{6, 6, -3, 0, 0}}, 1)
-	scalar := Config{Ploidy: lrt.Diploid, CallVector: -1}
-	wantCands, wantSt, wantErr := CollectRange(ref, acc, 0, 0, ref.Len(), scalar)
+	scalar := Config{Ploidy: lrt.Diploid}
+	wantCands, wantSt, wantErr := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
 	if wantErr == nil {
 		t.Fatal("scalar sweep accepted a negative channel")
 	}
@@ -332,9 +329,7 @@ func TestVectorSweepUnalignedWindows(t *testing.T) {
 	ref, acc := vectorFixture(t, genome.Norm, "striped", length, 11)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
 	for _, w := range [][2]int{{0, 5}, {3, 11}, {100, 1003}, {8, 8}, {4091, ref.Len()}, {0, ref.Len() - 1}} {
-		scalar := cfg
-		scalar.CallVector = -1
-		wantCands, wantSt, err := CollectRange(ref, acc, 0, w[0], w[1], scalar)
+		wantCands, wantSt, err := collectRange(ref, acc, 0, w[0], w[1], cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}

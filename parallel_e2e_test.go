@@ -31,7 +31,6 @@ func TestClusterParallelCallerDeterminism(t *testing.T) {
 
 			par := base
 			par.Caller.CallWorkers = 4
-			par.Caller.CallChunk = 4096
 			got, gotSt, err := RunClusterStream(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), par)
 			if err != nil {
 				t.Fatalf("np=%d %v parallel: %v", nodes, mode, err)
@@ -118,8 +117,8 @@ func TestAccumulatorMemoryIndependentOfWorkers(t *testing.T) {
 }
 
 // An incremental pipeline sweeps its accumulator in place: what
-// Options.Incremental adds to a pipeline's live heap is the region
-// tracker and the candidate caches, not a second genome-sized copy.
+// Options.Incremental adds to a pipeline's live heap is the per-tile
+// write counts and candidate caches, not a second genome-sized copy.
 func TestIncrementalPipelineHoldsOneCopy(t *testing.T) {
 	const length = 1 << 20 // 20 MiB of NORM planes
 	rng := rand.New(rand.NewSource(5))
