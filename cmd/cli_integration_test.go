@@ -5,6 +5,7 @@
 package cmd_test
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -352,10 +353,14 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		t.Fatalf("plain run: %v\n%s", err, out)
 	}
 	// -workers is the one parallelism knob: at -workers 1 the calling
-	// sweep is serial too, whatever GOMAXPROCS is (the chunked sweep
-	// would have counted its chunks).
-	if m, err := os.ReadFile(metricsPath); err != nil || strings.Contains(string(m), "call.chunks") {
-		t.Errorf("-workers 1 ran the chunked calling sweep (read metrics: %v)", err)
+	// sweep runs on one worker too, whatever GOMAXPROCS is.
+	var report struct {
+		Merged struct{ Gauges map[string]float64 }
+	}
+	if m, err := os.ReadFile(metricsPath); err != nil || json.Unmarshal(m, &report) != nil {
+		t.Errorf("read metrics: %v", err)
+	} else if w := report.Merged.Gauges["call.workers"]; w != 1 {
+		t.Errorf("-workers 1 swept on call.workers = %v", w)
 	}
 	if !strings.Contains(string(plain), "\tPASS\t") {
 		t.Fatal("plain run called no SNPs; dataset too weak for an identity table")

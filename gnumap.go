@@ -130,9 +130,9 @@ type Options struct {
 	// read-split across ranks alike.
 	Checkpoint *CheckpointConfig
 	// Incremental, when non-nil, overlaps SNP calling with a Pipeline's
-	// mapping: the caller re-sweeps written genome tiles at quiesce
-	// barriers (the same barriers Checkpoint uses, each on its own
-	// cadence) and Pipeline.Call returns its final sweep.
+	// mapping: the pipeline's caller also sweeps written genome tiles at
+	// quiesce barriers (the same barriers Checkpoint uses, each on its
+	// own cadence), so Pipeline.Call re-sweeps only what the tail wrote.
 	//
 	// Not every feature composes with every placement; CheckModes says
 	// which do not, and why.
@@ -220,8 +220,11 @@ type Pipeline struct {
 	// skip is a resumed checkpoint's watermark, pending until the first
 	// source is mapped (its already-mapped prefix is discarded).
 	skip int64
-	// inc is the incremental caller (Options.Incremental), nil otherwise.
-	inc *incrementalRun
+	// caller sweeps the accumulator's tiles for every call set of the
+	// pipeline's life; inc hangs provisional sweeps on the mapping
+	// barriers (Options.Incremental), nil otherwise.
+	caller *snp.IncrementalCaller
+	inc    *incrementalRun
 	// rankRegs are the worker ranks' registries of a cluster pipeline
 	// with metrics on (index 0 unused: rank 0 records into the engine's),
 	// rankSnaps what the latest mapping call gathered from them, and
@@ -272,10 +275,13 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 			}
 		}
 	}
+	// State adopted later (LoadState) needs no new caller: loading counts
+	// a write on every tile, so the next sweep covers it.
+	if p.caller, err = snp.NewIncrementalCaller(ref, acc, 0, opts.Caller); err != nil {
+		return nil, err
+	}
 	if opts.Incremental != nil {
-		if p.inc, err = p.newIncrementalRun(); err != nil {
-			return nil, err
-		}
+		p.inc = p.newIncrementalRun()
 	}
 	return p, nil
 }
@@ -381,22 +387,14 @@ func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (Map
 			// the caller decides whether to call on partial state.
 			return err
 		}
-		snaps, dead, err := gatherRankMetrics(c, rreg)
+		snaps, dead, err := core.GatherMetrics(c, rreg.Snapshot(c.Rank()))
 		if c.Rank() == 0 && err == nil {
-			p.rankSnaps, p.deadRanks = snaps[1:], unionInts(p.deadRanks, dead)
+			p.rankSnaps, p.deadRanks = snaps[1:], core.UnionRanks(p.deadRanks, dead)
 		}
 		return err
 	})
-	p.deadRanks = unionInts(p.deadRanks, st.LostRanks)
+	p.deadRanks = core.UnionRanks(p.deadRanks, st.LostRanks)
 	return st, err
-}
-
-// gatherRankMetrics publishes the rank's communication counters and
-// gathers every rank's snapshot at rank 0 (tolerating dead ranks on
-// fault-tolerant runs).
-func gatherRankMetrics(c *cluster.Comm, reg *MetricsRegistry) ([]MetricsSnapshot, []int, error) {
-	c.PublishStats()
-	return core.GatherMetrics(c, reg.Snapshot(c.Rank()))
 }
 
 // MetricsReport merges what the pipeline has recorded: the engine's
@@ -417,22 +415,14 @@ func newRunReport(snaps []MetricsSnapshot, dead []int) (*MetricsReport, error) {
 	return obs.NewReport(append(snaps, obs.Default().Snapshot(obs.ProcessRank)), dead)
 }
 
-// Call runs the likelihood-ratio SNP caller over the accumulated state.
-// With Caller.CallWorkers > 1 (or 0 on a multi-core host) the sweep is
-// chunked across a worker pool; the result is bit-identical to the
-// serial sweep because candidates concatenate in genome order before
-// the single global significance pass. An incremental pipeline instead
-// finishes with one more incremental sweep — touching only the tiles
-// written since the last barrier — which is bit-identical to the
-// one-shot sweep over the same accumulator at any worker count.
+// Call runs the likelihood-ratio SNP caller over the accumulated state:
+// the pipeline's caller re-sweeps the tiles written since its last
+// sweep — every tile on the first Call, unless barrier sweeps already
+// covered them — on Caller.CallWorkers workers, then makes the single
+// global significance decision. The result is bit-identical to a serial
+// sweep of the whole accumulator at any worker count.
 func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
-	if p.inc != nil {
-		if err := p.inc.sweep(); err != nil {
-			return nil, CallStats{}, err
-		}
-		return p.inc.ic.Provisional()
-	}
-	return snp.CallAll(p.ref, p.acc, p.opts.Caller)
+	return p.caller.Finalize()
 }
 
 // WriteVCF writes calls as VCF 4.2.
@@ -944,13 +934,13 @@ func CheckModes(opts Options, outputs ...string) error {
 // Engine.{Batch,Queue,Workers}; with Cluster.OpTimeout set it also
 // retains what it dealt since the last checkpoint round, to re-deal a
 // lost rank's share; rank 0 calls SNPs. In GenomeSplit mode rank 0
-// broadcasts the source a batch at a time, every rank calls SNPs on its
-// genome slice and the calls are gathered — except under FDR control,
-// where the per-position LRT candidates are gathered to rank 0 and the
-// Benjamini-Hochberg pass runs once over the global candidate list (BH
-// thresholds depend on the full ranked p-value list, so running it per
-// shard changes the call set with the node count). Either way the
-// result is equivalent to a single-process run.
+// broadcasts the source a batch at a time, every rank sweeps its genome
+// slice for LRT candidates, and rank 0 gathers them and makes one
+// significance decision over the global candidate list (under FDR
+// control the Benjamini-Hochberg thresholds depend on the full ranked
+// p-value list, so a per-shard pass would change the call set with the
+// node count). Either way the result is equivalent to a single-process
+// run.
 func RunClusterStream(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, error) {
 
@@ -1009,8 +999,9 @@ func runCluster(nodes int, transport Transport, mode SplitMode,
 }
 
 // runGenomeSplit executes a genome-split cluster run over src, which
-// rank 0 owns: every rank maps every read against its genome slice, then
-// calls SNPs on it (or collects LRT candidates for the global FDR pass).
+// rank 0 owns: every rank maps every read against its genome slice and
+// sweeps the slice for LRT candidates, which rank 0 gathers and
+// finalizes.
 func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
 	if err := CheckModes(opts); err != nil {
 		return nil, MapStats{}, nil, err
@@ -1019,14 +1010,13 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetri
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
-	nodes := opts.Cluster.Nodes
-	collect := make([][]SNPCall, nodes)
 	// Written only by rank 0's node goroutine; read after RunWithConfig
 	// returns (which waits all goroutines out).
+	var calls []SNPCall
 	var stats MapStats
 	var snaps []MetricsSnapshot
 	var dead []int
-	err = cluster.RunWithConfig(nodes, opts.Cluster.runConfig(), func(c *cluster.Comm) error {
+	err = cluster.RunWithConfig(opts.Cluster.Nodes, opts.Cluster.runConfig(), func(c *cluster.Comm) error {
 		engCfg, caller := opts.Engine, opts.Caller
 		var reg *MetricsRegistry
 		if withMetrics {
@@ -1034,48 +1024,47 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetri
 			engCfg.Metrics, caller.Metrics = reg, reg
 			c.SetMetrics(reg)
 		}
-		acc, lo, hi, st, err := core.RunGenomeSplit(c, ref, src, opts.Memory, engCfg)
+		acc, lo, _, st, err := core.RunGenomeSplit(c, ref, src, opts.Memory, engCfg)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
 			stats = st
 		}
-		if caller.UseFDR {
-			// The Benjamini-Hochberg threshold for each hypothesis
-			// depends on the rank of its p-value in the FULL sorted list.
-			// Running CallRange per shard applied BH with shard-local
-			// lists and shard-local n, so genome-split call sets diverged
-			// from single-process runs. Gather the candidates and apply
-			// one global BH pass at rank 0 instead.
-			cands, _, err := snp.CollectRangeParallel(ref, acc, lo, lo, hi, caller)
-			if err != nil {
-				return err
-			}
-			all, err := c.Gather(0, cands)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				var merged []snp.Candidate
-				for r, v := range all {
-					part, ok := v.([]snp.Candidate)
-					if !ok {
-						return fmt.Errorf("gnumap: rank %d sent candidate payload %T", r, v)
-					}
-					merged = append(merged, part...)
-				}
-				if collect[0], _, err = snp.FinalizeCalls(merged, caller); err != nil {
-					return err
-				}
-			}
-		} else if collect[c.Rank()], _, err = snp.CallRange(ref, acc, lo, lo, hi, caller); err != nil {
+		// The significance decision is made once, over every slice's
+		// candidates: the Benjamini-Hochberg threshold for each hypothesis
+		// depends on the rank of its p-value in the FULL sorted list (the
+		// fixed cutoff, het demotion and Alpha < 0 are per candidate, so
+		// they agree either way).
+		ic, err := snp.NewIncrementalCaller(ref, acc, lo, caller)
+		if err != nil {
 			return err
+		}
+		cands, _, err := ic.Candidates()
+		if err != nil {
+			return err
+		}
+		all, err := c.Gather(0, cands)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			var merged []snp.Candidate
+			for r, v := range all {
+				part, ok := v.([]snp.Candidate)
+				if !ok {
+					return fmt.Errorf("gnumap: rank %d sent candidate payload %T", r, v)
+				}
+				merged = append(merged, part...)
+			}
+			if calls, _, err = snp.FinalizeCalls(merged, caller); err != nil {
+				return err
+			}
 		}
 		if reg == nil {
 			return nil
 		}
-		got, gotDead, err := gatherRankMetrics(c, reg)
+		got, gotDead, err := core.GatherMetrics(c, reg.Snapshot(c.Rank()))
 		if c.Rank() == 0 {
 			snaps, dead = got, gotDead
 		}
@@ -1084,10 +1073,6 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetri
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
-	var calls []SNPCall
-	for _, cs := range collect {
-		calls = append(calls, cs...)
-	}
 	var report *MetricsReport
 	if withMetrics {
 		if report, err = newRunReport(snaps, dead); err != nil {
@@ -1095,23 +1080,4 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetri
 		}
 	}
 	return calls, stats, report, nil
-}
-
-// unionInts merges two int lists (duplicates removed; order left to
-// the consumer, which sorts).
-func unionInts(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[int]bool, len(a)+len(b))
-	var out []int
-	for _, xs := range [2][]int{a, b} {
-		for _, x := range xs {
-			if !seen[x] {
-				seen[x] = true
-				out = append(out, x)
-			}
-		}
-	}
-	return out
 }

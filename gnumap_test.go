@@ -654,8 +654,8 @@ func TestRunClusterReportHealthy(t *testing.T) {
 	if m.Histograms["map.read.seconds"].Count == 0 {
 		t.Error("merged map.read.seconds histogram is empty")
 	}
-	if m.Gauges["comm.packets.sent"] == 0 {
-		t.Error("merged comm.packets.sent gauge is zero on a 3-rank run")
+	if m.Counters["comm.send.count"] == 0 {
+		t.Error("merged comm.send.count counter is zero on a 3-rank run")
 	}
 	var buf bytes.Buffer
 	if err := report.WriteJSON(&buf); err != nil {

@@ -3,9 +3,9 @@ package gnumap
 // Incremental calling overlapped with mapping (DESIGN.md §14). The
 // mapping pipeline quiesces every writer at barriers — in one process,
 // or at rank 0 once a read-split round has folded every rank's state —
-// and an incremental run subscribes the snp.IncrementalCaller to them,
-// so provisional SNP calls are available while mapping is still running
-// and the final call set reuses almost every tile sweep —
+// and an incremental run subscribes the pipeline's snp.IncrementalCaller
+// to them, so provisional SNP calls are available while mapping is
+// still running and Pipeline.Call reuses almost every tile sweep —
 // time-to-first-call moves from "after mapping" to "during mapping".
 
 import (
@@ -44,11 +44,11 @@ type IncrementalStats struct {
 	Sweeps, RegionsSwept, RegionsReused int64
 }
 
-// incrementalRun is a Pipeline's incremental-calling state: the caller
-// over the pipeline's accumulator and the overlap accounting.
-// Metrics (when enabled) gain call.first.seconds / call.first.reads
-// gauges and call.inc.sweeps / call.inc.regions.swept /
-// call.inc.regions.reused counters.
+// incrementalRun is a Pipeline's barrier sweeping: the pipeline's
+// caller and the overlap accounting. Metrics (when enabled) gain
+// call.first.seconds / call.first.reads gauges and call.inc.sweeps /
+// call.inc.regions.swept / call.inc.regions.reused counters, which count
+// the barrier sweeps (Pipeline.Call's own sweep shows in call.chunks).
 type incrementalRun struct {
 	cfg IncrementalCallConfig
 	ic  *snp.IncrementalCaller
@@ -60,19 +60,13 @@ type incrementalRun struct {
 	firstReads   int64
 }
 
-// newIncrementalRun builds the incremental caller over the pipeline's
-// accumulator. State adopted later (LoadState) needs no rebuild: loading
-// counts a write on every tile, so the next sweep covers it.
-func (p *Pipeline) newIncrementalRun() (*incrementalRun, error) {
+// newIncrementalRun hangs the pipeline's caller on its barriers.
+func (p *Pipeline) newIncrementalRun() *incrementalRun {
 	cfg := *p.opts.Incremental
 	if cfg.EveryReads <= 0 {
 		cfg.EveryReads = 5000
 	}
-	ic, err := snp.NewIncrementalCaller(p.ref, p.acc, p.opts.Caller)
-	if err != nil {
-		return nil, err
-	}
-	return &incrementalRun{cfg: cfg, ic: ic, reg: p.opts.Engine.Metrics}, nil
+	return &incrementalRun{cfg: cfg, ic: p.caller, reg: p.opts.Engine.Metrics}
 }
 
 // sweep re-sweeps the tiles written since the previous sweep. Writers

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -221,6 +222,70 @@ func TestIncrementalReadSplitE2E(t *testing.T) {
 				t.Errorf("no tile reused across %d sweeps (%d swept)", st.Sweeps, st.RegionsSwept)
 			}
 		})
+	}
+}
+
+// A plain Pipeline holds one caller for its whole life: Call, a second
+// MapReads, and Call again gives exactly a fresh CallAll over the same
+// state, and the second Call re-sweeps only the tiles the second batch
+// wrote. The reads stream in genome order, so the second batch (the last
+// quarter) reaches the tail tiles only.
+func TestPipelineCallAfterMoreReads(t *testing.T) {
+	ds := dataset(t)
+	reads := byOrigin(t, ds.Reads)
+	reg := NewMetricsRegistry()
+	caller := CallerConfig{UseFDR: true}
+	p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1}, Caller: caller, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(reads) * 3 / 4
+	if _, err := p.MapReads(reads[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Call(); err != nil {
+		t.Fatal(err)
+	}
+	tiles := (p.ReferenceLength() + genome.TileSize - 1) / genome.TileSize
+	if got := reg.Counter("call.chunks").Value(); got != int64(tiles) {
+		t.Fatalf("first Call swept %d tiles, want all %d", got, tiles)
+	}
+	before, err := genome.Writes(p.acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.MapReads(reads[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	after, err := genome.Writes(p.acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := 0
+	for i := range after {
+		if after[i] != before[i] {
+			written++
+		}
+	}
+	if written == 0 || written == tiles {
+		t.Fatalf("second batch wrote %d of %d tiles; the test needs a strict subset", written, tiles)
+	}
+	got, gotSt, err := p.Call()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept := reg.Counter("call.chunks").Value() - int64(tiles); swept != int64(written) {
+		t.Errorf("second Call swept %d tiles, want the %d the second batch wrote", swept, written)
+	}
+	want, wantSt, err := snp.CallAll(p.ref, p.acc, caller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("vacuous: no calls")
+	}
+	if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+		t.Errorf("second Call differs from CallAll on the same state: %d calls %+v, want %d %+v", len(got), gotSt, len(want), wantSt)
 	}
 }
 

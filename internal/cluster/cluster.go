@@ -1,7 +1,7 @@
 // Package cluster is the message-passing substrate standing in for MPI
 // (paper §VI Step 1). It provides rank-addressed point-to-point
 // messaging plus the collectives GNUMAP-SNP's two parallel modes need
-// (Barrier, Broadcast, Gather), over two interchangeable transports:
+// (Broadcast, Gather), over two interchangeable transports:
 //
 //   - ChannelTransport: goroutine "nodes" exchanging serialized
 //     messages over Go channels — the default for experiments.
@@ -94,21 +94,6 @@ type Transport interface {
 	Close() error
 }
 
-// CommStats is a snapshot of one rank's communication counters.
-type CommStats struct {
-	// SentTo / RecvFrom count data packets exchanged with each peer
-	// rank (heartbeats excluded from RecvFrom's matching but counted
-	// in HeartbeatsSeen).
-	SentTo, RecvFrom []int64
-	// Retries counts deadline-extension rounds granted because the
-	// peer's heartbeats showed it alive.
-	Retries int64
-	// Timeouts counts operations that failed with ErrTimeout.
-	Timeouts int64
-	// HeartbeatsSent / HeartbeatsSeen count heartbeat traffic.
-	HeartbeatsSent, HeartbeatsSeen int64
-}
-
 // Comm is one rank's endpoint, analogous to an MPI communicator.
 type Comm struct {
 	rank, size int
@@ -132,20 +117,15 @@ type Comm struct {
 	hbStop   chan struct{}
 	hbDone   chan struct{}
 
-	sentTo   []atomic.Int64
-	recvFrom []atomic.Int64
-	retries  atomic.Int64
-	timeouts atomic.Int64
-	hbSent   atomic.Int64
-	hbSeen   atomic.Int64
-
 	// met holds the observability handles installed by SetMetrics (nil
-	// = instrumentation off; the messaging paths pay one pointer check).
-	met *commMetrics
+	// = instrumentation off; the messaging paths pay one atomic load).
+	// Atomic because the heartbeater, started before the node function
+	// can call SetMetrics, reads it too.
+	met atomic.Pointer[commMetrics]
 }
 
-// commMetrics pre-resolves the point-to-point handles (hot path) and
-// keeps the registry for the per-collective timers (cold path).
+// commMetrics pre-resolves the per-event handles (hot path) and keeps
+// the registry for the per-collective timers (cold path).
 type commMetrics struct {
 	reg       *obs.Registry
 	sendSec   *obs.Histogram
@@ -154,19 +134,27 @@ type commMetrics struct {
 	recvBytes *obs.Counter
 	sendCount *obs.Counter
 	recvCount *obs.Counter
+	retries   *obs.Counter
+	timeouts  *obs.Counter
+	hbSent    *obs.Counter
+	hbSeen    *obs.Counter
 }
 
-// SetMetrics installs a metrics registry on this endpoint. Point-to-
-// point traffic records comm.send.seconds / comm.recv.seconds latency
-// histograms and comm.send.bytes / comm.recv.bytes / comm.send.count /
-// comm.recv.count counters; each collective records a wall-time
+// SetMetrics installs a metrics registry on this endpoint, the one
+// place its communication is counted. Point-to-point traffic records
+// comm.send.seconds / comm.recv.seconds latency histograms and
+// comm.send.bytes / comm.recv.bytes / comm.send.count / comm.recv.count
+// counters (data packets; heartbeats count as comm.heartbeats.sent /
+// comm.heartbeats.seen); comm.retries counts deadline extensions granted
+// to a peer whose heartbeats showed it alive, comm.timeouts operations
+// that failed with ErrTimeout; each collective records a wall-time
 // histogram comm.coll.<name>.seconds. Pass nil to disable.
 func (c *Comm) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
-		c.met = nil
+		c.met.Store(nil)
 		return
 	}
-	c.met = &commMetrics{
+	c.met.Store(&commMetrics{
 		reg:       reg,
 		sendSec:   reg.Timer("comm.send.seconds"),
 		recvSec:   reg.Timer("comm.recv.seconds"),
@@ -174,40 +162,22 @@ func (c *Comm) SetMetrics(reg *obs.Registry) {
 		recvBytes: reg.Counter("comm.recv.bytes"),
 		sendCount: reg.Counter("comm.send.count"),
 		recvCount: reg.Counter("comm.recv.count"),
-	}
+		retries:   reg.Counter("comm.retries"),
+		timeouts:  reg.Counter("comm.timeouts"),
+		hbSent:    reg.Counter("comm.heartbeats.sent"),
+		hbSeen:    reg.Counter("comm.heartbeats.seen"),
+	})
 }
 
 // collTimer returns a stop func timing one collective (no-op when
 // instrumentation is off). Collectives are per-batch, not per-message,
 // so the registry lookup here is off the hot path.
 func (c *Comm) collTimer(name string) func() {
-	if c.met == nil {
+	m := c.met.Load()
+	if m == nil {
 		return func() {}
 	}
-	return c.met.reg.StartTimer("comm.coll." + name + ".seconds")
-}
-
-// PublishStats bridges the CommStats counters into the installed
-// registry as gauges (comm.retries, comm.timeouts, comm.heartbeats.*,
-// comm.packets.*), so a snapshot carries the full communication
-// picture. Call once per rank, just before snapshotting.
-func (c *Comm) PublishStats() {
-	if c.met == nil {
-		return
-	}
-	st := c.Stats()
-	var sent, recvd int64
-	for r := 0; r < c.size; r++ {
-		sent += st.SentTo[r]
-		recvd += st.RecvFrom[r]
-	}
-	reg := c.met.reg
-	reg.Gauge("comm.packets.sent").Set(float64(sent))
-	reg.Gauge("comm.packets.recv").Set(float64(recvd))
-	reg.Gauge("comm.retries").Set(float64(st.Retries))
-	reg.Gauge("comm.timeouts").Set(float64(st.Timeouts))
-	reg.Gauge("comm.heartbeats.sent").Set(float64(st.HeartbeatsSent))
-	reg.Gauge("comm.heartbeats.seen").Set(float64(st.HeartbeatsSeen))
+	return m.reg.StartTimer("comm.coll." + name + ".seconds")
 }
 
 // newComm builds a rank endpoint with the run's fault-model settings.
@@ -217,8 +187,6 @@ func newComm(rank, size int, tr Transport, opTimeout, hbInterval time.Duration) 
 		opTimeout:  opTimeout,
 		hbInterval: hbInterval,
 		lastSeen:   make([]atomic.Int64, size),
-		sentTo:     make([]atomic.Int64, size),
-		recvFrom:   make([]atomic.Int64, size),
 	}
 	now := time.Now().UnixNano()
 	for r := range c.lastSeen {
@@ -235,23 +203,6 @@ func (c *Comm) Size() int { return c.size }
 
 // OpTimeout returns the configured per-operation deadline (0 = none).
 func (c *Comm) OpTimeout() time.Duration { return c.opTimeout }
-
-// Stats snapshots this rank's communication counters.
-func (c *Comm) Stats() CommStats {
-	st := CommStats{
-		SentTo:         make([]int64, c.size),
-		RecvFrom:       make([]int64, c.size),
-		Retries:        c.retries.Load(),
-		Timeouts:       c.timeouts.Load(),
-		HeartbeatsSent: c.hbSent.Load(),
-		HeartbeatsSeen: c.hbSeen.Load(),
-	}
-	for r := 0; r < c.size; r++ {
-		st.SentTo[r] = c.sentTo[r].Load()
-		st.RecvFrom[r] = c.recvFrom[r].Load()
-	}
-	return st
-}
 
 // noteSeen records liveness evidence from rank r.
 func (c *Comm) noteSeen(r int) {
@@ -306,8 +257,11 @@ func (c *Comm) startHeartbeat() {
 					// Failures here are the failure detector's business,
 					// not ours: a dead link shows up as missed beats at
 					// the peer.
-					if c.tr.Send(c.rank, r, packet{From: c.rank, Tag: hbTag}, c.hbInterval) == nil {
-						c.hbSent.Add(1)
+					if c.tr.Send(c.rank, r, packet{From: c.rank, Tag: hbTag}, c.hbInterval) != nil {
+						continue
+					}
+					if m := c.met.Load(); m != nil {
+						m.hbSent.Inc()
 					}
 				}
 			}
@@ -358,8 +312,9 @@ func (c *Comm) send(to, tag int, payload any, op string) error {
 	if to == c.rank {
 		return fmt.Errorf("cluster: rank %d sending to itself", c.rank)
 	}
+	m := c.met.Load()
 	var t0 time.Time
-	if c.met != nil {
+	if m != nil {
 		t0 = time.Now()
 	}
 	data, err := encode(payload)
@@ -367,16 +322,15 @@ func (c *Comm) send(to, tag int, payload any, op string) error {
 		return rankErr(to, op, err)
 	}
 	if err := c.tr.Send(c.rank, to, packet{From: c.rank, Tag: tag, Data: data}, c.opTimeout); err != nil {
-		if errors.Is(err, ErrTimeout) {
-			c.timeouts.Add(1)
+		if m != nil && errors.Is(err, ErrTimeout) {
+			m.timeouts.Inc()
 		}
 		return rankErr(to, op, err)
 	}
-	c.sentTo[to].Add(1)
-	if c.met != nil {
-		c.met.sendSec.ObserveDuration(time.Since(t0))
-		c.met.sendBytes.Add(int64(len(data)))
-		c.met.sendCount.Inc()
+	if m != nil {
+		m.sendSec.ObserveDuration(time.Since(t0))
+		m.sendBytes.Add(int64(len(data)))
+		m.sendCount.Inc()
 	}
 	return nil
 }
@@ -416,15 +370,15 @@ func (c *Comm) recvTimeout(from, tag int, timeout time.Duration, op string) (any
 	if c.localCrashed() {
 		return nil, rankErr(c.rank, op, ErrCrashed)
 	}
+	m := c.met.Load()
 	var t0 time.Time
-	if c.met != nil {
+	if m != nil {
 		t0 = time.Now()
 	}
 	for i, p := range c.pending {
 		if p.From == from && p.Tag == tag {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.recvFrom[from].Add(1)
-			c.noteRecvMetrics(t0, len(p.Data))
+			m.noteRecv(t0, len(p.Data))
 			v, err := decode(p.Data)
 			return v, rankErr(from, op, err)
 		}
@@ -447,12 +401,13 @@ func (c *Comm) recvTimeout(from, tag int, timeout time.Duration, op string) (any
 			}
 			c.noteSeen(p.From)
 			if p.Tag == hbTag {
-				c.hbSeen.Add(1)
+				if m != nil {
+					m.hbSeen.Inc()
+				}
 				continue
 			}
 			if p.From == from && p.Tag == tag {
-				c.recvFrom[from].Add(1)
-				c.noteRecvMetrics(t0, len(p.Data))
+				m.noteRecv(t0, len(p.Data))
 				v, err := decode(p.Data)
 				return v, rankErr(from, op, err)
 			}
@@ -464,21 +419,23 @@ func (c *Comm) recvTimeout(from, tag int, timeout time.Duration, op string) (any
 			if c.localCrashed() {
 				return nil, rankErr(c.rank, op, ErrCrashed)
 			}
-			c.timeouts.Add(1)
+			if m != nil {
+				m.timeouts.Inc()
+			}
 			return nil, rankErr(from, op, ErrTimeout)
 		}
 	}
 }
 
-// noteRecvMetrics records one matched receive (latency from recv entry
-// to match, plus payload size).
-func (c *Comm) noteRecvMetrics(t0 time.Time, nbytes int) {
-	if c.met == nil {
+// noteRecv records one matched receive (latency from recv entry to
+// match, plus payload size); m may be nil.
+func (m *commMetrics) noteRecv(t0 time.Time, nbytes int) {
+	if m == nil {
 		return
 	}
-	c.met.recvSec.ObserveDuration(time.Since(t0))
-	c.met.recvBytes.Add(int64(nbytes))
-	c.met.recvCount.Inc()
+	m.recvSec.ObserveDuration(time.Since(t0))
+	m.recvBytes.Add(int64(nbytes))
+	m.recvCount.Inc()
 }
 
 // RecvPatient is Recv with an explicit deadline that, when heartbeats
@@ -496,7 +453,9 @@ func (c *Comm) RecvPatient(from, tag int, timeout time.Duration, maxExtensions i
 			return v, err
 		}
 		if c.hbInterval > 0 && c.Alive(from) && ext < maxExtensions {
-			c.retries.Add(1)
+			if m := c.met.Load(); m != nil {
+				m.retries.Inc()
+			}
 			continue
 		}
 		if c.hbInterval > 0 && !c.Alive(from) {
@@ -510,34 +469,6 @@ func (c *Comm) RecvPatient(from, tag int, timeout time.Duration, maxExtensions i
 func (c *Comm) nextCollTag() int {
 	c.collSeq++
 	return -c.collSeq
-}
-
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() error {
-	defer c.collTimer("barrier")()
-	tagUp := c.nextCollTag()
-	tagDown := c.nextCollTag()
-	if c.size == 1 {
-		return nil
-	}
-	if c.rank == 0 {
-		for r := 1; r < c.size; r++ {
-			if _, err := c.recv(r, tagUp, "barrier"); err != nil {
-				return err
-			}
-		}
-		for r := 1; r < c.size; r++ {
-			if err := c.send(r, tagDown, true, "barrier"); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.send(0, tagUp, true, "barrier"); err != nil {
-		return err
-	}
-	_, err := c.recv(0, tagDown, "barrier")
-	return err
 }
 
 // Broadcast distributes root's payload to every rank; every rank

@@ -30,6 +30,16 @@ func gatherSum(c *Comm, x float64) (float64, error) {
 	return v.(float64), nil
 }
 
+// meet is the tests' meeting point: a Gather at rank 0 followed by its
+// Broadcast, so no rank leaves before every rank has arrived.
+func meet(c *Comm) error {
+	if _, err := c.Gather(0, true); err != nil {
+		return err
+	}
+	_, err := c.Broadcast(0, true)
+	return err
+}
+
 func TestRunValidation(t *testing.T) {
 	if err := Run(0, Channels, func(c *Comm) error { return nil }); err == nil {
 		t.Error("size 0 accepted")
@@ -51,7 +61,7 @@ func TestSingleRank(t *testing.T) {
 			if c.Rank() != 0 || c.Size() != 1 {
 				return fmt.Errorf("rank/size wrong")
 			}
-			if err := c.Barrier(); err != nil {
+			if err := meet(c); err != nil {
 				return err
 			}
 			v, err := c.Broadcast(0, "hello")
@@ -156,7 +166,7 @@ func TestBarrierOrdering(t *testing.T) {
 		var before, after int32
 		err := Run(4, tk, func(c *Comm) error {
 			atomic.AddInt32(&before, 1)
-			if err := c.Barrier(); err != nil {
+			if err := meet(c); err != nil {
 				return err
 			}
 			if v := atomic.LoadInt32(&before); v != 4 {
@@ -250,11 +260,11 @@ func TestNodeErrorPropagates(t *testing.T) {
 			if c.Rank() == 2 {
 				return sentinel
 			}
-			// These ranks block in a barrier that can never complete;
+			// These ranks block in a meeting that can never complete;
 			// the teardown must unblock them with an error.
-			err := c.Barrier()
+			err := meet(c)
 			if err == nil {
-				return fmt.Errorf("barrier succeeded despite dead peer")
+				return fmt.Errorf("meeting succeeded despite dead peer")
 			}
 			return nil
 		})

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"gnumap/internal/obs"
 )
 
 // chaosOpTimeout is the deadline used across the chaos suite; bounds
@@ -95,8 +97,8 @@ func TestChaosLosslessFaultsStillComplete(t *testing.T) {
 		rc := RunConfig{Kind: Channels, OpTimeout: chaosOpTimeout, Heartbeat: 20 * time.Millisecond, Fault: &cfg}
 		err := RunWithConfig(4, rc, func(c *Comm) error {
 			for round := 0; round < 8; round++ {
-				if err := c.Barrier(); err != nil {
-					return fmt.Errorf("round %d barrier: %w", round, err)
+				if err := meet(c); err != nil {
+					return fmt.Errorf("round %d meeting: %w", round, err)
 				}
 				got, err := gatherSum(c, 1)
 				if err != nil {
@@ -120,8 +122,8 @@ func TestChaosLosslessFaultsStillComplete(t *testing.T) {
 // past its deadline budget.
 func TestChaosCollectivesCompleteOrFailInDeadline(t *testing.T) {
 	const size = 4
-	// A barrier is 2 phases; root waits size-1 recvs per phase. Budget
-	// generously: every op timing out sequentially, plus scheduling.
+	// A gather+broadcast is 2 phases; root waits size-1 recvs in the
+	// first. Budget generously: every op timing out sequentially, plus scheduling.
 	budget := time.Duration(2*size+2) * chaosOpTimeout
 	for _, seed := range []int64{11, 12, 13, 14, 15} {
 		cfg := NewFaultConfig(seed)
@@ -165,7 +167,7 @@ func TestCrashedRankFailsFastAndPeersTimeOut(t *testing.T) {
 	rc := RunConfig{Kind: Channels, OpTimeout: 150 * time.Millisecond, Heartbeat: 10 * time.Millisecond, Fault: &cfg}
 	start := time.Now()
 	err := RunWithConfig(3, rc, func(c *Comm) error {
-		err := c.Barrier()
+		err := meet(c)
 		if c.Rank() == 2 {
 			if !errors.Is(err, ErrCrashed) {
 				return fmt.Errorf("crashed rank got %v, want ErrCrashed", err)
@@ -173,7 +175,7 @@ func TestCrashedRankFailsFastAndPeersTimeOut(t *testing.T) {
 			return err // simulated process death
 		}
 		if err == nil {
-			return fmt.Errorf("rank %d: barrier succeeded despite dead peer", c.Rank())
+			return fmt.Errorf("rank %d: meeting succeeded despite dead peer", c.Rank())
 		}
 		var re *RankError
 		if !errors.As(err, &re) || !errors.Is(err, ErrTimeout) {
@@ -196,6 +198,8 @@ func TestHeartbeatFailureDetector(t *testing.T) {
 	cfg.CrashRank = 2
 	rc := RunConfig{Kind: Channels, OpTimeout: 2 * time.Second, Heartbeat: 10 * time.Millisecond, Fault: &cfg}
 	err := RunWithConfig(3, rc, func(c *Comm) error {
+		reg := obs.NewRegistry()
+		c.SetMetrics(reg)
 		switch c.Rank() {
 		case 0:
 			// Rank 1 reports in after the detector has had time to see
@@ -213,8 +217,7 @@ func TestHeartbeatFailureDetector(t *testing.T) {
 			if d := c.DeadRanks(); len(d) != 1 || d[0] != 2 {
 				return fmt.Errorf("DeadRanks = %v", d)
 			}
-			st := c.Stats()
-			if st.HeartbeatsSeen == 0 {
+			if reg.Counter("comm.heartbeats.seen").Value() == 0 {
 				return fmt.Errorf("no heartbeats observed")
 			}
 			return nil
@@ -238,6 +241,8 @@ func TestHeartbeatFailureDetector(t *testing.T) {
 func TestRecvPatientExtendsForSlowPeer(t *testing.T) {
 	rc := RunConfig{Kind: Channels, Heartbeat: 10 * time.Millisecond}
 	err := RunWithConfig(2, rc, func(c *Comm) error {
+		reg := obs.NewRegistry()
+		c.SetMetrics(reg)
 		if c.Rank() == 1 {
 			time.Sleep(200 * time.Millisecond)
 			return c.Send(0, 9, "slow but alive")
@@ -249,7 +254,7 @@ func TestRecvPatientExtendsForSlowPeer(t *testing.T) {
 		if v.(string) != "slow but alive" {
 			return fmt.Errorf("got %v", v)
 		}
-		if st := c.Stats(); st.Retries == 0 {
+		if reg.Counter("comm.retries").Value() == 0 {
 			return fmt.Errorf("no extensions recorded for a slow peer")
 		}
 		return nil
@@ -311,6 +316,8 @@ func TestSendTimeoutOnBackpressure(t *testing.T) {
 // TestCommCounters: the per-rank send/recv counters track traffic.
 func TestCommCounters(t *testing.T) {
 	err := Run(2, Channels, func(c *Comm) error {
+		reg := obs.NewRegistry()
+		c.SetMetrics(reg)
 		peer := 1 - c.Rank()
 		for i := 0; i < 5; i++ {
 			if err := c.Send(peer, 8, i); err != nil {
@@ -322,12 +329,12 @@ func TestCommCounters(t *testing.T) {
 				return err
 			}
 		}
-		st := c.Stats()
-		if st.SentTo[peer] != 5 || st.RecvFrom[peer] != 5 {
-			return fmt.Errorf("rank %d counters: sent %v recv %v", c.Rank(), st.SentTo, st.RecvFrom)
+		snap := reg.Snapshot(c.Rank())
+		if sent, recvd := snap.Counters["comm.send.count"], snap.Counters["comm.recv.count"]; sent != 5 || recvd != 5 {
+			return fmt.Errorf("rank %d counters: sent %d recv %d", c.Rank(), sent, recvd)
 		}
-		if st.SentTo[c.Rank()] != 0 || st.Timeouts != 0 {
-			return fmt.Errorf("rank %d spurious counters: %+v", c.Rank(), st)
+		if snap.Counters["comm.timeouts"] != 0 || snap.Counters["comm.retries"] != 0 {
+			return fmt.Errorf("rank %d spurious counters: %v", c.Rank(), snap.Counters)
 		}
 		return nil
 	})
@@ -347,7 +354,7 @@ func TestChaosOverTCP(t *testing.T) {
 		if sum, err := gatherSum(c, 2); err != nil || sum != 6 {
 			return fmt.Errorf("gather+broadcast = %v, %v", sum, err)
 		}
-		return c.Barrier()
+		return meet(c)
 	})
 	if err != nil {
 		t.Fatal(err)

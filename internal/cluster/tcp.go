@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -76,8 +75,6 @@ type TCPTransport struct {
 	closed   chan struct{}
 	once     sync.Once
 	wg       sync.WaitGroup
-
-	dialRetries atomic.Int64
 }
 
 // NewTCPTransportConfig builds the full mesh on 127.0.0.1 ephemeral
@@ -166,7 +163,7 @@ func NewTCPTransportConfig(size int, cfg TCPConfig) (*TCPTransport, error) {
 			wg.Add(1)
 			go func(i, j int) {
 				defer wg.Done()
-				conn, err := dialRetry(listeners[j].Addr().String(), t.cfg.DialAttempts, t.cfg.DialBackoff, &t.dialRetries)
+				conn, err := dialRetry(listeners[j].Addr().String(), t.cfg.DialAttempts, t.cfg.DialBackoff)
 				if err != nil {
 					record(fmt.Errorf("cluster: dial %d->%d: %w", i, j, err))
 					return
@@ -210,12 +207,11 @@ func NewTCPTransportConfig(size int, cfg TCPConfig) (*TCPTransport, error) {
 }
 
 // dialRetry dials addr up to attempts times with exponential backoff
-// plus jitter, counting retries (not first attempts) into counter.
-func dialRetry(addr string, attempts int, backoff time.Duration, counter *atomic.Int64) (net.Conn, error) {
+// plus jitter.
+func dialRetry(addr string, attempts int, backoff time.Duration) (net.Conn, error) {
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			counter.Add(1)
 			sleep := backoff<<(a-1) + time.Duration(rand.Int63n(int64(backoff)))
 			time.Sleep(sleep)
 		}

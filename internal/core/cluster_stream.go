@@ -471,7 +471,7 @@ func (d *dealer) drop(r int, cause error) error {
 	d.redeal = append(d.redeal, p.ledger...)
 	d.held -= p.reads
 	*p = peer{lost: true}
-	d.total.LostRanks = unionRanks(d.total.LostRanks, []int{r})
+	d.total.LostRanks = UnionRanks(d.total.LostRanks, []int{r})
 	return nil
 }
 

@@ -238,13 +238,13 @@ func (s *Stats) Add(o Stats) {
 	s.Mapped += o.Mapped
 	s.Unmapped += o.Unmapped
 	s.Locations += o.Locations
-	s.LostRanks = unionRanks(s.LostRanks, o.LostRanks)
+	s.LostRanks = UnionRanks(s.LostRanks, o.LostRanks)
 }
 
-// unionRanks merges two rank lists into a sorted, deduplicated union.
+// UnionRanks merges two rank lists into a sorted, deduplicated union.
 // Returns nil when both inputs are empty so healthy Stats stay
 // comparable to their zero value.
-func unionRanks(a, b []int) []int {
+func UnionRanks(a, b []int) []int {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}

@@ -48,7 +48,7 @@ func TestStatsAddUnionsLostRanks(t *testing.T) {
 }
 
 func TestUnionRanksNilForEmpty(t *testing.T) {
-	if got := unionRanks(nil, []int{}); got != nil {
-		t.Errorf("unionRanks(nil, empty) = %v, want nil", got)
+	if got := UnionRanks(nil, []int{}); got != nil {
+		t.Errorf("UnionRanks(nil, empty) = %v, want nil", got)
 	}
 }

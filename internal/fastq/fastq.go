@@ -236,48 +236,27 @@ func ReadAll(r io.Reader, enc Encoding) ([]*Read, error) {
 	}
 }
 
-// ReadFile parses every read from the named file. Files ending in .gz
-// are transparently decompressed. Wall time and volume land in the
-// process-wide registry as io.fastq.read.{seconds,records,bases}.
+// ReadFile parses every read from the named file: Open, drain, Close,
+// so .gz handling and the volume counters are File's. Wall time lands
+// in the process-wide registry as io.fastq.read.seconds.
 func ReadFile(path string, enc Encoding) ([]*Read, error) {
 	defer obs.Default().StartTimer("io.fastq.read.seconds")()
-	f, err := os.Open(path)
+	fl, err := Open(path, enc)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var r io.Reader = f
-	gzipped := strings.HasSuffix(path, ".gz")
-	if gzipped {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("fastq: %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	fr := NewReader(r, enc)
+	defer fl.Close()
 	var reads []*Read
 	for {
-		rd, err := fr.Next()
+		rd, err := fl.Next()
 		if errors.Is(err, io.EOF) {
-			break
+			return reads, nil
 		}
 		if err != nil {
-			if gzipped && errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, &TruncatedError{Path: path, Records: fr.Records()}
-			}
 			return nil, err
 		}
 		reads = append(reads, rd)
 	}
-	bases := 0
-	for _, rd := range reads {
-		bases += len(rd.Seq)
-	}
-	obs.Default().Counter("io.fastq.read.records").Add(int64(len(reads)))
-	obs.Default().Counter("io.fastq.read.bases").Add(int64(bases))
-	return reads, nil
 }
 
 // Writer writes FASTQ records.

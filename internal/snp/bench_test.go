@@ -11,8 +11,8 @@ import (
 // BenchmarkCollectRange is the calling sweep's worker ladder at every
 // worker count this host can really run in parallel, plus one serial row
 // of the scalar loop (the vectorized sweep's oracle) for scale. The
-// vector rows dispatch VectorKernel(); one op is one sweep of the
-// fixture, reported per position.
+// vector rows dispatch VectorKernel(); one op is one one-shot tile sweep
+// of the fixture (a fresh IncrementalCaller), reported per position.
 func BenchmarkCollectRange(b *testing.B) {
 	const length = 400_000
 	ref, acc := bigFixture(b, length, 42)
@@ -33,7 +33,10 @@ func BenchmarkCollectRange(b *testing.B) {
 	for workers := 1; workers <= runtime.NumCPU(); workers++ {
 		cfg := Config{Ploidy: lrt.Diploid, CallWorkers: workers}
 		run(fmt.Sprintf("sweep=vector/workers=%d", workers), func() error {
-			_, _, err := CollectRangeParallel(ref, acc, 0, 0, length, cfg)
+			ic, err := NewIncrementalCaller(ref, acc, 0, cfg)
+			if err == nil {
+				_, _, err = ic.Candidates()
+			}
 			return err
 		})
 	}

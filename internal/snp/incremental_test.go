@@ -17,10 +17,11 @@ import (
 // which counts its own writes per tile; sweeps run at quiesce points —
 // the writers of a wave joined, as at a pipeline barrier — and both the
 // provisional set after the last barrier and the final set must be
-// bit-identical to a one-shot CallAll over the same accumulator, with
-// one writer and with four writing concurrently, and with the sweeps on
-// one call worker and on four. Tiles untouched between sweeps must be
-// reused, not re-swept.
+// bit-identical to one serial CollectRange over the whole accumulator
+// plus FinalizeCalls (CallAll is itself a tile caller), with one writer
+// and with four writing concurrently, and with the sweeps on one call
+// worker and on four. Tiles untouched between sweeps must be reused,
+// not re-swept.
 func TestIncrementalMatchesCallAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
@@ -52,7 +53,7 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true, CallWorkers: callWorkers}
 	icCfg := cfg
 	icCfg.Metrics = reg
-	ic, err := NewIncrementalCaller(ref, acc, icCfg)
+	ic, err := NewIncrementalCaller(ref, acc, 0, icCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +164,7 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 		plant(p)
 	}
 	write()
-	want, wantSt, err := CallAll(ref, acc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantSt := serialCall(t, ref, acc, 0, cfg)
 	if len(want) == 0 {
 		t.Fatal("vacuous: no calls produced")
 	}
@@ -178,17 +176,17 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(prov, want) || provSt != wantSt {
-		t.Fatalf("provisional calls after the last barrier diverge from CallAll: %d vs %d, stats %+v vs %+v", len(prov), len(want), provSt, wantSt)
+		t.Fatalf("provisional calls after the last barrier diverge from the serial sweep: %d vs %d, stats %+v vs %+v", len(prov), len(want), provSt, wantSt)
 	}
 	calls, st, err := ic.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("incremental final calls diverge from CallAll: %d vs %d", len(calls), len(want))
+		t.Fatalf("incremental final calls diverge from the serial sweep: %d vs %d", len(calls), len(want))
 	}
 	if st != wantSt {
-		t.Fatalf("incremental stats %+v, CallAll %+v", st, wantSt)
+		t.Fatalf("incremental stats %+v, serial sweep %+v", st, wantSt)
 	}
 	if ic.Sweeps() != 5 {
 		t.Fatalf("Sweeps = %d, want 5", ic.Sweeps())
@@ -197,14 +195,14 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 
 func TestIncrementalCallerValidation(t *testing.T) {
 	ref, acc := fixture(t)
-	if _, err := NewIncrementalCaller(nil, acc, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(nil, acc, 0, Config{}); err == nil {
 		t.Error("nil reference accepted")
 	}
-	if _, err := NewIncrementalCaller(ref, nil, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(ref, nil, 0, Config{}); err == nil {
 		t.Error("nil accumulator accepted")
 	}
 	// The cache is only as good as the write-set it reads.
-	if _, err := NewIncrementalCaller(ref, opaqueAcc{acc}, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(ref, opaqueAcc{acc}, 0, Config{}); err == nil {
 		t.Error("accumulator without a write-set accepted")
 	}
 }

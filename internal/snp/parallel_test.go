@@ -11,9 +11,9 @@ import (
 	"gnumap/internal/obs"
 )
 
-// bigFixture plants pseudo-random evidence across a genome long enough
-// to clear minParallelRange, mixing hom-alt, het, ref-confirming, and
-// thin-coverage sites so every caller branch is exercised.
+// bigFixture plants pseudo-random evidence across a genome of several
+// tiles, mixing hom-alt, het, ref-confirming, and thin-coverage sites so
+// every caller branch is exercised.
 func bigFixture(t testing.TB, length int, seed int64) (*genome.Reference, genome.Accumulator) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -64,10 +64,42 @@ func bigFixture(t testing.TB, length int, seed int64) (*genome.Reference, genome
 	return ref, acc
 }
 
-// Satellite: the parallel caller must be bit-identical to the serial
-// one — candidates, calls, stats, and FDR decisions — at several worker
-// counts, including one (7) that does not divide the chunk count and
-// exceeds it.
+// tileSweep is a one-shot sweep through a fresh IncrementalCaller over
+// acc (index 0 at global position offset): the candidates every call set
+// of a run is finalized from.
+func tileSweep(t testing.TB, ref *genome.Reference, acc genome.Accumulator, offset int, cfg Config) ([]Candidate, Stats) {
+	t.Helper()
+	ic, err := NewIncrementalCaller(ref, acc, offset, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, st, err := ic.Candidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands, st
+}
+
+// serialCall is the oracle every call set is held to: one serial
+// CollectRange over the whole accumulator, then FinalizeCalls, keeping
+// the sweep's Tested.
+func serialCall(t testing.TB, ref *genome.Reference, acc genome.Accumulator, offset int, cfg Config) ([]Call, Stats) {
+	t.Helper()
+	cands, st, err := CollectRange(ref, acc, offset, offset, offset+acc.Len(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, fst, err := FinalizeCalls(cands, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.Tested = st.Tested
+	return calls, fst
+}
+
+// The tile sweep must be bit-identical to the serial one — candidates
+// and stats — at every worker count from 1 to 8, including ones that do
+// not divide the tile count (5 here) and ones that exceed it.
 func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	const length = 20_000
 	ref, acc := bigFixture(t, length, 42)
@@ -81,13 +113,10 @@ func TestCollectRangeParallelBitIdentical(t *testing.T) {
 		t.Fatal("fixture produced no candidates; test is vacuous")
 	}
 
-	for _, workers := range []int{1, 4, 7} {
+	for workers := 1; workers <= 8; workers++ {
 		cfg := base
 		cfg.CallWorkers = workers
-		gotCands, gotSt, err := CollectRangeParallel(ref, acc, 0, 0, length, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		gotCands, gotSt := tileSweep(t, ref, acc, 0, cfg)
 		if !reflect.DeepEqual(gotCands, wantCands) {
 			t.Fatalf("workers=%d: candidates diverge from serial (%d vs %d)", workers, len(gotCands), len(wantCands))
 		}
@@ -97,24 +126,24 @@ func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// The full CallRange path (parallel sweep + the single global FDR pass)
-// must match the serial caller exactly, including which candidates the
+// The full call path (tile sweep + the single global FDR pass) must
+// match the serial caller exactly, including which candidates the
 // Benjamini–Hochberg step keeps.
 func TestCallRangeParallelFDRIdentical(t *testing.T) {
 	const length = 24_000
 	ref, acc := bigFixture(t, length, 7)
-	serial := Config{Ploidy: lrt.Diploid, UseFDR: true, CallWorkers: 1}
-	wantCalls, wantSt, err := CallRange(ref, acc, 0, 0, length, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
+	wantCalls, wantSt := serialCall(t, ref, acc, 0, cfg)
 	if wantSt.Significant == 0 {
 		t.Fatal("fixture produced no significant calls; test is vacuous")
 	}
-	for _, workers := range []int{4, 7} {
-		cfg := serial
+	for _, workers := range []int{1, 4, 7} {
 		cfg.CallWorkers = workers
-		gotCalls, gotSt, err := CallRange(ref, acc, 0, 0, length, cfg)
+		ic, err := NewIncrementalCaller(ref, acc, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCalls, gotSt, err := ic.Finalize()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -127,41 +156,55 @@ func TestCallRangeParallelFDRIdentical(t *testing.T) {
 	}
 }
 
-// Windowed sweeps with deliberately out-of-range bounds (the
-// genome-split shard shape) must clamp and chunk identically to the
-// serial path.
+// The genome-split shape: a slice accumulator whose index 0 is a global
+// position off any tile boundary of the genome. Its tile sweep must
+// equal the serial sweep of the slice — clamped from deliberately
+// out-of-range bounds — and the serial sweep of the same window of the
+// whole-genome accumulator.
 func TestCollectRangeParallelOffset(t *testing.T) {
 	const length = 40_000
 	ref, full := bigFixture(t, length, 99)
 	const offset, subLen = 10_000, 20_000
+	slice := windowOf(t, full, offset, subLen)
 	cfg := Config{Ploidy: lrt.Diploid}
-	wantCands, wantSt, err := CollectRange(ref, full, 0, offset-500, offset+subLen+999, cfg)
+	wantCands, wantSt, err := CollectRange(ref, slice, offset, offset-500, offset+subLen+999, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.CallWorkers = 4
-	gotCands, gotSt, err := CollectRangeParallel(ref, full, 0, offset-500, offset+subLen+999, cfg)
+	fullCands, fullSt, err := CollectRange(ref, full, 0, offset, offset+subLen, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotCands, wantCands) || !reflect.DeepEqual(gotSt, wantSt) {
-		t.Fatalf("windowed sweep diverges: %d/%+v vs %d/%+v", len(gotCands), gotSt, len(wantCands), wantSt)
+	if len(wantCands) == 0 || !reflect.DeepEqual(fullCands, wantCands) || fullSt != wantSt {
+		t.Fatalf("slice sweep diverges from the whole genome's window: %d/%+v vs %d/%+v", len(wantCands), wantSt, len(fullCands), fullSt)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg.CallWorkers = workers
+		gotCands, gotSt := tileSweep(t, ref, slice, offset, cfg)
+		if !reflect.DeepEqual(gotCands, wantCands) || !reflect.DeepEqual(gotSt, wantSt) {
+			t.Fatalf("workers=%d: offset tile sweep diverges: %d/%+v vs %d/%+v", workers, len(gotCands), gotSt, len(wantCands), wantSt)
+		}
 	}
 }
 
-// The sweep must publish call.workers / call.chunks / call.sweep.seconds
-// when a registry is attached — one chunk per tile here, at four workers
-// — and fall back to the serial path (no metrics beyond what
-// CollectRange emits) for short ranges.
+// A one-shot tile sweep must count what the serial sweep counts
+// (call.tested, call.prescreened) and publish call.workers, call.chunks
+// and call.sweep.seconds — one chunk per tile.
 func TestCollectRangeParallelMetrics(t *testing.T) {
 	const length = 20_000
 	ref, acc := bigFixture(t, length, 5)
-	reg := obs.NewRegistry()
-	cfg := Config{Ploidy: lrt.Diploid, CallWorkers: 4, Metrics: reg}
-	if _, _, err := CollectRangeParallel(ref, acc, 0, 0, length, cfg); err != nil {
+	serial := obs.NewRegistry()
+	if _, _, err := CollectRange(ref, acc, 0, 0, length, Config{Ploidy: lrt.Diploid, Metrics: serial}); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot(0)
+	reg := obs.NewRegistry()
+	tileSweep(t, ref, acc, 0, Config{Ploidy: lrt.Diploid, CallWorkers: 4, Metrics: reg})
+	want, snap := serial.Snapshot(0), reg.Snapshot(0)
+	for _, name := range []string{"call.tested", "call.prescreened"} {
+		if got := snap.Counters[name]; got != want.Counters[name] || got == 0 {
+			t.Errorf("%s = %d, serial sweep %d", name, got, want.Counters[name])
+		}
+	}
 	if got := snap.Gauges["call.workers"]; got != 4 {
 		t.Errorf("call.workers = %v, want 4", got)
 	}

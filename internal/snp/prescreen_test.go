@@ -157,9 +157,8 @@ func TestPrescreenEndToEndCallIdentity(t *testing.T) {
 	}
 }
 
-// The parallel sweep must screen identically to the serial one — the
-// existing bit-identity property, re-checked with the screen's counter
-// to prove both sides actually screened.
+// The tile sweep must screen identically to the serial one — the
+// existing bit-identity property, re-checked on a screened FDR run.
 func TestPrescreenSerialParallelIdentical(t *testing.T) {
 	ref, acc := bigFixture(t, 50_000, 31)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
@@ -169,10 +168,7 @@ func TestPrescreenSerialParallelIdentical(t *testing.T) {
 	}
 	par := cfg
 	par.CallWorkers = 5
-	parallel, pst, err := CollectRangeParallel(ref, acc, 0, 0, ref.Len(), par)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel, pst := tileSweep(t, ref, acc, 0, par)
 	if !reflect.DeepEqual(serial, parallel) || sst != pst {
 		t.Fatalf("parallel screened sweep diverged: %d/%+v vs %d/%+v",
 			len(parallel), pst, len(serial), sst)

@@ -72,18 +72,17 @@ type Config struct {
 	// every production genotyper applies in some form.
 	MinHetMinorFraction float64
 	// CallWorkers sets the calling sweep's worker count: 0 uses
-	// GOMAXPROCS, 1 or negative forces the serial sweep. The parallel
-	// sweep cuts the range into chunks of whole accumulator tiles
-	// (genome.TileSize) and is bit-identical to the serial one — chunks
-	// are concatenated in genome order before the single global
-	// significance pass. It is an execution knob, deliberately absent
-	// from checkpoint fingerprints.
+	// GOMAXPROCS, 1 or negative sweeps on the calling goroutine. The
+	// sweep walks whole accumulator tiles (genome.TileSize) and is
+	// bit-identical at any worker count — tiles are concatenated in
+	// genome order before the single global significance pass. It is an
+	// execution knob, deliberately absent from checkpoint fingerprints.
 	CallWorkers int
 	// Metrics, when non-nil, receives the caller's stage timers and
 	// counters (call.collect.seconds, call.finalize.seconds,
 	// call.tested, call.prescreened, call.significant, call.snps; the
-	// parallel and incremental sweeps add call.workers, call.chunks and
-	// per-chunk call.sweep.seconds).
+	// tile sweep adds call.workers, call.chunks and per-tile
+	// call.sweep.seconds).
 	Metrics *obs.Registry
 
 	// noPrescreen bypasses the coverage/allele prescreen (see
@@ -145,10 +144,8 @@ type Candidate struct {
 // clampSweep clips a global sweep range [from, to) to the intersection
 // of the accumulator's window (offset maps accumulator index 0 to
 // global position offset) and the reference. Every range-taking sweep —
-// CollectRange, CollectRangeParallel's pre-chunking bounds, WritePileup
-// — clamps through this one helper: the parallel sweep chunks the
-// clamped range, so any divergence between its clamp and the serial
-// one would silently change the chunk boundaries and the tested family.
+// CollectRange (and so every tile of the IncrementalCaller), WritePileup
+// — clamps through this one helper.
 func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) {
 	if from < offset {
 		from = offset
@@ -175,7 +172,7 @@ func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) 
 // prescreen (prescreen.go) in front of the LRT. NORM planes stream
 // through the vectorized sweep (screen_vector.go), everything else
 // through the scalar loop (collectScalar); both screen identically, so
-// the two and the parallel sweep are bit-identical.
+// the two and the tile sweep are bit-identical.
 func CollectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config) ([]Candidate, Stats, error) {
 	return collectRange(ref, acc, offset, from, to, cfg, true)
 }
@@ -347,34 +344,14 @@ func FinalizeCalls(candidates []Candidate, cfg Config) ([]Call, Stats, error) {
 	return calls, st, nil
 }
 
-// CallRange runs the LRT caller over global positions [from, to) of the
-// accumulator, offset mapping accumulator index 0 to global position
-// `offset` (non-zero in genome-split mode). It returns SNP calls sorted
-// by position. The tested family — over which FDR control applies — is
-// exactly the positions of [from, to); distributed callers whose family
-// spans several accumulators must use CollectRange + FinalizeCalls.
-func CallRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config) ([]Call, Stats, error) {
-	candidates, st, err := CollectRangeParallel(ref, acc, offset, from, to, cfg)
-	if err != nil {
-		return nil, st, err
-	}
-	calls, fst, err := FinalizeCalls(candidates, cfg)
-	if err != nil {
-		return nil, st, err
-	}
-	// Tested counts positions the LRT ran on (including inter-contig
-	// spacers that produced no candidate); keep CollectRange's count.
-	fst.Tested = st.Tested
-	return calls, fst, err
-}
-
-// Call runs CallRange over the whole reference with a full-length
-// accumulator.
+// CallAll calls SNPs over a full-length accumulator in one shot: a
+// fresh IncrementalCaller's first Finalize.
 func CallAll(ref *genome.Reference, acc genome.Accumulator, cfg Config) ([]Call, Stats, error) {
-	if ref == nil || acc == nil {
-		return nil, Stats{}, fmt.Errorf("snp: nil reference or accumulator")
+	ic, err := NewIncrementalCaller(ref, acc, 0, cfg)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	return CallRange(ref, acc, 0, 0, ref.Len(), cfg)
+	return ic.Finalize()
 }
 
 // isSNP reports whether a significant call differs from the reference.

@@ -2,6 +2,7 @@ package snp
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,18 +111,28 @@ func TestCallRangeOffsets(t *testing.T) {
 		v := acc.Vector(5 + i)
 		sub.AddRange(i, []genome.Vec{v}, 1)
 	}
-	calls, _, err := CallRange(ref, sub, 5, 0, ref.Len(), Config{})
-	if err != nil {
-		t.Fatal(err)
+	want, wantSt := serialCall(t, ref, sub, 5, Config{})
+	for workers := 1; workers <= 4; workers++ {
+		ic, err := NewIncrementalCaller(ref, sub, 5, Config{CallWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, st, err := ic.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(calls, want) || st != wantSt {
+			t.Fatalf("workers=%d: offset calls diverge from serial: %+v vs %+v", workers, calls, want)
+		}
 	}
 	found := false
-	for _, c := range calls {
+	for _, c := range want {
 		if c.GlobalPos == 10 && c.Allele == dna.ChC {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("offset calling missed the SNP: %+v", calls)
+		t.Errorf("offset calling missed the SNP: %+v", want)
 	}
 }
 
@@ -405,5 +416,37 @@ func TestFinalizeCallsGlobalVsPerShardFDR(t *testing.T) {
 	}
 	if len(perShard) != 79 {
 		t.Errorf("per-shard passes called %d SNPs, want 79", len(perShard))
+	}
+
+	// Every other decision is per candidate — the fixed cutoff, Alpha < 0
+	// (with or without UseFDR), the het allele-balance demotion — so there
+	// per-shard and global finalization agree, which is what lets every
+	// placement gather candidates to one FinalizeCalls. Shard B gains two
+	// strong hets with ref as the top allele: one balanced, one too skewed.
+	het := func(pos int, minor float64) Candidate {
+		c := mk(pos, 1e-10, false)
+		c.Call.Het, c.Second, c.MinorFraction = true, dna.ChC, minor
+		return c
+	}
+	shardB = append(shardB, het(2000, 0.4), het(2001, 0.1))
+	for _, cfg := range []Config{{}, {Alpha: -1}, {Alpha: -1, UseFDR: true}, {MinHetMinorFraction: -1}} {
+		global, _, err := FinalizeCalls(append(append([]Candidate{}, shardA...), shardB...), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callsA, _, err := FinalizeCalls(shardA, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callsB, _, err := FinalizeCalls(shardB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perShard := append(callsA, callsB...); !reflect.DeepEqual(global, perShard) {
+			t.Errorf("%+v: per-shard finalization (%d calls) differs from global (%d)", cfg, len(perShard), len(global))
+		}
+		if len(global) < 80 {
+			t.Errorf("%+v: %d calls, want the 79 strong SNPs and the balanced het at least", cfg, len(global))
+		}
 	}
 }

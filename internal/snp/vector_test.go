@@ -102,10 +102,12 @@ func vectorFixture(t *testing.T, mode genome.Mode, source string, length int, se
 	return ref, acc
 }
 
-// Tentpole harness: the vectorized sweep must be DeepEqual-identical
+// Tentpole harness: the vectorized tile sweep must be DeepEqual-identical
 // to the scalar one — candidates, calls, and stats — across
 // accumulator modes, sources, 1..8 call workers, fixed-cutoff and FDR
-// finalization, and the negative-disables configs.
+// finalization, and the negative-disables configs. An opaque source
+// keeps no write-set, so the tile caller refuses it (see
+// TestIncrementalCallerValidation); its rows run CollectRange.
 func TestVectorSweepIdentityRandomized(t *testing.T) {
 	const length = 20_000
 	configs := []struct {
@@ -126,7 +128,10 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 			// way (vectorEligible); run a reduced matrix there — the
 			// interesting surface is NORM.
 			cfgs, maxWorkers := configs, 8
-			if mode != genome.Norm || source == "opaque" {
+			switch {
+			case source == "opaque":
+				cfgs, maxWorkers = configs[:2], 1 // CollectRange has no workers
+			case mode != genome.Norm:
 				cfgs, maxWorkers = configs[:2], 4
 			}
 			seed++
@@ -148,9 +153,14 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 					vec := tc.cfg
 					vec.CallWorkers = workers
 					name := fmt.Sprintf("%v/%s/%s/w%d", mode, source, tc.name, workers)
-					gotCands, gotSt, err := CollectRangeParallel(ref, acc, 0, 0, ref.Len(), vec)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+					var gotCands []Candidate
+					var gotSt Stats
+					if source == "opaque" {
+						if gotCands, gotSt, err = CollectRange(ref, acc, 0, 0, ref.Len(), vec); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+					} else {
+						gotCands, gotSt = tileSweep(t, ref, acc, 0, vec)
 					}
 					if !reflect.DeepEqual(gotCands, wantCands) {
 						t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
