@@ -66,8 +66,9 @@ func TestRunReadSplitStreamCkptRounds(t *testing.T) {
 			t.Errorf("round %d: stats account for %d reads, watermark %d", i, acct, s.consumed)
 		}
 	}
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < p.ref.Len(); pos += 501 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos %d: checkpointed cluster run %v vs baseline %v", pos, b, a)
 		}
@@ -149,8 +150,9 @@ func TestRunReadSplitStreamCkptStopResume(t *testing.T) {
 	if u := last.st.Unmapped + restSt.Unmapped; u != fullSt.Unmapped {
 		t.Errorf("unmapped %d after resume, want %d", u, fullSt.Unmapped)
 	}
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < p.ref.Len(); pos += 501 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos %d: resumed cluster run %v vs baseline %v", pos, b, a)
 		}

@@ -206,9 +206,7 @@ func startPipe(eng *Engine, acc genome.Accumulator, ship bool) *localPipe {
 			if out.State, err = b.State(); err != nil {
 				return err
 			}
-			if err := genome.Reset(acc); err != nil {
-				return err
-			}
+			genome.Reset(acc)
 		}
 		p.rounds <- out
 		return nil

@@ -87,8 +87,9 @@ func TestReadSplitMatchesSharedMemory(t *testing.T) {
 		if got == nil {
 			t.Fatalf("nodes=%d: no accumulator at root", nodes)
 		}
+		va, vb := view(t, want), view(t, got)
 		for pos := 0; pos < p.ref.Len(); pos += 501 {
-			a, b := want.Total(pos), got.Total(pos)
+			a, b := va.Total(pos), vb.Total(pos)
 			if math.Abs(a-b) > 1e-3*(1+a) {
 				t.Fatalf("nodes=%d pos=%d: %v vs %v", nodes, pos, b, a)
 			}
@@ -116,8 +117,9 @@ func TestReadSplitOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < p.ref.Len(); pos += 301 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos=%d: %v vs %v", pos, b, a)
 		}
@@ -147,8 +149,9 @@ func TestReadSplitDiscretizedModes(t *testing.T) {
 		}
 		// Discretized modes accumulate rounding differences between the
 		// merged and sequential orders; totals must still agree well.
+		va, vb := view(t, want), view(t, got)
 		for pos := 0; pos < p.ref.Len(); pos += 401 {
-			a, b := want.Total(pos), got.Total(pos)
+			a, b := va.Total(pos), vb.Total(pos)
 			if math.Abs(a-b) > 0.05*(1+a) {
 				t.Fatalf("%v pos=%d: merged %v vs sequential %v", mode, pos, b, a)
 			}
@@ -187,8 +190,9 @@ func collectGenomeSplit(t *testing.T, p *pipeline, nodes int, kind cluster.Trans
 		t.Fatal(err)
 	}
 	for _, pt := range parts {
+		fz := view(t, pt.acc)
 		for pos := pt.lo; pos < pt.hi; pos++ {
-			v := pt.acc.Vector(pos - pt.lo)
+			v := fz.Vector(pos - pt.lo)
 			full.AddRange(pos, []genome.Vec{v}, 1)
 		}
 	}
@@ -200,8 +204,9 @@ func TestGenomeSplitMatchesSharedMemory(t *testing.T) {
 	want := sharedBaseline(t, p, genome.Norm)
 	for _, nodes := range []int{1, 2, 4} {
 		got := collectGenomeSplit(t, p, nodes, cluster.Channels, Config{Workers: 1})
+		va, vb := view(t, want), view(t, got)
 		for pos := 0; pos < p.ref.Len(); pos += 251 {
-			a, b := want.Total(pos), got.Total(pos)
+			a, b := va.Total(pos), vb.Total(pos)
 			if math.Abs(a-b) > 1e-3*(1+a) {
 				t.Fatalf("nodes=%d pos=%d: genome-split %v vs shared %v", nodes, pos, b, a)
 			}
@@ -242,12 +247,13 @@ func TestGenomeSplitBoundaryStraddlingReads(t *testing.T) {
 	want := sharedBaseline(t, p, genome.Norm)
 	got := collectGenomeSplit(t, p, 4, cluster.Channels, Config{Workers: 1})
 	// Check positions tightly around every boundary.
+	va, vb := view(t, want), view(t, got)
 	for _, boundary := range []int{1250, 2500, 3750} {
 		for pos := boundary - 70; pos < boundary+70; pos++ {
 			if pos < 0 || pos >= p.ref.Len() {
 				continue
 			}
-			a, b := want.Total(pos), got.Total(pos)
+			a, b := va.Total(pos), vb.Total(pos)
 			if math.Abs(a-b) > 1e-3*(1+a) {
 				t.Fatalf("boundary %d pos %d: genome-split %v vs shared %v", boundary, pos, b, a)
 			}

@@ -58,8 +58,9 @@ func TestReadSplitFTMatchesPlainPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < p.ref.Len(); pos += 401 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos=%d: FT %v vs shared %v", pos, b, a)
 		}
@@ -174,8 +175,9 @@ func TestReadSplitDegradedAllWorkersDead(t *testing.T) {
 	if rootStats.Mapped+rootStats.Unmapped != int64(len(p.reads)) {
 		t.Errorf("stats don't cover all reads: %+v", rootStats)
 	}
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < p.ref.Len(); pos += 301 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos=%d: degraded %v vs shared %v", pos, b, a)
 		}

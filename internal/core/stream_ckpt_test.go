@@ -341,8 +341,9 @@ func TestMapReadsFromNilPolicyBarrier(t *testing.T) {
 
 func compareAccums(t *testing.T, want, got genome.Accumulator, length int) {
 	t.Helper()
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < length; pos += 101 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos %d: accumulated mass %v vs %v", pos, b, a)
 		}

@@ -302,8 +302,9 @@ func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
 		if got == nil {
 			t.Fatalf("nodes=%d: no accumulator at root", nodes)
 		}
+		va, vb := view(t, want), view(t, got)
 		for pos := 0; pos < p.ref.Len(); pos += 501 {
-			a, b := want.Total(pos), got.Total(pos)
+			a, b := va.Total(pos), vb.Total(pos)
 			if math.Abs(a-b) > 1e-3*(1+a) {
 				t.Fatalf("nodes=%d pos=%d: stream %v vs baseline %v", nodes, pos, b, a)
 			}
@@ -338,8 +339,9 @@ func TestReadSplitFTMatchesStreamedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	va, vb := view(t, want), view(t, got)
 	for pos := 0; pos < p.ref.Len(); pos += 301 {
-		a, b := want.Total(pos), got.Total(pos)
+		a, b := va.Total(pos), vb.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos=%d: FT stream %v vs baseline %v", pos, b, a)
 		}

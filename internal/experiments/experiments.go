@@ -413,9 +413,13 @@ func Ablations(ds *Dataset, workers int) ([]AblationRow, error) {
 // cutoff without background comparison" calling style the paper
 // criticizes.
 func NaiveCalls(ref *genome.Reference, acc genome.Accumulator) []snp.Call {
+	fz, err := genome.Freeze(acc)
+	if err != nil {
+		return nil
+	}
 	var calls []snp.Call
 	for pos := 0; pos < ref.Len(); pos++ {
-		v := acc.Vector(pos)
+		v := fz.Vector(pos)
 		depth := 0.0
 		best := 0
 		for k, x := range v {

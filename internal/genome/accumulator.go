@@ -15,9 +15,10 @@
 //     ~5 bytes/base. Every update re-quantizes to the nearest centroid,
 //     which is why the paper finds its accuracy collapses.
 //
-// All accumulators are safe for concurrent use: positions are guarded
-// by striped locks, and AddRange locks each stripe once per spanned
-// range rather than once per position.
+// Writes are concurrent: positions are guarded by striped locks, and
+// AddRange locks each stripe once per spanned range rather than once
+// per position. Reads go through Freeze once writers quiesce: a Frozen
+// view reads the arrays in place, without locks.
 package genome
 
 import (
@@ -57,7 +58,8 @@ func (m Mode) String() string {
 }
 
 // Accumulator is the per-position probability store shared by all
-// memory modes.
+// memory modes. It is written through its methods and read through
+// Freeze.
 type Accumulator interface {
 	// Len returns the number of positions.
 	Len() int
@@ -67,10 +69,6 @@ type Accumulator interface {
 	// Positions outside [0, Len) are ignored (reads can hang off the
 	// ends of a node's genome slice).
 	AddRange(start int, zs []Vec, weight float64)
-	// Vector returns the accumulated totals at a position.
-	Vector(pos int) Vec
-	// Total returns the total accumulated mass at a position.
-	Total(pos int) float64
 	// MemoryBytes reports the approximate heap footprint of the
 	// per-position state (the Table II accounting).
 	MemoryBytes() int64
@@ -80,6 +78,13 @@ type Accumulator interface {
 	// Stateful: every layout serializes, so checkpoints and the cluster
 	// reduction need no capability check.
 	Stateful
+	// shared returns what every layout keeps alike, for the functions
+	// written once over all of them (Writes, Reset, Freeze). A value
+	// embedding an Accumulator reaches the layout inside it.
+	shared() *store
+	// realVec rebuilds the channel vector at pos from the stored bytes.
+	// The caller holds pos's stripe lock, or writers are quiesced.
+	realVec(pos int) Vec
 }
 
 // New constructs an accumulator of the given mode and length.
@@ -124,54 +129,77 @@ const stripeShift = 12
 // [i·TileSize, (i+1)·TileSize), the last tile possibly short.
 const TileSize = 1 << stripeShift
 
-// tiles is what every layout keeps per tile: the stripe lock guarding
-// its positions and a counter of the writes that may have changed them.
-// A counter only moves under its tile's lock — AddRange bumps every tile
-// its range spans, Merge, LoadStateBytes and Reset every tile whose
-// bytes they may change — so a tile whose counter is equal in two
-// Writes snapshots holds the same bytes at both.
-type tiles struct {
+// store is what every layout keeps alike: its mode and length, its
+// per-position arrays as the state codec sees them, and per tile the
+// stripe lock guarding its positions and a counter of the writes that
+// may have changed them. A counter only moves under its tile's lock —
+// AddRange bumps every tile its range spans, Merge, LoadStateBytes and
+// Reset every tile whose bytes they may change — so a tile whose
+// counter is equal in two Writes snapshots holds the same bytes at
+// both. Len, Mode, MemoryBytes and the state codec are written once
+// here; a layout adds AddRange, Merge and realVec.
+type store struct {
+	mode   Mode
+	length int
+	floats []float32 // NORM: five channel planes; CHARDISC, CENTDISC: per-position totals
+	bytes  []uint8   // CHARDISC: five fractions per position; CENTDISC: codebook index
 	locks  []sync.Mutex
 	writes []uint64
 }
 
-func newTiles(length int) tiles {
+func newStore(mode Mode, length int, floats []float32, bytes []uint8) store {
 	n := (length + TileSize - 1) >> stripeShift
-	return tiles{locks: make([]sync.Mutex, n), writes: make([]uint64, n)}
+	return store{mode: mode, length: length, floats: floats, bytes: bytes,
+		locks: make([]sync.Mutex, n), writes: make([]uint64, n)}
 }
 
-// tileSet gives Writes the tiles of any in-package layout.
-func (t *tiles) tileSet() *tiles { return t }
+func (s *store) shared() *store { return s }
+func (s *store) Len() int       { return s.length }
+func (s *store) Mode() Mode     { return s.mode }
+
+// MemoryBytes reports the per-position arrays' footprint.
+func (s *store) MemoryBytes() int64 { return 4*int64(len(s.floats)) + int64(len(s.bytes)) }
+
+// plane returns NORM channel k's contiguous per-position slice.
+func (s *store) plane(k int) []float32 {
+	return s.floats[k*s.length : (k+1)*s.length]
+}
 
 // mark counts a write on every tile [from, to) spans (a clamped,
 // non-empty range). The caller holds those tiles' locks.
-func (t *tiles) mark(from, to int) {
+func (s *store) mark(from, to int) {
 	for i := from >> stripeShift; i <= (to-1)>>stripeShift; i++ {
-		t.writes[i]++
+		s.writes[i]++
 	}
 }
 
 // markAll counts a write on every tile. The caller holds every lock.
-func (t *tiles) markAll() {
-	for i := range t.writes {
-		t.writes[i]++
+func (s *store) markAll() {
+	for i := range s.writes {
+		s.writes[i]++
 	}
 }
 
 // Writes copies acc's per-tile write counters into dst (reallocating
 // when dst is short) and returns it: one counter per TileSize positions.
 // It takes the stripe locks the way State does, so it is coherent
-// whenever writers are quiesced. Accumulator implementations outside
-// this package keep no write-set and return an error.
-func Writes(acc Accumulator, dst []uint64) ([]uint64, error) {
-	ts, ok := acc.(interface{ tileSet() *tiles })
-	if !ok {
-		return nil, fmt.Errorf("genome: %T keeps no write-set", acc)
-	}
-	t := ts.tileSet()
-	first, last := lockRange(t.locks, 0, acc.Len())
-	defer unlockRange(t.locks, first, last)
-	return append(dst[:0], t.writes...), nil
+// whenever writers are quiesced.
+func Writes(acc Accumulator, dst []uint64) []uint64 {
+	s := acc.shared()
+	first, last := lockRange(s.locks, 0, s.length)
+	defer unlockRange(s.locks, first, last)
+	return append(dst[:0], s.writes...)
+}
+
+// Reset zeroes an accumulator's per-position state in place: a cluster
+// rank resets at a quiesce barrier after shipping its state and goes on
+// accumulating into the same arrays. Every tile counts a write. Writers
+// must be quiesced.
+func Reset(acc Accumulator) {
+	s := acc.shared()
+	clear(s.floats)
+	clear(s.bytes)
+	s.markAll()
 }
 
 // lockRange locks every stripe covering [start, end) and returns the
@@ -220,34 +248,26 @@ func clampRange(start, n, length int) (from, to, zsFrom int, ok bool) {
 
 // normAcc is the NORM layout: a flat float32 array, five per position,
 // stored plane-major (struct of arrays): channel k occupies
-// data[k·length : (k+1)·length]. The post-map LRT sweep, pileup, and
-// coverage paths stream whole channel planes through a lock-free frozen
-// view (Freeze), so the read side is sequential over contiguous memory
+// floats[k·length : (k+1)·length]. The post-map LRT sweep, pileup, and
+// coverage paths stream whole channel planes through a frozen view
+// (Freeze), so the read side is sequential over contiguous memory
 // instead of strided through a position-major interleave. Per-cell
 // arithmetic is unchanged by the transpose — each cell accumulates the
 // same float32 additions in the same order — so the layouts are
 // bit-identical in value. The serialized wire format (State) remains
 // position-major for compatibility; see state.go.
-type normAcc struct {
-	length int
-	data   []float32 // len = 5·length, plane-major
-	tiles
-}
+type normAcc struct{ store }
 
 func newNormAcc(length int) *normAcc {
-	return &normAcc{
-		length: length,
-		data:   make([]float32, dna.NumChannels*length),
-		tiles:  newTiles(length),
-	}
+	return &normAcc{newStore(Norm, length, make([]float32, dna.NumChannels*length), nil)}
 }
 
-func (a *normAcc) Len() int   { return a.length }
-func (a *normAcc) Mode() Mode { return Norm }
-
-// plane returns channel k's contiguous per-position slice.
-func (a *normAcc) plane(k int) []float32 {
-	return a.data[k*a.length : (k+1)*a.length]
+func (a *normAcc) realVec(pos int) Vec {
+	var v Vec
+	for k := 0; k < dna.NumChannels; k++ {
+		v[k] = float64(a.floats[k*a.length+pos])
+	}
+	return v
 }
 
 func (a *normAcc) AddRange(start int, zs []Vec, weight float64) {
@@ -265,29 +285,6 @@ func (a *normAcc) AddRange(start int, zs []Vec, weight float64) {
 			pk[pos] += float32(weight * zs[zi+pos][k])
 		}
 	}
-}
-
-func (a *normAcc) Vector(pos int) Vec {
-	lkFirst, lkLast := lockRange(a.locks, pos, pos+1)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	var v Vec
-	for k := 0; k < dna.NumChannels; k++ {
-		v[k] = float64(a.data[k*a.length+pos])
-	}
-	return v
-}
-
-func (a *normAcc) Total(pos int) float64 {
-	v := a.Vector(pos)
-	t := 0.0
-	for _, x := range v {
-		t += x
-	}
-	return t
-}
-
-func (a *normAcc) MemoryBytes() int64 {
-	return int64(len(a.data)) * 4
 }
 
 func (a *normAcc) Merge(other Accumulator) error {

@@ -47,19 +47,20 @@ func TestNormExactAccumulation(t *testing.T) {
 	zs := []Vec{{0.9, 0.1, 0, 0, 0}, {0, 0, 0.5, 0.5, 0}}
 	a.AddRange(3, zs, 1.0)
 	a.AddRange(3, zs, 0.5)
-	v := a.Vector(3)
+	fz := view(t, a)
+	v := fz.Vector(3)
 	if math.Abs(v[dna.ChA]-1.35) > 1e-6 || math.Abs(v[dna.ChC]-0.15) > 1e-6 {
 		t.Errorf("pos 3 vector = %v", v)
 	}
-	v = a.Vector(4)
+	v = fz.Vector(4)
 	if math.Abs(v[dna.ChG]-0.75) > 1e-6 || math.Abs(v[dna.ChT]-0.75) > 1e-6 {
 		t.Errorf("pos 4 vector = %v", v)
 	}
-	if a.Total(0) != 0 {
+	if fz.Total(0) != 0 {
 		t.Error("untouched position has mass")
 	}
-	if math.Abs(a.Total(3)-1.5) > 1e-6 {
-		t.Errorf("Total(3) = %v, want 1.5", a.Total(3))
+	if got := fz.Total(3); math.Abs(got-1.5) > 1e-6 {
+		t.Errorf("Total(3) = %v, want 1.5", got)
 	}
 }
 
@@ -77,7 +78,7 @@ func TestAddRangeClipping(t *testing.T) {
 		a.AddRange(3, zs, 1)  // covers 3..6, only 3..4 land
 		a.AddRange(50, zs, 1) // entirely outside
 		for pos, want := range map[int]float64{0: 1, 1: 1, 2: 0, 3: 1, 4: 1} {
-			got := a.Total(pos)
+			got := view(t, a).Total(pos)
 			if math.Abs(got-want) > 0.05 {
 				t.Errorf("%v: Total(%d) = %v, want %v", m, pos, got, want)
 			}
@@ -113,11 +114,11 @@ func TestModesAgreeOnLightCoverage(t *testing.T) {
 			a.AddRange(start, zs, 1)
 		}
 	}
+	norm := view(t, accs[0]) // NORM is exact
 	for pos := 0; pos < 50; pos++ {
-		ref := accs[0].Vector(pos) // NORM is exact
-		total := accs[0].Total(pos)
+		ref, total := norm.Vector(pos), norm.Total(pos)
 		for _, a := range accs[1:] {
-			v := a.Vector(pos)
+			v := view(t, a).Vector(pos)
 			for k := 0; k < dna.NumChannels; k++ {
 				// CHARDISC quantizes to total/255 units; CENTDISC to the
 				// codebook, whose worst-case cell radius is larger.
@@ -138,7 +139,7 @@ func TestCharDiscFractionsSumAndReconstruct(t *testing.T) {
 	}
 	zs := []Vec{{0.9, 0.1, 0, 0, 0}}
 	a.AddRange(1, zs, 1)
-	v := a.Vector(1)
+	v := view(t, a).Vector(1)
 	sum := 0.0
 	for _, x := range v {
 		sum += x
@@ -164,7 +165,7 @@ func TestCharDiscSaturation(t *testing.T) {
 		a.AddRange(0, oneA, 1)
 	}
 	a.AddRange(0, oneT, 1)
-	v := a.Vector(0)
+	v := view(t, a).Vector(0)
 	if v[dna.ChT] < 0.5 {
 		t.Errorf("T signal lost at 255 coverage: %v", v)
 	}
@@ -174,9 +175,10 @@ func TestCharDiscSaturation(t *testing.T) {
 	for i := 0; i < 2295; i++ {
 		a.AddRange(0, oneA, 1)
 	}
-	v = a.Vector(0)
-	if a.Total(0) != 2550 {
-		t.Fatalf("total = %v", a.Total(0))
+	fz := view(t, a)
+	v = fz.Vector(0)
+	if got := fz.Total(0); got != 2550 {
+		t.Fatalf("total = %v", got)
 	}
 	if v[dna.ChA] < 2500 {
 		t.Errorf("A mass = %v, want ~2540", v[dna.ChA])
@@ -194,7 +196,7 @@ func TestCharDiscTinyContributionVanishes(t *testing.T) {
 	a.AddRange(0, big, 1)
 	tiny := []Vec{{0, 0.1, 0, 0, 0}} // 0.1/1000.1 << 1/255
 	a.AddRange(0, tiny, 1)
-	v := a.Vector(0)
+	v := view(t, a).Vector(0)
 	if v[dna.ChC] > 1 {
 		// One quantization unit is total/255 ≈ 3.9; losing the 0.1 is
 		// expected, gaining phantom mass > 1 unit is not.
@@ -210,12 +212,13 @@ func TestCentDiscPureBase(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.AddRange(0, []Vec{{0, 1, 0, 0, 0}}, 1)
 	}
-	v := a.Vector(0)
+	fz := view(t, a)
+	v := fz.Vector(0)
 	if v[dna.ChC] < 9 {
 		t.Errorf("pure C accumulation = %v, want ~10 in C", v)
 	}
-	if a.Total(0) != 10 {
-		t.Errorf("total = %v", a.Total(0))
+	if got := fz.Total(0); got != 10 {
+		t.Errorf("total = %v", got)
 	}
 }
 
@@ -228,7 +231,7 @@ func TestCentDiscTransitionMixtureResolved(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.AddRange(0, []Vec{{0.7, 0, 0.3, 0, 0}}, 1)
 	}
-	v := a.Vector(0)
+	v := view(t, a).Vector(0)
 	if math.Abs(v[dna.ChA]-7) > 1.0 || math.Abs(v[dna.ChG]-3) > 1.0 {
 		t.Errorf("A/G mixture = %v, want ~(7,·,3,·,·)", v)
 	}
@@ -339,13 +342,14 @@ func TestMergeMatchesSequential(t *testing.T) {
 		if err := partA.Merge(partB); err != nil {
 			t.Fatalf("%v merge: %v", m, err)
 		}
+		fs, fm := view(t, single), view(t, partA)
 		for pos := 0; pos < 64; pos++ {
-			ts, tm := single.Total(pos), partA.Total(pos)
+			ts, tm := fs.Total(pos), fm.Total(pos)
 			if math.Abs(ts-tm) > 1e-4*(1+ts) {
 				t.Errorf("%v pos %d: merged total %v vs sequential %v", m, pos, tm, ts)
 			}
 			if m == Norm {
-				vs, vm := single.Vector(pos), partA.Vector(pos)
+				vs, vm := fs.Vector(pos), fm.Vector(pos)
 				for k := range vs {
 					if math.Abs(vs[k]-vm[k]) > 1e-4 {
 						t.Errorf("NORM pos %d ch %d: %v vs %v", pos, k, vm[k], vs[k])
@@ -394,9 +398,9 @@ func TestConcurrentAddRange(t *testing.T) {
 		wg.Wait()
 		// Total mass must be conserved exactly for NORM.
 		if m == Norm {
-			sum := 0.0
+			sum, fz := 0.0, view(t, a)
 			for pos := 0; pos < 20000; pos++ {
-				sum += a.Total(pos)
+				sum += fz.Total(pos)
 			}
 			want := float64(workers * perWorker * 60)
 			if math.Abs(sum-want) > 1e-3*want {

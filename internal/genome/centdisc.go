@@ -187,27 +187,40 @@ func (cb *Codebook) MemoryBytes() int64 {
 }
 
 // centDiscAcc is the CENTDISC layout: per position, one float32 total
-// plus a single codebook byte.
+// plus a single codebook byte. total and code are the store's floats and
+// bytes under the names the layout's arithmetic reads.
 type centDiscAcc struct {
-	length int
-	total  []float32
-	code   []uint8
-	cb     *Codebook
-	tiles
+	store
+	total []float32
+	code  []uint8
+	cb    *Codebook
 }
 
 func newCentDiscAcc(length int) *centDiscAcc {
-	return &centDiscAcc{
-		length: length,
-		total:  make([]float32, length),
-		code:   make([]uint8, length),
-		cb:     DefaultCodebook(),
-		tiles:  newTiles(length),
-	}
+	total, code := make([]float32, length), make([]uint8, length)
+	return &centDiscAcc{newStore(CentDisc, length, total, code), total, code, DefaultCodebook()}
 }
 
-func (a *centDiscAcc) Len() int   { return a.length }
-func (a *centDiscAcc) Mode() Mode { return CentDisc }
+// realVec reconstructs the real-space channel vector at a position,
+// total × centroid. Caller must hold the stripe lock, or writers are
+// quiesced.
+func (a *centDiscAcc) realVec(pos int) Vec {
+	var v Vec
+	t := float64(a.total[pos])
+	if t <= 0 {
+		return v
+	}
+	c := &a.cb.centroids[a.code[pos]]
+	for k := 0; k < dna.NumChannels; k++ {
+		v[k] = t * c[k]
+	}
+	return v
+}
+
+// MemoryBytes adds the codebook and merge table: shared, amortized
+// across positions, but reported once per accumulator as the paper
+// reports per-process virtual memory.
+func (a *centDiscAcc) MemoryBytes() int64 { return a.store.MemoryBytes() + a.cb.MemoryBytes() }
 
 // AddRange applies the paper's *online* centroid update (§VI-B-2): the
 // incoming per-position contribution is itself quantized to a centroid,
@@ -247,34 +260,6 @@ func (a *centDiscAcc) AddRange(start int, zs []Vec, weight float64) {
 		}
 		a.total[pos] += float32(mass)
 	}
-}
-
-func (a *centDiscAcc) Vector(pos int) Vec {
-	lkFirst, lkLast := lockRange(a.locks, pos, pos+1)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	t := float64(a.total[pos])
-	c := a.cb.Centroid(a.code[pos])
-	var v Vec
-	if t <= 0 {
-		return v
-	}
-	for k := 0; k < dna.NumChannels; k++ {
-		v[k] = t * c[k]
-	}
-	return v
-}
-
-func (a *centDiscAcc) Total(pos int) float64 {
-	lkFirst, lkLast := lockRange(a.locks, pos, pos+1)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	return float64(a.total[pos])
-}
-
-func (a *centDiscAcc) MemoryBytes() int64 {
-	// Codebook and merge table are shared, amortized across positions;
-	// reported once per accumulator as the paper reports per-process
-	// virtual memory.
-	return int64(len(a.total))*4 + int64(len(a.code)) + a.cb.MemoryBytes()
 }
 
 func (a *centDiscAcc) Merge(other Accumulator) error {

@@ -13,25 +13,18 @@ const fracDenom = 255
 
 // charDiscAcc is the CHARDISC layout: per position, one float32 total
 // plus five byte numerators over fracDenom. The real value of channel k
-// is total · frac[k] / 255.
+// is total · frac[k] / 255. total and frac are the store's floats and
+// bytes under the names the layout's arithmetic reads.
 type charDiscAcc struct {
-	length int
-	total  []float32 // len = length
-	frac   []uint8   // len = 5·length
-	tiles
+	store
+	total []float32 // len = length
+	frac  []uint8   // len = 5·length
 }
 
 func newCharDiscAcc(length int) *charDiscAcc {
-	return &charDiscAcc{
-		length: length,
-		total:  make([]float32, length),
-		frac:   make([]uint8, dna.NumChannels*length),
-		tiles:  newTiles(length),
-	}
+	total, frac := make([]float32, length), make([]uint8, dna.NumChannels*length)
+	return &charDiscAcc{newStore(CharDisc, length, total, frac), total, frac}
 }
-
-func (a *charDiscAcc) Len() int   { return a.length }
-func (a *charDiscAcc) Mode() Mode { return CharDisc }
 
 // quantize converts a non-negative channel vector with the given total
 // into byte numerators summing exactly to fracDenom, using
@@ -76,8 +69,9 @@ func quantize(v *Vec, total float64, out []uint8) {
 	}
 }
 
-// realVec reconstructs the real-space channel vector at a position.
-// Caller must hold the stripe lock.
+// realVec reconstructs the real-space channel vector at a position,
+// total · frac[k] / 255. Caller must hold the stripe lock, or writers
+// are quiesced.
 func (a *charDiscAcc) realVec(pos int) Vec {
 	var v Vec
 	t := float64(a.total[pos])
@@ -111,22 +105,6 @@ func (a *charDiscAcc) AddRange(start int, zs []Vec, weight float64) {
 		a.total[pos] = float32(newTotal)
 		quantize(&v, newTotal, a.frac[pos*dna.NumChannels:(pos+1)*dna.NumChannels])
 	}
-}
-
-func (a *charDiscAcc) Vector(pos int) Vec {
-	lkFirst, lkLast := lockRange(a.locks, pos, pos+1)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	return a.realVec(pos)
-}
-
-func (a *charDiscAcc) Total(pos int) float64 {
-	lkFirst, lkLast := lockRange(a.locks, pos, pos+1)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	return float64(a.total[pos])
-}
-
-func (a *charDiscAcc) MemoryBytes() int64 {
-	return int64(len(a.total))*4 + int64(len(a.frac))
 }
 
 func (a *charDiscAcc) Merge(other Accumulator) error {

@@ -1,109 +1,58 @@
 package genome
 
 import (
-	"fmt"
+	"errors"
 
 	"gnumap/internal/dna"
 )
 
 // Frozen is a lock-free, read-only view of an accumulator's per-position
-// state. It aliases the accumulator's arrays rather than copying them,
-// so freezing is O(1); the view is only coherent while writers are
-// quiesced (mapping finished, or the streaming pipeline parked at a
-// checkpoint barrier). Vector and Total reproduce the locked
-// Accumulator paths' arithmetic exactly — same loads, same conversion
-// and summation order — so a sweep over a Frozen view is bit-identical
-// to one over the locked accumulator, minus the per-position stripe
-// lock round trip.
+// state, and the one way to read it. It aliases the accumulator's arrays
+// rather than copying them, so freezing is O(1); the view is only
+// coherent while writers are quiesced (mapping finished, or the
+// streaming pipeline parked at a checkpoint barrier). Vector is the
+// layout's own reconstruction from the stored bytes — for CHARDISC the
+// one its writes and merges use — so the view reads exactly what the
+// layout holds.
 //
-// The post-map LRT sweep, the pileup writer, and the coverage summary
-// all read through Frozen views; the accumulator's locks exist for the
-// mapping phase only.
+// The calling sweep, the pileup writer, and the coverage summary all
+// read through Frozen views; the accumulator's locks exist for writers
+// only.
 type Frozen struct {
-	mode   Mode
-	length int
-	// planes are the NORM per-channel position planes (nil otherwise).
-	planes [dna.NumChannels][]float32
-	// total is the CHARDISC/CENTDISC per-position total plane.
-	total []float32
-	// frac is the CHARDISC byte-fraction array (5 per position).
-	frac []uint8
-	// code is the CENTDISC codebook index array, cb its codebook.
-	code []uint8
-	cb   *Codebook
+	s   *store
+	acc Accumulator
 }
 
-// Freeze returns a frozen view of acc. Accumulator implementations
-// outside this package have no frozen form and return an error; callers
-// fall back to the locked interface.
+// Freeze returns a frozen view of acc. Its only error is a nil
+// accumulator.
 func Freeze(acc Accumulator) (*Frozen, error) {
-	switch a := acc.(type) {
-	case *normAcc:
-		f := &Frozen{mode: Norm, length: a.length}
-		for k := range f.planes {
-			f.planes[k] = a.plane(k)
-		}
-		return f, nil
-	case *charDiscAcc:
-		return &Frozen{mode: CharDisc, length: a.length, total: a.total, frac: a.frac}, nil
-	case *centDiscAcc:
-		return &Frozen{mode: CentDisc, length: a.length, total: a.total, code: a.code, cb: a.cb}, nil
-	default:
-		return nil, fmt.Errorf("genome: %T has no frozen view", acc)
+	if acc == nil {
+		return nil, errors.New("genome: freeze of a nil accumulator")
 	}
+	return &Frozen{acc.shared(), acc}, nil
 }
 
 // Len returns the number of positions.
-func (f *Frozen) Len() int { return f.length }
+func (f *Frozen) Len() int { return f.s.length }
 
 // Mode returns the underlying accumulator's memory layout.
-func (f *Frozen) Mode() Mode { return f.mode }
+func (f *Frozen) Mode() Mode { return f.s.mode }
 
-// Vector returns the accumulated channel totals at a position,
-// bit-identical to Accumulator.Vector on the source accumulator.
-func (f *Frozen) Vector(pos int) Vec {
-	var v Vec
-	switch f.mode {
-	case Norm:
-		for k := 0; k < dna.NumChannels; k++ {
-			v[k] = float64(f.planes[k][pos])
-		}
-	case CharDisc:
-		t := float64(f.total[pos])
-		if t <= 0 {
-			return v
-		}
-		base := pos * dna.NumChannels
-		for k := 0; k < dna.NumChannels; k++ {
-			v[k] = t * float64(f.frac[base+k]) / fracDenom
-		}
-	case CentDisc:
-		t := float64(f.total[pos])
-		if t <= 0 {
-			return v
-		}
-		c := f.cb.Centroid(f.code[pos])
-		for k := 0; k < dna.NumChannels; k++ {
-			v[k] = t * c[k]
-		}
-	}
-	return v
-}
+// Vector returns the accumulated channel totals at a position.
+func (f *Frozen) Vector(pos int) Vec { return f.acc.realVec(pos) }
 
-// Total returns the total accumulated mass at a position, bit-identical
-// to Accumulator.Total on the source accumulator.
+// Total returns the total accumulated mass at a position: the stored
+// total of a discretized layout, the channel sum (in channel order) for
+// NORM.
 func (f *Frozen) Total(pos int) float64 {
-	switch f.mode {
-	case CharDisc, CentDisc:
-		return float64(f.total[pos])
-	default:
-		v := f.Vector(pos)
-		t := 0.0
-		for _, x := range v {
-			t += x
-		}
-		return t
+	if f.s.mode != Norm {
+		return float64(f.s.floats[pos])
 	}
+	t := 0.0
+	for _, x := range f.Vector(pos) {
+		t += x
+	}
+	return t
 }
 
 // PlaneWindow returns the five channel planes of a NORM view sliced to
@@ -113,13 +62,13 @@ func (f *Frozen) Total(pos int) float64 {
 // lives here instead of at every call site. The slices alias the
 // accumulator's arrays, zero-copy. ok is false for an invalid window
 // and for the discretized modes, whose channel state is byte-packed —
-// such callers fall back to Vector.
+// such callers read Vector.
 func (f *Frozen) PlaneWindow(lo, hi int) (planes [dna.NumChannels][]float32, ok bool) {
-	if f.mode != Norm || lo < 0 || hi > f.length || lo > hi {
+	if f.s.mode != Norm || lo < 0 || hi > f.s.length || lo > hi {
 		return planes, false
 	}
 	for k := range planes {
-		planes[k] = f.planes[k][lo:hi:hi]
+		planes[k] = f.s.plane(k)[lo:hi:hi]
 	}
 	return planes, true
 }

@@ -1,15 +1,28 @@
 package genome
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
+
+	"gnumap/internal/dna"
 )
 
-// Property: a frozen view is bit-identical to the locked interface on
-// every position — Vector and Total — for every mode, including after
-// a Merge and after a state snapshot. The post-map
-// sweep swaps the locked reads for a Frozen view on exactly this
-// guarantee.
+// view freezes acc for a test's reads (the accumulator's only read path).
+func view(t *testing.T, acc Accumulator) *Frozen {
+	t.Helper()
+	fz, err := Freeze(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fz
+}
+
+// Property: a frozen view reads exactly what the layout stores, on every
+// position — Vector and Total — for every mode, including after a Merge
+// and after a state snapshot. The reference does not go through the
+// view: it decodes the accumulator's own State blob.
 func TestFrozenBitIdenticalToAccumulator(t *testing.T) {
 	const L = 2048
 	for _, mode := range allModes() {
@@ -31,23 +44,59 @@ func TestFrozenBitIdenticalToAccumulator(t *testing.T) {
 	}
 }
 
-// requireFrozenEqual checks Freeze(acc) against acc position by
-// position, requiring exact float equality.
+// stateReference rebuilds every position's vector and total from the
+// raw arrays of acc's State blob: NORM's position-major floats (the
+// total is their sum in channel order), CHARDISC's total × frac / 255,
+// CENTDISC's total × DefaultCodebook().Centroid(code).
+func stateReference(t *testing.T, acc Accumulator) (vecs []Vec, totals []float64) {
+	t.Helper()
+	blob := stateOf(t, acc)
+	nf := int(binary.LittleEndian.Uint64(blob[stateHdrLen:]))
+	floats := make([]float32, nf)
+	for i := range floats {
+		floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(blob[stateHdrLen+8+4*i:]))
+	}
+	raw := blob[stateHdrLen+8+4*nf+8:]
+	vecs, totals = make([]Vec, acc.Len()), make([]float64, acc.Len())
+	for pos := range vecs {
+		v := &vecs[pos]
+		switch acc.Mode() {
+		case Norm:
+			for k := range v {
+				v[k] = float64(floats[pos*dna.NumChannels+k])
+				totals[pos] += v[k]
+			}
+		case CharDisc:
+			totals[pos] = float64(floats[pos])
+			for k := range v {
+				v[k] = totals[pos] * float64(raw[pos*dna.NumChannels+k]) / 255
+			}
+		case CentDisc:
+			totals[pos] = float64(floats[pos])
+			c := DefaultCodebook().Centroid(raw[pos])
+			for k := range v {
+				v[k] = totals[pos] * c[k]
+			}
+		}
+	}
+	return vecs, totals
+}
+
+// requireFrozenEqual checks Freeze(acc) against stateReference position
+// by position, requiring exact float equality.
 func requireFrozenEqual(t *testing.T, acc Accumulator, when string) {
 	t.Helper()
-	fz, err := Freeze(acc)
-	if err != nil {
-		t.Fatalf("%s: Freeze: %v", when, err)
+	fz := view(t, acc)
+	if fz.Len() != acc.Len() || fz.Mode() != acc.Mode() {
+		t.Fatalf("%s: frozen %v/%d, accumulator %v/%d", when, fz.Mode(), fz.Len(), acc.Mode(), acc.Len())
 	}
-	if fz.Len() != acc.Len() {
-		t.Fatalf("%s: frozen Len = %d, want %d", when, fz.Len(), acc.Len())
-	}
-	for pos := 0; pos < acc.Len(); pos++ {
-		if got, want := fz.Vector(pos), acc.Vector(pos); got != want {
-			t.Fatalf("%s: Vector(%d) = %v via frozen view, %v via locks", when, pos, got, want)
+	vecs, totals := stateReference(t, acc)
+	for pos := range vecs {
+		if got := fz.Vector(pos); got != vecs[pos] {
+			t.Fatalf("%s: Vector(%d) = %v via frozen view, %v from the state blob", when, pos, got, vecs[pos])
 		}
-		if got, want := fz.Total(pos), acc.Total(pos); got != want {
-			t.Fatalf("%s: Total(%d) = %v via frozen view, %v via locks", when, pos, got, want)
+		if got := fz.Total(pos); got != totals[pos] {
+			t.Fatalf("%s: Total(%d) = %v via frozen view, %v from the state blob", when, pos, got, totals[pos])
 		}
 	}
 }
@@ -73,10 +122,7 @@ func TestFrozenPlaneAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm.AddRange(3, []Vec{{0.5, 0.2, 0.2, 0.1, 0}}, 2)
-	fz, err := Freeze(norm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fz := view(t, norm)
 	if fz.Mode() != Norm {
 		t.Fatalf("Mode = %v, want Norm", fz.Mode())
 	}
@@ -88,7 +134,7 @@ func TestFrozenPlaneAccessors(t *testing.T) {
 		if len(p) != 64 {
 			t.Fatalf("plane %d length %d, want 64", k, len(p))
 		}
-		if got, want := float64(p[3]), norm.Vector(3)[k]; got != want {
+		if got, want := float64(p[3]), fz.Vector(3)[k]; got != want {
 			t.Errorf("plane %d at 3 = %v, want %v", k, got, want)
 		}
 	}
@@ -98,15 +144,12 @@ func TestFrozenPlaneAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cd.AddRange(3, []Vec{{0.5, 0.2, 0.2, 0.1, 0}}, 2)
-	cfz, err := Freeze(cd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfz := view(t, cd)
 	if _, ok := cfz.PlaneWindow(0, 64); ok {
 		t.Error("CharDisc view has channel planes")
 	}
-	if got, want := cfz.Total(3), cd.Total(3); got != want {
-		t.Errorf("frozen Total(3) = %v, want %v", got, want)
+	if got := cfz.Total(3); got != 2 {
+		t.Errorf("frozen Total(3) = %v, want 2", got)
 	}
 }
 
@@ -118,11 +161,7 @@ func TestFrozenPlaneAccessors(t *testing.T) {
 func TestFrozenPlaneIteration(t *testing.T) {
 	const L = 96
 	rng := rand.New(rand.NewSource(17))
-	norm := feed(t, Norm, L, randomStream(rng, 120, L, L/3))
-	fz, err := Freeze(norm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fz := view(t, feed(t, Norm, L, randomStream(rng, 120, L, L/3)))
 	for _, w := range [][2]int{{0, L}, {0, 0}, {5, 5}, {7, 31}, {L - 9, L}} {
 		win, ok := fz.PlaneWindow(w[0], w[1])
 		if !ok {
@@ -146,15 +185,13 @@ func TestFrozenPlaneIteration(t *testing.T) {
 	for _, mode := range []Mode{CharDisc, CentDisc} {
 		t.Run(mode.String(), func(t *testing.T) {
 			acc := feed(t, mode, L, randomStream(rng, 120, L, L/3))
-			dfz, err := Freeze(acc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dfz := view(t, acc)
 			if _, ok := dfz.PlaneWindow(0, L); ok {
 				t.Error("discrete view handed out a plane window")
 			}
-			for pos := 0; pos < L; pos++ {
-				if got, want := dfz.Total(pos), acc.Total(pos); got != want {
+			_, totals := stateReference(t, acc)
+			for pos, want := range totals {
+				if got := dfz.Total(pos); got != want {
 					t.Fatalf("frozen Total(%d) = %v, want %v", pos, got, want)
 				}
 			}
@@ -172,10 +209,7 @@ func TestSnapshotIntoDeterministic(t *testing.T) {
 	const L = 1500
 	rng := rand.New(rand.NewSource(17))
 	acc := feed(t, Norm, L, randomStream(rng, 800, L, L/2))
-	fz, err := Freeze(acc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fz := view(t, acc)
 	first := make([]Vec, L)
 	for pos := range first {
 		first[pos] = fz.Vector(pos)
@@ -210,8 +244,9 @@ func TestSnapshotIntoStriped(t *testing.T) {
 			if err := stale.LoadStateBytes(stateOf(t, acc)); err != nil {
 				t.Fatalf("LoadStateBytes: %v", err)
 			}
+			loaded, source := view(t, stale), view(t, acc)
 			for pos := 0; pos < L; pos++ {
-				if got, want := stale.Vector(pos), acc.Vector(pos); got != want {
+				if got, want := loaded.Vector(pos), source.Vector(pos); got != want {
 					t.Fatalf("position %d: loaded %v, source %v", pos, got, want)
 				}
 			}

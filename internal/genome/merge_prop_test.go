@@ -92,12 +92,13 @@ func TestMergePropertyShardsEqualSingle(t *testing.T) {
 				}
 			}
 
+			fs, fm := view(t, single), view(t, merged)
 			for pos := 0; pos < L; pos++ {
-				wantT, gotT := single.Total(pos), merged.Total(pos)
+				wantT, gotT := fs.Total(pos), fm.Total(pos)
 				if math.Abs(wantT-gotT) > 1e-3*(1+wantT) {
 					t.Fatalf("%v seed %d pos %d: total %v (merged) vs %v (single)", mode, seed, pos, gotT, wantT)
 				}
-				want, got := single.Vector(pos), merged.Vector(pos)
+				want, got := fs.Vector(pos), fm.Vector(pos)
 				switch mode {
 				case Norm:
 					// Exact up to float32 accumulation order.
@@ -155,9 +156,10 @@ func TestMergeEmptyShardIsIdentity(t *testing.T) {
 		acc := feed(t, mode, L, stream)
 		before := make([]Vec, L)
 		totals := make([]float64, L)
+		fz := view(t, acc)
 		for pos := 0; pos < L; pos++ {
-			before[pos] = acc.Vector(pos)
-			totals[pos] = acc.Total(pos)
+			before[pos] = fz.Vector(pos)
+			totals[pos] = fz.Total(pos)
 		}
 		empty, err := New(mode, L)
 		if err != nil {
@@ -167,10 +169,10 @@ func TestMergeEmptyShardIsIdentity(t *testing.T) {
 			t.Fatalf("%v: merge empty: %v", mode, err)
 		}
 		for pos := 0; pos < L; pos++ {
-			if acc.Total(pos) != totals[pos] {
-				t.Fatalf("%v pos %d: total changed %v -> %v", mode, pos, totals[pos], acc.Total(pos))
+			if got := fz.Total(pos); got != totals[pos] {
+				t.Fatalf("%v pos %d: total changed %v -> %v", mode, pos, totals[pos], got)
 			}
-			got := acc.Vector(pos)
+			got := fz.Vector(pos)
 			for k := 0; k < dna.NumChannels; k++ {
 				if math.Abs(got[k]-before[pos][k]) > 1e-9 {
 					t.Fatalf("%v pos %d ch %d: vector changed %v -> %v", mode, pos, k, before[pos][k], got[k])
@@ -207,8 +209,9 @@ func TestMergeTreeMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+	fs, ft := view(t, serial), view(t, tree[0])
 	for pos := 0; pos < L; pos++ {
-		a, b := serial.Total(pos), tree[0].Total(pos)
+		a, b := fs.Total(pos), ft.Total(pos)
 		if math.Abs(a-b) > 1e-3*(1+a) {
 			t.Fatalf("pos %d: pairwise fold %v vs serial fold %v", pos, b, a)
 		}
@@ -257,17 +260,18 @@ func TestCharDiscMergeSaturation(t *testing.T) {
 	}
 	minor.AddRange(0, []Vec{{0, 1}}, 1) // one unit of channel 1
 	// Pre-merge, the minor shard's own quantization keeps its mass.
-	if v := minor.Vector(0); v[1] != 1 {
+	if v := view(t, minor).Vector(0); v[1] != 1 {
 		t.Fatalf("minor shard lost its own mass: %v", v)
 	}
 	if err := acc.Merge(minor); err != nil {
 		t.Fatal(err)
 	}
 
-	if got, want := acc.Total(0), 1001.0; math.Abs(got-want) > 1e-6*want {
+	fz := view(t, acc)
+	if got, want := fz.Total(0), 1001.0; math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("total = %v, want %v", got, want)
 	}
-	v := acc.Vector(0)
+	v := fz.Vector(0)
 	// Channel 1's exact fraction is 1/1001 of 255 ≈ 0.25 quanta: below
 	// half a quantum, largest-remainder rounding hands its unit to the
 	// dominant channel, so the reconstructed minor mass is exactly zero.

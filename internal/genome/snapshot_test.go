@@ -48,8 +48,8 @@ func TestSnapshotStateNonDestructive(t *testing.T) {
 			// Writes after the snapshot land on top of those before it.
 			acc.AddRange(300, zs, 3.0)
 			want.AddRange(300, zs, 3.0)
-			if acc.Total(300) <= 0 || acc.Total(40) <= 0 {
-				t.Errorf("write lost around a snapshot: Total(40) = %v, Total(300) = %v", acc.Total(40), acc.Total(300))
+			if fz := view(t, acc); fz.Total(300) <= 0 || fz.Total(40) <= 0 {
+				t.Errorf("write lost around a snapshot: Total(40) = %v, Total(300) = %v", fz.Total(40), fz.Total(300))
 			}
 			if !bytes.Equal(stateOf(t, acc), stateOf(t, want)) {
 				t.Errorf("second snapshot diverges from directly-fed state")

@@ -115,39 +115,50 @@ func decodeState(data []byte, tag byte, length int, f []float32, b []uint8) erro
 	return nil
 }
 
-// State implements Stateful. The wire format predates the plane-major
-// in-memory layout and stays position-major (five consecutive channel
-// floats per position), so state blobs — including checkpoint files
-// written before the transpose — remain byte-compatible across
-// versions. The transpose costs one pass over an array the encoder
-// copies anyway.
-func (a *normAcc) State() ([]byte, error) {
-	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	inter := make([]float32, len(a.data))
-	for k := 0; k < dna.NumChannels; k++ {
-		pk := a.plane(k)
-		for pos, v := range pk {
-			inter[pos*dna.NumChannels+k] = v
+// stateTags is each layout's mode tag on the wire.
+var stateTags = [...]byte{Norm: 'N', CharDisc: 'C', CentDisc: 'D'}
+
+// State implements Stateful for every layout: under every stripe lock,
+// the float and byte arrays go out under the layout's mode tag. The
+// wire format predates NORM's plane-major in-memory layout and stays
+// position-major (five consecutive channel floats per position), so
+// state blobs — including checkpoint files written before the transpose
+// — remain byte-compatible across versions; the transpose costs one
+// pass over an array the encoder copies anyway. CENTDISC's codebook
+// bytes travel directly — both ends share the deterministic default
+// codebook, the property the paper's table-lookup reduction relies on.
+func (s *store) State() ([]byte, error) {
+	first, last := lockRange(s.locks, 0, s.length)
+	defer unlockRange(s.locks, first, last)
+	floats := s.floats
+	if s.mode == Norm {
+		floats = make([]float32, len(s.floats))
+		for k := 0; k < dna.NumChannels; k++ {
+			for pos, v := range s.plane(k) {
+				floats[pos*dna.NumChannels+k] = v
+			}
 		}
 	}
-	return encodeState('N', a.length, inter, nil), nil
+	return encodeState(stateTags[s.mode], s.length, floats, s.bytes), nil
 }
 
-// LoadStateBytes implements Stateful (position-major wire format; see
-// State). Every load counts a write on every tile; a failed one changes
-// nothing (decodeState validates the whole blob before it writes a
-// byte), so for it the marks are merely conservative.
-func (a *normAcc) LoadStateBytes(data []byte) error {
-	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	a.markAll()
-	inter := make([]float32, len(a.data))
-	if err := decodeState(data, 'N', a.length, inter, nil); err != nil {
+// LoadStateBytes implements Stateful for every layout (position-major
+// NORM wire format; see State). Every load counts a write on every tile;
+// a failed one changes nothing (decodeState validates the whole blob
+// before it writes a byte), so for it the marks are merely conservative.
+func (s *store) LoadStateBytes(data []byte) error {
+	first, last := lockRange(s.locks, 0, s.length)
+	defer unlockRange(s.locks, first, last)
+	s.markAll()
+	if s.mode != Norm {
+		return decodeState(data, stateTags[s.mode], s.length, s.floats, s.bytes)
+	}
+	inter := make([]float32, len(s.floats))
+	if err := decodeState(data, stateTags[s.mode], s.length, inter, nil); err != nil {
 		return err
 	}
 	for k := 0; k < dna.NumChannels; k++ {
-		pk := a.plane(k)
+		pk := s.plane(k)
 		for pos := range pk {
 			pk[pos] = inter[pos*dna.NumChannels+k]
 		}
@@ -155,62 +166,7 @@ func (a *normAcc) LoadStateBytes(data []byte) error {
 	return nil
 }
 
-// State implements Stateful.
-func (a *charDiscAcc) State() ([]byte, error) {
-	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	return encodeState('C', a.length, a.total, a.frac), nil
-}
-
-// LoadStateBytes implements Stateful.
-func (a *charDiscAcc) LoadStateBytes(data []byte) error {
-	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	a.markAll()
-	return decodeState(data, 'C', a.length, a.total, a.frac)
-}
-
-// State implements Stateful. Codebook bytes travel directly — both ends
-// share the deterministic default codebook, the property the paper's
-// table-lookup reduction relies on.
-func (a *centDiscAcc) State() ([]byte, error) {
-	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	return encodeState('D', a.length, a.total, a.code), nil
-}
-
-// LoadStateBytes implements Stateful.
-func (a *centDiscAcc) LoadStateBytes(data []byte) error {
-	lkFirst, lkLast := lockRange(a.locks, 0, a.length)
-	defer unlockRange(a.locks, lkFirst, lkLast)
-	a.markAll()
-	return decodeState(data, 'D', a.length, a.total, a.code)
-}
-
 // CloneEmpty returns a fresh accumulator with the same mode and length.
 func CloneEmpty(a Accumulator) (Accumulator, error) {
 	return New(a.Mode(), a.Len())
-}
-
-// Reset zeroes an accumulator's per-position state in place: a cluster
-// rank resets at a quiesce barrier after shipping its state and goes on
-// accumulating into the same arrays. Every tile counts a write. Writers
-// must be quiesced.
-func Reset(acc Accumulator) error {
-	switch a := acc.(type) {
-	case *normAcc:
-		clear(a.data)
-		a.markAll()
-	case *charDiscAcc:
-		clear(a.total)
-		clear(a.frac)
-		a.markAll()
-	case *centDiscAcc:
-		clear(a.total)
-		clear(a.code)
-		a.markAll()
-	default:
-		return fmt.Errorf("genome: %T cannot be reset", acc)
-	}
-	return nil
 }

@@ -5,7 +5,7 @@ package genome
 // n).WorkerShard() as the no-lock baseline of
 // genome.add_shard_ns_per_range — what the stripe locks cost per
 // AddRange. The program itself never builds one; the type leaves with
-// that probe (ROADMAP item 6(e)).
+// that probe (ROADMAP item 5(c)).
 type Sharded struct{ acc Accumulator }
 
 // NewSharded builds the twin of New(mode, length).
@@ -21,13 +21,9 @@ func (s *Sharded) WorkerShard() Accumulator { return s.acc }
 // clamps last to -1 < first, so every path runs unchanged, unguarded.
 func newUnlocked(mode Mode, length int) (Accumulator, error) {
 	acc, err := New(mode, length)
-	switch a := acc.(type) {
-	case *normAcc:
-		a.locks = nil
-	case *charDiscAcc:
-		a.locks = nil
-	case *centDiscAcc:
-		a.locks = nil
+	if err != nil {
+		return nil, err
 	}
-	return acc, err
+	acc.shared().locks = nil
+	return acc, nil
 }

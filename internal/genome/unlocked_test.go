@@ -82,7 +82,7 @@ func TestShardedMergeSharded(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Vector(1), (Vec{1, 0, 3, 0, 0}); got != want {
+	if got, want := view(t, a).Vector(1), (Vec{1, 0, 3, 0, 0}); got != want {
 		t.Fatalf("merged vector = %v, want %v", got, want)
 	}
 }

@@ -30,15 +30,42 @@ func benchStrands(g dna.Seq, n int, seed int64) [][2]dna.Seq {
 	return strands
 }
 
+// benchIndex builds g's k-mer index as the direct table or as the hashed
+// LargeIndex, the latter on one build worker so the two compare like for
+// like.
+func benchIndex(b *testing.B, g dna.Seq, k int, hashed bool) SeedIndex {
+	b.Helper()
+	var idx SeedIndex
+	var err error
+	if hashed {
+		idx, err = NewLargeWith(g, k, LargeConfig{Workers: 1})
+	} else {
+		idx, err = New(g, k)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return idx
+}
+
+// BenchmarkIndexBuild1M builds the k=10 index of a 1 Mbp genome both
+// ways: the direct table and the hashed LargeIndex (ROADMAP item 6(a)
+// asks whether the second can replace the first).
 func BenchmarkIndexBuild1M(b *testing.B) {
 	g := benchGenome(1_000_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(g, DefaultK); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		hashed bool
+	}{{"direct", false}, {"hash", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var mem int64
+			for i := 0; i < b.N; i++ {
+				mem = benchIndex(b, g, DefaultK, c.hashed).MemoryBytes()
+			}
+			b.ReportMetric(float64(len(g))*float64(b.N)/b.Elapsed().Seconds(), "bases/s")
+			b.ReportMetric(float64(mem)/(1<<20), "MiB")
+		})
 	}
-	b.ReportMetric(float64(len(g))*float64(b.N)/b.Elapsed().Seconds(), "bases/s")
 }
 
 func BenchmarkCandidates62(b *testing.B) {
@@ -62,22 +89,22 @@ func BenchmarkCandidates62(b *testing.B) {
 // next to the repo benchmark's kmer.lookup_ns_per_read: both strands of
 // 62-bp reads sampled across a random genome (one substitution each)
 // through one warm buffer, on the two index shapes the benchmark
-// workloads use. A read is one iteration, so ns/read == ns/op.
+// workloads use, plus the hashed index at the direct table's k. A read
+// is one iteration, so ns/read == ns/op.
 func BenchmarkCandidatesInto(b *testing.B) {
 	opts := CandidateOptions{MaxCandidates: 8, MinVotes: 2, MaxBucket: 1024, Slack: 2}
 	for _, c := range []struct {
-		name string
-		k, n int
+		name   string
+		k, n   int
+		hashed bool
 	}{
-		{"direct-k10-1.5Mbp", DefaultK, 1_500_000},
-		{"hash-k20-4Mbp", 20, 4_000_000},
+		{"direct-k10-1.5Mbp", DefaultK, 1_500_000, false},
+		{"hash-k10-1.5Mbp", DefaultK, 1_500_000, true},
+		{"hash-k20-4Mbp", 20, 4_000_000, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			g := benchGenome(c.n)
-			idx, err := Build(g, c.k)
-			if err != nil {
-				b.Fatal(err)
-			}
+			idx := benchIndex(b, g, c.k, c.hashed)
 			strands := benchStrands(g, 4096, 3)
 			var buf CandidateBuf
 			var hits int64

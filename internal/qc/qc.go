@@ -120,25 +120,19 @@ func SummarizeCoverage(acc genome.Accumulator, maxBucket int) CoverageStats {
 		maxBucket = 64
 	}
 	st := CoverageStats{Hist: make([]int64, maxBucket+1)}
-	if acc == nil {
+	// QC runs after mapping has quiesced. A NORM view hands over its five
+	// planes, summed here in Total's channel order.
+	fz, err := genome.Freeze(acc)
+	if err != nil {
 		return st
 	}
-	// QC runs after mapping has quiesced; a frozen view reads the
-	// accumulator without per-position lock round trips, and a NORM one
-	// hands over its five planes, summed here in Total's channel order.
-	total := acc.Total
-	var planes [dna.NumChannels][]float32
-	norm := false
-	if fz, err := genome.Freeze(acc); err == nil {
-		total = fz.Total
-		planes, norm = fz.PlaneWindow(0, fz.Len())
-	}
+	planes, norm := fz.PlaneWindow(0, fz.Len())
 	// Depths are produced a block at a time so that the tally is a loop
 	// with no call in it and keeps its state in registers.
 	var sum float64
 	var b1, b4, b10, uncovered int
 	var block [512]float64
-	for lo, n := 0, acc.Len(); lo < n; lo += len(block) {
+	for lo, n := 0, fz.Len(); lo < n; lo += len(block) {
 		depths := block[:min(len(block), n-lo)]
 		if norm {
 			pA, pC, pG, pT, pGap := planes[dna.A][lo:], planes[dna.C][lo:], planes[dna.G][lo:], planes[dna.T][lo:], planes[dna.ChGap][lo:]
@@ -147,7 +141,7 @@ func SummarizeCoverage(acc genome.Accumulator, maxBucket int) CoverageStats {
 			}
 		} else {
 			for i := range depths {
-				depths[i] = total(lo + i)
+				depths[i] = fz.Total(lo + i)
 			}
 		}
 		for _, d := range depths {

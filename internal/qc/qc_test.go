@@ -130,13 +130,40 @@ func TestSummarizeCoverageOverflowBucket(t *testing.T) {
 	}
 }
 
-// foreign hides an accumulator's concrete type, so genome.Freeze refuses
-// it and SummarizeCoverage falls back to one locked Total per position.
-type foreign struct{ genome.Accumulator }
+// totalWalk is the coverage summary computed one Frozen.Total at a time,
+// in position order.
+func totalWalk(t *testing.T, acc genome.Accumulator, maxBucket int) CoverageStats {
+	t.Helper()
+	fz, err := genome.Freeze(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := CoverageStats{Positions: fz.Len(), Hist: make([]int64, maxBucket+1)}
+	var sum float64
+	var b1, b4, b10 int
+	for pos := 0; pos < fz.Len(); pos++ {
+		d := fz.Total(pos)
+		sum += d
+		st.MaxDepth = max(st.MaxDepth, d)
+		if d >= 1 {
+			b1++
+		}
+		if d >= 4 {
+			b4++
+		}
+		if d >= 10 {
+			b10++
+		}
+		st.Hist[min(int(math.Round(d)), maxBucket)]++
+	}
+	n := float64(st.Positions)
+	st.MeanDepth, st.Breadth1, st.Breadth4, st.Breadth10 = sum/n, float64(b1)/n, float64(b4)/n, float64(b10)/n
+	return st
+}
 
-// TestSummarizeCoverageWalksAgree: the NORM plane walk, the frozen Total
-// walk of the discretized layouts and the locked Total walk are one
-// summary, every field == (depth sums included).
+// TestSummarizeCoverageWalksAgree: the NORM plane walk and the frozen
+// Total walk of the discretized layouts each equal a per-position
+// Frozen.Total walk, every field == (depth sums included).
 func TestSummarizeCoverageWalksAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
@@ -151,9 +178,9 @@ func TestSummarizeCoverageWalksAgree(t *testing.T) {
 			}
 			acc.AddRange(rng.Intn(2500), []genome.Vec{v, v}, rng.Float64())
 		}
-		got, want := SummarizeCoverage(acc, 16), SummarizeCoverage(foreign{acc}, 16)
+		got, want := SummarizeCoverage(acc, 16), totalWalk(t, acc, 16)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: frozen walk %+v != locked walk %+v", mode, got, want)
+			t.Errorf("%v: summary %+v != per-position Total walk %+v", mode, got, want)
 		}
 		if got.MaxDepth == 0 {
 			t.Errorf("%v: nothing accumulated", mode)

@@ -17,8 +17,9 @@ func windowOf(t *testing.T, acc genome.Accumulator, offset, length int) genome.A
 	if err != nil {
 		t.Fatal(err)
 	}
+	fz := view(t, acc)
 	for i := 0; i < length; i++ {
-		if v := acc.Vector(offset + i); v != (genome.Vec{}) {
+		if v := fz.Vector(offset + i); v != (genome.Vec{}) {
 			w.AddRange(i, []genome.Vec{v}, 1)
 		}
 	}

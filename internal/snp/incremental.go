@@ -56,9 +56,8 @@ type IncrementalCaller struct {
 const unswept = ^uint64(0)
 
 // NewIncrementalCaller builds a caller over acc, whose index 0 is global
-// position offset, as CollectRange takes it. acc must keep a write-set
-// (every genome.New layout does). Every tile starts unswept, so state
-// acc already holds is swept like freshly mapped reads.
+// position offset, as CollectRange takes it. Every tile starts unswept,
+// so state acc already holds is swept like freshly mapped reads.
 //
 // cfg.Metrics, when set, receives every tile sweep's call.tested,
 // call.prescreened and call.collect.seconds, the pool's call.workers,
@@ -68,10 +67,7 @@ func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, offset 
 	if ref == nil || acc == nil {
 		return nil, fmt.Errorf("snp: nil reference or accumulator")
 	}
-	seen, err := genome.Writes(acc, nil)
-	if err != nil {
-		return nil, err
-	}
+	seen := genome.Writes(acc, nil)
 	for i := range seen {
 		seen[i] = unswept
 	}
@@ -94,10 +90,7 @@ func callWorkers(cfg *Config) int {
 // Sweep refreshes the candidate caches of every tile written since its
 // last Sweep, on cfg.CallWorkers workers. Writers must be quiesced.
 func (ic *IncrementalCaller) Sweep() error {
-	var err error
-	if ic.cur, err = genome.Writes(ic.acc, ic.cur); err != nil {
-		return err
-	}
+	ic.cur = genome.Writes(ic.acc, ic.cur)
 	ic.sweeps++
 	var dirty []int
 	var chunks []span

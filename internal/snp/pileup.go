@@ -18,27 +18,21 @@ import (
 // This is the paper's "probability that a given nucleotide..." output
 // (Figure 3's per-position totals) in machine-readable form.
 func WritePileup(w io.Writer, ref *genome.Reference, acc genome.Accumulator, offset, from, to int, minDepth float64) error {
-	if ref == nil || acc == nil {
-		return fmt.Errorf("snp: nil reference or accumulator")
+	if ref == nil {
+		return fmt.Errorf("snp: nil reference")
 	}
-	from, to = clampSweep(ref, acc.Len(), offset, from, to)
-	// Writers are quiesced by the time a pileup is written; read through
-	// a lock-free frozen view when the accumulator has one.
+	// Writers are quiesced by the time a pileup is written.
 	fz, err := genome.Freeze(acc)
 	if err != nil {
-		fz = nil
+		return err
 	}
+	from, to = clampSweep(ref, fz.Len(), offset, from, to)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := fmt.Fprintln(bw, "#contig\tpos\tref\ttotal\tA\tC\tG\tT\tgap\tp_value"); err != nil {
 		return err
 	}
 	for g := from; g < to; g++ {
-		var v genome.Vec
-		if fz != nil {
-			v = fz.Vector(g - offset)
-		} else {
-			v = acc.Vector(g - offset)
-		}
+		v := fz.Vector(g - offset)
 		total := 0.0
 		for _, x := range v {
 			total += x

@@ -84,7 +84,7 @@ func VectorKernel() string {
 // exhaustive sweep stays scalar) and the frozen view exposes NORM
 // channel planes.
 func vectorEligible(cfg *Config, fz *genome.Frozen) bool {
-	return !cfg.noPrescreen && fz != nil && fz.Mode() == genome.Norm
+	return !cfg.noPrescreen && fz.Mode() == genome.Norm
 }
 
 // prescreenBlocks classifies blocks×8 consecutive positions, writing

@@ -166,13 +166,11 @@ func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) 
 // filled (every depth-passing position, screened or not); significance
 // is decided by FinalizeCalls.
 //
-// The sweep reads through a lock-free frozen view when the accumulator
-// supports one (every in-tree layout does), falling back to the locked
-// per-position interface otherwise, and runs the conservative
-// prescreen (prescreen.go) in front of the LRT. NORM planes stream
-// through the vectorized sweep (screen_vector.go), everything else
-// through the scalar loop (collectScalar); both screen identically, so
-// the two and the tile sweep are bit-identical.
+// The sweep reads through a lock-free frozen view and runs the
+// conservative prescreen (prescreen.go) in front of the LRT. NORM
+// planes stream through the vectorized sweep (screen_vector.go), the
+// discretized layouts through the scalar loop (collectScalar); both
+// screen identically, so the two and the tile sweep are bit-identical.
 func CollectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config) ([]Candidate, Stats, error) {
 	return collectRange(ref, acc, offset, from, to, cfg, true)
 }
@@ -188,19 +186,16 @@ func collectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, t
 	}
 	defer cfg.Metrics.StartTimer("call.collect.seconds")()
 	from, to = clampSweep(ref, acc.Len(), offset, from, to)
-	// A frozen view reads the quiesced accumulator without the stripe
-	// locks; non-freezable implementations keep the locked path.
-	var src vectorSource = acc
 	fz, err := genome.Freeze(acc)
-	if err == nil {
-		src = fz
+	if err != nil {
+		return nil, st, err
 	}
 	var candidates []Candidate
 	var screened int64
 	if vector && vectorEligible(&cfg, fz) {
 		candidates, st.Tested, screened, err = collectRangeVector(ref, fz, offset, from, to, &cfg)
 	} else {
-		candidates, st.Tested, screened, err = collectScalar(ref, src, offset, from, to, &cfg, nil)
+		candidates, st.Tested, screened, err = collectScalar(ref, fz, offset, from, to, &cfg, nil)
 	}
 	if err != nil {
 		return nil, st, err
@@ -210,21 +205,17 @@ func collectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, t
 	return candidates, st, nil
 }
 
-// vectorSource is what the scalar sweep reads positions from: a frozen
-// view, or the locked interface of an accumulator that has none.
-type vectorSource interface{ Vector(pos int) genome.Vec }
-
 // collectScalar is the per-position sweep over global positions
 // [from, to): gather the channel vector, sum its depth, screen, test,
 // and append the survivors to cands. It is the whole sweep for the
-// discrete layouts, foreign accumulators and the unscreened oracle, and
-// the vectorized sweep's sub-block tail. Returns the tested and
-// screened counts; on error they cover the positions before it.
-func collectScalar(ref *genome.Reference, src vectorSource, offset, from, to int, cfg *Config, cands []Candidate) ([]Candidate, int, int64, error) {
+// discrete layouts and the unscreened oracle, and the vectorized
+// sweep's sub-block tail. Returns the tested and screened counts; on
+// error they cover the positions before it.
+func collectScalar(ref *genome.Reference, fz *genome.Frozen, offset, from, to int, cfg *Config, cands []Candidate) ([]Candidate, int, int64, error) {
 	var tested int
 	var screened int64
 	for g := from; g < to; g++ {
-		v := src.Vector(g - offset)
+		v := fz.Vector(g - offset)
 		var depth float64
 		for _, x := range v {
 			depth += x

@@ -107,9 +107,9 @@ func TestCallRangeOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fz := view(t, acc)
 	for i := 0; i < 30; i++ {
-		v := acc.Vector(5 + i)
-		sub.AddRange(i, []genome.Vec{v}, 1)
+		sub.AddRange(i, []genome.Vec{fz.Vector(5 + i)}, 1)
 	}
 	want, wantSt := serialCall(t, ref, sub, 5, Config{})
 	for workers := 1; workers <= 4; workers++ {

@@ -17,19 +17,25 @@ import (
 // sweep (screen_vector.go). The vector path claims bit-identity with
 // the scalar per-position loop by construction; these tests enforce it
 // empirically across every axis a caller can vary — accumulator mode,
-// accumulator source, worker count, significance machinery, and the
-// negative-disables config convention — plus lane-exact equivalence of
-// the three prescreen kernels (scalar, generic block, AVX2).
+// worker count, significance machinery, and the negative-disables
+// config convention — plus lane-exact equivalence of the three
+// prescreen kernels (scalar, generic block, AVX2).
 
-// opaqueAcc hides the concrete accumulator type from genome.Freeze, so
-// the sweep exercises its locked (non-frozen, scalar-only) fallback.
-type opaqueAcc struct{ genome.Accumulator }
+// view freezes acc for a test's reads (the accumulator's only read path).
+func view(t *testing.T, acc genome.Accumulator) *genome.Frozen {
+	t.Helper()
+	fz, err := genome.Freeze(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fz
+}
 
 // vectorFixture plants pseudo-random evidence on a two-contig
 // reference — so the sweep crosses an inter-contig N spacer — backed
-// by the requested accumulator mode and source. Some evidence lands
-// inside the spacer to exercise the uncallable-position paths.
-func vectorFixture(t *testing.T, mode genome.Mode, source string, length int, seed int64) (*genome.Reference, genome.Accumulator) {
+// by the requested accumulator mode. Some evidence lands inside the
+// spacer to exercise the uncallable-position paths.
+func vectorFixture(t *testing.T, mode genome.Mode, length int, seed int64) (*genome.Reference, genome.Accumulator) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	half := length / 2
@@ -47,17 +53,7 @@ func vectorFixture(t *testing.T, mode genome.Mode, source string, length int, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc genome.Accumulator
-	switch source {
-	case "striped":
-		acc, err = genome.New(mode, ref.Len())
-	case "opaque":
-		var base genome.Accumulator
-		base, err = genome.New(mode, ref.Len())
-		acc = opaqueAcc{base}
-	default:
-		t.Fatalf("unknown source %q", source)
-	}
+	acc, err := genome.New(mode, ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +100,8 @@ func vectorFixture(t *testing.T, mode genome.Mode, source string, length int, se
 
 // Tentpole harness: the vectorized tile sweep must be DeepEqual-identical
 // to the scalar one — candidates, calls, and stats — across
-// accumulator modes, sources, 1..8 call workers, fixed-cutoff and FDR
-// finalization, and the negative-disables configs. An opaque source
-// keeps no write-set, so the tile caller refuses it (see
-// TestIncrementalCallerValidation); its rows run CollectRange.
+// accumulator modes, 1..8 call workers, fixed-cutoff and FDR
+// finalization, and the negative-disables configs.
 func TestVectorSweepIdentityRandomized(t *testing.T) {
 	const length = 20_000
 	configs := []struct {
@@ -123,58 +117,44 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 	}
 	seed := int64(4000)
 	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		for _, source := range []string{"striped", "opaque"} {
-			// Discrete modes and opaque sources take the scalar path either
-			// way (vectorEligible); run a reduced matrix there — the
-			// interesting surface is NORM.
-			cfgs, maxWorkers := configs, 8
-			switch {
-			case source == "opaque":
-				cfgs, maxWorkers = configs[:2], 1 // CollectRange has no workers
-			case mode != genome.Norm:
-				cfgs, maxWorkers = configs[:2], 4
+		// Discrete modes take the scalar path either way (vectorEligible);
+		// run a reduced matrix there — the interesting surface is NORM.
+		cfgs, maxWorkers := configs, 8
+		if mode != genome.Norm {
+			cfgs, maxWorkers = configs[:2], 4
+		}
+		seed++
+		ref, acc := vectorFixture(t, mode, length, seed)
+		for _, tc := range cfgs {
+			scalar := tc.cfg
+			wantCands, wantSt, err := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seed++
-			ref, acc := vectorFixture(t, mode, source, length, seed)
-			for _, tc := range cfgs {
-				scalar := tc.cfg
-				wantCands, wantSt, err := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
+			wantCalls, wantFSt, err := FinalizeCalls(wantCands, scalar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == genome.Norm && (len(wantCands) == 0 || wantSt.Tested == 0) {
+				t.Fatalf("%v/%s: fixture produced no candidates; test is vacuous", mode, tc.name)
+			}
+			for workers := 1; workers <= maxWorkers; workers++ {
+				vec := tc.cfg
+				vec.CallWorkers = workers
+				name := fmt.Sprintf("%v/%s/w%d", mode, tc.name, workers)
+				gotCands, gotSt := tileSweep(t, ref, acc, 0, vec)
+				if !reflect.DeepEqual(gotCands, wantCands) {
+					t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
+				}
+				if !reflect.DeepEqual(gotSt, wantSt) {
+					t.Fatalf("%s: stats %+v, want %+v", name, gotSt, wantSt)
+				}
+				gotCalls, gotFSt, err := FinalizeCalls(gotCands, vec)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				wantCalls, wantFSt, err := FinalizeCalls(wantCands, scalar)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode == genome.Norm && (len(wantCands) == 0 || wantSt.Tested == 0) {
-					t.Fatalf("%v/%s/%s: fixture produced no candidates; test is vacuous", mode, source, tc.name)
-				}
-				for workers := 1; workers <= maxWorkers; workers++ {
-					vec := tc.cfg
-					vec.CallWorkers = workers
-					name := fmt.Sprintf("%v/%s/%s/w%d", mode, source, tc.name, workers)
-					var gotCands []Candidate
-					var gotSt Stats
-					if source == "opaque" {
-						if gotCands, gotSt, err = CollectRange(ref, acc, 0, 0, ref.Len(), vec); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-					} else {
-						gotCands, gotSt = tileSweep(t, ref, acc, 0, vec)
-					}
-					if !reflect.DeepEqual(gotCands, wantCands) {
-						t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
-					}
-					if !reflect.DeepEqual(gotSt, wantSt) {
-						t.Fatalf("%s: stats %+v, want %+v", name, gotSt, wantSt)
-					}
-					gotCalls, gotFSt, err := FinalizeCalls(gotCands, vec)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !reflect.DeepEqual(gotCalls, wantCalls) || !reflect.DeepEqual(gotFSt, wantFSt) {
-						t.Fatalf("%s: finalized calls diverge from scalar", name)
-					}
+				if !reflect.DeepEqual(gotCalls, wantCalls) || !reflect.DeepEqual(gotFSt, wantFSt) {
+					t.Fatalf("%s: finalized calls diverge from scalar", name)
 				}
 			}
 		}
@@ -248,11 +228,7 @@ func randomScreenAcc(t *testing.T, rng *rand.Rand, length int) *genome.Frozen {
 		}
 		acc.AddRange(pos, []genome.Vec{v}, 1)
 	}
-	fz, err := genome.Freeze(acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fz
+	return view(t, acc)
 }
 
 // The block kernels must classify every lane exactly as the scalar
@@ -309,7 +285,7 @@ func TestVectorKernelMatchesScalarScreen(t *testing.T) {
 // sweeps.
 func TestVectorSweepErrorIdentity(t *testing.T) {
 	const length = 4096
-	ref, acc := vectorFixture(t, genome.Norm, "striped", length, 9)
+	ref, acc := vectorFixture(t, genome.Norm, length, 9)
 	// Plant a negative channel with enough depth to pass every filter.
 	acc.AddRange(1234, []genome.Vec{{6, 6, -3, 0, 0}}, 1)
 	scalar := Config{Ploidy: lrt.Diploid}
@@ -336,7 +312,7 @@ func TestVectorSweepErrorIdentity(t *testing.T) {
 // the scalar tail path and still match exactly.
 func TestVectorSweepUnalignedWindows(t *testing.T) {
 	const length = 8192
-	ref, acc := vectorFixture(t, genome.Norm, "striped", length, 11)
+	ref, acc := vectorFixture(t, genome.Norm, length, 11)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
 	for _, w := range [][2]int{{0, 5}, {3, 11}, {100, 1003}, {8, 8}, {4091, ref.Len()}, {0, ref.Len() - 1}} {
 		wantCands, wantSt, err := collectRange(ref, acc, 0, w[0], w[1], cfg, false)
