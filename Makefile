@@ -11,9 +11,9 @@ test:
 # The engine, accumulators, cluster runtime and metrics registry are
 # concurrent; -race on the full tree is slow, so the gate covers the
 # concurrent packages plus the root package (streaming e2e identity),
-# the PHMM and calling-sweep kernels (batched-vs-scalar bit-exactness
-# property tests, including the lrt batch evaluator) and the FASTQ
-# parser (fuzz seed corpus).
+# the PHMM and calling-sweep kernels (vector-vs-scalar bit-exactness
+# property tests, each under the AVX2 and the portable kernel), the LRT
+# and the FASTQ parser (fuzz seed corpus).
 race:
 	$(GO) test -race . ./internal/core/... ./internal/phmm/... ./internal/cluster/... ./internal/genome/... ./internal/snp/... ./internal/lrt/... ./internal/obs/... ./internal/fastq/... ./internal/ckpt/... ./internal/binfmt/... ./internal/kmer/...
 

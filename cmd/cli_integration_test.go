@@ -61,15 +61,17 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	vcfPath := filepath.Join(data, "calls.vcf")
 	samPath := filepath.Join(data, "out.sam")
 	puPath := filepath.Join(data, "pileup.tsv")
-	profPath := filepath.Join(data, "cpu.pprof")
+	profDir := filepath.Join(data, "prof")
 	run(t, filepath.Join(bins, "gnumap-snp"),
 		"-ref", filepath.Join(data, "reference.fa"),
 		"-reads", filepath.Join(data, "reads.fq"),
-		"-o", vcfPath, "-sam", samPath, "-pileup", puPath, "-workers", "2", "-cpuprofile", profPath)
+		"-o", vcfPath, "-sam", samPath, "-pileup", puPath, "-workers", "2", "-profile", profDir)
 	// A pprof profile is a gzip stream; an empty or unframed file is what
 	// a profile stopped before it was flushed looks like.
-	if prof, err := os.ReadFile(profPath); err != nil || len(prof) < 64 || prof[0] != 0x1f || prof[1] != 0x8b {
-		t.Errorf("-cpuprofile wrote %d bytes (err %v), want a gzip-framed profile", len(prof), err)
+	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
+		if prof, err := os.ReadFile(filepath.Join(profDir, name)); err != nil || len(prof) < 64 || prof[0] != 0x1f || prof[1] != 0x8b {
+			t.Errorf("-profile wrote %s with %d bytes (err %v), want a gzip-framed profile", name, len(prof), err)
+		}
 	}
 
 	calls := parseVCFPositions(t, vcfPath)
@@ -417,10 +419,11 @@ func TestCLIModeFlagPairs(t *testing.T) {
 
 	// Retired flags: -stream (a slice is a source of the one pipeline),
 	// the five execution knobs whose value is now a constant or derived
-	// from -workers / -op-timeout, and -accum-mode (striped is the only
-	// write strategy; no accept-and-ignore shim). Each must be an unknown
-	// flag: the flag package's message and its exit code 2.
-	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s", "-accum-mode=striped"} {
+	// from -workers / -op-timeout, -accum-mode (striped is the only
+	// write strategy; no accept-and-ignore shim) and -cpuprofile /
+	// -memprofile (-profile DIR writes both profiles). Each must be an
+	// unknown flag: the flag package's message and its exit code 2.
+	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s", "-accum-mode=striped", "-cpuprofile=cpu.pprof", "-memprofile=mem.pprof"} {
 		name, _, _ := strings.Cut(retired, "=")
 		_, out, err = vcfOf("retired-flag", retired)
 		var exit *exec.ExitError
@@ -429,10 +432,9 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		}
 	}
 
-	// Flag budget: options only go down from here (36 before PR 19, 31
-	// before PR 24).
+	// Flag budget: options only go down from here.
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
-	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 30 {
-		t.Errorf("gnumap-snp -h lists %d flags, budget is 30:\n%s", n, usage)
+	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 29 {
+		t.Errorf("gnumap-snp -h lists %d flags, budget is 29:\n%s", n, usage)
 	}
 }

@@ -11,7 +11,7 @@
 //	    [-nodes N -split read|genome [-tcp]] \
 //	    [-op-timeout 5s] [-chaos seed=42,drop=0.01] \
 //	    [-metrics-out metrics.json] [-pprof localhost:6060] \
-//	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	    [-profile DIR]
 //
 // With -nodes > 1 the run executes on a simulated message-passing
 // cluster (goroutine nodes; -tcp switches to loopback TCP), using the
@@ -29,8 +29,9 @@
 // Observability: -metrics-out writes the run's merged metrics report
 // (per-rank stage timers, counters, and communication gauges) as JSON
 // and prints a human summary to stderr; -pprof serves net/http/pprof
-// on the given address for live inspection; -cpuprofile/-memprofile
-// write standard runtime profiles for `go tool pprof`.
+// on the given address for live inspection; -profile DIR writes
+// DIR/cpu.pprof (the whole run) and DIR/heap.pprof (the live heap at
+// exit), standard runtime profiles for `go tool pprof`.
 //
 // One mapping run: reads stream from the FASTQ through one bounded
 // pipeline (-fit and -sam need the whole read set, so they load it and
@@ -76,13 +77,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"gnumap"
+	"gnumap/internal/obs"
 )
 
 // stopExitCode distinguishes "stopped gracefully, state checkpointed"
@@ -132,8 +133,7 @@ func run() error {
 		incEvery   = flag.Int64("incremental-every", 0, "overlap SNP calling with mapping: quiesce and re-sweep written genome tiles every N reads, reporting time to first provisional call (0 = off)")
 		metricsOut = flag.String("metrics-out", "", "write the merged metrics report as JSON to this file (and a summary to stderr)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		profileDir = flag.String("profile", "", "write DIR/cpu.pprof for the whole run and DIR/heap.pprof, the live heap at exit")
 	)
 	flag.Parse()
 	if *refPath == "" || *readsPath == "" {
@@ -150,24 +150,14 @@ func run() error {
 		}()
 		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if *profileDir != "" {
+		stop, err := obs.StartProfiles(*profileDir)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
 		defer func() {
-			if err := writeTo(*memProfile, func(f *os.File) error {
-				runtime.GC() // flush dead allocations so the profile shows live heap
-				return pprof.WriteHeapProfile(f)
-			}); err != nil {
-				log.Printf("memprofile: %v", err)
+			if err := stop(); err != nil {
+				log.Printf("profile: %v", err)
 			}
 		}()
 	}

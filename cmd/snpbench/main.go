@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -28,6 +27,7 @@ import (
 	"gnumap/internal/cluster"
 	"gnumap/internal/experiments"
 	"gnumap/internal/genome"
+	"gnumap/internal/obs"
 	"gnumap/internal/phmm"
 	"gnumap/internal/snp"
 )
@@ -71,8 +71,7 @@ func main() {
 		maxWorkers = flag.Int("maxworkers", runtime.GOMAXPROCS(0), "maximum worker count (fig5; never above the host's cores)")
 		tcp        = flag.Bool("tcp", false, "use loopback TCP between simulated nodes (fig4)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		profileDir = flag.String("profile", "", "write DIR/cpu.pprof for the whole run and DIR/heap.pprof, the live heap at exit")
 	)
 	flag.Parse()
 	wants, err := parseExperiments(*exp)
@@ -89,28 +88,14 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if *profileDir != "" {
+		stop, err := obs.StartProfiles(*profileDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Printf("memprofile: %v", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Printf("memprofile: %v", err)
+			if err := stop(); err != nil {
+				log.Printf("profile: %v", err)
 			}
 		}()
 	}

@@ -324,24 +324,8 @@ func applySliceContribution(acc genome.Accumulator, lo, hi, L, size int, l locat
 }
 
 // ownerOf returns the rank owning a global position under GenomeSlice.
+// Rank r owns pos exactly when L·r/size <= pos < L·(r+1)/size (integer
+// division), which solves to r = (size·(pos+1) - 1) / L.
 func ownerOf(pos, L, size int) int {
-	// GenomeSlice gives rank r the range [L·r/size, L·(r+1)/size); the
-	// inverse is floor((pos·size + size - 1 ... )) — search locally to
-	// stay exactly consistent with integer division.
-	r := pos * size / L
-	for r > 0 {
-		lo, _ := GenomeSlice(L, size, r)
-		if pos >= lo {
-			break
-		}
-		r--
-	}
-	for r < size-1 {
-		_, hi := GenomeSlice(L, size, r)
-		if pos < hi {
-			break
-		}
-		r++
-	}
-	return r
+	return (size*(pos+1) - 1) / L
 }

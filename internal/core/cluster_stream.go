@@ -550,10 +550,25 @@ func (d *dealer) collect() error {
 }
 
 // recvPayload waits for rank r's payload of the current round,
-// discarding duplicated or delayed payloads of earlier ones.
+// discarding duplicated or delayed payloads of earlier ones. When the
+// first deadline passes without it, rank 0 sends the round's marker
+// again, once, unless the failure detector counts the rank dead: a
+// marker the network ate would otherwise be waited out for every
+// deadline extension and then cost a live rank its place. A worker
+// answers every marker, so whichever payload it ships first carries its
+// reads; a second one carries none, and the next round discards it as
+// stale.
 func (d *dealer) recvPayload(r int) (roundPayload, error) {
+	extensions := 0 // the first deadline, before the re-send
 	for {
-		v, err := d.c.RecvPatient(r, streamRoundTag, d.c.OpTimeout(), ftMaxExtensions)
+		v, err := d.c.RecvPatient(r, streamRoundTag, d.c.OpTimeout(), extensions)
+		if errors.Is(err, cluster.ErrTimeout) && extensions == 0 && d.c.Alive(r) {
+			if err := d.c.Send(r, streamShardTag, streamShard{Round: d.seq}); err != nil {
+				return roundPayload{}, err
+			}
+			extensions = ftMaxExtensions - 1
+			continue
+		}
 		if err != nil {
 			return roundPayload{}, err
 		}

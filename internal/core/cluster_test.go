@@ -280,13 +280,20 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 	}
 }
 
+// ownerOf's closed form must invert GenomeSlice for every position, at
+// every genome length up to 300 and every rank count up to 40.
 func TestOwnerOfConsistent(t *testing.T) {
-	for _, tc := range []struct{ L, size int }{{100, 3}, {999, 7}, {5000, 4}, {10, 10}} {
-		for pos := 0; pos < tc.L; pos++ {
-			r := ownerOf(pos, tc.L, tc.size)
-			lo, hi := GenomeSlice(tc.L, tc.size, r)
-			if pos < lo || pos >= hi {
-				t.Fatalf("ownerOf(%d, %d, %d) = %d, but slice is [%d,%d)", pos, tc.L, tc.size, r, lo, hi)
+	for L := 1; L <= 300; L++ {
+		for size := 1; size <= min(L, 40); size++ {
+			for pos := 0; pos < L; pos++ {
+				r := ownerOf(pos, L, size)
+				if r < 0 || r >= size {
+					t.Fatalf("ownerOf(%d, %d, %d) = %d, out of range", pos, L, size, r)
+				}
+				lo, hi := GenomeSlice(L, size, r)
+				if pos < lo || pos >= hi {
+					t.Fatalf("ownerOf(%d, %d, %d) = %d, but slice is [%d,%d)", pos, L, size, r, lo, hi)
+				}
 			}
 		}
 	}

@@ -640,3 +640,93 @@ func TestReadSplitDegradedLostDoneIsResent(t *testing.T) {
 		t.Errorf("stats cover %d reads, want exactly %d", n, len(p.reads))
 	}
 }
+
+// TestReadSplitDegradedLostMarkerIsResent: the network eats the first
+// round marker a live worker is sent (dropped by hand, as in
+// TestReadSplitDegradedLostDoneIsResent). Rank 0 hears no payload
+// within the deadline, sees the worker's heartbeats and sends the
+// marker again, so the round completes after one deadline instead of
+// every extension, and the worker keeps its place. Before the re-send,
+// rank 0 waited out 41 deadlines and then declared the live rank lost.
+func TestReadSplitDegradedLostMarkerIsResent(t *testing.T) {
+	p := makePipeline(t, 20000, 4, 10, 73)
+	want := callSet(t, p.ref, sharedBaseline(t, p, genome.Norm))
+	if len(want) == 0 {
+		t.Fatal("baseline produced no SNP calls; test is vacuous")
+	}
+	cfg := Config{Workers: 1}
+	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: time.Second, Heartbeat: 10 * time.Millisecond}
+	var got genome.Accumulator
+	var rootStats Stats
+	markers := 0
+	start := time.Now()
+	err := cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
+		if c.Rank() == 0 {
+			acc, st, err := readSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, cfg, nil)
+			got, rootStats = acc, st
+			return err
+		}
+		eng, err := NewEngine(p.ref, cfg)
+		if err != nil {
+			return err
+		}
+		acc, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			return err
+		}
+		pipe := startPipe(eng, acc, true)
+		defer pipe.finish()
+		taken := 0
+		for {
+			v, err := c.RecvPatient(0, streamShardTag, 20*time.Second, 0)
+			if err != nil {
+				return err
+			}
+			switch sh := v.(streamShard); {
+			case sh.Done:
+				if err := c.Send(0, streamAckTag, farewell); err != nil {
+					return err
+				}
+				return pipe.finish()
+			case sh.Round > 0:
+				if markers++; markers == 1 {
+					continue // this marker is lost on the wire
+				}
+				pl, err := pipe.quiesce()
+				if err != nil {
+					return err
+				}
+				pl.Round = sh.Round
+				if err := c.Send(0, streamRoundTag, pl); err != nil {
+					return err
+				}
+			default:
+				if err := pipe.feed(sh.Reads); err != nil {
+					return err
+				}
+				taken++
+				if err := c.Send(0, streamAckTag, taken); err != nil {
+					return err
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 3*rc.OpTimeout {
+		t.Errorf("run took %v with a %v deadline: the lost marker was waited out", elapsed, rc.OpTimeout)
+	}
+	if markers != 2 {
+		t.Errorf("worker saw %d round markers, want the lost one and its re-send", markers)
+	}
+	if rootStats.Degraded() {
+		t.Errorf("LostRanks = %v: a live rank was lost over a lost marker", rootStats.LostRanks)
+	}
+	if n := rootStats.Mapped + rootStats.Unmapped; n != int64(len(p.reads)) {
+		t.Errorf("stats cover %d reads, want exactly %d", n, len(p.reads))
+	}
+	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("calls %v, fault-free baseline %v", g, want)
+	}
+}

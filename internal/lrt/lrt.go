@@ -51,9 +51,9 @@ type Result struct {
 	// Stat is -2·log λ(z), asymptotically χ²₁ under the null.
 	Stat float64
 	// PValue is the null probability of the observed statistic. For
-	// the diploid (and polyploid) tests the alternative is a *union*
-	// of k one-parameter families and Stat is their maximum, so the
-	// χ²₁ tail is union-bounded: PValue = min(1, k·SF(Stat)). Without
+	// the diploid test the alternative is a *union* of k = 2
+	// one-parameter families and Stat is their maximum, so the χ²₁
+	// tail is union-bounded: PValue = min(1, k·SF(Stat)). Without
 	// this factor the diploid test runs anticonservative under the
 	// null (measured ~6.5% rejections at nominal 5%, depth 20); the
 	// calibration tests pin the corrected behaviour.
@@ -125,49 +125,18 @@ func order(z Vector) [dna.NumChannels]int {
 // accumulation vector. A vector with no mass (n = 0) is a valid
 // observation of nothing: it returns Stat 0 and PValue 1.
 func Test(z Vector, ploidy Ploidy) (Result, error) {
-	var res Result
-	if err := testInto(z, ploidy, &res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// TestBatch evaluates the LRT over a dense batch of vectors, writing
-// element i's result into out[i]. It exists so batched sweeps can
-// gather their prescreen survivors into contiguous lanes and amortize
-// the per-position call dispatch; each element runs the exact Test
-// expression tree — literally the same code — so out[i] is
-// bit-identical to Test(zs[i], ploidy) by construction. Evaluation is
-// in order: on an invalid vector it stops and returns the count of
-// elements already written alongside the same validation error a
-// scalar sweep would surface at that position.
-func TestBatch(zs []Vector, ploidy Ploidy, out []Result) (int, error) {
-	if len(out) < len(zs) {
-		return 0, fmt.Errorf("lrt: batch out has %d slots for %d vectors", len(out), len(zs))
-	}
-	for i := range zs {
-		if err := testInto(zs[i], ploidy, &out[i]); err != nil {
-			return i, err
-		}
-	}
-	return len(zs), nil
-}
-
-// testInto is the shared body of Test and TestBatch. res is fully
-// overwritten on success and unspecified on error.
-func testInto(z Vector, ploidy Ploidy, res *Result) error {
 	if ploidy != Monoploid && ploidy != Diploid {
-		return fmt.Errorf("lrt: unknown ploidy %d", int(ploidy))
+		return Result{}, fmt.Errorf("lrt: unknown ploidy %d", int(ploidy))
 	}
 	var n float64
 	for k, v := range z {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("lrt: channel %v has invalid mass %g", dna.Channel(k), v)
+			return Result{}, fmt.Errorf("lrt: channel %v has invalid mass %g", dna.Channel(k), v)
 		}
 		n += v
 	}
 	idx := order(z)
-	*res = Result{
+	res := Result{
 		N:       n,
 		Top:     dna.Channel(idx[0]),
 		Second:  dna.Channel(idx[1]),
@@ -175,7 +144,7 @@ func testInto(z Vector, ploidy Ploidy, res *Result) error {
 	}
 	if n == 0 {
 		res.PValue = 1
-		return nil
+		return res, nil
 	}
 	z5 := z[idx[0]]
 	res.MinorFraction = z[idx[1]] / n
@@ -216,7 +185,7 @@ func testInto(z Vector, ploidy Ploidy, res *Result) error {
 	res.Stat = stat
 	p, err := stats.ChiSquareSF(stat, 1)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	if ploidy == Diploid {
 		p *= 2 // union bound over the hom and het families
@@ -225,7 +194,7 @@ func testInto(z Vector, ploidy Ploidy, res *Result) error {
 		}
 	}
 	res.PValue = p
-	return nil
+	return res, nil
 }
 
 // AdjustedPValueCutoff returns the per-test p-value threshold at the

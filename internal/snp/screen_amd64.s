@@ -3,19 +3,18 @@
 #include "textflag.h"
 
 // AVX2 calling prescreen: 8 positions per iteration, classified into
-// three mask bytes (tested, keep, valid) per block. The loop mirrors
-// prescreenBlocksGeneric operation for operation — float32 compares
-// for validity and the max/compare screen, float64 conversion + adds
-// (in channel order) for depth, float64 division for the diploid
-// minor-fraction ratio — so the masks are bit-identical to the generic
-// loop and to the scalar prescreen by construction. No FMA, no
-// reassociation.
+// two mask bytes (tested, keep) per block. The loop makes prescreenSkip's
+// decisions — float32 compares for validity and the max/compare screen,
+// float64 conversion + adds (in channel order) for depth, float64
+// division for the diploid minor-fraction ratio — so the masks are
+// bit-identical to the portable kernel's, which runs the scalar
+// prescreen lane by lane. No FMA, no reassociation.
 //
 // Register plan (R14/X15 untouched — reserved by the Go ABI):
 //   AX          &screen8
 //   R8..R12     plane pointers p0..p4 (advance 32 bytes/block)
 //   R13         refc pointer (advance 8)
-//   DI          out pointer (advance 3)
+//   DI          out pointer (advance 2)
 //   CX          remaining blocks
 //   BX,DX,SI,R15  GP scratch (mask combining)
 //   Y0  zero (float32 0.0 and int32 0, same bits)
@@ -189,7 +188,6 @@ noratio:
 
 	MOVB SI, (DI)
 	MOVB BX, 1(DI)
-	MOVB DX, 2(DI)
 
 	ADDQ $32, R8
 	ADDQ $32, R9
@@ -197,7 +195,7 @@ noratio:
 	ADDQ $32, R11
 	ADDQ $32, R12
 	ADDQ $8, R13
-	ADDQ $3, DI
+	ADDQ $2, DI
 	DECQ CX
 	JNZ  blockloop
 

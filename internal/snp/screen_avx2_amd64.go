@@ -3,10 +3,12 @@
 package snp
 
 import (
+	"math"
 	"unsafe"
 
 	"gnumap/internal/cpu"
 	"gnumap/internal/dna"
+	"gnumap/internal/lrt"
 )
 
 // The AVX2 prescreen kernel classifies 8 positions per iteration
@@ -14,12 +16,16 @@ import (
 // in packed float32, depth accumulation in packed float64 with the
 // scalar sweep's conversion-and-add order, and the diploid
 // minor-fraction ratio in packed float64 — every compare resolves
-// exactly as prescreenBlocksGeneric's (see screen_amd64.s, which
-// mirrors that loop operation for operation). Packed IEEE-754 ops
+// exactly as prescreenSkip's (see screen_amd64.s). Packed IEEE-754 ops
 // round identically to scalar ones and nothing is contracted into an
-// FMA, so the three mask bytes per block are bit-identical across the
-// assembly, the generic loop, and the scalar prescreen; the property
-// tests compare all three.
+// FMA, so the two mask bytes per block are bit-identical to the
+// portable kernel's, which runs the scalar rule lane by lane; the
+// property tests compare both with the scalar code.
+
+// maxFinite32 is the largest finite float32; kernel lanes outside
+// [0, maxFinite32] are invalid (negative, NaN or ±Inf — NaN fails
+// both ordered compares) and are kept, so lrt.Test reports them.
+const maxFinite32 = float32(math.MaxFloat32)
 
 // screen8 carries one prescreen sweep's operands to assembly. Field
 // offsets are fixed by the 8-byte layout and asserted below; the .s
@@ -27,7 +33,7 @@ import (
 type screen8 struct {
 	p0, p1, p2, p3, p4 *float32  // +0..+32: channel planes at the window start
 	refc               *dna.Code // +40: reference codes, one byte per position
-	out                *uint8    // +48: tested/keep/valid bytes, 3 per block
+	out                *uint8    // +48: tested/keep bytes, 2 per block
 	blocks             int64     // +56
 	minDepth           float64   // +64
 	hetFrac            float64   // +72
@@ -53,7 +59,7 @@ func prescreenBlocksAVX2(a *screen8)
 // prescreenBlocksSIMD runs the AVX2 kernel when the host supports it,
 // reporting false (untouched out) otherwise so the caller falls back
 // to the generic loop.
-func prescreenBlocksSIMD(planes *[dna.NumChannels][]float32, start int, refc []dna.Code, out []uint8, blocks int, minDepth, hetFrac float64, diploid bool) bool {
+func prescreenBlocksSIMD(planes *[dna.NumChannels][]float32, start int, refc []dna.Code, out []uint8, blocks int, cfg *Config) bool {
 	if !cpu.HasAVX2 {
 		return false
 	}
@@ -69,14 +75,14 @@ func prescreenBlocksSIMD(planes *[dna.NumChannels][]float32, start int, refc []d
 		refc:     &refc[0],
 		out:      &out[0],
 		blocks:   int64(blocks),
-		minDepth: minDepth,
-		hetFrac:  hetFrac,
+		minDepth: cfg.MinDepth,
+		hetFrac:  cfg.MinHetMinorFraction,
 		maxf:     maxFinite32,
 	}
-	if diploid {
+	if cfg.Ploidy == lrt.Diploid {
 		a.diploid = 1
 	}
-	if hetFrac > 0 {
+	if cfg.MinHetMinorFraction > 0 {
 		a.hetOn = 1
 	}
 	prescreenBlocksAVX2(&a)

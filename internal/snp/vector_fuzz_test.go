@@ -101,7 +101,7 @@ func FuzzPrescreenVector(f *testing.F) {
 		}
 
 		// The scalar sweep's per-lane decisions, from its own code path.
-		var wantT, wantK, wantV uint8
+		var wantT, wantK uint8
 		for lane := 0; lane < screenLanes; lane++ {
 			var v genome.Vec
 			for k := 0; k < dna.NumChannels; k++ {
@@ -111,29 +111,18 @@ func FuzzPrescreenVector(f *testing.F) {
 			for _, x := range v {
 				depth += x
 			}
-			valid := true
-			for _, x := range v {
-				if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-					valid = false
-				}
-			}
-			bit := uint8(1) << lane
-			if valid {
-				wantV |= bit
-			}
 			if depth < cfg.MinDepth {
 				continue
 			}
-			wantT |= bit
+			wantT |= 1 << lane
 			if !prescreenSkip(v, depth, refc[lane], &cfg) {
-				wantK |= bit
+				wantK |= 1 << lane
 			}
 		}
 
-		diploid := cfg.Ploidy == lrt.Diploid
 		var generic [screenMaskBytes]uint8
-		prescreenBlocksGeneric(&planes, 0, refc, generic[:], 1, cfg.MinDepth, cfg.MinHetMinorFraction, diploid)
-		gotT, gotK, gotV := generic[0], generic[1], generic[2]
+		prescreenBlocksGeneric(&planes, 0, refc, generic[:], 1, &cfg)
+		gotT, gotK := generic[0], generic[1]
 
 		// Directional conservativeness first: a scalar-kept lane must
 		// survive the vectorized screen (keep ⊇ scalar keep).
@@ -142,13 +131,13 @@ func FuzzPrescreenVector(f *testing.F) {
 		}
 		// And in fact the direction is an equality: the kernels make
 		// the scalar decisions bit for bit.
-		if gotT != wantT || gotK != wantK || gotV != wantV {
-			t.Fatalf("generic masks (%08b,%08b,%08b), scalar (%08b,%08b,%08b) (cfg %03b)",
-				gotT, gotK, gotV, wantT, wantK, wantV, cfgBits)
+		if gotT != wantT || gotK != wantK {
+			t.Fatalf("generic masks (%08b,%08b), scalar (%08b,%08b) (cfg %03b)",
+				gotT, gotK, wantT, wantK, cfgBits)
 		}
 
 		var simd [screenMaskBytes]uint8
-		if prescreenBlocksSIMD(&planes, 0, refc, simd[:], 1, cfg.MinDepth, cfg.MinHetMinorFraction, diploid) {
+		if prescreenBlocksSIMD(&planes, 0, refc, simd[:], 1, &cfg) {
 			if simd != generic {
 				t.Fatalf("AVX2 masks %08b, generic %08b (cfg %03b)", simd, generic, cfgBits)
 			}

@@ -19,7 +19,26 @@ import (
 // empirically across every axis a caller can vary — accumulator mode,
 // worker count, significance machinery, and the negative-disables
 // config convention — plus lane-exact equivalence of the three
-// prescreen kernels (scalar, generic block, AVX2).
+// prescreen kernels (scalar, generic block, AVX2). The sweep-level
+// tests run once per kernel, so the portable kernel drives the whole
+// sweep on an AVX2 host too.
+
+// forEachKernel runs test as two subtests: "avx2" with the AVX2
+// prescreen (skipped on a host without AVX2) and "generic" with
+// cpu.HasAVX2 switched off.
+func forEachKernel(t *testing.T, test func(t *testing.T)) {
+	for _, kernel := range []string{"avx2", "generic"} {
+		t.Run(kernel, func(t *testing.T) {
+			if !setAVX2(t, kernel == "avx2") {
+				t.Skip("host has no AVX2")
+			}
+			if VectorKernel() != kernel {
+				t.Fatalf("VectorKernel() = %q, want %q", VectorKernel(), kernel)
+			}
+			test(t)
+		})
+	}
+}
 
 // view freezes acc for a test's reads (the accumulator's only read path).
 func view(t *testing.T, acc genome.Accumulator) *genome.Frozen {
@@ -115,81 +134,73 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 		{"mindepth-disabled", Config{Ploidy: lrt.Diploid, MinDepth: -1, UseFDR: true}},
 		{"het-disabled", Config{Ploidy: lrt.Diploid, MinHetMinorFraction: -1}},
 	}
-	seed := int64(4000)
-	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		// Discrete modes take the scalar path either way (vectorEligible);
-		// run a reduced matrix there — the interesting surface is NORM.
-		cfgs, maxWorkers := configs, 8
-		if mode != genome.Norm {
-			cfgs, maxWorkers = configs[:2], 4
-		}
-		seed++
-		ref, acc := vectorFixture(t, mode, length, seed)
-		for _, tc := range cfgs {
-			scalar := tc.cfg
-			wantCands, wantSt, err := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
-			if err != nil {
-				t.Fatal(err)
+	forEachKernel(t, func(t *testing.T) {
+		seed := int64(4000)
+		for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
+			// Discrete modes take the scalar path either way (vectorEligible);
+			// run a reduced matrix there — the interesting surface is NORM.
+			cfgs, maxWorkers := configs, 8
+			if mode != genome.Norm {
+				cfgs, maxWorkers = configs[:2], 4
 			}
-			wantCalls, wantFSt, err := FinalizeCalls(wantCands, scalar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mode == genome.Norm && (len(wantCands) == 0 || wantSt.Tested == 0) {
-				t.Fatalf("%v/%s: fixture produced no candidates; test is vacuous", mode, tc.name)
-			}
-			for workers := 1; workers <= maxWorkers; workers++ {
-				vec := tc.cfg
-				vec.CallWorkers = workers
-				name := fmt.Sprintf("%v/%s/w%d", mode, tc.name, workers)
-				gotCands, gotSt := tileSweep(t, ref, acc, 0, vec)
-				if !reflect.DeepEqual(gotCands, wantCands) {
-					t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
-				}
-				if !reflect.DeepEqual(gotSt, wantSt) {
-					t.Fatalf("%s: stats %+v, want %+v", name, gotSt, wantSt)
-				}
-				gotCalls, gotFSt, err := FinalizeCalls(gotCands, vec)
+			seed++
+			ref, acc := vectorFixture(t, mode, length, seed)
+			for _, tc := range cfgs {
+				scalar := tc.cfg
+				wantCands, wantSt, err := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(gotCalls, wantCalls) || !reflect.DeepEqual(gotFSt, wantFSt) {
-					t.Fatalf("%s: finalized calls diverge from scalar", name)
+				wantCalls, wantFSt, err := FinalizeCalls(wantCands, scalar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mode == genome.Norm && (len(wantCands) == 0 || wantSt.Tested == 0) {
+					t.Fatalf("%v/%s: fixture produced no candidates; test is vacuous", mode, tc.name)
+				}
+				for workers := 1; workers <= maxWorkers; workers++ {
+					vec := tc.cfg
+					vec.CallWorkers = workers
+					name := fmt.Sprintf("%v/%s/w%d", mode, tc.name, workers)
+					gotCands, gotSt := tileSweep(t, ref, acc, 0, vec)
+					if !reflect.DeepEqual(gotCands, wantCands) {
+						t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
+					}
+					if !reflect.DeepEqual(gotSt, wantSt) {
+						t.Fatalf("%s: stats %+v, want %+v", name, gotSt, wantSt)
+					}
+					gotCalls, gotFSt, err := FinalizeCalls(gotCands, vec)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !reflect.DeepEqual(gotCalls, wantCalls) || !reflect.DeepEqual(gotFSt, wantFSt) {
+						t.Fatalf("%s: finalized calls diverge from scalar", name)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // scalarLaneMasks classifies one 8-position block with the scalar
 // sweep's own code (fz.Vector, depth sum, prescreenSkip), producing
-// the tested/keep/valid bytes the kernels must reproduce exactly.
-func scalarLaneMasks(fz *genome.Frozen, start int, refc []dna.Code, cfg *Config) (tested, keep, valid uint8) {
+// the tested/keep bytes the kernels must reproduce exactly.
+func scalarLaneMasks(fz *genome.Frozen, start int, refc []dna.Code, cfg *Config) (tested, keep uint8) {
 	for lane := 0; lane < screenLanes; lane++ {
 		v := fz.Vector(start + lane)
 		var depth float64
 		for _, x := range v {
 			depth += x
 		}
-		lvalid := true
-		for _, x := range v {
-			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-				lvalid = false
-			}
-		}
-		bit := uint8(1) << lane
-		if lvalid {
-			valid |= bit
-		}
 		if depth < cfg.MinDepth {
 			continue
 		}
-		tested |= bit
+		tested |= 1 << lane
 		if !prescreenSkip(v, depth, refc[lane], cfg) {
-			keep |= bit
+			keep |= 1 << lane
 		}
 	}
-	return tested, keep, valid
+	return tested, keep
 }
 
 // randomScreenAcc fills a NORM accumulator with adversarial lane
@@ -258,21 +269,18 @@ func TestVectorKernelMatchesScalarScreen(t *testing.T) {
 		for i := range refc {
 			refc[i] = dna.Code(rng.Intn(5)) // includes N references
 		}
-		diploid := cfg.Ploidy == lrt.Diploid
 		generic := make([]uint8, blocks*screenMaskBytes)
-		prescreenBlocksGeneric(&planes, 0, refc, generic, blocks, cfg.MinDepth, cfg.MinHetMinorFraction, diploid)
+		prescreenBlocksGeneric(&planes, 0, refc, generic, blocks, &cfg)
 		for b := 0; b < blocks; b++ {
-			wantT, wantK, wantV := scalarLaneMasks(fz, b*screenLanes, refc[b*screenLanes:], &cfg)
-			gotT := generic[b*screenMaskBytes+0]
-			gotK := generic[b*screenMaskBytes+1]
-			gotV := generic[b*screenMaskBytes+2]
-			if gotT != wantT || gotK != wantK || gotV != wantV {
-				t.Fatalf("%s block %d: generic masks (%08b,%08b,%08b), scalar (%08b,%08b,%08b)",
-					tc.name, b, gotT, gotK, gotV, wantT, wantK, wantV)
+			wantT, wantK := scalarLaneMasks(fz, b*screenLanes, refc[b*screenLanes:], &cfg)
+			gotT, gotK := generic[b*screenMaskBytes], generic[b*screenMaskBytes+1]
+			if gotT != wantT || gotK != wantK {
+				t.Fatalf("%s block %d: generic masks (%08b,%08b), scalar (%08b,%08b)",
+					tc.name, b, gotT, gotK, wantT, wantK)
 			}
 		}
 		simd := make([]uint8, blocks*screenMaskBytes)
-		if prescreenBlocksSIMD(&planes, 0, refc, simd, blocks, cfg.MinDepth, cfg.MinHetMinorFraction, diploid) {
+		if prescreenBlocksSIMD(&planes, 0, refc, simd, blocks, &cfg) {
 			if !reflect.DeepEqual(simd, generic) {
 				t.Fatalf("%s: AVX2 kernel masks diverge from the generic loop", tc.name)
 			}
@@ -282,7 +290,7 @@ func TestVectorKernelMatchesScalarScreen(t *testing.T) {
 
 // A vector with invalid mass must surface the identical lrt validation
 // error — same message, same partial Stats, nil candidates — from both
-// sweeps.
+// sweeps, under either kernel.
 func TestVectorSweepErrorIdentity(t *testing.T) {
 	const length = 4096
 	ref, acc := vectorFixture(t, genome.Norm, length, 9)
@@ -296,36 +304,40 @@ func TestVectorSweepErrorIdentity(t *testing.T) {
 	if wantCands != nil {
 		t.Fatal("scalar sweep returned candidates alongside its error")
 	}
-	gotCands, gotSt, gotErr := CollectRange(ref, acc, 0, 0, ref.Len(), Config{Ploidy: lrt.Diploid})
-	if gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("vector error %v, want %v", gotErr, wantErr)
-	}
-	if gotCands != nil {
-		t.Fatal("vector sweep returned candidates alongside its error")
-	}
-	if !reflect.DeepEqual(gotSt, wantSt) {
-		t.Fatalf("vector error stats %+v, want %+v", gotSt, wantSt)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		gotCands, gotSt, gotErr := CollectRange(ref, acc, 0, 0, ref.Len(), Config{Ploidy: lrt.Diploid})
+		if gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("vector error %v, want %v", gotErr, wantErr)
+		}
+		if gotCands != nil {
+			t.Fatal("vector sweep returned candidates alongside its error")
+		}
+		if !reflect.DeepEqual(gotSt, wantSt) {
+			t.Fatalf("vector error stats %+v, want %+v", gotSt, wantSt)
+		}
+	})
 }
 
 // Sub-block windows, unaligned bounds, and non-zero offsets must hit
-// the scalar tail path and still match exactly.
+// the scalar tail path and still match exactly, under either kernel.
 func TestVectorSweepUnalignedWindows(t *testing.T) {
 	const length = 8192
 	ref, acc := vectorFixture(t, genome.Norm, length, 11)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
-	for _, w := range [][2]int{{0, 5}, {3, 11}, {100, 1003}, {8, 8}, {4091, ref.Len()}, {0, ref.Len() - 1}} {
-		wantCands, wantSt, err := collectRange(ref, acc, 0, w[0], w[1], cfg, false)
-		if err != nil {
-			t.Fatal(err)
+	forEachKernel(t, func(t *testing.T) {
+		for _, w := range [][2]int{{0, 5}, {3, 11}, {100, 1003}, {8, 8}, {4091, ref.Len()}, {0, ref.Len() - 1}} {
+			wantCands, wantSt, err := collectRange(ref, acc, 0, w[0], w[1], cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotCands, gotSt, err := CollectRange(ref, acc, 0, w[0], w[1], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotCands, wantCands) || !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatalf("window %v: vector sweep diverges (%d/%+v vs %d/%+v)",
+					w, len(gotCands), gotSt, len(wantCands), wantSt)
+			}
 		}
-		gotCands, gotSt, err := CollectRange(ref, acc, 0, w[0], w[1], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotCands, wantCands) || !reflect.DeepEqual(gotSt, wantSt) {
-			t.Fatalf("window %v: vector sweep diverges (%d/%+v vs %d/%+v)",
-				w, len(gotCands), gotSt, len(wantCands), wantSt)
-		}
-	}
+	})
 }
