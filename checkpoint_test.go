@@ -194,7 +194,7 @@ func TestLoadStateTypedErrors(t *testing.T) {
 func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	ds := ckptDataset(t)
 	opts := Options{Engine: EngineConfig{Workers: 2, Batch: 8, Queue: 2}}
-	wantCalls, wantSt, err := RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
+	wantCalls, wantSt, _, err := RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,14 @@ func TestRunClusterStreamCheckpointResume(t *testing.T) {
 		Resume:        true, // no file yet: fresh start
 		StopRequested: func() bool { return reg.Counter("ckpt.writes").Value() >= 2 },
 	}
-	_, _, err = RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts1)
+	_, _, _, err = RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts1)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("interrupted cluster run returned %v, want ErrStopped", err)
 	}
 
 	opts2 := opts
 	opts2.Checkpoint = &CheckpointConfig{Path: ckPath, EveryReads: 150, Resume: true}
-	gotCalls, gotSt, err := RunClusterStream(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts2)
+	gotCalls, gotSt, _, err := RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +235,15 @@ func TestRunClusterStreamCheckpointRejects(t *testing.T) {
 	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), EveryReads: 100}
 
 	opts := Options{Checkpoint: ck}
-	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); !errors.Is(err, ErrModeUnsupported) {
+	if _, _, _, err := RunClusterStreamReport(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); !errors.Is(err, ErrModeUnsupported) {
 		t.Errorf("genome-split checkpointing: %v, want ErrModeUnsupported", err)
 	}
-	want, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), Options{})
+	want, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Cluster = ClusterConfig{OpTimeout: 5 * time.Second}
-	got, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
+	got, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatalf("fault-tolerant checkpointing: %v", err)
 	}

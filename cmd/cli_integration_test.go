@@ -92,12 +92,16 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	}
 
 	// 3. Same run on a 3-node simulated cluster, genome-split: the VCF
-	// must contain the same positions.
+	// must contain the same positions. The run records metrics either way;
+	// only -metrics-out prints them.
 	vcf2 := filepath.Join(data, "calls_cluster.vcf")
-	run(t, filepath.Join(bins, "gnumap-snp"),
+	out = run(t, filepath.Join(bins, "gnumap-snp"),
 		"-ref", filepath.Join(data, "reference.fa"),
 		"-reads", filepath.Join(data, "reads.fq"),
 		"-o", vcf2, "-nodes", "3", "-split", "genome")
+	if strings.Contains(out, "rank snapshot(s)") {
+		t.Errorf("genome-split run without -metrics-out printed a metrics summary:\n%s", out)
+	}
 	calls2 := parseVCFPositions(t, vcf2)
 	if len(calls2) != len(calls) {
 		t.Errorf("cluster run called %d positions, single-process %d", len(calls2), len(calls))

@@ -349,10 +349,8 @@ func run() error {
 	var p *gnumap.Pipeline
 	cc := opts.Cluster
 	switch {
-	case cc.Nodes > 1 && cc.Split == gnumap.GenomeSplit && *metricsOut != "":
-		calls, stats, report, err = gnumap.RunClusterStreamReport(cc.Nodes, cc.Transport, cc.Split, reference, src, opts)
 	case cc.Nodes > 1 && cc.Split == gnumap.GenomeSplit:
-		calls, stats, err = gnumap.RunClusterStream(cc.Nodes, cc.Transport, cc.Split, reference, src, opts)
+		calls, stats, report, err = gnumap.RunClusterStreamReport(cc.Nodes, cc.Transport, cc.Split, reference, src, opts)
 	default:
 		if p, err = gnumap.NewPipeline(reference, opts); err != nil {
 			break
@@ -407,7 +405,7 @@ func run() error {
 		}
 	}
 	if p != nil {
-		// Nil without -metrics-out; on a cluster it merges every rank.
+		// On a cluster it merges every rank.
 		if report, err = p.MetricsReport(); err != nil {
 			return err
 		}
@@ -433,7 +431,7 @@ func run() error {
 			qcStats.WriteText(os.Stderr)
 		}
 	}
-	if report != nil {
+	if *metricsOut != "" {
 		if err := writeTo(*metricsOut, func(f *os.File) error { return report.WriteJSON(f) }); err != nil {
 			if stopErr == nil {
 				return err

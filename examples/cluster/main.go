@@ -58,7 +58,7 @@ func main() {
 	}
 	for _, mode := range []gnumap.SplitMode{gnumap.ReadSplit, gnumap.GenomeSplit} {
 		start := time.Now()
-		calls, stats, err := gnumap.RunClusterStream(*nodes, transport, mode, ds.Reference, gnumap.SliceReadSource(ds.Reads), opts)
+		calls, stats, _, err := gnumap.RunClusterStreamReport(*nodes, transport, mode, ds.Reference, gnumap.SliceReadSource(ds.Reads), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func NewMetricsReport(snaps []MetricsSnapshot, deadRanks []int) (*MetricsReport,
 func ValidateMetricsJSON(data []byte) error { return obs.ValidateReportJSON(data) }
 
 // ClusterConfig is where a run executes — its placement (Nodes,
-// Transport, Split: the parameters RunClusterStream takes positionally)
+// Transport, Split: the parameters RunClusterStreamReport takes positionally)
 // — and the cluster's fault model: operation deadlines, heartbeat
 // failure detection, and optional deterministic fault injection.
 type ClusterConfig struct {
@@ -182,7 +182,7 @@ type ClusterConfig struct {
 	Transport Transport
 	// Split is the paper's parallelization strategy (default ReadSplit).
 	// A Pipeline holds the whole genome, so it runs ReadSplit only;
-	// GenomeSplit goes through RunClusterStream.
+	// GenomeSplit goes through RunClusterStreamReport.
 	Split SplitMode
 	// OpTimeout bounds every cluster Send/Recv/collective; in read-split
 	// mode rank 0 then also keeps a ledger of dealt batches and re-deals
@@ -225,10 +225,10 @@ type Pipeline struct {
 	// barriers (Options.Incremental), nil otherwise.
 	caller *snp.IncrementalCaller
 	inc    *incrementalRun
-	// rankRegs are the worker ranks' registries of a cluster pipeline
-	// with metrics on (index 0 unused: rank 0 records into the engine's),
-	// rankSnaps what the latest mapping call gathered from them, and
-	// deadRanks the ranks that were lost or never reported.
+	// rankRegs are a cluster pipeline's registries by rank when metrics
+	// are on (rank 0's is the engine's), rankSnaps what the latest mapping
+	// call gathered from the worker ranks, and deadRanks the ranks that
+	// were lost or never reported.
 	rankRegs  []*MetricsRegistry
 	rankSnaps []MetricsSnapshot
 	deadRanks []int
@@ -242,7 +242,7 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 	if opts.Cluster.Nodes > 1 && opts.Cluster.Split != ReadSplit {
-		return nil, fmt.Errorf("%w: a Pipeline holds the whole genome and runs read-split; %v runs through RunClusterStream", ErrModeUnsupported, opts.Cluster.Split)
+		return nil, fmt.Errorf("%w: a Pipeline holds the whole genome and runs read-split; %v runs through RunClusterStreamReport", ErrModeUnsupported, opts.Cluster.Split)
 	}
 	if opts.Metrics != nil {
 		if opts.Engine.Metrics == nil {
@@ -348,53 +348,53 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 // seed index) and an accumulator of its own for the call.
 func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (MapStats, error) {
 	cc := p.opts.Cluster
-	reg := p.opts.Engine.Metrics
-	if reg != nil && p.rankRegs == nil {
-		p.rankRegs = make([]*MetricsRegistry, cc.Nodes)
-		for r := 1; r < cc.Nodes; r++ {
-			p.rankRegs[r] = obs.NewRegistry()
-		}
+	if reg := p.opts.Engine.Metrics; reg != nil && p.rankRegs == nil {
+		p.rankRegs = rankRegistries(cc.Nodes, reg)
 	}
 	// Written by rank 0's node goroutine only; read after the run, which
-	// waits every goroutine out.
+	// waits every goroutine out. ErrStopped propagates with the stats: the
+	// final checkpoint is on disk and the caller decides whether to call
+	// on partial state.
 	var st MapStats
-	err := cluster.RunWithConfig(cc.Nodes, cc.runConfig(), func(c *cluster.Comm) error {
-		eng, acc, rreg := p.eng, p.acc, reg // this rank's
-		if c.Rank() != 0 {
-			// The simulated ranks share this process's memory: adopt rank
-			// 0's immutable index rather than build N-1 copies after it.
-			cfg := p.opts.Engine
-			cfg.SeedIndex = p.eng.SeedIndex()
-			if reg != nil {
-				rreg = p.rankRegs[c.Rank()]
-				cfg.Metrics = rreg
-			}
-			var err error
-			if eng, err = core.NewEngine(p.ref, cfg); err != nil {
-				return err
-			}
-			if acc, err = genome.New(p.opts.Memory, p.ref.Len()); err != nil {
-				return err
-			}
-		}
-		c.SetMetrics(rreg)
-		got, err := core.RunReadSplit(c, eng, acc, src, pol)
+	snaps, dead, err := core.RunRanks(cc.Nodes, cc.runConfig(), p.rankRegs, func(c *cluster.Comm) error {
 		if c.Rank() == 0 {
-			st = got
-		}
-		if err != nil || rreg == nil {
-			// ErrStopped propagates: the final checkpoint is on disk and
-			// the caller decides whether to call on partial state.
+			var err error
+			st, err = core.RunReadSplit(c, p.eng, p.acc, src, pol)
 			return err
 		}
-		snaps, dead, err := core.GatherMetrics(c, rreg.Snapshot(c.Rank()))
-		if c.Rank() == 0 && err == nil {
-			p.rankSnaps, p.deadRanks = snaps[1:], core.UnionRanks(p.deadRanks, dead)
+		// The simulated ranks share this process's memory: adopt rank 0's
+		// immutable index rather than build N-1 copies after it.
+		cfg := p.opts.Engine
+		cfg.SeedIndex = p.eng.SeedIndex()
+		if p.rankRegs != nil {
+			cfg.Metrics = p.rankRegs[c.Rank()]
 		}
+		eng, err := core.NewEngine(p.ref, cfg)
+		if err != nil {
+			return err
+		}
+		acc, err := genome.New(p.opts.Memory, p.ref.Len())
+		if err != nil {
+			return err
+		}
+		_, err = core.RunReadSplit(c, eng, acc, nil, nil)
 		return err
 	})
-	p.deadRanks = core.UnionRanks(p.deadRanks, st.LostRanks)
+	if snaps != nil {
+		p.rankSnaps = snaps[1:]
+	}
+	p.deadRanks = core.UnionRanks(p.deadRanks, dead, st.LostRanks)
 	return st, err
+}
+
+// rankRegistries returns a cluster run's registries by rank: root for
+// rank 0, a fresh one for every other rank.
+func rankRegistries(nodes int, root *MetricsRegistry) []*MetricsRegistry {
+	regs := []*MetricsRegistry{root}
+	for len(regs) < nodes {
+		regs = append(regs, obs.NewRegistry())
+	}
+	return regs
 }
 
 // MetricsReport merges what the pipeline has recorded: the engine's
@@ -640,7 +640,7 @@ func LoadReads(path string, enc QualityEncoding) ([]*Read, error) {
 }
 
 // ReadSource yields reads one at a time until io.EOF — the streaming
-// input of MapReadsFrom and RunClusterStream.
+// input of MapReadsFrom and RunClusterStreamReport.
 type ReadSource = fastq.Source
 
 // ReadStream is a streaming FASTQ file handle (a ReadSource plus
@@ -924,13 +924,13 @@ func CheckModes(opts Options, outputs ...string) error {
 	return fmt.Errorf("%w: %s with -nodes %d -split genome: genome-split keeps no whole-genome state on any rank", ErrModeUnsupported, features[0], cc.Nodes)
 }
 
-// RunClusterStream maps src and calls SNPs on a simulated cluster of the
-// given size, returning the calls and global mapping statistics: the
-// cluster placement spelled as parameters (they override
-// opts.Cluster.Nodes/Transport/Split). In ReadSplit mode it is a
-// Pipeline run — rank 0 owns the source and deals fixed-size batches
-// round-robin to the ranks under a bounded credit window, so
-// cluster-wide resident reads stay capped by
+// RunClusterStreamReport maps src and calls SNPs on a simulated cluster
+// of the given size, returning the calls, the global mapping statistics
+// and the run's merged metrics report: the cluster placement spelled as
+// parameters (they override opts.Cluster.Nodes/Transport/Split). In
+// ReadSplit mode it is a Pipeline run — rank 0 owns the source and deals
+// fixed-size batches round-robin to the ranks under a bounded credit
+// window, so cluster-wide resident reads stay capped by
 // Engine.{Batch,Queue,Workers}; with Cluster.OpTimeout set it also
 // retains what it dealt since the last checkpoint round, to re-deal a
 // lost rank's share; rank 0 calls SNPs. In GenomeSplit mode rank 0
@@ -941,39 +941,23 @@ func CheckModes(opts Options, outputs ...string) error {
 // p-value list, so a per-shard pass would change the call set with the
 // node count). Either way the result is equivalent to a single-process
 // run.
-func RunClusterStream(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, error) {
-
-	calls, stats, _, err := runCluster(nodes, transport, mode, reference, src, opts, false)
-	return calls, stats, err
-}
-
-// RunClusterStreamReport is RunClusterStream with per-rank
-// observability: every rank records its mapping, calling, and
-// communication activity into its own registry; at the end the
-// snapshots are gathered at rank 0 (tolerating dead ranks on
-// fault-tolerant runs) and merged into a MetricsReport alongside the
-// process-wide I/O metrics.
+//
+// Both splits run on one rank harness: rank 0 records into opts.Metrics
+// (a fresh registry when nil), every other rank into its own, and at the
+// end the snapshots are gathered at rank 0 (tolerating dead ranks on
+// fault-tolerant runs) and merged with the process-wide I/O metrics.
 func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
-
-	return runCluster(nodes, transport, mode, reference, src, opts, true)
-}
-
-// runCluster is both spellings: a Pipeline run for read-split, the
-// genome-split runner otherwise.
-func runCluster(nodes int, transport Transport, mode SplitMode,
-	reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
 
 	if nodes < 1 {
 		return nil, MapStats{}, nil, fmt.Errorf("gnumap: cluster of %d nodes", nodes)
 	}
 	opts.Cluster.Nodes, opts.Cluster.Transport, opts.Cluster.Split = nodes, transport, mode
-	if mode == GenomeSplit {
-		return runGenomeSplit(reference, src, opts, withMetrics)
-	}
-	if withMetrics && opts.Metrics == nil {
+	if opts.Metrics == nil {
 		opts.Metrics = NewMetricsRegistry()
+	}
+	if mode == GenomeSplit {
+		return runGenomeSplit(reference, src, opts)
 	}
 	p, err := NewPipeline(reference, opts)
 	if err != nil {
@@ -988,11 +972,9 @@ func runCluster(nodes int, transport Transport, mode SplitMode,
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
-	var report *MetricsReport
-	if withMetrics {
-		if report, err = p.MetricsReport(); err != nil {
-			return nil, MapStats{}, nil, err
-		}
+	report, err := p.MetricsReport()
+	if err != nil {
+		return nil, MapStats{}, nil, err
 	}
 	// Cumulative, so a resumed job reports the whole job's totals.
 	return calls, p.CumulativeStats(), report, nil
@@ -1001,8 +983,8 @@ func runCluster(nodes int, transport Transport, mode SplitMode,
 // runGenomeSplit executes a genome-split cluster run over src, which
 // rank 0 owns: every rank maps every read against its genome slice and
 // sweeps the slice for LRT candidates, which rank 0 gathers and
-// finalizes.
-func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetrics bool) ([]SNPCall, MapStats, *MetricsReport, error) {
+// finalizes. Rank 0 records into opts.Metrics.
+func runGenomeSplit(reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 	if err := CheckModes(opts); err != nil {
 		return nil, MapStats{}, nil, err
 	}
@@ -1010,26 +992,18 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetri
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
-	// Written only by rank 0's node goroutine; read after RunWithConfig
-	// returns (which waits all goroutines out).
+	cc := opts.Cluster
+	regs := rankRegistries(cc.Nodes, opts.Metrics)
+	// Written only by rank 0's node goroutine; read after the run, which
+	// waits every goroutine out.
 	var calls []SNPCall
 	var stats MapStats
-	var snaps []MetricsSnapshot
-	var dead []int
-	err = cluster.RunWithConfig(opts.Cluster.Nodes, opts.Cluster.runConfig(), func(c *cluster.Comm) error {
+	snaps, dead, err := core.RunRanks(cc.Nodes, cc.runConfig(), regs, func(c *cluster.Comm) error {
 		engCfg, caller := opts.Engine, opts.Caller
-		var reg *MetricsRegistry
-		if withMetrics {
-			reg = obs.NewRegistry()
-			engCfg.Metrics, caller.Metrics = reg, reg
-			c.SetMetrics(reg)
-		}
+		engCfg.Metrics, caller.Metrics = regs[c.Rank()], regs[c.Rank()]
 		acc, lo, _, st, err := core.RunGenomeSplit(c, ref, src, opts.Memory, engCfg)
 		if err != nil {
 			return err
-		}
-		if c.Rank() == 0 {
-			stats = st
 		}
 		// The significance decision is made once, over every slice's
 		// candidates: the Benjamini-Hochberg threshold for each hypothesis
@@ -1045,39 +1019,27 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options, withMetri
 			return err
 		}
 		all, err := c.Gather(0, cands)
-		if err != nil {
+		if err != nil || c.Rank() != 0 {
 			return err
 		}
-		if c.Rank() == 0 {
-			var merged []snp.Candidate
-			for r, v := range all {
-				part, ok := v.([]snp.Candidate)
-				if !ok {
-					return fmt.Errorf("gnumap: rank %d sent candidate payload %T", r, v)
-				}
-				merged = append(merged, part...)
+		stats = st
+		var merged []snp.Candidate
+		for r, v := range all {
+			part, ok := v.([]snp.Candidate)
+			if !ok {
+				return fmt.Errorf("gnumap: rank %d sent candidate payload %T", r, v)
 			}
-			if calls, _, err = snp.FinalizeCalls(merged, caller); err != nil {
-				return err
-			}
+			merged = append(merged, part...)
 		}
-		if reg == nil {
-			return nil
-		}
-		got, gotDead, err := core.GatherMetrics(c, reg.Snapshot(c.Rank()))
-		if c.Rank() == 0 {
-			snaps, dead = got, gotDead
-		}
+		calls, _, err = snp.FinalizeCalls(merged, caller)
 		return err
 	})
 	if err != nil {
 		return nil, MapStats{}, nil, err
 	}
-	var report *MetricsReport
-	if withMetrics {
-		if report, err = newRunReport(snaps, dead); err != nil {
-			return nil, MapStats{}, nil, err
-		}
+	report, err := newRunReport(snaps, dead)
+	if err != nil {
+		return nil, MapStats{}, nil, err
 	}
 	return calls, stats, report, nil
 }

@@ -201,7 +201,7 @@ func TestRunClusterBothModes(t *testing.T) {
 	}
 
 	for _, mode := range []SplitMode{ReadSplit, GenomeSplit} {
-		calls, st, err := RunClusterStream(3, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}})
+		calls, st, _, err := RunClusterStreamReport(3, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -222,10 +222,10 @@ func TestRunClusterBothModes(t *testing.T) {
 
 func TestRunClusterValidation(t *testing.T) {
 	ds := dataset(t)
-	if _, _, err := RunClusterStream(2, Channels, SplitMode(9), ds.Reference, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
+	if _, _, _, err := RunClusterStreamReport(2, Channels, SplitMode(9), ds.Reference, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
 		t.Error("bad split mode accepted")
 	}
-	if _, _, err := RunClusterStream(2, Channels, ReadSplit, nil, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
+	if _, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, nil, SliceReadSource(ds.Reads[:10]), Options{}); err == nil {
 		t.Error("nil reference accepted")
 	}
 }
@@ -293,11 +293,11 @@ func TestCheckModesTyped(t *testing.T) {
 	if _, err := NewPipeline(ds.Reference, Options{Cluster: on(GenomeSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
 		t.Errorf("NewPipeline on genome-split (a Pipeline holds the whole genome): %v", err)
 	}
-	if _, _, err := RunClusterStream(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
-		t.Errorf("RunClusterStream, incremental x genome-split: %v", err)
+	if _, _, _, err := RunClusterStreamReport(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("RunClusterStreamReport, incremental x genome-split: %v", err)
 	}
-	if _, _, err := RunClusterStream(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); err != nil {
-		t.Errorf("RunClusterStream, incremental x read-split: %v", err)
+	if _, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); err != nil {
+		t.Errorf("RunClusterStreamReport, incremental x read-split: %v", err)
 	}
 }
 
@@ -597,7 +597,7 @@ func TestGenomeSplitGlobalFDRMatchesSingleProcess(t *testing.T) {
 		t.Fatal("single-process FDR run produced no calls; test is vacuous")
 	}
 	for _, nodes := range []int{1, 4} {
-		calls, st, err := RunClusterStream(nodes, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
+		calls, st, _, err := RunClusterStreamReport(nodes, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 		if err != nil {
 			t.Fatalf("np=%d: %v", nodes, err)
 		}
@@ -663,6 +663,39 @@ func TestRunClusterReportHealthy(t *testing.T) {
 	}
 	if err := obs.ValidateReportJSON(buf.Bytes()); err != nil {
 		t.Errorf("report JSON fails validation: %v", err)
+	}
+}
+
+// TestRunClusterReportRootRecordsIntoOptionsMetrics: both splits run on
+// one rank harness, so in both rank 0 records its mapping and calling
+// into the caller's registry, and the report's rank-0 snapshot is that
+// registry's.
+func TestRunClusterReportRootRecordsIntoOptionsMetrics(t *testing.T) {
+	ds := dataset(t)
+	for _, mode := range []SplitMode{ReadSplit, GenomeSplit} {
+		reg := NewMetricsRegistry()
+		_, st, report, err := RunClusterStreamReport(2, Channels, mode, ds.Reference,
+			SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 1}, Metrics: reg})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		var root *MetricsSnapshot
+		for i := range report.Ranks {
+			if report.Ranks[i].Rank == 0 {
+				root = &report.Ranks[i]
+			}
+		}
+		if root == nil {
+			t.Fatalf("%v: no rank-0 snapshot in the report", mode)
+		}
+		for _, name := range []string{"map.mapped", "call.tested"} {
+			if v := reg.Counter(name).Value(); v == 0 || v != root.Counters[name] {
+				t.Errorf("%v: %s is %d in the caller's registry, %d in the report's rank 0", mode, name, v, root.Counters[name])
+			}
+		}
+		if m := report.Merged.Counters["map.mapped"]; m != st.Mapped {
+			t.Errorf("%v: merged map.mapped %d, MapStats.Mapped %d", mode, m, st.Mapped)
+		}
 	}
 }
 

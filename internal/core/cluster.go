@@ -253,7 +253,6 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 	}
 	// Boundary exchange: everyone sends every other rank its spill
 	// (possibly empty), then receives.
-	const spillTag = 17
 	for r := 0; r < size; r++ {
 		if r == rank {
 			continue

@@ -91,13 +91,6 @@ type roundPayload struct {
 	Stats Stats
 }
 
-// The protocol's tags (user tag space; 1003 is GatherMetrics').
-const (
-	streamShardTag = 1004
-	streamAckTag   = 1005
-	streamRoundTag = 1006
-)
-
 // farewell is the ack a worker sends on Done (every other ack counts
 // batches taken and is positive); doneTries bounds the Done re-sends.
 const (

@@ -241,17 +241,14 @@ func (s *Stats) Add(o Stats) {
 	s.LostRanks = UnionRanks(s.LostRanks, o.LostRanks)
 }
 
-// UnionRanks merges two rank lists into a sorted, deduplicated union.
-// Returns nil when both inputs are empty so healthy Stats stay
+// UnionRanks merges rank lists into a sorted, deduplicated union.
+// Returns nil when every input is empty so healthy Stats stay
 // comparable to their zero value.
-func UnionRanks(a, b []int) []int {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
-	for _, lists := range [2][]int{a, b} {
-		for _, r := range lists {
+func UnionRanks(lists ...[]int) []int {
+	seen := make(map[int]bool)
+	var out []int
+	for _, list := range lists {
+		for _, r := range list {
 			if !seen[r] {
 				seen[r] = true
 				out = append(out, r)

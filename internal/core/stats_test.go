@@ -51,4 +51,10 @@ func TestUnionRanksNilForEmpty(t *testing.T) {
 	if got := UnionRanks(nil, []int{}); got != nil {
 		t.Errorf("UnionRanks(nil, empty) = %v, want nil", got)
 	}
+	if got := UnionRanks(); got != nil {
+		t.Errorf("UnionRanks() = %v, want nil", got)
+	}
+	if got := UnionRanks([]int{3}, nil, []int{1, 3}); !reflect.DeepEqual(got, []int{1, 3}) {
+		t.Errorf("UnionRanks of three lists = %v, want [1 3]", got)
+	}
 }

@@ -21,7 +21,7 @@ func TestClusterParallelCallerDeterminism(t *testing.T) {
 			base := Options{Engine: EngineConfig{Workers: 1}}
 			base.Caller.UseFDR = true
 			base.Caller.CallWorkers = 1
-			want, wantSt, err := RunClusterStream(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), base)
+			want, wantSt, _, err := RunClusterStreamReport(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), base)
 			if err != nil {
 				t.Fatalf("np=%d %v serial: %v", nodes, mode, err)
 			}
@@ -31,7 +31,7 @@ func TestClusterParallelCallerDeterminism(t *testing.T) {
 
 			par := base
 			par.Caller.CallWorkers = 4
-			got, gotSt, err := RunClusterStream(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), par)
+			got, gotSt, _, err := RunClusterStreamReport(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), par)
 			if err != nil {
 				t.Fatalf("np=%d %v parallel: %v", nodes, mode, err)
 			}

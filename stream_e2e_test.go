@@ -90,7 +90,7 @@ func TestStreamingIdentityE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls4, st4, err := RunClusterStream(4, Channels, ReadSplit, ds.Reference, src4, Options{Engine: engCfg})
+	calls4, st4, _, err := RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, src4, Options{Engine: engCfg})
 	if cerr := src4.Close(); err == nil {
 		err = cerr
 	}
