@@ -7,10 +7,11 @@ import (
 )
 
 // End-to-end identity of the batched wavefront Pair-HMM kernel: running
-// the full streaming pipeline with Engine.PhmmBatch on vs. off must produce
-// exactly the same SNP calls. Batched lanes are bit-identical to scalar
-// AlignBanded calls and the mapper emits each read's locations in
-// candidate order, so not even the call scores may drift. Runs under -race in CI
+// the full streaming pipeline with 8 or 5 lanes per sweep must produce
+// exactly the same SNP calls as with one (Engine.PhmmBatch -1: any value
+// below 2). A lane does not depend on the lanes beside it and the mapper
+// emits each read's locations in candidate order, so not even the call
+// scores may drift. Runs under -race in CI
 // (make race covers the root package).
 func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 	ds := dataset(t)
@@ -44,14 +45,14 @@ func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 		return calls
 	}
 
-	want := call(-1) // scalar kernel only
+	want := call(-1) // one lane per sweep
 	if len(want) == 0 {
-		t.Fatal("scalar baseline called no SNPs; dataset too weak for an identity test")
+		t.Fatal("one-lane baseline called no SNPs; dataset too weak for an identity test")
 	}
 	// Position/allele identity is the contract (multi-worker shard
 	// accumulation reorders float adds between runs, so scores are
 	// compared bit-exactly only by the single-worker test in
-	// internal/core). Width 5 exercises the scalar-leftover fallback.
+	// internal/core). Width 5 exercises narrow tail groups.
 	for _, width := range []int{8, 5} {
 		sameCalls(t, "batched streaming", call(width), want)
 	}
@@ -61,7 +62,7 @@ func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 // work batch, so -batch decides which alignments share a sweep — and
 // must decide nothing else. On one worker the VCF is byte-identical
 // whether a batch is one read (no packing), one chunk, or several, and
-// identical to the scalar kernel's.
+// identical to one-lane sweeps'.
 func TestBatchSizeVCFIdentityE2E(t *testing.T) {
 	ds := dataset(t)
 	vcf := func(batch, phmmBatch int) []byte {
@@ -83,13 +84,13 @@ func TestBatchSizeVCFIdentityE2E(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := vcf(1, -1) // scalar kernel, a read at a time
+	want := vcf(1, -1) // one lane per sweep, a read at a time
 	if !bytes.Contains(want, []byte("\tPASS\t")) {
-		t.Fatal("scalar baseline called no SNPs; dataset too weak for an identity test")
+		t.Fatal("one-lane baseline called no SNPs; dataset too weak for an identity test")
 	}
 	for _, batch := range []int{1, 64, 200} {
 		if got := vcf(batch, 0); !bytes.Equal(got, want) {
-			t.Errorf("-batch %d: VCF differs from the scalar read-at-a-time run", batch)
+			t.Errorf("-batch %d: VCF differs from the one-lane read-at-a-time run", batch)
 		}
 	}
 }

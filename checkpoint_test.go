@@ -142,7 +142,8 @@ func TestResumeCheckpointMismatch(t *testing.T) {
 			t.Errorf("%s change: resume returned %v, want ErrCheckpointMismatch", name, err)
 		}
 	}
-	// Execution knobs must NOT invalidate the checkpoint.
+	// Execution knobs must NOT invalidate the checkpoint (PhmmBatch -1:
+	// one Pair-HMM lane per sweep instead of 8).
 	p3, err := NewPipeline(ds.Reference, Options{
 		Engine:     EngineConfig{Workers: 2, Batch: 8, PhmmBatch: -1},
 		Checkpoint: resume,

@@ -85,9 +85,10 @@ const (
 	MemCentDisc = genome.CentDisc
 )
 
-// DefaultPhmmBatch is the default lane width of the batched wavefront
-// Pair-HMM kernel. Set via EngineConfig.PhmmBatch (0 selects this
-// default; 1 or negative forces the scalar kernel).
+// DefaultPhmmBatch is the default lane cap of one batched wavefront
+// Pair-HMM sweep, the mapper's only forward-backward kernel. Set via
+// EngineConfig.PhmmBatch (0 selects this default; below 2, every sweep
+// is one lane). Results are the same at any width.
 const DefaultPhmmBatch = core.DefaultPhmmBatch
 
 // Ploidy selects the LRT hypothesis family.

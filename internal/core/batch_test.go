@@ -130,14 +130,24 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 // a single worker (deterministic accumulation order), every (Batch,
 // PhmmBatch) combination under either attribution must produce
 // bit-identical accumulator state, identical stats, and an identical
-// phmm.cells metric to the scalar kernel mapping one read at a time.
+// phmm.cells metric to one-lane sweeps mapping one read at a time.
 // Batch sizes straddle the 64-read chunk (1 packs nothing; 65 and 200
-// leave ragged chunks); width 3 exercises narrow groups and scalar
-// leftovers.
+// leave ragged chunks); width 3 exercises narrow groups and one-lane
+// tails; a zero PhmmBatch means DefaultPhmmBatch lanes. Every alignment
+// is counted in exactly one lane group. The ViterbiOnly ablation, which
+// bins nothing, must not depend on Batch — nor accumulate the marginal
+// alignment.
 func TestMapReadsBatchedMatchesScalar(t *testing.T) {
+	if w := (Config{}).withDefaults().PhmmBatch; w != DefaultPhmmBatch {
+		t.Fatalf("zero PhmmBatch resolves to %d lanes, want DefaultPhmmBatch", w)
+	}
 	ref, reads := identityReads(t)
+	var marginal []byte // ByCall, the ablation's attribution
 	for _, attr := range []phmm.Attribution{phmm.ByCall, phmm.ByPWM} {
-		want, _ := runMapping(t, ref, reads, Config{PhmmBatch: -1, Batch: 1, Attribution: attr})
+		want, _ := runMapping(t, ref, reads, Config{PhmmBatch: 1, Batch: 1, Attribution: attr})
+		if attr == phmm.ByCall {
+			marginal = want.state
+		}
 		if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
 			t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
 		}
@@ -147,60 +157,38 @@ func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 				label := fmt.Sprintf("attribution %d width %d batch %d", attr, width, batch)
 				if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
 					got.stats.Locations != want.stats.Locations {
-					t.Errorf("%s: stats %+v != scalar %+v", label, got.stats, want.stats)
+					t.Errorf("%s: stats %+v != one-lane %+v", label, got.stats, want.stats)
 				}
 				if got.cells != want.cells {
-					t.Errorf("%s: phmm.cells %d != scalar %d", label, got.cells, want.cells)
+					t.Errorf("%s: phmm.cells %d != one-lane %d", label, got.cells, want.cells)
 				}
 				if !bytes.Equal(got.state, want.state) {
-					t.Errorf("%s: accumulator state diverges from scalar", label)
+					t.Errorf("%s: accumulator state diverges from one-lane sweeps", label)
 				}
 				full := reg.Counter("phmm.batch.lanes.full").Value()
 				partial := reg.Counter("phmm.batch.lanes.partial").Value()
-				scalar := reg.Counter("phmm.scalar.alignments").Value()
-				if n := reg.Counter("map.alignments").Value(); full+partial+scalar != n {
-					t.Errorf("%s: lanes %d full + %d partial + %d scalar != %d alignments",
-						label, full, partial, scalar, n)
+				if n := reg.Counter("map.alignments").Value(); full+partial != n {
+					t.Errorf("%s: lanes %d full + %d partial != %d alignments", label, full, partial, n)
 				}
-				if batch >= 64 && full < 2*(partial+scalar) {
-					t.Errorf("%s: only %d of %d alignments in full-width groups",
-						label, full, full+partial+scalar)
+				if batch >= 64 && full < 2*partial {
+					t.Errorf("%s: only %d of %d alignments in full-width groups", label, full, full+partial)
 				}
 			}
 		}
 	}
-}
-
-// TestPhmmBatchConfig checks the knob's resolution rules: zero is the
-// default width, negatives and one disable batching, ViterbiOnly is
-// always scalar.
-func TestPhmmBatchConfig(t *testing.T) {
-	p := makePipeline(t, 5000, 1, 1, 23)
-	for _, tc := range []struct {
-		cfg       Config
-		wantBatch bool
-		wantWidth int
-	}{
-		{Config{}, true, DefaultPhmmBatch},
-		{Config{PhmmBatch: 4}, true, 4},
-		{Config{PhmmBatch: 1}, false, 0},
-		{Config{PhmmBatch: -1}, false, 0},
-		{Config{ViterbiOnly: true}, false, 0},
-	} {
-		eng, err := NewEngine(p.ref, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := eng.getMapper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.batch != nil; got != tc.wantBatch {
-			t.Errorf("cfg %+v: batch enabled = %v, want %v", tc.cfg, got, tc.wantBatch)
-		}
-		if tc.wantBatch && m.batchWidth != tc.wantWidth {
-			t.Errorf("cfg %+v: width %d, want %d", tc.cfg, m.batchWidth, tc.wantWidth)
-		}
+	vit := func(batch int) mappingOutcome {
+		got, _ := runMapping(t, ref, reads, Config{ViterbiOnly: true, Batch: batch})
+		return got
+	}
+	one, packed := vit(1), vit(64)
+	if one.stats.Mapped == 0 {
+		t.Fatal("ViterbiOnly mapped no reads")
+	}
+	if !bytes.Equal(one.state, packed.state) || one.stats.Locations != packed.stats.Locations {
+		t.Errorf("ViterbiOnly: batch 64 (%+v) diverges from batch 1 (%+v)", packed.stats, one.stats)
+	}
+	if bytes.Equal(one.state, marginal) {
+		t.Error("ViterbiOnly accumulated the marginal alignment")
 	}
 }
 

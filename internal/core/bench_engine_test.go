@@ -85,10 +85,6 @@ func benchMapBatch(b *testing.B, cfg Config) {
 // across the reads of a batch.
 func BenchmarkMapReadSteadyState(b *testing.B) { benchMapBatch(b, Config{}) }
 
-// BenchmarkMapReadScalar is the same with the batched kernel off — the
-// ns/op ratio is what cross-read lane packing buys per read.
-func BenchmarkMapReadScalar(b *testing.B) { benchMapBatch(b, Config{PhmmBatch: -1}) }
-
 // BenchmarkMapReadFullKernel is the same hot path with banding disabled
 // (Band: -1) — the ns/op ratio against BenchmarkMapReadSteadyState is
 // the end-to-end win from the banded kernel.

@@ -98,13 +98,13 @@ type Config struct {
 	// alignments score far lower, true mappings far higher). It is
 	// the engine's "does this read map here at all" filter.
 	MinLocLogLik float64
-	// PhmmBatch is the lane width of the batched wavefront Pair-HMM
-	// kernel: the same-shape candidate windows of a work batch's reads
-	// are swept together, up to this many per phmm.AlignBatch call, with
-	// scalar AlignBanded picking up one-lane leftovers. Batched lanes are
-	// bit-identical to scalar calls, so this is purely a throughput
-	// knob. 0 selects the default (DefaultPhmmBatch); 1 or negative
-	// disables batching. ViterbiOnly mode always uses the scalar path.
+	// PhmmBatch caps the lanes of one phmm.AlignBatch sweep, the
+	// mapper's only forward-backward kernel: the same-shape candidate
+	// windows of a work batch's reads are swept together, up to this
+	// many at a time. A lane's result does not depend on the sweep's
+	// width, so this decides speed only. 0 selects DefaultPhmmBatch;
+	// below 2, every sweep is one lane. The field stays only because
+	// the benchmark module (bench/) sets and reads it.
 	PhmmBatch int
 	// ViterbiOnly switches accumulation to the single best path per
 	// location (ablation of the marginal alignment).
@@ -123,12 +123,13 @@ type Config struct {
 	// map.read.seconds (per read: its batch's wall / reads), plus
 	// map.candidates / map.alignments / map.mapped / map.unmapped /
 	// map.locations, phmm.cells (DP cells computed) and the lane
-	// occupancy of the batched kernel (phmm.batch.lanes.full / .partial,
-	// phmm.scalar.alignments). Seed selectivity is tracked by
-	// map.seed.hits (index positions voted), map.seed.masked (read seeds
-	// dropped by MaxBucket), the map.candidates.per.read histogram, and
-	// the index.bytes gauge. Nil disables instrumentation; the hot path
-	// then pays only a pointer check.
+	// occupancy of the batched kernel (phmm.batch.lanes.full / .partial:
+	// alignments swept in full-width and narrower groups). Seed
+	// selectivity is tracked by map.seed.hits (index positions voted),
+	// map.seed.masked (read seeds dropped by MaxBucket), the
+	// map.candidates.per.read histogram, and the index.bytes gauge. Nil
+	// disables instrumentation; the hot path then pays only a pointer
+	// check.
 	Metrics *obs.Registry
 }
 
@@ -268,8 +269,8 @@ type engineMetrics struct {
 	mapped, unmapped, locations          *obs.Counter
 	seedHits, seedMasked                 *obs.Counter
 	candPerRead                          *obs.Histogram
-	// Alignments swept in full-width groups, narrower ones, and singly.
-	lanesFull, lanesPartial, scalarAligns *obs.Counter
+	// Alignments swept in full-width groups and in narrower ones.
+	lanesFull, lanesPartial *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -293,7 +294,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"map.candidates.per.read", obs.CountBuckets),
 		lanesFull:    reg.Counter("phmm.batch.lanes.full"),
 		lanesPartial: reg.Counter("phmm.batch.lanes.partial"),
-		scalarAligns: reg.Counter("phmm.scalar.alignments"),
 	}
 }
 
@@ -407,7 +407,7 @@ const mapChunk = 64
 // sweep adds loc's logLik and contribs on acceptance. Keeping the outcome
 // on the entry lets mapBatch sweep lanes in whatever grouping is
 // efficient and still emit each read's locations in candidate order —
-// the float sequence a read-at-a-time scalar mapper accumulates.
+// the float sequence a read-at-a-time, one-lane mapper accumulates.
 type pendingAlign struct {
 	read           int // index of the read in its chunk
 	window         dna.Seq
@@ -420,14 +420,13 @@ type pendingAlign struct {
 // and — through the engine's idle list — across mapping calls: the warm
 // hot path does not allocate. Nothing batch-sized exists before a chunk.
 type mapper struct {
-	e       *Engine
+	e *Engine
+	// batch runs every marginal alignment; aligner runs only single best
+	// paths (the ViterbiOnly ablation and SAM export).
+	batch   *phmm.BatchAligner
 	aligner *phmm.Aligner
-	// batch is the wavefront kernel, nil when batching is disabled
-	// (PhmmBatch < 2 or ViterbiOnly); batchWidth is its lane cap.
-	batch      *phmm.BatchAligner
-	batchWidth int
 	// met aliases e.met; lastCells tracks the cumulative DP cell count
-	// across both kernels so each chunk publishes only its delta.
+	// across both aligners so each chunk publishes only its delta.
 	met       *engineMetrics
 	lastCells int64
 	totals    []float64
@@ -488,14 +487,11 @@ func (e *Engine) getMapper() (*mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &mapper{e: e, aligner: al, met: e.met}
-	if e.cfg.PhmmBatch >= 2 && !e.cfg.ViterbiOnly {
-		m.batchWidth = e.cfg.PhmmBatch
-		if m.batch, err = phmm.NewBatchAligner(e.cfg.PHMM, e.cfg.AlignMode); err != nil {
-			return nil, err
-		}
+	ba, err := phmm.NewBatchAligner(e.cfg.PHMM, e.cfg.AlignMode)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &mapper{e: e, batch: ba, aligner: al, met: e.met}, nil
 }
 
 // putMapper returns a mapper for the next call to reuse.
@@ -513,7 +509,7 @@ func (e *Engine) putMapper(m *mapper) {
 // lanes packed across reads; (3) each read's accepted locations are
 // emitted in candidate order. An alignment does not depend on the lanes
 // beside it, so emit sees — and accumulates, in order — what a
-// read-at-a-time scalar mapper produces, bit for bit (DESIGN.md §12).
+// read-at-a-time, one-lane mapper produces, bit for bit (DESIGN.md §12).
 // The locations alias mapper scratch: they die when the next chunk
 // starts or, with keep set (scratch then grows with len(reads)), at the
 // next mapBatch call.
@@ -663,14 +659,14 @@ func (m *mapper) seedRead(read int, rd *fastq.Read) {
 }
 
 // alignPending is phase 2: every pending window of the chunk is aligned
-// and finished. With the batched kernel, entries are binned by (read
-// length, window length, diag) and each bin is swept in groups of at
-// most batchWidth lanes; a leftover of one takes the scalar kernel
-// (identical results, no batch overhead), as does everything without it.
+// and finished. ViterbiOnly takes each window's single best path in
+// turn. Otherwise entries are binned by (read length, window length,
+// diag) and each bin is swept through AlignBatch in groups of at most
+// PhmmBatch lanes, a tail group or a bin of one included.
 func (m *mapper) alignPending() error {
 	pend := m.pending
-	width := max(m.batchWidth, 1)
-	var full, partial, scalar int64
+	width := max(m.e.cfg.PhmmBatch, 1)
+	var full, partial int64
 	for start := range pend {
 		if pend[start].done {
 			continue
@@ -679,49 +675,46 @@ func (m *mapper) alignPending() error {
 		if m.met != nil {
 			t0 = time.Now()
 		}
-		idxs := append(m.bidx[:0], start)
-		if m.batch != nil {
+		if m.e.cfg.ViterbiOnly {
+			if err := m.viterbi(&pend[start]); err != nil {
+				return err
+			}
+		} else {
 			n, wlen, diag := pend[start].loc.p.Len(), len(pend[start].window), pend[start].diag
+			idxs := append(m.bidx[:0], start)
 			for k := start + 1; k < len(pend); k++ {
 				if pa := &pend[k]; !pa.done && pa.loc.p.Len() == n && len(pa.window) == wlen && pa.diag == diag {
 					idxs = append(idxs, k)
 				}
 			}
-		}
-		m.bidx = idxs
-		for off := 0; off < len(idxs); off += width {
-			group := idxs[off:min(off+width, len(idxs))]
-			if len(group) == 1 {
-				scalar++
-				if err := m.alignScalar(&pend[group[0]]); err != nil {
+			m.bidx = idxs
+			for off := 0; off < len(idxs); off += width {
+				group := idxs[off:min(off+width, len(idxs))]
+				if len(group) == width {
+					full += int64(len(group))
+				} else {
+					partial += int64(len(group))
+				}
+				bxs, bys := m.bxs[:0], m.bys[:0]
+				for _, k := range group {
+					bxs = append(bxs, pend[k].loc.p)
+					bys = append(bys, pend[k].window)
+				}
+				m.bxs, m.bys = bxs, bys
+				results, err := m.batch.AlignBatch(bxs, bys, diag, m.e.band)
+				if err != nil {
 					return err
 				}
-				continue
-			}
-			if len(group) == width {
-				full += int64(len(group))
-			} else {
-				partial += int64(len(group))
-			}
-			bxs, bys := m.bxs[:0], m.bys[:0]
-			for _, k := range group {
-				bxs = append(bxs, pend[k].loc.p)
-				bys = append(bys, pend[k].window)
-			}
-			m.bxs, m.bys = bxs, bys
-			results, err := m.batch.AlignBatch(bxs, bys, pend[start].diag, m.e.band)
-			if err != nil {
-				return err
-			}
-			// Results are views into the batch aligner's buffers,
-			// invalidated by the next AlignBatch call — finish each lane
-			// (filter + contributions into the arena) before moving on.
-			for l, k := range group {
-				pa := &pend[k]
-				pa.done = true
-				if res := &results[l]; res.Err == nil {
-					if err := m.finishAlignment(res.LogLik, res, pa); err != nil {
-						return err
+				// Results are views into the batch aligner's buffers,
+				// invalidated by the next AlignBatch call — finish each lane
+				// (filter + contributions into the arena) before moving on.
+				for l, k := range group {
+					pa := &pend[k]
+					pa.done = true
+					if res := &results[l]; res.Err == nil {
+						if err := m.finishAlignment(res, pa); err != nil {
+							return err
+						}
 					}
 				}
 			}
@@ -734,46 +727,18 @@ func (m *mapper) alignPending() error {
 		m.met.alignments.Add(int64(len(pend)))
 		m.met.lanesFull.Add(full)
 		m.met.lanesPartial.Add(partial)
-		m.met.scalarAligns.Add(scalar)
-		c := m.aligner.CellsComputed()
-		if m.batch != nil {
-			c += m.batch.CellsComputed()
-		}
+		c := m.aligner.CellsComputed() + m.batch.CellsComputed()
 		m.met.cells.Add(c - m.lastCells)
 		m.lastCells = c
 	}
 	return nil
 }
 
-// alignScalar runs one pending window through the scalar kernel (or,
-// under ViterbiOnly, the single-best-path ablation).
-func (m *mapper) alignScalar(pa *pendingAlign) error {
-	pa.done = true
-	if m.e.cfg.ViterbiOnly {
-		return m.viterbi(pa)
-	}
-	res, err := m.aligner.AlignBanded(pa.loc.p, pa.window, pa.diag, m.e.band)
-	if err == phmm.ErrNoAlignment {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return m.finishAlignment(res.LogLik, res, pa)
-}
-
-// contribSource is the posterior-contribution view shared by the scalar
-// Result and a batched lane.
-type contribSource interface {
-	ContributionsInto(phmm.Attribution, []genome.Vec, []float64) error
-}
-
-// finishAlignment applies the per-location acceptance filters and
-// extracts contributions into the arena — the shared tail of the scalar
-// and batched kernels.
-func (m *mapper) finishAlignment(logLik float64, src contribSource, pa *pendingAlign) error {
+// finishAlignment applies the per-location acceptance filters to one
+// swept lane and extracts its contributions into the arena.
+func (m *mapper) finishAlignment(res *phmm.BatchResult, pa *pendingAlign) error {
 	e := m.e
-	if logLik/float64(pa.loc.p.Len()) < e.cfg.MinLocLogLik {
+	if res.LogLik/float64(pa.loc.p.Len()) < e.cfg.MinLocLogLik {
 		return nil
 	}
 	contribs := m.grabContribs(len(pa.window))
@@ -781,7 +746,7 @@ func (m *mapper) finishAlignment(logLik float64, src contribSource, pa *pendingA
 		m.totals = make([]float64, len(contribs))
 	}
 	totals := m.totals[:len(contribs)]
-	if err := src.ContributionsInto(e.cfg.Attribution, contribs, totals); err != nil {
+	if err := res.ContributionsInto(e.cfg.Attribution, contribs, totals); err != nil {
 		return err
 	}
 	for j := range contribs {
@@ -794,7 +759,7 @@ func (m *mapper) finishAlignment(logLik float64, src contribSource, pa *pendingA
 			contribs[j] = genome.Vec{}
 		}
 	}
-	pa.loc.logLik, pa.loc.contribs = logLik, contribs
+	pa.loc.logLik, pa.loc.contribs = res.LogLik, contribs
 	return nil
 }
 

@@ -207,6 +207,37 @@ func TestReportJSONRoundTripAndValidate(t *testing.T) {
 	}
 }
 
+// TestReportTextHistogramUnits: the text summary prints a timer (a
+// ".seconds" name) as durations and any other histogram as plain
+// numbers, so a per-read candidate count never reads as seconds.
+func TestReportTextHistogramUnits(t *testing.T) {
+	reg := NewRegistry()
+	reg.Timer("map.read.seconds").Observe(0.002)
+	cands := reg.Histogram("map.candidates.per.read", CountBuckets)
+	cands.Observe(15)
+	cands.Observe(16)
+	rep, err := NewReport([]Snapshot{reg.Snapshot(0)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 6 {
+			rows[f[0]] = f[1:]
+		}
+	}
+	if got, want := rows["map.read.seconds"], []string{"1", "2.00ms"}; len(got) != 5 || got[0] != want[0] || got[1] != want[1] || got[4] != want[1] {
+		t.Errorf("timer row %v, want count %s, mean and total %s", got, want[0], want[1])
+	}
+	if got := rows["map.candidates.per.read"]; len(got) != 5 || got[0] != "2" || got[1] != "15.500" || got[4] != "31" {
+		t.Errorf("count histogram row %v, want count 2, mean 15.500, total 31", got)
+	}
+}
+
 func TestValidateReportJSONRejectsCorruption(t *testing.T) {
 	r := NewRegistry()
 	r.Timer("t.seconds").Observe(0.5)

@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -59,9 +62,10 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText renders the human summary: the merged stage-timer table
-// (count, mean, p50, p99, total), the merged counters, and the
-// per-rank health line.
+// WriteText renders the human summary: the merged histogram table
+// (count, mean, p50, p99, total — as durations for the timers, whose
+// names end in ".seconds", and as plain numbers for every other
+// histogram), the merged counters, and the per-rank health line.
 func (r *Report) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "metrics (%d rank snapshot(s)", len(r.Ranks))
@@ -71,13 +75,17 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, ")\n")
 	if len(r.Merged.Histograms) > 0 {
 		fmt.Fprintf(bw, "%-28s %12s %12s %12s %12s %12s\n",
-			"stage", "count", "mean", "p50", "p99", "total")
+			"histogram", "count", "mean", "p50", "p99", "total")
 		for _, name := range sortedKeys(r.Merged.Histograms) {
 			h := r.Merged.Histograms[name]
+			format := fmtNumber
+			if strings.HasSuffix(name, ".seconds") {
+				format = fmtSeconds
+			}
 			fmt.Fprintf(bw, "%-28s %12d %12s %12s %12s %12s\n",
 				name, h.Count,
-				fmtSeconds(h.Mean()), fmtSeconds(h.Quantile(0.5)),
-				fmtSeconds(h.Quantile(0.99)), fmtSeconds(h.Sum))
+				format(h.Mean()), format(h.Quantile(0.5)),
+				format(h.Quantile(0.99)), format(h.Sum))
 		}
 	}
 	if len(r.Merged.Counters) > 0 {
@@ -113,6 +121,15 @@ func fmtSeconds(s float64) string {
 	default:
 		return fmt.Sprintf("%.3fs", s)
 	}
+}
+
+// fmtNumber renders a histogram value that is not a duration: whole
+// numbers as integers, anything else to three decimals.
+func fmtNumber(v float64) string {
+	if v == math.Trunc(v) {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'f', 3, 64)
 }
 
 // ValidateReportJSON schema-checks a serialized report: required

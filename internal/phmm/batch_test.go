@@ -202,9 +202,11 @@ func dyingBatch(t *testing.T) (p Params, xs []*pwm.Matrix, ys []dna.Seq, diag, b
 // AlignBanded. Bands include narrow, wide, and full-width (== unbanded)
 // geometries; every other batch is 8 lanes (the vector rows' width), the
 // rest 1 to 13; windows carry N and other non-concrete codes in every
-// lane and half the reads have N rows. Then lanes that die mid-batch
-// beside live ones, and a band that slides off the rectangle part way
-// down. All of it under the AVX2 rows and the generic lane loops.
+// lane and half the reads have N rows. Then every width from 1 to 7 in
+// both modes, banded and not (the mapper's tail groups); lanes that die
+// mid-batch beside live ones, and alone; and a band that slides off the
+// rectangle part way down. All of it under the AVX2 rows and the
+// generic lane loops.
 func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		for _, mode := range []Mode{Global, SemiGlobal} {
@@ -248,6 +250,31 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 				}
 				requireBatchExact(t, fmt.Sprintf("mode %v trial %d", mode, trial), scalar, xs, ys, diag, band, results)
 			}
+			// Every width below the vector rows', at a banded and an
+			// unbanded geometry: the mapper sweeps a bin's tail group, and
+			// a bin of one, at these lane counts.
+			n, m, diag := 40, 40, 0
+			if mode == SemiGlobal {
+				n, m, diag = 62, 78, 8
+			}
+			for _, band := range []int{18, 0} {
+				for L := 1; L < simdLanes; L++ {
+					xs := make([]*pwm.Matrix, L)
+					ys := make([]dna.Seq, L)
+					for l := range xs {
+						xs[l], ys[l] = qualityRead(rng, n), randomSeq(rng, m)
+						plantAmbiguous(rng, ys[l])
+					}
+					results, err := batch.AlignBatch(xs, ys, diag, band)
+					if err != nil {
+						t.Fatalf("mode %v L=%d band=%d: AlignBatch: %v", mode, L, band, err)
+					}
+					label := fmt.Sprintf("mode %v L=%d band=%d", mode, L, band)
+					if dead := requireBatchExact(t, label, scalar, xs, ys, diag, band, results); dead != 0 {
+						t.Fatalf("%s: %d dead lanes", label, dead)
+					}
+				}
+			}
 		}
 
 		p, xs, ys, diag, band := dyingBatch(t)
@@ -269,6 +296,14 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 				t.Fatalf("dying L=%d: %d of %d lanes dead, want a mix", L, dead, L)
 			}
 		}
+		// A one-lane sweep whose only lane dies at row 5.
+		results, err := batch.AlignBatch(xs[1:2], ys[1:2], diag, band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dead := requireBatchExact(t, "dying L=1", scalar, xs[1:2], ys[1:2], diag, band, results); dead != 1 {
+			t.Fatalf("dying L=1: lane alive, want dead")
+		}
 
 		rng := rand.New(rand.NewSource(45))
 		scalar, batch = mustAligner(t, SemiGlobal), mustBatchAligner(t, SemiGlobal)
@@ -278,7 +313,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 		}
 		// Diagonal 20, radius 2 on a 40-base window: rows past 22 have no
 		// column in the band.
-		results, err := batch.AlignBatch(xs, ys, 20, 4)
+		results, err = batch.AlignBatch(xs, ys, 20, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
