@@ -359,14 +359,36 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		t.Fatalf("plain run: %v\n%s", err, out)
 	}
 	// -workers is the one parallelism knob: at -workers 1 the calling
-	// sweep runs on one worker too, whatever GOMAXPROCS is.
+	// sweep runs on one worker too, whatever GOMAXPROCS is. A run with
+	// no peers builds no cluster transport, so it reports no comm.*.
 	var report struct {
-		Merged struct{ Gauges map[string]float64 }
+		Merged struct {
+			Gauges     map[string]float64
+			Counters   map[string]int64
+			Histograms map[string]json.RawMessage
+		}
 	}
 	if m, err := os.ReadFile(metricsPath); err != nil || json.Unmarshal(m, &report) != nil {
 		t.Errorf("read metrics: %v", err)
-	} else if w := report.Merged.Gauges["call.workers"]; w != 1 {
-		t.Errorf("-workers 1 swept on call.workers = %v", w)
+	} else {
+		if w := report.Merged.Gauges["call.workers"]; w != 1 {
+			t.Errorf("-workers 1 swept on call.workers = %v", w)
+		}
+		var names []string
+		for n := range report.Merged.Gauges {
+			names = append(names, n)
+		}
+		for n := range report.Merged.Counters {
+			names = append(names, n)
+		}
+		for n := range report.Merged.Histograms {
+			names = append(names, n)
+		}
+		for _, n := range names {
+			if strings.HasPrefix(n, "comm.") {
+				t.Errorf("single-process run reports %s", n)
+			}
+		}
 	}
 	if !strings.Contains(string(plain), "\tPASS\t") {
 		t.Fatal("plain run called no SNPs; dataset too weak for an identity table")

@@ -34,8 +34,9 @@
 // exit), standard runtime profiles for `go tool pprof`.
 //
 // One mapping run: reads stream from the FASTQ through one bounded
-// pipeline (-fit and -sam need the whole read set, so they load it and
-// hand the pipeline the slice as its source). -checkpoint and
+// pipeline (-sam needs the whole read set for its second pass, so it
+// loads it and hands the pipeline the slice as its source; -fit reads
+// only its 2000-read sample, then the FASTQ streams). -checkpoint and
 // -incremental-every subscribe to that pipeline's quiesce barrier and
 // compose with each other, with -fit/-sam and with -split read. The
 // four feature × placement pairs that do not compose are refused at
@@ -71,6 +72,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -254,10 +256,10 @@ func run() error {
 	if err := gnumap.CheckModes(opts, outputs...); err != nil {
 		return err
 	}
-	// The mapping source: the FASTQ stream, or — when fitting or SAM
-	// output needs random access to the whole read set — the loaded
-	// slice, which is just another (replayable) source.
-	materialize := *fit || *samPath != ""
+	// The mapping source: the FASTQ stream, or — when SAM output needs
+	// the whole read set for its second pass — the loaded slice, which
+	// is just another (replayable) source.
+	materialize := *samPath != ""
 	var reads []*gnumap.Read
 	if materialize {
 		reads, err = gnumap.LoadReads(*readsPath, enc)
@@ -308,9 +310,9 @@ func run() error {
 	// as well as mapping.
 	opts.Caller.CallWorkers = *workers
 	if *fit {
-		sample := reads
-		if len(sample) > 2000 {
-			sample = sample[:2000]
+		sample, err := headReads(*readsPath, enc, 2000)
+		if err != nil {
+			return err
 		}
 		params, err := gnumap.FitPHMM(reference, sample, 500)
 		if err != nil {
@@ -505,4 +507,26 @@ func parseMemory(s string) (gnumap.MemoryMode, error) {
 	default:
 		return 0, fmt.Errorf("unknown -memory %q (want norm, chardisc, or centdisc)", s)
 	}
+}
+
+// headReads reads the first n reads of a FASTQ file (fewer if it is
+// shorter) and closes it.
+func headReads(path string, enc gnumap.QualityEncoding, n int) ([]*gnumap.Read, error) {
+	f, err := gnumap.OpenReads(path, enc)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var reads []*gnumap.Read
+	for len(reads) < n {
+		rd, err := f.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		reads = append(reads, rd)
+	}
+	return reads, nil
 }

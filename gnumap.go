@@ -940,8 +940,12 @@ func CheckModes(opts Options, outputs ...string) error {
 // significance decision over the global candidate list (under FDR
 // control the Benjamini-Hochberg thresholds depend on the full ranked
 // p-value list, so a per-shard pass would change the call set with the
-// node count). Either way the result is equivalent to a single-process
-// run.
+// node count). Read-split maps exactly what one process maps.
+// Genome-split does not at the location level: each rank applies the
+// seed filters (MaxBucket, MinVoteFraction, MaxCandidates) over its own
+// slice index, so a read can keep candidates a whole-genome index drops
+// and the run accepts more locations than one process (DESIGN.md §10);
+// its calls matched a single-process run's on the datasets measured.
 //
 // Both splits run on one rank harness: rank 0 records into opts.Metrics
 // (a fresh registry when nil), every other rank into its own, and at the

@@ -27,7 +27,7 @@ func BenchmarkMapReadsEndToEnd(b *testing.B) {
 
 // BenchmarkMapReadsStream is BenchmarkMapReadsEndToEnd through the
 // bounded streaming pipeline — the reads/s gap between the two is the
-// cost of streaming (batch hand-off, free-list recycling) and should
+// cost of streaming (dealing, batch hand-off, quiesce) and should
 // stay within noise of the slice path.
 func BenchmarkMapReadsStream(b *testing.B) {
 	g := makePipelineB(b, 100000, 9, 10, 91)

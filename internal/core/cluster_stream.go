@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
+	"gnumap/internal/obs"
 )
 
 func init() {
@@ -17,31 +19,34 @@ func init() {
 	gob.Register(roundPayload{})
 }
 
-// Read-split, the one protocol. Rank 0 owns the input stream and deals
-// fixed-size batches round-robin to the ranks — batch i goes to rank
-// i mod size, so the shard assignment is deterministic regardless of
-// relative rank speed. A per-rank credit window of Config.Queue
-// unacknowledged batches gives the same backpressure the local pipeline
-// has: rank 0 never buffers more than Queue batches per remote rank
-// plus its own (Queue + Workers)-buffer local pipeline, so cluster-wide
-// resident reads stay bounded by configuration while the input can be
-// arbitrarily large. Each rank feeds its arriving batches into
-// Engine.MapReadsFrom through a channel-backed Source.
+// Read-split, the one protocol, and the one owner of the read stream at
+// any node count. Rank 0's dealer pulls the source into fixed-size
+// batches and deals them round-robin to the ranks — batch i goes to
+// rank i mod size, so the shard assignment is deterministic regardless
+// of relative rank speed; with no peers (Engine.MapReadsFrom) every
+// batch is rank 0's. A per-rank credit window of Config.Queue
+// unacknowledged batches gives the same backpressure a pipe's work
+// queue has: rank 0 never buffers more than Queue batches per remote
+// rank plus its own pipe's (Queue + Workers) · Batch reads, so
+// cluster-wide resident reads stay bounded by configuration while the
+// input can be arbitrarily large. Every rank feeds the batches it is
+// dealt straight into its own pipe (stream.go).
 //
-// Rounds drain. On a round marker every rank quiesces its pipeline,
-// ships {accumulator state, stats} for the batches dealt to it since
-// its last round and resets its accumulator; rank 0 folds each payload
+// Rounds drain. On a round marker every rank quiesces its pipe, ships
+// {accumulator state, stats} for the batches dealt to it since its last
+// round and resets its accumulator; rank 0 folds each payload
 // straight into its own accumulator, which therefore holds the
 // cluster-wide state as of the marker. Per-(sender, tag) FIFO ordering
 // guarantees a payload covers exactly the batches dealt before the
-// marker. The rounds are the quiesce barriers of the CheckpointPolicy
-// Engine.MapReadsFrom takes: when a subscriber of the policy is due,
-// rank 0 runs a round and then the due subscribers on a Barrier whose
-// Consumed is the dealt-read watermark and whose Stats and state are
-// cluster-wide — so a checkpoint sink written for one process works on N
-// ranks unchanged. The end of the stream is one more round followed by
-// Done carrying the global stats (the paper's "communicate the state of
-// their genome", §VI Step 1) — there is no separate final reduction.
+// marker. The rounds are the quiesce barriers of the CheckpointPolicy:
+// when a subscriber of the policy is due, rank 0 runs a round and then
+// the due subscribers on a Barrier whose Consumed is the dealt-read
+// watermark and whose Stats and state are cluster-wide — with no peers
+// a round is just rank 0's quiesce, so a checkpoint sink sees the same
+// barriers in one process and on N ranks. The end of the stream is one
+// more round followed by Done carrying the global stats (the paper's
+// "communicate the state of their genome", §VI Step 1) — there is no
+// separate final reduction.
 //
 // Fault tolerance is the ledger. With an op timeout configured rank 0
 // retains each remote rank's batches since that rank's last collected
@@ -54,7 +59,7 @@ func init() {
 // payload never arrives, or whose payload does not account for exactly
 // its ledger's reads (a dropped or duplicated batch), leaves the
 // rotation and its ledger is re-dealt through the normal dealing path:
-// to the survivors and, like any batch, to rank 0's own pipeline. A
+// to the survivors and, like any batch, to rank 0's own pipe. A
 // round that lost a rank repeats until clean before any subscriber
 // runs, so a committed watermark never covers reads whose mass died
 // with a rank; every read's mass is in the result exactly once. Done
@@ -111,31 +116,6 @@ const (
 // exactly the reads dealt to its rank since the previous round.
 var errLedgerMismatch = errors.New("core: round payload disagrees with the rank's ledger")
 
-// chanSource adapts a channel of read batches to a fastq.Source.
-type chanSource struct {
-	ch  <-chan []*fastq.Read
-	cur []*fastq.Read
-	pos int
-}
-
-func (s *chanSource) Next() (*fastq.Read, error) {
-	for s.pos >= len(s.cur) {
-		b, ok := <-s.ch
-		if !ok {
-			return nil, io.EOF
-		}
-		if b == nil {
-			// A nil batch is the in-band round barrier: the local
-			// pipeline quiesces and snapshots, then keeps reading.
-			return nil, ErrCkptBarrier
-		}
-		s.cur, s.pos = b, 0
-	}
-	rd := s.cur[s.pos]
-	s.pos++
-	return rd, nil
-}
-
 // RunReadSplit executes read-split mapping on one cluster node (§VI
 // Step 1; the protocol is described above) with the rank's own engine
 // and accumulator. src and policy belong to rank 0 — it must have a
@@ -148,16 +128,33 @@ func (s *chanSource) Next() (*fastq.Read, error) {
 // normally and rank 0 returns ErrStopped.
 func RunReadSplit(c *cluster.Comm, eng *Engine, acc genome.Accumulator, src fastq.Source, policy *CheckpointPolicy) (Stats, error) {
 	if c.Rank() != 0 {
-		return streamReceive(c, startPipe(eng, acc, true))
+		return streamReceive(c, eng.startPipe(acc, 0), acc)
 	}
+	return deal(c, eng, acc, 0, src, policy)
+}
+
+// deal runs rank 0's dealer over c's ranks, or over none when c is nil
+// (no cluster transport at all), with rank 0's own pipe mapping into
+// acc at accOffset.
+func deal(c *cluster.Comm, eng *Engine, acc genome.Accumulator, accOffset int, src fastq.Source, policy *CheckpointPolicy) (Stats, error) {
 	if src == nil {
-		return Stats{}, fmt.Errorf("core: rank 0 needs a read source")
+		return Stats{}, fmt.Errorf("core: nil read source")
 	}
 	if policy == nil {
 		policy = &CheckpointPolicy{}
 	}
+	size := 1
+	if c != nil {
+		size = c.Size()
+	}
 	d := &dealer{c: c, src: src, acc: acc, cfg: eng.cfg, policy: policy, cad: newCadence(policy.Subscribers),
-		pipe: startPipe(eng, acc, false), peers: make([]peer, c.Size())}
+		pipe: eng.startPipe(acc, accOffset), peers: make([]peer, size)}
+	if reg := eng.cfg.Metrics; reg != nil {
+		// The window the whole run waits on the subscribers, once per
+		// barrier that runs one: the checkpoint feature's added
+		// critical-path time.
+		d.stall = reg.Timer("stream.ckpt.stall.seconds")
+	}
 	stopped, err := d.run()
 	if err != nil {
 		return Stats{}, err
@@ -166,92 +163,6 @@ func RunReadSplit(c *cluster.Comm, eng *Engine, acc genome.Accumulator, src fast
 		err = ErrStopped
 	}
 	return d.total, err
-}
-
-// localPipe is a rank's MapReadsFrom running on a channel-backed
-// source. The goroutine that feeds it is its only feeder, so between a
-// barrier and the next batch fed the pipeline is idle and that
-// goroutine may touch the accumulator.
-type localPipe struct {
-	// ch carries batches (nil = barrier) with Queue of slack, the same
-	// backpressure the credit window gives a remote rank.
-	ch     chan []*fastq.Read
-	rounds chan roundPayload
-	done   chan struct{}
-	closed bool
-	err    error
-}
-
-// startPipe starts the pipeline. Its one barrier subscriber has no
-// trigger of its own, so it runs exactly at the barriers fed in band,
-// and reports the mapping stats since the previous barrier; with ship
-// set (worker ranks) it also snapshots the accumulator state and resets
-// the accumulator, so every payload carries only new mass.
-func startPipe(eng *Engine, acc genome.Accumulator, ship bool) *localPipe {
-	p := &localPipe{ch: make(chan []*fastq.Read, eng.cfg.Queue), rounds: make(chan roundPayload, 1), done: make(chan struct{})}
-	var prev Stats
-	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{{Run: func(b *Barrier) error {
-		out := roundPayload{Stats: Stats{Mapped: b.Stats.Mapped - prev.Mapped,
-			Unmapped: b.Stats.Unmapped - prev.Unmapped, Locations: b.Stats.Locations - prev.Locations}}
-		prev = b.Stats
-		if ship {
-			var err error
-			if out.State, err = b.State(); err != nil {
-				return err
-			}
-			genome.Reset(acc)
-		}
-		p.rounds <- out
-		return nil
-	}}}}
-	go func() {
-		defer close(p.done)
-		_, p.err = eng.MapReadsFrom(&chanSource{ch: p.ch}, acc, 0, pol)
-	}()
-	return p
-}
-
-// feed hands the pipeline a batch (nil = barrier), or reports why it
-// has ended.
-func (p *localPipe) feed(b []*fastq.Read) error {
-	select {
-	case p.ch <- b:
-		return nil
-	case <-p.done:
-		return p.ended()
-	}
-}
-
-func (p *localPipe) ended() error {
-	if p.err != nil {
-		return p.err
-	}
-	return fmt.Errorf("core: local pipeline ended before its feeder")
-}
-
-// quiesce drains the pipeline through a barrier and returns what it
-// mapped since the previous one.
-func (p *localPipe) quiesce() (roundPayload, error) {
-	if err := p.feed(nil); err != nil {
-		return roundPayload{}, err
-	}
-	select {
-	case out := <-p.rounds:
-		return out, nil
-	case <-p.done:
-		return roundPayload{}, p.ended()
-	}
-}
-
-// finish closes the feed, waits the pipeline out and returns its error.
-// Safe to call more than once.
-func (p *localPipe) finish() error {
-	if !p.closed {
-		p.closed = true
-		close(p.ch)
-	}
-	<-p.done
-	return p.err
 }
 
 // peer is what rank 0 knows about one remote rank.
@@ -267,7 +178,8 @@ type peer struct {
 	ledger [][]*fastq.Read
 }
 
-// dealer is rank 0's half of the protocol.
+// dealer is rank 0's half of the protocol; c is nil when it has no
+// peers.
 type dealer struct {
 	c   *cluster.Comm
 	src fastq.Source
@@ -276,7 +188,8 @@ type dealer struct {
 	// policy is the run's barrier policy and cad its trigger state.
 	policy *CheckpointPolicy
 	cad    *cadence
-	pipe   *localPipe
+	stall  *obs.Histogram
+	pipe   *pipe
 	peers  []peer // by rank; peers[0] is unused
 	// next is the rotation cursor: batch i of a loss-free run goes to
 	// rank i mod size.
@@ -298,7 +211,15 @@ type dealer struct {
 // one at the end, and releases every rank. The bool result reports a
 // requested stop.
 func (d *dealer) run() (stopped bool, err error) {
-	defer d.pipe.finish()
+	defer func() {
+		if err != nil {
+			// Stop rank 0's workers taking the batches still queued.
+			d.pipe.latch(err)
+		}
+		if ferr := d.pipe.finish(); err == nil {
+			err = ferr
+		}
+	}()
 	for {
 		if d.policy.StopRequested != nil && d.policy.StopRequested() {
 			stopped = true
@@ -320,8 +241,8 @@ func (d *dealer) run() (stopped bool, err error) {
 			}
 		}
 	}
-	// The tail is the last round; as in one process, a stop runs every
-	// subscriber on it and the end of input none. Its payloads account
+	// The tail is the last round: a stop runs every subscriber on it and
+	// the end of input none. Its payloads account
 	// for every batch dealt, so acks still in flight are not waited for.
 	var due []int
 	if stopped {
@@ -333,10 +254,10 @@ func (d *dealer) run() (stopped bool, err error) {
 	for r := 1; r < len(d.peers); r++ {
 		d.release(r)
 	}
-	if reg := d.cfg.Metrics; reg != nil && d.c.OpTimeout() > 0 {
+	if reg := d.cfg.Metrics; reg != nil && d.c != nil && d.c.OpTimeout() > 0 {
 		reg.Gauge("stream.ledger.peak.reads").Set(float64(d.peak))
 	}
-	return stopped, d.pipe.finish()
+	return stopped, nil
 }
 
 // release sends rank r Done and waits for its farewell, sending Done
@@ -471,7 +392,7 @@ func (d *dealer) drop(r int, cause error) error {
 // collection that lost a rank leaves that rank's ledger to re-deal, so
 // it repeats until one collects from every rank it asked.
 func (d *dealer) round(due []int) error {
-	if reg := d.cfg.Metrics; reg != nil {
+	if reg := d.cfg.Metrics; reg != nil && d.c != nil {
 		// One of the collectives the benchmark sums as cluster.coll_s.
 		defer reg.StartTimer("comm.coll.round.seconds")()
 	}
@@ -492,11 +413,21 @@ func (d *dealer) round(due []int) error {
 			break
 		}
 	}
-	return d.cad.run(due, &Barrier{Consumed: d.dealt, Stats: d.total, acc: d.acc})
+	if len(due) == 0 {
+		return nil
+	}
+	start := time.Now()
+	if err := d.cad.run(due, &Barrier{Consumed: d.dealt, Stats: d.total, acc: d.acc}); err != nil {
+		return err
+	}
+	if d.stall != nil {
+		d.stall.ObserveDuration(time.Since(start))
+	}
+	return nil
 }
 
 // collect is one marker/payload exchange: marker to every live rank,
-// barrier through the local pipeline, then every live rank's payload
+// a quiesce of rank 0's own pipe, then every live rank's payload
 // folded into rank 0's accumulator — the one place accumulator state
 // crosses ranks.
 func (d *dealer) collect() error {
@@ -515,7 +446,7 @@ func (d *dealer) collect() error {
 	if err != nil {
 		return err
 	}
-	d.total.Add(own.Stats)
+	d.total.Add(own)
 	for r := 1; r < len(d.peers); r++ {
 		p := &d.peers[r]
 		if p.lost {
@@ -597,11 +528,12 @@ func isCommLoss(err error) bool {
 		errors.Is(err, cluster.ErrClosed)
 }
 
-// streamReceive is a worker rank's half: receive batches, feed the
-// local pipeline, ack each batch (cumulatively) to open the next credit;
-// on a round marker quiesce the pipeline and ship its payload; on Done
-// return the global stats.
-func streamReceive(c *cluster.Comm, pipe *localPipe) (Stats, error) {
+// streamReceive is a worker rank's half: receive batches, feed its pipe,
+// ack each batch (cumulatively) to open the next credit; on a round
+// marker quiesce the pipe, ship the stats and accumulator state since
+// the previous round and reset the accumulator, so every payload
+// carries only new mass; on Done return the global stats.
+func streamReceive(c *cluster.Comm, pipe *pipe, acc genome.Accumulator) (Stats, error) {
 	// Returning on an error tears down the transport, which unblocks
 	// rank 0.
 	defer pipe.finish()
@@ -621,11 +553,14 @@ func streamReceive(c *cluster.Comm, pipe *localPipe) (Stats, error) {
 			_ = c.Send(0, streamAckTag, farewell)
 			return sh.Stats, pipe.finish()
 		case sh.Round > 0:
-			pl, err := pipe.quiesce()
-			if err != nil {
+			pl := roundPayload{Round: sh.Round}
+			if pl.Stats, err = pipe.quiesce(); err != nil {
 				return Stats{}, err
 			}
-			pl.Round = sh.Round
+			if pl.State, err = acc.State(); err != nil {
+				return Stats{}, err
+			}
+			genome.Reset(acc)
 			if err := c.Send(0, streamRoundTag, pl); err != nil {
 				return Stats{}, err
 			}

@@ -437,7 +437,7 @@ func TestReadSplitDegradedSilentWorkerStillGetsDone(t *testing.T) {
 
 // TestReadSplitDegradedDroppedAcksKeepTheRank: a live worker whose acks
 // the network eats must keep its place. The worker here is the real one
-// (a localPipe behind the wire protocol) except that two of every three
+// (a pipe behind the wire protocol) except that two of every three
 // acks never reach rank 0 — dropped by hand, because a seeded
 // FaultTransport hands its rolls to packets in goroutine-schedule order
 // and cannot be aimed at acks. Every window of Queue = 4 batches still
@@ -475,7 +475,7 @@ func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pipe := startPipe(eng, acc, true)
+		pipe := eng.startPipe(acc, 0)
 		defer pipe.finish()
 		taken := 0
 		for {
@@ -490,11 +490,10 @@ func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
 				}
 				return pipe.finish()
 			case sh.Round > 0:
-				pl, err := pipe.quiesce()
+				pl, err := workerRound(pipe, acc, sh.Round)
 				if err != nil {
 					return err
 				}
-				pl.Round = sh.Round
 				if err := c.Send(0, streamRoundTag, pl); err != nil {
 					return err
 				}
@@ -590,7 +589,7 @@ func TestReadSplitDegradedLostDoneIsResent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pipe := startPipe(eng, acc, true)
+		pipe := eng.startPipe(acc, 0)
 		defer pipe.finish()
 		taken := 0
 		for {
@@ -608,11 +607,10 @@ func TestReadSplitDegradedLostDoneIsResent(t *testing.T) {
 				}
 				return pipe.finish()
 			case sh.Round > 0:
-				pl, err := pipe.quiesce()
+				pl, err := workerRound(pipe, acc, sh.Round)
 				if err != nil {
 					return err
 				}
-				pl.Round = sh.Round
 				if err := c.Send(0, streamRoundTag, pl); err != nil {
 					return err
 				}
@@ -674,7 +672,7 @@ func TestReadSplitDegradedLostMarkerIsResent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pipe := startPipe(eng, acc, true)
+		pipe := eng.startPipe(acc, 0)
 		defer pipe.finish()
 		taken := 0
 		for {
@@ -692,11 +690,10 @@ func TestReadSplitDegradedLostMarkerIsResent(t *testing.T) {
 				if markers++; markers == 1 {
 					continue // this marker is lost on the wire
 				}
-				pl, err := pipe.quiesce()
+				pl, err := workerRound(pipe, acc, sh.Round)
 				if err != nil {
 					return err
 				}
-				pl.Round = sh.Round
 				if err := c.Send(0, streamRoundTag, pl); err != nil {
 					return err
 				}
@@ -729,4 +726,20 @@ func TestReadSplitDegradedLostMarkerIsResent(t *testing.T) {
 	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
 		t.Errorf("calls %v, fault-free baseline %v", g, want)
 	}
+}
+
+// workerRound is streamReceive's answer to a round marker, for the
+// tests that stand in for a worker rank: quiesce the pipe, snapshot the
+// accumulator and reset it.
+func workerRound(p *pipe, acc genome.Accumulator, round int) (roundPayload, error) {
+	pl := roundPayload{Round: round}
+	var err error
+	if pl.Stats, err = p.quiesce(); err != nil {
+		return pl, err
+	}
+	if pl.State, err = acc.State(); err != nil {
+		return pl, err
+	}
+	genome.Reset(acc)
+	return pl, nil
 }

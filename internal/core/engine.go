@@ -62,16 +62,15 @@ type Config struct {
 	// Workers is the shared-memory worker count (default GOMAXPROCS).
 	Workers int
 	// Batch is the number of reads per unit of worker-pool work: the
-	// size of the batches MapReadsFrom's producer fills and its workers
-	// claim (default 64). A worker packs Pair-HMM lanes across the reads
+	// size of the batches the dealer (MapReadsFrom, RunReadSplit's rank
+	// 0) fills and deals, and a pipe's workers claim (default 64). A worker packs Pair-HMM lanes across the reads
 	// of its batch (1 = no packing); results are identical at any value.
 	Batch int
-	// Queue bounds the pipeline's work queue, in batches (default 4).
-	// MapReadsFrom recycles (Queue + Workers) batch
-	// buffers through a free list, so a streaming run never holds more
-	// than (Queue + Workers) · Batch reads resident regardless of the
-	// input size — the producer blocks (backpressure) once every
-	// buffer is filled or in flight.
+	// Queue bounds a pipe's work queue, in batches (default 4), and a
+	// read-split rank's credit window. Feeding blocks (backpressure)
+	// once Queue batches wait and every worker holds one, so a rank
+	// never holds more than (Queue + Workers) · Batch reads fed and
+	// unfinished regardless of the input size.
 	Queue int
 	// Attribution selects how posterior mass maps to base channels
 	// (default phmm.ByCall, the paper's formulation).

@@ -2,12 +2,13 @@ package core
 
 import (
 	"errors"
-	"io"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
 	"gnumap/internal/obs"
@@ -20,7 +21,7 @@ type sinkRecord struct {
 }
 
 // stateSink is a checkpoint-shaped subscriber: every everyReads reads
-// (0 = source/stop barriers only) it snapshots the accumulator state
+// (0 = stop barriers only) it snapshots the accumulator state
 // and hands the barrier's view to record.
 func stateSink(everyReads int64, record func(sinkRecord)) BarrierSubscriber {
 	return BarrierSubscriber{EveryReads: everyReads, Run: func(b *Barrier) error {
@@ -90,35 +91,62 @@ func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 	compareAccums(t, want, acc, p.ref.Len())
 }
 
-// TestCheckpointStallIsRecorded: what checkpointing adds to the critical
-// path — the window with every worker parked, snapshot through sink
-// return — lands in stream.ckpt.stall.seconds once per barrier, which
-// is where -metrics-out gets the number an operator reads.
+// TestCheckpointStallIsRecorded: what a barrier adds to the critical
+// path — the dealer's subscriber run, with every pipe parked — lands in
+// stream.ckpt.stall.seconds once per barrier that ran a subscriber,
+// which is where -metrics-out gets the number an operator reads. The
+// dealer owns the barriers at any node count, so a 2-rank read-split
+// run records exactly what one process does.
 func TestCheckpointStallIsRecorded(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 51)
-	reg := obs.NewRegistry()
-	cfg := Config{Workers: 2, Batch: 16, Queue: 2, Metrics: reg}
-	eng, err := NewEngine(p.ref, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := genome.New(genome.Norm, p.ref.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var barriers int64
-	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(sinkRecord) { barriers++ })}}
-	start := time.Now()
-	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start).Seconds()
-	stall := reg.Timer("stream.ckpt.stall.seconds")
-	if barriers < 2 || stall.Count() != barriers {
-		t.Errorf("%d stall observations for %d barriers", stall.Count(), barriers)
-	}
-	if sum := stall.Sum(); !(sum > 0 && sum < wall) {
-		t.Errorf("stall sum %gs not inside (0, wall %gs)", sum, wall)
+	const sleep = 5 * time.Millisecond
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := Config{Workers: 2, Batch: 16, Queue: 2}
+			var barriers int64
+			pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(sinkRecord) {
+				barriers++
+				time.Sleep(sleep)
+			})}}
+			start := time.Now()
+			if nodes == 1 {
+				cfg.Metrics = reg
+				eng, err := NewEngine(p.ref, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc, err := genome.New(genome.Norm, p.ref.Len())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				err := cluster.Run(nodes, cluster.Channels, func(c *cluster.Comm) error {
+					rcfg := cfg
+					var src fastq.Source
+					var rpol *CheckpointPolicy
+					if c.Rank() == 0 {
+						rcfg.Metrics, src, rpol = reg, fastq.SliceSource(p.reads), pol
+					}
+					_, _, err := readSplit(c, p.ref, src, genome.Norm, rcfg, rpol)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			wall := time.Since(start).Seconds()
+			stall := reg.Timer("stream.ckpt.stall.seconds")
+			if barriers < 2 || stall.Count() != barriers {
+				t.Errorf("%d stall observations for %d barriers", stall.Count(), barriers)
+			}
+			if sum := stall.Sum(); sum < float64(barriers)*sleep.Seconds() || sum >= wall {
+				t.Errorf("stall sum %gs not inside [%d x %v, wall %gs)", sum, barriers, sleep, wall)
+			}
+		})
 	}
 }
 
@@ -246,97 +274,6 @@ func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
 		}
 	}
 	compareAccums(t, want, acc, p.ref.Len())
-}
-
-// barrierSource injects ErrCkptBarrier every interval reads.
-type barrierSource struct {
-	reads    []*fastq.Read
-	pos      int
-	interval int
-	sinceBar int
-}
-
-func (s *barrierSource) Next() (*fastq.Read, error) {
-	if s.sinceBar >= s.interval {
-		s.sinceBar = 0
-		return nil, ErrCkptBarrier
-	}
-	if s.pos >= len(s.reads) {
-		return nil, io.EOF
-	}
-	rd := s.reads[s.pos]
-	s.pos++
-	s.sinceBar++
-	return rd, nil
-}
-
-// TestMapReadsFromSourceBarrier drives the out-of-band barrier the
-// cluster protocol uses: the source itself requests checkpoints, at
-// positions that do not align with batch boundaries.
-func TestMapReadsFromSourceBarrier(t *testing.T) {
-	p := makePipeline(t, 30000, 3, 8, 57)
-	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
-	eng, err := NewEngine(p.ref, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := genome.New(genome.Norm, p.ref.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	acc, err := genome.New(genome.Norm, p.ref.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var consumedAt []int64
-	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(0, func(r sinkRecord) {
-		consumedAt = append(consumedAt, r.consumed)
-	})}}
-	src := &barrierSource{reads: p.reads, interval: 37}
-	gotSt, err := eng.MapReadsFrom(src, acc, 0, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(consumedAt) < 3 {
-		t.Fatalf("only %d barrier checkpoints fired", len(consumedAt))
-	}
-	for i, c := range consumedAt {
-		if want := int64((i + 1) * 37); c != want {
-			t.Errorf("barrier %d fired at consumed=%d, want %d", i, c, want)
-		}
-	}
-	if gotSt.Mapped != wantSt.Mapped || gotSt.Unmapped != wantSt.Unmapped || gotSt.Locations != wantSt.Locations {
-		t.Errorf("stats diverge with barriers: %+v vs %+v", gotSt, wantSt)
-	}
-	compareAccums(t, want, acc, p.ref.Len())
-}
-
-// TestMapReadsFromNilPolicyBarrier: a barrier from the source with
-// no policy attached quietly resumes (no sink, no error).
-func TestMapReadsFromNilPolicyBarrier(t *testing.T) {
-	p := makePipeline(t, 20000, 2, 6, 59)
-	cfg := Config{Workers: 2, Batch: 8, Queue: 2}
-	eng, err := NewEngine(p.ref, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := genome.New(genome.Norm, p.ref.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &barrierSource{reads: p.reads, interval: 25}
-	st, err := eng.MapReadsFrom(src, acc, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Mapped+st.Unmapped != int64(len(p.reads)) {
-		t.Errorf("accounted for %d reads, want %d", st.Mapped+st.Unmapped, len(p.reads))
-	}
 }
 
 func compareAccums(t *testing.T, want, got genome.Accumulator, length int) {

@@ -122,9 +122,9 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 }
 
 // TestMapReadsFromMemoryBound asserts the acceptance-criteria bound via
-// the observability gauge: a streaming run never holds more resident
-// reads than the free list allows — (Queue + Workers) · Batch, which is
-// itself ≤ Workers · Batch · Queue for the configured values.
+// the observability gauge: a streaming run never holds more reads fed
+// and unfinished than the pipe allows — (Queue + Workers) · Batch,
+// which is itself ≤ Workers · Batch · Queue for the configured values.
 func TestMapReadsFromMemoryBound(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 47)
 	const (
@@ -149,7 +149,7 @@ func TestMapReadsFromMemoryBound(t *testing.T) {
 		t.Fatal("peak-resident gauge never set")
 	}
 	if limit := float64((queue + workers) * batch); peak > limit {
-		t.Errorf("peak resident reads %v exceeds free-list bound %v", peak, limit)
+		t.Errorf("peak resident reads %v exceeds (queue+workers)*batch = %v", peak, limit)
 	}
 	if limit := float64(workers * batch * queue); peak > limit {
 		t.Errorf("peak resident reads %v exceeds workers*batch*queue = %v", peak, limit)
@@ -199,8 +199,8 @@ func TestMapReadsFromSourceError(t *testing.T) {
 }
 
 // TestMapReadsFromWorkerErrorStopsProducer checks that a worker failure
-// unblocks and stops the producer even when it is parked on the free
-// list or the work queue (the streaming analogue of the stop latch).
+// unblocks and stops the dealer even when it is parked on a full work
+// queue (the streaming analogue of the stop latch).
 func TestMapReadsFromWorkerErrorStopsProducer(t *testing.T) {
 	p := makePipeline(t, 20000, 1, 1, 59)
 	const total = 400
@@ -235,7 +235,7 @@ func TestMapReadsFromWorkerErrorStopsProducer(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("MapReadsFrom did not return after a worker error (producer deadlock?)")
+		t.Fatal("MapReadsFrom did not return after a worker error (dealer deadlock?)")
 	}
 	if mapErr != boom {
 		t.Fatalf("MapReadsFrom error = %v, want the poisoned-read error", mapErr)
