@@ -1,10 +1,16 @@
-package gnumap
+package gnumap_test
 
 // Benchmark harness: one benchmark (family) per table and figure of the
-// paper's evaluation (§VII), plus ablation benches for the design
-// choices listed in DESIGN.md §5. Run with:
+// paper's evaluation (§VII), plus the engine ablations of DESIGN.md §5
+// (the accumulation-strategy ablation is a genome-level micro-benchmark
+// in internal/genome). Each is a thin wrapper over the
+// internal/experiments function that cmd/snpbench prints, so it runs the
+// library's Pipeline (RunClusterStreamReport for Figure 4). A benchmark
+// named after one row of a table runs the whole table and reports that
+// row: its wall clock as ns/op and reads/s, its accuracy as TP, FP and
+// precision%. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x .
 //
 // Shapes to expect (see EXPERIMENTS.md for recorded numbers):
 //   - Table1: GNUMAP-SNP and the MAQ-like baseline find similar SNP
@@ -14,19 +20,17 @@ package gnumap
 //     collapses in precision.
 //   - Fig4: read-split outscales genome-split.
 //   - Fig5: near-linear scaling for all three memory modes.
+//
+// The Fig4 and Fig5 ladders stop at experiments.Cores().
 
 import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
-	"gnumap/internal/baseline"
-	"gnumap/internal/cluster"
-	"gnumap/internal/core"
+	"gnumap"
 	"gnumap/internal/experiments"
-	"gnumap/internal/fastq"
-	"gnumap/internal/genome"
-	"gnumap/internal/snp"
 )
 
 // benchData is the shared dataset: built once, sized so a single
@@ -52,74 +56,63 @@ func benchDataset(b *testing.B) *experiments.Dataset {
 	return benchDS
 }
 
-// reportAccuracy attaches accuracy metrics to a benchmark run.
-func reportAccuracy(b *testing.B, m snp.Metrics) {
-	b.ReportMetric(float64(m.TP), "TP")
-	b.ReportMetric(float64(m.FP), "FP")
-	b.ReportMetric(100*m.Precision(), "precision%")
+// row is what a benchmark reports of one Table I or ablation row.
+type row struct {
+	wall      time.Duration
+	tp, fp    int
+	precision float64
+}
+
+// benchRow runs table b.N times and reports its row called name.
+func benchRow(b *testing.B, table func(*experiments.Dataset) (map[string]row, error), name string) {
+	ds := benchDataset(b)
+	var wall time.Duration
+	var r row
+	for i := 0; i < b.N; i++ {
+		rows, err := table(ds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ok bool
+		if r, ok = rows[name]; !ok {
+			b.Fatalf("no row %q", name)
+		}
+		wall += r.wall
+	}
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N), "ns/op")
+	b.ReportMetric(float64(len(ds.Reads))*float64(b.N)/wall.Seconds(), "reads/s")
+	b.ReportMetric(float64(r.tp), "TP")
+	b.ReportMetric(float64(r.fp), "FP")
+	b.ReportMetric(100*r.precision, "precision%")
 }
 
 // --- Table I -------------------------------------------------------------
 
-func BenchmarkTable1_GNUMAP(b *testing.B) {
-	ds := benchDataset(b)
-	var m snp.Metrics
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng, err := core.NewEngine(ds.Ref, core.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, err := genome.New(genome.Norm, ds.Ref.Len())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-			b.Fatal(err)
-		}
-		calls, _, err := snp.CallAll(ds.Ref, acc, snp.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = snp.Evaluate(calls, ds.Truth)
+// table1 is Table I by program, GNUMAP-SNP on GOMAXPROCS workers.
+func table1(ds *experiments.Dataset) (map[string]row, error) {
+	rows, err := experiments.Table1(ds, 0)
+	byName := map[string]row{}
+	for _, r := range rows {
+		byName[r.Program] = row{r.Wall, r.TP, r.FP, r.Precision}
 	}
-	b.StopTimer()
-	reportAccuracy(b, m)
-	b.ReportMetric(float64(len(ds.Reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+	return byName, err
 }
 
-func BenchmarkTable1_MAQ(b *testing.B) {
-	ds := benchDataset(b)
-	var m snp.Metrics
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := baseline.Run(ds.Ref, ds.Reads, baseline.Config{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = snp.Evaluate(res.Calls, ds.Truth)
-	}
-	b.StopTimer()
-	reportAccuracy(b, m)
-	b.ReportMetric(float64(len(ds.Reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-}
+func BenchmarkTable1_GNUMAP(b *testing.B) { benchRow(b, table1, "GNUMAP-SNP") }
+func BenchmarkTable1_MAQ(b *testing.B)    { benchRow(b, table1, "MAQ-like") }
 
 // --- Table II ------------------------------------------------------------
 
 func BenchmarkTable2_MemoryFootprint(b *testing.B) {
-	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		b.Run(mode.String(), func(b *testing.B) {
-			const L = 1_000_000
-			var acc genome.Accumulator
-			var err error
-			for i := 0; i < b.N; i++ {
-				acc, err = genome.New(mode, L)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(acc.MemoryBytes())/L, "bytes/base")
-		})
+	var rows []experiments.Table2Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = experiments.Table2(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.BytesPerBase, "bytes/base-"+r.Mode.String())
 	}
 }
 
@@ -127,68 +120,42 @@ func BenchmarkTable2_MemoryFootprint(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	ds := benchDataset(b)
-	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var m snp.Metrics
-			var mem int64
-			for i := 0; i < b.N; i++ {
-				eng, err := core.NewEngine(ds.Ref, core.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc, err := genome.New(mode, ds.Ref.Len())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-					b.Fatal(err)
-				}
-				calls, _, err := snp.CallAll(ds.Ref, acc, snp.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m = snp.Evaluate(calls, ds.Truth)
-				mem = acc.MemoryBytes()
-			}
-			b.StopTimer()
-			reportAccuracy(b, m)
-			b.ReportMetric(float64(mem)/float64(ds.Ref.Len()), "bytes/base")
-		})
+	var rows []experiments.Table3Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = experiments.Table3(ds, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		mode := r.Mode.String()
+		b.ReportMetric(float64(r.TP), "TP-"+mode)
+		b.ReportMetric(float64(r.FP), "FP-"+mode)
+		b.ReportMetric(100*r.Precision, "precision%-"+mode)
+		b.ReportMetric(float64(r.MemBytes)/float64(len(ds.Reference[0].Seq)), "bytes/base-"+mode)
 	}
 }
 
 // --- Figure 4 ------------------------------------------------------------
 
-func BenchmarkFig4_ReadSplit(b *testing.B)   { benchFig4(b, true) }
-func BenchmarkFig4_GenomeSplit(b *testing.B) { benchFig4(b, false) }
+func BenchmarkFig4_ReadSplit(b *testing.B)   { benchFig4(b, gnumap.ReadSplit) }
+func BenchmarkFig4_GenomeSplit(b *testing.B) { benchFig4(b, gnumap.GenomeSplit) }
 
-func benchFig4(b *testing.B, readSplit bool) {
+// benchFig4 runs Figure 4's ladder (both modes, up to 4 nodes) b.N times
+// and reports one mode's rate at each node count.
+func benchFig4(b *testing.B, split gnumap.SplitMode) {
 	ds := benchDataset(b)
-	for _, nodes := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := cluster.Run(nodes, cluster.Channels, func(c *cluster.Comm) error {
-					if !readSplit {
-						_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1})
-						return err
-					}
-					eng, err := core.NewEngine(ds.Ref, core.Config{Workers: 1})
-					if err != nil {
-						return err
-					}
-					acc, err := genome.New(genome.Norm, ds.Ref.Len())
-					if err != nil {
-						return err
-					}
-					_, err = core.RunReadSplit(c, eng, acc, fastq.SliceSource(ds.Reads), nil)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(ds.Reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-		})
+	var points []experiments.Fig4Point
+	for i := 0; i < b.N; i++ {
+		var err error
+		if points, err = experiments.Fig4(ds, 4, gnumap.Channels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range points {
+		if p.Mode == split.String() {
+			b.ReportMetric(p.Rate, fmt.Sprintf("reads/s-nodes=%d", p.Nodes))
+		}
 	}
 }
 
@@ -196,175 +163,36 @@ func benchFig4(b *testing.B, readSplit bool) {
 
 func BenchmarkFig5(b *testing.B) {
 	ds := benchDataset(b)
-	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng, err := core.NewEngine(ds.Ref, core.Config{Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					acc, err := genome.New(mode, ds.Ref.Len())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(len(ds.Reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-			})
+	var points []experiments.Fig5Point
+	for i := 0; i < b.N; i++ {
+		var err error
+		if points, err = experiments.Fig5(ds, 4); err != nil {
+			b.Fatal(err)
 		}
+	}
+	for _, p := range points {
+		b.ReportMetric(p.Rate, fmt.Sprintf("reads/s-%s-workers=%d", p.Mode, p.Workers))
 	}
 }
 
 // --- Ablations (DESIGN.md §5) ---------------------------------------------
 
-// benchAblation runs one engine variant and reports accuracy.
-func benchAblation(b *testing.B, cfg core.Config, naiveCaller bool) {
-	ds := benchDataset(b)
-	var m snp.Metrics
-	for i := 0; i < b.N; i++ {
-		eng, err := core.NewEngine(ds.Ref, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, err := genome.New(genome.Norm, ds.Ref.Len())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-			b.Fatal(err)
-		}
-		var calls []snp.Call
-		if naiveCaller {
-			rows, err := experiments.Ablations(ds, 0)
-			_ = rows
-			if err != nil {
-				b.Fatal(err)
-			}
-			// The naive caller is measured inside experiments.Ablations;
-			// here we only time the mapping phase for parity.
-			continue
-		}
-		calls, _, err = snp.CallAll(ds.Ref, acc, snp.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = snp.Evaluate(calls, ds.Truth)
+// ablations is the ablation table by variant, on GOMAXPROCS workers.
+func ablations(ds *experiments.Dataset) (map[string]row, error) {
+	rows, err := experiments.Ablations(ds, 0)
+	byName := map[string]row{}
+	for _, r := range rows {
+		byName[r.Variant] = row{r.Wall, r.TP, r.FP, r.Precision}
 	}
-	b.StopTimer()
-	reportAccuracy(b, m)
+	return byName, err
 }
 
-func BenchmarkAblation_FullEngine(b *testing.B) {
-	benchAblation(b, core.Config{}, false)
-}
+func BenchmarkAblation_FullEngine(b *testing.B)  { benchRow(b, ablations, "full-engine") }
+func BenchmarkAblation_ViterbiOnly(b *testing.B) { benchRow(b, ablations, "viterbi-only") }
+func BenchmarkAblation_BestHitOnly(b *testing.B) { benchRow(b, ablations, "best-hit-only") }
+func BenchmarkAblation_PWMEmission(b *testing.B) { benchRow(b, ablations, "called-base-emission") }
 
-func BenchmarkAblation_ViterbiOnly(b *testing.B) {
-	benchAblation(b, core.Config{ViterbiOnly: true}, false)
-}
-
-func BenchmarkAblation_BestHitOnly(b *testing.B) {
-	benchAblation(b, core.Config{BestHitOnly: true}, false)
-}
-
-func BenchmarkAblation_PWMEmission(b *testing.B) {
-	benchAblation(b, core.Config{IgnoreQualities: true}, false)
-}
-
-// BenchmarkAblation_NaiveCaller measures calling with plurality voting
-// instead of the LRT (the paper's criticism of existing callers).
-func BenchmarkAblation_NaiveCaller(b *testing.B) {
-	ds := benchDataset(b)
-	eng, err := core.NewEngine(ds.Ref, core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	acc, err := genome.New(genome.Norm, ds.Ref.Len())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-		b.Fatal(err)
-	}
-	var naive, lrtM snp.Metrics
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveCalls := experiments.NaiveCalls(ds.Ref, acc)
-		naive = snp.Evaluate(naiveCalls, ds.Truth)
-		calls, _, err := snp.CallAll(ds.Ref, acc, snp.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lrtM = snp.Evaluate(calls, ds.Truth)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(naive.FP), "naiveFP")
-	b.ReportMetric(float64(lrtM.FP), "lrtFP")
-	b.ReportMetric(float64(naive.TP), "naiveTP")
-	b.ReportMetric(float64(lrtM.TP), "lrtTP")
-}
-
-// --- Accumulation strategy ablation ---------------------------------------
-
-// BenchmarkAblation_Accumulation compares online striped-lock
-// accumulation against per-worker private accumulators merged at the
-// end (the design alternative DESIGN.md §5 calls out).
-func BenchmarkAblation_Accumulation(b *testing.B) {
-	const L = 200_000
-	const spans = 2_000
-	zs := make([]genome.Vec, 62)
-	for i := range zs {
-		zs[i] = genome.Vec{0.9, 0.05, 0.03, 0.02, 0}
-	}
-	for _, strategy := range []string{"striped-online", "private-merge"} {
-		b.Run(strategy, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if strategy == "striped-online" {
-					acc, err := genome.New(genome.Norm, L)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var wg sync.WaitGroup
-					for w := 0; w < 4; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							for s := 0; s < spans/4; s++ {
-								acc.AddRange((s*977+w*131)%(L-70), zs, 1)
-							}
-						}(w)
-					}
-					wg.Wait()
-				} else {
-					merged, err := genome.New(genome.Norm, L)
-					if err != nil {
-						b.Fatal(err)
-					}
-					parts := make([]genome.Accumulator, 4)
-					var wg sync.WaitGroup
-					for w := 0; w < 4; w++ {
-						parts[w], err = genome.New(genome.Norm, L)
-						if err != nil {
-							b.Fatal(err)
-						}
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							for s := 0; s < spans/4; s++ {
-								parts[w].AddRange((s*977+w*131)%(L-70), zs, 1)
-							}
-						}(w)
-					}
-					wg.Wait()
-					for w := 0; w < 4; w++ {
-						if err := merged.Merge(parts[w]); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		})
-	}
-}
+// BenchmarkAblation_NaiveCaller measures calling by plurality vote (the
+// LRT with its significance filter off) instead of the LRT, the paper's
+// criticism of existing callers: compare its FP with FullEngine's.
+func BenchmarkAblation_NaiveCaller(b *testing.B) { benchRow(b, ablations, "naive-caller") }

@@ -247,9 +247,9 @@ func runAblations(ds *experiments.Dataset, workers int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-15s %7s %7s %10s %10s\n", "variant", "TP", "FP", "Precision", "Time")
+	fmt.Printf("%-20s %7s %7s %10s %10s\n", "variant", "TP", "FP", "Precision", "Time")
 	for _, r := range rows {
-		fmt.Printf("%-15s %7d %7d %9.1f%% %10s\n",
+		fmt.Printf("%-20s %7d %7d %9.1f%% %10s\n",
 			r.Variant, r.TP, r.FP, 100*r.Precision, r.Wall.Round(msRound(r.Wall)))
 	}
 	fmt.Println()

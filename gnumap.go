@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"gnumap/internal/baseline"
@@ -711,17 +712,11 @@ type Dataset struct {
 // from the mutated individual — the reproduction's stand-in for the
 // paper's hg19-chrX + dbSNP + MetaSim setup.
 func SimulateDataset(cfg SimConfig) (*Dataset, error) {
-	g, err := simulate.Genome(simulate.GenomeConfig{
-		Length:                  cfg.GenomeLength,
-		GC:                      cfg.GC,
-		TandemRepeatFraction:    cfg.TandemRepeatFraction,
-		DispersedRepeatFraction: cfg.DispersedRepeatFraction,
-		Seed:                    cfg.Seed,
-	})
+	reference, err := SimulateGenome(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cat, err := simulate.Catalog(g, simulate.CatalogConfig{
+	cat, err := simulate.Catalog(reference[0].Seq, simulate.CatalogConfig{
 		Count:       cfg.SNPCount,
 		HetFraction: cfg.HetFraction,
 		Seed:        cfg.Seed + 1,
@@ -729,33 +724,11 @@ func SimulateDataset(cfg SimConfig) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ind, err := simulate.Mutate(g, cat, cfg.HetFraction > 0)
+	reads, err := simulateReads(reference[0].Seq, cat, cfg.HetFraction > 0, cfg)
 	if err != nil {
 		return nil, err
 	}
-	readLen := cfg.ReadLength
-	if readLen == 0 {
-		readLen = 62
-	}
-	coverage := cfg.Coverage
-	if coverage == 0 {
-		coverage = 12
-	}
-	reads, err := simulate.Reads(ind, simulate.ReadConfig{
-		Length:   readLen,
-		Coverage: coverage,
-		ErrStart: cfg.ErrStart,
-		ErrEnd:   cfg.ErrEnd,
-		Seed:     cfg.Seed + 2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{
-		Reference: []*Contig{{Name: "sim", Seq: g}},
-		Truth:     cat,
-		Reads:     reads,
-	}, nil
+	return &Dataset{Reference: reference, Truth: cat, Reads: reads}, nil
 }
 
 // BaselineConfig tunes the comparator pipelines (see
@@ -812,19 +785,21 @@ func PlantSNPs(reference []*Contig, positions []int, seed int64) ([]TruthSNP, er
 
 // SimulateReadsFrom sequences an individual carrying the given truth
 // SNPs on the reference's first contig, using the read parameters of
-// cfg (ReadLength, Coverage, ErrStart/ErrEnd, HetFraction>0 implies a
-// diploid individual, Seed).
+// cfg (ReadLength, Coverage, ErrStart/ErrEnd, Seed); the individual is
+// diploid iff some truth SNP is heterozygous.
 func SimulateReadsFrom(reference []*Contig, truth []TruthSNP, cfg SimConfig) ([]*Read, error) {
 	if len(reference) == 0 {
 		return nil, fmt.Errorf("gnumap: empty reference")
 	}
-	diploid := false
-	for _, s := range truth {
-		if s.Het {
-			diploid = true
-		}
-	}
-	ind, err := simulate.Mutate(reference[0].Seq, truth, diploid)
+	diploid := slices.ContainsFunc(truth, func(s TruthSNP) bool { return s.Het })
+	return simulateReads(reference[0].Seq, truth, diploid, cfg)
+}
+
+// simulateReads sequences seq carrying truth with cfg's read parameters:
+// ReadLength (default 62, the paper's), Coverage (default 12), the
+// ErrStart/ErrEnd ramp, and Seed+2 as the sequencer's seed.
+func simulateReads(seq dna.Seq, truth []TruthSNP, diploid bool, cfg SimConfig) ([]*Read, error) {
+	ind, err := simulate.Mutate(seq, truth, diploid)
 	if err != nil {
 		return nil, err
 	}

@@ -24,22 +24,14 @@ import (
 	"runtime"
 	"time"
 
-	"gnumap/internal/baseline"
-	"gnumap/internal/cluster"
+	"gnumap"
 	"gnumap/internal/core"
-	"gnumap/internal/dna"
-	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
-	"gnumap/internal/simulate"
 	"gnumap/internal/snp"
 )
 
 // Dataset bundles one simulated experiment input.
-type Dataset struct {
-	Ref   *genome.Reference
-	Truth []simulate.SNP
-	Reads []*fastq.Read
-}
+type Dataset = gnumap.Dataset
 
 // DataConfig sizes the simulated dataset shared by Table I, Table III,
 // Figure 4, and Figure 5. Zero values scale the paper's setup down to
@@ -48,8 +40,8 @@ type Dataset struct {
 type DataConfig struct {
 	GenomeLength int     // default 400_000
 	SNPCount     int     // default GenomeLength/10_500
-	Coverage     float64 // default 12
-	ReadLength   int     // default 62
+	Coverage     float64 // default 12 (SimulateDataset's)
+	ReadLength   int     // default 62 (SimulateDataset's)
 	Seed         int64   // default 1
 }
 
@@ -63,12 +55,6 @@ func (c DataConfig) withDefaults() DataConfig {
 			c.SNPCount = 1
 		}
 	}
-	if c.Coverage == 0 {
-		c.Coverage = 12
-	}
-	if c.ReadLength == 0 {
-		c.ReadLength = 62
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -76,43 +62,41 @@ func (c DataConfig) withDefaults() DataConfig {
 }
 
 // MakeDataset builds the simulated genome/catalog/reads, with repeat
-// structure matching the paper's emphasis on repeat regions.
+// structure matching the paper's emphasis on repeat regions and the
+// paper's Solexa/Illumina error profile (noticeably degraded 3' ends).
 func MakeDataset(cfg DataConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
-	g, err := simulate.Genome(simulate.GenomeConfig{
-		Length:                  cfg.GenomeLength,
+	return gnumap.SimulateDataset(gnumap.SimConfig{
+		GenomeLength:            cfg.GenomeLength,
 		TandemRepeatFraction:    0.03,
 		DispersedRepeatFraction: 0.08,
+		SNPCount:                cfg.SNPCount,
+		ReadLength:              cfg.ReadLength,
+		Coverage:                cfg.Coverage,
+		ErrStart:                0.004,
+		ErrEnd:                  0.04,
 		Seed:                    cfg.Seed,
 	})
+}
+
+// run is one single-process GNUMAP-SNP run of ds under opts, the program
+// gnumap-snp runs: NewPipeline, MapReads, Call. It returns the pipeline
+// (for its memory accounting), the calls' accuracy, and the wall clock
+// of the whole run.
+func run(ds *Dataset, opts gnumap.Options) (*gnumap.Pipeline, snp.Metrics, time.Duration, error) {
+	start := time.Now()
+	p, err := gnumap.NewPipeline(ds.Reference, opts)
 	if err != nil {
-		return nil, err
+		return nil, snp.Metrics{}, 0, err
 	}
-	cat, err := simulate.Catalog(g, simulate.CatalogConfig{Count: cfg.SNPCount, Seed: cfg.Seed + 1})
+	if _, err := p.MapReads(ds.Reads); err != nil {
+		return nil, snp.Metrics{}, 0, err
+	}
+	calls, _, err := p.Call()
 	if err != nil {
-		return nil, err
+		return nil, snp.Metrics{}, 0, err
 	}
-	ind, err := simulate.Mutate(g, cat, false)
-	if err != nil {
-		return nil, err
-	}
-	reads, err := simulate.Reads(ind, simulate.ReadConfig{
-		Length:   cfg.ReadLength,
-		Coverage: cfg.Coverage,
-		// The paper's Solexa/Illumina profile: noticeably degraded
-		// 3' ends.
-		ErrStart: 0.004,
-		ErrEnd:   0.04,
-		Seed:     cfg.Seed + 2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ref, err := genome.NewSingleContig("sim", g)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Ref: ref, Truth: cat, Reads: reads}, nil
+	return p, snp.Evaluate(calls, ds.Truth), time.Since(start), nil
 }
 
 // Table1Row is one program's line of Table I.
@@ -133,43 +117,29 @@ func Table1(ds *Dataset, gnumapWorkers int) ([]Table1Row, error) {
 		gnumapWorkers = 0 // engine default (GOMAXPROCS)
 	}
 	var rows []Table1Row
-
-	for _, consensus := range []baseline.Consensus{baseline.MAQConsensus, baseline.SoapConsensus} {
+	for _, cfg := range []gnumap.BaselineConfig{
+		{Workers: 1, Consensus: gnumap.MAQConsensus},
+		{Workers: 1, Consensus: gnumap.SoapConsensus},
+	} {
 		start := time.Now()
-		bres, err := baseline.Run(ds.Ref, ds.Reads, baseline.Config{Workers: 1, Consensus: consensus})
+		res, err := gnumap.RunBaseline(ds.Reference, ds.Reads, cfg)
 		if err != nil {
 			return nil, err
 		}
-		bm := snp.Evaluate(bres.Calls, ds.Truth)
+		m := snp.Evaluate(res.Calls, ds.Truth)
 		rows = append(rows, Table1Row{
-			Program: consensus.String() + "-like", Wall: time.Since(start),
-			TP: bm.TP, FP: bm.FP, FN: bm.FN, Precision: bm.Precision(),
+			Program: cfg.Consensus.String() + "-like", Wall: time.Since(start),
+			TP: m.TP, FP: m.FP, FN: m.FN, Precision: m.Precision(),
 		})
 	}
-
-	// GNUMAP-SNP.
-	start := time.Now()
-	eng, err := core.NewEngine(ds.Ref, core.Config{Workers: gnumapWorkers})
+	_, m, wall, err := run(ds, gnumap.Options{Engine: gnumap.EngineConfig{Workers: gnumapWorkers}})
 	if err != nil {
 		return nil, err
 	}
-	acc, err := genome.New(genome.Norm, ds.Ref.Len())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-		return nil, err
-	}
-	calls, _, err := snp.CallAll(ds.Ref, acc, snp.Config{})
-	if err != nil {
-		return nil, err
-	}
-	gm := snp.Evaluate(calls, ds.Truth)
-	rows = append(rows, Table1Row{
-		Program: "GNUMAP-SNP", Wall: time.Since(start),
-		TP: gm.TP, FP: gm.FP, FN: gm.FN, Precision: gm.Precision(),
-	})
-	return rows, nil
+	return append(rows, Table1Row{
+		Program: "GNUMAP-SNP", Wall: wall,
+		TP: m.TP, FP: m.FP, FN: m.FN, Precision: m.Precision(),
+	}), nil
 }
 
 // Table2Row is one memory layout's line of Table II.
@@ -217,32 +187,20 @@ type Table3Row struct {
 	Precision float64
 }
 
-// Table3 runs the full engine once per memory layout on the dataset.
+// Table3 runs the full pipeline once per memory layout on the dataset.
 func Table3(ds *Dataset, workers int) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-		start := time.Now()
-		eng, err := core.NewEngine(ds.Ref, core.Config{Workers: workers})
+		p, m, wall, err := run(ds, gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers}, Memory: mode})
 		if err != nil {
 			return nil, err
 		}
-		acc, err := genome.New(mode, ds.Ref.Len())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-			return nil, err
-		}
-		calls, _, err := snp.CallAll(ds.Ref, acc, snp.Config{})
-		if err != nil {
-			return nil, err
-		}
-		m := snp.Evaluate(calls, ds.Truth)
 		rows = append(rows, Table3Row{
-			Mode:     mode,
-			MemBytes: acc.MemoryBytes(),
-			Wall:     time.Since(start),
-			TP:       m.TP, FP: m.FP,
+			Mode:      mode,
+			MemBytes:  p.AccumulatorMemoryBytes(),
+			Wall:      wall,
+			TP:        m.TP,
+			FP:        m.FP,
 			Precision: m.Precision(),
 		})
 	}
@@ -268,44 +226,25 @@ type Fig4Point struct {
 }
 
 // Fig4 measures sequence processing rate against node count for both
-// distributed modes on an in-process cluster (one mapping worker per
-// node, as with MPI ranks), for 1..min(maxNodes, Cores()) nodes.
-func Fig4(ds *Dataset, maxNodes int, transport cluster.TransportKind) ([]Fig4Point, error) {
+// distributed modes on an in-process cluster, for 1..min(maxNodes,
+// Cores()) nodes. Each run is what gnumap-snp -nodes N -split S runs
+// (RunClusterStreamReport, one mapping worker per node, as with MPI
+// ranks): the index build, the mapping and the calls are all timed.
+func Fig4(ds *Dataset, maxNodes int, transport gnumap.Transport) ([]Fig4Point, error) {
 	if maxNodes <= 0 {
 		maxNodes = 4
 	}
 	maxNodes = min(maxNodes, Cores())
-	modes := []struct {
-		name string
-		run  func(*cluster.Comm) error
-	}{
-		{"read-split", func(c *cluster.Comm) error {
-			// Every rank indexes the whole reference, inside the timed run.
-			eng, err := core.NewEngine(ds.Ref, core.Config{Workers: 1})
-			if err != nil {
-				return err
-			}
-			acc, err := genome.New(genome.Norm, ds.Ref.Len())
-			if err != nil {
-				return err
-			}
-			_, err = core.RunReadSplit(c, eng, acc, fastq.SliceSource(ds.Reads), nil)
-			return err
-		}},
-		{"genome-split", func(c *cluster.Comm) error {
-			_, _, _, _, err := core.RunGenomeSplit(c, ds.Ref, fastq.SliceSource(ds.Reads), genome.Norm, core.Config{Workers: 1})
-			return err
-		}},
-	}
+	opts := gnumap.Options{Engine: gnumap.EngineConfig{Workers: 1}}
 	var points []Fig4Point
 	for nodes := 1; nodes <= maxNodes; nodes++ {
-		for _, m := range modes {
+		for _, split := range []gnumap.SplitMode{gnumap.ReadSplit, gnumap.GenomeSplit} {
 			start := time.Now()
-			if err := cluster.Run(nodes, transport, m.run); err != nil {
-				return nil, fmt.Errorf("fig4 %s nodes=%d: %w", m.name, nodes, err)
+			if _, _, _, err := gnumap.RunClusterStreamReport(nodes, transport, split, ds.Reference, gnumap.SliceReadSource(ds.Reads), opts); err != nil {
+				return nil, fmt.Errorf("fig4 %s nodes=%d: %w", split, nodes, err)
 			}
 			points = append(points, Fig4Point{
-				Nodes: nodes, Mode: m.name,
+				Nodes: nodes, Mode: split.String(),
 				Rate: float64(len(ds.Reads)) / time.Since(start).Seconds(),
 			})
 		}
@@ -331,16 +270,12 @@ func Fig5(ds *Dataset, maxWorkers int) ([]Fig5Point, error) {
 	var points []Fig5Point
 	for workers := 1; workers <= maxWorkers; workers++ {
 		for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
-			eng, err := core.NewEngine(ds.Ref, core.Config{Workers: workers})
-			if err != nil {
-				return nil, err
-			}
-			acc, err := genome.New(mode, ds.Ref.Len())
+			p, err := gnumap.NewPipeline(ds.Reference, gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers}, Memory: mode})
 			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
+			if _, err := p.MapReads(ds.Reads); err != nil {
 				return nil, err
 			}
 			points = append(points, Fig5Point{
@@ -361,91 +296,36 @@ type AblationRow struct {
 }
 
 // Ablations isolates the engine's design choices (DESIGN.md §5): the
-// full engine, called-base vs PWM attribution off, Viterbi-only
-// accumulation, best-hit-only location assignment, and a naive
-// majority-vote caller without the LRT.
+// full engine, Viterbi-only accumulation, best-hit-only location
+// assignment, called-base emission (the paper's quality-weighted PWM
+// emission off), and a naive caller — the LRT with its significance
+// filter off (Caller.Alpha < 0), which calls every position of depth
+// >= 2 whose plurality channel is a base other than the reference: the
+// "ad hoc cutoff without background comparison" calling style the paper
+// criticizes.
 func Ablations(ds *Dataset, workers int) ([]AblationRow, error) {
-	type variant struct {
-		name  string
-		cfg   core.Config
-		naive bool
-	}
-	variants := []variant{
-		{name: "full-engine", cfg: core.Config{Workers: workers}},
-		{name: "viterbi-only", cfg: core.Config{Workers: workers, ViterbiOnly: true}},
-		{name: "best-hit-only", cfg: core.Config{Workers: workers, BestHitOnly: true}},
-		{name: "naive-caller", cfg: core.Config{Workers: workers}, naive: true},
+	variants := []struct {
+		name string
+		opts gnumap.Options
+	}{
+		{"full-engine", gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers}}},
+		{"viterbi-only", gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers, ViterbiOnly: true}}},
+		{"best-hit-only", gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers, BestHitOnly: true}}},
+		{"called-base-emission", gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers, IgnoreQualities: true}}},
+		{"naive-caller", gnumap.Options{Engine: gnumap.EngineConfig{Workers: workers}, Caller: gnumap.CallerConfig{Alpha: -1}}},
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		start := time.Now()
-		eng, err := core.NewEngine(ds.Ref, v.cfg)
+		_, m, wall, err := run(ds, v.opts)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := genome.New(genome.Norm, ds.Ref.Len())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
-			return nil, err
-		}
-		var calls []snp.Call
-		if v.naive {
-			calls = NaiveCalls(ds.Ref, acc)
-		} else {
-			calls, _, err = snp.CallAll(ds.Ref, acc, snp.Config{})
-			if err != nil {
-				return nil, err
-			}
-		}
-		m := snp.Evaluate(calls, ds.Truth)
 		rows = append(rows, AblationRow{
 			Variant: v.name, TP: m.TP, FP: m.FP,
-			Precision: m.Precision(), Wall: time.Since(start),
+			Precision: m.Precision(), Wall: wall,
 		})
 	}
 	return rows, nil
-}
-
-// NaiveCalls is the LRT ablation: call a SNP wherever the plurality
-// channel differs from the reference and depth >= 2 — the "ad hoc
-// cutoff without background comparison" calling style the paper
-// criticizes.
-func NaiveCalls(ref *genome.Reference, acc genome.Accumulator) []snp.Call {
-	fz, err := genome.Freeze(acc)
-	if err != nil {
-		return nil
-	}
-	var calls []snp.Call
-	for pos := 0; pos < ref.Len(); pos++ {
-		v := fz.Vector(pos)
-		depth := 0.0
-		best := 0
-		for k, x := range v {
-			depth += x
-			if x > v[best] {
-				best = k
-			}
-		}
-		if depth < 2 {
-			continue
-		}
-		refBase, err := ref.Base(pos)
-		if err != nil || !refBase.IsConcrete() || best == int(refBase) || best == 4 {
-			continue
-		}
-		contig, local, err := ref.Locate(pos)
-		if err != nil {
-			continue
-		}
-		calls = append(calls, snp.Call{
-			Contig: contig, Pos: local, GlobalPos: pos,
-			Ref: refBase, Allele: dna.Channel(best), Allele2: dna.Channel(best),
-			Depth: depth,
-		})
-	}
-	return calls
 }
 
 // SweepRow is one operating point of the significance-cutoff sweep.
@@ -463,16 +343,23 @@ type SweepRow struct {
 // CutoffSweep exercises the paper's headline usability claim — that the
 // LRT gives researchers "straightforward SNP calling cutoffs based on a
 // p-value cutoff or a false discovery control" — by mapping once and
-// then calling at a range of α levels under both control styles.
+// then calling at a range of α levels under both control styles. It is
+// the one experiment that assembles its own engine: a Pipeline's
+// caller is fixed at construction, and the sweep needs one mapping
+// under several significance decisions.
 func CutoffSweep(ds *Dataset, workers int, alphas []float64) ([]SweepRow, error) {
 	if len(alphas) == 0 {
 		alphas = []float64{0.001, 0.01, 0.05, 0.1, 0.25}
 	}
-	eng, err := core.NewEngine(ds.Ref, core.Config{Workers: workers})
+	ref, err := genome.NewReference(ds.Reference)
 	if err != nil {
 		return nil, err
 	}
-	acc, err := genome.New(genome.Norm, ds.Ref.Len())
+	eng, err := core.NewEngine(ref, core.Config{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	acc, err := genome.New(genome.Norm, ref.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +369,7 @@ func CutoffSweep(ds *Dataset, workers int, alphas []float64) ([]SweepRow, error)
 	var rows []SweepRow
 	for _, fdr := range []bool{false, true} {
 		for _, alpha := range alphas {
-			calls, _, err := snp.CallAll(ds.Ref, acc, snp.Config{Alpha: alpha, UseFDR: fdr})
+			calls, _, err := snp.CallAll(ref, acc, snp.Config{Alpha: alpha, UseFDR: fdr})
 			if err != nil {
 				return nil, err
 			}

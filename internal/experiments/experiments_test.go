@@ -25,8 +25,8 @@ func TestMakeDatasetDefaults(t *testing.T) {
 	if len(ds.Truth) != 30_000/10_500 {
 		t.Errorf("default SNP density wrong: %d SNPs", len(ds.Truth))
 	}
-	if ds.Ref.Len() != 30_000 {
-		t.Errorf("reference length %d", ds.Ref.Len())
+	if n := len(ds.Reference[0].Seq); n != 30_000 {
+		t.Errorf("reference length %d", n)
 	}
 	wantReads := int(12 * 30_000 / 62)
 	if len(ds.Reads) != wantReads {
@@ -192,6 +192,11 @@ func TestAblationsShapeHolds(t *testing.T) {
 	}
 	if full.TP < len(ds.Truth)-1 {
 		t.Errorf("full engine recovered %d/%d", full.TP, len(ds.Truth))
+	}
+	// The paper's own PHMM extension (quality-weighted emission) has its
+	// ablation row.
+	if _, ok := byName["called-base-emission"]; !ok {
+		t.Error("no called-base-emission row")
 	}
 	// The naive caller (no LRT background test) must produce more
 	// false positives than the full engine — the paper's core claim

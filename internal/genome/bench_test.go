@@ -98,3 +98,64 @@ func BenchmarkMerge(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAblation_Accumulation compares online striped-lock
+// accumulation against per-worker private accumulators merged at the
+// end (the design alternative DESIGN.md §5 calls out).
+func BenchmarkAblation_Accumulation(b *testing.B) {
+	const L = 200_000
+	const spans = 2_000
+	zs := make([]Vec, 62)
+	for i := range zs {
+		zs[i] = Vec{0.9, 0.05, 0.03, 0.02, 0}
+	}
+	for _, strategy := range []string{"striped-online", "private-merge"} {
+		b.Run(strategy, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if strategy == "striped-online" {
+					acc, err := New(Norm, L)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var wg sync.WaitGroup
+					for w := 0; w < 4; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							for s := 0; s < spans/4; s++ {
+								acc.AddRange((s*977+w*131)%(L-70), zs, 1)
+							}
+						}(w)
+					}
+					wg.Wait()
+				} else {
+					merged, err := New(Norm, L)
+					if err != nil {
+						b.Fatal(err)
+					}
+					parts := make([]Accumulator, 4)
+					var wg sync.WaitGroup
+					for w := 0; w < 4; w++ {
+						parts[w], err = New(Norm, L)
+						if err != nil {
+							b.Fatal(err)
+						}
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							for s := 0; s < spans/4; s++ {
+								parts[w].AddRange((s*977+w*131)%(L-70), zs, 1)
+							}
+						}(w)
+					}
+					wg.Wait()
+					for w := 0; w < 4; w++ {
+						if err := merged.Merge(parts[w]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
