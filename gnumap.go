@@ -86,10 +86,12 @@ const (
 	MemCentDisc = genome.CentDisc
 )
 
-// DefaultPhmmBatch is the default lane cap of one batched wavefront
-// Pair-HMM sweep, the mapper's only forward-backward kernel. Set via
-// EngineConfig.PhmmBatch (0 selects this default; below 2, every sweep
-// is one lane). Results are the same at any width.
+// DefaultPhmmBatch is the default group size of one batched wavefront
+// Pair-HMM sweep, the mapper's only forward-backward kernel; every sweep
+// is this many lanes wide, a smaller group padded. Set via
+// EngineConfig.PhmmBatch (0 selects this default; other values are
+// clamped into [1, DefaultPhmmBatch]). Results are the same at any
+// group size.
 const DefaultPhmmBatch = core.DefaultPhmmBatch
 
 // Ploidy selects the LRT hypothesis family.

@@ -130,51 +130,77 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 // a single worker (deterministic accumulation order), every (Batch,
 // PhmmBatch) combination under either attribution must produce
 // bit-identical accumulator state, identical stats, and an identical
-// phmm.cells metric to one-lane sweeps mapping one read at a time.
+// phmm.cells metric to one-pair groups mapping one read at a time.
 // Batch sizes straddle the 64-read chunk (1 packs nothing; 65 and 200
 // leave ragged chunks); width 3 exercises narrow groups and one-lane
-// tails; a zero PhmmBatch means DefaultPhmmBatch lanes. Every alignment
-// is counted in exactly one lane group. The ViterbiOnly ablation, which
-// bins nothing, must not depend on Batch — nor accumulate the marginal
-// alignment.
+// tails; a zero PhmmBatch means DefaultPhmmBatch lanes, and width 16
+// resolves to the sweep's 8 (the same lane groups as width 8). Every
+// alignment is counted in exactly one lane group. All of it runs under
+// the AVX2 rows and the Go rows, whose one-pair states must agree. The
+// ViterbiOnly ablation, which bins nothing, must not depend on Batch —
+// nor accumulate the marginal alignment.
 func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 	if w := (Config{}).withDefaults().PhmmBatch; w != DefaultPhmmBatch {
 		t.Fatalf("zero PhmmBatch resolves to %d lanes, want DefaultPhmmBatch", w)
 	}
+	if w := (Config{PhmmBatch: 16}).withDefaults().PhmmBatch; w != phmm.MaxBatch {
+		t.Fatalf("PhmmBatch 16 resolves to %d lanes, want phmm.MaxBatch", w)
+	}
 	ref, reads := identityReads(t)
-	var marginal []byte // ByCall, the ablation's attribution
-	for _, attr := range []phmm.Attribution{phmm.ByCall, phmm.ByPWM} {
-		want, _ := runMapping(t, ref, reads, Config{PhmmBatch: 1, Batch: 1, Attribution: attr})
-		if attr == phmm.ByCall {
-			marginal = want.state
-		}
-		if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
-			t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
-		}
-		for _, width := range []int{8, 3} {
-			for _, batch := range []int{1, 7, 64, 65, 200} {
-				got, reg := runMapping(t, ref, reads, Config{PhmmBatch: width, Batch: batch, Attribution: attr})
-				label := fmt.Sprintf("attribution %d width %d batch %d", attr, width, batch)
-				if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
-					got.stats.Locations != want.stats.Locations {
-					t.Errorf("%s: stats %+v != one-lane %+v", label, got.stats, want.stats)
+	var marginal []byte                       // ByCall, the ablation's attribution
+	baseline := map[phmm.Attribution][]byte{} // the first kernel's one-pair state
+	for _, kernel := range []string{"avx2", "generic"} {
+		t.Run(kernel, func(t *testing.T) {
+			if !setAVX2(t, kernel == "avx2") {
+				t.Skip("host has no AVX2")
+			}
+			for _, attr := range []phmm.Attribution{phmm.ByCall, phmm.ByPWM} {
+				want, _ := runMapping(t, ref, reads, Config{PhmmBatch: 1, Batch: 1, Attribution: attr})
+				if st, ok := baseline[attr]; ok && !bytes.Equal(st, want.state) {
+					t.Errorf("attribution %d: one-pair groups' state differs between kernels", attr)
 				}
-				if got.cells != want.cells {
-					t.Errorf("%s: phmm.cells %d != one-lane %d", label, got.cells, want.cells)
+				baseline[attr] = want.state
+				if attr == phmm.ByCall {
+					marginal = want.state
 				}
-				if !bytes.Equal(got.state, want.state) {
-					t.Errorf("%s: accumulator state diverges from one-lane sweeps", label)
+				if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
+					t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
 				}
-				full := reg.Counter("phmm.batch.lanes.full").Value()
-				partial := reg.Counter("phmm.batch.lanes.partial").Value()
-				if n := reg.Counter("map.alignments").Value(); full+partial != n {
-					t.Errorf("%s: lanes %d full + %d partial != %d alignments", label, full, partial, n)
-				}
-				if batch >= 64 && full < 2*partial {
-					t.Errorf("%s: only %d of %d alignments in full-width groups", label, full, full+partial)
+				lanes8 := map[int][2]int64{} // batch -> width 8's full, partial
+				for _, width := range []int{8, 3, 16} {
+					for _, batch := range []int{1, 7, 64, 65, 200} {
+						got, reg := runMapping(t, ref, reads, Config{PhmmBatch: width, Batch: batch, Attribution: attr})
+						label := fmt.Sprintf("attribution %d width %d batch %d", attr, width, batch)
+						if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
+							got.stats.Locations != want.stats.Locations {
+							t.Errorf("%s: stats %+v != one-lane %+v", label, got.stats, want.stats)
+						}
+						if got.cells != want.cells {
+							t.Errorf("%s: phmm.cells %d != one-lane %d", label, got.cells, want.cells)
+						}
+						if !bytes.Equal(got.state, want.state) {
+							t.Errorf("%s: accumulator state diverges from one-lane sweeps", label)
+						}
+						full := reg.Counter("phmm.batch.lanes.full").Value()
+						partial := reg.Counter("phmm.batch.lanes.partial").Value()
+						if n := reg.Counter("map.alignments").Value(); full+partial != n {
+							t.Errorf("%s: lanes %d full + %d partial != %d alignments", label, full, partial, n)
+						}
+						if batch >= 64 && full < 2*partial {
+							t.Errorf("%s: only %d of %d alignments in full-width groups", label, full, full+partial)
+						}
+						switch width {
+						case 8:
+							lanes8[batch] = [2]int64{full, partial}
+						case 16:
+							if w8 := lanes8[batch]; w8 != [2]int64{full, partial} {
+								t.Errorf("%s: lanes %d full, %d partial; width 8 swept %d, %d", label, full, partial, w8[0], w8[1])
+							}
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 	vit := func(batch int) mappingOutcome {
 		got, _ := runMapping(t, ref, reads, Config{ViterbiOnly: true, Batch: batch})

@@ -146,8 +146,8 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 	}
 	lo, hi := GenomeSlice(L, size, rank)
 	// Genome-split drives one serial mapper per rank (the exchange is
-	// the bottleneck, not lock contention), so the striped accumulator
-	// is always the right layout here.
+	// the bottleneck, not lock contention) into an accumulator over the
+	// rank's own slice.
 	acc, err := genome.New(mode, hi-lo)
 	if err != nil {
 		return nil, 0, 0, st, err

@@ -97,13 +97,15 @@ type Config struct {
 	// alignments score far lower, true mappings far higher). It is
 	// the engine's "does this read map here at all" filter.
 	MinLocLogLik float64
-	// PhmmBatch caps the lanes of one phmm.AlignBatch sweep, the
+	// PhmmBatch caps the pairs of one phmm.AlignBatch call, the
 	// mapper's only forward-backward kernel: the same-shape candidate
-	// windows of a work batch's reads are swept together, up to this
-	// many at a time. A lane's result does not depend on the sweep's
-	// width, so this decides speed only. 0 selects DefaultPhmmBatch;
-	// below 2, every sweep is one lane. The field stays only because
-	// the benchmark module (bench/) sets and reads it.
+	// windows of a work batch's reads are aligned together, up to this
+	// many at a time, in a sweep that is always phmm.MaxBatch lanes wide
+	// (a narrower group is padded). A lane's result does not depend on
+	// the group's size, so this decides speed only. 0 selects
+	// DefaultPhmmBatch; any other value is clamped into
+	// [1, phmm.MaxBatch]. The field stays only because the benchmark
+	// module (bench/) sets and reads it.
 	PhmmBatch int
 	// ViterbiOnly switches accumulation to the single best path per
 	// location (ablation of the marginal alignment).
@@ -123,7 +125,9 @@ type Config struct {
 	// map.candidates / map.alignments / map.mapped / map.unmapped /
 	// map.locations, phmm.cells (DP cells computed) and the lane
 	// occupancy of the batched kernel (phmm.batch.lanes.full / .partial:
-	// alignments swept in full-width and narrower groups). Seed
+	// alignments swept in full-width and narrower groups;
+	// phmm.batch.bin16.alignments: alignments whose same-shape bin held
+	// at least 16 windows, the share a 16-lane sweep could fill). Seed
 	// selectivity is tracked by map.seed.hits (index positions voted),
 	// map.seed.masked (read seeds dropped by MaxBucket), the
 	// map.candidates.per.read histogram, and the index.bytes gauge. Nil
@@ -132,9 +136,9 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultPhmmBatch is the default lane width of the batched wavefront
-// Pair-HMM kernel — the width the amd64 SIMD sweep is specialized for.
-const DefaultPhmmBatch = 8
+// DefaultPhmmBatch is the default group size of the batched wavefront
+// Pair-HMM kernel: every lane of its sweep.
+const DefaultPhmmBatch = phmm.MaxBatch
 
 func (c Config) withDefaults() Config {
 	zero := phmm.Params{}
@@ -183,11 +187,13 @@ func (c Config) withDefaults() Config {
 	if c.PhmmBatch == 0 {
 		c.PhmmBatch = DefaultPhmmBatch
 	}
+	c.PhmmBatch = min(max(c.PhmmBatch, 1), phmm.MaxBatch)
 	return c
 }
 
 // effectiveBand resolves the Band knob into the width passed to
-// phmm.AlignBanded (0 there means "full kernel"). Call only after
+// phmm.AlignBatch and the Viterbi ablation's ViterbiBanded (0 there
+// means "full kernel"). Call only after
 // withDefaults, since auto mode depends on Pad.
 func (c Config) effectiveBand() int {
 	switch {
@@ -268,8 +274,9 @@ type engineMetrics struct {
 	mapped, unmapped, locations          *obs.Counter
 	seedHits, seedMasked                 *obs.Counter
 	candPerRead                          *obs.Histogram
-	// Alignments swept in full-width groups and in narrower ones.
-	lanesFull, lanesPartial *obs.Counter
+	// Alignments swept in full-width groups and in narrower ones, and
+	// those whose same-shape bin held at least 16 windows.
+	lanesFull, lanesPartial, bin16 *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -293,6 +300,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"map.candidates.per.read", obs.CountBuckets),
 		lanesFull:    reg.Counter("phmm.batch.lanes.full"),
 		lanesPartial: reg.Counter("phmm.batch.lanes.partial"),
+		bin16:        reg.Counter("phmm.batch.bin16.alignments"),
 	}
 }
 
@@ -661,11 +669,11 @@ func (m *mapper) seedRead(read int, rd *fastq.Read) {
 // and finished. ViterbiOnly takes each window's single best path in
 // turn. Otherwise entries are binned by (read length, window length,
 // diag) and each bin is swept through AlignBatch in groups of at most
-// PhmmBatch lanes, a tail group or a bin of one included.
+// PhmmBatch windows, a tail group or a bin of one included.
 func (m *mapper) alignPending() error {
 	pend := m.pending
-	width := max(m.e.cfg.PhmmBatch, 1)
-	var full, partial int64
+	width := m.e.cfg.PhmmBatch
+	var full, partial, bin16 int64
 	for start := range pend {
 		if pend[start].done {
 			continue
@@ -687,6 +695,9 @@ func (m *mapper) alignPending() error {
 				}
 			}
 			m.bidx = idxs
+			if len(idxs) >= 16 {
+				bin16 += int64(len(idxs))
+			}
 			for off := 0; off < len(idxs); off += width {
 				group := idxs[off:min(off+width, len(idxs))]
 				if len(group) == width {
@@ -726,6 +737,7 @@ func (m *mapper) alignPending() error {
 		m.met.alignments.Add(int64(len(pend)))
 		m.met.lanesFull.Add(full)
 		m.met.lanesPartial.Add(partial)
+		m.met.bin16.Add(bin16)
 		c := m.aligner.CellsComputed() + m.batch.CellsComputed()
 		m.met.cells.Add(c - m.lastCells)
 		m.lastCells = c

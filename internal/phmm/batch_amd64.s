@@ -7,7 +7,7 @@
 // (byte offsets +0 and +32 of the 64-byte lane stripe). Only packed
 // IEEE-754 multiply, add, subtract and divide do arithmetic — each rounds
 // every lane exactly like the scalar operation in align.go — and the
-// expression trees mirror the generic Go loops in batch.go operation for
+// expression trees mirror the Go rows in rows.go operation for
 // operation, so results are bit-identical to the scalar kernel. No FMA,
 // anywhere, ever: the scalar kernel does not contract, so neither may we.
 //
@@ -260,7 +260,7 @@ fwddone:
 //   bX[i][j] = tgm*diag + tggq*bx
 //   bY[i][j] = tgm*diag + tggq*by
 // and the left guard at lo-1. tmgq = tmg*q and tggq = tgg*q exactly as
-// the generic loop computes p.TMG*p.Q and p.TGG*p.Q (left-associative,
+// BatchAligner.backward computes p.TMG*p.Q and p.TGG*p.Q (left-associative,
 // one rounding).
 TEXT ·backwardRowAVX2(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), AX
@@ -387,7 +387,7 @@ bwdleft:
 // func logLikAVX2(a *logSum8)
 //
 // sum[l] = log(sum[l]) + log(rows[1][l]) + ... + log(rows[n][l]), added
-// in that order — the generic loop's sum — and bad = the lanes where any
+// in that order — logLikGo's sum — and bad = the lanes where any
 // of those values was not in (0, +Inf), whose sums the caller redoes
 // with math.Log.
 TEXT ·logLikAVX2(SB), NOSPLIT, $0-8
@@ -436,7 +436,7 @@ logdone:
 //   z[j][gap] += (fY[i][j] * bY[i][j]) * inv
 // wt is the row's per-lane attribution weight (wt[k*8+l]), which makes
 // ByCall and ByPWM one expression — see extractStripe in batch.go for
-// why that is bit-identical to the branchy per-lane loop. Columns are
+// why that is bit-identical to the scalar kernel's branchy loop. Columns are
 // independent, so unlike the sweeps there is no serial chain here: the
 // loop is bound by its memory traffic, four plane lines in and ten
 // half-lines of z updated per column.

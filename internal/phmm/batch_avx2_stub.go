@@ -2,50 +2,10 @@
 
 package phmm
 
-// Non-amd64 builds always take the generic Go lane loops.
+// Off amd64 cpu.HasAVX2 is the constant false, so the row dispatch in
+// rows.go never calls these; the names resolve to the Go rows.
 
-const simdLanes = 8
-
-type fwdRow8 struct {
-	outM, outX, outY    *float64
-	ps                  *float64
-	prevM, prevX, prevY *float64
-	codes               *int32
-	pw                  *float64
-	emit                *float64
-	scale               *float64
-	steps               int64
-	guard               int64
-	dead                [simdLanes]uint64
-	tab                 [5 * simdLanes]float64
-	tmm, tgm, tmg, tgg  [4]float64
-	q, rowEntry         [4]float64
-}
-
-type bwdRow8 struct {
-	outM, outX, outY     *float64
-	nextM, nextX         *float64
-	ps                   *float64
-	scale                *float64
-	steps                int64
-	atM                  int64
-	tmm, tgm, tmgq, tggq float64
-}
-
-type logSum8 struct {
-	rows *float64
-	n    int64
-	bad  int64
-	sum  [simdLanes]float64
-}
-
-type zRow8 struct {
-	fM, bM, fY, bY *float64
-	z, wt, inv     *float64
-	steps          int64
-}
-
-func forwardRowAVX2(*fwdRow8)  { panic("phmm: no AVX2 kernel on this architecture") }
-func backwardRowAVX2(*bwdRow8) { panic("phmm: no AVX2 kernel on this architecture") }
-func logLikAVX2(*logSum8)      { panic("phmm: no AVX2 kernel on this architecture") }
-func extractRowAVX2(*zRow8)    { panic("phmm: no AVX2 kernel on this architecture") }
+func forwardRowAVX2(a *fwdRow8)  { forwardRowGo(a) }
+func backwardRowAVX2(a *bwdRow8) { backwardRowGo(a) }
+func logLikAVX2(a *logSum8)      { logLikGo(a) }
+func extractRowAVX2(a *zRow8)    { extractRowGo(a) }

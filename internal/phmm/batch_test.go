@@ -47,7 +47,7 @@ func requireLaneExact(t *testing.T, label string, scalar *Result, lane *BatchRes
 	w := scalar.M + 1
 	planes := [][2][]float64{{a.fM, b.fM}, {a.fX, b.fX}, {a.fY, b.fY}, {a.bM, b.bM}, {a.bX, b.bX}, {a.bY, b.bY}}
 	for i := 1; i <= scalar.N; i++ {
-		if s, g := a.scale[i], b.scale[i*b.lanes+lane.lane]; math.Float64bits(s) != math.Float64bits(g) {
+		if s, g := a.scale[i], b.scale[i*simdLanes+lane.lane]; math.Float64bits(s) != math.Float64bits(g) {
 			t.Fatalf("%s row %d: scale scalar %v != batch %v", label, i, s, g)
 		}
 		lo, hi := lane.rowBounds(i)
@@ -87,7 +87,7 @@ func requireDeadLane(t *testing.T, label string, a *Aligner, lane *BatchResult) 
 		if lo > hi {
 			break
 		}
-		got := b.scale[i*b.lanes+lane.lane]
+		got := b.scale[i*simdLanes+lane.lane]
 		died = died || math.Float64bits(got) != math.Float64bits(a.scale[i])
 		if died && got != 1 {
 			t.Fatalf("%s row %d: dead lane scale %v, want 1", label, i, got)
@@ -137,7 +137,7 @@ func requireBatchExact(t *testing.T, label string, scalar *Aligner, xs []*pwm.Ma
 
 // forEachKernel runs test as two subtests: "avx2" with the vector rows
 // (skipped on a host without AVX2) and "generic" with cpu.HasAVX2
-// switched off, so one host covers both kernels.
+// switched off (the Go rows), so one host covers both kernels.
 func forEachKernel(t *testing.T, test func(t *testing.T)) {
 	for _, kernel := range []string{"avx2", "generic"} {
 		t.Run(kernel, func(t *testing.T) {
@@ -200,13 +200,13 @@ func dyingBatch(t *testing.T) (p Params, xs []*pwm.Matrix, ys []dna.Seq, diag, b
 // property test: randomized (read length, window length, diag, band)
 // bins in both modes, each batch compared lane-by-lane against scalar
 // AlignBanded. Bands include narrow, wide, and full-width (== unbanded)
-// geometries; every other batch is 8 lanes (the vector rows' width), the
-// rest 1 to 13; windows carry N and other non-concrete codes in every
-// lane and half the reads have N rows. Then every width from 1 to 7 in
-// both modes, banded and not (the mapper's tail groups); lanes that die
-// mid-batch beside live ones, and alone; and a band that slides off the
-// rectangle part way down. All of it under the AVX2 rows and the
-// generic lane loops.
+// geometries; every other batch is 8 lanes (the sweep's width), the
+// rest 1 to 8 (padded to 8); windows carry N and other non-concrete codes
+// in every lane and half the reads have N rows. Then every padded width
+// from 1 to 7 in both modes, banded and not (the mapper's tail groups);
+// lanes that die mid-batch beside live ones, and alone; and a band that
+// slides off the rectangle part way down. All of it under the AVX2 rows
+// and the Go rows.
 func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		for _, mode := range []Mode{Global, SemiGlobal} {
@@ -230,7 +230,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 				}
 				L := simdLanes
 				if trial%2 == 1 {
-					L = 1 + rng.Intn(13)
+					L = 1 + rng.Intn(simdLanes)
 				}
 				xs := make([]*pwm.Matrix, L)
 				ys := make([]dna.Seq, L)
@@ -250,9 +250,9 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 				}
 				requireBatchExact(t, fmt.Sprintf("mode %v trial %d", mode, trial), scalar, xs, ys, diag, band, results)
 			}
-			// Every width below the vector rows', at a banded and an
-			// unbanded geometry: the mapper sweeps a bin's tail group, and
-			// a bin of one, at these lane counts.
+			// Every width below the sweep's, at a banded and an unbanded
+			// geometry: the mapper sweeps a bin's tail group, and a bin of
+			// one, padded from these lane counts.
 			n, m, diag := 40, 40, 0
 			if mode == SemiGlobal {
 				n, m, diag = 62, 78, 8
@@ -326,17 +326,17 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 // TestAlignBatchEngineShapeExact pins the configurations the engine
 // really runs, which the random sweep above only meets by chance: the
 // paper's 62-bp read against its 78-bp padded window at diagonal 8, at
-// the auto band, a narrow band and unbanded, in 4-, 8- (the width the
-// AVX2 rows serve) and 16-lane batches, with quality-weighted reads
-// carrying N calls and windows carrying non-concrete codes in every
-// lane — under both kernels.
+// the auto band, a narrow band and unbanded, in batches of every width
+// from 1 to 8 (the sweep's; narrower ones are padded), with
+// quality-weighted reads carrying N calls and windows carrying
+// non-concrete codes in every lane — under both kernels.
 func TestAlignBatchEngineShapeExact(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		scalar := mustAligner(t, SemiGlobal)
 		batch := mustBatchAligner(t, SemiGlobal)
 		for _, band := range []int{18, 8, 0} {
-			for _, L := range []int{4, simdLanes, 16} {
+			for L := 1; L <= simdLanes; L++ {
 				xs := make([]*pwm.Matrix, L)
 				ys := make([]dna.Seq, L)
 				for l := range xs {
@@ -550,8 +550,9 @@ func TestAlignBatchBandOffRectangle(t *testing.T) {
 	}
 }
 
-// TestAlignBatchShapeMismatch: mixed shapes are a call-level error (the
-// engine's binning guarantees uniform shapes; a violation is a bug).
+// TestAlignBatchShapeMismatch: mixed shapes, and more pairs than one
+// sweep's lanes, are call-level errors (the engine's binning guarantees
+// uniform shapes and cuts bins at MaxBatch; a violation is a bug).
 func TestAlignBatchShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	batch := mustBatchAligner(t, SemiGlobal)
@@ -567,6 +568,13 @@ func TestAlignBatchShapeMismatch(t *testing.T) {
 	}
 	if _, err := batch.AlignBatch(nil, nil, 0, 0); err == nil {
 		t.Fatal("empty batch accepted")
+	}
+	xs, ys := make([]*pwm.Matrix, MaxBatch+1), make([]dna.Seq, MaxBatch+1)
+	for l := range xs {
+		xs[l], ys[l] = randomPWM(rng, 30), randomSeq(rng, 40)
+	}
+	if _, err := batch.AlignBatch(xs, ys, 5, 18); err == nil {
+		t.Fatalf("%d-pair batch accepted", len(xs))
 	}
 }
 
@@ -613,7 +621,7 @@ func TestAlignBatchReuseAcrossShapes(t *testing.T) {
 		{20, 24, 2, 6, 3},
 		{62, 78, 8, 18, 8},
 		{62, 78, 8, 0, 2}, // full kernel after banded
-		{62, 78, 8, 18, 13},
+		{62, 78, 8, 18, 7},
 		{8, 90, 40, 10, 1}, // single-lane batch
 	}
 	for si, sh := range shapes {
@@ -714,12 +722,12 @@ func requireExtractionExact(t *testing.T, label string, attr Attribution, scalar
 }
 
 // TestExtractionMatchesScalar is the exactness property test of
-// posterior extraction: every lane of batches of 1..13 lanes (8 is the
-// stripe-wide AVX2 pass, everything else the per-lane loop), under both
+// posterior extraction: every lane of batches of 1..8 lanes (all padded
+// to the 8-lane stripe the extraction rows sweep), under both
 // attributions asked in alternating order of the same batch, on reads
 // with quality-weighted rows and N calls, with dead lanes mixed in, must
 // reproduce the scalar kernel's ContributionsInto bit for bit — once
-// with the vector rows and once with cpu.HasAVX2 switched off.
+// with the AVX2 rows and once with the Go rows.
 func TestExtractionMatchesScalar(t *testing.T) {
 	// Zero-tolerance emissions: a one-hot read against a window with a
 	// mismatch has no alignment, which is how lanes die.
@@ -734,7 +742,7 @@ func TestExtractionMatchesScalar(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
 		dead, live := 0, 0
 		for trial := 0; trial < 78; trial++ {
-			L := 1 + trial%13
+			L := 1 + trial%simdLanes
 			p, mode := DefaultParams(), SemiGlobal
 			n, m, diag, band := 62, 78, 8, 18 // the engine's shape
 			xs, ys := make([]*pwm.Matrix, L), make([]dna.Seq, L)

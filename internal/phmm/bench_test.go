@@ -198,19 +198,26 @@ func benchmarkAlignBatch(b *testing.B, xs []*pwm.Matrix, ys []dna.Seq, band int)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/alignment")
 }
 
-// BenchmarkAlignBatch sweeps lane counts at the engine's default band,
-// then times a full batch of distinct quality-ramp reads (the rows the
-// engine's reads have) under the vector and the generic rows; the 0-alloc
-// assertion for the warm path lives in TestAlignBatchAllocFree.
+// BenchmarkAlignBatch times batches of 1, 4 and 8 pairs at the engine's
+// default band under the AVX2 and the Go rows (every sweep is 8 lanes
+// wide, so the narrower batches pay for their padding), an unbanded
+// 8-pair batch, and a full batch of distinct quality-ramp reads (the rows
+// the engine's reads have) under both rows; the 0-alloc assertion for the
+// warm path lives in TestAlignBatchAllocFree.
 func BenchmarkAlignBatch(b *testing.B) {
-	for _, L := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("lanes=%d/band=%d", L, benchBand), func(b *testing.B) {
-			xs, ys := batchBenchInputs(b, L)
-			benchmarkAlignBatch(b, xs, ys, benchBand)
-		})
+	for _, kernel := range []string{"avx2", "generic"} {
+		for _, L := range []int{1, 4, simdLanes} {
+			b.Run(fmt.Sprintf("lanes=%d/band=%d/%s", L, benchBand, kernel), func(b *testing.B) {
+				if !setAVX2(b, kernel == "avx2") {
+					b.Skip("host has no AVX2")
+				}
+				xs, ys := batchBenchInputs(b, L)
+				benchmarkAlignBatch(b, xs, ys, benchBand)
+			})
+		}
 	}
 	b.Run("lanes=8/band=full", func(b *testing.B) {
-		xs, ys := batchBenchInputs(b, 8)
+		xs, ys := batchBenchInputs(b, simdLanes)
 		benchmarkAlignBatch(b, xs, ys, 0)
 	})
 	for _, kernel := range []string{"avx2", "generic"} {
