@@ -125,7 +125,8 @@ type Options struct {
 	// failure detection, chaos injection).
 	Cluster ClusterConfig
 	// Metrics, when non-nil, receives the pipeline's stage timers and
-	// counters (mapping, Pair-HMM, calling). On a cluster it is rank 0's
+	// counters (index build, mapping, Pair-HMM, calling, coverage QC as
+	// qc.coverage.seconds). On a cluster it is rank 0's
 	// registry and the other ranks get one each;
 	// Pipeline.MetricsReport merges them.
 	Metrics *MetricsRegistry
@@ -616,8 +617,9 @@ func SummarizeReads(reads []*Read) ReadStats {
 }
 
 // CoverageStats summarizes the pipeline's accumulated depth after
-// MapReads.
+// MapReads, timed as qc.coverage.seconds.
 func (p *Pipeline) CoverageStats() CoverageStats {
+	defer p.opts.Engine.Metrics.StartTimer("qc.coverage.seconds")()
 	return qc.SummarizeCoverage(p.acc, 64)
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gnumap/internal/genome"
+	"gnumap/internal/qc"
 	"gnumap/internal/snp"
 )
 
@@ -247,10 +248,16 @@ func TestPipelineCallAfterMoreReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiles := (p.ReferenceLength() + genome.TileSize - 1) / genome.TileSize
-	if got := reg.Counter("call.chunks").Value(); got != int64(tiles) {
-		t.Fatalf("first Call swept %d tiles, want all %d", got, tiles)
-	}
 	before := genome.Writes(p.acc, nil)
+	firstWritten := 0
+	for _, w := range before {
+		if w != 0 {
+			firstWritten++
+		}
+	}
+	if got := reg.Counter("call.chunks").Value(); got != int64(firstWritten) {
+		t.Fatalf("first Call swept %d tiles, want every tile with a nonzero write counter (%d of %d)", got, firstWritten, tiles)
+	}
 	if _, err := p.MapReads(reads[cut:]); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +275,7 @@ func TestPipelineCallAfterMoreReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swept := reg.Counter("call.chunks").Value() - int64(tiles); swept != int64(written) {
+	if swept := reg.Counter("call.chunks").Value() - int64(firstWritten); swept != int64(written) {
 		t.Errorf("second Call swept %d tiles, want the %d the second batch wrote", swept, written)
 	}
 	want, wantSt, err := snp.CallAll(p.ref, p.acc, caller)
@@ -283,21 +290,132 @@ func TestPipelineCallAfterMoreReads(t *testing.T) {
 	}
 }
 
+// On a partially covered reference — reads from two stretches of it, so
+// some tiles are never written — a pipeline's Call and CoverageStats
+// equal the dense walks over the same state: the calls, Stats.Tested,
+// call.tested and call.prescreened of one serial CollectRange over the
+// whole accumulator plus FinalizeCalls, under the fixed cutoff, FDR and
+// MinDepth < 0; and the coverage summary of the same bytes loaded into
+// an accumulator whose every tile counts a write (LoadStateBytes marks
+// them all), which SummarizeCoverage must read in full. Only the
+// written tiles are swept, unless MinDepth < 0.
+func TestPartialCoverageMatchesDenseWalks(t *testing.T) {
+	ds := dataset(t)
+	var reads []*Read
+	for _, r := range ds.Reads {
+		if pos := originOf(t, r); pos < 12_000 || pos >= 28_000 && pos < 31_000 {
+			reads = append(reads, r)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		caller CallerConfig
+	}{
+		{"fixed", CallerConfig{}},
+		{"fdr", CallerConfig{UseFDR: true}},
+		{"no-depth-filter", CallerConfig{MinDepth: -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := NewMetricsRegistry()
+			p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1}, Caller: c.caller, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.MapReads(reads); err != nil {
+				t.Fatal(err)
+			}
+			got, gotSt, err := p.Call()
+			if err != nil {
+				t.Fatal(err)
+			}
+			written, tiles := 0, 0
+			for _, w := range genome.Writes(p.acc, nil) {
+				tiles++
+				if w != 0 {
+					written++
+				}
+			}
+			if written == 0 || written == tiles {
+				t.Fatalf("the reads wrote %d of %d tiles; the test needs a strict subset", written, tiles)
+			}
+
+			dense := NewMetricsRegistry()
+			cfg := c.caller
+			cfg.Metrics = dense
+			cands, st, err := snp.CollectRange(p.ref, p.acc, 0, 0, p.ref.Len(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSt, err := snp.FinalizeCalls(cands, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSt.Tested = st.Tested
+			if len(want) == 0 {
+				t.Fatal("vacuous: no calls")
+			}
+			if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+				t.Fatalf("Call: %d calls %+v, dense sweep %d %+v", len(got), gotSt, len(want), wantSt)
+			}
+			for _, name := range []string{"call.tested", "call.prescreened"} {
+				if g, w := reg.Counter(name).Value(), dense.Counter(name).Value(); g != w {
+					t.Errorf("%s = %d, dense sweep %d", name, g, w)
+				}
+			}
+			wantChunks := written
+			if c.caller.MinDepth < 0 {
+				wantChunks = tiles
+			}
+			if g := reg.Counter("call.chunks").Value(); g != int64(wantChunks) {
+				t.Errorf("call.chunks = %d, want %d", g, wantChunks)
+			}
+
+			full, err := genome.CloneEmpty(p.acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state, err := p.acc.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := full.LoadStateBytes(state); err != nil {
+				t.Fatal(err)
+			}
+			if cov, wantCov := p.CoverageStats(), qc.SummarizeCoverage(full, 64); !reflect.DeepEqual(cov, wantCov) {
+				t.Errorf("CoverageStats %+v, dense walk %+v", cov, wantCov)
+			}
+			// The setup the run paid is timed: the in-process index
+			// build and the coverage summary, once each.
+			for _, name := range []string{"index.build.seconds", "qc.coverage.seconds"} {
+				if n := reg.Timer(name).Count(); n != 1 {
+					t.Errorf("%s observed %d times, want 1", name, n)
+				}
+			}
+		})
+	}
+}
+
 // byOrigin returns the reads sorted by the reference position they were
 // sequenced from (the simulator names a read sim_<i>_pos<start>_...).
 func byOrigin(t *testing.T, reads []*Read) []*Read {
 	t.Helper()
 	origin := make(map[*Read]int, len(reads))
 	for _, r := range reads {
-		var i, pos int
-		if _, err := fmt.Sscanf(r.Name, "sim_%d_pos%d_", &i, &pos); err != nil {
-			t.Fatalf("read %q: %v", r.Name, err)
-		}
-		origin[r] = pos
+		origin[r] = originOf(t, r)
 	}
 	out := slices.Clone(reads)
 	sort.SliceStable(out, func(a, b int) bool { return origin[out[a]] < origin[out[b]] })
 	return out
+}
+
+// originOf returns the reference position read r was sequenced from.
+func originOf(t *testing.T, r *Read) int {
+	t.Helper()
+	var i, pos int
+	if _, err := fmt.Sscanf(r.Name, "sim_%d_pos%d_", &i, &pos); err != nil {
+		t.Fatalf("read %q: %v", r.Name, err)
+	}
+	return pos
 }
 
 // Composition on the one quiesce barrier: a run with Options.Checkpoint

@@ -130,7 +130,9 @@ type Config struct {
 	// at least 16 windows, the share a 16-lane sweep could fill). Seed
 	// selectivity is tracked by map.seed.hits (index positions voted),
 	// map.seed.masked (read seeds dropped by MaxBucket), the
-	// map.candidates.per.read histogram, and the index.bytes gauge. Nil
+	// map.candidates.per.read histogram, and the index.bytes gauge; an
+	// index the engine builds itself (not one passed in as SeedIndex)
+	// records its build time as index.build.seconds. Nil
 	// disables instrumentation; the hot path then pays only a pointer
 	// check.
 	Metrics *obs.Registry
@@ -361,7 +363,9 @@ func newEngineSlice(ref *genome.Reference, lo, hi int, cfg Config) (*Engine, err
 		}
 		idx = cfg.SeedIndex
 	} else {
+		stop := cfg.Metrics.StartTimer("index.build.seconds")
 		built, err := kmer.Build(ref.Seq()[lo:hi], cfg.K)
+		stop()
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ package dna
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -172,18 +173,32 @@ func MustParseSeq(s string) Seq {
 	return seq
 }
 
-// ParseSeqBytes converts raw ASCII bytes (e.g. a FASTA record body) to a
-// Seq, skipping nothing: every byte must be a nucleotide letter.
+// ParseSeqBytes converts raw ASCII bytes (e.g. a FASTQ read) to a Seq,
+// skipping nothing: every byte must be a nucleotide letter.
 func ParseSeqBytes(b []byte) (Seq, error) {
-	seq := make(Seq, len(b))
+	seq, err := AppendSeqBytes(make(Seq, 0, len(b)), b)
+	if err != nil {
+		return nil, err
+	}
+	return seq, nil
+}
+
+// AppendSeqBytes decodes raw ASCII bytes onto dst, as ParseSeqBytes
+// does, and returns the extended sequence. An invalid byte's offset
+// counts from the start of dst, so a FASTA body decoded a line at a time
+// reports the offset ParseSeqBytes reports for the body whole; on error
+// the returned sequence ends before that byte.
+func AppendSeqBytes(dst Seq, b []byte) (Seq, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(b))[:n+len(b)]
 	for i, raw := range b {
 		c, ok := CodeOf(raw)
 		if !ok {
-			return nil, fmt.Errorf("dna: invalid nucleotide %q at offset %d", raw, i)
+			return dst[:n+i], fmt.Errorf("dna: invalid nucleotide %q at offset %d", raw, n+i)
 		}
-		seq[i] = c
+		dst[n+i] = c
 	}
-	return seq, nil
+	return dst, nil
 }
 
 // String renders the sequence as upper-case ASCII.

@@ -1,7 +1,8 @@
 // Package fasta implements streaming FASTA readers and writers for the
-// reference genomes consumed by the mapper. Records are parsed into
-// dna.Seq code form; line wrapping, CRLF endings, blank lines, and
-// multi-record files are handled. The reader is strict about sequence
+// reference genomes consumed by the mapper. Records are decoded into
+// dna.Seq code form in one pass, each line straight from the read
+// buffer; line wrapping, CRLF endings, blank lines, and multi-record
+// files are handled. The reader is strict about sequence
 // content: a non-nucleotide byte is an error, not silently dropped,
 // because a corrupted reference silently truncating would invalidate
 // every downstream coordinate.
@@ -41,11 +42,18 @@ type Reader struct {
 	pendingHeader string
 	started       bool
 	done          bool
+	// free is where the next record's body is decoded: the unused tail
+	// of the allocation the last body went into. Records of one file
+	// share that allocation, each capped at its own end. It is never
+	// nil, so a record with an empty body has an empty, non-nil Seq.
+	free dna.Seq
+	// long holds a line longer than the read buffer.
+	long []byte
 }
 
 // NewReader returns a Reader consuming r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{br: bufio.NewReaderSize(r, 1<<16), free: dna.Seq{}}
 }
 
 // Next returns the next record, or io.EOF after the last one. Any
@@ -64,7 +72,11 @@ func (r *Reader) Next() (*Record, error) {
 		return nil, fmt.Errorf("fasta: line %d: empty record name", r.line)
 	}
 
-	var body []byte
+	// An invalid byte is reported once the record's lines are consumed,
+	// so a read error later in the record still wins and the next call
+	// starts at the next header.
+	seq := r.free[:0]
+	var bad error
 	for {
 		line, err := r.readLine()
 		if err == io.EOF {
@@ -81,13 +93,14 @@ func (r *Reader) Next() (*Record, error) {
 			r.pendingHeader = string(line)
 			break
 		}
-		body = append(body, line...)
+		if bad == nil {
+			seq, bad = dna.AppendSeqBytes(seq, line)
+		}
 	}
-	seq, err := dna.ParseSeqBytes(body)
-	if err != nil {
-		return nil, fmt.Errorf("fasta: record %q: %v", rec.Name, err)
+	if bad != nil {
+		return nil, fmt.Errorf("fasta: record %q: %v", rec.Name, bad)
 	}
-	rec.Seq = seq
+	rec.Seq, r.free = seq[:len(seq):len(seq)], seq[len(seq):]
 	return rec, nil
 }
 
@@ -122,8 +135,18 @@ func (r *Reader) nextHeader() (string, error) {
 }
 
 // readLine reads one line, trimming the trailing newline and any CR.
+// The line aliases the read buffer (or r.long) and is valid until the
+// next call.
 func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		r.long = append(r.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
 	if len(line) == 0 && err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -149,8 +172,9 @@ func splitHeader(h string) (name, desc string) {
 }
 
 // ReadAll parses every record from r.
-func ReadAll(r io.Reader) ([]*Record, error) {
-	fr := NewReader(r)
+func ReadAll(r io.Reader) ([]*Record, error) { return readAll(NewReader(r)) }
+
+func readAll(fr *Reader) ([]*Record, error) {
 	var recs []*Record
 	for {
 		rec, err := fr.Next()
@@ -174,16 +198,23 @@ func ReadFile(path string) ([]*Record, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
+	var fr *Reader
 	if strings.HasSuffix(path, ".gz") {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
 			return nil, fmt.Errorf("fasta: %s: %w", path, err)
 		}
 		defer gz.Close()
-		r = gz
+		fr = NewReader(gz)
+	} else {
+		fr = NewReader(f)
+		// A plain file's size bounds the bases of all its records, so
+		// they all decode into one allocation.
+		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+			fr.free = make(dna.Seq, 0, fi.Size())
+		}
 	}
-	recs, err := ReadAll(r)
+	recs, err := readAll(fr)
 	if err == nil {
 		bases := 0
 		for _, rec := range recs {

@@ -136,8 +136,10 @@ const TileSize = 1 << stripeShift
 // AddRange bumps every tile its range spans, Merge, LoadStateBytes and
 // Reset every tile whose bytes they may change — so a tile whose
 // counter is equal in two Writes snapshots holds the same bytes at
-// both. Len, Mode, MemoryBytes and the state codec are written once
-// here; a layout adds AddRange, Merge and realVec.
+// both, and a tile whose counter is still zero holds New's zeros (the
+// write-set invariant the calling sweep and the coverage summary skip
+// unwritten tiles by). Len, Mode, MemoryBytes and the state codec are
+// written once here; a layout adds AddRange, Merge and realVec.
 type store struct {
 	mode   Mode
 	length int
@@ -182,8 +184,9 @@ func (s *store) markAll() {
 
 // Writes copies acc's per-tile write counters into dst (reallocating
 // when dst is short) and returns it: one counter per TileSize positions.
-// It takes the stripe locks the way State does, so it is coherent
-// whenever writers are quiesced.
+// A zero counter proves its tile is all zeros in every layout, as New
+// left it. It takes the stripe locks the way State does, so it is
+// coherent whenever writers are quiesced.
 func Writes(acc Accumulator, dst []uint64) []uint64 {
 	s := acc.shared()
 	first, last := lockRange(s.locks, 0, s.length)

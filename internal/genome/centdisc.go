@@ -2,6 +2,7 @@ package genome
 
 import (
 	"fmt"
+	"sync"
 
 	"gnumap/internal/dna"
 )
@@ -22,12 +23,15 @@ type Codebook struct {
 	mergeTable [codebookSize][codebookSize]uint8
 }
 
-// defaultCodebook is built once; the construction is deterministic.
-var defaultCodebook = buildDefaultCodebook()
+// defaultCodebook is built once, on first use: its merge table is ~33k
+// nearest-centroid searches (tens of milliseconds), which a process
+// that never builds a CENTDISC accumulator should not pay at start-up.
+// The construction is deterministic.
+var defaultCodebook = sync.OnceValue(buildDefaultCodebook)
 
 // DefaultCodebook returns the package-level biologically weighted
 // codebook shared by all CENTDISC accumulators.
-func DefaultCodebook() *Codebook { return defaultCodebook }
+func DefaultCodebook() *Codebook { return defaultCodebook() }
 
 // buildDefaultCodebook enumerates the centroid set. Budget (256):
 //   - 1 zero/uniform-free slot: the uniform distribution.

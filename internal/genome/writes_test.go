@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -307,5 +308,84 @@ func TestMergeMarksOnlyTilesWithMass(t *testing.T) {
 				t.Errorf("%v: merge moved tile %d's counter: %v, want %v", mode, tile, moved, want)
 			}
 		}
+	}
+}
+
+// Property (every layout): after any sequence of AddRange — off either
+// edge, zero weight included — Merge, LoadStateBytes and Reset, every
+// tile whose write counter is still zero is all zeros in the state
+// blob, as New left it. The calling sweep and the coverage summary skip
+// such tiles without reading them.
+func TestZeroWriteCounterMeansZeroTile(t *testing.T) {
+	const length = 5*TileSize + 77
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(mode) + 53))
+			// randomAdd writes into one of the first tiles, so most
+			// sequences leave some tiles unwritten.
+			randomAdd := func(acc Accumulator) {
+				n := 1 + rng.Intn(40)
+				zs := make([]Vec, n)
+				for i := range zs {
+					for k := range zs[i] {
+						if rng.Intn(3) > 0 {
+							zs[i][k] = rng.Float64()
+						}
+					}
+				}
+				w := 0.1 + rng.Float64()
+				if rng.Intn(8) == 0 {
+					w = 0
+				}
+				acc.AddRange(rng.Intn(4*TileSize+2*n)-n, zs, w)
+			}
+			fresh := func() Accumulator {
+				o, err := New(mode, length)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return o
+			}
+			sparse := func() Accumulator {
+				o := fresh()
+				for i := rng.Intn(3); i > 0; i-- {
+					randomAdd(o)
+				}
+				return o
+			}
+			checked := 0
+			for seq := 0; seq < 100; seq++ {
+				acc := fresh()
+				for step := 1 + rng.Intn(12); step > 0; step-- {
+					switch r := rng.Intn(20); {
+					case r < 14:
+						randomAdd(acc)
+					case r < 17:
+						if err := acc.Merge(sparse()); err != nil {
+							t.Fatal(err)
+						}
+					case r < 19:
+						if err := acc.LoadStateBytes(stateOf(t, sparse())); err != nil {
+							t.Fatal(err)
+						}
+					default:
+						Reset(acc)
+					}
+					tiles, w := tileStates(t, acc), Writes(acc, nil)
+					for i, tile := range tiles {
+						if w[i] != 0 {
+							continue
+						}
+						checked++
+						if slices.ContainsFunc(tile, func(b byte) bool { return b != 0 }) {
+							t.Fatalf("sequence %d: tile %d has a zero write counter but nonzero bytes", seq, i)
+						}
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("vacuous: no step left a tile unwritten")
+			}
+		})
 	}
 }

@@ -4,7 +4,8 @@
 // The index is built over a reference sequence with a two-pass
 // counting-sort layout: a flat offset table of 4^k buckets pointing into
 // one shared position array. For the default k = 10 the offset table has
-// ~1M entries and construction is a single O(L) scan, which is what
+// ~1M entries and construction is two O(L) rolls over the sequence plus
+// one prefix sum, with no array beside the two it keeps, which is what
 // makes indexing a full chromosome practical. Buckets larger than a
 // configurable threshold (repeat k-mers) can be masked out at query
 // time so a single microsatellite does not flood the candidate list.
@@ -79,6 +80,13 @@ type Index struct {
 
 // New builds an index of every k-mer in seq. K-mers containing an
 // ambiguous base are not indexed (the mapper re-seeds around them).
+//
+// It is a counting sort in two rolls of the same right-to-left pack: the
+// first counts each bucket, an inclusive prefix sum turns the counts into
+// bucket ends, and the second writes each position at its bucket's
+// end and moves that end down. Rolling right to left fills every bucket
+// back to front, so its positions come out ascending and offsets ends
+// holding each bucket's start — no write cursor array beside it.
 func New(seq dna.Seq, k int) (*Index, error) {
 	if k <= 0 || k > MaxDirectK {
 		return nil, fmt.Errorf("kmer: k=%d out of range [1,%d]", k, MaxDirectK)
@@ -88,24 +96,48 @@ func New(seq dna.Seq, k int) (*Index, error) {
 	}
 	nBuckets := 1 << (2 * uint(k))
 	offsets := make([]int32, nBuckets+1)
+	// The pack of the k-mer starting at i holds seq[i] in its top two
+	// bits: base i enters at top as base i+k shifts out at the bottom,
+	// and run counts the concrete bases from i on. An ambiguous base
+	// resets run only; whatever m held has shifted out by run == k.
+	top := 2 * uint(k-1)
 
 	// Pass 1: bucket counts.
-	forEachKmer(seq, k, func(m dna.Kmer, pos int32) {
-		offsets[m+1]++
-	})
-	// Prefix-sum into offsets.
-	for i := 1; i <= nBuckets; i++ {
-		offsets[i] += offsets[i-1]
+	var m dna.Kmer
+	run := 0
+	for i := len(seq) - 1; i >= 0; i-- {
+		c := seq[i]
+		if !c.IsConcrete() {
+			run = 0
+			continue
+		}
+		m = m>>2 | dna.Kmer(c)<<top
+		if run++; run >= k {
+			offsets[m]++
+		}
 	}
+	// Inclusive prefix sums: offsets[b] is the end of bucket b.
+	for b := 1; b < nBuckets; b++ {
+		offsets[b] += offsets[b-1]
+	}
+	offsets[nBuckets] = offsets[nBuckets-1]
 	positions := make([]int32, offsets[nBuckets])
 
-	// Pass 2: fill. next tracks the write cursor per bucket.
-	next := make([]int32, nBuckets)
-	copy(next, offsets[:nBuckets])
-	forEachKmer(seq, k, func(m dna.Kmer, pos int32) {
-		positions[next[m]] = pos
-		next[m]++
-	})
+	// Pass 2: fill each bucket from its end.
+	run = 0
+	for i := len(seq) - 1; i >= 0; i-- {
+		c := seq[i]
+		if !c.IsConcrete() {
+			run = 0
+			continue
+		}
+		m = m>>2 | dna.Kmer(c)<<top
+		if run++; run >= k {
+			p := offsets[m] - 1
+			offsets[m] = p
+			positions[p] = int32(i)
+		}
+	}
 	return &Index{k: k, offsets: offsets, positions: positions, seqLen: len(seq)}, nil
 }
 

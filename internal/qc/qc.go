@@ -114,7 +114,10 @@ type CoverageStats struct {
 }
 
 // SummarizeCoverage scans an accumulator. maxBucket sizes the histogram
-// (default 64 when <= 0).
+// (default 64 when <= 0). A tile whose write counter is zero still holds
+// genome.New's zeros (genome.Writes), so its positions count as
+// uncovered without a read of the planes: the scan costs the tiles the
+// reads wrote.
 func SummarizeCoverage(acc genome.Accumulator, maxBucket int) CoverageStats {
 	if maxBucket <= 0 {
 		maxBucket = 64
@@ -127,13 +130,20 @@ func SummarizeCoverage(acc genome.Accumulator, maxBucket int) CoverageStats {
 		return st
 	}
 	planes, norm := fz.PlaneWindow(0, fz.Len())
+	writes := genome.Writes(acc, nil)
 	// Depths are produced a block at a time so that the tally is a loop
-	// with no call in it and keeps its state in registers.
+	// with no call in it and keeps its state in registers. A block lies
+	// within one tile: its length divides genome.TileSize.
 	var sum float64
 	var b1, b4, b10, uncovered int
 	var block [512]float64
 	for lo, n := 0, fz.Len(); lo < n; lo += len(block) {
 		depths := block[:min(len(block), n-lo)]
+		st.Positions += len(depths)
+		if writes[lo/genome.TileSize] == 0 {
+			uncovered += len(depths)
+			continue
+		}
 		if norm {
 			pA, pC, pG, pT, pGap := planes[dna.A][lo:], planes[dna.C][lo:], planes[dna.G][lo:], planes[dna.T][lo:], planes[dna.ChGap][lo:]
 			for i := range depths {
@@ -170,7 +180,6 @@ func SummarizeCoverage(acc genome.Accumulator, maxBucket int) CoverageStats {
 			}
 			st.Hist[bucket]++
 		}
-		st.Positions += len(depths)
 	}
 	st.Hist[0] += int64(uncovered)
 	if st.Positions > 0 {

@@ -187,3 +187,37 @@ func TestSummarizeCoverageWalksAgree(t *testing.T) {
 		}
 	}
 }
+
+// A partially covered accumulator summarizes exactly as the dense
+// per-position walk, every field ==, in every layout: unwritten tiles
+// (the short last one among them) count as uncovered without being read,
+// and a fresh one is all uncovered.
+func TestSummarizeCoverageSkipsUnwrittenTiles(t *testing.T) {
+	const length = 5*genome.TileSize + 300
+	rng := rand.New(rand.NewSource(47))
+	for _, mode := range []genome.Mode{genome.Norm, genome.CharDisc, genome.CentDisc} {
+		acc, err := genome.New(mode, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := SummarizeCoverage(acc, 16), totalWalk(t, acc, 16); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v fresh: summary %+v != dense walk %+v", mode, got, want)
+		}
+		for _, tile := range []int{1, 3} {
+			for i := 0; i < 3000; i++ {
+				var v genome.Vec
+				for k := range v {
+					v[k] = 3 * rng.Float64() * rng.Float64()
+				}
+				acc.AddRange(tile*genome.TileSize+rng.Intn(genome.TileSize-1), []genome.Vec{v, v}, rng.Float64())
+			}
+		}
+		got, want := SummarizeCoverage(acc, 16), totalWalk(t, acc, 16)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: summary %+v != dense walk %+v", mode, got, want)
+		}
+		if got.MaxDepth == 0 || got.Hist[0] < 3*genome.TileSize {
+			t.Errorf("%v: vacuous fixture: %+v", mode, got)
+		}
+	}
+}

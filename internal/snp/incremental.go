@@ -22,10 +22,14 @@ import (
 // through the engine's AddRange, a read-split round's Merge or a
 // checkpoint's LoadStateBytes, the counters move alike.
 //
-// A one-shot call is the first Finalize, when every tile is still
-// unswept; a streaming run's provisional sets are FinalizeCalls passes
-// over the caches concatenated in genome order, and its final set
-// re-sweeps only the tiles the tail of the read stream wrote. The LRT
+// A tile whose write counter is still zero holds genome.New's zeros,
+// where no position passes a positive MinDepth, so the caller starts
+// with such tiles swept, empty and untested: a sweep covers what the
+// reads wrote, not the genome. A one-shot call is the first Finalize,
+// sweeping every written tile; a streaming run's provisional sets are
+// FinalizeCalls passes over the caches concatenated in genome order,
+// and its final set re-sweeps only the tiles the tail of the read
+// stream wrote. The LRT
 // is a pure per-position function and the significance decision (one
 // fixed cutoff or ONE global Benjamini–Hochberg pass) runs after
 // concatenation, so the tile walk is bit-identical to a serial
@@ -56,8 +60,13 @@ type IncrementalCaller struct {
 const unswept = ^uint64(0)
 
 // NewIncrementalCaller builds a caller over acc, whose index 0 is global
-// position offset, as CollectRange takes it. Every tile starts unswept,
-// so state acc already holds is swept like freshly mapped reads.
+// position offset, as CollectRange takes it. Every written tile starts
+// unswept, so state acc already holds is swept like freshly mapped
+// reads. A tile whose write counter is zero still holds genome.New's
+// zeros (genome.Writes), where a sweep under a positive MinDepth tests
+// nothing and finds nothing, so it starts swept at count zero with no
+// candidates; with MinDepth <= 0 every position is tested and every
+// tile starts unswept.
 //
 // cfg.Metrics, when set, receives every tile sweep's call.tested,
 // call.prescreened and call.collect.seconds, the pool's call.workers,
@@ -67,11 +76,13 @@ func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, offset 
 	if ref == nil || acc == nil {
 		return nil, fmt.Errorf("snp: nil reference or accumulator")
 	}
-	seen := genome.Writes(acc, nil)
-	for i := range seen {
-		seen[i] = unswept
-	}
 	cfg = cfg.withDefaults()
+	seen := genome.Writes(acc, nil)
+	for i, w := range seen {
+		if w != 0 || !(cfg.MinDepth > 0) {
+			seen[i] = unswept
+		}
+	}
 	return &IncrementalCaller{
 		ref: ref, acc: acc, offset: offset, cfg: cfg, workers: callWorkers(&cfg),
 		seen: seen, cands: make([][]Candidate, len(seen)), tested: make([]int, len(seen)),

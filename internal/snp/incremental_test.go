@@ -21,7 +21,7 @@ import (
 // plus FinalizeCalls (CallAll is itself a tile caller), with one writer
 // and with four writing concurrently, and with the sweeps on one call
 // worker and on four. Tiles untouched between sweeps must be reused,
-// not re-swept.
+// not re-swept, and tiles never written are never swept.
 func TestIncrementalMatchesCallAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
@@ -122,12 +122,23 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 	if _, _, err := ic.Provisional(); err != nil {
 		t.Fatal(err)
 	}
-	sweptAfter1 := ic.RegionsSwept()
-	if sweptAfter1 != tiles {
-		t.Fatalf("first sweep covered %d tiles, want all %d", sweptAfter1, tiles)
+	// The first sweep covers every tile with a nonzero write counter:
+	// the front half's, not the never-written back half's.
+	var written int64
+	for _, w := range genome.Writes(acc, nil) {
+		if w != 0 {
+			written++
+		}
 	}
-	if got := reg.Counter("call.chunks").Value(); got != tiles {
-		t.Fatalf("call.chunks = %d after the first sweep, want one per tile (%d)", got, tiles)
+	if written == 0 || written == tiles {
+		t.Fatalf("wave 1 wrote %d of %d tiles; the test needs a strict subset", written, tiles)
+	}
+	sweptAfter1 := ic.RegionsSwept()
+	if sweptAfter1 != written {
+		t.Fatalf("first sweep covered %d tiles, want the %d written", sweptAfter1, written)
+	}
+	if got := reg.Counter("call.chunks").Value(); got != written {
+		t.Fatalf("call.chunks = %d after the first sweep, want one per written tile (%d)", got, written)
 	}
 	if got := reg.Gauge("call.workers").Value(); got != float64(callWorkers) {
 		t.Fatalf("call.workers = %v, want %d", got, callWorkers)
@@ -200,5 +211,83 @@ func TestIncrementalCallerValidation(t *testing.T) {
 	}
 	if _, err := NewIncrementalCaller(ref, nil, 0, Config{}); err == nil {
 		t.Error("nil accumulator accepted")
+	}
+}
+
+// A partially covered accumulator — mass in some tiles, the rest as
+// genome.New left them, a slice at a nonzero offset too — calls exactly
+// what one dense serial sweep calls, under the fixed cutoff, under FDR
+// and with the depth filter off: the same calls, Stats, call.tested and
+// call.prescreened. With a positive MinDepth only the written tiles are
+// swept; with MinDepth < 0 every tile is.
+func TestUnwrittenTilesMatchDenseSweep(t *testing.T) {
+	const length = 7*genome.TileSize + 500
+	written := map[int]bool{1: true, 2: true, 5: true}
+	_, full := bigFixture(t, length, 61)
+	fz, err := genome.Freeze(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := genome.New(genome.Norm, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 0; pos < length; pos++ {
+		if v := fz.Vector(pos); written[pos/genome.TileSize] && v != (genome.Vec{}) {
+			acc.AddRange(pos, []genome.Vec{v}, 1)
+		}
+	}
+	for _, offset := range []int{0, 3000} {
+		seq := make(dna.Seq, offset+length)
+		rng := rand.New(rand.NewSource(int64(offset) + 7))
+		for i := range seq {
+			seq[i] = dna.Code(rng.Intn(4))
+		}
+		ref, err := genome.NewSingleContig("chrPartial", seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"fixed", Config{Ploidy: lrt.Diploid}},
+			{"fdr", Config{Ploidy: lrt.Diploid, UseFDR: true}},
+			{"no-depth-filter", Config{Ploidy: lrt.Diploid, MinDepth: -1}},
+		} {
+			t.Run(fmt.Sprintf("%s/offset-%d", c.name, offset), func(t *testing.T) {
+				dense, reg := obs.NewRegistry(), obs.NewRegistry()
+				cfg := c.cfg
+				cfg.Metrics = dense
+				want, wantSt := serialCall(t, ref, acc, offset, cfg)
+				if len(want) == 0 {
+					t.Fatal("vacuous: no calls")
+				}
+				cfg.Metrics, cfg.CallWorkers = reg, 2
+				ic, err := NewIncrementalCaller(ref, acc, offset, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotSt, err := ic.Finalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+					t.Fatalf("calls %d %+v, dense sweep %d %+v", len(got), gotSt, len(want), wantSt)
+				}
+				for _, name := range []string{"call.tested", "call.prescreened"} {
+					if g, w := reg.Counter(name).Value(), dense.Counter(name).Value(); g != w {
+						t.Errorf("%s = %d, dense sweep %d", name, g, w)
+					}
+				}
+				wantChunks := int64(len(written))
+				if c.cfg.MinDepth < 0 {
+					wantChunks = (length + genome.TileSize - 1) / genome.TileSize
+				}
+				if g := reg.Counter("call.chunks").Value(); g != wantChunks {
+					t.Errorf("call.chunks = %d, want %d", g, wantChunks)
+				}
+			})
+		}
 	}
 }

@@ -82,6 +82,9 @@ func TestSeedIndexEndToEnd(t *testing.T) {
 	if reg.Gauge("index.bytes").Value() <= 0 {
 		t.Error("index.bytes gauge not set")
 	}
+	if n := reg.Timer("index.build.seconds").Count(); n != 0 {
+		t.Errorf("an opened index recorded %d index builds", n)
+	}
 
 	// A different reference must be refused by fingerprint.
 	other, err := SimulateDataset(SimConfig{GenomeLength: 40000, SNPCount: 4, Coverage: 1, Seed: 999})
