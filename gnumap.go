@@ -923,8 +923,10 @@ func CheckModes(opts Options, outputs ...string) error {
 // Genome-split does not at the location level: each rank applies the
 // seed filters (MaxBucket, MinVoteFraction, MaxCandidates) over its own
 // slice index, so a read can keep candidates a whole-genome index drops
-// and the run accepts more locations than one process (DESIGN.md §10);
-// its calls matched a single-process run's on the datasets measured.
+// and the run accepts more locations than one process (DESIGN.md §10).
+// Its calls can differ too: on an 80 kbp repeat-rich dataset, seeds 11
+// and 13 lose 2 true calls at 2 and 4 ranks. One global candidate cut
+// per batch (ROADMAP item 17) is the fix.
 //
 // Both splits run on one rank harness: rank 0 records into opts.Metrics
 // (a fresh registry when nil), every other rank into its own, and at the

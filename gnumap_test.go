@@ -3,6 +3,7 @@ package gnumap
 import (
 	"bytes"
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -482,6 +483,25 @@ func TestFitPHMMEndToEnd(t *testing.T) {
 	}
 	if err := params.Validate(); err != nil {
 		t.Fatalf("fitted params invalid: %v", err)
+	}
+	// The fit is deterministic: its bits are pinned (TMM, TMG, TGM, TGG,
+	// Q, then Match row by row), as recorded from the pair-at-a-time
+	// scalar E-step the batched one replaced.
+	golden := []uint64{
+		0x3feffea47ba34eda, 0x3f15b845cb126000, 0x3fe007296044c801, 0x3fdff1ad3f766ffe, 0x3fd0000000000000,
+		0x3fef527a5013dbfb, 0x3f7cec068db6750c, 0x3f7cf3666174e5a3, 0x3f7ce36b06e6a7c5,
+		0x3f7f8b1159d81b1e, 0x3fef3054aa91984b, 0x3f820fc9e3b1d730, 0x3f821582cafc080d,
+		0x3f82ec3cb7375932, 0x3f83ad494a552530, 0x3fef2021127cd970, 0x3f815e355f3d259f,
+		0x3f7e70cfbef5d837, 0x3f7245f9436350d0, 0x3f842b0d913b139e, 0x3fef4de637b6615f,
+	}
+	got := []float64{params.TMM, params.TMG, params.TGM, params.TGG, params.Q}
+	for y := range params.Match {
+		got = append(got, params.Match[y][:]...)
+	}
+	for k, v := range got {
+		if math.Float64bits(v) != golden[k] {
+			t.Errorf("fitted parameter %d: %v (bits %#x), golden %v", k, v, math.Float64bits(v), math.Float64frombits(golden[k]))
+		}
 	}
 	// The dataset has no indels: fitted gap-open must not exceed the
 	// default.

@@ -24,7 +24,7 @@ func mutate(rng *rand.Rand, read dna.Seq, k int) dna.Seq {
 }
 
 // contribsOf runs ContributionsInto and returns fresh slices.
-func contribsOf(t *testing.T, res *Result) ([][dna.NumChannels]float64, []float64) {
+func contribsOf(t *testing.T, res *refResult) ([][dna.NumChannels]float64, []float64) {
 	t.Helper()
 	dst := make([][dna.NumChannels]float64, res.M)
 	totals := make([]float64, res.M)
@@ -34,14 +34,14 @@ func contribsOf(t *testing.T, res *Result) ([][dna.NumChannels]float64, []float6
 	return dst, totals
 }
 
-// TestAlignBandedFullWidthExact is the property test from the issue: a
-// band covering the whole window must match Align bit-for-bit — same
-// LogLik, same posterior contributions, down to the last ulp.
+// TestAlignBandedFullWidthExact: on the scalar reference, a band covering
+// the whole window must match Align bit-for-bit — same LogLik, same
+// posterior contributions, down to the last ulp.
 func TestAlignBandedFullWidthExact(t *testing.T) {
 	for _, mode := range []Mode{Global, SemiGlobal} {
 		rng := rand.New(rand.NewSource(101))
-		full := mustAligner(t, mode)
-		banded := mustAligner(t, mode)
+		full := mustRef(t, mode)
+		banded := mustRef(t, mode)
 		for trial := 0; trial < 30; trial++ {
 			m := 10 + rng.Intn(80)
 			n := m
@@ -92,8 +92,8 @@ func TestAlignBandedRandomIndelReads(t *testing.T) {
 	const tol = 1e-9
 	rng := rand.New(rand.NewSource(211))
 	for _, mode := range []Mode{Global, SemiGlobal} {
-		full := mustAligner(t, mode)
-		banded := mustAligner(t, mode)
+		full := mustRef(t, mode)
+		banded := mustRef(t, mode)
 		for trial := 0; trial < 60; trial++ {
 			m := 62 + rng.Intn(30)
 			window := randomSeq(rng, m)
@@ -272,13 +272,14 @@ func TestBandCells(t *testing.T) {
 	}
 }
 
-// TestAlignBandedBufferReuse interleaves banded and full alignments of
-// different geometries on one Aligner to shake out stale-state bugs in
+// TestAlignBandedBufferReuse interleaves banded and full one-lane
+// AlignBanded sweeps of different geometries on one Aligner, each held
+// to the scalar reference's full kernel, to shake out stale-state bugs in
 // the guard-cell discipline.
 func TestAlignBandedBufferReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	a := mustAligner(t, SemiGlobal)
-	ref := mustAligner(t, SemiGlobal)
+	ref := mustRef(t, SemiGlobal)
 	for trial := 0; trial < 50; trial++ {
 		m := 20 + rng.Intn(70)
 		n := 2 + rng.Intn(m)

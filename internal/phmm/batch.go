@@ -21,11 +21,13 @@ import (
 // reference).
 //
 // Per-lane arithmetic is kept expression-for-expression identical to
-// the scalar kernel in align.go (same operand order, same
+// the scalar forward-backward (same operand order, same
 // parenthesization, same per-row rescaling and summation order), so a
 // batched lane's scores, scale factors, and posteriors are bit-identical
-// to a scalar AlignBanded call on the same pair — the exactness tests in
-// batch_test.go gate this. One BatchAligner per goroutine; results are views
+// to a scalar alignment of the same pair. The scalar kernel lives in the
+// tests (refAligner, ref_test.go) as the oracle the exactness tests in
+// batch_test.go hold every lane to; AlignBatch is the package's only
+// forward-backward. One BatchAligner per goroutine; results are views
 // into its buffers and are invalidated by the next AlignBatch call.
 type BatchAligner struct {
 	params Params
@@ -473,7 +475,7 @@ func (r *BatchResult) rowBounds(i int) (lo, hi int) {
 
 // ContributionsInto fills dst[j-1] with the normalized z-vector for
 // every window position j and totals[j-1] with its unnormalized mass —
-// bit for bit Result.ContributionsInto on the same pair. The first call
+// bit for bit the scalar kernel's on the same pair. The first call
 // after an AlignBatch (or a change of attribution) extracts every lane's
 // z-vectors at once; each call then de-stripes and normalizes its own
 // lane's column, so a batch nobody asks pays nothing.
@@ -488,8 +490,8 @@ func (r *BatchResult) ContributionsInto(attr Attribution, dst [][dna.NumChannels
 	if !b.zsValid || b.zsAttr != attr {
 		b.extractStripe(attr)
 	}
-	// normalizeContribs fused into the copy (same sum order, same
-	// 1/total), in scalars: a column built as an array value and copied
+	// The scalar kernel's per-column normalization fused into the copy
+	// (same sum order, same 1/total), in scalars: a column built as an array value and copied
 	// whole stalls on a failed store forward, tripling this loop's cost.
 	for j := range dst {
 		at := j*dna.NumChannels*simdLanes + r.lane

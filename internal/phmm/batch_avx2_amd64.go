@@ -9,8 +9,9 @@ import "unsafe"
 // VMULPD/VADDPD pairs. Packed IEEE-754 multiply, add, subtract and divide
 // round identically to their scalar counterparts, and the expression
 // trees match the Go rows operation for operation (see batch_amd64.s),
-// so either implementation is bit-identical to the scalar kernel in
-// align.go. The bit-exactness property tests run both against it.
+// so either implementation is bit-identical to the scalar kernel the
+// tests keep as their oracle (ref_test.go). The bit-exactness property
+// tests run both against it.
 
 // Compile-time layout assertions: an offset other than the one the .s
 // file uses is an out-of-range constant index and fails the build.

@@ -33,9 +33,10 @@ func batchContribsOf(t *testing.T, res *BatchResult) ([][dna.NumChannels]float64
 
 // requireLaneExact compares one batch lane against the scalar kernel on
 // the same pair: LogLik, the terminal and row scale factors, every
-// in-band cell of the six planes and the contributions must be
+// in-band cell of the seven planes (the six DP planes and the emissions
+// p*, which Fit's E-step reads) and the contributions must be
 // bit-identical (Float64bits, not ==, so -0 and NaN payloads count).
-func requireLaneExact(t *testing.T, label string, scalar *Result, lane *BatchResult) {
+func requireLaneExact(t *testing.T, label string, scalar *refResult, lane *BatchResult) {
 	t.Helper()
 	if math.Float64bits(scalar.LogLik) != math.Float64bits(lane.LogLik) {
 		t.Fatalf("%s: LogLik scalar %v != batch %v", label, scalar.LogLik, lane.LogLik)
@@ -45,7 +46,7 @@ func requireLaneExact(t *testing.T, label string, scalar *Result, lane *BatchRes
 	}
 	a, b := scalar.a, lane.b
 	w := scalar.M + 1
-	planes := [][2][]float64{{a.fM, b.fM}, {a.fX, b.fX}, {a.fY, b.fY}, {a.bM, b.bM}, {a.bX, b.bX}, {a.bY, b.bY}}
+	planes := [][2][]float64{{a.fM, b.fM}, {a.fX, b.fX}, {a.fY, b.fY}, {a.bM, b.bM}, {a.bX, b.bX}, {a.bY, b.bY}, {a.pstar, b.pstar}}
 	for i := 1; i <= scalar.N; i++ {
 		if s, g := a.scale[i], b.scale[i*simdLanes+lane.lane]; math.Float64bits(s) != math.Float64bits(g) {
 			t.Fatalf("%s row %d: scale scalar %v != batch %v", label, i, s, g)
@@ -76,7 +77,7 @@ func requireLaneExact(t *testing.T, label string, scalar *Result, lane *BatchRes
 // pass stopped, the lane's scales and forward rows are the scalar's bit
 // for bit; from that row on it follows the dead-lane convention, scale 1
 // and rows of +0. Rows the band has left are never written.
-func requireDeadLane(t *testing.T, label string, a *Aligner, lane *BatchResult) {
+func requireDeadLane(t *testing.T, label string, a *refAligner, lane *BatchResult) {
 	t.Helper()
 	b := lane.b
 	w := lane.M + 1
@@ -110,7 +111,7 @@ func requireDeadLane(t *testing.T, label string, a *Aligner, lane *BatchResult) 
 // holds the lane to it: bit-identical when the scalar kernel succeeds,
 // ErrNoAlignment plus the dead-lane convention when it fails. It returns
 // the number of dead lanes.
-func requireBatchExact(t *testing.T, label string, scalar *Aligner, xs []*pwm.Matrix, ys []dna.Seq, diag, band int, results []BatchResult) (dead int) {
+func requireBatchExact(t *testing.T, label string, scalar *refAligner, xs []*pwm.Matrix, ys []dna.Seq, diag, band int, results []BatchResult) (dead int) {
 	t.Helper()
 	if len(results) != len(xs) {
 		t.Fatalf("%s: %d results, want %d", label, len(results), len(xs))
@@ -211,7 +212,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		for _, mode := range []Mode{Global, SemiGlobal} {
 			rng := rand.New(rand.NewSource(int64(42 + mode)))
-			scalar := mustAligner(t, mode)
+			scalar := mustRef(t, mode)
 			batch := mustBatchAligner(t, mode)
 			for trial := 0; trial < 40; trial++ {
 				m := 12 + rng.Intn(80)
@@ -278,7 +279,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 		}
 
 		p, xs, ys, diag, band := dyingBatch(t)
-		scalar, err := NewAligner(p, SemiGlobal)
+		scalar, err := newRefAligner(p, SemiGlobal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +307,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 		}
 
 		rng := rand.New(rand.NewSource(45))
-		scalar, batch = mustAligner(t, SemiGlobal), mustBatchAligner(t, SemiGlobal)
+		scalar, batch = mustRef(t, SemiGlobal), mustBatchAligner(t, SemiGlobal)
 		xs, ys = xs[:0], ys[:0]
 		for l := 0; l < simdLanes; l++ {
 			xs, ys = append(xs, qualityRead(rng, 30)), append(ys, randomSeq(rng, 40))
@@ -333,7 +334,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 func TestAlignBatchEngineShapeExact(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
-		scalar := mustAligner(t, SemiGlobal)
+		scalar := mustRef(t, SemiGlobal)
 		batch := mustBatchAligner(t, SemiGlobal)
 		for _, band := range []int{18, 8, 0} {
 			for L := 1; L <= simdLanes; L++ {
@@ -476,7 +477,7 @@ func TestAlignBatchMixedDeadLanes(t *testing.T) {
 			}
 		}
 	}
-	scalar, err := NewAligner(p, Global)
+	scalar, err := newRefAligner(p, Global)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,12 +580,14 @@ func TestAlignBatchShapeMismatch(t *testing.T) {
 }
 
 // TestAlignBatchCellsAccounting: a batch must add exactly what the same
-// alignments would have added to a scalar Aligner — lanes × band cells,
-// dead lanes included (geometry-based, as in the scalar kernel).
+// alignments would have added to the scalar kernel, and to an Aligner's
+// one-lane AlignBanded — lanes × band cells, dead lanes included
+// (geometry-based, as in the scalar kernel).
 func TestAlignBatchCellsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	scalar := mustAligner(t, SemiGlobal)
+	scalar := mustRef(t, SemiGlobal)
 	batch := mustBatchAligner(t, SemiGlobal)
+	one := mustAligner(t, SemiGlobal)
 	const n, m, diag, band, L = 30, 46, 8, 18, 5
 	xs := make([]*pwm.Matrix, L)
 	ys := make([]dna.Seq, L)
@@ -599,6 +602,12 @@ func TestAlignBatchCellsAccounting(t *testing.T) {
 		if _, err := scalar.AlignBanded(xs[l], ys[l], diag, band); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := one.AlignBanded(xs[l], ys[l], diag, band); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if one.CellsComputed() != scalar.CellsComputed() {
+		t.Fatalf("AlignBanded cells %d != scalar cells %d", one.CellsComputed(), scalar.CellsComputed())
 	}
 	if batch.CellsComputed() != scalar.CellsComputed() {
 		t.Fatalf("batch cells %d != scalar cells %d for the same workload",
@@ -614,7 +623,7 @@ func TestAlignBatchCellsAccounting(t *testing.T) {
 // stale state — the same discipline the scalar kernel documents).
 func TestAlignBatchReuseAcrossShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	scalar := mustAligner(t, SemiGlobal)
+	scalar := mustRef(t, SemiGlobal)
 	batch := mustBatchAligner(t, SemiGlobal)
 	shapes := []struct{ n, m, diag, band, L int }{
 		{62, 78, 8, 18, 8},
@@ -699,7 +708,7 @@ func qualityRead(rng *rand.Rand, n int) *pwm.Matrix {
 
 // requireExtractionExact asks one lane for its contributions under attr
 // and requires the scalar kernel's, bit for bit (so +0 != -0).
-func requireExtractionExact(t *testing.T, label string, attr Attribution, scalar *Result, lane *BatchResult) {
+func requireExtractionExact(t *testing.T, label string, attr Attribution, scalar *refResult, lane *BatchResult) {
 	t.Helper()
 	dstS, dstB := make([][dna.NumChannels]float64, scalar.M), make([][dna.NumChannels]float64, lane.M)
 	totS, totB := make([]float64, scalar.M), make([]float64, lane.M)
@@ -778,7 +787,7 @@ func TestExtractionMatchesScalar(t *testing.T) {
 					xs[l] = x
 				}
 			}
-			scalar, err := NewAligner(p, mode)
+			scalar, err := newRefAligner(p, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -822,7 +831,7 @@ func TestExtractionMatchesScalar(t *testing.T) {
 // from the first one's z-vectors.
 func TestExtractionFollowsTheBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	scalar := mustAligner(t, SemiGlobal)
+	scalar := mustRef(t, SemiGlobal)
 	batch := mustBatchAligner(t, SemiGlobal)
 	for round := 0; round < 3; round++ {
 		xs, ys := make([]*pwm.Matrix, simdLanes), make([]dna.Seq, simdLanes)

@@ -31,34 +31,6 @@ func benchInputs(b *testing.B) (*Matrix62, dna.Seq) {
 // Matrix62 wraps the PWM to keep the helper signature readable.
 type Matrix62 struct{ *pwm.Matrix }
 
-func BenchmarkAlignSemiGlobal62(b *testing.B) {
-	p, window := benchInputs(b)
-	a, err := NewAligner(DefaultParams(), SemiGlobal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Align(p.Matrix, window); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlignGlobal62(b *testing.B) {
-	p, window := benchInputs(b)
-	a, err := NewAligner(DefaultParams(), Global)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Align(p.Matrix, window); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkViterbi62(b *testing.B) {
 	p, window := benchInputs(b)
 	a, err := NewAligner(DefaultParams(), SemiGlobal)
@@ -73,27 +45,12 @@ func BenchmarkViterbi62(b *testing.B) {
 	}
 }
 
-func BenchmarkContributions62(b *testing.B) {
-	p, window := benchInputs(b)
-	a, err := NewAligner(DefaultParams(), SemiGlobal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := a.Align(p.Matrix, window)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 1; j <= res.M; j++ {
-			res.Contribution(j, ByCall)
-		}
-	}
-}
-
 // benchBand is the engine's auto band at the default Pad=8.
 const benchBand = 18
 
+// BenchmarkAlignBandedSemiGlobal62 times AlignBanded, a one-lane
+// AlignBatch sweep (seven padding lanes), at the engine's shape and band:
+// what the benchmark's phmm.scalar_ns_per_cell probe times per alignment.
 func BenchmarkAlignBandedSemiGlobal62(b *testing.B) {
 	p, window := benchInputs(b)
 	a, err := NewAligner(DefaultParams(), SemiGlobal)
@@ -107,24 +64,6 @@ func BenchmarkAlignBandedSemiGlobal62(b *testing.B) {
 		}
 	}
 	reportPerCell(b, 62, len(window), 8, benchBand)
-}
-
-// BenchmarkAlignBandedFullWidth62 runs the banded code path with a band
-// covering the whole window — the overhead of band bookkeeping relative
-// to BenchmarkAlignSemiGlobal62 is the price of the unified kernel.
-func BenchmarkAlignBandedFullWidth62(b *testing.B) {
-	p, window := benchInputs(b)
-	a, err := NewAligner(DefaultParams(), SemiGlobal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.AlignBanded(p.Matrix, window, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPerCell(b, 62, len(window), 0, 0)
 }
 
 func BenchmarkViterbiBanded62(b *testing.B) {
@@ -255,32 +194,15 @@ func rampBenchInputs(b *testing.B, L int) ([]*pwm.Matrix, []dna.Seq) {
 }
 
 // BenchmarkContributionsInto measures posterior extraction per
-// alignment at the engine's band: from the scalar kernel's contiguous
-// planes, and from an 8-lane batch of distinct quality-ramp reads with
-// every lane extracted after the invalidation a fresh AlignBatch does —
-// what the mapper pays — under the vector and the generic rows.
+// alignment at the engine's band, from an 8-lane batch of distinct
+// quality-ramp reads with every lane extracted after the invalidation a
+// fresh AlignBatch does — what the mapper pays — under the vector and the
+// generic rows.
 // subnormal-cells/alignment counts the band cells whose fM*bM product
 // is subnormal (each costs a microcode assist; see EXPERIMENTS.md).
 func BenchmarkContributionsInto(b *testing.B) {
-	p, window := benchInputs(b)
-	dst := make([][dna.NumChannels]float64, len(window))
-	totals := make([]float64, len(window))
-	b.Run("scalar", func(b *testing.B) {
-		a, err := NewAligner(DefaultParams(), SemiGlobal)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := a.AlignBanded(p.Matrix, window, 8, benchBand)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := res.ContributionsInto(ByCall, dst, totals); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	dst := make([][dna.NumChannels]float64, 78)
+	totals := make([]float64, 78)
 	for _, kernel := range []string{"avx2", "generic"} {
 		b.Run("batch-of-8/"+kernel, func(b *testing.B) {
 			if !setAVX2(b, kernel == "avx2") {

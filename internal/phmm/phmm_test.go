@@ -82,7 +82,7 @@ func TestNewAlignerRejectsBadMode(t *testing.T) {
 func TestSingleCellGlobalExact(t *testing.T) {
 	// Read "A" vs window "A": the only alignment is one match.
 	// L = TMM · p*(1,1), p*(1,1) = Match[A][A] = 0.98.
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	res, err := a.Align(onehot(t, "A"), dna.MustParseSeq("A"))
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func bruteForce(t *testing.T, p Params, x *pwm.Matrix, y dna.Seq, mode Mode) flo
 
 func TestForwardMatchesBruteForceGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(3)
 		m := 1 + rng.Intn(4) // insertions make m < n legal
@@ -195,7 +195,7 @@ func TestForwardMatchesBruteForceGlobal(t *testing.T) {
 
 func TestForwardMatchesBruteForceSemiGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	a := mustAligner(t, SemiGlobal)
+	a := mustRef(t, SemiGlobal)
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(3)
 		m := 1 + rng.Intn(4)
@@ -244,7 +244,7 @@ func relErr(a, b float64) float64 {
 func TestPosteriorRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, mode := range []Mode{Global, SemiGlobal} {
-		a := mustAligner(t, mode)
+		a := mustRef(t, mode)
 		for trial := 0; trial < 20; trial++ {
 			n := 1 + rng.Intn(40)
 			m := n + rng.Intn(20)
@@ -272,7 +272,7 @@ func TestPosteriorRowsSumToOne(t *testing.T) {
 }
 
 func TestPosteriorPeaksOnPerfectMatch(t *testing.T) {
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	s := "ACGTACGTTGCA"
 	res, err := a.Align(noisy(t, s, 0.01), dna.MustParseSeq(s))
 	if err != nil {
@@ -286,7 +286,7 @@ func TestPosteriorPeaksOnPerfectMatch(t *testing.T) {
 }
 
 func TestSemiGlobalFindsOffsetMatch(t *testing.T) {
-	a := mustAligner(t, SemiGlobal)
+	a := mustRef(t, SemiGlobal)
 	genome := dna.MustParseSeq("TTTTTTACGTACGGTTTTTT")
 	read := noisy(t, "ACGTACGG", 0.01)
 	res, err := a.Align(read, genome)
@@ -304,7 +304,7 @@ func TestSemiGlobalFindsOffsetMatch(t *testing.T) {
 func TestDeletionShowsGapPosterior(t *testing.T) {
 	// Window has one extra base relative to the read: the alignment
 	// must delete it, and PostGapY mass should appear at that column.
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	read := noisy(t, "ACGTCGTA", 0.01)
 	window := dna.MustParseSeq("ACGTGCGTA") // extra G at column 5
 	res, err := a.Align(read, window)
@@ -322,7 +322,7 @@ func TestDeletionShowsGapPosterior(t *testing.T) {
 
 func TestInsertionShowsGapXPosterior(t *testing.T) {
 	// Read has one extra base: some read base must sit in GX.
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	read := noisy(t, "ACGTTCGTA", 0.01) // extra T at read position 5
 	window := dna.MustParseSeq("ACGTCGTA")
 	res, err := a.Align(read, window)
@@ -341,7 +341,7 @@ func TestInsertionShowsGapXPosterior(t *testing.T) {
 }
 
 func TestContributionByCall(t *testing.T) {
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	s := "ACGTACGT"
 	res, err := a.Align(noisy(t, s, 0.01), dna.MustParseSeq(s))
 	if err != nil {
@@ -367,7 +367,7 @@ func TestContributionByCall(t *testing.T) {
 }
 
 func TestContributionByPWMSpreadsUncertainty(t *testing.T) {
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	// Very low-confidence read: e = 0.6 means the called base gets 0.4.
 	read, err := pwm.FromSeqUniformError(dna.MustParseSeq("A"), 0.6)
 	if err != nil {
@@ -388,7 +388,7 @@ func TestContributionByPWMSpreadsUncertainty(t *testing.T) {
 }
 
 func TestContributionOutsideAlignmentIsZero(t *testing.T) {
-	a := mustAligner(t, SemiGlobal)
+	a := mustRef(t, SemiGlobal)
 	genome := dna.MustParseSeq("TTTTTTTTTTACGTACGGTTTTTTTTTT")
 	res, err := a.Align(noisy(t, "ACGTACGG", 0.01), genome)
 	if err != nil {
@@ -412,7 +412,7 @@ func TestLongReadScalingStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	res, err := a.Align(x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestErrNoAlignment(t *testing.T) {
 			}
 		}
 	}
-	a, err := NewAligner(p, Global)
+	a, err := newRefAligner(p, Global)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,17 +449,20 @@ func TestErrNoAlignment(t *testing.T) {
 
 func TestAlignInputValidation(t *testing.T) {
 	a := mustAligner(t, Global)
-	if _, err := a.Align(onehot(t, "A"), nil); err == nil {
+	if _, err := a.AlignBanded(onehot(t, "A"), nil, 0, 0); err == nil {
 		t.Error("empty window accepted")
 	}
 	empty, _ := pwm.FromSeqUniformError(nil, 0.1)
-	if _, err := a.Align(empty, dna.MustParseSeq("A")); err == nil {
+	if _, err := a.AlignBanded(empty, dna.MustParseSeq("A"), 0, 0); err == nil {
 		t.Error("empty read accepted")
+	}
+	if a.CellsComputed() != 0 {
+		t.Errorf("rejected inputs billed %d cells", a.CellsComputed())
 	}
 }
 
 func TestGenomeNUniformEmission(t *testing.T) {
-	a := mustAligner(t, Global)
+	a := mustRef(t, Global)
 	res, err := a.Align(onehot(t, "A"), dna.MustParseSeq("N"))
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +475,7 @@ func TestGenomeNUniformEmission(t *testing.T) {
 }
 
 func TestBufferReuseAcrossSizes(t *testing.T) {
-	a := mustAligner(t, SemiGlobal)
+	a := mustRef(t, SemiGlobal)
 	// Big alignment then small one: stale buffer contents must not leak.
 	if _, err := a.Align(onehot(t, "ACGTACGTACGTACGT"), dna.MustParseSeq("ACGTACGTACGTACGTACGT")); err != nil {
 		t.Fatal(err)
@@ -497,7 +500,7 @@ func TestContributionsIntoMatchesPerColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, mode := range []Mode{Global, SemiGlobal} {
 		for _, attr := range []Attribution{ByCall, ByPWM} {
-			a := mustAligner(t, mode)
+			a := mustRef(t, mode)
 			n := 5 + rng.Intn(30)
 			m := n + rng.Intn(16)
 			x := randomPWM(rng, n)
@@ -534,7 +537,7 @@ func TestContributionsIntoMatchesPerColumn(t *testing.T) {
 func TestBufferReuseNoStaleState(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, mode := range []Mode{Global, SemiGlobal} {
-		reused := mustAligner(t, mode)
+		reused := mustRef(t, mode)
 		for trial := 0; trial < 50; trial++ {
 			n := 1 + rng.Intn(25)
 			m := 1 + rng.Intn(30)
@@ -543,7 +546,7 @@ func TestBufferReuseNoStaleState(t *testing.T) {
 			}
 			x := randomPWM(rng, n)
 			y := randomSeq(rng, m)
-			fresh := mustAligner(t, mode)
+			fresh := mustRef(t, mode)
 			rr, err1 := reused.Align(x, y)
 			fr, err2 := fresh.Align(x, y)
 			if (err1 == nil) != (err2 == nil) {

@@ -15,9 +15,9 @@ import (
 // implementations: the AVX2 assembly in batch_amd64.s, taken when
 // cpu.HasAVX2, and the Go function beside it here, its step-for-step
 // reference and the only kernel off amd64. Both evaluate the scalar
-// kernel's expression trees in align.go operation for operation, and Go
-// never contracts a*b+c into an FMA, so each lane is bit-identical to a
-// scalar AlignBanded call whichever runs. The pointers address
+// kernel's expression trees (the tests' oracle, ref_test.go) operation
+// for operation, and Go never contracts a*b+c into an FMA, so each lane
+// is bit-identical to a scalar alignment whichever runs. The pointers address
 // lane-striped planes (8 lanes per cell); the byte offsets are the ones
 // the assembly uses, asserted in batch_avx2_amd64.go. The Go rows are
 // go:norace, as invisible to the race detector as the assembly: they

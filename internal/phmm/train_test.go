@@ -1,6 +1,7 @@
 package phmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,7 +132,7 @@ func TestFitImprovesLikelihood(t *testing.T) {
 		}
 	}
 	// Likelihood of the data under the start params.
-	al, err := NewAligner(start, SemiGlobal)
+	al, err := newRefAligner(start, SemiGlobal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFitImprovesLikelihood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := al2.Align(fresh[0].X, fresh[0].Y); err != nil {
+	if _, err := al2.AlignBanded(fresh[0].X, fresh[0].Y, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,19 +172,22 @@ func TestFitImprovesLikelihood(t *testing.T) {
 // non-negative, and the M-row total is below n per read.
 func TestExpectedCountsSane(t *testing.T) {
 	pairs := makePairs(t, 5, 0.02, 0.02, 17)
-	al, err := NewAligner(DefaultParams(), SemiGlobal)
+	ba, err := NewBatchAligner(DefaultParams(), SemiGlobal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mm, mg, gm, gg float64
-	var match [dna.NumBases][dna.NumBases]float64
+	var c counts
 	for _, pr := range pairs {
-		r, err := al.Align(pr.X, pr.Y)
+		results, err := ba.AlignBatch([]*pwm.Matrix{pr.X}, []dna.Seq{pr.Y}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		accumulateExpectations(r, pr, &mm, &mg, &gm, &gg, &match)
+		if results[0].Err != nil {
+			t.Fatal(results[0].Err)
+		}
+		accumulateExpectations(&results[0], pr, &c)
 	}
+	mm, mg, gm, gg, match := c.cMM, c.cMG, c.cGM, c.cGG, c.cMatch
 	for _, v := range []float64{mm, mg, gm, gg} {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("bad expected count: mm=%v mg=%v gm=%v gg=%v", mm, mg, gm, gg)
@@ -203,4 +207,127 @@ func TestExpectedCountsSane(t *testing.T) {
 	if emit <= 0 || emit > float64(len(pairs))*54 {
 		t.Errorf("expected emission mass %v out of range", emit)
 	}
+}
+
+// requireSameFit holds two fits to equal bits: every parameter, the
+// log-likelihood and the iteration count.
+func requireSameFit(t *testing.T, label string, got, want *TrainResult) {
+	t.Helper()
+	g, w := got.Params, want.Params
+	gs := []float64{g.TMM, g.TMG, g.TGM, g.TGG, g.Q, got.LogLik}
+	ws := []float64{w.TMM, w.TMG, w.TGM, w.TGG, w.Q, want.LogLik}
+	for y := range g.Match {
+		gs, ws = append(gs, g.Match[y][:]...), append(ws, w.Match[y][:]...)
+	}
+	for k := range gs {
+		if math.Float64bits(gs[k]) != math.Float64bits(ws[k]) {
+			t.Fatalf("%s: value %d (TMM, TMG, TGM, TGG, Q, LogLik, Match...) is %v, scalar EM %v", label, k, gs[k], ws[k])
+		}
+	}
+	if got.Iters != want.Iters {
+		t.Fatalf("%s: %d iterations, scalar EM %d", label, got.Iters, want.Iters)
+	}
+}
+
+// TestFitMatchesScalarEM: Fit's batched E-step must reproduce the
+// pair-at-a-time EM on the scalar reference bit for bit — parameters,
+// LogLik and Iters — in both modes. The pair sets have indels, so read
+// lengths vary and the same-shape runs AlignBatch takes are ragged; they
+// hold 1, 7, 8, 9 and 17 pairs (a run of one, a partial sweep, one full
+// sweep, a full sweep plus one); some windows and reads carry N; and a
+// Global-mode pair that admits no alignment under the zero-tolerance
+// start sits among live lanes of its shape. Under the AVX2 rows and the
+// Go rows.
+func TestFitMatchesScalarEM(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		strict := DefaultParams()
+		for y := range strict.Match {
+			for k := range strict.Match[y] {
+				strict.Match[y][k] = 0
+			}
+			strict.Match[y][y] = 1
+		}
+		rng := rand.New(rand.NewSource(36))
+		for _, mode := range []Mode{Global, SemiGlobal} {
+			for _, count := range []int{1, 7, 8, 9, 17} {
+				pairs := makePairs(t, count, 0.02, 0.03, int64(100*int(mode)+count))
+				for len(pairs) < count {
+					pairs = append(pairs, pairs[len(pairs)-1])
+				}
+				for k := range pairs {
+					if k%3 != 1 {
+						continue
+					}
+					// A window and a read with N.
+					y := pairs[k].Y.Clone()
+					y[rng.Intn(len(y))] = dna.N
+					read := pairs[k].X.Calls().Clone()
+					read[rng.Intn(len(read))] = dna.N
+					x, err := pwm.FromSeqUniformError(read, 0.01)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pairs[k] = TrainingPair{X: x, Y: y}
+				}
+				label := fmt.Sprintf("mode %v, %d pairs", mode, count)
+				want, err := refFit(pairs, DefaultParams(), TrainOptions{Mode: mode})
+				if err != nil {
+					t.Fatalf("%s: scalar EM: %v", label, err)
+				}
+				got, err := Fit(pairs, DefaultParams(), TrainOptions{Mode: mode})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSameFit(t, label, got, want)
+			}
+		}
+
+		// Global mode from the zero-tolerance start: a one-hot read whose
+		// first base mismatches its window has no alignment in the first
+		// E-step (every Global path opens with a match at (1,1)), so both
+		// EMs skip it there and use it afterwards.
+		pairs := makePairs(t, 12, 0.02, 0.03, 37)
+		window := pairs[0].Y
+		read := window[:54].Clone()
+		read[0] = dna.Code((int(read[0]) + 1) % 4)
+		dead, err := pwm.FromSeqUniformError(read, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs[:5:5], append([]TrainingPair{{X: dead, Y: window}}, pairs[5:]...)...)
+		shared := 0
+		for _, pr := range pairs {
+			if pr.X.Len() == 54 && len(pr.Y) == len(window) {
+				shared++
+			}
+		}
+		if shared < 2 {
+			t.Fatalf("setup: the dead pair shares its shape with %d pairs", shared-1)
+		}
+		ref, err := newRefAligner(strict, Global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Align(dead, window); err != ErrNoAlignment {
+			t.Fatalf("setup: dead pair aligns under the strict start (err %v)", err)
+		}
+		want, err := refFit(pairs, strict, TrainOptions{Mode: Global})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Fit(pairs, strict, TrainOptions{Mode: Global})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameFit(t, "global with a dead pair", got, want)
+
+		// Errors stay errors: no live pair at all, and an empty window.
+		if _, err := Fit(pairs[5:6], strict, TrainOptions{Mode: Global}); err == nil {
+			t.Error("Fit on one dead pair succeeded")
+		}
+		empty := append(pairs[:3:3], TrainingPair{X: pairs[3].X, Y: dna.Seq{}})
+		if _, err := Fit(empty, DefaultParams(), TrainOptions{}); err == nil {
+			t.Error("Fit with an empty window succeeded")
+		}
+	})
 }

@@ -87,13 +87,13 @@ const (
 //
 // Viterbi is used by the single-best-path ablation and by callers that
 // need a concrete CIGAR; the mapper itself uses the forward-backward
-// marginal (Align), which is the paper's core methodological point.
+// marginal (AlignBatch), which is the paper's core methodological point.
 func (a *Aligner) Viterbi(x *pwm.Matrix, y dna.Seq) (*Path, error) {
 	return a.ViterbiBanded(x, y, 0, 0)
 }
 
 // ViterbiBanded is Viterbi restricted to a diagonal band, with the same
-// band semantics as AlignBanded: only cells with |j - i - diag| <=
+// band semantics as AlignBatch: only cells with |j - i - diag| <=
 // band/2 are computed, and band <= 0 reproduces Viterbi exactly.
 func (a *Aligner) ViterbiBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path, error) {
 	n, m := x.Len(), len(y)

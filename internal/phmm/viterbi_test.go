@@ -73,7 +73,7 @@ func TestViterbiInsertion(t *testing.T) {
 func TestViterbiBoundedByForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, mode := range []Mode{Global, SemiGlobal} {
-		a := mustAligner(t, mode)
+		a := mustRef(t, mode)
 		for trial := 0; trial < 20; trial++ {
 			n := 2 + rng.Intn(20)
 			m := n + rng.Intn(10)
