@@ -34,15 +34,16 @@
 // exit), standard runtime profiles for `go tool pprof`.
 //
 // One mapping run: reads stream from the FASTQ through one bounded
-// pipeline (-sam needs the whole read set for its second pass, so it
-// loads it and hands the pipeline the slice as its source; -fit reads
-// only its 2000-read sample, then the FASTQ streams). -checkpoint and
-// -incremental-every subscribe to that pipeline's quiesce barrier and
-// compose with each other, with -fit/-sam and with -split read. The
-// four feature × placement pairs that do not compose are refused at
-// startup by the library (gnumap.CheckModes), naming both flags and the
-// reason: -checkpoint, -incremental-every, -sam and -pileup with -split
-// genome (genome-split keeps no whole-genome state on any rank).
+// pipeline, and no option holds the read set: -fit reads only its
+// 2000-read sample, and -sam's second pass reopens the FASTQ after
+// calling and streams it again (so -sam needs a regular file; a FIFO is
+// refused at startup). -checkpoint and -incremental-every subscribe to
+// that pipeline's quiesce barrier and compose with each other, with
+// -fit/-sam and with -split read. The four feature × placement pairs
+// that do not compose are refused at startup by the library
+// (gnumap.CheckModes), naming both flags and the reason: -checkpoint,
+// -incremental-every, -sam and -pileup with -split genome (genome-split
+// keeps no whole-genome state on any rank).
 //
 // Crash safety: -checkpoint FILE makes the run write its full state
 // (config fingerprint, source watermark, mapping counters, accumulator)
@@ -72,7 +73,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -85,6 +85,7 @@ import (
 	"time"
 
 	"gnumap"
+	"gnumap/internal/fastq"
 	"gnumap/internal/obs"
 )
 
@@ -256,16 +257,10 @@ func run() error {
 	if err := gnumap.CheckModes(opts, outputs...); err != nil {
 		return err
 	}
-	// The mapping source: the FASTQ stream, or — when SAM output needs
-	// the whole read set for its second pass — the loaded slice, which
-	// is just another (replayable) source.
-	materialize := *samPath != ""
-	var reads []*gnumap.Read
-	if materialize {
-		reads, err = gnumap.LoadReads(*readsPath, enc)
-		if err != nil {
-			return err
-		}
+	// -sam streams the FASTQ a second time after calling: a pipe or
+	// device can be read only once.
+	if fi, err := os.Stat(*readsPath); *samPath != "" && err == nil && !fi.Mode().IsRegular() {
+		return fmt.Errorf("-sam reads -reads twice (mapping, then alignment export): %s is not a regular file", *readsPath)
 	}
 	opts.Engine.K = *seedLen
 	switch {
@@ -310,7 +305,12 @@ func run() error {
 	// as well as mapping.
 	opts.Caller.CallWorkers = *workers
 	if *fit {
-		sample, err := headReads(*readsPath, enc, 2000)
+		f, err := gnumap.OpenReads(*readsPath, enc)
+		if err != nil {
+			return err
+		}
+		sample, err := fastq.NextBatch(f, 2000)
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -336,14 +336,9 @@ func run() error {
 	// — close it. Genome-split has no rank that could hold a Pipeline's
 	// state and keeps its own runner.
 	start := time.Now()
-	var src gnumap.ReadSource = gnumap.SliceReadSource(reads)
-	closeSrc := func() error { return nil }
-	if !materialize {
-		f, err := gnumap.OpenReads(*readsPath, enc)
-		if err != nil {
-			return err
-		}
-		src, closeSrc = f, f.Close
+	src, err := gnumap.OpenReads(*readsPath, enc)
+	if err != nil {
+		return err
 	}
 	var calls []gnumap.SNPCall
 	var stats gnumap.MapStats
@@ -365,7 +360,7 @@ func run() error {
 		// honest after a resume.
 		stats = p.CumulativeStats()
 	}
-	if cerr := closeSrc(); err == nil {
+	if cerr := src.Close(); err == nil {
 		err = cerr
 	}
 	// A graceful stop (gnumap.ErrStopped) calls and writes nothing but
@@ -393,7 +388,15 @@ func run() error {
 		qcStats = &cs
 		if *samPath != "" {
 			if err := writeTo(*samPath, func(f *os.File) error {
-				return p.WriteSAM(f, reads)
+				src, err := gnumap.OpenReads(*readsPath, enc)
+				if err != nil {
+					return err
+				}
+				err = p.WriteSAM(f, src)
+				if cerr := src.Close(); err == nil {
+					err = cerr
+				}
+				return err
 			}); err != nil {
 				return err
 			}
@@ -507,26 +510,4 @@ func parseMemory(s string) (gnumap.MemoryMode, error) {
 	default:
 		return 0, fmt.Errorf("unknown -memory %q (want norm, chardisc, or centdisc)", s)
 	}
-}
-
-// headReads reads the first n reads of a FASTQ file (fewer if it is
-// shorter) and closes it.
-func headReads(path string, enc gnumap.QualityEncoding, n int) ([]*gnumap.Read, error) {
-	f, err := gnumap.OpenReads(path, enc)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var reads []*gnumap.Read
-	for len(reads) < n {
-		rd, err := f.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		reads = append(reads, rd)
-	}
-	return reads, nil
 }

@@ -170,10 +170,6 @@ func NewMetricsReport(snaps []MetricsSnapshot, deadRanks []int) (*MetricsReport,
 	return obs.NewReport(snaps, deadRanks)
 }
 
-// ValidateMetricsJSON checks that data parses as a serialized
-// MetricsReport with internally consistent merged totals.
-func ValidateMetricsJSON(data []byte) error { return obs.ValidateReportJSON(data) }
-
 // ClusterConfig is where a run executes — its placement (Nodes,
 // Transport, Split: the parameters RunClusterStreamReport takes positionally)
 // — and the cluster's fault model: operation deadlines, heartbeat
@@ -333,7 +329,7 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 	if p.opts.Cluster.Nodes > 1 {
 		st, err = p.mapReadSplit(src, &pol)
 	} else {
-		st, err = p.eng.MapReadsFrom(src, p.acc, 0, &pol)
+		st, err = p.eng.MapReadsFrom(src, p.acc, &pol)
 	}
 	if cw != nil {
 		err = cw.finish(err) // the newest checkpoint must be durable before we return
@@ -438,12 +434,15 @@ func WriteVCF(w io.Writer, calls []SNPCall) error {
 // WriteVCF is the package-level WriteVCF (it uses nothing of p).
 func (p *Pipeline) WriteVCF(w io.Writer, calls []SNPCall) error { return WriteVCF(w, calls) }
 
-// WriteSAM maps the reads again and writes each read's single best
-// alignment as SAM (Viterbi path of the highest-posterior location).
-// Note this is a separate pass: the accumulation pipeline marginalizes
-// over alignments and does not retain per-read paths.
-func (p *Pipeline) WriteSAM(w io.Writer, reads []*Read) error {
-	return p.eng.WriteAlignments(w, reads, "gnumap-snp")
+// WriteSAM maps the reads src yields again and writes each read's
+// single best alignment as SAM (Viterbi path of the highest-posterior
+// location). It is a second pass over the input — the accumulation
+// pipeline marginalizes over alignments and retains no per-read paths —
+// and it streams: src is pulled a mapping chunk at a time, so a caller
+// replays its input by reopening it (a FASTQ file) rather than holding
+// the read set.
+func (p *Pipeline) WriteSAM(w io.Writer, src ReadSource) error {
+	return p.eng.WriteAlignments(w, src, "gnumap-snp")
 }
 
 // WritePileup writes the per-position probability pileup as TSV for

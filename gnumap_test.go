@@ -321,7 +321,7 @@ func TestPipelineSAMAndPileup(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sam bytes.Buffer
-	if err := p.WriteSAM(&sam, ds.Reads[:50]); err != nil {
+	if err := p.WriteSAM(&sam, SliceReadSource(ds.Reads[:50])); err != nil {
 		t.Fatal(err)
 	}
 	out := sam.String()

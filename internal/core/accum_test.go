@@ -51,7 +51,7 @@ func TestMapReadsShardedMatchesStriped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := eng.MapReads(p.reads, acc, 0)
+		st, err := eng.MapReads(p.reads, acc)
 		if err != nil {
 			t.Fatal(err)
 		}

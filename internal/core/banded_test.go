@@ -45,7 +45,7 @@ func TestBandedEngineSameSNPCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.MapReads(p.reads, acc, 0); err != nil {
+		if _, err := eng.MapReads(p.reads, acc); err != nil {
 			t.Fatal(err)
 		}
 		calls, _, err := snp.CallAll(p.ref, acc, snp.Config{Ploidy: lrt.Monoploid})
@@ -138,7 +138,7 @@ func TestMapBatchSteadyStateZeroAllocs(t *testing.T) {
 		reads = reads[:200]
 	}
 	var st Stats
-	sink := m.accumulate(acc, 0, &st)
+	sink := m.accumulate(acc, &st)
 	round := func() {
 		if err := m.mapBatch(reads, false, sink); err != nil {
 			t.Fatal(err)

@@ -114,7 +114,7 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.MapReads(reads, acc, 0)
+	st, err := eng.MapReads(reads, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestMapperScratchOutlivesCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := reg.Counter("phmm.cells").Value()
-		if _, err := eng.MapReads(reads, acc, 0); err != nil {
+		if _, err := eng.MapReads(reads, acc); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Counter("phmm.cells").Value() - before

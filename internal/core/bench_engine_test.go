@@ -18,7 +18,7 @@ func BenchmarkMapReadsEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc, _ := genome.New(genome.Norm, g.ref.Len())
-		if _, err := eng.MapReads(g.reads, acc, 0); err != nil {
+		if _, err := eng.MapReads(g.reads, acc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,7 +38,7 @@ func BenchmarkMapReadsStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc, _ := genome.New(genome.Norm, g.ref.Len())
-		if _, err := eng.MapReadsFrom(fastq.SliceSource(g.reads), acc, 0, nil); err != nil {
+		if _, err := eng.MapReadsFrom(fastq.SliceSource(g.reads), acc, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func benchMapBatch(b *testing.B, cfg Config) {
 		b.Fatal(err)
 	}
 	var st Stats
-	sink := m.accumulate(acc, 0, &st)
+	sink := m.accumulate(acc, &st)
 	// Warmup grows the mapper's arenas to their high-water mark.
 	if err := m.mapBatch(warmup(g.reads), false, sink); err != nil {
 		b.Fatal(err)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
@@ -103,16 +101,9 @@ func nextSplitBatch(c *cluster.Comm, src fastq.Source) ([]*fastq.Read, error) {
 		if src == nil {
 			return nil, fmt.Errorf("core: rank 0 needs a read source")
 		}
-		batch = make([]*fastq.Read, 0, genomeSplitBatch)
-		for len(batch) < genomeSplitBatch {
-			rd, err := src.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: read source: %w", err)
-			}
-			batch = append(batch, rd)
+		var err error
+		if batch, err = fastq.NextBatch(src, genomeSplitBatch); err != nil {
+			return nil, fmt.Errorf("core: read source: %w", err)
 		}
 	}
 	v, err := c.Broadcast(0, batch)

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -128,15 +127,15 @@ var errLedgerMismatch = errors.New("core: round payload disagrees with the rank'
 // normally and rank 0 returns ErrStopped.
 func RunReadSplit(c *cluster.Comm, eng *Engine, acc genome.Accumulator, src fastq.Source, policy *CheckpointPolicy) (Stats, error) {
 	if c.Rank() != 0 {
-		return streamReceive(c, eng.startPipe(acc, 0), acc)
+		return streamReceive(c, eng.startPipe(acc), acc)
 	}
-	return deal(c, eng, acc, 0, src, policy)
+	return deal(c, eng, acc, src, policy)
 }
 
 // deal runs rank 0's dealer over c's ranks, or over none when c is nil
 // (no cluster transport at all), with rank 0's own pipe mapping into
-// acc at accOffset.
-func deal(c *cluster.Comm, eng *Engine, acc genome.Accumulator, accOffset int, src fastq.Source, policy *CheckpointPolicy) (Stats, error) {
+// acc.
+func deal(c *cluster.Comm, eng *Engine, acc genome.Accumulator, src fastq.Source, policy *CheckpointPolicy) (Stats, error) {
 	if src == nil {
 		return Stats{}, fmt.Errorf("core: nil read source")
 	}
@@ -148,7 +147,7 @@ func deal(c *cluster.Comm, eng *Engine, acc genome.Accumulator, accOffset int, s
 		size = c.Size()
 	}
 	d := &dealer{c: c, src: src, acc: acc, cfg: eng.cfg, policy: policy, cad: newCadence(policy.Subscribers),
-		pipe: eng.startPipe(acc, accOffset), peers: make([]peer, size)}
+		pipe: eng.startPipe(acc), peers: make([]peer, size)}
 	if reg := eng.cfg.Metrics; reg != nil {
 		// The window the whole run waits on the subscribers, once per
 		// barrier that runs one: the checkpoint feature's added
@@ -299,18 +298,11 @@ func (d *dealer) nextBatch() ([]*fastq.Read, error) {
 	if d.eof {
 		return nil, nil
 	}
-	batch := make([]*fastq.Read, 0, d.cfg.Batch)
-	for len(batch) < d.cfg.Batch {
-		rd, err := d.src.Next()
-		if err == io.EOF {
-			d.eof = true
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: read source: %w", err)
-		}
-		batch = append(batch, rd)
+	batch, err := fastq.NextBatch(d.src, d.cfg.Batch)
+	if err != nil {
+		return nil, fmt.Errorf("core: read source: %w", err)
 	}
+	d.eof = len(batch) < d.cfg.Batch
 	d.dealt += int64(len(batch))
 	d.cad.advance(int64(len(batch)))
 	if len(batch) == 0 {

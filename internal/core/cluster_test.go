@@ -24,7 +24,7 @@ func sharedBaseline(t *testing.T, p *pipeline, mode genome.Mode) genome.Accumula
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.MapReads(p.reads, acc, 0); err != nil {
+	if _, err := eng.MapReads(p.reads, acc); err != nil {
 		t.Fatal(err)
 	}
 	return acc

@@ -330,7 +330,7 @@ func TestReadSplitDegradedCheckpointRounds(t *testing.T) {
 		if err := acc.LoadStateBytes(s.state); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.MapReads(p.reads[s.consumed:], acc, 0); err != nil {
+		if _, err := eng.MapReads(p.reads[s.consumed:], acc); err != nil {
 			t.Fatal(err)
 		}
 		if g := callSet(t, p.ref, acc); fmt.Sprint(g) != fmt.Sprint(want) {
@@ -475,7 +475,7 @@ func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pipe := eng.startPipe(acc, 0)
+		pipe := eng.startPipe(acc)
 		defer pipe.finish()
 		taken := 0
 		for {
@@ -589,7 +589,7 @@ func TestReadSplitDegradedLostDoneIsResent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pipe := eng.startPipe(acc, 0)
+		pipe := eng.startPipe(acc)
 		defer pipe.finish()
 		taken := 0
 		for {
@@ -672,7 +672,7 @@ func TestReadSplitDegradedLostMarkerIsResent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pipe := eng.startPipe(acc, 0)
+		pipe := eng.startPipe(acc)
 		defer pipe.finish()
 		taken := 0
 		for {

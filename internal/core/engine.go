@@ -884,7 +884,7 @@ func (e *Engine) weights(w []float64) []float64 {
 // accumulate returns the emit callback of an accumulating run: it folds
 // each read's posterior-weighted contributions into acc. Stats fields
 // are updated atomically; the accumulator handles its own locking.
-func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) func(int, []location) error {
+func (m *mapper) accumulate(acc genome.Accumulator, st *Stats) func(int, []location) error {
 	met := m.met
 	return func(_ int, locs []location) error {
 		if len(locs) == 0 {
@@ -907,7 +907,7 @@ func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) fu
 				continue
 			}
 			accepted++
-			acc.AddRange(loc.windowStart-accOffset, loc.contribs, ws[i])
+			acc.AddRange(loc.windowStart, loc.contribs, ws[i])
 		}
 		atomic.AddInt64(&st.Locations, accepted)
 		if met != nil {
@@ -921,6 +921,6 @@ func (m *mapper) accumulate(acc genome.Accumulator, accOffset int, st *Stats) fu
 
 // MapReads maps an in-memory read slice: MapReadsFrom over a slice
 // source, with no barrier policy.
-func (e *Engine) MapReads(reads []*fastq.Read, acc genome.Accumulator, accOffset int) (Stats, error) {
-	return e.MapReadsFrom(fastq.SliceSource(reads), acc, accOffset, nil)
+func (e *Engine) MapReads(reads []*fastq.Read, acc genome.Accumulator) (Stats, error) {
+	return e.MapReadsFrom(fastq.SliceSource(reads), acc, nil)
 }

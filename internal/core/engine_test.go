@@ -70,7 +70,7 @@ func TestMapReadsNilAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.MapReads(p.reads, nil, 0); err == nil {
+	if _, err := eng.MapReads(p.reads, nil); err == nil {
 		t.Error("nil accumulator accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestEndToEndSNPRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.MapReads(p.reads, acc, 0)
+	st, err := eng.MapReads(p.reads, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMalformedReadsAreUnmappedNotFatal(t *testing.T) {
 		{Name: "empty"},
 		{Name: "mismatched", Seq: dna.MustParseSeq("ACGT"), Qual: []uint8{30}},
 	}
-	st, err := eng.MapReads(bad, acc, 0)
+	st, err := eng.MapReads(bad, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestMultiMappedReadContributesToBothCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc, _ := genome.New(genome.Norm, ref.Len())
-	st, err := eng.MapReads([]*fastq.Read{rd}, acc, 0)
+	st, err := eng.MapReads([]*fastq.Read{rd}, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestMultiMappedReadContributesToBothCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	accBest, _ := genome.New(genome.Norm, ref.Len())
-	if _, err := engBest.MapReads([]*fastq.Read{rd}, accBest, 0); err != nil {
+	if _, err := engBest.MapReads([]*fastq.Read{rd}, accBest); err != nil {
 		t.Fatal(err)
 	}
 	fz = view(t, accBest)
@@ -193,7 +193,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc, _ := genome.New(genome.Norm, p.ref.Len())
-		if _, err := eng.MapReads(p.reads, acc, 0); err != nil {
+		if _, err := eng.MapReads(p.reads, acc); err != nil {
 			t.Fatal(err)
 		}
 		calls, _, err := snp.CallAll(p.ref, acc, snp.Config{})
@@ -214,7 +214,7 @@ func TestViterbiOnlyAblationStillRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc, _ := genome.New(genome.Norm, p.ref.Len())
-	st, err := eng.MapReads(p.reads, acc, 0)
+	st, err := eng.MapReads(p.reads, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestGlobalModeWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc, _ := genome.New(genome.Norm, p.ref.Len())
-	st, err := eng.MapReads(p.reads, acc, 0)
+	st, err := eng.MapReads(p.reads, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDiploidHetRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc, _ := genome.New(genome.Norm, ref.Len())
-	if _, err := eng.MapReads(reads, acc, 0); err != nil {
+	if _, err := eng.MapReads(reads, acc); err != nil {
 		t.Fatal(err)
 	}
 	calls, _, err := snp.CallAll(ref, acc, snp.Config{Ploidy: lrt.Diploid})
@@ -297,31 +297,6 @@ func TestDiploidHetRecovery(t *testing.T) {
 	}
 	if hets < 3 {
 		t.Errorf("only %d het calls for %d het sites", hets, len(cat))
-	}
-}
-
-func TestAccumulatorOffsets(t *testing.T) {
-	p := makePipeline(t, 20000, 2, 10, 37)
-	eng, err := NewEngine(p.ref, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _ := genome.New(genome.Norm, p.ref.Len())
-	if _, err := eng.MapReads(p.reads, full, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Offset accumulator covering the second half only.
-	half := p.ref.Len() / 2
-	part, _ := genome.New(genome.Norm, p.ref.Len()-half)
-	if _, err := eng.MapReads(p.reads, part, half); err != nil {
-		t.Fatal(err)
-	}
-	va, vb := view(t, full), view(t, part)
-	for pos := half; pos < p.ref.Len(); pos += 997 {
-		a, b := va.Total(pos), vb.Total(pos-half)
-		if math.Abs(a-b) > 1e-6*(1+a) {
-			t.Fatalf("offset accumulation mismatch at %d: %v vs %v", pos, a, b)
-		}
 	}
 }
 

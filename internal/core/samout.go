@@ -9,15 +9,17 @@ import (
 	"gnumap/internal/sam"
 )
 
-// WriteAlignments maps every read and writes its single best alignment
-// as SAM to w (plus an unmapped record for reads with no accepted
+// WriteAlignments maps every read src yields, mapChunk reads at a time
+// (the chunk mapBatch packs lanes across, so the bytes do not depend on
+// how the source is batched), and writes its single best alignment as
+// SAM to w (plus an unmapped record for reads with no accepted
 // location). The marginal accumulator pipeline (MapReads) is the
 // paper's core contribution; this exporter exists for interoperability
 // with standard genomics tooling, reporting the Viterbi path of the
 // highest-likelihood location with a mapping quality derived from that
 // location's posterior weight — MapQ = -10·log10(1 - w), capped at 60,
 // which is 0 for perfectly ambiguous multi-mapping reads.
-func (e *Engine) WriteAlignments(w io.Writer, reads []*fastq.Read, program string) error {
+func (e *Engine) WriteAlignments(w io.Writer, src fastq.Source, program string) error {
 	sw := sam.NewWriter(w)
 	if err := sw.WriteHeader(e.ref.Contigs(), program); err != nil {
 		return err
@@ -27,7 +29,8 @@ func (e *Engine) WriteAlignments(w io.Writer, reads []*fastq.Read, program strin
 		return err
 	}
 	defer e.putMapper(m)
-	err = m.mapBatch(reads, false, func(i int, locs []location) error {
+	var reads []*fastq.Read
+	emit := func(i int, locs []location) error {
 		rd := reads[i]
 		if len(locs) == 0 {
 			return sw.Write(sam.UnmappedRecord(rd))
@@ -44,11 +47,18 @@ func (e *Engine) WriteAlignments(w io.Writer, reads []*fastq.Read, program strin
 			return err
 		}
 		return sw.Write(rec)
-	})
-	if err != nil {
-		return err
 	}
-	return sw.Flush()
+	for {
+		if reads, err = fastq.NextBatch(src, mapChunk); err != nil {
+			return fmt.Errorf("core: read source: %w", err)
+		}
+		if err := m.mapBatch(reads, false, emit); err != nil {
+			return err
+		}
+		if len(reads) < mapChunk {
+			return sw.Flush()
+		}
+	}
 }
 
 // samRecord renders one location as a SAM record, re-running Viterbi on

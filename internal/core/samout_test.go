@@ -30,7 +30,7 @@ func TestWriteAlignmentsEndToEnd(t *testing.T) {
 	garbage := &fastq.Read{Name: "junk", Seq: junk, Qual: qual}
 
 	var buf bytes.Buffer
-	if err := eng.WriteAlignments(&buf, []*fastq.Read{fwd, rev, garbage}, "test"); err != nil {
+	if err := eng.WriteAlignments(&buf, fastq.SliceSource([]*fastq.Read{fwd, rev, garbage}), "test"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -90,7 +90,7 @@ func TestWriteAlignmentsMultiMapLowMapQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := eng.WriteAlignments(&buf, []*fastq.Read{rd}, "test"); err != nil {
+	if err := eng.WriteAlignments(&buf, fastq.SliceSource([]*fastq.Read{rd}), "test"); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {

@@ -165,20 +165,18 @@ func (c *cadence) run(due []int, b *Barrier) error {
 
 // MapReadsFrom maps every read src yields, accumulating online into
 // acc, while holding at most (Queue + Workers) · Batch reads fed and
-// unfinished. Accumulator index 0 corresponds to global position
-// accOffset (zero for a whole-genome accumulator). At Workers = 1 reads
-// are mapped in source order, so the accumulated bytes depend only on
-// the input.
+// unfinished. At Workers = 1 reads are mapped in source order, so the
+// accumulated bytes depend only on the input.
 //
 // It is the read-split dealer with no peers: no cluster transport, the
 // same batches, stop polling and barriers. A non-nil policy adds quiesce
 // barriers: when a subscriber is due the pipe waits out its in-flight
 // batches and the due subscribers run on the parked accumulator.
-func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, accOffset int, policy *CheckpointPolicy) (Stats, error) {
+func (e *Engine) MapReadsFrom(src fastq.Source, acc genome.Accumulator, policy *CheckpointPolicy) (Stats, error) {
 	if acc == nil {
 		return Stats{}, fmt.Errorf("core: nil accumulator")
 	}
-	return deal(nil, e, acc, accOffset, src, policy)
+	return deal(nil, e, acc, src, policy)
 }
 
 // pipe is one rank's mapping workers draining the batches its dealer
@@ -201,11 +199,11 @@ type pipe struct {
 }
 
 // startPipe starts Config.Workers mapping workers over acc.
-func (e *Engine) startPipe(acc genome.Accumulator, accOffset int) *pipe {
+func (e *Engine) startPipe(acc genome.Accumulator) *pipe {
 	p := &pipe{work: make(chan []*fastq.Read, e.cfg.Queue), sm: newStreamMetrics(e.cfg.Metrics)}
 	for w := 0; w < e.cfg.Workers; w++ {
 		p.workers.Add(1)
-		go p.worker(e, acc, accOffset)
+		go p.worker(e, acc)
 	}
 	return p
 }
@@ -213,7 +211,7 @@ func (e *Engine) startPipe(acc genome.Accumulator, accOffset int) *pipe {
 // worker maps batches until the feed closes. After the first failure it
 // keeps draining the queue without mapping, so quiesce and finish
 // still return.
-func (p *pipe) worker(e *Engine, acc genome.Accumulator, accOffset int) {
+func (p *pipe) worker(e *Engine, acc genome.Accumulator) {
 	defer p.workers.Done()
 	m, err := e.getMapper()
 	if err != nil {
@@ -223,7 +221,7 @@ func (p *pipe) worker(e *Engine, acc genome.Accumulator, accOffset int) {
 	}
 	var sink func(int, []location) error
 	if m != nil {
-		sink = m.accumulate(acc, accOffset, &p.st)
+		sink = m.accumulate(acc, &p.st)
 	}
 	for b := range p.work {
 		if p.sm != nil {

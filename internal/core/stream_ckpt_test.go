@@ -52,7 +52,7 @@ func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0, nil)
+	wantSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 	pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(r sinkRecord) {
 		sinks = append(sinks, r)
 	})}}
-	gotSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol)
+	gotSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCheckpointStallIsRecorded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol); err != nil {
+				if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, pol); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -166,7 +166,7 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), full, 0, nil)
+	fullSt, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 		})},
 		StopRequested: func() bool { return nSinks.Load() >= 2 },
 	}
-	_, err = eng.MapReadsFrom(fastq.SliceSource(p.reads), acc1, 0, pol)
+	_, err = eng.MapReadsFrom(fastq.SliceSource(p.reads), acc1, pol)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
 	}
@@ -203,7 +203,7 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rest := p.reads[last.consumed:]
-	restSt, err := eng.MapReadsFrom(fastq.SliceSource(rest), acc2, 0, nil)
+	restSt, err := eng.MapReadsFrom(fastq.SliceSource(rest), acc2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, 0, nil); err != nil {
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), want, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,7 +253,7 @@ func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
 		{EveryReads: 100, Run: count(&fast)},
 		{EveryReads: 250, Run: count(&slow)},
 	}}
-	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, pol); err != nil {
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, pol); err != nil {
 		t.Fatal(err)
 	}
 	n := int64(len(p.reads))

@@ -46,7 +46,7 @@ func TestMapReadsStopLatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.MapReads(reads, acc, 0); err != boom {
+	if _, err := eng.MapReads(reads, acc); err != boom {
 		t.Fatalf("MapReads error = %v, want the poisoned-read error", err)
 	}
 	if n := processed.Load(); n > total/2 {
@@ -88,7 +88,7 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantSt Stats
-	sink := m.accumulate(serial, 0, &wantSt)
+	sink := m.accumulate(serial, &wantSt)
 	for _, rd := range p.reads {
 		if err := m.mapRead(rd, sink); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 	want := state(serial)
 
 	slice := newAcc()
-	gotSt, err := eng.MapReads(p.reads, slice, 0)
+	gotSt, err := eng.MapReads(p.reads, slice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := newAcc()
-	if _, err := eng2.MapReadsFrom(fastq.SliceSource(p.reads), src, 0, nil); err != nil {
+	if _, err := eng2.MapReadsFrom(fastq.SliceSource(p.reads), src, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(state(src), want) {
@@ -141,7 +141,7 @@ func TestMapReadsFromMemoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, 0, nil); err != nil {
+	if _, err := eng.MapReadsFrom(fastq.SliceSource(p.reads), acc, nil); err != nil {
 		t.Fatal(err)
 	}
 	peak := reg.Gauge("stream.peak.resident.reads").Value()
@@ -192,7 +192,7 @@ func TestMapReadsFromSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.MapReadsFrom(src, acc, 0, nil)
+	_, err = eng.MapReadsFrom(src, acc, nil)
 	if err == nil || !errorContains(err, "disk on fire") {
 		t.Fatalf("MapReadsFrom error = %v, want wrapped source error", err)
 	}
@@ -230,7 +230,7 @@ func TestMapReadsFromWorkerErrorStopsProducer(t *testing.T) {
 	var mapErr error
 	go func() {
 		defer close(done)
-		_, mapErr = eng.MapReadsFrom(fastq.SliceSource(reads), acc, 0, nil)
+		_, mapErr = eng.MapReadsFrom(fastq.SliceSource(reads), acc, nil)
 	}()
 	select {
 	case <-done:
@@ -256,7 +256,7 @@ func TestMapReadsFromEmptySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.MapReadsFrom(fastq.SliceSource(nil), acc, 0, nil)
+	st, err := eng.MapReadsFrom(fastq.SliceSource(nil), acc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -363,7 +363,7 @@ func CutoffSweep(ds *Dataset, workers int, alphas []float64) ([]SweepRow, error)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := eng.MapReads(ds.Reads, acc, 0); err != nil {
+	if _, err := eng.MapReads(ds.Reads, acc); err != nil {
 		return nil, err
 	}
 	var rows []SweepRow

@@ -23,6 +23,24 @@ type Source interface {
 	Next() (*Read, error)
 }
 
+// NextBatch pulls up to n reads from src. A batch shorter than n means
+// the source ended (io.EOF is not an error here); any other error is
+// returned as is, for the caller to wrap.
+func NextBatch(src Source, n int) ([]*Read, error) {
+	batch := make([]*Read, 0, n)
+	for len(batch) < n {
+		rd, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		batch = append(batch, rd)
+	}
+	return batch, nil
+}
+
 // sliceSource adapts an in-memory read slice to a Source (tests,
 // benchmarks, and callers that already materialized their reads).
 type sliceSource struct {

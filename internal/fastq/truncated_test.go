@@ -135,3 +135,55 @@ func TestPlainTruncatedFastqStillErrors(t *testing.T) {
 		t.Errorf("plain-file truncation produced gzip TruncatedError: %v", err)
 	}
 }
+
+// NextBatch fills whole batches, ends the stream with a short one (empty
+// when the count divides evenly), and hands a source error back
+// unwrapped — here a truncated gzip member, so the reads before the cut
+// are not passed off as the end of the input.
+func TestNextBatch(t *testing.T) {
+	reads := make([]*Read, 10)
+	for i := range reads {
+		reads[i] = &Read{Name: fmt.Sprint(i)}
+	}
+	for _, n := range []int{1, 3, 5, 10, 64} {
+		src := SliceSource(reads)
+		var got []*Read
+		for {
+			batch, err := NextBatch(src, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, batch...)
+			if len(batch) < n {
+				break
+			}
+			if len(batch) != n {
+				t.Fatalf("n=%d: batch of %d", n, len(batch))
+			}
+		}
+		if len(got) != len(reads) {
+			t.Fatalf("n=%d: %d reads, want %d", n, len(got), len(reads))
+		}
+		for i := range got {
+			if got[i] != reads[i] {
+				t.Fatalf("n=%d: read %d out of order", n, i)
+			}
+		}
+	}
+	path := truncatedFixture(t, 200, 0.6)
+	fl, err := Open(path, Sanger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	for {
+		batch, err := NextBatch(fl, 16)
+		if err != nil {
+			checkTruncatedError(t, err, path)
+			break
+		}
+		if len(batch) < 16 {
+			t.Fatalf("truncated stream ended with a short batch of %d and no error", len(batch))
+		}
+	}
+}

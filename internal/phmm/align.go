@@ -15,26 +15,19 @@ import (
 var ErrNoAlignment = errors.New("phmm: no alignment with non-zero probability")
 
 // Aligner holds the per-goroutine state of the single-path aligner: the
-// quality-weighted emissions and the Viterbi DP buffers (viterbi.go). It
-// runs no forward-backward of its own — every marginal alignment goes
-// through BatchAligner.AlignBatch, and AlignBanded is a one-lane batch.
-// One Aligner per goroutine; results are views into its buffers and are
+// Viterbi DP buffers (viterbi.go). It keeps no emission plane — Viterbi
+// takes a read row's five log emissions once per row — and runs no
+// forward-backward of its own: every marginal alignment goes through
+// BatchAligner.AlignBatch, and AlignBanded is a one-lane batch. One
+// Aligner per goroutine; results are views into its buffers and are
 // invalidated by the next call.
 type Aligner struct {
 	params Params
 	mode   Mode
-	mean   [dna.NumBases]float64
-
-	// pstar caches the quality-weighted emissions p*(i,j) for all
-	// in-band cells, flattened row-major with stride m+1 (row i spans
-	// [i*(m+1), (i+1)*(m+1))), filled once per Viterbi call.
-	pstar []float64
-
-	// band geometry of the current run: when banded, only cells with
-	// |j - i - diag| <= radius are computed. Set per Viterbi call.
-	banded bool
-	diag   int
-	radius int
+	// emit holds the emission rows p(·|c) by window code c: Match's
+	// four and, at dna.N, their mean (an ambiguous genome base) — the
+	// batch kernel's table.
+	emit [dna.N + 1][dna.NumBases]float64
 
 	// cells accumulates the DP cells computed (per pass geometry, not
 	// per pass count) across the aligner's lifetime — the kernel-work
@@ -57,7 +50,7 @@ func NewAligner(p Params, mode Mode) (*Aligner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aligner{params: p, mode: mode, mean: p.meanMatch(), batch: b}, nil
+	return &Aligner{params: p, mode: mode, emit: b.emit, batch: b}, nil
 }
 
 // Params returns the aligner's parameter set.
@@ -89,11 +82,6 @@ func bandRowBounds(i, m, diag, radius int, banded bool) (lo, hi int) {
 		hi = m
 	}
 	return lo, hi
-}
-
-// rowBounds is bandRowBounds under the aligner's current geometry.
-func (a *Aligner) rowBounds(i, m int) (lo, hi int) {
-	return bandRowBounds(i, m, a.diag, a.radius, a.banded)
 }
 
 // BandCells returns the number of DP cells one pass of a banded
@@ -136,31 +124,6 @@ func (a *Aligner) AlignBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*BatchR
 		return nil, res[0].Err
 	}
 	return &res[0], nil
-}
-
-// fillEmissions computes p*(i,j) = Σ_k r_ik·p(k|y_j) for every in-band
-// cell of the current geometry into a.pstar, which must hold (n+1)·(m+1)
-// cells. Out-of-band cells keep whatever an earlier run left there; no
-// pass reads them.
-func (a *Aligner) fillEmissions(x *pwm.Matrix, y dna.Seq, n, m int) {
-	w := m + 1
-	for i := 1; i <= n; i++ {
-		lo, hi := a.rowBounds(i, m)
-		if lo > hi {
-			continue
-		}
-		row := x.Row(i - 1) // PWM is 0-based
-		out := a.pstar[i*w+lo : i*w+hi+1]
-		for jj := range out {
-			yj := y[lo-1+jj]
-			if yj.IsConcrete() {
-				mr := &a.params.Match[yj]
-				out[jj] = row[dna.A]*mr[dna.A] + row[dna.C]*mr[dna.C] + row[dna.G]*mr[dna.G] + row[dna.T]*mr[dna.T]
-			} else {
-				out[jj] = row[dna.A]*a.mean[dna.A] + row[dna.C]*a.mean[dna.C] + row[dna.G]*a.mean[dna.G] + row[dna.T]*a.mean[dna.T]
-			}
-		}
-	}
 }
 
 // Attribution selects how posterior match mass at a genome position is

@@ -15,10 +15,20 @@ import (
 // lane to it bit for bit, refFit is Fit on it, and the model-level tests
 // (brute-force likelihoods, posterior rows summing to 1, gap mass,
 // Viterbi <= forward) check the math on it. It embeds the production
-// Aligner for the emissions, the band geometry, the cell count and
-// Viterbi.
+// Aligner for the parameters, the cell count and Viterbi, and keeps the
+// per-cell emission plane the production aligners do without; refViterbi
+// is the production Viterbi's oracle on that plane.
 type refAligner struct {
 	*Aligner
+	// pstar caches the quality-weighted emissions p*(i,j) for all
+	// in-band cells, flattened row-major with stride m+1, filled once
+	// per run.
+	pstar []float64
+	// band geometry of the current run: when banded, only cells with
+	// |j - i - diag| <= radius are computed.
+	banded bool
+	diag   int
+	radius int
 	// DP matrices, flattened row-major with stride m+1; row i spans
 	// [i*(m+1), (i+1)*(m+1)). Only the cells each pass writes are
 	// (re-)initialized — see forward/backward — so buffer reuse never
@@ -48,6 +58,214 @@ func mustRef(t testing.TB, mode Mode) *refAligner {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// rowBounds is bandRowBounds under the aligner's current geometry.
+func (a *refAligner) rowBounds(i, m int) (lo, hi int) {
+	return bandRowBounds(i, m, a.diag, a.radius, a.banded)
+}
+
+// fillEmissions computes p*(i,j) = Σ_k r_ik·p(k|y_j) for every in-band
+// cell of the current geometry into a.pstar, which must hold (n+1)·(m+1)
+// cells. Out-of-band cells keep whatever an earlier run left there; no
+// pass reads them.
+func (a *refAligner) fillEmissions(x *pwm.Matrix, y dna.Seq, n, m int) {
+	w := m + 1
+	mean := &a.emit[dna.N]
+	for i := 1; i <= n; i++ {
+		lo, hi := a.rowBounds(i, m)
+		if lo > hi {
+			continue
+		}
+		row := x.Row(i - 1) // PWM is 0-based
+		out := a.pstar[i*w+lo : i*w+hi+1]
+		for jj := range out {
+			yj := y[lo-1+jj]
+			if yj.IsConcrete() {
+				mr := &a.params.Match[yj]
+				out[jj] = row[dna.A]*mr[dna.A] + row[dna.C]*mr[dna.C] + row[dna.G]*mr[dna.G] + row[dna.T]*mr[dna.T]
+			} else {
+				out[jj] = row[dna.A]*mean[dna.A] + row[dna.C]*mean[dna.C] + row[dna.G]*mean[dna.G] + row[dna.T]*mean[dna.T]
+			}
+		}
+	}
+}
+
+// refViterbi is ViterbiBanded over a per-cell emission plane: it fills
+// p*(i,j) for every in-band cell and takes one math.Log per cell, where
+// the production Viterbi takes a row's five log emissions once. It
+// shares the embedded Aligner's DP buffers and Path.
+func (a *refAligner) refViterbi(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path, error) {
+	n, m := x.Len(), len(y)
+	if n == 0 || m == 0 {
+		return nil, fmt.Errorf("phmm: empty read (%d) or window (%d)", n, m)
+	}
+	a.banded = band > 0
+	a.diag = diag
+	a.radius = band / 2
+	a.cells += int64(BandCells(n, m, diag, band))
+	p := a.params
+	w := m + 1
+	size := (n + 1) * w
+	if cap(a.pstar) < size {
+		a.pstar = make([]float64, size)
+	}
+	a.pstar = a.pstar[:size]
+	a.fillEmissions(x, y, n, m)
+	a.resizeViterbi(size)
+	vM, vX, vY := a.vM, a.vX, a.vY
+	ptrM, ptrX, ptrY := a.ptrM, a.ptrX, a.ptrY
+	negInf := math.Inf(-1)
+	logTMM, logTMG := math.Log(p.TMM), math.Log(p.TMG)
+	logTGM, logTGG := math.Log(p.TGM), math.Log(p.TGG)
+	logQ := math.Log(p.Q)
+
+	// Row-0 border over the cells row 1 reads. Every in-band cell is
+	// written unconditionally below, so no bulk -Inf fill is needed —
+	// only the borders and per-row band guards (mirroring forward's
+	// zero guards, with -Inf as the additive identity).
+	lo1, hi1 := a.rowBounds(1, m)
+	for j := lo1 - 1; j <= hi1; j++ {
+		vM[j], vX[j], vY[j] = negInf, negInf, negInf
+	}
+	if a.mode == Global {
+		vM[0] = 0 // virtual begin
+	}
+	for i := 1; i <= n; i++ {
+		lo, hi := a.rowBounds(i, m)
+		if lo > hi {
+			return nil, ErrNoAlignment
+		}
+		prev, cur := (i-1)*w, i*w
+		// Left guard (same role as forward's).
+		vM[cur+lo-1], vX[cur+lo-1], vY[cur+lo-1] = negInf, negInf, negInf
+		for j := lo; j <= hi; j++ {
+			lps := math.Log(a.pstar[cur+j])
+			// M state.
+			best, from := negInf, stNone
+			if v := logTMM + vM[prev+j-1]; v > best {
+				best, from = v, stM
+			}
+			if v := logTGM + vX[prev+j-1]; v > best {
+				best, from = v, stX
+			}
+			if v := logTGM + vY[prev+j-1]; v > best {
+				best, from = v, stY
+			}
+			if a.mode == SemiGlobal && i == 1 && best < 0 {
+				// Free entry with unit weight (log 0 = 0 contribution).
+				best, from = 0, stBegin
+			}
+			if from != stNone {
+				vM[cur+j] = lps + best
+				ptrM[cur+j] = from
+			} else {
+				vM[cur+j] = negInf
+			}
+			// GX state.
+			best, from = negInf, stNone
+			if v := logTMG + vM[prev+j]; v > best {
+				best, from = v, stM
+			}
+			if v := logTGG + vX[prev+j]; v > best {
+				best, from = v, stX
+			}
+			if from != stNone {
+				vX[cur+j] = logQ + best
+				ptrX[cur+j] = from
+			} else {
+				vX[cur+j] = negInf
+			}
+			// GY state.
+			best, from = negInf, stNone
+			if v := logTMG + vM[cur+j-1]; v > best {
+				best, from = v, stM
+			}
+			if v := logTGG + vY[cur+j-1]; v > best {
+				best, from = v, stY
+			}
+			if from != stNone {
+				vY[cur+j] = logQ + best
+				ptrY[cur+j] = from
+			} else {
+				vY[cur+j] = negInf
+			}
+		}
+		// Right guard.
+		if hi < m {
+			vM[cur+hi+1], vX[cur+hi+1], vY[cur+hi+1] = negInf, negInf, negInf
+		}
+	}
+	// Pick the terminal cell.
+	last := n * w
+	lon, hin := a.rowBounds(n, m)
+	bestScore, bestJ, bestState := negInf, 0, stNone
+	if a.mode == Global {
+		if hin != m {
+			return nil, ErrNoAlignment
+		}
+		bestJ = m
+		for _, s := range [...]struct {
+			v  float64
+			st viterbiState
+		}{{vM[last+m], stM}, {vX[last+m], stX}, {vY[last+m], stY}} {
+			if s.v > bestScore {
+				bestScore, bestState = s.v, s.st
+			}
+		}
+	} else {
+		for j := lon; j <= hin; j++ {
+			if vM[last+j] > bestScore {
+				bestScore, bestJ, bestState = vM[last+j], j, stM
+			}
+			if vX[last+j] > bestScore {
+				bestScore, bestJ, bestState = vX[last+j], j, stX
+			}
+		}
+	}
+	if bestState == stNone || math.IsInf(bestScore, -1) {
+		return nil, ErrNoAlignment
+	}
+	// Traceback.
+	rev := a.opsRev[:0]
+	i, j, st := n, bestJ, bestState
+	for {
+		var from viterbiState
+		switch st {
+		case stM:
+			from = ptrM[i*w+j]
+			rev = append(rev, OpMatch)
+			i, j = i-1, j-1
+		case stX:
+			from = ptrX[i*w+j]
+			rev = append(rev, OpInsert)
+			i = i - 1
+		case stY:
+			from = ptrY[i*w+j]
+			rev = append(rev, OpDelete)
+			j = j - 1
+		}
+		if from == stBegin || (i == 0 && j == 0) {
+			break
+		}
+		if i < 0 || j < 0 {
+			a.opsRev = rev
+			return nil, fmt.Errorf("phmm: viterbi traceback escaped the matrix at (%d,%d)", i, j)
+		}
+		st = from
+	}
+	a.opsRev = rev
+	// Reverse ops into the reusable output slice.
+	if cap(a.ops) < len(rev) {
+		a.ops = make([]Op, len(rev))
+	}
+	ops := a.ops[:len(rev)]
+	for k := range rev {
+		ops[k] = rev[len(rev)-1-k]
+	}
+	start := j + 1
+	a.path = Path{LogProb: bestScore, Start: start, End: bestJ, Ops: ops}
+	return &a.path, nil
 }
 
 // refResult is a completed scalar alignment: a view into the

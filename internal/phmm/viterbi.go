@@ -100,18 +100,11 @@ func (a *Aligner) ViterbiBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path
 	if n == 0 || m == 0 {
 		return nil, fmt.Errorf("phmm: empty read (%d) or window (%d)", n, m)
 	}
-	a.banded = band > 0
-	a.diag = diag
-	a.radius = band / 2
+	banded, radius := band > 0, band/2
 	a.cells += int64(BandCells(n, m, diag, band))
 	p := a.params
 	w := m + 1
 	size := (n + 1) * w
-	if cap(a.pstar) < size {
-		a.pstar = make([]float64, size)
-	}
-	a.pstar = a.pstar[:size]
-	a.fillEmissions(x, y, n, m)
 	a.resizeViterbi(size)
 	vM, vX, vY := a.vM, a.vX, a.vY
 	ptrM, ptrX, ptrY := a.ptrM, a.ptrX, a.ptrY
@@ -124,23 +117,29 @@ func (a *Aligner) ViterbiBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path
 	// written unconditionally below, so no bulk -Inf fill is needed —
 	// only the borders and per-row band guards (mirroring forward's
 	// zero guards, with -Inf as the additive identity).
-	lo1, hi1 := a.rowBounds(1, m)
+	lo1, hi1 := bandRowBounds(1, m, diag, radius, banded)
 	for j := lo1 - 1; j <= hi1; j++ {
 		vM[j], vX[j], vY[j] = negInf, negInf, negInf
 	}
 	if a.mode == Global {
 		vM[0] = 0 // virtual begin
 	}
+	// logEm[c] is log p*(i, j) for a window base y_j = c: a read row's
+	// emissions take only these five values (dna.N indexes the mean row).
+	var logEm [dna.N + 1]float64
 	for i := 1; i <= n; i++ {
-		lo, hi := a.rowBounds(i, m)
+		lo, hi := bandRowBounds(i, m, diag, radius, banded)
 		if lo > hi {
 			return nil, ErrNoAlignment
 		}
+		a.logEmissions(x.Row(i-1), &logEm)
+		// SemiGlobal reads enter for free anywhere on row 1.
+		freeEntry := a.mode == SemiGlobal && i == 1
 		prev, cur := (i-1)*w, i*w
 		// Left guard (same role as forward's).
 		vM[cur+lo-1], vX[cur+lo-1], vY[cur+lo-1] = negInf, negInf, negInf
 		for j := lo; j <= hi; j++ {
-			lps := math.Log(a.pstar[cur+j])
+			lps := logEm[min(y[j-1], dna.N)]
 			// M state.
 			best, from := negInf, stNone
 			if v := logTMM + vM[prev+j-1]; v > best {
@@ -152,7 +151,7 @@ func (a *Aligner) ViterbiBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path
 			if v := logTGM + vY[prev+j-1]; v > best {
 				best, from = v, stY
 			}
-			if a.mode == SemiGlobal && i == 1 && best < 0 {
+			if freeEntry && best < 0 {
 				// Free entry with unit weight (log 0 = 0 contribution).
 				best, from = 0, stBegin
 			}
@@ -198,7 +197,7 @@ func (a *Aligner) ViterbiBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path
 	}
 	// Pick the terminal cell.
 	last := n * w
-	lon, hin := a.rowBounds(n, m)
+	lon, hin := bandRowBounds(n, m, diag, radius, banded)
 	bestScore, bestJ, bestState := negInf, 0, stNone
 	if a.mode == Global {
 		if hin != m {
@@ -266,6 +265,15 @@ func (a *Aligner) ViterbiBanded(x *pwm.Matrix, y dna.Seq, diag, band int) (*Path
 	start := j + 1
 	a.path = Path{LogProb: bestScore, Start: start, End: bestJ, Ops: ops}
 	return &a.path, nil
+}
+
+// logEmissions sets e[c] to log Σ_k r_k·p(k|c), the log emission of
+// PWM row r against window code c (dna.N: an ambiguous base), with the
+// expression the batch kernel's emission table evaluates.
+func (a *Aligner) logEmissions(row [dna.NumBases]float64, e *[dna.N + 1]float64) {
+	for c, er := range &a.emit {
+		e[c] = math.Log(row[dna.A]*er[dna.A] + row[dna.C]*er[dna.C] + row[dna.G]*er[dna.G] + row[dna.T]*er[dna.T])
+	}
 }
 
 // resizeViterbi grows the Viterbi DP buffers without clearing them; the

@@ -2,11 +2,14 @@ package phmm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gnumap/internal/dna"
+	"gnumap/internal/pwm"
 )
 
 func TestViterbiPerfectMatch(t *testing.T) {
@@ -188,5 +191,100 @@ func TestViterbiLogProbMatchesManual(t *testing.T) {
 	want := math.Log(p.TMM*p.Match[dna.A][dna.A]) + math.Log(p.TMM*p.Match[dna.C][dna.C])
 	if math.Abs(path.LogProb-want) > 1e-12 {
 		t.Errorf("LogProb = %v, want %v", path.LogProb, want)
+	}
+}
+
+// The production Viterbi takes a read row's five log emissions once per
+// row; refViterbi takes one math.Log per cell of the emission plane.
+// They must agree bit for bit — LogProb, span, ops and ErrNoAlignment —
+// on random and quality-derived PWMs (N calls), windows with N and codes
+// past it, both modes, unbanded, narrow and full-width bands, bands that
+// slide off either edge of the window, and zero-tolerance emissions
+// (log 0 = -Inf cells).
+func TestViterbiMatchesCellPlane(t *testing.T) {
+	oneHot := DefaultParams()
+	for y := range oneHot.Match {
+		for k := range oneHot.Match[y] {
+			oneHot.Match[y][k] = 0
+		}
+		oneHot.Match[y][y] = 1
+	}
+	for _, mode := range []Mode{Global, SemiGlobal} {
+		for pi, p := range []Params{DefaultParams(), oneHot} {
+			rng := rand.New(rand.NewSource(int64(71 + 2*int(mode) + pi)))
+			a, err := NewAligner(p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefAligner(p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, dead := 0, 0
+			for trial := 0; trial < 300; trial++ {
+				n := 1 + rng.Intn(40)
+				m := 1 + rng.Intn(60)
+				var x *pwm.Matrix
+				switch {
+				case pi == 1:
+					x, err = pwm.FromSeqUniformError(randomSeq(rng, n), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+				case trial%2 == 0:
+					x = qualityRead(rng, n)
+				default:
+					x = randomPWM(rng, n)
+				}
+				y := randomSeq(rng, m)
+				if pi == 1 {
+					copy(y, x.Calls())
+				}
+				if trial%3 != 0 {
+					plantAmbiguous(rng, y)
+				}
+				diag, band := 0, 0
+				switch trial % 4 {
+				case 1: // narrow, on or near the diagonal
+					diag, band = rng.Intn(max(m-n, 0)+3), 2+2*rng.Intn(6)
+				case 2: // full width
+					band = fullWidthBand(n, m)
+				case 3: // slides off the left or the right edge
+					band = 2 + 2*rng.Intn(4)
+					diag = -band - rng.Intn(4)
+					if rng.Intn(2) == 0 {
+						diag = m - n + band/2 + rng.Intn(6)
+					}
+				}
+				label := fmt.Sprintf("%v params %d trial %d (n=%d m=%d diag=%d band=%d)", mode, pi, trial, n, m, diag, band)
+				want, wantErr := ref.refViterbi(x, y, diag, band)
+				got, gotErr := a.ViterbiBanded(x, y, diag, band)
+				if wantErr != nil {
+					if !errors.Is(wantErr, ErrNoAlignment) {
+						t.Fatalf("%s: oracle: %v", label, wantErr)
+					}
+					if !errors.Is(gotErr, ErrNoAlignment) {
+						t.Fatalf("%s: err = %v, want ErrNoAlignment", label, gotErr)
+					}
+					dead++
+					continue
+				}
+				if gotErr != nil {
+					t.Fatalf("%s: %v, oracle found %s", label, gotErr, want.CIGAR())
+				}
+				if math.Float64bits(got.LogProb) != math.Float64bits(want.LogProb) ||
+					got.Start != want.Start || got.End != want.End || !slices.Equal(got.Ops, want.Ops) {
+					t.Fatalf("%s: got %g [%d,%d] %s, want %g [%d,%d] %s", label,
+						got.LogProb, got.Start, got.End, got.CIGAR(), want.LogProb, want.Start, want.End, want.CIGAR())
+				}
+				paths++
+			}
+			if a.CellsComputed() != ref.CellsComputed() {
+				t.Errorf("%v params %d: %d cells, oracle %d", mode, pi, a.CellsComputed(), ref.CellsComputed())
+			}
+			if paths < 30 || dead < 30 {
+				t.Errorf("%v params %d: %d paths and %d ErrNoAlignment in 300 trials; want both covered", mode, pi, paths, dead)
+			}
+		}
 	}
 }
