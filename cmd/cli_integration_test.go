@@ -464,3 +464,67 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		t.Errorf("gnumap-snp -h lists %d flags, budget is 29:\n%s", n, usage)
 	}
 }
+
+// TestCLIGenomeSplitHonoursIndex: -split genome seeds against the run's
+// one index. With -index FILE no rank builds one, and the VCF is the
+// one-process -index run's; without it the index is built once, on
+// rank 0, not once per rank.
+func TestCLIGenomeSplitHonoursIndex(t *testing.T) {
+	bins := buildTools(t)
+	data := t.TempDir()
+	run(t, filepath.Join(bins, "readsim"),
+		"-out", data, "-length", "30000", "-snps", "4", "-coverage", "8", "-seed", "5")
+	bin := filepath.Join(bins, "gnumap-snp")
+	ix := filepath.Join(data, "ref.gnix")
+	gnumap := func(tag string, extra ...string) []byte {
+		t.Helper()
+		out := filepath.Join(data, tag+".vcf")
+		run(t, bin, append([]string{
+			"-ref", filepath.Join(data, "reference.fa"), "-reads", filepath.Join(data, "reads.fq"),
+			"-workers", "1", "-o", out}, extra...)...)
+		vcf, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vcf
+	}
+	// indexBuilds returns the ranks of a -metrics-out report that timed an
+	// index build, one entry per observation.
+	indexBuilds := func(path string) []int {
+		t.Helper()
+		var report struct {
+			Ranks []struct {
+				Rank       int
+				Histograms map[string]struct{ Count int64 }
+			}
+		}
+		if m, err := os.ReadFile(path); err != nil || json.Unmarshal(m, &report) != nil {
+			t.Fatalf("read metrics %s: %v", path, err)
+		}
+		var ranks []int
+		for _, snap := range report.Ranks {
+			for range snap.Histograms["index.build.seconds"].Count {
+				ranks = append(ranks, snap.Rank)
+			}
+		}
+		return ranks
+	}
+
+	gnumap("write", "-seed-len", "16", "-index-write", ix)
+	one := gnumap("one", "-index", ix)
+	if !strings.Contains(string(one), "\tPASS\t") {
+		t.Fatal("one-process run called no SNPs; dataset too weak for an identity test")
+	}
+	m := filepath.Join(data, "indexed.json")
+	if got := gnumap("indexed", "-index", ix, "-nodes", "2", "-split", "genome", "-metrics-out", m); string(got) != string(one) {
+		t.Errorf("-index -nodes 2 -split genome VCF differs from the one-process -index run:\n--- want ---\n%s\n--- got ---\n%s", one, got)
+	}
+	if ranks := indexBuilds(m); len(ranks) != 0 {
+		t.Errorf("-index -nodes 2 -split genome: ranks %v built a seed index", ranks)
+	}
+	m = filepath.Join(data, "built.json")
+	gnumap("built", "-nodes", "2", "-split", "genome", "-metrics-out", m)
+	if ranks := indexBuilds(m); len(ranks) != 1 || ranks[0] != 0 {
+		t.Errorf("-nodes 2 -split genome: index builds on ranks %v, want one on rank 0", ranks)
+	}
+}

@@ -18,7 +18,10 @@
 // paper's read-split or genome-split strategy. Read-split is the same
 // pipeline with its mapping step placed on N ranks: rank 0 folds their
 // state, so -checkpoint/-resume, -sam, -pileup and the coverage summary
-// work as in one process. -op-timeout bounds every
+// work as in one process. Genome-split ranks each own a slice of the
+// accumulator and align the reads' candidates that start in it; both
+// splits seed against the run's one index (-index, -index-write, or
+// one built once), so both map what one process maps. -op-timeout bounds every
 // cluster operation; in read-split mode rank 0 then also keeps a ledger
 // of the batches it dealt since the last checkpoint round and re-deals
 // a lost worker's share (loss detected by heartbeats every tenth of the
@@ -418,16 +421,13 @@ func run() error {
 	elapsed := time.Since(start)
 
 	if stopErr == nil {
-		out := os.Stdout
+		writeVCF := func(f *os.File) error { return gnumap.WriteVCF(f, calls) }
 		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
+			err = writeTo(*outPath, writeVCF)
+		} else {
+			err = writeVCF(os.Stdout)
 		}
-		if err := gnumap.WriteVCF(out, calls); err != nil {
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "mapped %d/%d reads (%d locations) in %s; %d SNPs\n",

@@ -918,14 +918,12 @@ func CheckModes(opts Options, outputs ...string) error {
 // significance decision over the global candidate list (under FDR
 // control the Benjamini-Hochberg thresholds depend on the full ranked
 // p-value list, so a per-shard pass would change the call set with the
-// node count). Read-split maps exactly what one process maps.
-// Genome-split does not at the location level: each rank applies the
-// seed filters (MaxBucket, MinVoteFraction, MaxCandidates) over its own
-// slice index, so a read can keep candidates a whole-genome index drops
-// and the run accepts more locations than one process (DESIGN.md §10).
-// Its calls can differ too: on an 80 kbp repeat-rich dataset, seeds 11
-// and 13 lose 2 true calls at 2 and 4 ranks. One global candidate cut
-// per batch (ROADMAP item 17) is the fix.
+// node count). Both splits seed against one whole-genome index
+// (opts.Engine.SeedIndex, or one built once for the run) and map
+// exactly what one process maps: the same locations, MapStats and call
+// set. Genome-split's per-position state matches within float
+// tolerance, not bit for bit: a read's weights sum its locations in
+// rank order and boundary spills land last.
 //
 // Both splits run on one rank harness: rank 0 records into opts.Metrics
 // (a fresh registry when nil), every other rank into its own, and at the
@@ -966,9 +964,9 @@ func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 }
 
 // runGenomeSplit executes a genome-split cluster run over src, which
-// rank 0 owns: every rank maps every read against its genome slice and
-// sweeps the slice for LRT candidates, which rank 0 gathers and
-// finalizes. Rank 0 records into opts.Metrics.
+// rank 0 owns: every rank maps every read, aligning the candidates that
+// start in its genome slice, and sweeps the slice for LRT candidates,
+// which rank 0 gathers and finalizes. Rank 0 records into opts.Metrics.
 func runGenomeSplit(reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 	if err := CheckModes(opts); err != nil {
 		return nil, MapStats{}, nil, err
@@ -979,6 +977,18 @@ func runGenomeSplit(reference []*Contig, src ReadSource, opts Options) ([]SNPCal
 	}
 	cc := opts.Cluster
 	regs := rankRegistries(cc.Nodes, opts.Metrics)
+	// The ranks share this process's memory, so they seed against one
+	// whole-genome index, as one process does: Options.Engine.SeedIndex,
+	// or one built here and timed on rank 0's registry.
+	if opts.Engine.SeedIndex == nil {
+		cfg := opts.Engine
+		cfg.Metrics = regs[0]
+		eng, err := core.NewEngine(ref, cfg)
+		if err != nil {
+			return nil, MapStats{}, nil, err
+		}
+		opts.Engine.SeedIndex = eng.SeedIndex()
+	}
 	// Written only by rank 0's node goroutine; read after the run, which
 	// waits every goroutine out.
 	var calls []SNPCall

@@ -24,8 +24,13 @@ func init() {
 //     cluster_stream.go). Minimal communication, maximal memory.
 //
 //   - Genome-split ("spread memory" in Figure 4): every node holds a
-//     1/N slice of the genome and accumulator, and every node maps all
-//     reads against its slice. Rank 0 owns the read stream and
+//     1/N slice of the accumulator and maps all reads, aligning only the
+//     candidates whose seed start falls in its slice. Seeding runs
+//     against the run's one whole-genome index (the simulated ranks share
+//     one process, as read-split's do), so the seed filters — MaxBucket,
+//     the vote cut, MaxCandidates — decide exactly what they decide in
+//     one process, and the ranks together align exactly its locations.
+//     Rank 0 owns the read stream and
 //     broadcasts it a batch at a time, so no rank ever holds more than
 //     one batch. A read's posterior weights need the likelihoods of its
 //     locations on every slice, so after mapping a batch the ranks meet
@@ -119,14 +124,14 @@ func nextSplitBatch(c *cluster.Comm, src fastq.Source) ([]*fastq.Read, error) {
 
 // RunGenomeSplit executes genome-split mapping on one cluster node (the
 // protocol is described above). src must be non-nil on rank 0 and is
-// ignored elsewhere. Each rank indexes its slice extended by the longest
-// read seen so far (plus padding), so boundary-straddling reads are
-// found, and re-indexes when a batch brings a longer one — every rank
-// sees every read, so they all decide alike. Returns the local slice
-// accumulator, the owned range, and global Stats.
+// ignored elsewhere. The rank seeds every read against the whole-genome
+// index cfg.SeedIndex (built per rank when nil; a run passes all ranks
+// one) and aligns only the candidates whose seed start falls in its
+// slice, so the ranks together align exactly the locations one process
+// aligns. Returns the local slice accumulator, the owned range, and
+// global Stats.
 func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config) (genome.Accumulator, int, int, Stats, error) {
 	var st Stats
-	cfg = cfg.withDefaults()
 	size, rank := c.Size(), c.Rank()
 	L := ref.Len()
 	// Validate globally-visible conditions identically on every rank:
@@ -136,15 +141,23 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 		return nil, 0, 0, st, fmt.Errorf("core: %d nodes for a %d-base reference leaves empty slices", size, L)
 	}
 	lo, hi := GenomeSlice(L, size, rank)
+	eng, err := NewEngine(ref, cfg)
+	if err != nil {
+		return nil, 0, 0, st, err
+	}
+	eng.ownLo, eng.ownHi = lo, hi
 	// Genome-split drives one serial mapper per rank (the exchange is
 	// the bottleneck, not lock contention) into an accumulator over the
 	// rank's own slice.
+	m, err := eng.getMapper()
+	if err != nil {
+		return nil, 0, 0, st, err
+	}
 	acc, err := genome.New(mode, hi-lo)
 	if err != nil {
 		return nil, 0, 0, st, err
 	}
-	var m *mapper
-	maxReadLen, peakResident := 0, 0
+	peakResident := 0
 	spills := make(map[int]spillBatch) // destination rank -> flattened
 	var lls []float64
 	ownLocations := int64(0)
@@ -159,25 +172,6 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 			break
 		}
 		peakResident = max(peakResident, len(batch))
-		longest := maxReadLen
-		for _, rd := range batch {
-			longest = max(longest, len(rd.Seq))
-		}
-		if m == nil || longest > maxReadLen {
-			// Ownership of a location is decided by its seed start, so the
-			// index only has to reach one read (and its padding) past the
-			// slice on either side.
-			maxReadLen = longest
-			ext := maxReadLen + cfg.Pad + 1
-			eng, err := newEngineSlice(ref, max(lo-ext, 0), min(hi+ext, L), cfg)
-			if err != nil {
-				return nil, 0, 0, st, err
-			}
-			eng.ownLo, eng.ownHi = lo, hi
-			if m, err = eng.getMapper(); err != nil {
-				return nil, 0, 0, st, err
-			}
-		}
 		// Local alignment of the batch; keep: the locations must outlive
 		// the exchange.
 		batchLocs := make([][]location, len(batch))
@@ -231,7 +225,7 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 	// through MapReads, so mirror its read-level metric accounting here:
 	// every rank holds the global read counts, so rank 0 alone publishes
 	// them; locations are published by the rank that applied them.
-	if m != nil && m.met != nil {
+	if m.met != nil {
 		if rank == 0 {
 			m.met.mapped.Add(st.Mapped)
 			m.met.unmapped.Add(st.Unmapped)
@@ -260,7 +254,10 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 		if err != nil {
 			return nil, 0, 0, st, err
 		}
-		incoming := v.([]float64)
+		incoming, ok := v.([]float64)
+		if !ok {
+			return nil, 0, 0, st, fmt.Errorf("core: rank %d sent spill payload %T", r, v)
+		}
 		if len(incoming)%6 != 0 {
 			return nil, 0, 0, st, fmt.Errorf("core: malformed spill of %d floats from rank %d", len(incoming), r)
 		}

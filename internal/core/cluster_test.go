@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -277,6 +278,36 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 	})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGenomeSplitMistypedSpillIsAnError: a spill payload that is not a
+// []float64 fails the receiving rank with an error naming the sender,
+// as every other receive in the package does, instead of panicking.
+// Rank 1 is hand-driven: it takes the empty batch that ends the input,
+// then sends rank 0 a string on the spill tag.
+func TestGenomeSplitMistypedSpillIsAnError(t *testing.T) {
+	p := makePipeline(t, 5000, 1, 2, 71)
+	var rootErr error
+	err := cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
+		if c.Rank() == 0 {
+			_, _, _, _, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), genome.Norm, Config{Workers: 1})
+			return nil
+		}
+		if _, err := c.Broadcast(0, nil); err != nil {
+			return err
+		}
+		if err := c.Send(0, spillTag, "not a spill"); err != nil {
+			return err
+		}
+		_, err := c.Recv(0, spillTag)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rootErr == nil || !strings.Contains(rootErr.Error(), "rank 1 sent spill payload string") {
+		t.Fatalf("rank 0 returned %v, want a spill payload error naming rank 1", rootErr)
 	}
 }
 

@@ -45,10 +45,10 @@ type Config struct {
 	// index (SNAP-style) instead of the direct offset table.
 	K int
 	// SeedIndex, when non-nil, is a prebuilt (or file-loaded) seed
-	// index over the FULL reference, adopted instead of building one at
+	// index over the whole reference, adopted instead of building one at
 	// engine construction; its K() and SeqLen() must match the config
-	// and reference. Genome-split nodes index their own slice and
-	// ignore it.
+	// and reference. Every rank of a cluster run seeds against one such
+	// index, under either split.
 	SeedIndex kmer.SeedIndex
 	// Pad is the extra genome context on each side of a candidate
 	// window in SemiGlobal mode (default 8).
@@ -306,7 +306,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	}
 }
 
-// Engine maps reads against one reference (or reference slice).
+// Engine maps reads against one reference.
 type Engine struct {
 	cfg Config
 	// band is the resolved PHMM band width (cfg.effectiveBand()).
@@ -315,12 +315,10 @@ type Engine struct {
 	idx  kmer.SeedIndex
 	// met is nil when Config.Metrics is nil — instrumentation off.
 	met *engineMetrics
-	// indexOffset is the global position of idx position 0 (non-zero
-	// for genome-split nodes indexing a slice).
-	indexOffset int
-	// ownLo/ownHi restrict accepted candidate starts to [ownLo, ownHi)
-	// in genome-split mode, so a location straddling two nodes' index
-	// overlap is claimed by exactly one of them.
+	// ownLo/ownHi restrict accepted candidate starts to [ownLo, ownHi):
+	// a genome-split rank seeds against the whole-genome index and
+	// aligns only the candidates that start in its slice, so every
+	// location is aligned by exactly one rank.
 	ownLo, ownHi int
 	// testMapErr, when non-nil, is consulted before mapping each read.
 	// Test-only: it lets the stop-latch and streaming error paths
@@ -331,40 +329,27 @@ type Engine struct {
 	idle   []*mapper
 }
 
-// NewEngine indexes the full reference.
+// NewEngine indexes the reference, or adopts Config.SeedIndex.
 func NewEngine(ref *genome.Reference, cfg Config) (*Engine, error) {
 	if ref == nil || ref.Len() == 0 {
 		return nil, fmt.Errorf("core: empty reference")
 	}
-	return newEngineSlice(ref, 0, ref.Len(), cfg)
-}
-
-// newEngineSlice indexes only global positions [lo, hi) of the
-// reference (genome-split mode).
-func newEngineSlice(ref *genome.Reference, lo, hi int, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.PHMM.Validate(); err != nil {
 		return nil, err
 	}
-	if ref == nil || ref.Len() == 0 {
-		return nil, fmt.Errorf("core: empty reference")
-	}
-	if lo < 0 || hi > ref.Len() || lo >= hi {
-		return nil, fmt.Errorf("core: slice [%d,%d) of reference length %d", lo, hi, ref.Len())
-	}
-	var idx kmer.SeedIndex
-	if cfg.SeedIndex != nil && lo == 0 && hi == ref.Len() {
-		if cfg.SeedIndex.K() != cfg.K {
-			return nil, fmt.Errorf("core: seed index k=%d, config k=%d", cfg.SeedIndex.K(), cfg.K)
+	idx := cfg.SeedIndex
+	if idx != nil {
+		if idx.K() != cfg.K {
+			return nil, fmt.Errorf("core: seed index k=%d, config k=%d", idx.K(), cfg.K)
 		}
-		if cfg.SeedIndex.SeqLen() != ref.Len() {
+		if idx.SeqLen() != ref.Len() {
 			return nil, fmt.Errorf("core: seed index covers %d bases, reference has %d",
-				cfg.SeedIndex.SeqLen(), ref.Len())
+				idx.SeqLen(), ref.Len())
 		}
-		idx = cfg.SeedIndex
 	} else {
 		stop := cfg.Metrics.StartTimer("index.build.seconds")
-		built, err := kmer.Build(ref.Seq()[lo:hi], cfg.K)
+		built, err := kmer.Build(ref.Seq(), cfg.K)
 		stop()
 		if err != nil {
 			return nil, err
@@ -376,7 +361,7 @@ func newEngineSlice(ref *genome.Reference, lo, hi int, cfg Config) (*Engine, err
 	}
 	return &Engine{
 		cfg: cfg, band: cfg.effectiveBand(), met: newEngineMetrics(cfg.Metrics),
-		ref: ref, idx: idx, indexOffset: lo, ownLo: 0, ownHi: ref.Len(),
+		ref: ref, idx: idx, ownLo: 0, ownHi: ref.Len(),
 	}, nil
 }
 
@@ -640,7 +625,7 @@ func (m *mapper) seedRead(read int, rd *fastq.Read) {
 		if cand.Votes < voteCut {
 			continue
 		}
-		globalStart := int(cand.Start) + e.indexOffset
+		globalStart := int(cand.Start)
 		if globalStart < e.ownLo || globalStart >= e.ownHi {
 			continue
 		}

@@ -51,12 +51,6 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Error("nil reference accepted")
 	}
 	ref, _ := genome.NewSingleContig("x", dna.MustParseSeq("ACGTACGTACGTACGT"))
-	if _, err := newEngineSlice(ref, 8, 4, Config{}); err == nil {
-		t.Error("inverted slice accepted")
-	}
-	if _, err := newEngineSlice(ref, 0, 100, Config{}); err == nil {
-		t.Error("oversized slice accepted")
-	}
 	bad := Config{}
 	bad.PHMM.TMM = 0.5 // non-zero but invalid parameter set
 	if _, err := NewEngine(ref, bad); err == nil {

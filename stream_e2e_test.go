@@ -120,9 +120,10 @@ func (s *countedSource) Next() (*Read, error) {
 // TestStreamingGenomeSplit: genome-split streams — rank 0 pulls the
 // source once and broadcasts it a batch at a time, so no rank holds more
 // than one batch however long the input — and still calls what one
-// process calls. The slice indexes are sized from the reads seen so far:
-// a read more than twice as long as any before it, arriving in the last
-// batch and lying across a slice boundary, maps like the rest.
+// process calls. A read more than twice as long as any before it,
+// arriving in the last batch and lying across a slice boundary, maps
+// like the rest: its seed start picks the one rank that aligns it, and
+// its contributions past that rank's slice spill to the neighbour.
 func TestStreamingGenomeSplit(t *testing.T) {
 	ds := dataset(t)
 	// 150 bases across the rank 0 / rank 1 boundary of a 3-node run (the
