@@ -527,4 +527,13 @@ func TestCLIGenomeSplitHonoursIndex(t *testing.T) {
 	if ranks := indexBuilds(m); len(ranks) != 1 || ranks[0] != 0 {
 		t.Errorf("-nodes 2 -split genome: index builds on ranks %v, want one on rank 0", ranks)
 	}
+
+	// A format-version-1 index (every k-mer keyed apart, no canonical
+	// keys) is refused before mapping, with the flag that rebuilds it.
+	v1 := filepath.Join("..", "internal", "kmer", "testdata", "golden.gnix")
+	out, err := exec.Command(bin, "-ref", filepath.Join(data, "reference.fa"), "-reads", filepath.Join(data, "reads.fq"),
+		"-workers", "1", "-o", filepath.Join(data, "v1.vcf"), "-index", v1).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-index-write") {
+		t.Errorf("-index with a version-1 file: err=%v, want a failure naming -index-write:\n%s", err, out)
+	}
 }

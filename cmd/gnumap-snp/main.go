@@ -89,6 +89,7 @@ import (
 
 	"gnumap"
 	"gnumap/internal/fastq"
+	"gnumap/internal/kmer"
 	"gnumap/internal/obs"
 )
 
@@ -271,6 +272,9 @@ func run() error {
 		return fmt.Errorf("-index and -index-write are mutually exclusive")
 	case *indexPath != "":
 		ix, err := gnumap.OpenSeedIndex(*indexPath, reference)
+		if errors.Is(err, kmer.ErrVersion) {
+			return fmt.Errorf("open seed index: %w; rebuild it with -seed-len K -index-write FILE", err)
+		}
 		if err != nil {
 			return fmt.Errorf("open seed index: %w", err)
 		}

@@ -432,7 +432,7 @@ type mapper struct {
 	// phase 1) and every read's pending windows, in read order.
 	pwms    []pwm.Matrix
 	pending []pendingAlign
-	candBuf kmer.CandidateBuf
+	candBuf [2]kmer.CandidateBuf // forward strand, reverse strand
 	scored  []scoredCand
 	// One bin's members and the lane input views of one sweep.
 	bidx []int
@@ -601,22 +601,22 @@ func (m *mapper) seedRead(read int, rd *fastq.Read) {
 	}
 	strands := [2]*pwm.Matrix{fwd, rev}
 	// Collect candidates from both strands first so the vote filter is
-	// relative to the read's best location overall. The CandidatesInto
-	// result aliases m.candBuf and is invalidated by the second strand's
-	// query, so candidates are copied out as they stream.
+	// relative to the read's best location overall. One query seeds both:
+	// rev's calls are the reverse complement of fwd's, and the index
+	// answers each read offset for both strands at once.
 	cands := m.scored[:0]
 	bestVotes := int32(0)
 	var seedHits, seedMasked int64
-	for si, p := range strands {
-		for _, cand := range e.idx.CandidatesInto(p.Calls(), opts, &m.candBuf) {
+	f, r := e.idx.CandidatesBothInto(fwd.Calls(), opts, &m.candBuf[0], &m.candBuf[1])
+	for si, list := range [2][]kmer.Candidate{f, r} {
+		for _, cand := range list {
 			cands = append(cands, scoredCand{sc: si, cand: cand})
 			if cand.Votes > bestVotes {
 				bestVotes = cand.Votes
 			}
 		}
-		// Stats are reset per CandidatesInto call: read them per strand.
-		seedHits += m.candBuf.Stats.Hits
-		seedMasked += m.candBuf.Stats.Masked
+		seedHits += m.candBuf[si].Stats.Hits
+		seedMasked += m.candBuf[si].Stats.Masked
 	}
 	m.scored = cands
 	voteCut := int32(e.cfg.MinVoteFraction * float64(bestVotes))

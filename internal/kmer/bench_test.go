@@ -88,9 +88,11 @@ func BenchmarkCandidates62(b *testing.B) {
 // BenchmarkCandidatesInto is the seed layer on its own — the number
 // next to the repo benchmark's kmer.lookup_ns_per_read: both strands of
 // 62-bp reads sampled across a random genome (one substitution each)
-// through one warm buffer, on the two index shapes the benchmark
-// workloads use, plus the hashed index at the direct table's k. A read
-// is one iteration, so ns/read == ns/op.
+// through warm buffers, on the two index shapes the benchmark
+// workloads use, plus the hashed index at the direct table's k. The
+// -both rows ask for the two strands in one CandidatesBothInto call, as
+// the engine does; the others make a CandidatesInto call per strand. A
+// read is one iteration, so ns/read == ns/op.
 func BenchmarkCandidatesInto(b *testing.B) {
 	opts := CandidateOptions{MaxCandidates: 8, MinVotes: 2, MaxBucket: 1024, Slack: 2}
 	for _, c := range []struct {
@@ -102,22 +104,34 @@ func BenchmarkCandidatesInto(b *testing.B) {
 		{"hash-k10-1.5Mbp", DefaultK, 1_500_000, true},
 		{"hash-k20-4Mbp", 20, 4_000_000, true},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			g := benchGenome(c.n)
-			idx := benchIndex(b, g, c.k, c.hashed)
-			strands := benchStrands(g, 4096, 3)
-			var buf CandidateBuf
-			var hits int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, s := range strands[i%len(strands)] {
-					idx.CandidatesInto(s, opts, &buf)
-					hits += buf.Stats.Hits
-				}
+		g := benchGenome(c.n)
+		idx := benchIndex(b, g, c.k, c.hashed)
+		strands := benchStrands(g, 4096, 3)
+		for _, both := range []bool{false, true} {
+			name := c.name
+			if both {
+				name += "-both"
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/read")
-			b.ReportMetric(float64(hits)/float64(b.N), "hits/read")
-		})
+			b.Run(name, func(b *testing.B) {
+				var buf, rev CandidateBuf
+				var hits int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s := &strands[i%len(strands)]
+					if both {
+						idx.CandidatesBothInto(s[0], opts, &buf, &rev)
+						hits += buf.Stats.Hits + rev.Stats.Hits
+						continue
+					}
+					for _, read := range s {
+						idx.CandidatesInto(read, opts, &buf)
+						hits += buf.Stats.Hits
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/read")
+				b.ReportMetric(float64(hits)/float64(b.N), "hits/read")
+			})
+		}
 	}
 }

@@ -20,7 +20,7 @@ func newTwoClosure(seq dna.Seq, k int) (*Index, error) {
 	}
 	nBuckets := 1 << (2 * uint(k))
 	offsets := make([]int32, nBuckets+1)
-	forEachKmer(seq, k, func(m dna.Kmer, pos int32) {
+	forEachKmer(seq, k, func(m, _ dna.Kmer, pos int32) {
 		offsets[m+1]++
 	})
 	for i := 1; i <= nBuckets; i++ {
@@ -29,7 +29,7 @@ func newTwoClosure(seq dna.Seq, k int) (*Index, error) {
 	positions := make([]int32, offsets[nBuckets])
 	next := make([]int32, nBuckets)
 	copy(next, offsets[:nBuckets])
-	forEachKmer(seq, k, func(m dna.Kmer, pos int32) {
+	forEachKmer(seq, k, func(m, _ dna.Kmer, pos int32) {
 		positions[next[m]] = pos
 		next[m]++
 	})

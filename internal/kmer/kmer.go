@@ -43,18 +43,24 @@ type SeedIndex interface {
 	Candidates(read dna.Seq, opt CandidateOptions) []Candidate
 	// CandidatesInto is Candidates with caller-owned scratch.
 	CandidatesInto(read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate
+	// CandidatesBothInto is CandidatesInto for the read into fwd and for
+	// its reverse complement into rev, from one pass over the read's
+	// seeds: each returns, and leaves in its buffer's Stats, exactly
+	// what that strand's own CandidatesInto call would.
+	CandidatesBothInto(read dna.Seq, opt CandidateOptions, fwd, rev *CandidateBuf) (f, r []Candidate)
 }
 
 // seedSource is the group lookup behind the shared voting loop. resolve
-// fills lo, n and total of every seed in b.seeds and returns the
-// position array those ranges index: lo:lo+n is the stored (possibly
-// frequency-capped) sample, total the seed's true occurrence count in
-// the reference. The direct Index always stores every occurrence
-// (total == n); the LargeIndex may truncate hot seeds but still reports
-// the true total so repeat masking sees the real frequency.
+// fills hits and total of every seed in seeds: hits is the stored
+// (possibly frequency-capped) sample, ascending, total the seed's true
+// occurrence count in the reference. With mirror non-nil it also fills
+// mirror[len(seeds)-1-i], the reverse-complement read's seed whose pack
+// is seeds[i].rc. The direct Index always stores every occurrence
+// (total == len(hits)); the LargeIndex may truncate hot seeds but still
+// reports the true total so repeat masking sees the real frequency.
 type seedSource interface {
 	K() int
-	resolve(b *CandidateBuf) (positions []int32)
+	resolve(seeds, mirror []seedRef)
 }
 
 // Build constructs the appropriate index representation for k: the
@@ -141,9 +147,10 @@ func New(seq dna.Seq, k int) (*Index, error) {
 	return &Index{k: k, offsets: offsets, positions: positions, seqLen: len(seq)}, nil
 }
 
-// forEachKmer calls fn for every packable k-mer window in seq, using a
-// rolling pack that restarts after ambiguous bases.
-func forEachKmer(seq dna.Seq, k int, fn func(m dna.Kmer, pos int32)) {
+// forEachKmer calls fn for every packable k-mer window in seq, with its
+// reverse complement's pack, using rolling packs that restart after
+// ambiguous bases.
+func forEachKmer(seq dna.Seq, k int, fn func(m, rc dna.Kmer, pos int32)) {
 	forEachKmerRange(seq, k, 0, len(seq), fn)
 }
 
@@ -200,7 +207,7 @@ type CandidateOptions struct {
 // instead of rehashing or rezeroing, and a read probes only a prefix
 // sized from its own hit count (DESIGN.md §16, "Query path").
 type CandidateBuf struct {
-	seeds []seedRef  // the strand's seed group
+	seeds []seedRef  // the strand's seed group, in read-offset order
 	slots []voteSlot // slot i is live iff slots[i].epoch == cur
 	qual  []int32    // slots that reached MinVotes, in the order they did
 	cur   uint32
@@ -208,9 +215,9 @@ type CandidateBuf struct {
 	// touched absorbs the group passes' early loads so the compiler
 	// cannot drop them; its value means nothing.
 	touched int32
-	// Stats describes the call that last used this buffer; it is reset
-	// at the top of every CandidatesInto, so callers that want
-	// per-strand selectivity read it between calls.
+	// Stats describes the strand that last used this buffer; every
+	// query resets it, so callers that want per-strand selectivity read
+	// it between calls, or give each strand its own buffer.
 	Stats SeedStats
 }
 
@@ -223,14 +230,26 @@ type SeedStats struct {
 	Seeds, Masked, Hits int64
 }
 
-// seedRef is one packable seed of the read: its packed value and read
-// offset, then — filled by seedSource.resolve — the range lo:lo+n of
-// the source's position array holding its stored sample, and its true
-// occurrence count.
+// seedRef is one packable seed of the read: its pack, its reverse
+// complement's pack and its read offset, then — filled by
+// seedSource.resolve — its stored sample and true occurrence count. A
+// sample the index holds inline (one position in a hash slot) is copied
+// into one, and hits points there.
 type seedRef struct {
-	m            dna.Kmer
-	off          int32
-	lo, n, total int32
+	m, rc dna.Kmer
+	off   int32
+	total int32
+	hits  []int32
+	one   [1]int32
+}
+
+// seedSpace returns the buffer's seed array with room for a read of n
+// bases.
+func (b *CandidateBuf) seedSpace(n int) []seedRef {
+	if cap(b.seeds) < n {
+		b.seeds = make([]seedRef, n)
+	}
+	return b.seeds[:n]
 }
 
 // voteSlot is one vote-table entry: one cache line per probe.
@@ -261,12 +280,12 @@ func (b *CandidateBuf) voteTable(hits int64) []voteSlot {
 // true (possibly negative) diagonal — clamping here used to pool every
 // read-hangs-off-the-left-edge diagonal into position 0, inflating its
 // vote count — and appends to qual each slot as it reaches minVotes.
-func castVotes(tab []voteSlot, cur uint32, seeds []seedRef, positions []int32, grid, minVotes int32, qual []int32) []int32 {
+func castVotes(tab []voteSlot, cur uint32, seeds []seedRef, grid, minVotes int32, qual []int32) []int32 {
 	mask := uint32(len(tab) - 1)
 	shift := (32 - bits.TrailingZeros32(uint32(len(tab)))) & 31
 	for i := range seeds {
 		s := &seeds[i]
-		for _, p := range positions[s.lo : s.lo+s.n] {
+		for _, p := range s.hits {
 			start := p - s.off
 			// Snap the diagonal to a grid so small indel shifts coalesce
 			// into the same candidate region. Go's % keeps the sign, so
@@ -315,58 +334,92 @@ func (ix *Index) CandidatesInto(read dna.Seq, opt CandidateOptions, buf *Candida
 	return candidatesInto(ix, read, opt, buf)
 }
 
-// resolve implements seedSource. The direct index stores every
-// occurrence, so the sample is the bucket and the total its length.
-func (ix *Index) resolve(b *CandidateBuf) []int32 {
-	for i := range b.seeds {
-		s := &b.seeds[i]
-		lo, hi := ix.offsets[s.m], ix.offsets[s.m+1]
-		s.lo, s.n, s.total = lo, hi-lo, hi-lo
-	}
-	return ix.positions
+// CandidatesBothInto implements SeedIndex: the direct table has no
+// canonical keys, so each offset still looks up both packs, but the
+// read is rolled once.
+func (ix *Index) CandidatesBothInto(read dna.Seq, opt CandidateOptions, fwd, rev *CandidateBuf) (f, r []Candidate) {
+	return candidatesBothInto(ix, read, opt, fwd, rev)
 }
 
-// candidatesInto is the diagonal-voting loop shared by every index
-// representation. A strand's seeds are handled as a group, one pass per
-// step, because every step but the voting is a scattered load: Go has
-// no prefetch intrinsic, but the loads of one pass do not depend on
-// each other, so the core overlaps their cache misses instead of
-// paying them one seed at a time.
-func candidatesInto(ix seedSource, read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate {
-	// Every packable seed, O(1) each.
-	if cap(buf.seeds) < len(read) {
-		buf.seeds = make([]seedRef, len(read))
+// resolve implements seedSource. The direct index stores every
+// occurrence, so the sample is the bucket and the total its length.
+func (ix *Index) resolve(seeds, mirror []seedRef) {
+	for _, strand := range [2][]seedRef{seeds, mirror} {
+		for i := range strand {
+			s := &strand[i]
+			s.hits = ix.positions[ix.offsets[s.m]:ix.offsets[s.m+1]]
+			s.total = int32(len(s.hits))
+		}
 	}
-	seeds, n := buf.seeds[:len(read)], 0
-	forEachKmer(read, ix.K(), func(m dna.Kmer, off int32) {
-		seeds[n].m, seeds[n].off = m, off
+}
+
+// packSeeds writes every packable seed of read into seeds, in
+// read-offset order, and returns them.
+func packSeeds(read dna.Seq, k int, seeds []seedRef) []seedRef {
+	n := 0
+	forEachKmer(read, k, func(m, rc dna.Kmer, off int32) {
+		seeds[n] = seedRef{m: m, rc: rc, off: off}
 		n++
 	})
-	seeds = seeds[:n]
-	buf.seeds = seeds
-	positions := ix.resolve(buf)
+	return seeds[:n]
+}
 
+// candidatesInto is the single-strand query shared by every index
+// representation: pack the read's seeds, resolve them as a group, vote.
+func candidatesInto(ix seedSource, read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate {
+	buf.seeds = packSeeds(read, ix.K(), buf.seedSpace(len(read)))
+	ix.resolve(buf.seeds, nil)
+	return buf.vote(opt)
+}
+
+// candidatesBothInto is the both-strand query. The reverse complement of
+// a read of n bases has, at offset n-k-off, the seed whose pack is the
+// read's seed at off's reverse complement — the one pass that packs the
+// forward seeds has already rolled it. Filling rev's seeds back to
+// front keeps them in the reverse-complement read's own offset order, so
+// each strand votes exactly as its own CandidatesInto call would.
+func candidatesBothInto(ix seedSource, read dna.Seq, opt CandidateOptions, fwd, rev *CandidateBuf) (f, r []Candidate) {
+	k := ix.K()
+	seeds := packSeeds(read, k, fwd.seedSpace(len(read)))
+	mirror := rev.seedSpace(len(read))[:len(seeds)]
+	last := int32(len(read) - k)
+	for i, s := range seeds {
+		mirror[len(seeds)-1-i] = seedRef{m: s.rc, rc: s.m, off: last - s.off}
+	}
+	fwd.seeds, rev.seeds = seeds, mirror
+	ix.resolve(seeds, mirror)
+	return fwd.vote(opt), rev.vote(opt)
+}
+
+// vote is the diagonal-voting loop over the buffer's resolved seeds. A
+// strand's seeds are handled as a group, one pass per step, because
+// every step but the voting is a scattered load: Go has no prefetch
+// intrinsic, but the loads of one pass do not depend on each other, so
+// the core overlaps their cache misses instead of paying them one seed
+// at a time.
+func (buf *CandidateBuf) vote(opt CandidateOptions) []Candidate {
+	seeds := buf.seeds
 	// Repeat masking tests the true count so a frequency-capped index
 	// masks exactly the seeds the direct index would. Touch each
 	// surviving bucket's first position before any vote needs it.
-	stats := SeedStats{Seeds: int64(n)}
+	stats := SeedStats{Seeds: int64(len(seeds))}
 	touched := buf.touched
 	for i := range seeds {
 		s := &seeds[i]
 		if opt.MaxBucket > 0 && int(s.total) > opt.MaxBucket {
 			stats.Masked++
-			s.n = 0
+			s.hits = nil
 		}
-		if s.n > 0 {
-			stats.Hits += int64(s.n)
-			touched += positions[s.lo]
+		if len(s.hits) > 0 {
+			stats.Hits += int64(len(s.hits))
+			touched += s.hits[0]
 		}
 	}
 	buf.touched, buf.Stats = touched, stats
 
 	tab := buf.voteTable(stats.Hits)
 	minVotes := int32(min(max(opt.MinVotes, 1), math.MaxInt32))
-	qual := castVotes(tab, buf.cur, seeds, positions, int32(opt.Slack+1), minVotes, buf.qual[:0])
+	qual := castVotes(tab, buf.cur, seeds, int32(opt.Slack+1), minVotes, buf.qual[:0])
 	buf.qual = qual
 
 	// Keep the best MaxCandidates under the total order (votes

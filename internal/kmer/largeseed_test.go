@@ -3,6 +3,7 @@ package kmer
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gnumap/internal/dna"
@@ -20,6 +21,25 @@ func randSeq(rng *rand.Rand, n int, nFrac float64) dna.Seq {
 		}
 	}
 	return seq
+}
+
+// revComp is the O(k) reverse complement of a packed k-mer.
+func revComp(m dna.Kmer, k int) dna.Kmer {
+	var rc dna.Kmer
+	for i := 0; i < k; i++ {
+		rc = rc<<2 | (3 - m&3)
+		m >>= 2
+	}
+	return rc
+}
+
+// Lookup returns the stored position sample of the packed k-mer (at
+// most MaxStore entries, ascending) and its true occurrence count. The
+// sample is a copy: one held in a slot is not a slice of the index.
+func (ix *LargeIndex) Lookup(m dna.Kmer) (hits []int32, total int) {
+	s := []seedRef{{m: m, rc: revComp(m, ix.k)}}
+	ix.resolve(s, nil)
+	return slices.Clone(s[0].hits), int(s[0].total)
 }
 
 // TestLargeIndexMatchesDirect: at any k both representations index, the
@@ -48,15 +68,15 @@ func TestLargeIndexMatchesDirect(t *testing.T) {
 				probe = append(probe, dna.Kmer(b))
 			}
 		} else {
-			forEachKmer(seq, k, func(m dna.Kmer, _ int32) { probe = append(probe, m) })
+			forEachKmer(seq, k, func(m, _ dna.Kmer, _ int32) { probe = append(probe, m) })
 			for i := 0; i < 20000; i++ {
 				probe = append(probe, dna.Kmer(rng.Int63())&(1<<(2*k)-1))
 			}
 		}
 		for _, m := range probe {
 			want := direct.Lookup(m)
-			got := large.Lookup(m)
-			if _, _, total := large.find(m); int(total) != len(want) || !equalI32(got, want) {
+			got, total := large.Lookup(m)
+			if total != len(want) || !equalI32(got, want) {
 				t.Fatalf("k=%d kmer %v: large %v/%d != direct %v", k, m, got, total, want)
 			}
 		}
@@ -125,10 +145,10 @@ func TestLargeIndexFrequencyCap(t *testing.T) {
 		t.Fatal("pack failed")
 	}
 	wantTotal := len(seq) - k + 1
-	if _, _, got := ix.find(m); int(got) != wantTotal {
+	hits, got := ix.Lookup(m)
+	if got != wantTotal {
 		t.Fatalf("true count = %d, want %d", got, wantTotal)
 	}
-	hits := ix.Lookup(m)
 	if len(hits) != 4 || !equalI32(hits, []int32{0, 1, 2, 3}) {
 		t.Fatalf("capped sample = %v, want first 4 positions", hits)
 	}
@@ -143,14 +163,16 @@ func TestLargeIndexFrequencyCap(t *testing.T) {
 	if buf.Stats.Hits > int64(4*(len(read)-k+1)) {
 		t.Fatalf("cap leaked: %d hits voted", buf.Stats.Hits)
 	}
-	seeds := 0
-	for _, c := range ix.counts {
-		if c != 0 {
-			seeds++
+	// Poly-A is one class (its reverse complement, poly-T, never occurs):
+	// one record of two counts and the four stored positions.
+	classes := 0
+	for s := 1; s < len(ix.slots); s += 2 {
+		if ix.slots[s] != 0 {
+			classes++
 		}
 	}
-	if seeds != 1 || len(ix.positions) != 4 {
-		t.Fatalf("%d distinct seeds storing %d positions, want one capped seed storing 4", seeds, len(ix.positions))
+	if classes != 1 || !slices.Equal(ix.recs, []int32{int32(wantTotal), 0, 0, 1, 2, 3}) {
+		t.Fatalf("%d classes, records %v; want one capped class storing 4", classes, ix.recs)
 	}
 }
 
@@ -169,34 +191,37 @@ func TestLargeIndexParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(base.slotOff, ix.slotOff) ||
-			!reflect.DeepEqual(base.keys, ix.keys) ||
-			!reflect.DeepEqual(base.starts, ix.starts) ||
-			!reflect.DeepEqual(base.counts, ix.counts) ||
-			!reflect.DeepEqual(base.positions, ix.positions) {
+			!reflect.DeepEqual(base.slots, ix.slots) ||
+			!reflect.DeepEqual(base.recs, ix.recs) {
 			t.Fatalf("workers=%d: layout differs from serial build", w)
 		}
 	}
 }
 
 // TestForEachKmerRangeChunks: chunked scans must emit exactly the
-// full-scan k-mer set, including around ambiguous-base restarts and
-// chunk boundaries.
+// full-scan k-mer set, each with its reverse complement's pack,
+// including around ambiguous-base restarts and chunk boundaries.
 func TestForEachKmerRangeChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	seq := randSeq(rng, 997, 0.05)
 	const k = 7
 	type occ struct {
-		m   dna.Kmer
-		pos int32
+		m, rc dna.Kmer
+		pos   int32
 	}
 	var want []occ
-	forEachKmer(seq, k, func(m dna.Kmer, pos int32) { want = append(want, occ{m, pos}) })
+	for p := 0; p+k <= len(seq); p++ {
+		if m, ok := dna.PackKmer(seq, p, k); ok {
+			rc, _ := dna.PackKmer(seq[p:p+k].ReverseComplement(), 0, k)
+			want = append(want, occ{m, rc, int32(p)})
+		}
+	}
 	for _, chunks := range []int{1, 2, 5, 13} {
 		var got []occ
 		n := len(seq) - k + 1
 		for c := 0; c < chunks; c++ {
-			forEachKmerRange(seq, k, c*n/chunks, (c+1)*n/chunks, func(m dna.Kmer, pos int32) {
-				got = append(got, occ{m, pos})
+			forEachKmerRange(seq, k, c*n/chunks, (c+1)*n/chunks, func(m, rc dna.Kmer, pos int32) {
+				got = append(got, occ{m, rc, pos})
 			})
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -3,6 +3,7 @@ package kmer
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -14,57 +15,33 @@ import (
 // The oracle is the voting loop as it stood before seeds were resolved
 // as a group: one O(k) pack, one lookup and one probe chain per seed,
 // a three-array vote table grown mid-read, a walk over every live slot
-// and a full sort. candidatesInto must return its candidates (order
-// included) and its SeedStats exactly.
+// and a full sort. Its lookups read no index at all: they come from a
+// scan of the reference itself. candidatesInto must return its
+// candidates (order included) and its SeedStats exactly.
 
-// oracleSource is the old per-seed lookup.
-type oracleSource interface {
-	K() int
-	lookupTotal(m dna.Kmer) (positions []int32, total int)
+// scanOracle answers each seed from the reference sequence: every
+// window whose O(k) pack is the seed, ascending, of which an index
+// capped at maxStore keeps the first maxStore.
+type scanOracle struct {
+	k, maxStore int
+	occ         map[dna.Kmer][]int32
 }
 
-type oracleDirect struct{ *Index }
-
-func (o oracleDirect) lookupTotal(m dna.Kmer) ([]int32, int) {
-	hits := o.Lookup(m)
-	return hits, len(hits)
+func newScanOracle(seq dna.Seq, k, maxStore int) *scanOracle {
+	o := &scanOracle{k: k, maxStore: maxStore, occ: map[dna.Kmer][]int32{}}
+	for p := 0; p+k <= len(seq); p++ {
+		if m, ok := dna.PackKmer(seq, p, k); ok {
+			o.occ[m] = append(o.occ[m], int32(p))
+		}
+	}
+	return o
 }
 
-// oracleLarge carries the old LargeIndex.lookupTotal verbatim, so the
-// find refactor is checked against it too.
-type oracleLarge struct{ *LargeIndex }
+func (o *scanOracle) K() int { return o.k }
 
-func (o oracleLarge) lookupTotal(m dna.Kmer) ([]int32, int) {
-	ix := o.LargeIndex
-	h := mix64(uint64(m))
-	p := h >> (64 - ix.partBits)
-	lo, hi := ix.slotOff[p], ix.slotOff[p+1]
-	size := hi - lo
-	if size <= 0 {
-		return nil, 0
-	}
-	mask := uint64(size - 1)
-	i := h & mask
-	for probes := int64(0); probes < size; probes++ {
-		s := lo + int64(i)
-		c := ix.counts[s]
-		if c <= 0 {
-			return nil, 0
-		}
-		if ix.keys[s] == uint64(m) {
-			stored := int64(c)
-			if ms := int64(ix.maxStore); stored > ms {
-				stored = ms
-			}
-			st := int64(ix.starts[s])
-			if st < 0 || st+stored > int64(len(ix.positions)) {
-				return nil, 0
-			}
-			return ix.positions[st : st+stored], int(c)
-		}
-		i = (i + 1) & mask
-	}
-	return nil, 0
+func (o *scanOracle) lookupTotal(m dna.Kmer) ([]int32, int) {
+	all := o.occ[m]
+	return all[:min(len(all), o.maxStore)], len(all)
 }
 
 type oracleBuf struct {
@@ -132,7 +109,7 @@ func (b *oracleBuf) growTable() {
 	}
 }
 
-func oracleCandidates(ix oracleSource, read dna.Seq, opt CandidateOptions, buf *oracleBuf) ([]Candidate, SeedStats) {
+func oracleCandidates(ix *scanOracle, read dna.Seq, opt CandidateOptions, buf *oracleBuf) ([]Candidate, SeedStats) {
 	minVotes := opt.MinVotes
 	if minVotes <= 0 {
 		minVotes = 1
@@ -262,8 +239,8 @@ func oracleReads(rng *rand.Rand, seq dna.Seq, k int) []dna.Seq {
 }
 
 // TestCandidatesIntoMatchesOracle: the group-resolved loop returns the
-// old loop's candidates and stats for both index kinds (the hashed one
-// heap-built, frequency-capped, and mmap-loaded) over the whole option
+// scanning oracle's candidates and stats for both index kinds (the
+// hashed one heap-built, frequency-capped, and mmap-loaded) over the whole option
 // grid, through one warm buffer per index so state carried between
 // reads would show.
 func TestCandidatesIntoMatchesOracle(t *testing.T) {
@@ -272,7 +249,7 @@ func TestCandidatesIntoMatchesOracle(t *testing.T) {
 	type kind struct {
 		name string
 		idx  SeedIndex
-		old  oracleSource
+		old  *scanOracle
 		k    int
 	}
 	var kinds []kind
@@ -280,14 +257,15 @@ func TestCandidatesIntoMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds = append(kinds, kind{"direct-k8", direct, oracleDirect{direct}, 8})
+	kinds = append(kinds, kind{"direct-k8", direct, newScanOracle(seq, 8, math.MaxInt32), 8})
 	for _, c := range []struct{ k, maxStore int }{{8, 0}, {16, 0}, {12, 4}} {
 		large, err := NewLargeWith(seq, c.k, LargeConfig{MaxStore: c.maxStore})
 		if err != nil {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("hash-k%d-store%d", c.k, c.maxStore)
-		kinds = append(kinds, kind{name, large, oracleLarge{large}, c.k})
+		old := newScanOracle(seq, c.k, large.MaxStore())
+		kinds = append(kinds, kind{name, large, old, c.k})
 		digest := sha256.Sum256([]byte(name))
 		path := filepath.Join(t.TempDir(), name+".gnix")
 		if _, err := WriteIndexFile(path, large, digest, int64(len(seq))); err != nil {
@@ -298,7 +276,7 @@ func TestCandidatesIntoMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mapped.Close()
-		kinds = append(kinds, kind{name + "-mmap", mapped, oracleLarge{mapped}, c.k})
+		kinds = append(kinds, kind{name + "-mmap", mapped, old, c.k})
 	}
 	for _, kd := range kinds {
 		t.Run(kd.name, func(t *testing.T) {
@@ -339,7 +317,8 @@ func TestCandidatesIntoMatchesOracle(t *testing.T) {
 }
 
 // TestCandidatesIntoWarmZeroAllocs: once a buffer has seen a workload's
-// largest read, neither index kind allocates.
+// largest read, neither index kind allocates, on the single-strand query
+// or the both-strand one.
 func TestCandidatesIntoWarmZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	seq := oracleGenome(rng)
@@ -354,15 +333,163 @@ func TestCandidatesIntoWarmZeroAllocs(t *testing.T) {
 	opt := CandidateOptions{MaxCandidates: 8, MinVotes: 2, MaxBucket: 1024, Slack: 2}
 	for name, idx := range map[string]SeedIndex{"direct": direct, "hash": large} {
 		reads := oracleReads(rand.New(rand.NewSource(7)), seq, idx.K())
-		var buf CandidateBuf
+		var buf, rev CandidateBuf
 		sweep := func() {
 			for _, read := range reads {
 				idx.CandidatesInto(read, opt, &buf)
 			}
 		}
+		both := func() {
+			for _, read := range reads {
+				idx.CandidatesBothInto(read, opt, &buf, &rev)
+			}
+		}
 		sweep()
+		both()
 		if avg := testing.AllocsPerRun(10, sweep); avg > 0 {
 			t.Errorf("%s: warm CandidatesInto allocates %.1f per sweep, want 0", name, avg)
 		}
+		if avg := testing.AllocsPerRun(10, both); avg > 0 {
+			t.Errorf("%s: warm CandidatesBothInto allocates %.1f per sweep, want 0", name, avg)
+		}
+	}
+}
+
+// propertyGenome is a random genome built to reach every branch of the
+// canonical layout: N runs (1..2k bases), a palindromic seed (its own
+// reverse complement, possible at even k only) planted six times, and a
+// unit planted twelve times on alternating strands, so its seeds occur
+// more often than any MaxStore and MaxBucket under test, in both
+// orientations.
+func propertyGenome(rng *rand.Rand, n, k int) (seq, pal, unit dna.Seq) {
+	seq = randSeq(rng, n, 0)
+	for i := 0; i < len(seq); i++ {
+		if rng.Intn(300) == 0 {
+			for j := rng.Intn(2 * k); j >= 0 && i < len(seq); j-- {
+				seq[i] = dna.N
+				i++
+			}
+		}
+	}
+	if k%2 == 0 {
+		half := randSeq(rng, k/2, 0)
+		pal = append(half.Clone(), half.ReverseComplement()...)
+		for c := 0; c < 6; c++ {
+			copy(seq[rng.Intn(n-k):], pal)
+		}
+	}
+	unit = randSeq(rng, 30, 0)
+	for c := 0; c < 12; c++ {
+		u := unit
+		if c%2 == 1 {
+			u = unit.ReverseComplement()
+		}
+		copy(seq[rng.Intn(n-len(u)):], u)
+	}
+	return seq, pal, unit
+}
+
+// TestCandidatesBothIntoMatchesSingleStrand: for both index kinds, the
+// both-strand query returns exactly the two single-strand calls' lists
+// and SeedStats — the forward read's and its reverse complement's — and
+// each of those is the scanning oracle's. Random genomes at even and
+// odd k, the hashed index at every small MaxStore, reads sampled on
+// either strand, through the planted palindrome and repeat, with Ns,
+// and hanging off both genome ends.
+func TestCandidatesBothIntoMatchesSingleStrand(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	type kind struct {
+		name string
+		idx  SeedIndex
+		old  *scanOracle
+	}
+	var palSeeds, capped, masked int
+	for trial, k := range []int{8, 12, 16, 20, 11, 15} {
+		seq, pal, unit := propertyGenome(rng, 4000, k)
+		var kinds []kind
+		if k <= MaxDirectK {
+			direct, err := New(seq, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds = append(kinds, kind{fmt.Sprintf("direct-k%d", k), direct, newScanOracle(seq, k, math.MaxInt32)})
+		}
+		for _, maxStore := range []int{1, 2, 3, 4, 0} {
+			large, err := NewLargeWith(seq, k, LargeConfig{MaxStore: maxStore})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds = append(kinds, kind{fmt.Sprintf("hash-k%d-store%d", k, maxStore), large, newScanOracle(seq, k, large.MaxStore())})
+		}
+
+		var reads []dna.Seq
+		for i := 0; i < 16; i++ {
+			rd := seq[rng.Intn(len(seq)-62):][:62].Clone()
+			rd[rng.Intn(62)] = dna.Code(rng.Intn(4))
+			if i%2 == 1 {
+				rd = rd.ReverseComplement()
+			}
+			reads = append(reads, rd)
+		}
+		for _, planted := range []dna.Seq{pal, unit} {
+			if len(planted) > 0 {
+				rd := append(randSeq(rng, 9, 0), planted...)
+				reads = append(reads, append(rd, randSeq(rng, 11, 0)...))
+			}
+		}
+		withN := seq[100:162].Clone()
+		withN[5], withN[40] = dna.N, dna.N
+		left := append(randSeq(rng, 9, 0), seq[:50]...)
+		right := append(seq[len(seq)-50:].Clone(), randSeq(rng, 9, 0)...)
+		reads = append(reads, withN, left, right, left.ReverseComplement(), right.ReverseComplement(),
+			seq[:k-1].Clone(), seq[:k].Clone(), dna.Seq{})
+
+		for _, kd := range kinds {
+			var single, fwd, rev CandidateBuf
+			var old oracleBuf
+			for _, opt := range []CandidateOptions{
+				{}, {MinVotes: 2, Slack: 2, MaxCandidates: 3, MaxBucket: 3},
+				{MinVotes: 1, MaxCandidates: 8, MaxBucket: 8}, {MinVotes: 3, Slack: 4},
+			} {
+				for r, read := range reads {
+					f, r2 := kd.idx.CandidatesBothInto(read, opt, &fwd, &rev)
+					for strand, got := range []struct {
+						read  dna.Seq
+						cands []Candidate
+						stats SeedStats
+					}{{read, f, fwd.Stats}, {read.ReverseComplement(), r2, rev.Stats}} {
+						one := kd.idx.CandidatesInto(got.read, opt, &single)
+						if !slices.Equal(got.cands, one) || got.stats != single.Stats {
+							t.Fatalf("trial %d %s read %d strand %d %+v: both-strand %v %+v, single-strand %v %+v",
+								trial, kd.name, r, strand, opt, got.cands, got.stats, one, single.Stats)
+						}
+						want, wantStats := oracleCandidates(kd.old, got.read, opt, &old)
+						if !slices.Equal(one, want) || single.Stats != wantStats {
+							t.Fatalf("trial %d %s read %d strand %d %+v: %v %+v, oracle %v %+v",
+								trial, kd.name, r, strand, opt, one, single.Stats, want, wantStats)
+						}
+						if wantStats.Masked > 0 {
+							masked++
+						}
+					}
+				}
+			}
+			// What the grid reached: palindromic seeds found, and samples
+			// the cap truncated.
+			for _, read := range reads {
+				forEachKmer(read, k, func(m, rc dna.Kmer, _ int32) {
+					hits, total := kd.old.lookupTotal(m)
+					if m == rc && total > 0 {
+						palSeeds++
+					}
+					if total > len(hits) {
+						capped++
+					}
+				})
+			}
+		}
+	}
+	if palSeeds == 0 || capped == 0 || masked == 0 {
+		t.Fatalf("grid too easy: %d palindromic seed hits, %d capped samples, %d masked results", palSeeds, capped, masked)
 	}
 }

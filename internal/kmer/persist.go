@@ -5,23 +5,31 @@
 // Layout (all integers little-endian):
 //
 //	magic    [8]byte  "GNUMAPIX"
-//	version  uint16   (currently 1)
-//	hlen     uint32   header length (v1: exactly 108)
-//	header   [hlen]   fixed v1 layout, see encodeIndexHeader — the
-//	                  reference fingerprint (SHA-256 + length), seed
-//	                  parameters, section element counts, and one
-//	                  CRC-32C per section
+//	version  uint16   (currently 2; version 1 files are refused)
+//	hlen     uint32   header length (v2: exactly 100)
+//	header   [hlen]   fixed v2 layout, see indexHeader — the reference
+//	                  fingerprint (SHA-256 + length), seed parameters,
+//	                  section element counts, and one CRC-32C per
+//	                  section
 //	hcrc     uint32   CRC-32C of header
 //	-- zero padding to offset 4096 --
 //	slotOff  [(nParts+1) * 8]   partition directory
-//	keys     [nSlots * 8]
-//	starts   [nSlots * 4]       (padded to an 8-byte boundary)
-//	counts   [nSlots * 4]       (padded to an 8-byte boundary)
-//	positions[nPos * 4]
+//	-- zero padding to a 64-byte boundary --
+//	slots    [nSlots * 16]      per slot: canonical key uint64, entry uint64
+//	recs     [nRecs * 4]        multi-occurrence records (int32 words)
+//
+// A slot's key is the lesser of a k-mer's pack and its reverse
+// complement's. Its entry is 0 for a free slot; otherwise the low two
+// bits say what the high 32 hold: 1, the class's one position, an
+// occurrence of the key; 2, likewise of its reverse complement; 3, the
+// offset in recs of the class's record: the true counts n0 (the key)
+// and n1 (its reverse complement), then the first min(n0, MaxStore)
+// and min(n1, MaxStore) positions of each, ascending.
 //
 // Every section starts 8-byte aligned at a fixed offset computable from
-// the header, so on a little-endian host the mmap'd file is used
-// zero-copy: the slot arrays are reinterpreted views of the mapping.
+// the header — the slots on a cache line, so no 16-byte slot straddles
+// two — and on a little-endian host the mmap'd file is used zero-copy:
+// the arrays are reinterpreted views of the mapping.
 // Big-endian hosts and non-mmap platforms fall back to a read + decode
 // copy. The header CRC is always verified; section CRCs are verified on
 // the copy path and on demand (LoadOptions.Verify) for the mmap path —
@@ -44,6 +52,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"gnumap/internal/binfmt"
@@ -53,16 +62,16 @@ import (
 var IndexMagic = [8]byte{'G', 'N', 'U', 'M', 'A', 'P', 'I', 'X'}
 
 // IndexVersion is the current on-disk format version.
-const IndexVersion = 1
+const IndexVersion = 2
 
-// ixHeaderLen is the exact v1 header size.
-const ixHeaderLen = 32 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 5*4
+// ixHeaderLen is the exact v2 header size.
+const ixHeaderLen = 32 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 3*4
 
 // ixPage is the header block size; the first section starts here so
 // every section offset is page-aligned relative to the mmap base.
 const ixPage = 4096
 
-// ixFrame is the index container: CRC-32C sections, and v1's one header
+// ixFrame is the index container: CRC-32C sections, and v2's one header
 // length as the bound on what a file may declare.
 var ixFrame = binfmt.Frame{Magic: IndexMagic, Version: IndexVersion, CRC: crc32.MakeTable(crc32.Castagnoli), MaxHeader: ixHeaderLen}
 
@@ -79,7 +88,7 @@ var (
 	// ErrChecksum: a section's CRC does not match its contents.
 	ErrChecksum = binfmt.ErrChecksum
 	// ErrCorrupt: the checksummed framing parses but the declared
-	// structure is impossible (header not v1-sized, directory not
+	// structure is impossible (header not v2-sized, directory not
 	// power-of-two sized, counts out of range, trailing bytes).
 	ErrCorrupt = errors.New("kmer: corrupt seed-index structure")
 	// ErrRefMismatch: the index was built for a different reference (or
@@ -87,21 +96,20 @@ var (
 	ErrRefMismatch = errors.New("kmer: seed-index reference mismatch")
 )
 
-// indexHeader is the fixed v1 header as it lies on disk: encoding/binary
+// indexHeader is the fixed v2 header as it lies on disk: encoding/binary
 // renders the fields in declaration order, little-endian, unpadded —
 // the reference fingerprint, the seed parameters, the section element
 // counts, and one CRC-32C per section.
 type indexHeader struct {
-	RefDigest          [32]byte
-	RefLen, SeqLen     int64
-	K, MaxStore        int32
-	PartBits           uint32
-	_                  uint32 // reserved
-	NParts             int64
-	NSlots, NPos       int64
-	CrcSlotOff         uint32
-	CrcKeys, CrcStarts uint32
-	CrcCounts, CrcPos  uint32
+	RefDigest         [32]byte
+	RefLen, SeqLen    int64
+	K, MaxStore       int32
+	PartBits          uint32
+	_                 uint32 // reserved
+	NParts            int64
+	NSlots, NRecs     int64
+	CrcSlotOff        uint32
+	CrcSlots, CrcRecs uint32
 }
 
 // IndexInfo is the publicly inspectable part of a persisted index
@@ -114,17 +122,17 @@ type IndexInfo struct {
 	K         int
 	MaxStore  int
 	Slots     int64
-	Positions int64
+	// Records counts the int32 words of the record array: positions
+	// plus two count words per multi-occurrence class.
+	Records   int64
 	FileBytes int64
 }
 
 // indexLayout maps a header to section byte offsets.
 type indexLayout struct {
-	slotOff, keys, starts, counts, positions int64
-	size                                     int64
+	slotOff, slots, recs int64
+	size                 int64
 }
-
-func align8(n int64) int64 { return (n + 7) &^ 7 }
 
 // layoutFor derives section offsets, rejecting headers whose declared
 // counts are impossible (overflow, int32 position cursors exceeded).
@@ -142,17 +150,16 @@ func layoutFor(h *indexHeader) (indexLayout, error) {
 	if h.SeqLen < 0 || h.SeqLen > 1<<31-1 || h.RefLen < 0 {
 		return l, fmt.Errorf("%w: sequence length %d", ErrCorrupt, h.SeqLen)
 	}
-	// starts index positions with int32, and slots can be at most 4x
-	// the distinct seed count, itself bounded by the sequence length.
-	if h.NPos < 0 || h.NPos > 1<<31-1 || h.NSlots < 0 || h.NSlots > 1<<33 {
-		return l, fmt.Errorf("%w: %d slots / %d positions", ErrCorrupt, h.NSlots, h.NPos)
+	// A slot entry holds a record offset in 32 bits, and slots can be at
+	// most 4x the distinct class count, itself bounded by the sequence
+	// length.
+	if h.NRecs < 0 || h.NRecs > math.MaxUint32 || h.NSlots < 0 || h.NSlots > 1<<33 {
+		return l, fmt.Errorf("%w: %d slots / %d record words", ErrCorrupt, h.NSlots, h.NRecs)
 	}
 	l.slotOff = ixPage
-	l.keys = l.slotOff + (h.NParts+1)*8
-	l.starts = l.keys + h.NSlots*8
-	l.counts = align8(l.starts + h.NSlots*4)
-	l.positions = align8(l.counts + h.NSlots*4)
-	l.size = l.positions + h.NPos*4
+	l.slots = (l.slotOff + (h.NParts+1)*8 + 63) &^ 63
+	l.recs = l.slots + h.NSlots*16
+	l.size = l.recs + h.NRecs*4
 	return l, nil
 }
 
@@ -161,11 +168,11 @@ func layoutFor(h *indexHeader) (indexLayout, error) {
 // the whole file when smaller).
 func parseIndexHeader(block []byte) (*indexHeader, error) {
 	hb, err := ixFrame.ParsePreamble(block)
-	// v1 has exactly one header length, so a file declaring any other is
+	// v2 has exactly one header length, so a file declaring any other is
 	// structurally impossible, not "too large": that keeps the loader's
 	// six-sentinel contract (FuzzDecodeIndex) as it was.
 	if errors.Is(err, binfmt.ErrTooLarge) || (err == nil && len(hb) != ixHeaderLen) {
-		return nil, fmt.Errorf("%w: declared header length is not v1's %d", ErrCorrupt, ixHeaderLen)
+		return nil, fmt.Errorf("%w: declared header length is not v2's %d", ErrCorrupt, ixHeaderLen)
 	}
 	if err != nil {
 		return nil, err
@@ -191,20 +198,15 @@ func EncodeIndex(ix *LargeIndex, refDigest [32]byte, refLen int64) []byte {
 }
 
 // writeIndex streams the file image: the framed header padded to a
-// page, then the five sections at their layout offsets.
+// page, then the three sections at their layout offsets.
 func writeIndex(w io.Writer, ix *LargeIndex, refDigest [32]byte, refLen int64) error {
-	secs := [5][]byte{
-		binfmt.Bytes(ix.slotOff), binfmt.Bytes(ix.keys), binfmt.Bytes(ix.starts),
-		binfmt.Bytes(ix.counts), binfmt.Bytes(ix.positions),
-	}
+	secs := [3][]byte{binfmt.Bytes(ix.slotOff), binfmt.Bytes(ix.slots), binfmt.Bytes(ix.recs)}
 	h := &indexHeader{
 		RefDigest: refDigest, RefLen: refLen, SeqLen: int64(ix.seqLen),
 		K: int32(ix.k), MaxStore: int32(ix.maxStore), PartBits: uint32(ix.partBits),
 		NParts: int64(len(ix.slotOff)) - 1,
-		NSlots: int64(len(ix.keys)), NPos: int64(len(ix.positions)),
-		CrcSlotOff: ixFrame.Sum(secs[0]), CrcKeys: ixFrame.Sum(secs[1]),
-		CrcStarts: ixFrame.Sum(secs[2]), CrcCounts: ixFrame.Sum(secs[3]),
-		CrcPos: ixFrame.Sum(secs[4]),
+		NSlots: int64(len(ix.slots)) / 2, NRecs: int64(len(ix.recs)),
+		CrcSlotOff: ixFrame.Sum(secs[0]), CrcSlots: ixFrame.Sum(secs[1]), CrcRecs: ixFrame.Sum(secs[2]),
 	}
 	lay, err := layoutFor(h)
 	if err != nil {
@@ -217,8 +219,8 @@ func writeIndex(w io.Writer, ix *LargeIndex, refDigest [32]byte, refLen int64) e
 		return err
 	}
 	written := int64(ixPage)
-	var pad [8]byte
-	for i, off := range []int64{lay.slotOff, lay.keys, lay.starts, lay.counts, lay.positions} {
+	var pad [64]byte
+	for i, off := range []int64{lay.slotOff, lay.slots, lay.recs} {
 		if _, err := w.Write(pad[:off-written]); err != nil {
 			return err
 		}
@@ -375,21 +377,15 @@ func DecodeIndex(data []byte) (*LargeIndex, error) {
 // read buffer), optionally CRC-verifying sections, and always
 // validating the directory structure.
 func indexFromBytes(h *indexHeader, lay indexLayout, data, mapped []byte, verify bool) (*LargeIndex, error) {
-	sl := data[lay.slotOff : lay.slotOff+(h.NParts+1)*8]
-	kb := data[lay.keys : lay.keys+h.NSlots*8]
-	sb := data[lay.starts : lay.starts+h.NSlots*4]
-	cb := data[lay.counts : lay.counts+h.NSlots*4]
-	pb := data[lay.positions : lay.positions+h.NPos*4]
+	dir := data[lay.slotOff : lay.slotOff+(h.NParts+1)*8]
+	sb := data[lay.slots : lay.slots+h.NSlots*16]
+	rb := data[lay.recs : lay.recs+h.NRecs*4]
 	if verify {
 		for _, s := range []struct {
 			name string
 			b    []byte
 			want uint32
-		}{
-			{"slotOff", sl, h.CrcSlotOff}, {"keys", kb, h.CrcKeys},
-			{"starts", sb, h.CrcStarts}, {"counts", cb, h.CrcCounts},
-			{"positions", pb, h.CrcPos},
-		} {
+		}{{"slotOff", dir, h.CrcSlotOff}, {"slots", sb, h.CrcSlots}, {"recs", rb, h.CrcRecs}} {
 			if ixFrame.Sum(s.b) != s.want {
 				return nil, fmt.Errorf("%w: %s section", ErrChecksum, s.name)
 			}
@@ -397,14 +393,13 @@ func indexFromBytes(h *indexHeader, lay indexLayout, data, mapped []byte, verify
 	}
 	ix := &LargeIndex{
 		k: int(h.K), seqLen: int(h.SeqLen), maxStore: int(h.MaxStore), partBits: uint(h.PartBits),
-		slotOff: binfmt.Slice[int64](sl), keys: binfmt.Slice[uint64](kb),
-		starts: binfmt.Slice[int32](sb), counts: binfmt.Slice[int32](cb), positions: binfmt.Slice[int32](pb),
+		slotOff: binfmt.Slice[int64](dir), slots: binfmt.Slice[uint64](sb), recs: binfmt.Slice[int32](rb),
 		mapped: mapped,
 	}
 	// Directory structure: monotone, power-of-two (or empty) partition
 	// regions covering exactly the slot array. With this validated,
-	// lookupTotal's probe arithmetic stays inside the arrays for any
-	// section contents.
+	// probe's arithmetic stays inside the slots for any section
+	// contents, and fill bounds-checks what an entry points at.
 	if ix.slotOff[0] != 0 || ix.slotOff[h.NParts] != h.NSlots {
 		return nil, fmt.Errorf("%w: directory bounds", ErrCorrupt)
 	}
@@ -428,7 +423,7 @@ func ReadIndexInfo(path string) (IndexInfo, error) {
 	f.Close()
 	return IndexInfo{
 		RefDigest: h.RefDigest, RefLen: h.RefLen, SeqLen: h.SeqLen,
-		K: int(h.K), MaxStore: int(h.MaxStore), Slots: h.NSlots, Positions: h.NPos,
+		K: int(h.K), MaxStore: int(h.MaxStore), Slots: h.NSlots, Records: h.NRecs,
 		FileBytes: size,
 	}, nil
 }
@@ -441,6 +436,6 @@ func (ix *LargeIndex) Close() error {
 	}
 	b := ix.mapped
 	ix.mapped = nil
-	ix.slotOff, ix.keys, ix.starts, ix.counts, ix.positions = nil, nil, nil, nil, nil
+	ix.slotOff, ix.slots, ix.recs = nil, nil, nil
 	return munmap(b)
 }

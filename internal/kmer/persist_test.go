@@ -38,9 +38,8 @@ func sameIndex(t *testing.T, a, b *LargeIndex) {
 		t.Fatalf("scalar fields differ: %d/%d/%d/%d vs %d/%d/%d/%d",
 			a.k, a.seqLen, a.maxStore, a.partBits, b.k, b.seqLen, b.maxStore, b.partBits)
 	}
-	if !reflect.DeepEqual(a.slotOff, b.slotOff) || !reflect.DeepEqual(a.keys, b.keys) ||
-		!reflect.DeepEqual(a.starts, b.starts) || !reflect.DeepEqual(a.counts, b.counts) ||
-		!reflect.DeepEqual(a.positions, b.positions) {
+	if !reflect.DeepEqual(a.slotOff, b.slotOff) || !reflect.DeepEqual(a.slots, b.slots) ||
+		!reflect.DeepEqual(a.recs, b.recs) {
 		t.Fatal("section arrays differ after reload")
 	}
 }
@@ -121,8 +120,8 @@ func TestReadIndexInfo(t *testing.T) {
 	if info.RefDigest != digest || info.RefLen != refLen ||
 		info.K != 20 || info.MaxStore != 8 ||
 		info.SeqLen != int64(ix.seqLen) ||
-		info.Slots != int64(len(ix.keys)) ||
-		info.Positions != int64(len(ix.positions)) ||
+		info.Slots != int64(len(ix.slots)/2) ||
+		info.Records != int64(len(ix.recs)) ||
 		info.FileBytes != n {
 		t.Fatalf("info = %+v", info)
 	}
@@ -190,7 +189,7 @@ func TestLoadTypedErrors(t *testing.T) {
 	corruptLoad(t, bad, ErrChecksum, "header bit-flip")
 
 	bad = append([]byte(nil), img...)
-	bad[len(bad)-1] ^= 0x01 // last positions byte
+	bad[len(bad)-1] ^= 0x01 // last record byte
 	corruptLoad(t, bad, ErrChecksum, "section bit-flip")
 
 	if _, err := DecodeIndex([]byte("short")); !errors.Is(err, ErrNotIndex) {
@@ -242,27 +241,33 @@ func TestWriteRefusesMappedIndex(t *testing.T) {
 	}
 }
 
-// TestGoldenIndexBytes pins the on-disk format: testdata/golden.gnix was
-// written by WriteIndexFile as it stood before the container moved to
-// internal/binfmt. It must load on both paths, answer like a fresh
-// build of the same sequence, and re-encode — in memory and through the
-// atomic file writer — to the same bytes.
-func TestGoldenIndexBytes(t *testing.T) {
-	path := filepath.Join("testdata", "golden.gnix")
-	golden, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// goldenSeq is the sequence both golden files index: 400 random bases
+// with 1% N and a poly-G run, at k = 16 with MaxStore 4.
+func goldenSeq() (dna.Seq, [32]byte) {
 	rng := rand.New(rand.NewSource(91))
 	seq := randSeq(rng, 400, 0.01)
 	for i := 100; i < 160; i++ {
 		seq[i] = dna.Code(2)
 	}
+	return seq, sha256.Sum256([]byte("golden-reference"))
+}
+
+// TestGoldenIndexBytes pins the on-disk format: testdata/golden-v2.gnix
+// was written by WriteIndexFile when the format moved to canonical keys
+// (version 2). It must load on both paths, answer like a fresh build of
+// the same sequence, and re-encode — in memory and through the atomic
+// file writer — to the same bytes.
+func TestGoldenIndexBytes(t *testing.T) {
+	path := filepath.Join("testdata", "golden-v2.gnix")
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, digest := goldenSeq()
 	built, err := NewLargeWith(seq, 16, LargeConfig{MaxStore: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := sha256.Sum256([]byte("golden-reference"))
 	for _, noMmap := range []bool{false, true} {
 		ix, err := LoadIndexFile(path, LoadOptions{RefDigest: digest, RefLen: int64(len(seq)), Verify: true, NoMmap: noMmap})
 		if err != nil {
@@ -284,5 +289,33 @@ func TestGoldenIndexBytes(t *testing.T) {
 	}
 	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, golden) {
 		t.Errorf("rewritten golden index differs (%v)", err)
+	}
+}
+
+// TestGoldenV1Refused: testdata/golden.gnix is the same index in format
+// version 1 (every k-mer keyed apart). This build reads only version 2,
+// so both load paths and the decoder refuse it with ErrVersion — before
+// the reference check, which the file would pass.
+func TestGoldenV1Refused(t *testing.T) {
+	path := filepath.Join("testdata", "golden.gnix")
+	seq, digest := goldenSeq()
+	for _, noMmap := range []bool{false, true} {
+		ix, err := LoadIndexFile(path, LoadOptions{RefDigest: digest, RefLen: int64(len(seq)), Verify: true, NoMmap: noMmap})
+		if ix != nil {
+			ix.Close()
+		}
+		if !errors.Is(err, ErrVersion) {
+			t.Errorf("v1 index (NoMmap=%v): err = %v, want ErrVersion", noMmap, err)
+		}
+	}
+	if _, err := ReadIndexInfo(path); !errors.Is(err, ErrVersion) {
+		t.Errorf("v1 index info: err = %v, want ErrVersion", err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeIndex(img); !errors.Is(err, ErrVersion) {
+		t.Errorf("v1 image: err = %v, want ErrVersion", err)
 	}
 }
