@@ -16,9 +16,19 @@ test:
 # and the FASTQ parser (fuzz seed corpus). The slowest package, the root
 # one, took 217 s under -race on a 2-vCPU VM (Go 1.24); -timeout 15m
 # leaves four times that before a package is killed, where go test's
-# default 10m left under three.
+# default 10m left under three. The run is verbose into a temporary log:
+# a failure prints the whole log, a pass the package lines; either way
+# the ten slowest top-level tests follow, so the suite's budget is seen
+# on every run.
 race:
-	$(GO) test -race -timeout 15m . ./internal/core/... ./internal/phmm/... ./internal/cluster/... ./internal/genome/... ./internal/snp/... ./internal/lrt/... ./internal/obs/... ./internal/fastq/... ./internal/ckpt/... ./internal/binfmt/... ./internal/kmer/...
+	@log=$$(mktemp); \
+	$(GO) test -race -timeout 15m -v . ./internal/core/... ./internal/phmm/... ./internal/cluster/... ./internal/genome/... ./internal/snp/... ./internal/lrt/... ./internal/obs/... ./internal/fastq/... ./internal/ckpt/... ./internal/binfmt/... ./internal/kmer/... > $$log 2>&1; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then cat $$log; else grep -E '^(ok|FAIL|\?) ' $$log; fi; \
+	echo "ten slowest tests under -race:"; \
+	sed -nE 's/^--- (PASS|FAIL): ([^ ]+) \(([0-9.]+)s\)$$/\3s \2/p' $$log | sort -rn | head -10; \
+	rm -f $$log; \
+	exit $$status
 
 vet:
 	$(GO) vet ./...

@@ -117,8 +117,9 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 // step placed on N ranks, so what the pipeline offers afterwards does
 // not depend on the placement — a checkpoint written on one placement
 // resumes on another to the uninterrupted run's VCF bytes, and the
-// side outputs of a 2-node run are the single-process files. -workers 1
-// throughout, so accumulation order is fixed per rank.
+// side outputs of a 2-node run, read-split or genome-split, are the
+// single-process files. -workers 1 throughout, so accumulation order is
+// fixed per rank.
 func TestCLIReadSplitIsThePipeline(t *testing.T) {
 	bins := buildTools(t)
 	data := t.TempDir()
@@ -166,22 +167,31 @@ func TestCLIReadSplitIsThePipeline(t *testing.T) {
 		}
 	}
 
-	// Side outputs from the folded accumulator (-pileup) and rank 0's
-	// engine (-sam) on 2 nodes.
-	sam2, pu2 := filepath.Join(data, "two.sam"), filepath.Join(data, "two.tsv")
-	gnumap("two", append([]string{"-sam", sam2, "-pileup", pu2}, two...)...)
+	// Side outputs on 2 nodes: -pileup from the pipeline's accumulator
+	// (read-split folds every rank into it, genome-split's ranks each
+	// write their slice of it) and -sam from the pipeline's engine.
 	a, err := os.ReadFile(sam1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(sam2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		tag   string
+		split []string
+	}{{"two", two}, {"two-genome", []string{"-nodes", "2", "-split", "genome"}}} {
+		sam2, pu2 := filepath.Join(data, tc.tag+".sam"), filepath.Join(data, tc.tag+".tsv")
+		vcf, _ := gnumap(tc.tag, append([]string{"-sam", sam2, "-pileup", pu2}, tc.split...)...)
+		if string(vcf) != string(golden) {
+			t.Errorf("%v: VCF differs from the single-process run", tc.split)
+		}
+		b, err := os.ReadFile(sam2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) == 0 || string(a) != string(b) {
+			t.Errorf("%v: -sam (%d bytes) is not the single-process file (%d bytes)", tc.split, len(b), len(a))
+		}
+		comparePileups(t, pu1, pu2)
 	}
-	if len(a) == 0 || string(a) != string(b) {
-		t.Errorf("2-node -sam (%d bytes) is not the single-process file (%d bytes)", len(b), len(a))
-	}
-	comparePileups(t, pu1, pu2)
 }
 
 // comparePileups holds two -pileup files to the same rows with every
@@ -327,17 +337,16 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		// -nodes > 1 is refused (below), so the row cannot be a no-op.
 		{"ft-read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read", "-op-timeout", "30s"} }, []string{"-nodes", "-split", "-op-timeout"}},
 	}
-	// The four holes that remain in the mode matrix (DESIGN.md §10,
-	// refused by gnumap.CheckModes); every other pair must compose —
-	// read-split is the Pipeline's mapping step, so checkpoint,
-	// incremental calling, sam and pileup work on it as they do in one
-	// process.
+	// The two holes that remain in the mode matrix (DESIGN.md §10,
+	// refused by gnumap.CheckModes); every other pair must compose — both
+	// splits are the Pipeline's mapping step, so sam and pileup work on
+	// them as they do in one process, and so do checkpoint and
+	// incremental calling on read-split.
 	mustRefuse := map[string]bool{
-		// genome-split keeps no whole-genome state on any rank
+		// genome-split's boundary spills land only when mapping ends, so
+		// no quiesce barrier sees complete state
 		"checkpoint+genome-split":  true,
 		"incremental+genome-split": true,
-		"sam+genome-split":         true,
-		"pileup+genome-split":      true,
 	}
 
 	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {

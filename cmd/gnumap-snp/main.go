@@ -15,19 +15,22 @@
 //
 // With -nodes > 1 the run executes on a simulated message-passing
 // cluster (goroutine nodes; -tcp switches to loopback TCP), using the
-// paper's read-split or genome-split strategy. Read-split is the same
-// pipeline with its mapping step placed on N ranks: rank 0 folds their
-// state, so -checkpoint/-resume, -sam, -pileup and the coverage summary
-// work as in one process. Genome-split ranks each own a slice of the
-// accumulator and align the reads' candidates that start in it; both
-// splits seed against the run's one index (-index, -index-write, or
-// one built once), so both map what one process maps. -op-timeout bounds every
-// cluster operation; in read-split mode rank 0 then also keeps a ledger
-// of the batches it dealt since the last checkpoint round and re-deals
-// a lost worker's share (loss detected by heartbeats every tenth of the
-// deadline), still streaming the FASTQ. -chaos injects deterministic
-// faults for resilience testing. All three are cluster flags and are
-// refused without -nodes > 1.
+// paper's read-split or genome-split strategy. Either is the same
+// pipeline with its mapping step placed on N ranks, so -sam, -pileup
+// and the coverage summary work as in one process. Read-split's rank 0
+// folds the ranks' state into the pipeline's accumulator, so
+// -checkpoint/-resume work too. A genome-split rank's slice is its range
+// of the pipeline's one accumulator, written only by that rank and by
+// the boundary spills addressed to it; the rank aligns the reads'
+// candidates that start in it. Both splits seed against the run's one
+// index (-index, -index-write, or one built once), so both map what one
+// process maps. -op-timeout bounds every cluster operation; in
+// read-split mode rank 0 then also keeps a ledger of the batches it
+// dealt since the last checkpoint round and re-deals a lost worker's
+// share (loss detected by heartbeats every tenth of the deadline), still
+// streaming the FASTQ. -chaos injects deterministic faults for
+// resilience testing. All three are cluster flags and are refused
+// without -nodes > 1.
 //
 // Observability: -metrics-out writes the run's merged metrics report
 // (per-rank stage timers, counters, and communication gauges) as JSON
@@ -42,11 +45,12 @@
 // calling and streams it again (so -sam needs a regular file; a FIFO is
 // refused at startup). -checkpoint and -incremental-every subscribe to
 // that pipeline's quiesce barrier and compose with each other, with
-// -fit/-sam and with -split read. The four feature × placement pairs
+// -fit/-sam and with -split read. The two feature × placement pairs
 // that do not compose are refused at startup by the library
-// (gnumap.CheckModes), naming both flags and the reason: -checkpoint,
-// -incremental-every, -sam and -pileup with -split genome (genome-split
-// keeps no whole-genome state on any rank).
+// (gnumap.CheckModes), naming both flags and the reason: -checkpoint
+// and -incremental-every with -split genome (genome-split's boundary
+// spills land only when mapping ends, so no barrier sees complete
+// state).
 //
 // Crash safety: -checkpoint FILE makes the run write its full state
 // (config fingerprint, source watermark, mapping counters, accumulator)
@@ -251,14 +255,7 @@ func run() error {
 	}
 	// What the run asks for against where it runs: the library refuses
 	// the pairs that do not compose, before anything is loaded.
-	var outputs []string
-	if *samPath != "" {
-		outputs = append(outputs, "-sam")
-	}
-	if *pileupOut != "" {
-		outputs = append(outputs, "-pileup")
-	}
-	if err := gnumap.CheckModes(opts, outputs...); err != nil {
+	if err := gnumap.CheckModes(opts); err != nil {
 		return err
 	}
 	// -sam streams the FASTQ a second time after calling: a pipe or
@@ -339,33 +336,19 @@ func run() error {
 	}
 
 	// One mapping run: open the source, map it through the one Pipeline —
-	// in this process or read-split across ranks, the pipeline's business
-	// — close it. Genome-split has no rank that could hold a Pipeline's
-	// state and keeps its own runner.
+	// in this process or on ranks under either split, the pipeline's
+	// business — close it.
 	start := time.Now()
 	src, err := gnumap.OpenReads(*readsPath, enc)
 	if err != nil {
 		return err
 	}
-	var calls []gnumap.SNPCall
-	var stats gnumap.MapStats
-	var report *gnumap.MetricsReport
-	var p *gnumap.Pipeline
-	cc := opts.Cluster
-	switch {
-	case cc.Nodes > 1 && cc.Split == gnumap.GenomeSplit:
-		calls, stats, report, err = gnumap.RunClusterStreamReport(cc.Nodes, cc.Transport, cc.Split, reference, src, opts)
-	default:
-		if p, err = gnumap.NewPipeline(reference, opts); err != nil {
-			break
-		}
+	p, err := gnumap.NewPipeline(reference, opts)
+	if err == nil {
 		if n := p.ReadsConsumed(); n > 0 {
 			fmt.Fprintf(os.Stderr, "resuming from %s: %d reads already mapped\n", *ckptPath, n)
 		}
 		_, err = p.MapReadsFrom(src)
-		// Cumulative across the whole job, so the summary line stays
-		// honest after a resume.
-		stats = p.CumulativeStats()
 	}
 	if cerr := src.Close(); err == nil {
 		err = cerr
@@ -378,11 +361,15 @@ func run() error {
 	} else if err != nil {
 		return err
 	}
+	// Cumulative across the whole job, so the summary line stays honest
+	// after a resume.
+	stats := p.CumulativeStats()
 	if stats.Degraded() {
 		fmt.Fprintf(os.Stderr, "WARNING: degraded run — lost rank(s) %v; their batches were re-dealt to the survivors\n", stats.LostRanks)
 	}
+	var calls []gnumap.SNPCall
 	var qcStats *gnumap.CoverageStats
-	if p != nil && stopErr == nil {
+	if stopErr == nil {
 		calls, _, err = p.Call()
 		if err != nil {
 			return err
@@ -416,11 +403,10 @@ func run() error {
 			}
 		}
 	}
-	if p != nil {
-		// On a cluster it merges every rank.
-		if report, err = p.MetricsReport(); err != nil {
-			return err
-		}
+	// On a cluster it merges every rank.
+	report, err := p.MetricsReport()
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 

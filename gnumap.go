@@ -18,7 +18,6 @@
 package gnumap
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,12 +40,6 @@ import (
 	"gnumap/internal/simulate"
 	"gnumap/internal/snp"
 )
-
-func init() {
-	// Candidate batches travel rank→rank-0 inside a collective when a
-	// genome-split run applies global FDR.
-	gob.Register([]snp.Candidate{})
-}
 
 // Read is one sequencing read (name, bases, Phred qualities).
 type Read = fastq.Read
@@ -171,19 +164,22 @@ func NewMetricsReport(snaps []MetricsSnapshot, deadRanks []int) (*MetricsReport,
 }
 
 // ClusterConfig is where a run executes — its placement (Nodes,
-// Transport, Split: the parameters RunClusterStreamReport takes positionally)
-// — and the cluster's fault model: operation deadlines, heartbeat
-// failure detection, and optional deterministic fault injection.
+// Transport, Split) — and the cluster's fault model: operation
+// deadlines, heartbeat failure detection, and optional deterministic
+// fault injection. One Pipeline runs at every placement.
 type ClusterConfig struct {
 	// Nodes is the simulated cluster size. Above 1, a Pipeline's mapping
-	// calls run read-split on that many ranks (rank 0 is the pipeline's
-	// own engine and accumulator); 0 and 1 map in this process.
+	// calls run on that many ranks, placed by Split; 0 and 1 map in this
+	// process.
 	Nodes int
 	// Transport connects the nodes (default Channels).
 	Transport Transport
 	// Split is the paper's parallelization strategy (default ReadSplit).
-	// A Pipeline holds the whole genome, so it runs ReadSplit only;
-	// GenomeSplit goes through RunClusterStreamReport.
+	// Under ReadSplit rank 0 is the pipeline's own engine and
+	// accumulator, and folds the other ranks' state into it. Under
+	// GenomeSplit a rank's slice is its range of the pipeline's one
+	// accumulator (the ranks' slices tile it in rank order), written
+	// only by that rank and by the boundary spills addressed to it.
 	Split SplitMode
 	// OpTimeout bounds every cluster Send/Recv/collective; in read-split
 	// mode rank 0 then also keeps a ledger of dealt batches and re-deals
@@ -242,9 +238,6 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 	if err := CheckModes(opts); err != nil {
 		return nil, err
 	}
-	if opts.Cluster.Nodes > 1 && opts.Cluster.Split != ReadSplit {
-		return nil, fmt.Errorf("%w: a Pipeline holds the whole genome and runs read-split; %v runs through RunClusterStreamReport", ErrModeUnsupported, opts.Cluster.Split)
-	}
 	if opts.Metrics != nil {
 		if opts.Engine.Metrics == nil {
 			opts.Engine.Metrics = opts.Metrics
@@ -278,7 +271,7 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 	}
 	// State adopted later (LoadState) needs no new caller: loading counts
 	// a write on every tile, so the next sweep covers it.
-	if p.caller, err = snp.NewIncrementalCaller(ref, acc, 0, opts.Caller); err != nil {
+	if p.caller, err = snp.NewIncrementalCaller(ref, acc, opts.Caller); err != nil {
 		return nil, err
 	}
 	if opts.Incremental != nil {
@@ -298,10 +291,12 @@ func (p *Pipeline) MapReads(reads []*Read) (MapStats, error) {
 // (Engine.Queue + Engine.Workers) · Engine.Batch reads regardless of
 // the input size. It may be called repeatedly; the returned stats cover
 // this call (CumulativeStats covers the pipeline's life). With
-// Options.Cluster.Nodes > 1 the same step runs read-split on that many
-// ranks — this process deals the source and folds the ranks' state into
-// the pipeline's accumulator — and everything after it (Call,
-// WritePileup, WriteSAM, CoverageStats, SaveState) is unchanged.
+// Options.Cluster.Nodes > 1 the same step runs on that many ranks — read-
+// split, where rank 0 deals the source and folds the ranks' state into
+// the pipeline's accumulator, or genome-split, where rank 0 broadcasts
+// it and each rank writes its slice of that accumulator — and everything
+// after it (Call, WritePileup, WriteSAM, CoverageStats, SaveState,
+// MetricsReport) is unchanged.
 //
 // Options.Checkpoint and Options.Incremental subscribe to the run's
 // quiesce barriers. Checkpoint counters are cumulative across the
@@ -327,7 +322,7 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 	var st MapStats
 	var err error
 	if p.opts.Cluster.Nodes > 1 {
-		st, err = p.mapReadSplit(src, &pol)
+		st, err = p.mapCluster(src, &pol)
 	} else {
 		st, err = p.eng.MapReadsFrom(src, p.acc, &pol)
 	}
@@ -343,11 +338,15 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 	return st, err
 }
 
-// mapReadSplit is MapReadsFrom's mapping step on Options.Cluster.Nodes
-// ranks: rank 0 is the pipeline's engine and accumulator and owns src
-// and the barrier policy; every other rank gets an engine (over rank 0's
-// seed index) and an accumulator of its own for the call.
-func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (MapStats, error) {
+// mapCluster is MapReadsFrom's mapping step on Options.Cluster.Nodes
+// ranks, one rank harness for both splits. Read-split: rank 0 is the
+// pipeline's engine and accumulator and owns src and the barrier policy;
+// every other rank gets an engine (over rank 0's seed index) and an
+// accumulator of its own for the call. Genome-split: every rank gets an
+// engine over rank 0's seed index and writes its slice of the
+// pipeline's accumulator; rank 0 owns src (CheckModes has refused every
+// barrier subscriber).
+func (p *Pipeline) mapCluster(src ReadSource, pol *core.CheckpointPolicy) (MapStats, error) {
 	cc := p.opts.Cluster
 	if reg := p.opts.Engine.Metrics; reg != nil && p.rankRegs == nil {
 		p.rankRegs = rankRegistries(cc.Nodes, reg)
@@ -358,7 +357,7 @@ func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (Map
 	// on partial state.
 	var st MapStats
 	snaps, dead, err := core.RunRanks(cc.Nodes, cc.runConfig(), p.rankRegs, func(c *cluster.Comm) error {
-		if c.Rank() == 0 {
+		if c.Rank() == 0 && cc.Split == ReadSplit {
 			var err error
 			st, err = core.RunReadSplit(c, p.eng, p.acc, src, pol)
 			return err
@@ -369,6 +368,13 @@ func (p *Pipeline) mapReadSplit(src ReadSource, pol *core.CheckpointPolicy) (Map
 		cfg.SeedIndex = p.eng.SeedIndex()
 		if p.rankRegs != nil {
 			cfg.Metrics = p.rankRegs[c.Rank()]
+		}
+		if cc.Split == GenomeSplit {
+			rst, err := core.RunGenomeSplit(c, p.ref, src, p.acc, cfg)
+			if c.Rank() == 0 {
+				st = rst
+			}
+			return err
 		}
 		eng, err := core.NewEngine(p.ref, cfg)
 		if err != nil {
@@ -448,7 +454,7 @@ func (p *Pipeline) WriteSAM(w io.Writer, src ReadSource) error {
 // WritePileup writes the per-position probability pileup as TSV for
 // positions with at least minDepth accumulated mass.
 func (p *Pipeline) WritePileup(w io.Writer, minDepth float64) error {
-	return snp.WritePileup(w, p.ref, p.acc, 0, 0, p.ref.Len(), minDepth)
+	return snp.WritePileup(w, p.ref, p.acc, 0, p.ref.Len(), minDepth)
 }
 
 // SaveState serializes the pipeline's accumulated per-position state
@@ -868,16 +874,15 @@ var ErrModeUnsupported = errors.New("gnumap: unsupported mode combination")
 
 // CheckModes reports whether what a run asks for composes with where it
 // runs (opts.Cluster), naming both sides by their gnumap-snp flags when
-// it does not. outputs lists the side outputs the caller means to write
-// from the accumulated genome ("-sam", "-pileup"): they are Pipeline
-// methods rather than options, but need the same whole-genome state.
-// The four pairs refused, all wrapping ErrModeUnsupported, are
-// Checkpoint, Incremental and both side outputs × GenomeSplit:
-// genome-split keeps no whole-genome state on any rank, so there is
-// nothing to checkpoint, sweep incrementally or write a pileup from.
-// Everything composes with ReadSplit, whose rank 0 holds the whole
-// genome's state — write-set included — after every round.
-func CheckModes(opts Options, outputs ...string) error {
+// it does not. The two pairs refused, both wrapping ErrModeUnsupported,
+// are Checkpoint and Incremental × GenomeSplit: both are subscribers on
+// the mapping call's quiesce barriers, and genome-split's boundary
+// spills land only when the mapping call ends, so no barrier inside it
+// sees complete state to save or to sweep. Everything else composes:
+// ReadSplit's rank 0 holds the whole genome's state — write-set
+// included — after every round, and a genome-split run's slices are the
+// pipeline's one accumulator once its mapping call returns.
+func CheckModes(opts Options) error {
 	cc := opts.Cluster
 	if cc.Nodes <= 1 {
 		return nil
@@ -889,46 +894,24 @@ func CheckModes(opts Options, outputs ...string) error {
 	default:
 		return fmt.Errorf("gnumap: unknown split mode %d", int(cc.Split))
 	}
-	var features []string
-	if opts.Incremental != nil {
-		features = append(features, "-incremental-every")
-	}
-	if opts.Checkpoint != nil {
-		features = append(features, "-checkpoint")
-	}
-	features = append(features, outputs...)
-	if len(features) == 0 {
+	var feature string
+	switch {
+	case opts.Incremental != nil:
+		feature = "-incremental-every"
+	case opts.Checkpoint != nil:
+		feature = "-checkpoint"
+	default:
 		return nil
 	}
-	return fmt.Errorf("%w: %s with -nodes %d -split genome: genome-split keeps no whole-genome state on any rank", ErrModeUnsupported, features[0], cc.Nodes)
+	return fmt.Errorf("%w: %s with -nodes %d -split genome: genome-split's boundary spills land only when mapping ends, so no barrier sees complete state", ErrModeUnsupported, feature, cc.Nodes)
 }
 
 // RunClusterStreamReport maps src and calls SNPs on a simulated cluster
 // of the given size, returning the calls, the global mapping statistics
 // and the run's merged metrics report: the cluster placement spelled as
-// parameters (they override opts.Cluster.Nodes/Transport/Split). In
-// ReadSplit mode it is a Pipeline run — rank 0 owns the source and deals
-// fixed-size batches round-robin to the ranks under a bounded credit
-// window, so cluster-wide resident reads stay capped by
-// Engine.{Batch,Queue,Workers}; with Cluster.OpTimeout set it also
-// retains what it dealt since the last checkpoint round, to re-deal a
-// lost rank's share; rank 0 calls SNPs. In GenomeSplit mode rank 0
-// broadcasts the source a batch at a time, every rank sweeps its genome
-// slice for LRT candidates, and rank 0 gathers them and makes one
-// significance decision over the global candidate list (under FDR
-// control the Benjamini-Hochberg thresholds depend on the full ranked
-// p-value list, so a per-shard pass would change the call set with the
-// node count). Both splits seed against one whole-genome index
-// (opts.Engine.SeedIndex, or one built once for the run) and map
-// exactly what one process maps: the same locations, MapStats and call
-// set. Genome-split's per-position state matches within float
-// tolerance, not bit for bit: a read's weights sum its locations in
-// rank order and boundary spills land last.
-//
-// Both splits run on one rank harness: rank 0 records into opts.Metrics
-// (a fresh registry when nil), every other rank into its own, and at the
-// end the snapshots are gathered at rank 0 (tolerating dead ranks on
-// fault-tolerant runs) and merged with the process-wide I/O metrics.
+// parameters (they override opts.Cluster.Nodes/Transport/Split), and a
+// fresh registry when opts.Metrics is nil. It is one Pipeline run —
+// NewPipeline, MapReadsFrom, Call, MetricsReport — at either split.
 func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 	reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
 
@@ -938,9 +921,6 @@ func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 	opts.Cluster.Nodes, opts.Cluster.Transport, opts.Cluster.Split = nodes, transport, mode
 	if opts.Metrics == nil {
 		opts.Metrics = NewMetricsRegistry()
-	}
-	if mode == GenomeSplit {
-		return runGenomeSplit(reference, src, opts)
 	}
 	p, err := NewPipeline(reference, opts)
 	if err != nil {
@@ -961,80 +941,4 @@ func RunClusterStreamReport(nodes int, transport Transport, mode SplitMode,
 	}
 	// Cumulative, so a resumed job reports the whole job's totals.
 	return calls, p.CumulativeStats(), report, nil
-}
-
-// runGenomeSplit executes a genome-split cluster run over src, which
-// rank 0 owns: every rank maps every read, aligning the candidates that
-// start in its genome slice, and sweeps the slice for LRT candidates,
-// which rank 0 gathers and finalizes. Rank 0 records into opts.Metrics.
-func runGenomeSplit(reference []*Contig, src ReadSource, opts Options) ([]SNPCall, MapStats, *MetricsReport, error) {
-	if err := CheckModes(opts); err != nil {
-		return nil, MapStats{}, nil, err
-	}
-	ref, err := genome.NewReference(reference)
-	if err != nil {
-		return nil, MapStats{}, nil, err
-	}
-	cc := opts.Cluster
-	regs := rankRegistries(cc.Nodes, opts.Metrics)
-	// The ranks share this process's memory, so they seed against one
-	// whole-genome index, as one process does: Options.Engine.SeedIndex,
-	// or one built here and timed on rank 0's registry.
-	if opts.Engine.SeedIndex == nil {
-		cfg := opts.Engine
-		cfg.Metrics = regs[0]
-		eng, err := core.NewEngine(ref, cfg)
-		if err != nil {
-			return nil, MapStats{}, nil, err
-		}
-		opts.Engine.SeedIndex = eng.SeedIndex()
-	}
-	// Written only by rank 0's node goroutine; read after the run, which
-	// waits every goroutine out.
-	var calls []SNPCall
-	var stats MapStats
-	snaps, dead, err := core.RunRanks(cc.Nodes, cc.runConfig(), regs, func(c *cluster.Comm) error {
-		engCfg, caller := opts.Engine, opts.Caller
-		engCfg.Metrics, caller.Metrics = regs[c.Rank()], regs[c.Rank()]
-		acc, lo, _, st, err := core.RunGenomeSplit(c, ref, src, opts.Memory, engCfg)
-		if err != nil {
-			return err
-		}
-		// The significance decision is made once, over every slice's
-		// candidates: the Benjamini-Hochberg threshold for each hypothesis
-		// depends on the rank of its p-value in the FULL sorted list (the
-		// fixed cutoff, het demotion and Alpha < 0 are per candidate, so
-		// they agree either way).
-		ic, err := snp.NewIncrementalCaller(ref, acc, lo, caller)
-		if err != nil {
-			return err
-		}
-		cands, _, err := ic.Candidates()
-		if err != nil {
-			return err
-		}
-		all, err := c.Gather(0, cands)
-		if err != nil || c.Rank() != 0 {
-			return err
-		}
-		stats = st
-		var merged []snp.Candidate
-		for r, v := range all {
-			part, ok := v.([]snp.Candidate)
-			if !ok {
-				return fmt.Errorf("gnumap: rank %d sent candidate payload %T", r, v)
-			}
-			merged = append(merged, part...)
-		}
-		calls, _, err = snp.FinalizeCalls(merged, caller)
-		return err
-	})
-	if err != nil {
-		return nil, MapStats{}, nil, err
-	}
-	report, err := newRunReport(snaps, dead)
-	if err != nil {
-		return nil, MapStats{}, nil, err
-	}
-	return calls, stats, report, nil
 }

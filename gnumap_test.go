@@ -231,10 +231,11 @@ func TestRunClusterValidation(t *testing.T) {
 	}
 }
 
-// TestCheckModesTyped: the six feature × placement pairs that do not
+// TestCheckModesTyped: the two feature × placement pairs that do not
 // compose are refused by one function with one sentinel, naming both
 // sides by their CLI flags and the reason; every entry point that could
-// run such a pair returns it, and the pairs that compose pass.
+// run such a pair returns it, and the pairs that compose pass — a
+// genome-split Pipeline among them.
 func TestCheckModesTyped(t *testing.T) {
 	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt")}
 	inc := &IncrementalCallConfig{}
@@ -246,18 +247,15 @@ func TestCheckModesTyped(t *testing.T) {
 		return cc
 	}
 	refused := []struct {
-		name    string
-		opts    Options
-		outputs []string
-		names   []string
+		name  string
+		opts  Options
+		names []string
 	}{
-		{"checkpoint+genome-split", Options{Checkpoint: ck, Cluster: on(GenomeSplit, false)}, nil, []string{"-checkpoint", "-split genome", "no whole-genome state"}},
-		{"incremental+genome-split", Options{Incremental: inc, Cluster: on(GenomeSplit, false)}, nil, []string{"-incremental-every", "-split genome", "no whole-genome state"}},
-		{"sam+genome-split", Options{Cluster: on(GenomeSplit, false)}, []string{"-sam"}, []string{"-sam", "-split genome", "no whole-genome state"}},
-		{"pileup+genome-split", Options{Cluster: on(GenomeSplit, false)}, []string{"-pileup"}, []string{"-pileup", "-split genome", "no whole-genome state"}},
+		{"checkpoint+genome-split", Options{Checkpoint: ck, Cluster: on(GenomeSplit, false)}, []string{"-checkpoint", "-split genome", "spills land only when mapping ends"}},
+		{"incremental+genome-split", Options{Incremental: inc, Cluster: on(GenomeSplit, false)}, []string{"-incremental-every", "-split genome", "spills land only when mapping ends"}},
 	}
 	for _, tc := range refused {
-		err := CheckModes(tc.opts, tc.outputs...)
+		err := CheckModes(tc.opts)
 		if !errors.Is(err, ErrModeUnsupported) {
 			t.Errorf("%s: %v, want ErrModeUnsupported", tc.name, err)
 			continue
@@ -269,19 +267,18 @@ func TestCheckModesTyped(t *testing.T) {
 		}
 	}
 	composing := []struct {
-		name    string
-		opts    Options
-		outputs []string
+		name string
+		opts Options
 	}{
-		{"everything in one process", Options{Checkpoint: ck, Incremental: inc}, []string{"-sam", "-pileup"}},
-		{"checkpoint+sam+pileup on read-split", Options{Checkpoint: ck, Cluster: on(ReadSplit, true)}, []string{"-sam", "-pileup"}},
-		{"incremental+read-split", Options{Incremental: inc, Cluster: on(ReadSplit, false)}, nil},
-		{"incremental+ft-read-split", Options{Incremental: inc, Checkpoint: ck, Cluster: on(ReadSplit, true)}, []string{"-sam", "-pileup"}},
-		{"plain genome-split", Options{Cluster: on(GenomeSplit, false)}, nil},
-		{"a one-node cluster is one process", Options{Checkpoint: ck, Incremental: inc, Cluster: ClusterConfig{Nodes: 1, Split: GenomeSplit}}, []string{"-sam"}},
+		{"everything in one process", Options{Checkpoint: ck, Incremental: inc}},
+		{"checkpoint+sam+pileup on read-split", Options{Checkpoint: ck, Cluster: on(ReadSplit, true)}},
+		{"incremental+read-split", Options{Incremental: inc, Cluster: on(ReadSplit, false)}},
+		{"incremental+ft-read-split", Options{Incremental: inc, Checkpoint: ck, Cluster: on(ReadSplit, true)}},
+		{"plain genome-split", Options{Cluster: on(GenomeSplit, false)}},
+		{"a one-node cluster is one process", Options{Checkpoint: ck, Incremental: inc, Cluster: ClusterConfig{Nodes: 1, Split: GenomeSplit}}},
 	}
 	for _, tc := range composing {
-		if err := CheckModes(tc.opts, tc.outputs...); err != nil {
+		if err := CheckModes(tc.opts); err != nil {
 			t.Errorf("%s: refused: %v", tc.name, err)
 		}
 	}
@@ -291,8 +288,25 @@ func TestCheckModesTyped(t *testing.T) {
 	if _, err := NewPipeline(ds.Reference, Options{Incremental: inc, Cluster: on(ReadSplit, false)}); err != nil {
 		t.Errorf("NewPipeline, incremental x read-split: %v", err)
 	}
-	if _, err := NewPipeline(ds.Reference, Options{Cluster: on(GenomeSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
-		t.Errorf("NewPipeline on genome-split (a Pipeline holds the whole genome): %v", err)
+	// -sam and -pileup are Pipeline methods, not options, so the row
+	// that composes them with genome-split is a genome-split Pipeline
+	// writing both.
+	gs, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1}, Cluster: on(GenomeSplit, false)})
+	if err != nil {
+		t.Fatalf("NewPipeline on genome-split: %v", err)
+	}
+	if _, err := gs.MapReads(ds.Reads); err != nil {
+		t.Fatal(err)
+	}
+	var sam, pileup bytes.Buffer
+	if err := gs.WriteSAM(&sam, SliceReadSource(ds.Reads[:50])); err != nil || strings.Count(sam.String(), "\n") < 50 {
+		t.Errorf("WriteSAM on genome-split: %v, %d lines", err, strings.Count(sam.String(), "\n"))
+	}
+	if err := gs.WritePileup(&pileup, 2); err != nil || strings.Count(pileup.String(), "\n") < 2 {
+		t.Errorf("WritePileup on genome-split: %v, %d lines", err, strings.Count(pileup.String(), "\n"))
+	}
+	if _, err := NewPipeline(ds.Reference, Options{Checkpoint: ck, Cluster: on(GenomeSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
+		t.Errorf("NewPipeline, checkpoint x genome-split: %v", err)
 	}
 	if _, _, _, err := RunClusterStreamReport(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
 		t.Errorf("RunClusterStreamReport, incremental x genome-split: %v", err)

@@ -342,7 +342,7 @@ func TestPartialCoverageMatchesDenseWalks(t *testing.T) {
 			dense := NewMetricsRegistry()
 			cfg := c.caller
 			cfg.Metrics = dense
-			cands, st, err := snp.CollectRange(p.ref, p.acc, 0, 0, p.ref.Len(), cfg)
+			cands, st, err := snp.CollectRange(p.ref, p.acc, 0, p.ref.Len(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/gob"
 	"fmt"
+	"time"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
@@ -23,28 +24,30 @@ func init() {
 //     the accumulators are folded into the root's (RunReadSplit,
 //     cluster_stream.go). Minimal communication, maximal memory.
 //
-//   - Genome-split ("spread memory" in Figure 4): every node holds a
-//     1/N slice of the accumulator and maps all reads, aligning only the
-//     candidates whose seed start falls in its slice. Seeding runs
-//     against the run's one whole-genome index (the simulated ranks share
-//     one process, as read-split's do), so the seed filters — MaxBucket,
-//     the vote cut, MaxCandidates — decide exactly what they decide in
-//     one process, and the ranks together align exactly its locations.
-//     Rank 0 owns the read stream and
-//     broadcasts it a batch at a time, so no rank ever holds more than
-//     one batch. A read's posterior weights need the likelihoods of its
-//     locations on every slice, so after mapping a batch the ranks meet
-//     in ONE exchange: each contributes the log-likelihoods of the
-//     locations it accepted, per read, and receives everyone's;
-//     concatenated in rank order they are the input of the engine's own
-//     weights — thresholding, renormalization, best-hit selection and
-//     the mapped/unmapped/locations counts are the shared-memory code
-//     run on every rank with the same input, so every rank also ends up
-//     with the global Stats. Alignments spilling over a slice boundary
-//     route their out-of-range contributions to the owning node
-//     point-to-point at the end. Minimal memory, more communication —
-//     which is why the paper's Figure 4 shows it processing fewer
-//     sequences per second.
+//   - Genome-split ("spread memory" in Figure 4): every node owns a 1/N
+//     slice of the run's one accumulator — the pipeline's — and maps all
+//     reads, aligning only the candidates whose seed start falls in its
+//     slice. It is the only rank that writes the slice, so when the run
+//     ends the accumulator holds every slice with nothing to gather or
+//     stitch (RunGenomeSplit). Seeding runs against the run's one
+//     whole-genome index (the simulated ranks share one process, as
+//     read-split's do), so the seed filters — MaxBucket, the vote cut,
+//     MaxCandidates — decide exactly what they decide in one process,
+//     and the ranks together align exactly its locations. Rank 0 owns
+//     the read stream and broadcasts it a batch at a time, so no rank
+//     ever holds more than one batch. A read's posterior weights need
+//     the likelihoods of its locations on every slice, so after mapping
+//     a batch the ranks meet in ONE exchange: each contributes the
+//     log-likelihoods of the locations it accepted, per read, and
+//     receives everyone's; concatenated in rank order they are the input
+//     of the engine's own weights — thresholding, renormalization,
+//     best-hit selection and the mapped/unmapped/locations counts are
+//     the shared-memory code run on every rank with the same input, so
+//     every rank also ends up with the global Stats. Alignments spilling
+//     over a slice boundary route their out-of-range contributions to
+//     the owning node point-to-point at the end, which applies them to
+//     its slice. Minimal memory, more communication — which is why the
+//     paper's Figure 4 shows it processing fewer sequences per second.
 
 // GenomeSlice returns the [lo, hi) slice of the reference owned by a
 // rank in genome-split mode.
@@ -123,14 +126,19 @@ func nextSplitBatch(c *cluster.Comm, src fastq.Source) ([]*fastq.Read, error) {
 }
 
 // RunGenomeSplit executes genome-split mapping on one cluster node (the
-// protocol is described above). src must be non-nil on rank 0 and is
-// ignored elsewhere. The rank seeds every read against the whole-genome
-// index cfg.SeedIndex (built per rank when nil; a run passes all ranks
-// one) and aligns only the candidates whose seed start falls in its
-// slice, so the ranks together align exactly the locations one process
-// aligns. Returns the local slice accumulator, the owned range, and
-// global Stats.
-func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mode genome.Mode, cfg Config) (genome.Accumulator, int, int, Stats, error) {
+// protocol is described above) into acc, the run's one whole-genome
+// accumulator, which every rank is handed. src must be non-nil on rank
+// 0 and is ignored elsewhere. The rank seeds every read against the
+// whole-genome index cfg.SeedIndex (built per rank when nil; a run
+// passes all ranks one) and aligns only the candidates whose seed start
+// falls in its slice [lo, hi) = GenomeSlice(acc.Len(), size, rank), so
+// the ranks together align exactly the locations one process aligns.
+// It writes only the positions of its slice: its own locations clipped
+// to [lo, hi) as it maps, then the spills the other ranks address to
+// it. No position is written by two ranks, and each gets the adds it
+// would get in a slice accumulator of its own, in the same order.
+// Returns the global Stats.
+func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, acc genome.Accumulator, cfg Config) (Stats, error) {
 	var st Stats
 	size, rank := c.Size(), c.Rank()
 	L := ref.Len()
@@ -138,24 +146,22 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 	// SPMD code must not have one rank error out of a collective while
 	// the others enter it.
 	if L < size {
-		return nil, 0, 0, st, fmt.Errorf("core: %d nodes for a %d-base reference leaves empty slices", size, L)
+		return st, fmt.Errorf("core: %d nodes for a %d-base reference leaves empty slices", size, L)
+	}
+	if acc.Len() != L {
+		return st, fmt.Errorf("core: accumulator of %d positions for a %d-base reference", acc.Len(), L)
 	}
 	lo, hi := GenomeSlice(L, size, rank)
 	eng, err := NewEngine(ref, cfg)
 	if err != nil {
-		return nil, 0, 0, st, err
+		return st, err
 	}
 	eng.ownLo, eng.ownHi = lo, hi
 	// Genome-split drives one serial mapper per rank (the exchange is
-	// the bottleneck, not lock contention) into an accumulator over the
-	// rank's own slice.
+	// the bottleneck, not lock contention).
 	m, err := eng.getMapper()
 	if err != nil {
-		return nil, 0, 0, st, err
-	}
-	acc, err := genome.New(mode, hi-lo)
-	if err != nil {
-		return nil, 0, 0, st, err
+		return st, err
 	}
 	peakResident := 0
 	spills := make(map[int]spillBatch) // destination rank -> flattened
@@ -166,7 +172,7 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 	for {
 		batch, err := nextSplitBatch(c, src)
 		if err != nil {
-			return nil, 0, 0, st, err
+			return st, err
 		}
 		if len(batch) == 0 {
 			break
@@ -182,11 +188,11 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 			return nil
 		})
 		if err != nil {
-			return nil, 0, 0, st, err
+			return st, err
 		}
 		all, err := exchange(c, mine)
 		if err != nil {
-			return nil, 0, 0, st, err
+			return st, err
 		}
 		// Weigh each read's locations from every rank together and apply
 		// this rank's; spill out-of-range positions to their owners.
@@ -213,11 +219,23 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 					st.Locations++
 				}
 			}
+			if len(locs) == 0 {
+				continue
+			}
+			// The rank holding locations of a read times its apply, as one
+			// process times every mapped read's.
+			var tAcc time.Time
+			if m.met != nil {
+				tAcc = time.Now()
+			}
 			for k, l := range locs {
 				if w := ws[own+k]; w != 0 {
 					ownLocations++
 					applySliceContribution(acc, lo, hi, L, size, l, w, spills)
 				}
+			}
+			if m.met != nil {
+				m.met.accumSec.ObserveDuration(time.Since(tAcc))
 			}
 		}
 	}
@@ -237,13 +255,14 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 		cfg.Metrics.Gauge("stream.peak.resident.reads").Set(float64(peakResident))
 	}
 	// Boundary exchange: everyone sends every other rank its spill
-	// (possibly empty), then receives.
+	// (possibly empty), then receives and applies what is addressed to
+	// its slice.
 	for r := 0; r < size; r++ {
 		if r == rank {
 			continue
 		}
 		if err := c.Send(r, spillTag, []float64(spills[r])); err != nil {
-			return nil, 0, 0, st, err
+			return st, err
 		}
 	}
 	for r := 0; r < size; r++ {
@@ -252,37 +271,40 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, mo
 		}
 		v, err := c.Recv(r, spillTag)
 		if err != nil {
-			return nil, 0, 0, st, err
+			return st, err
 		}
 		incoming, ok := v.([]float64)
 		if !ok {
-			return nil, 0, 0, st, fmt.Errorf("core: rank %d sent spill payload %T", r, v)
+			return st, fmt.Errorf("core: rank %d sent spill payload %T", r, v)
 		}
 		if len(incoming)%6 != 0 {
-			return nil, 0, 0, st, fmt.Errorf("core: malformed spill of %d floats from rank %d", len(incoming), r)
+			return st, fmt.Errorf("core: malformed spill of %d floats from rank %d", len(incoming), r)
 		}
 		for off := 0; off < len(incoming); off += 6 {
 			pos := int(incoming[off])
+			if pos < lo || pos >= hi {
+				return st, fmt.Errorf("core: rank %d spilled position %d outside rank %d's slice [%d, %d)", r, pos, rank, lo, hi)
+			}
 			var vec genome.Vec
 			copy(vec[:], incoming[off+1:off+6])
-			acc.AddRange(pos-lo, []genome.Vec{vec}, 1)
+			acc.AddRange(pos, []genome.Vec{vec}, 1)
 		}
 	}
-	return acc, lo, hi, st, nil
+	return st, nil
 }
 
-// applySliceContribution adds the in-range part of a weighted location
-// to the local accumulator and buffers the rest for the owning ranks.
+// applySliceContribution adds the part of a weighted location inside
+// the rank's slice [lo, hi) to the accumulator and buffers the rest for
+// the owning ranks.
 func applySliceContribution(acc genome.Accumulator, lo, hi, L, size int, l location, w float64, spills map[int]spillBatch) {
 	start := l.windowStart
-	endPos := start + len(l.contribs)
-	if start >= lo && endPos <= hi {
-		acc.AddRange(start-lo, l.contribs, w)
+	end := start + len(l.contribs)
+	if from, to := max(start, lo), min(end, hi); from < to {
+		acc.AddRange(from, l.contribs[from-start:to-start], w)
+	}
+	if start >= lo && end <= hi {
 		return
 	}
-	// Split: in-range part via AddRange (clipped), out-of-range
-	// positions spilled individually.
-	acc.AddRange(start-lo, l.contribs, w)
 	for k, vec := range l.contribs {
 		pos := start + k
 		if pos >= lo && pos < hi {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -160,44 +161,28 @@ func TestReadSplitDiscretizedModes(t *testing.T) {
 	}
 }
 
-// collectGenomeSplit runs genome-split mapping and stitches each node's
-// slice back into one full-length accumulator for comparison.
+// collectGenomeSplit runs genome-split mapping with every rank writing
+// its slice of one full-length accumulator, and returns it.
 func collectGenomeSplit(t *testing.T, p *pipeline, nodes int, kind cluster.TransportKind, cfg Config) genome.Accumulator {
 	t.Helper()
-	type part struct {
-		lo, hi int
-		acc    genome.Accumulator
+	acc, err := genome.New(genome.Norm, p.ref.Len())
+	if err != nil {
+		t.Fatal(err)
 	}
-	parts := make([]part, nodes)
-	var mu sync.Mutex
-	err := cluster.Run(nodes, kind, func(c *cluster.Comm) error {
-		acc, lo, hi, st, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, cfg)
+	err = cluster.Run(nodes, kind, func(c *cluster.Comm) error {
+		st, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, cfg)
 		if err != nil {
 			return err
 		}
 		if st.Mapped+st.Unmapped != int64(len(p.reads)) {
 			return fmt.Errorf("stats don't cover all reads: %+v", st)
 		}
-		mu.Lock()
-		parts[c.Rank()] = part{lo: lo, hi: hi, acc: acc}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := genome.New(genome.Norm, p.ref.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range parts {
-		fz := view(t, pt.acc)
-		for pos := pt.lo; pos < pt.hi; pos++ {
-			v := fz.Vector(pos - pt.lo)
-			full.AddRange(pos, []genome.Vec{v}, 1)
-		}
-	}
-	return full
+	return acc
 }
 
 func TestGenomeSplitMatchesSharedMemory(t *testing.T) {
@@ -270,7 +255,11 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, _, _, _, err = RunGenomeSplit(c, tiny, fastq.SliceSource(p.reads), genome.Norm, Config{})
+		acc, err := genome.New(genome.Norm, tiny.Len())
+		if err != nil {
+			return err
+		}
+		_, err = RunGenomeSplit(c, tiny, fastq.SliceSource(p.reads), acc, Config{})
 		if err == nil {
 			return fmt.Errorf("empty slice accepted")
 		}
@@ -288,10 +277,14 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 // then sends rank 0 a string on the spill tag.
 func TestGenomeSplitMistypedSpillIsAnError(t *testing.T) {
 	p := makePipeline(t, 5000, 1, 2, 71)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rootErr error
-	err := cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
+	err = cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
 		if c.Rank() == 0 {
-			_, _, _, _, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), genome.Norm, Config{Workers: 1})
+			_, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), acc, Config{Workers: 1})
 			return nil
 		}
 		if _, err := c.Broadcast(0, nil); err != nil {
@@ -308,6 +301,43 @@ func TestGenomeSplitMistypedSpillIsAnError(t *testing.T) {
 	}
 	if rootErr == nil || !strings.Contains(rootErr.Error(), "rank 1 sent spill payload string") {
 		t.Fatalf("rank 0 returned %v, want a spill payload error naming rank 1", rootErr)
+	}
+}
+
+// TestGenomeSplitForeignSpillIsAnError: a rank applies only spills
+// addressed to its own slice of the shared accumulator; a spill for a
+// position another rank owns fails the receiver, naming the sender, and
+// writes nothing.
+func TestGenomeSplitForeignSpillIsAnError(t *testing.T) {
+	p := makePipeline(t, 5000, 1, 2, 71)
+	acc, err := genome.New(genome.Norm, p.ref.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hi := GenomeSlice(p.ref.Len(), 2, 0)
+	var rootErr error
+	err = cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
+		if c.Rank() == 0 {
+			_, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), acc, Config{Workers: 1})
+			return nil
+		}
+		if _, err := c.Broadcast(0, nil); err != nil {
+			return err
+		}
+		if err := c.Send(0, spillTag, []float64{float64(hi), 1, 0, 0, 0, 0}); err != nil {
+			return err
+		}
+		_, err := c.Recv(0, spillTag)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rootErr == nil || !strings.Contains(rootErr.Error(), "rank 1 spilled position") {
+		t.Fatalf("rank 0 returned %v, want a foreign-spill error naming rank 1", rootErr)
+	}
+	if w := genome.Writes(acc, nil); slices.ContainsFunc(w, func(n uint64) bool { return n != 0 }) {
+		t.Errorf("a refused spill wrote the accumulator: write counters %v", w)
 	}
 }
 

@@ -191,9 +191,13 @@ func TestGenomeSplitCrashAbortsWithinDeadline(t *testing.T) {
 	p := makePipeline(t, 10000, 2, 6, 83)
 	fault := cluster.NewFaultConfig(4)
 	fault.CrashRank = 1
+	acc, err := genome.New(genome.Norm, p.ref.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	err := cluster.RunWithConfig(3, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		_, _, _, _, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), genome.Norm, Config{Workers: 1})
+	err = cluster.RunWithConfig(3, ftRunConfig(&fault), func(c *cluster.Comm) error {
+		_, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, Config{Workers: 1})
 		if c.Rank() == 1 {
 			return err // crashed rank's own failure is a simulated death
 		}

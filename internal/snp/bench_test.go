@@ -27,13 +27,13 @@ func BenchmarkCollectRange(b *testing.B) {
 		})
 	}
 	run("sweep=scalar/workers=1", func() error {
-		_, _, err := collectRange(ref, acc, 0, 0, length, Config{Ploidy: lrt.Diploid}, false)
+		_, _, err := collectRange(ref, acc, 0, length, Config{Ploidy: lrt.Diploid}, false)
 		return err
 	})
 	for workers := 1; workers <= runtime.NumCPU(); workers++ {
 		cfg := Config{Ploidy: lrt.Diploid, CallWorkers: workers}
 		run(fmt.Sprintf("sweep=vector/workers=%d", workers), func() error {
-			ic, err := NewIncrementalCaller(ref, acc, 0, cfg)
+			ic, err := NewIncrementalCaller(ref, acc, cfg)
 			if err == nil {
 				_, _, err = ic.Candidates()
 			}

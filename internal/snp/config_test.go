@@ -8,10 +8,9 @@ import (
 	"gnumap/internal/lrt"
 )
 
-// windowOf copies positions [offset, offset+length) of a NORM
-// accumulator into a fresh accumulator of that length, emulating the
-// genome-split mode's windowed accumulators.
-func windowOf(t *testing.T, acc genome.Accumulator, offset, length int) genome.Accumulator {
+// prefixOf copies positions [0, length) of a NORM accumulator into a
+// fresh accumulator of that length: one shorter than its reference.
+func prefixOf(t *testing.T, acc genome.Accumulator, length int) genome.Accumulator {
 	t.Helper()
 	w, err := genome.New(genome.Norm, length)
 	if err != nil {
@@ -19,7 +18,7 @@ func windowOf(t *testing.T, acc genome.Accumulator, offset, length int) genome.A
 	}
 	fz := view(t, acc)
 	for i := 0; i < length; i++ {
-		if v := fz.Vector(offset + i); v != (genome.Vec{}) {
+		if v := fz.Vector(i); v != (genome.Vec{}) {
 			w.AddRange(i, []genome.Vec{v}, 1)
 		}
 	}
@@ -33,7 +32,7 @@ func TestCollectRangeBoundaryClamps(t *testing.T) {
 	ref, acc := fixture(t)
 	cfg := Config{Ploidy: lrt.Monoploid}
 
-	full, fullSt, err := CollectRange(ref, acc, 0, 0, ref.Len(), cfg)
+	full, fullSt, err := CollectRange(ref, acc, 0, ref.Len(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestCollectRangeBoundaryClamps(t *testing.T) {
 		{"both out of range", -7, ref.Len() + 7},
 	}
 	for _, c := range cases {
-		got, st, err := CollectRange(ref, acc, 0, c.from, c.to, cfg)
+		got, st, err := CollectRange(ref, acc, c.from, c.to, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -68,7 +67,7 @@ func TestCollectRangeBoundaryClamps(t *testing.T) {
 		{"entirely past end", ref.Len() + 5, ref.Len() + 25},
 		{"entirely before start", -25, -5},
 	} {
-		got, st, err := CollectRange(ref, acc, 0, c.from, c.to, cfg)
+		got, st, err := CollectRange(ref, acc, c.from, c.to, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -78,27 +77,28 @@ func TestCollectRangeBoundaryClamps(t *testing.T) {
 	}
 }
 
-// With a windowed accumulator (genome-split mode) the sweep clamps to
-// the accumulator's window, not just the reference.
+// With an accumulator shorter than the reference the sweep clamps to
+// the accumulator, not just the reference.
 func TestCollectRangeClampsToAccumulatorWindow(t *testing.T) {
 	ref, acc := fixture(t) // ref.Len() == acc.Len() == 50
 	cfg := Config{Ploidy: lrt.Monoploid}
-	// Pretend the accumulator covers only [10, 40): offset 10, len 30.
-	// Sweeping the whole reference must equal sweeping exactly [10, 40).
-	windowed, wst, err := CollectRange(ref, windowOf(t, acc, 10, 30), 10, 0, ref.Len(), cfg)
+	// The accumulator covers only [0, 25), which leaves out the SNP at 30:
+	// sweeping the whole reference must equal sweeping exactly [0, 25).
+	short := prefixOf(t, acc, 25)
+	windowed, wst, err := CollectRange(ref, short, 0, ref.Len(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, est, err := CollectRange(ref, windowOf(t, acc, 10, 30), 10, 10, 40, cfg)
+	exact, est, err := CollectRange(ref, short, 0, 25, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(windowed, exact) || wst != est {
-		t.Fatal("whole-reference sweep over a windowed accumulator differs from the exact window sweep")
+	if len(windowed) == 0 || !reflect.DeepEqual(windowed, exact) || wst != est {
+		t.Fatal("whole-reference sweep over a short accumulator differs from the exact sweep")
 	}
 	for _, c := range windowed {
-		if c.Call.GlobalPos < 10 || c.Call.GlobalPos >= 40 {
-			t.Errorf("candidate at %d outside the accumulator window [10, 40)", c.Call.GlobalPos)
+		if c.Call.GlobalPos >= 25 {
+			t.Errorf("candidate at %d outside the accumulator [0, 25)", c.Call.GlobalPos)
 		}
 	}
 }

@@ -10,8 +10,10 @@ import (
 )
 
 // IncrementalCaller is the calling sweep: the one caller behind every LRT
-// pass, whether it calls once after mapping, at every quiesce barrier
-// of a streaming run, or over one genome-split rank's slice. It walks
+// pass, whether it calls once after mapping or at every quiesce barrier
+// of a streaming run, at any placement (a genome-split run's ranks write
+// their slices of the pipeline's one accumulator, which this sweeps like
+// any other). It walks
 // the accumulator's tiles (genome.TileSize positions, the unit of its
 // write-set) and keeps each tile's candidates. A sweep reads the
 // write-set (genome.Writes) and hands the tiles whose write counter
@@ -39,11 +41,8 @@ import (
 // mapping runs, or inside the streaming pipeline's quiesce window) —
 // the caller itself is not safe for concurrent use.
 type IncrementalCaller struct {
-	ref *genome.Reference
-	acc genome.Accumulator
-	// offset is the global position of accumulator index 0 (non-zero on
-	// a genome-split rank's slice).
-	offset  int
+	ref     *genome.Reference
+	acc     genome.Accumulator
 	cfg     Config // resolved
 	workers int
 	seen    []uint64 // per-tile write count at the tile's last sweep
@@ -59,8 +58,8 @@ type IncrementalCaller struct {
 // counters start at zero and never reach it.
 const unswept = ^uint64(0)
 
-// NewIncrementalCaller builds a caller over acc, whose index 0 is global
-// position offset, as CollectRange takes it. Every written tile starts
+// NewIncrementalCaller builds a caller over acc, whose index is the
+// global position, as CollectRange takes it. Every written tile starts
 // unswept, so state acc already holds is swept like freshly mapped
 // reads. A tile whose write counter is zero still holds genome.New's
 // zeros (genome.Writes), where a sweep under a positive MinDepth tests
@@ -72,7 +71,7 @@ const unswept = ^uint64(0)
 // call.prescreened and call.collect.seconds, the pool's call.workers,
 // call.chunks and call.sweep.seconds, and — from Finalize only —
 // call.finalize.seconds, call.significant and call.snps.
-func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, offset int, cfg Config) (*IncrementalCaller, error) {
+func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, cfg Config) (*IncrementalCaller, error) {
 	if ref == nil || acc == nil {
 		return nil, fmt.Errorf("snp: nil reference or accumulator")
 	}
@@ -84,7 +83,7 @@ func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, offset 
 		}
 	}
 	return &IncrementalCaller{
-		ref: ref, acc: acc, offset: offset, cfg: cfg, workers: callWorkers(&cfg),
+		ref: ref, acc: acc, cfg: cfg, workers: callWorkers(&cfg),
 		seen: seen, cands: make([][]Candidate, len(seen)), tested: make([]int, len(seen)),
 	}, nil
 }
@@ -111,12 +110,12 @@ func (ic *IncrementalCaller) Sweep() error {
 			continue
 		}
 		dirty = append(dirty, i)
-		lo := ic.offset + i*genome.TileSize
-		chunks = append(chunks, span{lo, min(lo+genome.TileSize, ic.offset+ic.acc.Len())})
+		lo := i * genome.TileSize
+		chunks = append(chunks, span{lo, min(lo+genome.TileSize, ic.acc.Len())})
 	}
 	// The first failing tile in genome order wins, so errors are
 	// deterministic.
-	for j, r := range sweepChunks(ic.ref, ic.acc, ic.offset, chunks, ic.workers, ic.cfg) {
+	for j, r := range sweepChunks(ic.ref, ic.acc, chunks, ic.workers, ic.cfg) {
 		if r.err != nil {
 			return r.err
 		}
@@ -144,8 +143,7 @@ func (ic *IncrementalCaller) cached() ([]Candidate, Stats) {
 
 // Candidates runs a Sweep and returns every tile's candidates in genome
 // order, with Stats.Tested covering every tile: the input of one
-// FinalizeCalls, here or — for a genome-split rank — at the rank that
-// gathers every slice's.
+// FinalizeCalls.
 func (ic *IncrementalCaller) Candidates() ([]Candidate, Stats, error) {
 	if err := ic.Sweep(); err != nil {
 		return nil, Stats{}, err
@@ -199,7 +197,7 @@ func (ic *IncrementalCaller) RegionsSwept() int64 { return ic.reswept }
 // last sweep.
 func (ic *IncrementalCaller) RegionsReused() int64 { return ic.reused }
 
-// span is one tile of a sweep: global positions [lo, hi).
+// span is one tile of a sweep: positions [lo, hi).
 type span struct{ lo, hi int }
 
 // chunkResult is one tile's CollectRange output.
@@ -214,7 +212,7 @@ type chunkResult struct {
 // results in chunk order. cfg, Metrics included, goes to every chunk's
 // CollectRange; cfg.Metrics also receives call.workers, call.chunks and
 // one call.sweep.seconds per chunk.
-func sweepChunks(ref *genome.Reference, acc genome.Accumulator, offset int, chunks []span, workers int, cfg Config) []chunkResult {
+func sweepChunks(ref *genome.Reference, acc genome.Accumulator, chunks []span, workers int, cfg Config) []chunkResult {
 	if len(chunks) == 0 {
 		return nil
 	}
@@ -232,7 +230,7 @@ func sweepChunks(ref *genome.Reference, acc genome.Accumulator, offset int, chun
 			}
 			stop := reg.StartTimer("call.sweep.seconds")
 			r := &results[ci]
-			r.cands, r.st, r.err = CollectRange(ref, acc, offset, chunks[ci].lo, chunks[ci].hi, cfg)
+			r.cands, r.st, r.err = CollectRange(ref, acc, chunks[ci].lo, chunks[ci].hi, cfg)
 			stop()
 		}
 	}

@@ -53,7 +53,7 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true, CallWorkers: callWorkers}
 	icCfg := cfg
 	icCfg.Metrics = reg
-	ic, err := NewIncrementalCaller(ref, acc, 0, icCfg)
+	ic, err := NewIncrementalCaller(ref, acc, icCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 		plant(p)
 	}
 	write()
-	want, wantSt := serialCall(t, ref, acc, 0, cfg)
+	want, wantSt := serialCall(t, ref, acc, cfg)
 	if len(want) == 0 {
 		t.Fatal("vacuous: no calls produced")
 	}
@@ -206,18 +206,17 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 
 func TestIncrementalCallerValidation(t *testing.T) {
 	ref, acc := fixture(t)
-	if _, err := NewIncrementalCaller(nil, acc, 0, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(nil, acc, Config{}); err == nil {
 		t.Error("nil reference accepted")
 	}
-	if _, err := NewIncrementalCaller(ref, nil, 0, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(ref, nil, Config{}); err == nil {
 		t.Error("nil accumulator accepted")
 	}
 }
 
 // A partially covered accumulator — mass in some tiles, the rest as
-// genome.New left them, a slice at a nonzero offset too — calls exactly
-// what one dense serial sweep calls, under the fixed cutoff, under FDR
-// and with the depth filter off: the same calls, Stats, call.tested and
+// genome.New left them — calls exactly what one dense serial sweep
+// calls, under the fixed cutoff, under FDR and with the depth filter off: the same calls, Stats, call.tested and
 // call.prescreened. With a positive MinDepth only the written tiles are
 // swept; with MinDepth < 0 every tile is.
 func TestUnwrittenTilesMatchDenseSweep(t *testing.T) {
@@ -237,57 +236,56 @@ func TestUnwrittenTilesMatchDenseSweep(t *testing.T) {
 			acc.AddRange(pos, []genome.Vec{v}, 1)
 		}
 	}
-	for _, offset := range []int{0, 3000} {
-		seq := make(dna.Seq, offset+length)
-		rng := rand.New(rand.NewSource(int64(offset) + 7))
-		for i := range seq {
-			seq[i] = dna.Code(rng.Intn(4))
-		}
-		ref, err := genome.NewSingleContig("chrPartial", seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"fixed", Config{Ploidy: lrt.Diploid}},
-			{"fdr", Config{Ploidy: lrt.Diploid, UseFDR: true}},
-			{"no-depth-filter", Config{Ploidy: lrt.Diploid, MinDepth: -1}},
-		} {
-			t.Run(fmt.Sprintf("%s/offset-%d", c.name, offset), func(t *testing.T) {
-				dense, reg := obs.NewRegistry(), obs.NewRegistry()
-				cfg := c.cfg
-				cfg.Metrics = dense
-				want, wantSt := serialCall(t, ref, acc, offset, cfg)
-				if len(want) == 0 {
-					t.Fatal("vacuous: no calls")
+	seq := make(dna.Seq, length)
+	rng := rand.New(rand.NewSource(7))
+	for i := range seq {
+		seq[i] = dna.Code(rng.Intn(4))
+	}
+	ref, err := genome.NewSingleContig("chrPartial", seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fixed", Config{Ploidy: lrt.Diploid}},
+		{"fdr", Config{Ploidy: lrt.Diploid, UseFDR: true}},
+		{"no-depth-filter", Config{Ploidy: lrt.Diploid, MinDepth: -1}},
+	} {
+		// The accumulator's index is the global position: offset 0.
+		t.Run(c.name+"/offset-0", func(t *testing.T) {
+			dense, reg := obs.NewRegistry(), obs.NewRegistry()
+			cfg := c.cfg
+			cfg.Metrics = dense
+			want, wantSt := serialCall(t, ref, acc, cfg)
+			if len(want) == 0 {
+				t.Fatal("vacuous: no calls")
+			}
+			cfg.Metrics, cfg.CallWorkers = reg, 2
+			ic, err := NewIncrementalCaller(ref, acc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSt, err := ic.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+				t.Fatalf("calls %d %+v, dense sweep %d %+v", len(got), gotSt, len(want), wantSt)
+			}
+			for _, name := range []string{"call.tested", "call.prescreened"} {
+				if g, w := reg.Counter(name).Value(), dense.Counter(name).Value(); g != w {
+					t.Errorf("%s = %d, dense sweep %d", name, g, w)
 				}
-				cfg.Metrics, cfg.CallWorkers = reg, 2
-				ic, err := NewIncrementalCaller(ref, acc, offset, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotSt, err := ic.Finalize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) || gotSt != wantSt {
-					t.Fatalf("calls %d %+v, dense sweep %d %+v", len(got), gotSt, len(want), wantSt)
-				}
-				for _, name := range []string{"call.tested", "call.prescreened"} {
-					if g, w := reg.Counter(name).Value(), dense.Counter(name).Value(); g != w {
-						t.Errorf("%s = %d, dense sweep %d", name, g, w)
-					}
-				}
-				wantChunks := int64(len(written))
-				if c.cfg.MinDepth < 0 {
-					wantChunks = (length + genome.TileSize - 1) / genome.TileSize
-				}
-				if g := reg.Counter("call.chunks").Value(); g != wantChunks {
-					t.Errorf("call.chunks = %d, want %d", g, wantChunks)
-				}
-			})
-		}
+			}
+			wantChunks := int64(len(written))
+			if c.cfg.MinDepth < 0 {
+				wantChunks = (length + genome.TileSize - 1) / genome.TileSize
+			}
+			if g := reg.Counter("call.chunks").Value(); g != wantChunks {
+				t.Errorf("call.chunks = %d, want %d", g, wantChunks)
+			}
+		})
 	}
 }

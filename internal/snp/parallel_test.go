@@ -65,11 +65,10 @@ func bigFixture(t testing.TB, length int, seed int64) (*genome.Reference, genome
 }
 
 // tileSweep is a one-shot sweep through a fresh IncrementalCaller over
-// acc (index 0 at global position offset): the candidates every call set
-// of a run is finalized from.
-func tileSweep(t testing.TB, ref *genome.Reference, acc genome.Accumulator, offset int, cfg Config) ([]Candidate, Stats) {
+// acc: the candidates every call set of a run is finalized from.
+func tileSweep(t testing.TB, ref *genome.Reference, acc genome.Accumulator, cfg Config) ([]Candidate, Stats) {
 	t.Helper()
-	ic, err := NewIncrementalCaller(ref, acc, offset, cfg)
+	ic, err := NewIncrementalCaller(ref, acc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +82,9 @@ func tileSweep(t testing.TB, ref *genome.Reference, acc genome.Accumulator, offs
 // serialCall is the oracle every call set is held to: one serial
 // CollectRange over the whole accumulator, then FinalizeCalls, keeping
 // the sweep's Tested.
-func serialCall(t testing.TB, ref *genome.Reference, acc genome.Accumulator, offset int, cfg Config) ([]Call, Stats) {
+func serialCall(t testing.TB, ref *genome.Reference, acc genome.Accumulator, cfg Config) ([]Call, Stats) {
 	t.Helper()
-	cands, st, err := CollectRange(ref, acc, offset, offset, offset+acc.Len(), cfg)
+	cands, st, err := CollectRange(ref, acc, 0, acc.Len(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	ref, acc := bigFixture(t, length, 42)
 	base := Config{Ploidy: lrt.Diploid}
 
-	wantCands, wantSt, err := CollectRange(ref, acc, 0, 0, length, base)
+	wantCands, wantSt, err := CollectRange(ref, acc, 0, length, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	for workers := 1; workers <= 8; workers++ {
 		cfg := base
 		cfg.CallWorkers = workers
-		gotCands, gotSt := tileSweep(t, ref, acc, 0, cfg)
+		gotCands, gotSt := tileSweep(t, ref, acc, cfg)
 		if !reflect.DeepEqual(gotCands, wantCands) {
 			t.Fatalf("workers=%d: candidates diverge from serial (%d vs %d)", workers, len(gotCands), len(wantCands))
 		}
@@ -133,13 +132,13 @@ func TestCallRangeParallelFDRIdentical(t *testing.T) {
 	const length = 24_000
 	ref, acc := bigFixture(t, length, 7)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
-	wantCalls, wantSt := serialCall(t, ref, acc, 0, cfg)
+	wantCalls, wantSt := serialCall(t, ref, acc, cfg)
 	if wantSt.Significant == 0 {
 		t.Fatal("fixture produced no significant calls; test is vacuous")
 	}
 	for _, workers := range []int{1, 4, 7} {
 		cfg.CallWorkers = workers
-		ic, err := NewIncrementalCaller(ref, acc, 0, cfg)
+		ic, err := NewIncrementalCaller(ref, acc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,37 +155,6 @@ func TestCallRangeParallelFDRIdentical(t *testing.T) {
 	}
 }
 
-// The genome-split shape: a slice accumulator whose index 0 is a global
-// position off any tile boundary of the genome. Its tile sweep must
-// equal the serial sweep of the slice — clamped from deliberately
-// out-of-range bounds — and the serial sweep of the same window of the
-// whole-genome accumulator.
-func TestCollectRangeParallelOffset(t *testing.T) {
-	const length = 40_000
-	ref, full := bigFixture(t, length, 99)
-	const offset, subLen = 10_000, 20_000
-	slice := windowOf(t, full, offset, subLen)
-	cfg := Config{Ploidy: lrt.Diploid}
-	wantCands, wantSt, err := CollectRange(ref, slice, offset, offset-500, offset+subLen+999, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCands, fullSt, err := CollectRange(ref, full, 0, offset, offset+subLen, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantCands) == 0 || !reflect.DeepEqual(fullCands, wantCands) || fullSt != wantSt {
-		t.Fatalf("slice sweep diverges from the whole genome's window: %d/%+v vs %d/%+v", len(wantCands), wantSt, len(fullCands), fullSt)
-	}
-	for _, workers := range []int{1, 4} {
-		cfg.CallWorkers = workers
-		gotCands, gotSt := tileSweep(t, ref, slice, offset, cfg)
-		if !reflect.DeepEqual(gotCands, wantCands) || !reflect.DeepEqual(gotSt, wantSt) {
-			t.Fatalf("workers=%d: offset tile sweep diverges: %d/%+v vs %d/%+v", workers, len(gotCands), gotSt, len(wantCands), wantSt)
-		}
-	}
-}
-
 // A one-shot tile sweep must count what the serial sweep counts
 // (call.tested, call.prescreened) and publish call.workers, call.chunks
 // and call.sweep.seconds — one chunk per tile.
@@ -194,11 +162,11 @@ func TestCollectRangeParallelMetrics(t *testing.T) {
 	const length = 20_000
 	ref, acc := bigFixture(t, length, 5)
 	serial := obs.NewRegistry()
-	if _, _, err := CollectRange(ref, acc, 0, 0, length, Config{Ploidy: lrt.Diploid, Metrics: serial}); err != nil {
+	if _, _, err := CollectRange(ref, acc, 0, length, Config{Ploidy: lrt.Diploid, Metrics: serial}); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tileSweep(t, ref, acc, 0, Config{Ploidy: lrt.Diploid, CallWorkers: 4, Metrics: reg})
+	tileSweep(t, ref, acc, Config{Ploidy: lrt.Diploid, CallWorkers: 4, Metrics: reg})
 	want, snap := serial.Snapshot(0), reg.Snapshot(0)
 	for _, name := range []string{"call.tested", "call.prescreened"} {
 		if got := snap.Counters[name]; got != want.Counters[name] || got == 0 {

@@ -10,14 +10,14 @@ import (
 )
 
 // WritePileup emits a per-position TSV of the accumulated probability
-// pileup over global positions [from, to): contig, 1-based position,
+// pileup over positions [from, to): contig, 1-based position,
 // reference base, total mass, the five channel masses, and the
 // monoploid LRT p-value. Positions with total mass below minDepth are
 // skipped (the whole-genome table would be dominated by empty rows).
 //
 // This is the paper's "probability that a given nucleotide..." output
 // (Figure 3's per-position totals) in machine-readable form.
-func WritePileup(w io.Writer, ref *genome.Reference, acc genome.Accumulator, offset, from, to int, minDepth float64) error {
+func WritePileup(w io.Writer, ref *genome.Reference, acc genome.Accumulator, from, to int, minDepth float64) error {
 	if ref == nil {
 		return fmt.Errorf("snp: nil reference")
 	}
@@ -26,13 +26,13 @@ func WritePileup(w io.Writer, ref *genome.Reference, acc genome.Accumulator, off
 	if err != nil {
 		return err
 	}
-	from, to = clampSweep(ref, fz.Len(), offset, from, to)
+	from, to = clampSweep(ref, fz.Len(), from, to)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := fmt.Fprintln(bw, "#contig\tpos\tref\ttotal\tA\tC\tG\tT\tgap\tp_value"); err != nil {
 		return err
 	}
 	for g := from; g < to; g++ {
-		v := fz.Vector(g - offset)
+		v := fz.Vector(g)
 		total := 0.0
 		for _, x := range v {
 			total += x

@@ -162,13 +162,13 @@ func TestPrescreenEndToEndCallIdentity(t *testing.T) {
 func TestPrescreenSerialParallelIdentical(t *testing.T) {
 	ref, acc := bigFixture(t, 50_000, 31)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
-	serial, sst, err := CollectRange(ref, acc, 0, 0, ref.Len(), cfg)
+	serial, sst, err := CollectRange(ref, acc, 0, ref.Len(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := cfg
 	par.CallWorkers = 5
-	parallel, pst := tileSweep(t, ref, acc, 0, par)
+	parallel, pst := tileSweep(t, ref, acc, par)
 	if !reflect.DeepEqual(serial, parallel) || sst != pst {
 		t.Fatalf("parallel screened sweep diverged: %d/%+v vs %d/%+v",
 			len(parallel), pst, len(serial), sst)

@@ -130,7 +130,7 @@ func planeVector(planes *[dna.NumChannels][]float32, pos int) (genome.Vec, float
 // scalar sweep. Returns the candidates in genome order plus the tested
 // and screened counts; on error the counts cover exactly the positions
 // the scalar sweep would have processed before failing.
-func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, to int, cfg *Config) ([]Candidate, int, int64, error) {
+func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, from, to int, cfg *Config) ([]Candidate, int, int64, error) {
 	planes, ok := fz.PlaneWindow(0, fz.Len())
 	if !ok {
 		// vectorEligible guarantees NORM; an impossible window is a
@@ -148,7 +148,7 @@ func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, 
 	for t0 := 0; t0 < nBlocks; t0 += screenTileBlocks {
 		tb := min(nBlocks-t0, screenTileBlocks)
 		g0 := from + t0*screenLanes
-		prescreenBlocks(&planes, g0-offset, refSeq[g0:g0+tb*screenLanes], masks[:tb*screenMaskBytes], tb, cfg)
+		prescreenBlocks(&planes, g0, refSeq[g0:g0+tb*screenLanes], masks[:tb*screenMaskBytes], tb, cfg)
 		for b := 0; b < tb; b++ {
 			testedM, keepM := masks[b*screenMaskBytes], masks[b*screenMaskBytes+1]
 			if keepM == 0 {
@@ -171,7 +171,7 @@ func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, 
 					screened++
 				default:
 					g := g0 + b*screenLanes + lane
-					z, depth := planeVector(&planes, g-offset)
+					z, depth := planeVector(&planes, g)
 					res, err := lrt.Test(z, cfg.Ploidy)
 					if err != nil {
 						return nil, tested, screened, err
@@ -184,6 +184,6 @@ func collectRangeVector(ref *genome.Reference, fz *genome.Frozen, offset, from, 
 	}
 
 	// Sub-block tail: the scalar sweep itself.
-	candidates, tailTested, tailScreened, err := collectScalar(ref, fz, offset, from+nBlocks*screenLanes, to, cfg, candidates)
+	candidates, tailTested, tailScreened, err := collectScalar(ref, fz, from+nBlocks*screenLanes, to, cfg, candidates)
 	return candidates, tested + tailTested, screened + tailScreened, err
 }

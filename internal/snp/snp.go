@@ -130,28 +130,26 @@ type Stats struct {
 
 // Candidate is one tested position awaiting the significance
 // decision: the provisional call plus the LRT fields finalization
-// needs (runner-up allele, allele balance). Candidates are plain data
-// so a distributed run can gather every shard's candidates at rank 0
-// and apply ONE global multiple-testing correction — Benjamini–
-// Hochberg depends on the full ranked p-value list, so a per-shard
-// pass changes the calls with the shard count.
+// needs (runner-up allele, allele balance). Every tile's candidates are
+// finalized together under ONE global multiple-testing correction —
+// Benjamini–Hochberg depends on the full ranked p-value list, so a
+// per-tile pass would change the calls with the tiling.
 type Candidate struct {
 	Call          Call
 	Second        dna.Channel
 	MinorFraction float64
 }
 
-// clampSweep clips a global sweep range [from, to) to the intersection
-// of the accumulator's window (offset maps accumulator index 0 to
-// global position offset) and the reference. Every range-taking sweep —
-// CollectRange (and so every tile of the IncrementalCaller), WritePileup
-// — clamps through this one helper.
-func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) {
-	if from < offset {
-		from = offset
+// clampSweep clips a sweep range [from, to) to the intersection of the
+// accumulator and the reference. Every range-taking sweep — CollectRange
+// (and so every tile of the IncrementalCaller), WritePileup — clamps
+// through this one helper.
+func clampSweep(ref *genome.Reference, accLen, from, to int) (int, int) {
+	if from < 0 {
+		from = 0
 	}
-	if to > offset+accLen {
-		to = offset + accLen
+	if to > accLen {
+		to = accLen
 	}
 	if to > ref.Len() {
 		to = ref.Len()
@@ -159,9 +157,8 @@ func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) 
 	return from, to
 }
 
-// CollectRange runs the LRT over global positions [from, to) of the
-// accumulator, offset mapping accumulator index 0 to global position
-// `offset` (non-zero in genome-split mode), and returns every
+// CollectRange runs the LRT over positions [from, to) of the
+// accumulator, whose index is the global position, and returns every
 // screen-passing tested position as a Candidate. Stats has Tested
 // filled (every depth-passing position, screened or not); significance
 // is decided by FinalizeCalls.
@@ -171,21 +168,21 @@ func clampSweep(ref *genome.Reference, accLen, offset, from, to int) (int, int) 
 // planes stream through the vectorized sweep (screen_vector.go), the
 // discretized layouts through the scalar loop (collectScalar); both
 // screen identically, so the two and the tile sweep are bit-identical.
-func CollectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config) ([]Candidate, Stats, error) {
-	return collectRange(ref, acc, offset, from, to, cfg, true)
+func CollectRange(ref *genome.Reference, acc genome.Accumulator, from, to int, cfg Config) ([]Candidate, Stats, error) {
+	return collectRange(ref, acc, from, to, cfg, true)
 }
 
 // collectRange is CollectRange with the vectorized sweep allowed or not:
 // tests pass vector=false to pin the scalar loop, the oracle the
 // vectorized sweep must match.
-func collectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, to int, cfg Config, vector bool) ([]Candidate, Stats, error) {
+func collectRange(ref *genome.Reference, acc genome.Accumulator, from, to int, cfg Config, vector bool) ([]Candidate, Stats, error) {
 	cfg = cfg.withDefaults()
 	var st Stats
 	if ref == nil || acc == nil {
 		return nil, st, fmt.Errorf("snp: nil reference or accumulator")
 	}
 	defer cfg.Metrics.StartTimer("call.collect.seconds")()
-	from, to = clampSweep(ref, acc.Len(), offset, from, to)
+	from, to = clampSweep(ref, acc.Len(), from, to)
 	fz, err := genome.Freeze(acc)
 	if err != nil {
 		return nil, st, err
@@ -193,9 +190,9 @@ func collectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, t
 	var candidates []Candidate
 	var screened int64
 	if vector && vectorEligible(&cfg, fz) {
-		candidates, st.Tested, screened, err = collectRangeVector(ref, fz, offset, from, to, &cfg)
+		candidates, st.Tested, screened, err = collectRangeVector(ref, fz, from, to, &cfg)
 	} else {
-		candidates, st.Tested, screened, err = collectScalar(ref, fz, offset, from, to, &cfg, nil)
+		candidates, st.Tested, screened, err = collectScalar(ref, fz, from, to, &cfg, nil)
 	}
 	if err != nil {
 		return nil, st, err
@@ -211,11 +208,11 @@ func collectRange(ref *genome.Reference, acc genome.Accumulator, offset, from, t
 // discrete layouts and the unscreened oracle, and the vectorized
 // sweep's sub-block tail. Returns the tested and screened counts; on
 // error they cover the positions before it.
-func collectScalar(ref *genome.Reference, fz *genome.Frozen, offset, from, to int, cfg *Config, cands []Candidate) ([]Candidate, int, int64, error) {
+func collectScalar(ref *genome.Reference, fz *genome.Frozen, from, to int, cfg *Config, cands []Candidate) ([]Candidate, int, int64, error) {
 	var tested int
 	var screened int64
 	for g := from; g < to; g++ {
-		v := fz.Vector(g - offset)
+		v := fz.Vector(g)
 		var depth float64
 		for _, x := range v {
 			depth += x
@@ -273,9 +270,8 @@ func appendCandidate(cands []Candidate, ref *genome.Reference, g int, refBase dn
 // adjusted cutoff, or one Benjamini–Hochberg pass across ALL given
 // candidates — plus the het allele-balance filter, and returns the
 // SNP calls sorted by position. The candidate set must cover the
-// whole tested family: in a distributed run, gather every shard's
-// candidates before calling this (BH's per-hypothesis threshold
-// depends on the global ranked p-value list).
+// whole tested family — every tile's candidates — because BH's
+// per-hypothesis threshold depends on the global ranked p-value list.
 func FinalizeCalls(candidates []Candidate, cfg Config) ([]Call, Stats, error) {
 	cfg = cfg.withDefaults()
 	st := Stats{Tested: len(candidates)}
@@ -338,7 +334,7 @@ func FinalizeCalls(candidates []Candidate, cfg Config) ([]Call, Stats, error) {
 // CallAll calls SNPs over a full-length accumulator in one shot: a
 // fresh IncrementalCaller's first Finalize.
 func CallAll(ref *genome.Reference, acc genome.Accumulator, cfg Config) ([]Call, Stats, error) {
-	ic, err := NewIncrementalCaller(ref, acc, 0, cfg)
+	ic, err := NewIncrementalCaller(ref, acc, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}

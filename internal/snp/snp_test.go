@@ -99,43 +99,6 @@ func TestCallAllDiploidHet(t *testing.T) {
 	}
 }
 
-func TestCallRangeOffsets(t *testing.T) {
-	ref, acc := fixture(t)
-	// Use a shifted accumulator covering only [5, 35): global pos 10
-	// maps to accumulator index 5.
-	sub, err := genome.New(genome.Norm, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz := view(t, acc)
-	for i := 0; i < 30; i++ {
-		sub.AddRange(i, []genome.Vec{fz.Vector(5 + i)}, 1)
-	}
-	want, wantSt := serialCall(t, ref, sub, 5, Config{})
-	for workers := 1; workers <= 4; workers++ {
-		ic, err := NewIncrementalCaller(ref, sub, 5, Config{CallWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls, st, err := ic.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(calls, want) || st != wantSt {
-			t.Fatalf("workers=%d: offset calls diverge from serial: %+v vs %+v", workers, calls, want)
-		}
-	}
-	found := false
-	for _, c := range want {
-		if c.GlobalPos == 10 && c.Allele == dna.ChC {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("offset calling missed the SNP: %+v", want)
-	}
-}
-
 func TestCallValidation(t *testing.T) {
 	ref, acc := fixture(t)
 	if _, _, err := CallAll(nil, acc, Config{}); err == nil {
@@ -258,7 +221,7 @@ func TestIsSNPGapAndNRef(t *testing.T) {
 func TestWritePileup(t *testing.T) {
 	ref, acc := fixture(t)
 	var buf bytes.Buffer
-	if err := WritePileup(&buf, ref, acc, 0, 0, ref.Len(), 2); err != nil {
+	if err := WritePileup(&buf, ref, acc, 0, ref.Len(), 2); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -277,7 +240,7 @@ func TestWritePileup(t *testing.T) {
 	if f[5] <= f[4] { // C column > A column (string compare works for %.3f of these magnitudes)
 		t.Errorf("C mass %s not dominant over A %s", f[5], f[4])
 	}
-	if err := WritePileup(&buf, nil, acc, 0, 0, 10, 1); err == nil {
+	if err := WritePileup(&buf, nil, acc, 0, 10, 1); err == nil {
 		t.Error("nil ref accepted")
 	}
 }
@@ -286,7 +249,7 @@ func TestWritePileupRangeClamping(t *testing.T) {
 	ref, acc := fixture(t)
 	var buf bytes.Buffer
 	// Deliberately out-of-bounds range must clamp, not panic.
-	if err := WritePileup(&buf, ref, acc, 0, -100, 1<<20, 2); err != nil {
+	if err := WritePileup(&buf, ref, acc, -100, 1<<20, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "chrT\t31\t") {

@@ -147,7 +147,7 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 			ref, acc := vectorFixture(t, mode, length, seed)
 			for _, tc := range cfgs {
 				scalar := tc.cfg
-				wantCands, wantSt, err := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
+				wantCands, wantSt, err := collectRange(ref, acc, 0, ref.Len(), scalar, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 					vec := tc.cfg
 					vec.CallWorkers = workers
 					name := fmt.Sprintf("%v/%s/w%d", mode, tc.name, workers)
-					gotCands, gotSt := tileSweep(t, ref, acc, 0, vec)
+					gotCands, gotSt := tileSweep(t, ref, acc, vec)
 					if !reflect.DeepEqual(gotCands, wantCands) {
 						t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
 					}
@@ -297,7 +297,7 @@ func TestVectorSweepErrorIdentity(t *testing.T) {
 	// Plant a negative channel with enough depth to pass every filter.
 	acc.AddRange(1234, []genome.Vec{{6, 6, -3, 0, 0}}, 1)
 	scalar := Config{Ploidy: lrt.Diploid}
-	wantCands, wantSt, wantErr := collectRange(ref, acc, 0, 0, ref.Len(), scalar, false)
+	wantCands, wantSt, wantErr := collectRange(ref, acc, 0, ref.Len(), scalar, false)
 	if wantErr == nil {
 		t.Fatal("scalar sweep accepted a negative channel")
 	}
@@ -305,7 +305,7 @@ func TestVectorSweepErrorIdentity(t *testing.T) {
 		t.Fatal("scalar sweep returned candidates alongside its error")
 	}
 	forEachKernel(t, func(t *testing.T) {
-		gotCands, gotSt, gotErr := CollectRange(ref, acc, 0, 0, ref.Len(), Config{Ploidy: lrt.Diploid})
+		gotCands, gotSt, gotErr := CollectRange(ref, acc, 0, ref.Len(), Config{Ploidy: lrt.Diploid})
 		if gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("vector error %v, want %v", gotErr, wantErr)
 		}
@@ -318,19 +318,19 @@ func TestVectorSweepErrorIdentity(t *testing.T) {
 	})
 }
 
-// Sub-block windows, unaligned bounds, and non-zero offsets must hit
-// the scalar tail path and still match exactly, under either kernel.
+// Sub-block windows and unaligned bounds must hit the scalar tail path
+// and still match exactly, under either kernel.
 func TestVectorSweepUnalignedWindows(t *testing.T) {
 	const length = 8192
 	ref, acc := vectorFixture(t, genome.Norm, length, 11)
 	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
 	forEachKernel(t, func(t *testing.T) {
 		for _, w := range [][2]int{{0, 5}, {3, 11}, {100, 1003}, {8, 8}, {4091, ref.Len()}, {0, ref.Len() - 1}} {
-			wantCands, wantSt, err := collectRange(ref, acc, 0, w[0], w[1], cfg, false)
+			wantCands, wantSt, err := collectRange(ref, acc, w[0], w[1], cfg, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCands, gotSt, err := CollectRange(ref, acc, 0, w[0], w[1], cfg)
+			gotCands, gotSt, err := CollectRange(ref, acc, w[0], w[1], cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
