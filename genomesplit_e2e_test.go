@@ -9,9 +9,11 @@ import (
 // the one-process computation. Every rank seeds against the run's one
 // whole-genome index and aligns the candidates that start in its slice,
 // so on a repeat-rich genome — where the seed filters decide the most —
-// the ranks together accept exactly one process's locations, run its
+// the ranks together accept exactly one process's locations, queue its
 // Pair-HMM alignments over its DP cells, report its MapStats and call
-// its SNPs. Each seed
+// its SNPs. A rank shares an alignment only between windows it queued
+// itself, so the cells it computes depend on the placement; the cells
+// computed plus those shared do not. Each seed
 // builds its dataset and one-process answer once, shares them across
 // np, and runs beside the other seeds: nothing is shared between seeds.
 func TestGenomeSplitMapsWhatOneProcessMaps(t *testing.T) {
@@ -55,7 +57,7 @@ func genomeSplitMatchesOneProcess(t *testing.T, seed int64) {
 	}
 	wantLocs := one.Metrics.Counter("map.locations").Value()
 	wantAligns := one.Metrics.Counter("map.alignments").Value()
-	wantCells := one.Metrics.Counter("phmm.cells").Value()
+	wantCells := one.Metrics.Counter("phmm.cells").Value() + one.Metrics.Counter("phmm.cells.shared").Value()
 
 	for _, nodes := range []int{2, 4} {
 		label := fmt.Sprintf("seed %d np=%d", seed, nodes)
@@ -71,8 +73,8 @@ func genomeSplitMatchesOneProcess(t *testing.T, seed int64) {
 			t.Errorf("%s: map.locations %d, map.alignments %d; one process %d, %d",
 				label, m["map.locations"], m["map.alignments"], wantLocs, wantAligns)
 		}
-		if m["phmm.cells"] != wantCells {
-			t.Errorf("%s: phmm.cells %d, one process %d", label, m["phmm.cells"], wantCells)
+		if c := m["phmm.cells"] + m["phmm.cells.shared"]; c != wantCells {
+			t.Errorf("%s: phmm.cells + phmm.cells.shared %d, one process %d", label, c, wantCells)
 		}
 		if len(calls) != len(want) {
 			t.Errorf("%s: %d calls, one process %d", label, len(calls), len(want))

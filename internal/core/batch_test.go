@@ -135,7 +135,8 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 // leave ragged chunks); width 3 exercises narrow groups and one-lane
 // tails; a zero PhmmBatch means DefaultPhmmBatch lanes, and width 16
 // resolves to the sweep's 8 (the same lane groups as width 8). Every
-// alignment is counted in exactly one lane group. All of it runs under
+// queued window is counted in exactly one lane group or as sharing
+// another's alignment. All of it runs under
 // the AVX2 rows and the Go rows, whose one-pair states must agree. The
 // ViterbiOnly ablation, which bins nothing, must not depend on Batch —
 // nor accumulate the marginal alignment.
@@ -183,8 +184,9 @@ func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 						}
 						full := reg.Counter("phmm.batch.lanes.full").Value()
 						partial := reg.Counter("phmm.batch.lanes.partial").Value()
-						if n := reg.Counter("map.alignments").Value(); full+partial != n {
-							t.Errorf("%s: lanes %d full + %d partial != %d alignments", label, full, partial, n)
+						shared := reg.Counter("map.alignments.shared").Value()
+						if n := reg.Counter("map.alignments").Value(); full+partial+shared != n {
+							t.Errorf("%s: lanes %d full + %d partial + %d shared != %d alignments", label, full, partial, shared, n)
 						}
 						if batch >= 64 && full < 2*partial {
 							t.Errorf("%s: only %d of %d alignments in full-width groups", label, full, full+partial)

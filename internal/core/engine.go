@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,14 +119,18 @@ type Config struct {
 	// (ablation of multi-location posterior weighting).
 	BestHitOnly bool
 	// Metrics, when non-nil, receives the engine's stage timers and
-	// counters: map.seed.seconds (per read: PWM build + candidate
-	// lookup), map.align.seconds (per sweep of one bin of same-shape
-	// windows), map.accum.seconds (per mapped read: accumulator updates),
-	// map.read.seconds (per read: its batch's wall / reads), plus
-	// map.candidates / map.alignments / map.mapped / map.unmapped /
-	// map.locations, phmm.cells (DP cells computed) and the lane
-	// occupancy of the batched kernel (phmm.batch.lanes.full / .partial:
-	// alignments swept in full-width and narrower groups;
+	// counters: map.seed.seconds (per read: forward PWM build, seed
+	// lookup and vote cut), map.align.seconds (per sweep of one bin of
+	// same-shape windows), map.accum.seconds (per mapped read:
+	// accumulator updates), map.read.seconds (per read: its batch's wall
+	// / reads), plus map.candidates / map.alignments (windows queued) /
+	// map.mapped / map.unmapped / map.locations, map.alignments.shared
+	// (queued windows that shared the alignment of a byte-equal window
+	// of the same read, strand and diagonal), phmm.cells (DP cells
+	// computed), phmm.cells.shared (the cells the sharing windows would
+	// have computed) and the lane occupancy of the batched kernel
+	// (phmm.batch.lanes.full / .partial: alignments swept in full-width
+	// and narrower groups;
 	// phmm.batch.bin16.alignments: alignments whose same-shape bin held
 	// at least 16 windows, the share a 16-lane sweep could fill). Seed
 	// selectivity is tracked by map.seed.hits (index positions voted),
@@ -279,6 +284,9 @@ type engineMetrics struct {
 	// Alignments swept in full-width groups and in narrower ones, and
 	// those whose same-shape bin held at least 16 windows.
 	lanesFull, lanesPartial, bin16 *obs.Counter
+	// Queued windows that shared another's alignment, and the DP cells
+	// their own sweeps would have computed.
+	shared, sharedCells *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -303,6 +311,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		lanesFull:    reg.Counter("phmm.batch.lanes.full"),
 		lanesPartial: reg.Counter("phmm.batch.lanes.partial"),
 		bin16:        reg.Counter("phmm.batch.bin16.alignments"),
+		shared:       reg.Counter("map.alignments.shared"),
+		sharedCells:  reg.Counter("phmm.cells.shared"),
 	}
 }
 
@@ -320,10 +330,16 @@ type Engine struct {
 	// aligns only the candidates that start in its slice, so every
 	// location is aligned by exactly one rank.
 	ownLo, ownHi int
+	// source yields each read's candidates: the seed index's
+	// (mapper.seed) unless a test substitutes another.
+	source candidateSource
 	// testMapErr, when non-nil, is consulted before mapping each read.
 	// Test-only: it lets the stop-latch and streaming error paths
 	// inject deterministic per-read failures.
 	testMapErr func(*fastq.Read) error
+	// testNoShare queues every window for its own sweep. Test-only: the
+	// oracle the window-sharing tests compare against.
+	testNoShare bool
 	// idle holds warm mappers between mapping calls.
 	idleMu sync.Mutex
 	idle   []*mapper
@@ -361,7 +377,7 @@ func NewEngine(ref *genome.Reference, cfg Config) (*Engine, error) {
 	}
 	return &Engine{
 		cfg: cfg, band: cfg.effectiveBand(), met: newEngineMetrics(cfg.Metrics),
-		ref: ref, idx: idx, ownLo: 0, ownHi: ref.Len(),
+		ref: ref, idx: idx, ownLo: 0, ownHi: ref.Len(), source: (*mapper).seed,
 	}, nil
 }
 
@@ -410,6 +426,10 @@ type pendingAlign struct {
 	diag           int
 	done, accepted bool
 	loc            location
+	// src is the index of the earlier entry of the same read, strand,
+	// diag and window bytes whose alignment this one shares, or -1: the
+	// sweeps skip a sharing entry and it copies src's outcome.
+	src int
 }
 
 // mapper holds per-worker scratch state, reused across mapBatch calls
@@ -500,10 +520,11 @@ func (e *Engine) putMapper(m *mapper) {
 // mapBatch maps reads a chunk at a time and calls emit once per read, in
 // source order, with the read's index in reads and its accepted
 // locations carrying raw log-likelihoods (posterior weighting is emit's,
-// so genome-split can normalize globally). Per chunk: (1) seedRead
-// queues every read's candidate windows; (2) alignPending sweeps them,
-// lanes packed across reads; (3) each read's accepted locations are
-// emitted in candidate order. An alignment does not depend on the lanes
+// so genome-split can normalize globally). Per chunk: (1) candidates
+// takes every read's candidates from the engine's source and queue
+// turns them into windows; (2) alignPending sweeps them, lanes packed
+// across reads; (3) each read's accepted locations are emitted in
+// candidate order. An alignment does not depend on the lanes
 // beside it, so emit sees — and accumulates, in order — what a
 // read-at-a-time, one-lane mapper produces, bit for bit (DESIGN.md §12).
 // The locations alias mapper scratch: they die when the next chunk
@@ -529,7 +550,7 @@ func (m *mapper) mapBatch(reads []*fastq.Read, keep bool, emit func(i int, locs 
 					return err
 				}
 			}
-			m.seedRead(i, rd)
+			m.queue(i, m.candidates(i, rd))
 		}
 		if err := m.alignPending(); err != nil {
 			return err
@@ -567,22 +588,40 @@ func (e *Engine) fillPWM(p *pwm.Matrix, rd *fastq.Read) error {
 	return p.FillSeqUniformError(rd.Seq, 0)
 }
 
-// seedRead is phase 1 for the chunk's read-th read: PWMs (into its
-// slot), candidates, windows. A malformed read queues nothing and so
-// comes out unmapped, not fatal.
-func (m *mapper) seedRead(read int, rd *fastq.Read) {
-	fwd, rev := &m.pwms[2*read], &m.pwms[2*read+1]
+// A candidateSource returns one read's candidate locations, both
+// strands, given its filled forward PWM: the list queue turns into
+// windows. The result may alias m's scratch until the source's next
+// call. The engine's source is the seed index (mapper.seed); tests
+// substitute others.
+type candidateSource func(m *mapper, fwd *pwm.Matrix) []scoredCand
+
+// candidates is phase 1's first step for the chunk's read-th read: it
+// fills the forward PWM into the read's slot and returns the source's
+// candidates. A malformed read has none, so it comes out unmapped, not
+// fatal.
+func (m *mapper) candidates(read int, rd *fastq.Read) []scoredCand {
 	var t0 time.Time
 	if m.met != nil {
 		t0 = time.Now()
 	}
-	e := m.e
-	if e.fillPWM(fwd, rd) != nil {
-		return
+	fwd := &m.pwms[2*read]
+	if m.e.fillPWM(fwd, rd) != nil {
+		return nil
 	}
-	rev.FillReverseComplementOf(fwd)
+	cands := m.e.source(m, fwd)
+	if m.met != nil {
+		m.met.seedSec.ObserveDuration(time.Since(t0))
+	}
+	return cands
+}
+
+// seed is the index's candidate source: it seeds both strands and keeps
+// the candidates whose votes reach MinVoteFraction of the read's best,
+// in strand then index order.
+func (m *mapper) seed(fwd *pwm.Matrix) []scoredCand {
+	e := m.e
 	minVotes := e.cfg.MinSeedVotes
-	if len(rd.Seq) < 2*e.cfg.K {
+	if fwd.Len() < 2*e.cfg.K {
 		minVotes = 1
 	}
 	opts := kmer.CandidateOptions{
@@ -594,16 +633,13 @@ func (m *mapper) seedRead(read int, rd *fastq.Read) {
 		// start on the exact diagonal.
 		Slack: 2,
 	}
-	pad := e.cfg.Pad
 	if e.cfg.AlignMode == phmm.Global {
-		pad = 0
 		opts.Slack = 0
 	}
-	strands := [2]*pwm.Matrix{fwd, rev}
 	// Collect candidates from both strands first so the vote filter is
 	// relative to the read's best location overall. One query seeds both:
-	// rev's calls are the reverse complement of fwd's, and the index
-	// answers each read offset for both strands at once.
+	// the reverse strand's calls are the reverse complement of fwd's, and
+	// the index answers each read offset for both strands at once.
 	cands := m.scored[:0]
 	bestVotes := int32(0)
 	var seedHits, seedMasked int64
@@ -619,52 +655,90 @@ func (m *mapper) seedRead(read int, rd *fastq.Read) {
 		seedMasked += m.candBuf[si].Stats.Masked
 	}
 	m.scored = cands
-	voteCut := int32(e.cfg.MinVoteFraction * float64(bestVotes))
-	for _, cs := range cands {
-		cand := cs.cand
-		if cand.Votes < voteCut {
-			continue
-		}
-		globalStart := int(cand.Start)
-		if globalStart < e.ownLo || globalStart >= e.ownHi {
-			continue
-		}
-		window, clippedStart := e.ref.Window(globalStart-pad, len(rd.Seq)+2*pad)
-		if len(window) < len(rd.Seq) && e.cfg.AlignMode == phmm.Global {
-			continue
-		}
-		if len(window) == 0 {
-			continue
-		}
-		// The seed says read position 0 sits at global position
-		// globalStart, i.e. window column globalStart-clippedStart
-		// (= Pad unless the window was clipped at a genome edge) — the
-		// diagonal the banded kernel anchors to.
-		m.pending = append(m.pending, pendingAlign{
-			read: read, window: window, diag: globalStart - clippedStart,
-			loc: location{windowStart: clippedStart, minus: cs.sc == 1, p: strands[cs.sc]},
-		})
-	}
 	if m.met != nil {
-		m.met.seedSec.ObserveDuration(time.Since(t0))
 		m.met.candidates.Add(int64(len(cands)))
 		m.met.seedHits.Add(seedHits)
 		m.met.seedMasked.Add(seedMasked)
 		m.met.candPerRead.Observe(float64(len(cands)))
 	}
+	voteCut := int32(e.cfg.MinVoteFraction * float64(bestVotes))
+	kept := cands[:0]
+	for _, cs := range cands {
+		if cs.cand.Votes >= voteCut {
+			kept = append(kept, cs)
+		}
+	}
+	return kept
 }
 
-// alignPending is phase 2: every pending window of the chunk is aligned
-// and finished. ViterbiOnly takes each window's single best path in
-// turn. Otherwise entries are binned by (read length, window length,
-// diag) and each bin is swept through AlignBatch in groups of at most
-// PhmmBatch windows, a tail group or a bin of one included.
+// queue is phase 1's second step for the chunk's read-th read, whose
+// forward PWM is in its slot: it cuts the window of every candidate this
+// engine owns and queues a pendingAlign entry for it. The reverse PWM is
+// filled on the read's first reverse-strand window. A window
+// byte-equal to one the read already queued on the same strand and
+// diagonal would align to the same result bit for bit, so its entry
+// shares that one's alignment instead of queueing a second sweep.
+func (m *mapper) queue(read int, cands []scoredCand) {
+	e := m.e
+	fwd, rev := &m.pwms[2*read], &m.pwms[2*read+1]
+	n := fwd.Len()
+	pad := e.cfg.Pad
+	if e.cfg.AlignMode == phmm.Global {
+		pad = 0
+	}
+	first, revFilled := len(m.pending), false
+	for _, cs := range cands {
+		globalStart := int(cs.cand.Start)
+		if globalStart < e.ownLo || globalStart >= e.ownHi {
+			continue
+		}
+		window, clippedStart := e.ref.Window(globalStart-pad, n+2*pad)
+		if len(window) < n && e.cfg.AlignMode == phmm.Global {
+			continue
+		}
+		if len(window) == 0 {
+			continue
+		}
+		p, minus := fwd, cs.sc == 1
+		if minus {
+			if !revFilled {
+				rev.FillReverseComplementOf(fwd)
+				revFilled = true
+			}
+			p = rev
+		}
+		// The seed says read position 0 sits at global position
+		// globalStart, i.e. window column globalStart-clippedStart
+		// (= Pad unless the window was clipped at a genome edge) — the
+		// diagonal the banded kernel anchors to.
+		pa := pendingAlign{
+			read: read, window: window, diag: globalStart - clippedStart, src: -1,
+			loc: location{windowStart: clippedStart, minus: minus, p: p},
+		}
+		for k := first; k < len(m.pending) && !e.testNoShare; k++ {
+			if q := &m.pending[k]; q.src < 0 && q.loc.minus == minus && q.diag == pa.diag && slices.Equal(q.window, window) {
+				pa.src = k
+				break
+			}
+		}
+		m.pending = append(m.pending, pa)
+	}
+}
+
+// alignPending is phase 2: every pending window of the chunk that
+// shares no other's alignment is aligned and finished. ViterbiOnly takes
+// each window's single best path in turn. Otherwise entries are binned
+// by (read length, window length, diag) and each bin is swept through
+// AlignBatch in groups of at most PhmmBatch windows, a tail group or a
+// bin of one included. Then each sharing entry copies its source's
+// outcome: the same logLik, accepted flag and contribs (read-only, like
+// every location's), so it accumulates what its own sweep would have.
 func (m *mapper) alignPending() error {
 	pend := m.pending
 	width := m.e.cfg.PhmmBatch
 	var full, partial, bin16 int64
 	for start := range pend {
-		if pend[start].done {
+		if pend[start].done || pend[start].src >= 0 {
 			continue
 		}
 		var t0 time.Time
@@ -679,7 +753,7 @@ func (m *mapper) alignPending() error {
 			n, wlen, diag := pend[start].loc.p.Len(), len(pend[start].window), pend[start].diag
 			idxs := append(m.bidx[:0], start)
 			for k := start + 1; k < len(pend); k++ {
-				if pa := &pend[k]; !pa.done && pa.loc.p.Len() == n && len(pa.window) == wlen && pa.diag == diag {
+				if pa := &pend[k]; !pa.done && pa.src < 0 && pa.loc.p.Len() == n && len(pa.window) == wlen && pa.diag == diag {
 					idxs = append(idxs, k)
 				}
 			}
@@ -722,8 +796,23 @@ func (m *mapper) alignPending() error {
 			m.met.alignSec.ObserveDuration(time.Since(t0))
 		}
 	}
+	var shared, sharedCells int64
+	for k := range pend {
+		pa := &pend[k]
+		if pa.src < 0 {
+			continue
+		}
+		src := &pend[pa.src]
+		pa.accepted, pa.loc.logLik, pa.loc.contribs = src.accepted, src.loc.logLik, src.loc.contribs
+		shared++
+		if m.met != nil {
+			sharedCells += int64(phmm.BandCells(pa.loc.p.Len(), len(pa.window), pa.diag, m.e.band))
+		}
+	}
 	if m.met != nil {
 		m.met.alignments.Add(int64(len(pend)))
+		m.met.shared.Add(shared)
+		m.met.sharedCells.Add(sharedCells)
 		m.met.lanesFull.Add(full)
 		m.met.lanesPartial.Add(partial)
 		m.met.bin16.Add(bin16)

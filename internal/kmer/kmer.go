@@ -147,13 +147,6 @@ func New(seq dna.Seq, k int) (*Index, error) {
 	return &Index{k: k, offsets: offsets, positions: positions, seqLen: len(seq)}, nil
 }
 
-// forEachKmer calls fn for every packable k-mer window in seq, with its
-// reverse complement's pack, using rolling packs that restart after
-// ambiguous bases.
-func forEachKmer(seq dna.Seq, k int, fn func(m, rc dna.Kmer, pos int32)) {
-	forEachKmerRange(seq, k, 0, len(seq), fn)
-}
-
 // K returns the indexed mer size.
 func (ix *Index) K() int { return ix.k }
 
@@ -354,13 +347,27 @@ func (ix *Index) resolve(seeds, mirror []seedRef) {
 }
 
 // packSeeds writes every packable seed of read into seeds, in
-// read-offset order, and returns them.
+// read-offset order, and returns them. It is forEachKmerRange's roll
+// without the closure: m takes each base in at the bottom, rc its
+// complement at the top, and valid counts the concrete bases since the
+// last ambiguous one.
 func packSeeds(read dna.Seq, k int, seeds []seedRef) []seedRef {
-	n := 0
-	forEachKmer(read, k, func(m, rc dna.Kmer, off int32) {
-		seeds[n] = seedRef{m: m, rc: rc, off: off}
-		n++
-	})
+	var m, rc dna.Kmer
+	valid, n := 0, 0
+	mask := dna.Kmer(1)<<(2*uint(k)) - 1
+	top := 2 * uint(k-1)
+	for i, c := range read {
+		if !c.IsConcrete() {
+			valid = 0
+			continue
+		}
+		m = (m<<2 | dna.Kmer(c)) & mask
+		rc = rc>>2 | dna.Kmer(3-c)<<top
+		if valid++; valid >= k {
+			seeds[n] = seedRef{m: m, rc: rc, off: int32(i - k + 1)}
+			n++
+		}
+	}
 	return seeds[:n]
 }
 

@@ -19,6 +19,13 @@ import (
 // scan of the reference itself. candidatesInto must return its
 // candidates (order included) and its SeedStats exactly.
 
+// forEachKmer calls fn for every packable k-mer window in seq, with its
+// reverse complement's pack, using rolling packs that restart after
+// ambiguous bases (the closure roll packSeeds spells out).
+func forEachKmer(seq dna.Seq, k int, fn func(m, rc dna.Kmer, pos int32)) {
+	forEachKmerRange(seq, k, 0, len(seq), fn)
+}
+
 // scanOracle answers each seed from the reference sequence: every
 // window whose O(k) pack is the seed, ascending, of which an index
 // capped at maxStore keeps the first maxStore.
