@@ -166,7 +166,7 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, ac
 	peakResident := 0
 	spills := make(map[int]spillBatch) // destination rank -> flattened
 	var lls []float64
-	ownLocations := int64(0)
+	ownLocations, ownZeroed := int64(0), int64(0)
 	cursor := make([]int, size)
 
 	for {
@@ -232,6 +232,8 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, ac
 				if w := ws[own+k]; w != 0 {
 					ownLocations++
 					applySliceContribution(acc, lo, hi, L, size, l, w, spills)
+				} else {
+					ownZeroed++
 				}
 			}
 			if m.met != nil {
@@ -242,13 +244,14 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, ac
 	// The genome-split path drives mapBatch directly rather than going
 	// through MapReads, so mirror its read-level metric accounting here:
 	// every rank holds the global read counts, so rank 0 alone publishes
-	// them; locations are published by the rank that applied them.
+	// them; locations are published by the rank that aligned them.
 	if m.met != nil {
 		if rank == 0 {
 			m.met.mapped.Add(st.Mapped)
 			m.met.unmapped.Add(st.Unmapped)
 		}
 		m.met.locations.Add(ownLocations)
+		m.met.zeroed.Add(ownZeroed)
 	}
 	if cfg.Metrics != nil {
 		// The reads this rank held at once: one batch, whatever the input.

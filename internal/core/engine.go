@@ -120,11 +120,14 @@ type Config struct {
 	BestHitOnly bool
 	// Metrics, when non-nil, receives the engine's stage timers and
 	// counters: map.seed.seconds (per read: forward PWM build, seed
-	// lookup and vote cut), map.align.seconds (per sweep of one bin of
+	// lookups and vote cuts), map.align.seconds (per sweep of one bin of
 	// same-shape windows), map.accum.seconds (per mapped read:
 	// accumulator updates), map.read.seconds (per read: its batch's wall
 	// / reads), plus map.candidates / map.alignments (windows queued) /
-	// map.mapped / map.unmapped / map.locations, map.alignments.shared
+	// map.mapped / map.unmapped / map.locations (accepted locations that
+	// carry posterior weight), map.locations.zeroed (accepted locations
+	// whose weight MinPosterior, or BestHitOnly, zeroed),
+	// map.alignments.shared
 	// (queued windows that shared the alignment of a byte-equal window
 	// of the same read, strand and diagonal), phmm.cells (DP cells
 	// computed), phmm.cells.shared (the cells the sharing windows would
@@ -133,9 +136,12 @@ type Config struct {
 	// and narrower groups;
 	// phmm.batch.bin16.alignments: alignments whose same-shape bin held
 	// at least 16 windows, the share a 16-lane sweep could fill). Seed
-	// selectivity is tracked by map.seed.hits (index positions voted),
-	// map.seed.masked (read seeds dropped by MaxBucket), the
-	// map.candidates.per.read histogram, and the index.bytes gauge; an
+	// selectivity is tracked by map.seed.hits (index positions voted, by
+	// both queries of a re-queried read), map.seed.masked (read seeds
+	// dropped by MaxBucket, likewise), map.seed.requeried (reads whose
+	// sampled seed query did not stand and were queried at every offset),
+	// the map.candidates.per.read histogram (the list the read used, as
+	// map.candidates counts), and the index.bytes gauge; an
 	// index the engine builds itself (not one passed in as SeedIndex)
 	// records its build time as index.build.seconds. Nil
 	// disables instrumentation; the hot path then pays only a pointer
@@ -279,8 +285,10 @@ type engineMetrics struct {
 	seedSec, alignSec, accumSec, readSec *obs.Histogram
 	candidates, alignments, cells        *obs.Counter
 	mapped, unmapped, locations          *obs.Counter
-	seedHits, seedMasked                 *obs.Counter
+	seedHits, seedMasked, requeried      *obs.Counter
 	candPerRead                          *obs.Histogram
+	// Accepted locations whose posterior weight came out zero.
+	zeroed *obs.Counter
 	// Alignments swept in full-width groups and in narrower ones, and
 	// those whose same-shape bin held at least 16 windows.
 	lanesFull, lanesPartial, bin16 *obs.Counter
@@ -306,6 +314,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		locations:  reg.Counter("map.locations"),
 		seedHits:   reg.Counter("map.seed.hits"),
 		seedMasked: reg.Counter("map.seed.masked"),
+		requeried:  reg.Counter("map.seed.requeried"),
+		zeroed:     reg.Counter("map.locations.zeroed"),
 		candPerRead: reg.Histogram(
 			"map.candidates.per.read", obs.CountBuckets),
 		lanesFull:    reg.Counter("phmm.batch.lanes.full"),
@@ -340,6 +350,10 @@ type Engine struct {
 	// testNoShare queues every window for its own sweep. Test-only: the
 	// oracle the window-sharing tests compare against.
 	testNoShare bool
+	// testEveryOffset makes mapper.seed query every read offset at once,
+	// skipping the sampled query. Test-only: the oracle the sampled-seed
+	// tests compare against.
+	testEveryOffset bool
 	// idle holds warm mappers between mapping calls.
 	idleMu sync.Mutex
 	idle   []*mapper
@@ -615,53 +629,86 @@ func (m *mapper) candidates(read int, rd *fastq.Read) []scoredCand {
 	return cands
 }
 
-// seed is the index's candidate source: it seeds both strands and keeps
-// the candidates whose votes reach MinVoteFraction of the read's best,
-// in strand then index order.
-func (m *mapper) seed(fwd *pwm.Matrix) []scoredCand {
-	e := m.e
-	minVotes := e.cfg.MinSeedVotes
-	if fwd.Len() < 2*e.cfg.K {
-		minVotes = 1
-	}
+// seedStride spaces the read offsets of seed's first query. Its answer
+// stands only when it is unambiguous, so the stride is a measured
+// trade-off, not a knob: DESIGN.md §16 "Sampled query" has the losses.
+const seedStride = 4
+
+// seedOptions is the first seed query of an n-base read: sampled at
+// seedStride, unless the read is shorter than 2·K (too few sampled
+// seeds to tell a location from chance) or a test asks for every offset.
+func (e *Engine) seedOptions(n int) kmer.CandidateOptions {
 	opts := kmer.CandidateOptions{
 		MaxCandidates: e.cfg.MaxCandidates,
-		MinVotes:      minVotes,
+		MinVotes:      e.cfg.MinSeedVotes,
 		MaxBucket:     e.cfg.MaxBucket,
 		// SemiGlobal windows are padded, so nearby diagonals (indel
 		// shifts) can merge into one candidate; Global windows must
 		// start on the exact diagonal.
-		Slack: 2,
+		Slack:  2,
+		Stride: seedStride,
+	}
+	if n < 2*e.cfg.K {
+		opts.MinVotes, opts.Stride = 1, 1
 	}
 	if e.cfg.AlignMode == phmm.Global {
 		opts.Slack = 0
 	}
-	// Collect candidates from both strands first so the vote filter is
-	// relative to the read's best location overall. One query seeds both:
-	// the reverse strand's calls are the reverse complement of fwd's, and
-	// the index answers each read offset for both strands at once.
+	if e.testEveryOffset {
+		opts.Stride = 1
+	}
+	return opts
+}
+
+// seed is the index's candidate source: it seeds both strands and keeps
+// the candidates whose votes reach MinVoteFraction of the read's best,
+// in strand then index order. The first query votes only every
+// seedStride-th read offset. Its answer stands when exactly one
+// candidate survives the cut and its votes number at least half the
+// sampled seeds; any other read is queried again at every offset.
+func (m *mapper) seed(fwd *pwm.Matrix) []scoredCand {
+	opts := m.e.seedOptions(fwd.Len())
+	var seedHits, seedMasked int64
+	for {
+		kept := m.vote(fwd.Calls(), opts)
+		for si := range m.candBuf {
+			seedHits += m.candBuf[si].Stats.Hits
+			seedMasked += m.candBuf[si].Stats.Masked
+		}
+		if opts.Stride == 1 || len(kept) == 1 && 2*int64(kept[0].cand.Votes) >= m.candBuf[kept[0].sc].Stats.Seeds {
+			if m.met != nil {
+				m.met.candidates.Add(int64(len(m.scored)))
+				m.met.seedHits.Add(seedHits)
+				m.met.seedMasked.Add(seedMasked)
+				m.met.candPerRead.Observe(float64(len(m.scored)))
+			}
+			return kept
+		}
+		opts.Stride = 1
+		if m.met != nil {
+			m.met.requeried.Inc()
+		}
+	}
+}
+
+// vote is one both-strand query and its vote cut. It collects both
+// strands' candidates into m.scored first, so the cut is relative to the
+// read's best location overall, and returns the prefix of m.scored that
+// reaches MinVoteFraction of that best. One query seeds both strands:
+// the reverse strand's calls are the reverse complement of read, and the
+// index answers each read offset for both strands at once.
+func (m *mapper) vote(read dna.Seq, opts kmer.CandidateOptions) []scoredCand {
 	cands := m.scored[:0]
 	bestVotes := int32(0)
-	var seedHits, seedMasked int64
-	f, r := e.idx.CandidatesBothInto(fwd.Calls(), opts, &m.candBuf[0], &m.candBuf[1])
+	f, r := m.e.idx.CandidatesBothInto(read, opts, &m.candBuf[0], &m.candBuf[1])
 	for si, list := range [2][]kmer.Candidate{f, r} {
 		for _, cand := range list {
 			cands = append(cands, scoredCand{sc: si, cand: cand})
-			if cand.Votes > bestVotes {
-				bestVotes = cand.Votes
-			}
+			bestVotes = max(bestVotes, cand.Votes)
 		}
-		seedHits += m.candBuf[si].Stats.Hits
-		seedMasked += m.candBuf[si].Stats.Masked
 	}
 	m.scored = cands
-	if m.met != nil {
-		m.met.candidates.Add(int64(len(cands)))
-		m.met.seedHits.Add(seedHits)
-		m.met.seedMasked.Add(seedMasked)
-		m.met.candPerRead.Observe(float64(len(cands)))
-	}
-	voteCut := int32(e.cfg.MinVoteFraction * float64(bestVotes))
+	voteCut := int32(m.e.cfg.MinVoteFraction * float64(bestVotes))
 	kept := cands[:0]
 	for _, cs := range cands {
 		if cs.cand.Votes >= voteCut {
@@ -988,6 +1035,7 @@ func (m *mapper) accumulate(acc genome.Accumulator, st *Stats) func(int, []locat
 			met.accumSec.ObserveDuration(time.Since(tAcc))
 			met.mapped.Inc()
 			met.locations.Add(accepted)
+			met.zeroed.Add(int64(len(locs)) - accepted)
 		}
 		return nil
 	}

@@ -19,29 +19,29 @@ import (
 	"gnumap/internal/snp"
 )
 
-// sharingRun is what one single-worker mapping run produced, for the
-// window-sharing comparisons.
-type sharingRun struct {
+// oneWorkerRun is what one single-worker mapping run produced, for the
+// comparisons against a test-only engine variant.
+type oneWorkerRun struct {
+	acc      genome.Accumulator
 	state    []byte
 	stats    Stats
 	counters map[string]int64
 	calls    []snp.Call
 }
 
-// mapWith maps reads on one worker with the engine's candidate source
-// replaced by source (nil keeps the seed index) and window sharing off
-// when noShare is set, then calls SNPs.
-func mapWith(t *testing.T, ref *genome.Reference, reads []*fastq.Read, source candidateSource, noShare bool) sharingRun {
+// mapWith maps reads on one worker of an engine that set (when non-nil)
+// has adjusted — a candidate source, window sharing or seed sampling
+// switched off — then calls SNPs.
+func mapWith(t *testing.T, ref *genome.Reference, reads []*fastq.Read, set func(*Engine)) oneWorkerRun {
 	t.Helper()
 	reg := obs.NewRegistry()
 	eng, err := NewEngine(ref, Config{Workers: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if source != nil {
-		eng.source = source
+	if set != nil {
+		set(eng)
 	}
-	eng.testNoShare = noShare
 	acc, err := genome.New(genome.Norm, ref.Len())
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func mapWith(t *testing.T, ref *genome.Reference, reads []*fastq.Read, source ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sharingRun{state: state, stats: st, counters: reg.Snapshot(0).Counters, calls: calls}
+	return oneWorkerRun{acc: acc, state: state, stats: st, counters: reg.Snapshot(0).Counters, calls: calls}
 }
 
 // repeatDataset is the 80 kbp repeat-rich dataset of the genome-split
@@ -88,6 +88,15 @@ func repeatDataset(t *testing.T, seed int64) (*genome.Reference, []*fastq.Read) 
 	return ref, reads
 }
 
+// qualRead is a read of a copy of s with varied base qualities.
+func qualRead(name string, s dna.Seq) *fastq.Read {
+	qual := make([]uint8, len(s))
+	for i := range qual {
+		qual[i] = uint8(12 + (7*i)%29)
+	}
+	return &fastq.Read{Name: name, Seq: append(dna.Seq(nil), s...), Qual: qual}
+}
+
 // edgeReads is a genome whose first Pad+64 bases repeat as its last,
 // with its length chosen so that the band-spaced source (below) queues
 // a 64-base read at starts 0 and L-64: clipped windows byte-equal to
@@ -103,14 +112,7 @@ func edgeReads(t *testing.T) (*genome.Reference, []*fastq.Read) {
 		t.Fatal(err)
 	}
 	g = append(g, g[:n+cfg.Pad]...)
-	read := func(name string, s dna.Seq) *fastq.Read {
-		qual := make([]uint8, len(s))
-		for i := range qual {
-			qual[i] = uint8(12 + (7*i)%29)
-		}
-		return &fastq.Read{Name: name, Seq: append(dna.Seq(nil), s...), Qual: qual}
-	}
-	reads := []*fastq.Read{read("prefix", g[:n]), read("middle", g[900:900+n].ReverseComplement())}
+	reads := []*fastq.Read{qualRead("prefix", g[:n]), qualRead("middle", g[900:900+n].ReverseComplement())}
 	ref, err := genome.NewSingleContig("edges", g)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,15 @@ func TestWindowSharingIsExact(t *testing.T) {
 		t.Run(ds.name, func(t *testing.T) {
 			t.Parallel()
 			ref, reads := ds.build(t)
-			got, want := mapWith(t, ref, reads, ds.source, false), mapWith(t, ref, reads, ds.source, true)
+			sharing := func(share bool) func(*Engine) {
+				return func(e *Engine) {
+					if ds.source != nil {
+						e.source = ds.source
+					}
+					e.testNoShare = !share
+				}
+			}
+			got, want := mapWith(t, ref, reads, sharing(true)), mapWith(t, ref, reads, sharing(false))
 			if !bytes.Equal(got.state, want.state) {
 				t.Error("accumulator state differs from unshared windows")
 			}
@@ -195,8 +205,8 @@ func TestBandSpacedSourceMapsSmallGenome(t *testing.T) {
 	p := makePipeline(t, 3000, 4, 4, 23)
 	reads := append([]*fastq.Read{{Name: "empty"}}, p.reads...)
 	rand.New(rand.NewSource(1)).Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
-	idx := mapWith(t, p.ref, reads, nil, false)
-	all := mapWith(t, p.ref, reads, bandSpaced, false)
+	idx := mapWith(t, p.ref, reads, nil)
+	all := mapWith(t, p.ref, reads, func(e *Engine) { e.source = bandSpaced })
 	band := (Config{}).withDefaults().effectiveBand()
 	diags := int64(2 * ((p.ref.Len() + band - 1) / band))
 	if n := all.counters["map.alignments"]; n != diags*int64(len(p.reads)) {

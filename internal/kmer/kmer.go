@@ -46,7 +46,9 @@ type SeedIndex interface {
 	// CandidatesBothInto is CandidatesInto for the read into fwd and for
 	// its reverse complement into rev, from one pass over the read's
 	// seeds: each returns, and leaves in its buffer's Stats, exactly
-	// what that strand's own CandidatesInto call would.
+	// what that strand's own CandidatesInto call would. Under a Stride
+	// the reverse strand votes the mirrors of the forward strand's
+	// sampled seeds (read offsets n-k-off), not its own sample.
 	CandidatesBothInto(read dna.Seq, opt CandidateOptions, fwd, rev *CandidateBuf) (f, r []Candidate)
 }
 
@@ -189,6 +191,11 @@ type CandidateOptions struct {
 	// other into one region (indels shift the implied start). Zero
 	// means exact-diagonal voting.
 	Slack int
+	// Stride samples the read's seeds: only those at read offsets
+	// divisible by Stride are looked up and voted (a both-strand query
+	// votes the reverse strand's mirrors of those). Zero and one mean
+	// every offset.
+	Stride int
 }
 
 // CandidateBuf is reusable scratch for CandidatesInto, letting a
@@ -245,7 +252,8 @@ func (b *CandidateBuf) seedSpace(n int) []seedRef {
 	return b.seeds[:n]
 }
 
-// voteSlot is one vote-table entry: one cache line per probe.
+// voteSlot is one vote-table entry, 12 bytes: a probe reads key and
+// epoch from one slot instead of from three arrays.
 type voteSlot struct {
 	key, val int32
 	epoch    uint32
@@ -346,24 +354,31 @@ func (ix *Index) resolve(seeds, mirror []seedRef) {
 	}
 }
 
-// packSeeds writes every packable seed of read into seeds, in
-// read-offset order, and returns them. It is forEachKmerRange's roll
-// without the closure: m takes each base in at the bottom, rc its
-// complement at the top, and valid counts the concrete bases since the
-// last ambiguous one.
-func packSeeds(read dna.Seq, k int, seeds []seedRef) []seedRef {
+// packSeeds writes every packable seed of read at a read offset
+// divisible by stride into seeds, in read-offset order, and returns
+// them. It is forEachKmerRange's roll without the closure: m takes each
+// base in at the bottom, rc its complement at the top, valid counts the
+// concrete bases since the last ambiguous one, and ph is the offset of
+// the seed ending at base i, modulo stride.
+func packSeeds(read dna.Seq, k, stride int, seeds []seedRef) []seedRef {
 	var m, rc dna.Kmer
 	valid, n := 0, 0
 	mask := dna.Kmer(1)<<(2*uint(k)) - 1
 	top := 2 * uint(k-1)
+	stride = max(stride, 1)
+	ph := ((1-k)%stride + stride) % stride
 	for i, c := range read {
+		sampled := ph == 0
+		if ph++; ph == stride {
+			ph = 0
+		}
 		if !c.IsConcrete() {
 			valid = 0
 			continue
 		}
 		m = (m<<2 | dna.Kmer(c)) & mask
 		rc = rc>>2 | dna.Kmer(3-c)<<top
-		if valid++; valid >= k {
+		if valid++; valid >= k && sampled {
 			seeds[n] = seedRef{m: m, rc: rc, off: int32(i - k + 1)}
 			n++
 		}
@@ -374,7 +389,7 @@ func packSeeds(read dna.Seq, k int, seeds []seedRef) []seedRef {
 // candidatesInto is the single-strand query shared by every index
 // representation: pack the read's seeds, resolve them as a group, vote.
 func candidatesInto(ix seedSource, read dna.Seq, opt CandidateOptions, buf *CandidateBuf) []Candidate {
-	buf.seeds = packSeeds(read, ix.K(), buf.seedSpace(len(read)))
+	buf.seeds = packSeeds(read, ix.K(), opt.Stride, buf.seedSpace(len(read)))
 	ix.resolve(buf.seeds, nil)
 	return buf.vote(opt)
 }
@@ -384,10 +399,12 @@ func candidatesInto(ix seedSource, read dna.Seq, opt CandidateOptions, buf *Cand
 // read's seed at off's reverse complement — the one pass that packs the
 // forward seeds has already rolled it. Filling rev's seeds back to
 // front keeps them in the reverse-complement read's own offset order, so
-// each strand votes exactly as its own CandidatesInto call would.
+// each strand votes exactly as its own CandidatesInto call would. Under
+// a Stride the reverse strand votes the mirrors of the forward strand's
+// sampled seeds, so one probe still serves both.
 func candidatesBothInto(ix seedSource, read dna.Seq, opt CandidateOptions, fwd, rev *CandidateBuf) (f, r []Candidate) {
 	k := ix.K()
-	seeds := packSeeds(read, k, fwd.seedSpace(len(read)))
+	seeds := packSeeds(read, k, opt.Stride, fwd.seedSpace(len(read)))
 	mirror := rev.seedSpace(len(read))[:len(seeds)]
 	last := int32(len(read) - k)
 	for i, s := range seeds {

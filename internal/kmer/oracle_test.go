@@ -17,7 +17,10 @@ import (
 // a three-array vote table grown mid-read, a walk over every live slot
 // and a full sort. Its lookups read no index at all: they come from a
 // scan of the reference itself. candidatesInto must return its
-// candidates (order included) and its SeedStats exactly.
+// candidates (order included) and its SeedStats exactly. Under a Stride
+// the oracle looks up only the read offsets off with off ≡ phase (mod
+// Stride): phase 0 for a read's own sample, n-k for the mirrors of a
+// both-strand query's reverse strand.
 
 // forEachKmer calls fn for every packable k-mer window in seq, with its
 // reverse complement's pack, using rolling packs that restart after
@@ -116,7 +119,7 @@ func (b *oracleBuf) growTable() {
 	}
 }
 
-func oracleCandidates(ix *scanOracle, read dna.Seq, opt CandidateOptions, buf *oracleBuf) ([]Candidate, SeedStats) {
+func oracleCandidates(ix *scanOracle, read dna.Seq, opt CandidateOptions, phase int, buf *oracleBuf) ([]Candidate, SeedStats) {
 	minVotes := opt.MinVotes
 	if minVotes <= 0 {
 		minVotes = 1
@@ -126,7 +129,7 @@ func oracleCandidates(ix *scanOracle, read dna.Seq, opt CandidateOptions, buf *o
 	var stats SeedStats
 	for off := 0; off+k <= len(read); off++ {
 		m, ok := dna.PackKmer(read, off, k)
-		if !ok {
+		if !ok || (off-phase)%max(opt.Stride, 1) != 0 {
 			continue
 		}
 		stats.Seeds++
@@ -248,8 +251,8 @@ func oracleReads(rng *rand.Rand, seq dna.Seq, k int) []dna.Seq {
 // TestCandidatesIntoMatchesOracle: the group-resolved loop returns the
 // scanning oracle's candidates and stats for both index kinds (the
 // hashed one heap-built, frequency-capped, and mmap-loaded) over the whole option
-// grid, through one warm buffer per index so state carried between
-// reads would show.
+// grid, every offset and sampled at strides 2, 3 and 4, through one
+// warm buffer per index so state carried between reads would show.
 func TestCandidatesIntoMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	seq := oracleGenome(rng)
@@ -295,21 +298,23 @@ func TestCandidatesIntoMatchesOracle(t *testing.T) {
 				for _, slack := range []int{0, 2, 4} {
 					for _, maxCands := range []int{0, 1, 3, 8} {
 						for _, maxBucket := range []int{0, 3} {
-							opt := CandidateOptions{MinVotes: minVotes, Slack: slack, MaxCandidates: maxCands, MaxBucket: maxBucket}
-							for r, read := range reads {
-								want, wantStats := oracleCandidates(kd.old, read, opt, &old)
-								got := kd.idx.CandidatesInto(read, opt, &buf)
-								if !slices.Equal(got, want) || buf.Stats != wantStats {
-									t.Fatalf("read %d %+v:\n got %v %+v\nwant %v %+v", r, opt, got, buf.Stats, want, wantStats)
-								}
-								if maxCands > 0 && len(want) == maxCands {
-									capped++
-								}
-								if wantStats.Masked > 0 {
-									masked++
-								}
-								if len(want) > 0 && slices.ContainsFunc(want, func(c Candidate) bool { return c.Start == 0 }) {
-									edge++
+							for _, stride := range []int{0, 2, 3, 4} {
+								opt := CandidateOptions{MinVotes: minVotes, Slack: slack, MaxCandidates: maxCands, MaxBucket: maxBucket, Stride: stride}
+								for r, read := range reads {
+									want, wantStats := oracleCandidates(kd.old, read, opt, 0, &old)
+									got := kd.idx.CandidatesInto(read, opt, &buf)
+									if !slices.Equal(got, want) || buf.Stats != wantStats {
+										t.Fatalf("read %d %+v:\n got %v %+v\nwant %v %+v", r, opt, got, buf.Stats, want, wantStats)
+									}
+									if maxCands > 0 && len(want) == maxCands {
+										capped++
+									}
+									if wantStats.Masked > 0 {
+										masked++
+									}
+									if len(want) > 0 && slices.ContainsFunc(want, func(c Candidate) bool { return c.Start == 0 }) {
+										edge++
+									}
 								}
 							}
 						}
@@ -325,7 +330,7 @@ func TestCandidatesIntoMatchesOracle(t *testing.T) {
 
 // TestCandidatesIntoWarmZeroAllocs: once a buffer has seen a workload's
 // largest read, neither index kind allocates, on the single-strand query
-// or the both-strand one.
+// or the both-strand one, at every offset or sampled.
 func TestCandidatesIntoWarmZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	seq := oracleGenome(rng)
@@ -338,17 +343,21 @@ func TestCandidatesIntoWarmZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := CandidateOptions{MaxCandidates: 8, MinVotes: 2, MaxBucket: 1024, Slack: 2}
+	sampled := opt
+	sampled.Stride = 4
 	for name, idx := range map[string]SeedIndex{"direct": direct, "hash": large} {
 		reads := oracleReads(rand.New(rand.NewSource(7)), seq, idx.K())
 		var buf, rev CandidateBuf
 		sweep := func() {
 			for _, read := range reads {
 				idx.CandidatesInto(read, opt, &buf)
+				idx.CandidatesInto(read, sampled, &buf)
 			}
 		}
 		both := func() {
 			for _, read := range reads {
 				idx.CandidatesBothInto(read, opt, &buf, &rev)
+				idx.CandidatesBothInto(read, sampled, &buf, &rev)
 			}
 		}
 		sweep()
@@ -402,7 +411,9 @@ func propertyGenome(rng *rand.Rand, n, k int) (seq, pal, unit dna.Seq) {
 // each of those is the scanning oracle's. Random genomes at even and
 // odd k, the hashed index at every small MaxStore, reads sampled on
 // either strand, through the planted palindrome and repeat, with Ns,
-// and hanging off both genome ends.
+// and hanging off both genome ends. Sampled at strides 2, 3 and 4, the
+// forward strand is still its single-strand call, and the reverse
+// strand is the oracle over the mirrors of the forward sample.
 func TestCandidatesBothIntoMatchesSingleStrand(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	type kind struct {
@@ -410,7 +421,7 @@ func TestCandidatesBothIntoMatchesSingleStrand(t *testing.T) {
 		idx  SeedIndex
 		old  *scanOracle
 	}
-	var palSeeds, capped, masked int
+	var palSeeds, sampledPal, capped, masked int
 	for trial, k := range []int{8, 12, 16, 20, 11, 15} {
 		seq, pal, unit := propertyGenome(rng, 4000, k)
 		var kinds []kind
@@ -458,36 +469,45 @@ func TestCandidatesBothIntoMatchesSingleStrand(t *testing.T) {
 				{}, {MinVotes: 2, Slack: 2, MaxCandidates: 3, MaxBucket: 3},
 				{MinVotes: 1, MaxCandidates: 8, MaxBucket: 8}, {MinVotes: 3, Slack: 4},
 			} {
-				for r, read := range reads {
-					f, r2 := kd.idx.CandidatesBothInto(read, opt, &fwd, &rev)
-					for strand, got := range []struct {
-						read  dna.Seq
-						cands []Candidate
-						stats SeedStats
-					}{{read, f, fwd.Stats}, {read.ReverseComplement(), r2, rev.Stats}} {
-						one := kd.idx.CandidatesInto(got.read, opt, &single)
-						if !slices.Equal(got.cands, one) || got.stats != single.Stats {
-							t.Fatalf("trial %d %s read %d strand %d %+v: both-strand %v %+v, single-strand %v %+v",
-								trial, kd.name, r, strand, opt, got.cands, got.stats, one, single.Stats)
-						}
-						want, wantStats := oracleCandidates(kd.old, got.read, opt, &old)
-						if !slices.Equal(one, want) || single.Stats != wantStats {
-							t.Fatalf("trial %d %s read %d strand %d %+v: %v %+v, oracle %v %+v",
-								trial, kd.name, r, strand, opt, one, single.Stats, want, wantStats)
-						}
-						if wantStats.Masked > 0 {
-							masked++
+				for _, stride := range []int{0, 2, 3, 4} {
+					opt.Stride = stride
+					for r, read := range reads {
+						f, r2 := kd.idx.CandidatesBothInto(read, opt, &fwd, &rev)
+						for strand, got := range []struct {
+							read  dna.Seq
+							cands []Candidate
+							stats SeedStats
+							phase int
+						}{{read, f, fwd.Stats, 0}, {read.ReverseComplement(), r2, rev.Stats, len(read) - k}} {
+							if strand == 0 || stride == 0 {
+								one := kd.idx.CandidatesInto(got.read, opt, &single)
+								if !slices.Equal(got.cands, one) || got.stats != single.Stats {
+									t.Fatalf("trial %d %s read %d strand %d %+v: both-strand %v %+v, single-strand %v %+v",
+										trial, kd.name, r, strand, opt, got.cands, got.stats, one, single.Stats)
+								}
+							}
+							want, wantStats := oracleCandidates(kd.old, got.read, opt, got.phase, &old)
+							if !slices.Equal(got.cands, want) || got.stats != wantStats {
+								t.Fatalf("trial %d %s read %d strand %d %+v: %v %+v, oracle %v %+v",
+									trial, kd.name, r, strand, opt, got.cands, got.stats, want, wantStats)
+							}
+							if wantStats.Masked > 0 {
+								masked++
+							}
 						}
 					}
 				}
 			}
-			// What the grid reached: palindromic seeds found, and samples
-			// the cap truncated.
+			// What the grid reached: palindromic seeds found (also at an
+			// offset stride 3 samples), and samples the cap truncated.
 			for _, read := range reads {
-				forEachKmer(read, k, func(m, rc dna.Kmer, _ int32) {
+				forEachKmer(read, k, func(m, rc dna.Kmer, off int32) {
 					hits, total := kd.old.lookupTotal(m)
 					if m == rc && total > 0 {
 						palSeeds++
+						if off%3 == 0 {
+							sampledPal++
+						}
 					}
 					if total > len(hits) {
 						capped++
@@ -496,7 +516,7 @@ func TestCandidatesBothIntoMatchesSingleStrand(t *testing.T) {
 			}
 		}
 	}
-	if palSeeds == 0 || capped == 0 || masked == 0 {
-		t.Fatalf("grid too easy: %d palindromic seed hits, %d capped samples, %d masked results", palSeeds, capped, masked)
+	if palSeeds == 0 || sampledPal == 0 || capped == 0 || masked == 0 {
+		t.Fatalf("grid too easy: %d palindromic seed hits (%d sampled), %d capped samples, %d masked results", palSeeds, sampledPal, capped, masked)
 	}
 }
