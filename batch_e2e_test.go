@@ -22,7 +22,7 @@ func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 
 	call := func(phmmBatch int) []SNPCall {
 		t.Helper()
-		cfg := EngineConfig{Workers: 4, Batch: 32, Queue: 2, PhmmBatch: phmmBatch}
+		cfg := EngineConfig{Workers: 4, PhmmBatch: phmmBatch}
 		p, err := NewPipeline(ds.Reference, Options{Engine: cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -59,15 +59,16 @@ func TestBatchedKernelCallIdentityE2E(t *testing.T) {
 }
 
 // TestBatchSizeVCFIdentityE2E: lanes are packed across the reads of a
-// work batch, so -batch decides which alignments share a sweep — and
-// must decide nothing else. On one worker the VCF is byte-identical
-// whether a batch is one read (no packing), one chunk, or several, and
-// identical to one-lane sweeps'.
+// work batch, which decides which alignments share a sweep — and must
+// decide nothing else. On one worker the VCF of the default lane
+// packing is byte-identical to one-lane sweeps'. (How reads are grouped
+// into mapBatch calls is TestMapReadsBatchedMatchesScalar's axis, in
+// internal/core.)
 func TestBatchSizeVCFIdentityE2E(t *testing.T) {
 	ds := dataset(t)
-	vcf := func(batch, phmmBatch int) []byte {
+	vcf := func(phmmBatch int) []byte {
 		t.Helper()
-		p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1, Batch: batch, PhmmBatch: phmmBatch}})
+		p, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1, PhmmBatch: phmmBatch}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,13 +85,11 @@ func TestBatchSizeVCFIdentityE2E(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := vcf(1, -1) // one lane per sweep, a read at a time
+	want := vcf(-1) // one lane per sweep
 	if !bytes.Contains(want, []byte("\tPASS\t")) {
 		t.Fatal("one-lane baseline called no SNPs; dataset too weak for an identity test")
 	}
-	for _, batch := range []int{1, 64, 200} {
-		if got := vcf(batch, 0); !bytes.Equal(got, want) {
-			t.Errorf("-batch %d: VCF differs from the one-lane read-at-a-time run", batch)
-		}
+	if got := vcf(0); !bytes.Equal(got, want) {
+		t.Error("VCF of the default lane packing differs from the one-lane run")
 	}
 }

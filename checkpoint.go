@@ -81,7 +81,7 @@ func (p *Pipeline) fingerprint() ckpt.Fingerprint {
 }
 
 // fingerprintFor renders the call-affecting configuration — and only
-// that; execution knobs (workers, batch, queue, PHMM lane width) may
+// that; execution knobs (workers, PHMM lane width, placement) may
 // change freely across a resume — into a checkpoint fingerprint. Both
 // configs are resolved first so a zero value and its explicit default
 // fingerprint identically.

@@ -39,7 +39,7 @@ func callsEqual(t *testing.T, want, got []SNPCall) {
 // cumulative stats match an uninterrupted run.
 func TestPipelineCheckpointResume(t *testing.T) {
 	ds := ckptDataset(t)
-	opts := Options{Engine: EngineConfig{Workers: 4, Batch: 16, Queue: 2}}
+	opts := Options{Engine: EngineConfig{Workers: 4}}
 
 	full, err := NewPipeline(ds.Reference, opts)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestResumeCheckpointMismatch(t *testing.T) {
 	// Execution knobs must NOT invalidate the checkpoint (PhmmBatch -1:
 	// one Pair-HMM lane per sweep instead of 8).
 	p3, err := NewPipeline(ds.Reference, Options{
-		Engine:     EngineConfig{Workers: 2, Batch: 8, PhmmBatch: -1},
+		Engine:     EngineConfig{Workers: 2, PhmmBatch: -1},
 		Checkpoint: resume,
 	})
 	if err != nil {
@@ -194,7 +194,7 @@ func TestLoadStateTypedErrors(t *testing.T) {
 // Resume=true finishes with the same calls as an uninterrupted run.
 func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	ds := ckptDataset(t)
-	opts := Options{Engine: EngineConfig{Workers: 2, Batch: 8, Queue: 2}}
+	opts := Options{Engine: EngineConfig{Workers: 2}}
 	wantCalls, wantSt, _, err := RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -349,7 +349,8 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		"incremental+genome-split": true,
 	}
 
-	vcfOf := func(tag string, extra ...string) (vcf []byte, output string, err error) {
+	vcfOf := func(t *testing.T, tag string, extra ...string) (vcf []byte, output string, err error) {
+		t.Helper()
 		out := filepath.Join(data, tag+".vcf")
 		cmd := exec.Command(bin, append(append(append([]string{}, common...), extra...), "-o", out)...)
 		raw, err := cmd.CombinedOutput()
@@ -363,7 +364,7 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		return vcf, string(raw), nil
 	}
 	metricsPath := filepath.Join(data, "plain.metrics.json")
-	plain, out, err := vcfOf("plain", "-metrics-out", metricsPath)
+	plain, out, err := vcfOf(t, "plain", "-metrics-out", metricsPath)
 	if err != nil {
 		t.Fatalf("plain run: %v\n%s", err, out)
 	}
@@ -402,65 +403,70 @@ func TestCLIModeFlagPairs(t *testing.T) {
 	if !strings.Contains(string(plain), "\tPASS\t") {
 		t.Fatal("plain run called no SNPs; dataset too weak for an identity table")
 	}
-	fitted, out, err := vcfOf("fit-only", "-fit")
+	fitted, out, err := vcfOf(t, "fit-only", "-fit")
 	if err != nil {
 		t.Fatalf("-fit run: %v\n%s", err, out)
 	}
 
+	// Each pair is a parallel subtest: its runs write files under the
+	// pair's own tag, and the pairs start once the checks below are done.
 	for i, a := range modes {
 		for _, b := range modes[i+1:] {
 			pair := a.name + "+" + b.name
 			if strings.HasSuffix(a.name, "-split") && strings.HasSuffix(b.name, "-split") {
 				continue // values of one flag (-split, with or without deadlines), not a pair of modes
 			}
-			got, out, err := vcfOf(pair, append(a.args(pair), b.args(pair)...)...)
-			if err != nil {
-				if !mustRefuse[pair] {
-					t.Errorf("%s: must compose, but failed: %v\n%s", pair, err, out)
-					continue
-				}
-				for _, m := range []mode{a, b} {
-					ok := false
-					for _, n := range m.named {
-						ok = ok || strings.Contains(out, n)
+			t.Run(pair, func(t *testing.T) {
+				t.Parallel()
+				got, out, err := vcfOf(t, pair, append(a.args(pair), b.args(pair)...)...)
+				if err != nil {
+					if !mustRefuse[pair] {
+						t.Errorf("%s: must compose, but failed: %v\n%s", pair, err, out)
+						return
 					}
-					if !ok {
-						t.Errorf("%s: rejection does not name %v:\n%s", pair, m.named, out)
+					for _, m := range []mode{a, b} {
+						ok := false
+						for _, n := range m.named {
+							ok = ok || strings.Contains(out, n)
+						}
+						if !ok {
+							t.Errorf("%s: rejection does not name %v:\n%s", pair, m.named, out)
+						}
 					}
+					return
 				}
-				continue
-			}
-			if mustRefuse[pair] {
-				t.Errorf("%s: listed as a remaining hole, but ran; move it to the composing side", pair)
-			}
-			want := plain
-			if a.name == "fit" || b.name == "fit" {
-				want = fitted
-			}
-			if string(got) != string(want) {
-				t.Errorf("%s: VCF differs from the reference run:\n--- want ---\n%s\n--- got ---\n%s", pair, want, got)
-			}
+				if mustRefuse[pair] {
+					t.Errorf("%s: listed as a remaining hole, but ran; move it to the composing side", pair)
+				}
+				want := plain
+				if a.name == "fit" || b.name == "fit" {
+					want = fitted
+				}
+				if string(got) != string(want) {
+					t.Errorf("%s: VCF differs from the reference run:\n--- want ---\n%s\n--- got ---\n%s", pair, want, got)
+				}
+			})
 		}
 	}
 
 	// The cluster flags without a cluster: refused, naming the flag and
 	// -nodes, instead of silently ignored.
 	for _, args := range [][]string{{"-op-timeout", "30s"}, {"-chaos", "seed=1,drop=0.01"}, {"-tcp"}} {
-		_, out, err = vcfOf("no-cluster", args...)
+		_, out, err = vcfOf(t, "no-cluster", args...)
 		if err == nil || !strings.Contains(out, args[0]) || !strings.Contains(out, "-nodes") {
 			t.Errorf("%v at -nodes 1: err=%v, want a refusal naming %s and -nodes:\n%s", args, err, args[0], out)
 		}
 	}
 
 	// Retired flags: -stream (a slice is a source of the one pipeline),
-	// the five execution knobs whose value is now a constant or derived
+	// the six execution knobs whose value is now a constant or derived
 	// from -workers / -op-timeout, -accum-mode (striped is the only
 	// write strategy; no accept-and-ignore shim) and -cpuprofile /
 	// -memprofile (-profile DIR writes both profiles). Each must be an
 	// unknown flag: the flag package's message and its exit code 2.
-	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s", "-accum-mode=striped", "-cpuprofile=cpu.pprof", "-memprofile=mem.pprof"} {
+	for _, retired := range []string{"-stream=false", "-phmm-batch=0", "-call-vector=false", "-call-workers=1", "-queue=4", "-heartbeat=1s", "-batch=64", "-accum-mode=striped", "-cpuprofile=cpu.pprof", "-memprofile=mem.pprof"} {
 		name, _, _ := strings.Cut(retired, "=")
-		_, out, err = vcfOf("retired-flag", retired)
+		_, out, err = vcfOf(t, "retired-flag", retired)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "flag provided but not defined: "+name) {
 			t.Errorf("%s: err=%v, want an unknown-flag failure with exit code 2:\n%s", retired, err, out)
@@ -469,8 +475,48 @@ func TestCLIModeFlagPairs(t *testing.T) {
 
 	// Flag budget: options only go down from here.
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
-	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 29 {
-		t.Errorf("gnumap-snp -h lists %d flags, budget is 29:\n%s", n, usage)
+	if n := strings.Count(string(usage), "\n  -"); n == 0 || n > 28 {
+		t.Errorf("gnumap-snp -h lists %d flags, budget is 28:\n%s", n, usage)
+	}
+}
+
+// TestCLINegativeWorkersSweepOnMappingPool: -workers is the one
+// parallelism knob, so a negative value — GOMAXPROCS mapping workers —
+// sweeps the calling tiles on the same pool, min(GOMAXPROCS, tiles
+// swept) workers, not on one. GOMAXPROCS is pinned to 4 in the child so
+// the two counts differ on any host.
+func TestCLINegativeWorkersSweepOnMappingPool(t *testing.T) {
+	bins := buildTools(t)
+	data := t.TempDir()
+	run(t, filepath.Join(bins, "readsim"),
+		"-out", data, "-length", "30000", "-snps", "4", "-coverage", "8", "-seed", "5")
+	metricsPath := filepath.Join(data, "metrics.json")
+	cmd := exec.Command(filepath.Join(bins, "gnumap-snp"),
+		"-ref", filepath.Join(data, "reference.fa"), "-reads", filepath.Join(data, "reads.fq"),
+		"-workers", "-1", "-o", filepath.Join(data, "out.vcf"), "-metrics-out", metricsPath)
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=4")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("gnumap-snp -workers -1: %v\n%s", err, out)
+	}
+	var report struct {
+		Merged struct {
+			Gauges   map[string]float64
+			Counters map[string]int64
+		}
+	}
+	m, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(m, &report); err != nil {
+		t.Fatal(err)
+	}
+	chunks := report.Merged.Counters["call.chunks"]
+	if chunks < 2 {
+		t.Fatalf("the run swept %d tiles; a worker count needs at least 2", chunks)
+	}
+	if got, want := report.Merged.Gauges["call.workers"], float64(min(4, chunks)); got != want {
+		t.Errorf("-workers -1 at GOMAXPROCS=4 swept %d tiles on call.workers = %v, want %v", chunks, got, want)
 	}
 }
 

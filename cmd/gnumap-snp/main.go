@@ -6,7 +6,7 @@
 //
 //	gnumap-snp -ref reference.fa -reads reads.fq -o calls.vcf \
 //	    [-diploid] [-alpha 0.05] [-fdr] [-memory norm|chardisc|centdisc] \
-//	    [-workers N] [-batch 64] \
+//	    [-workers N] \
 //	    [-incremental-every 5000] \
 //	    [-nodes N -split read|genome [-tcp]] \
 //	    [-op-timeout 5s] [-chaos seed=42,drop=0.01] \
@@ -128,7 +128,6 @@ func run() error {
 		indexPath  = flag.String("index", "", "mmap a persisted seed index built by -index-write; validated against the reference, and sets the seed length from the file when -seed-len is unset")
 		indexWrite = flag.String("index-write", "", "build the large-seed index (requires -seed-len > 14), persist it to this file, and continue mapping")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "shared-memory worker count, for mapping and for the calling sweep")
-		batch      = flag.Int("batch", 0, "reads per pipeline batch, whose candidate windows share Pair-HMM sweeps (0 = default 64; results are identical at any value)")
 		band       = flag.Int("band", 0, "PHMM band width in DP cells around the seed diagonal (0 = auto 2*pad+2, negative = exact full kernel)")
 		fit        = flag.Bool("fit", false, "fit PHMM parameters to the data (Baum-Welch) before mapping")
 		samPath    = flag.String("sam", "", "also write best alignments as SAM to this file")
@@ -242,9 +241,6 @@ func run() error {
 			opts.Cluster.Transport = gnumap.TCP
 		}
 		opts.Cluster.OpTimeout = *opTimeout
-		// Failure detection needs heartbeats; derive a period well inside
-		// the deadline so slow ranks are not declared dead.
-		opts.Cluster.Heartbeat = *opTimeout / 10
 		if *chaos != "" {
 			fc, err := gnumap.ParseChaosSpec(*chaos)
 			if err != nil {
@@ -304,10 +300,6 @@ func run() error {
 	}
 	opts.Engine.Workers = *workers
 	opts.Engine.Band = *band
-	opts.Engine.Batch = *batch
-	// -workers is the one parallelism knob: it bounds the calling sweep
-	// as well as mapping.
-	opts.Caller.CallWorkers = *workers
 	if *fit {
 		f, err := gnumap.OpenReads(*readsPath, enc)
 		if err != nil {

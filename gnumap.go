@@ -135,6 +135,11 @@ type Options struct {
 	// Not every feature composes with every placement; CheckModes says
 	// which do not, and why.
 	Incremental *IncrementalCallConfig
+
+	// callWorkers, when positive, sweeps on this many workers instead of
+	// the engine's resolved Workers. Test-only: the tests that vary only
+	// the calling sweep's worker count.
+	callWorkers int
 }
 
 // MetricsRegistry is a set of named counters, gauges, and latency
@@ -183,10 +188,10 @@ type ClusterConfig struct {
 	Split SplitMode
 	// OpTimeout bounds every cluster Send/Recv/collective; in read-split
 	// mode rank 0 then also keeps a ledger of dealt batches and re-deals
-	// a lost worker's share (0 = off).
+	// a lost worker's share (0 = off). A positive deadline also starts
+	// the failure detector, heartbeating every tenth of it, so a slow
+	// rank is not declared dead.
 	OpTimeout time.Duration
-	// Heartbeat enables the failure detector at this period (0 = off).
-	Heartbeat time.Duration
 	// Fault, when non-nil, injects deterministic chaos (drops, dups,
 	// delays, reorders, rank crashes) from a seeded RNG.
 	Fault *FaultConfig
@@ -271,7 +276,13 @@ func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
 	}
 	// State adopted later (LoadState) needs no new caller: loading counts
 	// a write on every tile, so the next sweep covers it.
-	if p.caller, err = snp.NewIncrementalCaller(ref, acc, opts.Caller); err != nil {
+	// -workers is the one parallelism knob: the sweep runs on the
+	// mapping pool's resolved worker count.
+	workers := eng.Config().Workers
+	if opts.callWorkers > 0 {
+		workers = opts.callWorkers
+	}
+	if p.caller, err = snp.NewIncrementalCaller(ref, acc, opts.Caller, workers); err != nil {
 		return nil, err
 	}
 	if opts.Incremental != nil {
@@ -287,16 +298,16 @@ func (p *Pipeline) MapReads(reads []*Read) (MapStats, error) {
 }
 
 // MapReadsFrom maps every read the source yields through the bounded
-// mapping pipeline: resident memory is capped at
-// (Engine.Queue + Engine.Workers) · Engine.Batch reads regardless of
-// the input size. It may be called repeatedly; the returned stats cover
-// this call (CumulativeStats covers the pipeline's life). With
-// Options.Cluster.Nodes > 1 the same step runs on that many ranks — read-
-// split, where rank 0 deals the source and folds the ranks' state into
-// the pipeline's accumulator, or genome-split, where rank 0 broadcasts
-// it and each rank writes its slice of that accumulator — and everything
-// after it (Call, WritePileup, WriteSAM, CoverageStats, SaveState,
-// MetricsReport) is unchanged.
+// mapping pipeline: resident memory is capped at (4 + Engine.Workers)
+// batches of 64 reads regardless of the input size. It may be called
+// repeatedly; the returned stats cover this call (CumulativeStats covers
+// the pipeline's life). With Options.Cluster.Nodes > 1 the same step
+// runs on that many ranks — read-split, where rank 0 deals the source
+// and folds the ranks' state into the pipeline's accumulator, or
+// genome-split, where rank 0 broadcasts it and each rank writes its
+// slice of that accumulator — and everything after it (Call,
+// WritePileup, WriteSAM, CoverageStats, SaveState, MetricsReport) is
+// unchanged.
 //
 // Options.Checkpoint and Options.Incremental subscribe to the run's
 // quiesce barriers. Checkpoint counters are cumulative across the
@@ -425,7 +436,7 @@ func newRunReport(snaps []MetricsSnapshot, dead []int) (*MetricsReport, error) {
 // Call runs the likelihood-ratio SNP caller over the accumulated state:
 // the pipeline's caller re-sweeps the tiles written since its last
 // sweep — every tile on the first Call, unless barrier sweeps already
-// covered them — on Caller.CallWorkers workers, then makes the single
+// covered them — on Engine.Workers workers, then makes the single
 // global significance decision. The result is bit-identical to a serial
 // sweep of the whole accumulator at any worker count.
 func (p *Pipeline) Call() ([]SNPCall, CallStats, error) {
@@ -865,7 +876,7 @@ func (m SplitMode) String() string {
 
 // runConfig is the cluster runtime's view of the configuration.
 func (cc ClusterConfig) runConfig() cluster.RunConfig {
-	return cluster.RunConfig{Kind: cc.Transport, OpTimeout: cc.OpTimeout, Heartbeat: cc.Heartbeat, Fault: cc.Fault}
+	return cluster.RunConfig{Kind: cc.Transport, OpTimeout: cc.OpTimeout, Heartbeat: cc.OpTimeout / 10, Fault: cc.Fault}
 }
 
 // ErrModeUnsupported is wrapped by every refusal of a feature on a

@@ -744,7 +744,6 @@ func TestRunClusterReportDegraded(t *testing.T) {
 		Engine: EngineConfig{Workers: 1},
 		Cluster: ClusterConfig{
 			OpTimeout: 300 * time.Millisecond,
-			Heartbeat: 15 * time.Millisecond,
 			Fault:     &FaultConfig{Seed: 9, CrashRank: 2},
 		},
 	}

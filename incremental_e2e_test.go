@@ -23,7 +23,7 @@ import (
 // (make race covers the root package).
 func TestIncrementalMappingIdentityE2E(t *testing.T) {
 	ds := dataset(t)
-	engCfg := EngineConfig{Workers: 4, Batch: 32, Queue: 2}
+	engCfg := EngineConfig{Workers: 4}
 	caller := CallerConfig{UseFDR: true}
 
 	p, err := NewPipeline(ds.Reference, Options{Engine: engCfg, Caller: caller})
@@ -102,10 +102,10 @@ func TestIncrementalVectorVCFByteIdentityE2E(t *testing.T) {
 	ds := dataset(t)
 	run := func(callWorkers int) (provisional []string, final string) {
 		t.Helper()
-		caller := CallerConfig{UseFDR: true, CallWorkers: callWorkers}
 		p, err := NewPipeline(ds.Reference, Options{
-			Engine: EngineConfig{Workers: 1, Batch: 32, Queue: 2},
-			Caller: caller,
+			Engine:      EngineConfig{Workers: 1},
+			Caller:      CallerConfig{UseFDR: true},
+			callWorkers: callWorkers,
 			Incremental: &IncrementalCallConfig{
 				EveryReads: 2_000,
 				OnProvisional: func(calls []SNPCall, _ CallStats, _ int64) {
@@ -211,7 +211,8 @@ func TestIncrementalReadSplitE2E(t *testing.T) {
 		cc   ClusterConfig
 	}{
 		{"read-split", ClusterConfig{Nodes: 4}},
-		{"ft-read-split-drops", ClusterConfig{Nodes: 4, OpTimeout: 100 * time.Millisecond, Heartbeat: 25 * time.Millisecond, Fault: &drops}},
+		// The failure detector heartbeats every tenth of the deadline: 25 ms.
+		{"ft-read-split-drops", ClusterConfig{Nodes: 4, OpTimeout: 250 * time.Millisecond, Fault: &drops}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, st, provisional := run(t, tc.cc)
@@ -426,7 +427,7 @@ func originOf(t *testing.T, r *Read) int {
 // stop.
 func TestCheckpointIncrementalComposeResumeE2E(t *testing.T) {
 	ds := dataset(t)
-	opts := Options{Engine: EngineConfig{Workers: 1, Batch: 32, Queue: 2}, Caller: CallerConfig{UseFDR: true}}
+	opts := Options{Engine: EngineConfig{Workers: 1}, Caller: CallerConfig{UseFDR: true}}
 	vcf := func(p *Pipeline) []byte {
 		t.Helper()
 		calls, _, err := p.Call()

@@ -93,16 +93,30 @@ func identityReads(t *testing.T) (*genome.Reference, []*fastq.Read) {
 	return ref, reads
 }
 
-// mappingOutcome is everything a mapping run must reproduce bit for bit.
+// mappingOutcome is everything a mapping run must reproduce bit for bit:
+// the accumulator state, the stats, and the growth of the engine's lane
+// counters over the run.
 type mappingOutcome struct {
 	state []byte
 	stats Stats
-	cells int64
+	// cells, full, partial, shared and alignments are phmm.cells,
+	// phmm.batch.lanes.full, phmm.batch.lanes.partial,
+	// map.alignments.shared and map.alignments.
+	cells, full, partial, shared, alignments int64
 }
 
-// runMapping maps reads on a single worker and returns the outcome plus
-// the run's metrics registry.
-func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Config) (mappingOutcome, *obs.Registry) {
+// laneCounters names mappingOutcome's counters, in field order.
+var laneCounters = [...]string{"phmm.cells", "phmm.batch.lanes.full", "phmm.batch.lanes.partial", "map.alignments.shared", "map.alignments"}
+
+// groupedMapper is one engine's warm mapper on a single worker, whose
+// registry holds the engine's counters.
+type groupedMapper struct {
+	ref *genome.Reference
+	m   *mapper
+	reg *obs.Registry
+}
+
+func newGroupedMapper(t *testing.T, ref *genome.Reference, cfg Config) groupedMapper {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg.Workers, cfg.Metrics = 1, reg
@@ -110,36 +124,57 @@ func runMapping(t *testing.T, ref *genome.Reference, reads []*fastq.Read, cfg Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := genome.New(genome.Norm, ref.Len())
+	m, err := eng.getMapper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.MapReads(reads, acc)
+	return groupedMapper{ref: ref, m: m, reg: reg}
+}
+
+// mapGrouped maps reads into a fresh accumulator through one mapBatch
+// call per batch consecutive reads — one read per call, the mapRead
+// oracle, at batch 1.
+func (g groupedMapper) mapGrouped(t *testing.T, reads []*fastq.Read, batch int) mappingOutcome {
+	t.Helper()
+	acc, err := genome.New(genome.Norm, g.ref.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := acc.State()
-	if err != nil {
+	var before [len(laneCounters)]int64
+	for i, name := range laneCounters {
+		before[i] = g.reg.Counter(name).Value()
+	}
+	var out mappingOutcome
+	sink := g.m.accumulate(acc, &out.stats)
+	for lo := 0; lo < len(reads); lo += batch {
+		if err := g.m.mapBatch(reads[lo:min(lo+batch, len(reads))], false, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out.state, err = acc.State(); err != nil {
 		t.Fatal(err)
 	}
-	return mappingOutcome{state: state, stats: st, cells: reg.Counter("phmm.cells").Value()}, reg
+	for i, c := range []*int64{&out.cells, &out.full, &out.partial, &out.shared, &out.alignments} {
+		*c = g.reg.Counter(laneCounters[i]).Value() - before[i]
+	}
+	return out
 }
 
 // TestMapReadsBatchedMatchesScalar is the engine-level identity gate of
-// cross-read lane packing and of stripe-wide posterior extraction: with
-// a single worker (deterministic accumulation order), every (Batch,
-// PhmmBatch) combination under either attribution must produce
-// bit-identical accumulator state, identical stats, and an identical
-// phmm.cells metric to one-pair groups mapping one read at a time.
-// Batch sizes straddle the 64-read chunk (1 packs nothing; 65 and 200
-// leave ragged chunks); width 3 exercises narrow groups and one-lane
-// tails; a zero PhmmBatch means DefaultPhmmBatch lanes, and width 16
-// resolves to the sweep's 8 (the same lane groups as width 8). Every
-// queued window is counted in exactly one lane group or as sharing
-// another's alignment. All of it runs under
-// the AVX2 rows and the Go rows, whose one-pair states must agree. The
-// ViterbiOnly ablation, which bins nothing, must not depend on Batch —
-// nor accumulate the marginal alignment.
+// cross-read lane packing and of stripe-wide posterior extraction: on
+// one warm mapper, however the reads are grouped into mapBatch calls
+// and at every PhmmBatch width, under either attribution, mapping must
+// produce bit-identical accumulator state, identical stats, and an
+// identical phmm.cells metric to one-pair groups mapping one read at a
+// time (mapRead). Groups of 1, 7, 64, 65 and 200 reads straddle the
+// batchReads chunk (1 packs nothing; 65 and 200 leave ragged chunks);
+// width 3 exercises narrow groups and one-lane tails; a zero PhmmBatch
+// means DefaultPhmmBatch lanes, and width 16 resolves to the sweep's 8
+// (the same lane groups as width 8). Every queued window is counted in
+// exactly one lane group or as sharing another's alignment. All of it
+// runs under the AVX2 rows and the Go rows, whose one-pair states must
+// agree. The ViterbiOnly ablation, which bins nothing, must not depend
+// on the grouping — nor accumulate the marginal alignment.
 func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 	if w := (Config{}).withDefaults().PhmmBatch; w != DefaultPhmmBatch {
 		t.Fatalf("zero PhmmBatch resolves to %d lanes, want DefaultPhmmBatch", w)
@@ -148,72 +183,80 @@ func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 		t.Fatalf("PhmmBatch 16 resolves to %d lanes, want phmm.MaxBatch", w)
 	}
 	ref, reads := identityReads(t)
-	var marginal []byte                       // ByCall, the ablation's attribution
-	baseline := map[phmm.Attribution][]byte{} // the first kernel's one-pair state
+	var marginal []byte    // ByCall, the ablation's attribution
+	var baseline [2][]byte // by attribution: the first kernel's one-pair state
 	for _, kernel := range []string{"avx2", "generic"} {
 		t.Run(kernel, func(t *testing.T) {
 			if !setAVX2(t, kernel == "avx2") {
 				t.Skip("host has no AVX2")
 			}
+			// Each attribution, and each width within it, maps on its
+			// own engine and mapper, in parallel with the others.
 			for _, attr := range []phmm.Attribution{phmm.ByCall, phmm.ByPWM} {
-				want, _ := runMapping(t, ref, reads, Config{PhmmBatch: 1, Batch: 1, Attribution: attr})
-				if st, ok := baseline[attr]; ok && !bytes.Equal(st, want.state) {
-					t.Errorf("attribution %d: one-pair groups' state differs between kernels", attr)
-				}
-				baseline[attr] = want.state
-				if attr == phmm.ByCall {
-					marginal = want.state
-				}
-				if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
-					t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
-				}
-				lanes8 := map[int][2]int64{} // batch -> width 8's full, partial
-				for _, width := range []int{8, 3, 16} {
-					for _, batch := range []int{1, 7, 64, 65, 200} {
-						got, reg := runMapping(t, ref, reads, Config{PhmmBatch: width, Batch: batch, Attribution: attr})
-						label := fmt.Sprintf("attribution %d width %d batch %d", attr, width, batch)
-						if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
-							got.stats.Locations != want.stats.Locations {
-							t.Errorf("%s: stats %+v != one-lane %+v", label, got.stats, want.stats)
-						}
-						if got.cells != want.cells {
-							t.Errorf("%s: phmm.cells %d != one-lane %d", label, got.cells, want.cells)
-						}
-						if !bytes.Equal(got.state, want.state) {
-							t.Errorf("%s: accumulator state diverges from one-lane sweeps", label)
-						}
-						full := reg.Counter("phmm.batch.lanes.full").Value()
-						partial := reg.Counter("phmm.batch.lanes.partial").Value()
-						shared := reg.Counter("map.alignments.shared").Value()
-						if n := reg.Counter("map.alignments").Value(); full+partial+shared != n {
-							t.Errorf("%s: lanes %d full + %d partial + %d shared != %d alignments", label, full, partial, shared, n)
-						}
-						if batch >= 64 && full < 2*partial {
-							t.Errorf("%s: only %d of %d alignments in full-width groups", label, full, full+partial)
-						}
-						switch width {
-						case 8:
-							lanes8[batch] = [2]int64{full, partial}
-						case 16:
-							if w8 := lanes8[batch]; w8 != [2]int64{full, partial} {
-								t.Errorf("%s: lanes %d full, %d partial; width 8 swept %d, %d", label, full, partial, w8[0], w8[1])
-							}
-						}
+				t.Run(fmt.Sprintf("attribution=%d", attr), func(t *testing.T) {
+					t.Parallel()
+					want := newGroupedMapper(t, ref, Config{PhmmBatch: 1, Attribution: attr}).mapGrouped(t, reads, 1)
+					if st := baseline[attr]; st != nil && !bytes.Equal(st, want.state) {
+						t.Errorf("one-pair groups' state differs between kernels")
 					}
-				}
+					baseline[attr] = want.state
+					if attr == phmm.ByCall {
+						marginal = want.state
+					}
+					if want.stats.Unmapped < 5 || want.stats.Locations <= want.stats.Mapped {
+						t.Fatalf("dataset lost its unmapped or multi-mapped reads: %+v", want.stats)
+					}
+					var lanes [2]map[int][2]int64 // width 8's, width 16's: batch -> full, partial
+					t.Run("widths", func(t *testing.T) {
+						for _, width := range []int{8, 3, 16} {
+							t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+								t.Parallel()
+								g := newGroupedMapper(t, ref, Config{PhmmBatch: width, Attribution: attr})
+								seen := map[int][2]int64{}
+								for _, batch := range []int{1, 7, 64, 65, 200} {
+									got := g.mapGrouped(t, reads, batch)
+									label := fmt.Sprintf("batch %d", batch)
+									if got.stats.Mapped != want.stats.Mapped || got.stats.Unmapped != want.stats.Unmapped ||
+										got.stats.Locations != want.stats.Locations {
+										t.Errorf("%s: stats %+v != one-lane %+v", label, got.stats, want.stats)
+									}
+									if got.cells != want.cells {
+										t.Errorf("%s: phmm.cells %d != one-lane %d", label, got.cells, want.cells)
+									}
+									if !bytes.Equal(got.state, want.state) {
+										t.Errorf("%s: accumulator state diverges from one-lane sweeps", label)
+									}
+									if got.full+got.partial+got.shared != got.alignments {
+										t.Errorf("%s: lanes %d full + %d partial + %d shared != %d alignments", label, got.full, got.partial, got.shared, got.alignments)
+									}
+									if batch >= 64 && got.full < 2*got.partial {
+										t.Errorf("%s: only %d of %d alignments in full-width groups", label, got.full, got.full+got.partial)
+									}
+									seen[batch] = [2]int64{got.full, got.partial}
+								}
+								switch width {
+								case 8:
+									lanes[0] = seen
+								case 16:
+									lanes[1] = seen
+								}
+							})
+						}
+					})
+					if fmt.Sprint(lanes[0]) != fmt.Sprint(lanes[1]) {
+						t.Errorf("width 16 swept lanes (full, partial) by batch %v; width 8 swept %v", lanes[1], lanes[0])
+					}
+				})
 			}
 		})
 	}
-	vit := func(batch int) mappingOutcome {
-		got, _ := runMapping(t, ref, reads, Config{ViterbiOnly: true, Batch: batch})
-		return got
-	}
-	one, packed := vit(1), vit(64)
+	vit := newGroupedMapper(t, ref, Config{ViterbiOnly: true})
+	one, packed := vit.mapGrouped(t, reads, 1), vit.mapGrouped(t, reads, 64)
 	if one.stats.Mapped == 0 {
 		t.Fatal("ViterbiOnly mapped no reads")
 	}
 	if !bytes.Equal(one.state, packed.state) || one.stats.Locations != packed.stats.Locations {
-		t.Errorf("ViterbiOnly: batch 64 (%+v) diverges from batch 1 (%+v)", packed.stats, one.stats)
+		t.Errorf("ViterbiOnly: groups of 64 (%+v) diverge from one read at a time (%+v)", packed.stats, one.stats)
 	}
 	if bytes.Equal(one.state, marginal) {
 		t.Error("ViterbiOnly accumulated the marginal alignment")

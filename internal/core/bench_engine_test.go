@@ -46,7 +46,7 @@ func BenchmarkMapReadsStream(b *testing.B) {
 }
 
 // benchMapBatch times the mapping hot path on one warm mapper, a
-// Config.Batch-sized batch per mapBatch call; ns/op and allocs/op are
+// batchReads-sized batch per mapBatch call; ns/op and allocs/op are
 // per read — the allocs/op column is the zero-allocation acceptance gate.
 func benchMapBatch(b *testing.B, cfg Config) {
 	g := makePipelineB(b, 30000, 4, 4, 91)
@@ -68,7 +68,7 @@ func benchMapBatch(b *testing.B, cfg Config) {
 	if err := m.mapBatch(warmup(g.reads), false, sink); err != nil {
 		b.Fatal(err)
 	}
-	batch := eng.cfg.Batch
+	const batch = batchReads
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {

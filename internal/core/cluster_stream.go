@@ -23,12 +23,12 @@ func init() {
 // batches and deals them round-robin to the ranks — batch i goes to
 // rank i mod size, so the shard assignment is deterministic regardless
 // of relative rank speed; with no peers (Engine.MapReadsFrom) every
-// batch is rank 0's. A per-rank credit window of Config.Queue
+// batch is rank 0's. A per-rank credit window of queueBatches
 // unacknowledged batches gives the same backpressure a pipe's work
-// queue has: rank 0 never buffers more than Queue batches per remote
-// rank plus its own pipe's (Queue + Workers) · Batch reads, so
-// cluster-wide resident reads stay bounded by configuration while the
-// input can be arbitrarily large. Every rank feeds the batches it is
+// queue has: rank 0 never buffers more than queueBatches batches per
+// remote rank plus its own pipe's (queueBatches + Workers) · batchReads
+// reads, so cluster-wide resident reads stay bounded while the input can
+// be arbitrarily large. Every rank feeds the batches it is
 // dealt straight into its own pipe (stream.go).
 //
 // Rounds drain. On a round marker every rank quiesces its pipe, ships
@@ -288,7 +288,7 @@ func (d *dealer) release(r int) {
 }
 
 // nextBatch returns the next batch to deal: a lost rank's, while there
-// are any, else up to Config.Batch reads of the source; nil at its end.
+// are any, else up to batchReads reads of the source; nil at its end.
 func (d *dealer) nextBatch() ([]*fastq.Read, error) {
 	if n := len(d.redeal); n > 0 {
 		batch := d.redeal[n-1]
@@ -298,11 +298,11 @@ func (d *dealer) nextBatch() ([]*fastq.Read, error) {
 	if d.eof {
 		return nil, nil
 	}
-	batch, err := fastq.NextBatch(d.src, d.cfg.Batch)
+	batch, err := fastq.NextBatch(d.src, d.cfg.batch)
 	if err != nil {
 		return nil, fmt.Errorf("core: read source: %w", err)
 	}
-	d.eof = len(batch) < d.cfg.Batch
+	d.eof = len(batch) < d.cfg.batch
 	d.dealt += int64(len(batch))
 	d.cad.advance(int64(len(batch)))
 	if len(batch) == 0 {
@@ -336,7 +336,7 @@ func (d *dealer) deal(batch []*fastq.Read) error {
 // the batch in its ledger.
 func (d *dealer) send(r int, batch []*fastq.Read) error {
 	p := &d.peers[r]
-	for p.sent-p.acked >= d.cfg.Queue {
+	for p.sent-p.acked >= d.cfg.queue {
 		// Credit window full: wait for this rank to take a batch before
 		// handing it another. Any ack that reports more than the last
 		// opens the window, whichever acks before it were lost; one that

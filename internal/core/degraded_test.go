@@ -289,7 +289,7 @@ func TestReadSplitDegradedMidStreamDeath(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("baseline produced no SNP calls; test is vacuous")
 	}
-	got, _ := runDegraded(t, p, fastq.SliceSource(p.reads), Config{Workers: 1, Batch: 8, Queue: 2}, nil)
+	got, _ := runDegraded(t, p, fastq.SliceSource(p.reads), Config{Workers: 1, batch: 8, queue: 2}, nil)
 	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
 		t.Errorf("degraded calls %v, baseline %v", g, want)
 	}
@@ -310,7 +310,7 @@ func TestReadSplitDegradedCheckpointRounds(t *testing.T) {
 	// A credit window wider than a round's share of batches: rank 0 never
 	// waits on an ack, so the death is always discovered inside a round,
 	// at the payload that does not come.
-	got, _ := runDegraded(t, p, fastq.SliceSource(p.reads), Config{Workers: 1, Batch: 8, Queue: 64}, ck)
+	got, _ := runDegraded(t, p, fastq.SliceSource(p.reads), Config{Workers: 1, batch: 8, queue: 64}, ck)
 	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
 		t.Errorf("degraded checkpointed calls %v, baseline %v", g, want)
 	}
@@ -369,9 +369,9 @@ func (s *countingSource) Next() (*fastq.Read, error) {
 // fallback did — even while it re-deals a dead rank's ledger.
 func TestReadSplitDegradedLedgerBounded(t *testing.T) {
 	p := makePipeline(t, 20000, 4, 10, 73)
-	cfg := Config{Workers: 1, Batch: 8, Queue: 2, Metrics: obs.NewRegistry()}
+	cfg := Config{Workers: 1, batch: 8, queue: 2, Metrics: obs.NewRegistry()}
 	const every = 400
-	bound := int64(every + 4*cfg.Queue*cfg.Batch)
+	bound := int64(every + 4*cfg.queue*cfg.batch)
 	var committed int64
 	src := &countingSource{Source: fastq.SliceSource(p.reads), check: func(pulled int64) {
 		if pulled-committed > bound {
@@ -390,8 +390,12 @@ func TestReadSplitDegradedLedgerBounded(t *testing.T) {
 	if peak <= 0 || peak > bound {
 		t.Errorf("ledger peaked at %d reads, want in (0, %d]", peak, bound)
 	}
-	if r := cfg.Metrics.Gauge("stream.peak.resident.reads").Value(); r > float64((cfg.Queue+cfg.Workers)*cfg.Batch) {
-		t.Errorf("rank 0's pipeline held %v reads, above (queue+workers)*batch", r)
+	pipeBound := (cfg.queue + cfg.Workers) * cfg.batch
+	if len(p.reads) <= pipeBound {
+		t.Fatalf("%d reads do not exercise a pipe bound of %d", len(p.reads), pipeBound)
+	}
+	if r := cfg.Metrics.Gauge("stream.peak.resident.reads").Value(); r > float64(pipeBound) {
+		t.Errorf("rank 0's pipeline held %v reads, above (queue+workers)*batch = %d", r, pipeBound)
 	}
 }
 
@@ -458,7 +462,7 @@ func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("baseline produced no SNP calls; test is vacuous")
 	}
-	cfg := Config{Workers: 1, Batch: 8, Queue: 4}
+	cfg := Config{Workers: 1, batch: 8}
 	rc := cluster.RunConfig{Kind: cluster.Channels, OpTimeout: 2 * time.Second}
 	var got genome.Accumulator
 	var rootStats Stats
@@ -530,8 +534,8 @@ func TestReadSplitDegradedDroppedAcksKeepTheRank(t *testing.T) {
 	if g := callSet(t, p.ref, got); fmt.Sprint(g) != fmt.Sprint(want) {
 		t.Errorf("calls %v, fault-free baseline %v", g, want)
 	}
-	if dropped <= cfg.Queue {
-		t.Errorf("only %d acks dropped; not enough to exhaust a window of %d", dropped, cfg.Queue)
+	if dropped <= queueBatches {
+		t.Errorf("only %d acks dropped; not enough to exhaust a window of %d", dropped, queueBatches)
 	}
 }
 

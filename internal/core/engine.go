@@ -62,17 +62,6 @@ type Config struct {
 	Band int
 	// Workers is the shared-memory worker count (default GOMAXPROCS).
 	Workers int
-	// Batch is the number of reads per unit of worker-pool work: the
-	// size of the batches the dealer (MapReadsFrom, RunReadSplit's rank
-	// 0) fills and deals, and a pipe's workers claim (default 64). A worker packs Pair-HMM lanes across the reads
-	// of its batch (1 = no packing); results are identical at any value.
-	Batch int
-	// Queue bounds a pipe's work queue, in batches (default 4), and a
-	// read-split rank's credit window. Feeding blocks (backpressure)
-	// once Queue batches wait and every worker holds one, so a rank
-	// never holds more than (Queue + Workers) · Batch reads fed and
-	// unfinished regardless of the input size.
-	Queue int
 	// Attribution selects how posterior mass maps to base channels
 	// (default phmm.ByCall, the paper's formulation).
 	Attribution phmm.Attribution
@@ -147,7 +136,29 @@ type Config struct {
 	// disables instrumentation; the hot path then pays only a pointer
 	// check.
 	Metrics *obs.Registry
+
+	// batch and queue replace batchReads and queueBatches for this
+	// engine's dealer and pipes (0 keeps the constant). Test-only: a
+	// small input then still deals many batches, reaches many barriers
+	// or fills a credit window.
+	batch, queue int
 }
+
+// batchReads is the unit of mapping work: the batches the dealer
+// (MapReadsFrom, RunReadSplit's rank 0) fills and deals, a pipe's
+// workers claim, and mapBatch packs Pair-HMM lanes across. Results do
+// not depend on it, only lane occupancy does. Per-chunk mapper scratch
+// (PWM slots, pending list) is sized by it, a lost rank's ledger is
+// re-dealt in whole batches, and checkpoint and incremental barriers
+// fall on batch boundaries.
+const batchReads = 64
+
+// queueBatches bounds a pipe's work queue and a read-split rank's
+// credit window, in batches. Feeding blocks (backpressure) once
+// queueBatches batches wait and every worker holds one, so a rank never
+// holds more than (queueBatches + Workers) · batchReads reads fed and
+// unfinished, whatever the input size.
+const queueBatches = 4
 
 // DefaultPhmmBatch is the default group size of the batched wavefront
 // Pair-HMM kernel: every lane of its sweep.
@@ -168,16 +179,16 @@ func (c Config) withDefaults() Config {
 	if c.Pad == 0 {
 		c.Pad = 8
 	}
-	// The pipeline sizes its goroutines and channels from these three,
-	// so a negative value (reachable from CLI flags) defaults too.
+	// The pipeline sizes its goroutines and channels from these, so a
+	// negative value (reachable from CLI flags) defaults too.
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Batch <= 0 {
-		c.Batch = 64
+	if c.batch <= 0 {
+		c.batch = batchReads
 	}
-	if c.Queue <= 0 {
-		c.Queue = 4
+	if c.queue <= 0 {
+		c.queue = queueBatches
 	}
 	if c.MaxCandidates == 0 {
 		c.MaxCandidates = 8
@@ -424,11 +435,6 @@ type scoredCand struct {
 	cand kmer.Candidate
 }
 
-// mapChunk is how many reads mapBatch packs Pair-HMM lanes across at a
-// time. Per-chunk scratch (PWM slots, pending list) is sized by it, so a
-// larger Config.Batch costs a worker no extra memory.
-const mapChunk = 64
-
 // pendingAlign is one candidate window of one read of the chunk; the
 // sweep adds loc's logLik and contribs on acceptance. Keeping the outcome
 // on the entry lets mapBatch sweep lanes in whatever grouping is
@@ -545,10 +551,10 @@ func (e *Engine) putMapper(m *mapper) {
 // starts or, with keep set (scratch then grows with len(reads)), at the
 // next mapBatch call.
 func (m *mapper) mapBatch(reads []*fastq.Read, keep bool, emit func(i int, locs []location) error) error {
-	for base := 0; base < len(reads); base += mapChunk {
-		chunk := reads[base:min(base+mapChunk, len(reads))]
+	for base := 0; base < len(reads); base += batchReads {
+		chunk := reads[base:min(base+batchReads, len(reads))]
 		if m.pwms == nil {
-			m.pwms = make([]pwm.Matrix, 2*mapChunk)
+			m.pwms = make([]pwm.Matrix, 2*batchReads)
 		}
 		if base == 0 || !keep {
 			m.locs, m.arenaOff = m.locs[:0], 0

@@ -9,7 +9,7 @@ import (
 	"gnumap/internal/sam"
 )
 
-// WriteAlignments maps every read src yields, mapChunk reads at a time
+// WriteAlignments maps every read src yields, batchReads reads at a time
 // (the chunk mapBatch packs lanes across, so the bytes do not depend on
 // how the source is batched), and writes its single best alignment as
 // SAM to w (plus an unmapped record for reads with no accepted
@@ -49,13 +49,13 @@ func (e *Engine) WriteAlignments(w io.Writer, src fastq.Source, program string) 
 		return sw.Write(rec)
 	}
 	for {
-		if reads, err = fastq.NextBatch(src, mapChunk); err != nil {
+		if reads, err = fastq.NextBatch(src, batchReads); err != nil {
 			return fmt.Errorf("core: read source: %w", err)
 		}
 		if err := m.mapBatch(reads, false, emit); err != nil {
 			return err
 		}
-		if len(reads) < mapChunk {
+		if len(reads) < batchReads {
 			return sw.Flush()
 		}
 	}

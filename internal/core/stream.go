@@ -20,10 +20,10 @@ import (
 // batches fed to them. A pipe's footprint is fixed by configuration:
 //
 //   - feed hands a worker a batch through a work channel bounded at
-//     Config.Queue batches, so the feeder blocks — backpressure on the
+//     queueBatches batches, so the feeder blocks — backpressure on the
 //     input stream — once the queue is full and every worker holds a
 //     batch. Fed and unfinished reads never exceed
-//     (Queue + Workers) · Batch;
+//     (queueBatches + Workers) · batchReads;
 //   - each worker reuses its zero-allocation mapper across batches;
 //   - the first failure — a worker's, or one the dealer latches when
 //     it gives up — stops the workers mapping (they drain what is
@@ -164,8 +164,8 @@ func (c *cadence) run(due []int, b *Barrier) error {
 }
 
 // MapReadsFrom maps every read src yields, accumulating online into
-// acc, while holding at most (Queue + Workers) · Batch reads fed and
-// unfinished. At Workers = 1 reads are mapped in source order, so the
+// acc, while holding at most (queueBatches + Workers) · batchReads reads
+// fed and unfinished. At Workers = 1 reads are mapped in source order, so the
 // accumulated bytes depend only on the input.
 //
 // It is the read-split dealer with no peers: no cluster transport, the
@@ -200,7 +200,7 @@ type pipe struct {
 
 // startPipe starts Config.Workers mapping workers over acc.
 func (e *Engine) startPipe(acc genome.Accumulator) *pipe {
-	p := &pipe{work: make(chan []*fastq.Read, e.cfg.Queue), sm: newStreamMetrics(e.cfg.Metrics)}
+	p := &pipe{work: make(chan []*fastq.Read, e.cfg.queue), sm: newStreamMetrics(e.cfg.Metrics)}
 	for w := 0; w < e.cfg.Workers; w++ {
 		p.workers.Add(1)
 		go p.worker(e, acc)
@@ -260,7 +260,7 @@ func (p *pipe) feed(b []*fastq.Read) error {
 	p.inflight.Add(1)
 	p.work <- b
 	// Counted once the queue took it: the batch is queued or held by a
-	// worker, so resident stays within (Queue + Workers) · Batch.
+	// worker, so resident stays within (queueBatches + Workers) · batchReads.
 	p.peak = max(p.peak, p.resident.Add(int64(len(b))))
 	if p.sm != nil {
 		p.sm.reads.Add(int64(len(b)))

@@ -41,7 +41,7 @@ func stateSink(everyReads int64, record func(sinkRecord)) BarrierSubscriber {
 // barriers.
 func TestMapReadsFromBarrierSinkInvariants(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 51)
-	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
+	cfg := Config{Workers: 4}
 	eng, err := NewEngine(p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestCheckpointStallIsRecorded(t *testing.T) {
 	for _, nodes := range []int{1, 2} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
 			reg := obs.NewRegistry()
-			cfg := Config{Workers: 2, Batch: 16, Queue: 2}
+			cfg := Config{Workers: 2}
 			var barriers int64
 			pol := &CheckpointPolicy{Subscribers: []BarrierSubscriber{stateSink(100, func(sinkRecord) {
 				barriers++
@@ -156,7 +156,7 @@ func TestCheckpointStallIsRecorded(t *testing.T) {
 // the final accumulated mass matches the uninterrupted run.
 func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 53)
-	cfg := Config{Workers: 4, Batch: 16, Queue: 2}
+	cfg := Config{Workers: 4}
 	eng, err := NewEngine(p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,8 @@ func TestMapReadsFromBarrierResumeIdentity(t *testing.T) {
 // for exactly the consumed reads, and the mapping result is unchanged.
 func TestMapReadsFromBarrierSubscribersCompose(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 61)
-	cfg := Config{Workers: 4, Batch: 10, Queue: 2}
+	// Batches of 10 reads put a barrier on every multiple of 100 and 250.
+	cfg := Config{Workers: 4, batch: 10, queue: 2}
 	eng, err := NewEngine(p.ref, cfg)
 	if err != nil {
 		t.Fatal(err)

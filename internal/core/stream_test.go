@@ -28,7 +28,7 @@ func TestMapReadsStopLatch(t *testing.T) {
 	for i := range reads {
 		reads[i] = p.reads[i%len(p.reads)]
 	}
-	eng, err := NewEngine(p.ref, Config{Workers: 4, Batch: 1})
+	eng, err := NewEngine(p.ref, Config{Workers: 4, batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,10 @@ func TestMapReadsStopLatch(t *testing.T) {
 // TestMapReadsIsSerialAtOneWorker pins what replaced the slice worker
 // pool: MapReads is MapReadsFrom over a slice source, and at Workers=1
 // the pipeline maps reads in source order — so the accumulator bytes
-// equal those of a plain serial loop over the reads, whatever the
-// batch and queue sizes.
+// equal those of a plain serial loop over the reads.
 func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 43)
-	eng, err := NewEngine(p.ref, Config{Workers: 1, Batch: 16, Queue: 2})
+	eng, err := NewEngine(p.ref, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,33 +106,22 @@ func TestMapReadsIsSerialAtOneWorker(t *testing.T) {
 	if !bytes.Equal(state(slice), want) {
 		t.Error("MapReads at Workers=1 is not byte-identical to a serial loop")
 	}
-
-	eng2, err := NewEngine(p.ref, Config{Workers: 1, Batch: 5, Queue: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newAcc()
-	if _, err := eng2.MapReadsFrom(fastq.SliceSource(p.reads), src, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(state(src), want) {
-		t.Error("accumulator bytes at Workers=1 depend on batch/queue sizes")
-	}
 }
 
-// TestMapReadsFromMemoryBound asserts the acceptance-criteria bound via
-// the observability gauge: a streaming run never holds more reads fed
-// and unfinished than the pipe allows — (Queue + Workers) · Batch,
-// which is itself ≤ Workers · Batch · Queue for the configured values.
+// TestMapReadsFromMemoryBound asserts the documented bound via the
+// observability gauge: a streaming run never holds more reads fed and
+// unfinished than the pipe allows, (queueBatches + Workers) ·
+// batchReads — on an input larger than the bound, so the run has to
+// stream to keep it.
 func TestMapReadsFromMemoryBound(t *testing.T) {
 	p := makePipeline(t, 30000, 3, 8, 47)
-	const (
-		workers = 4
-		batch   = 8
-		queue   = 2
-	)
+	const workers = 4
+	limit := (queueBatches + workers) * batchReads
+	if len(p.reads) <= limit {
+		t.Fatalf("%d reads do not exercise a bound of %d", len(p.reads), limit)
+	}
 	reg := obs.NewRegistry()
-	eng, err := NewEngine(p.ref, Config{Workers: workers, Batch: batch, Queue: queue, Metrics: reg})
+	eng, err := NewEngine(p.ref, Config{Workers: workers, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +136,13 @@ func TestMapReadsFromMemoryBound(t *testing.T) {
 	if peak <= 0 {
 		t.Fatal("peak-resident gauge never set")
 	}
-	if limit := float64((queue + workers) * batch); peak > limit {
-		t.Errorf("peak resident reads %v exceeds (queue+workers)*batch = %v", peak, limit)
-	}
-	if limit := float64(workers * batch * queue); peak > limit {
-		t.Errorf("peak resident reads %v exceeds workers*batch*queue = %v", peak, limit)
+	if peak > float64(limit) {
+		t.Errorf("peak resident reads %v exceeds (queue+workers)*batch = %d", peak, limit)
 	}
 	if n := reg.Counter("stream.reads").Value(); n != int64(len(p.reads)) {
 		t.Errorf("stream.reads = %d, want %d", n, len(p.reads))
 	}
-	wantBatches := int64((len(p.reads) + batch - 1) / batch)
+	wantBatches := int64((len(p.reads) + batchReads - 1) / batchReads)
 	if n := reg.Counter("stream.batches").Value(); n != wantBatches {
 		t.Errorf("stream.batches = %d, want %d", n, wantBatches)
 	}
@@ -179,12 +164,15 @@ func (s *errAfterSource) Next() (*fastq.Read, error) {
 }
 
 // TestMapReadsFromSourceError checks a mid-stream source failure is
-// returned and terminates the run (no deadlock, no lost error).
+// returned and terminates the run (no deadlock, no lost error). Batches
+// of 8 put the failure after five batches went out, so workers are
+// mapping when it comes.
 func TestMapReadsFromSourceError(t *testing.T) {
 	p := makePipeline(t, 20000, 1, 2, 53)
 	boom := fmt.Errorf("disk on fire")
 	src := &errAfterSource{reads: p.reads, n: 40, err: boom}
-	eng, err := NewEngine(p.ref, Config{Workers: 2, Batch: 8, Queue: 2})
+	reg := obs.NewRegistry()
+	eng, err := NewEngine(p.ref, Config{Workers: 2, batch: 8, queue: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +183,9 @@ func TestMapReadsFromSourceError(t *testing.T) {
 	_, err = eng.MapReadsFrom(src, acc, nil)
 	if err == nil || !errorContains(err, "disk on fire") {
 		t.Fatalf("MapReadsFrom error = %v, want wrapped source error", err)
+	}
+	if n := reg.Counter("stream.batches").Value(); n == 0 {
+		t.Error("no batch was fed before the source failed; the failure is not mid-stream")
 	}
 }
 
@@ -208,7 +199,7 @@ func TestMapReadsFromWorkerErrorStopsProducer(t *testing.T) {
 	for i := range reads {
 		reads[i] = p.reads[i%len(p.reads)]
 	}
-	eng, err := NewEngine(p.ref, Config{Workers: 2, Batch: 1, Queue: 1})
+	eng, err := NewEngine(p.ref, Config{Workers: 2, batch: 1, queue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +271,7 @@ func TestRunReadSplitStreamMatchesRunReadSplit(t *testing.T) {
 			if c.Rank() == 0 {
 				src = fastq.SliceSource(p.reads)
 			}
-			acc, st, err := readSplit(c, p.ref, src, genome.Norm, Config{Workers: 2, Batch: 8, Queue: 2}, nil)
+			acc, st, err := readSplit(c, p.ref, src, genome.Norm, Config{Workers: 2}, nil)
 			if err != nil {
 				return err
 			}

@@ -31,9 +31,9 @@ func BenchmarkCollectRange(b *testing.B) {
 		return err
 	})
 	for workers := 1; workers <= runtime.NumCPU(); workers++ {
-		cfg := Config{Ploidy: lrt.Diploid, CallWorkers: workers}
+		cfg := Config{Ploidy: lrt.Diploid}
 		run(fmt.Sprintf("sweep=vector/workers=%d", workers), func() error {
-			ic, err := NewIncrementalCaller(ref, acc, cfg)
+			ic, err := NewIncrementalCaller(ref, acc, cfg, workers)
 			if err == nil {
 				_, _, err = ic.Candidates()
 			}

@@ -2,7 +2,6 @@ package snp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -67,11 +66,14 @@ const unswept = ^uint64(0)
 // candidates; with MinDepth <= 0 every position is tested and every
 // tile starts unswept.
 //
+// Every sweep runs on workers goroutines, the caller's among them (below
+// 1 is one); a pipeline passes its engine's mapping worker count.
+//
 // cfg.Metrics, when set, receives every tile sweep's call.tested,
 // call.prescreened and call.collect.seconds, the pool's call.workers,
 // call.chunks and call.sweep.seconds, and — from Finalize only —
 // call.finalize.seconds, call.significant and call.snps.
-func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, cfg Config) (*IncrementalCaller, error) {
+func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, cfg Config, workers int) (*IncrementalCaller, error) {
 	if ref == nil || acc == nil {
 		return nil, fmt.Errorf("snp: nil reference or accumulator")
 	}
@@ -83,22 +85,13 @@ func NewIncrementalCaller(ref *genome.Reference, acc genome.Accumulator, cfg Con
 		}
 	}
 	return &IncrementalCaller{
-		ref: ref, acc: acc, cfg: cfg, workers: callWorkers(&cfg),
+		ref: ref, acc: acc, cfg: cfg, workers: max(workers, 1),
 		seen: seen, cands: make([][]Candidate, len(seen)), tested: make([]int, len(seen)),
 	}, nil
 }
 
-// callWorkers resolves Config.CallWorkers: 0 is GOMAXPROCS, anything
-// below 1 is one.
-func callWorkers(cfg *Config) int {
-	if cfg.CallWorkers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return max(cfg.CallWorkers, 1)
-}
-
 // Sweep refreshes the candidate caches of every tile written since its
-// last Sweep, on cfg.CallWorkers workers. Writers must be quiesced.
+// last Sweep, on the caller's workers. Writers must be quiesced.
 func (ic *IncrementalCaller) Sweep() error {
 	ic.cur = genome.Writes(ic.acc, ic.cur)
 	ic.sweeps++

@@ -50,10 +50,10 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true, CallWorkers: callWorkers}
+	cfg := Config{Ploidy: lrt.Diploid, UseFDR: true}
 	icCfg := cfg
 	icCfg.Metrics = reg
-	ic, err := NewIncrementalCaller(ref, acc, icCfg)
+	ic, err := NewIncrementalCaller(ref, acc, icCfg, callWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,10 @@ func testIncrementalMatchesCallAll(t *testing.T, workers, callWorkers int) {
 
 func TestIncrementalCallerValidation(t *testing.T) {
 	ref, acc := fixture(t)
-	if _, err := NewIncrementalCaller(nil, acc, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(nil, acc, Config{}, 1); err == nil {
 		t.Error("nil reference accepted")
 	}
-	if _, err := NewIncrementalCaller(ref, nil, Config{}); err == nil {
+	if _, err := NewIncrementalCaller(ref, nil, Config{}, 1); err == nil {
 		t.Error("nil accumulator accepted")
 	}
 }
@@ -262,8 +262,8 @@ func TestUnwrittenTilesMatchDenseSweep(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("vacuous: no calls")
 			}
-			cfg.Metrics, cfg.CallWorkers = reg, 2
-			ic, err := NewIncrementalCaller(ref, acc, cfg)
+			cfg.Metrics = reg
+			ic, err := NewIncrementalCaller(ref, acc, cfg, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,11 +64,12 @@ func bigFixture(t testing.TB, length int, seed int64) (*genome.Reference, genome
 	return ref, acc
 }
 
-// tileSweep is a one-shot sweep through a fresh IncrementalCaller over
-// acc: the candidates every call set of a run is finalized from.
-func tileSweep(t testing.TB, ref *genome.Reference, acc genome.Accumulator, cfg Config) ([]Candidate, Stats) {
+// tileSweep is a one-shot sweep on workers goroutines through a fresh
+// IncrementalCaller over acc: the candidates every call set of a run is
+// finalized from.
+func tileSweep(t testing.TB, ref *genome.Reference, acc genome.Accumulator, cfg Config, workers int) ([]Candidate, Stats) {
 	t.Helper()
-	ic, err := NewIncrementalCaller(ref, acc, cfg)
+	ic, err := NewIncrementalCaller(ref, acc, cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +114,7 @@ func TestCollectRangeParallelBitIdentical(t *testing.T) {
 	}
 
 	for workers := 1; workers <= 8; workers++ {
-		cfg := base
-		cfg.CallWorkers = workers
-		gotCands, gotSt := tileSweep(t, ref, acc, cfg)
+		gotCands, gotSt := tileSweep(t, ref, acc, base, workers)
 		if !reflect.DeepEqual(gotCands, wantCands) {
 			t.Fatalf("workers=%d: candidates diverge from serial (%d vs %d)", workers, len(gotCands), len(wantCands))
 		}
@@ -137,8 +136,7 @@ func TestCallRangeParallelFDRIdentical(t *testing.T) {
 		t.Fatal("fixture produced no significant calls; test is vacuous")
 	}
 	for _, workers := range []int{1, 4, 7} {
-		cfg.CallWorkers = workers
-		ic, err := NewIncrementalCaller(ref, acc, cfg)
+		ic, err := NewIncrementalCaller(ref, acc, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +164,7 @@ func TestCollectRangeParallelMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tileSweep(t, ref, acc, Config{Ploidy: lrt.Diploid, CallWorkers: 4, Metrics: reg})
+	tileSweep(t, ref, acc, Config{Ploidy: lrt.Diploid, Metrics: reg}, 4)
 	want, snap := serial.Snapshot(0), reg.Snapshot(0)
 	for _, name := range []string{"call.tested", "call.prescreened"} {
 		if got := snap.Counters[name]; got != want.Counters[name] || got == 0 {

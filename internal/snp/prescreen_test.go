@@ -166,9 +166,7 @@ func TestPrescreenSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := cfg
-	par.CallWorkers = 5
-	parallel, pst := tileSweep(t, ref, acc, par)
+	parallel, pst := tileSweep(t, ref, acc, cfg, 5)
 	if !reflect.DeepEqual(serial, parallel) || sst != pst {
 		t.Fatalf("parallel screened sweep diverged: %d/%+v vs %d/%+v",
 			len(parallel), pst, len(serial), sst)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 
 	"gnumap/internal/dna"
@@ -71,13 +72,6 @@ type Config struct {
 	// heterozygotes sit near 0.5. This is the allele-balance filter
 	// every production genotyper applies in some form.
 	MinHetMinorFraction float64
-	// CallWorkers sets the calling sweep's worker count: 0 uses
-	// GOMAXPROCS, 1 or negative sweeps on the calling goroutine. The
-	// sweep walks whole accumulator tiles (genome.TileSize) and is
-	// bit-identical at any worker count — tiles are concatenated in
-	// genome order before the single global significance pass. It is an
-	// execution knob, deliberately absent from checkpoint fingerprints.
-	CallWorkers int
 	// Metrics, when non-nil, receives the caller's stage timers and
 	// counters (call.collect.seconds, call.finalize.seconds,
 	// call.tested, call.prescreened, call.significant, call.snps; the
@@ -332,9 +326,9 @@ func FinalizeCalls(candidates []Candidate, cfg Config) ([]Call, Stats, error) {
 }
 
 // CallAll calls SNPs over a full-length accumulator in one shot: a
-// fresh IncrementalCaller's first Finalize.
+// fresh IncrementalCaller's first Finalize, on GOMAXPROCS workers.
 func CallAll(ref *genome.Reference, acc genome.Accumulator, cfg Config) ([]Call, Stats, error) {
-	ic, err := NewIncrementalCaller(ref, acc, cfg)
+	ic, err := NewIncrementalCaller(ref, acc, cfg, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -159,17 +159,15 @@ func TestVectorSweepIdentityRandomized(t *testing.T) {
 					t.Fatalf("%v/%s: fixture produced no candidates; test is vacuous", mode, tc.name)
 				}
 				for workers := 1; workers <= maxWorkers; workers++ {
-					vec := tc.cfg
-					vec.CallWorkers = workers
 					name := fmt.Sprintf("%v/%s/w%d", mode, tc.name, workers)
-					gotCands, gotSt := tileSweep(t, ref, acc, vec)
+					gotCands, gotSt := tileSweep(t, ref, acc, tc.cfg, workers)
 					if !reflect.DeepEqual(gotCands, wantCands) {
 						t.Fatalf("%s: candidates diverge from scalar (%d vs %d)", name, len(gotCands), len(wantCands))
 					}
 					if !reflect.DeepEqual(gotSt, wantSt) {
 						t.Fatalf("%s: stats %+v, want %+v", name, gotSt, wantSt)
 					}
-					gotCalls, gotFSt, err := FinalizeCalls(gotCands, vec)
+					gotCalls, gotFSt, err := FinalizeCalls(gotCands, tc.cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

@@ -12,15 +12,15 @@ import (
 
 // The parallel calling sweep must be bit-identical to the serial one
 // through the full cluster stack — same calls, same FDR decisions — in
-// both split modes at np=1 and np=4. The two runs differ ONLY in
-// Caller.CallWorkers.
+// both split modes at np=1 and np=4. The two runs differ ONLY in the
+// sweep's worker count.
 func TestClusterParallelCallerDeterminism(t *testing.T) {
 	ds := dataset(t)
 	for _, nodes := range []int{1, 4} {
 		for _, mode := range []SplitMode{ReadSplit, GenomeSplit} {
 			base := Options{Engine: EngineConfig{Workers: 1}}
 			base.Caller.UseFDR = true
-			base.Caller.CallWorkers = 1
+			base.callWorkers = 1
 			want, wantSt, _, err := RunClusterStreamReport(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), base)
 			if err != nil {
 				t.Fatalf("np=%d %v serial: %v", nodes, mode, err)
@@ -30,7 +30,7 @@ func TestClusterParallelCallerDeterminism(t *testing.T) {
 			}
 
 			par := base
-			par.Caller.CallWorkers = 4
+			par.callWorkers = 4
 			got, gotSt, _, err := RunClusterStreamReport(nodes, Channels, mode, ds.Reference, SliceReadSource(ds.Reads), par)
 			if err != nil {
 				t.Fatalf("np=%d %v parallel: %v", nodes, mode, err)

@@ -25,13 +25,22 @@ func sameCalls(t *testing.T, label string, got, want []SNPCall) {
 	}
 }
 
+// pipeBound is the documented bound on the reads one rank's pipe holds
+// fed and unfinished at once: a queue of four 64-read batches plus the
+// batch each worker maps, (4 + Workers) · 64.
+func pipeBound(workers int) int { return (4 + workers) * 64 }
+
 func TestStreamingIdentityE2E(t *testing.T) {
 	ds := dataset(t)
 	fq := filepath.Join(t.TempDir(), "reads.fq")
 	if err := WriteReads(fq, ds.Reads, Sanger); err != nil {
 		t.Fatal(err)
 	}
-	engCfg := EngineConfig{Workers: 4, Batch: 32, Queue: 2}
+	engCfg := EngineConfig{Workers: 4}
+	limit := pipeBound(engCfg.Workers)
+	if len(ds.Reads) <= limit {
+		t.Fatalf("%d reads do not exercise a bound of %d", len(ds.Reads), limit)
+	}
 
 	// Slice baseline.
 	p, err := NewPipeline(ds.Reference, Options{Engine: engCfg})
@@ -76,8 +85,8 @@ func TestStreamingIdentityE2E(t *testing.T) {
 	if peak <= 0 {
 		t.Fatal("stream.peak.resident.reads never set")
 	}
-	if limit := float64(engCfg.Workers * engCfg.Batch * engCfg.Queue); peak > limit {
-		t.Errorf("reads in flight peaked at %v, above workers*batch*queue = %v", peak, limit)
+	if peak > float64(limit) {
+		t.Errorf("reads in flight peaked at %v, above (queue+workers)*batch = %d", peak, limit)
 	}
 	got, _, err := sp.Call()
 	if err != nil {
@@ -121,10 +130,11 @@ func (s *countedSource) Next() (*Read, error) {
 // source once and broadcasts it a batch at a time, so no rank holds more
 // than one batch however long the input — and still calls what one
 // process calls. At np=1 the placement is one process, held to the
-// one-process pipeline's bound, (Queue + Workers) · Batch reads. A read more than twice as long as any before it,
-// arriving in the last batch and lying across a slice boundary, maps
-// like the rest: its seed start picks the one rank that aligns it, and
-// its contributions past that rank's slice spill to the neighbour.
+// one-process pipeline's bound, pipeBound. A read more than twice as
+// long as any before it, arriving in the last batch and lying across a
+// slice boundary, maps like the rest: its seed start picks the one rank
+// that aligns it, and its contributions past that rank's slice spill to
+// the neighbour.
 func TestStreamingGenomeSplit(t *testing.T) {
 	ds := dataset(t)
 	// 150 bases across the rank 0 / rank 1 boundary of a 3-node run (the
@@ -180,8 +190,7 @@ func TestStreamingGenomeSplit(t *testing.T) {
 			ranks++
 			limit := 256.0 // one broadcast batch
 			if nodes == 1 {
-				cfg := opts.Engine.Resolved()
-				limit = float64((cfg.Queue + cfg.Workers) * cfg.Batch)
+				limit = float64(pipeBound(opts.Engine.Resolved().Workers))
 			}
 			if peak := snap.Gauges["stream.peak.resident.reads"]; peak <= 0 || peak > limit {
 				t.Errorf("np=%d rank %d held %v reads at once, want at most %v of %d", nodes, snap.Rank, peak, limit, len(reads))
@@ -198,7 +207,7 @@ func TestStreamingGenomeSplit(t *testing.T) {
 func TestStreamingReportCarriesStreamMetrics(t *testing.T) {
 	ds := dataset(t)
 	calls, _, report, err := RunClusterStreamReport(2, Channels, ReadSplit,
-		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 2, Batch: 32, Queue: 2}})
+		ds.Reference, SliceReadSource(ds.Reads), Options{Engine: EngineConfig{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
