@@ -37,7 +37,7 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 	// A good list runs, stamped with the host and the dispatched kernels.
 	out, err := exec.Command(bin, "-exp", " table2 ").CombinedOutput()
-	stamp := regexp.MustCompile(`(?m)^host: \d+ cores, GOMAXPROCS=\d+, phmm kernel (avx2|generic), prescreen kernel (avx2|generic), .* revision \S+$`)
+	stamp := regexp.MustCompile(`(?m)^host: \d+ cores, GOMAXPROCS=\d+, phmm kernel (avx512|avx2|generic), prescreen kernel (avx2|generic), .* revision \S+$`)
 	if err != nil || !stamp.Match(out) || !strings.Contains(string(out), "TABLE II") || strings.Contains(string(out), "dataset:") {
 		t.Errorf("-exp table2: err = %v, output:\n%s", err, out)
 	}

@@ -172,9 +172,10 @@ func (g groupedMapper) mapGrouped(t *testing.T, reads []*fastq.Read, batch int) 
 // means DefaultPhmmBatch lanes, and width 16 resolves to the sweep's 8
 // (the same lane groups as width 8). Every queued window is counted in
 // exactly one lane group or as sharing another's alignment. All of it
-// runs under the AVX2 rows and the Go rows, whose one-pair states must
-// agree. The ViterbiOnly ablation, which bins nothing, must not depend
-// on the grouping — nor accumulate the marginal alignment.
+// runs under the AVX-512, the AVX2 and the Go rows, whose one-pair
+// states must all be equal. The ViterbiOnly ablation, which bins
+// nothing, must not depend on the grouping — nor accumulate the marginal
+// alignment.
 func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 	if w := (Config{}).withDefaults().PhmmBatch; w != DefaultPhmmBatch {
 		t.Fatalf("zero PhmmBatch resolves to %d lanes, want DefaultPhmmBatch", w)
@@ -185,10 +186,10 @@ func TestMapReadsBatchedMatchesScalar(t *testing.T) {
 	ref, reads := identityReads(t)
 	var marginal []byte    // ByCall, the ablation's attribution
 	var baseline [2][]byte // by attribution: the first kernel's one-pair state
-	for _, kernel := range []string{"avx2", "generic"} {
+	for _, kernel := range []string{"avx512", "avx2", "generic"} {
 		t.Run(kernel, func(t *testing.T) {
-			if !setAVX2(t, kernel == "avx2") {
-				t.Skip("host has no AVX2")
+			if !setKernel(t, kernel) {
+				t.Skipf("host cannot run the %s rows", kernel)
 			}
 			// Each attribution, and each width within it, maps on its
 			// own engine and mapper, in parallel with the others.

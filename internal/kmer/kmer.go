@@ -124,11 +124,16 @@ func New(seq dna.Seq, k int) (*Index, error) {
 			offsets[m]++
 		}
 	}
-	// Inclusive prefix sums: offsets[b] is the end of bucket b.
-	for b := 1; b < nBuckets; b++ {
-		offsets[b] += offsets[b-1]
+	// Inclusive prefix sums: offsets[b] is the end of bucket b. The
+	// running sum stays in a register rather than being reloaded from
+	// the entry just stored.
+	var end int32
+	ends := offsets[:nBuckets]
+	for b, n := range ends {
+		end += n
+		ends[b] = end
 	}
-	offsets[nBuckets] = offsets[nBuckets-1]
+	offsets[nBuckets] = end
 	positions := make([]int32, offsets[nBuckets])
 
 	// Pass 2: fill each bucket from its end.

@@ -103,10 +103,13 @@ func NewBatchAligner(p Params, mode Mode) (*BatchAligner, error) {
 // sweep runs at.
 const MaxBatch = simdLanes
 
-// BatchKernel names the row implementation AlignBatch runs here: "avx2"
-// (the assembly) or "generic" (its Go reference).
+// BatchKernel names the row implementation AlignBatch runs here:
+// "avx512" or "avx2" (the assembly) or "generic" (its Go reference).
 func BatchKernel() string {
-	if cpu.HasAVX2 {
+	switch {
+	case cpu.HasAVX512:
+		return "avx512"
+	case cpu.HasAVX2:
 		return "avx2"
 	}
 	return "generic"

@@ -4,14 +4,16 @@ package phmm
 
 import "unsafe"
 
-// The AVX2 implementation of the row contract (rows.go): one iteration
-// of each assembly loop advances all 8 lanes by one cell using 4-wide
-// VMULPD/VADDPD pairs. Packed IEEE-754 multiply, add, subtract and divide
-// round identically to their scalar counterparts, and the expression
-// trees match the Go rows operation for operation (see batch_amd64.s),
-// so either implementation is bit-identical to the scalar kernel the
-// tests keep as their oracle (ref_test.go). The bit-exactness property
-// tests run both against it.
+// The assembly implementations of the row contract (rows.go): the AVX2
+// rows (batch_amd64.s), where one iteration of each loop advances all 8
+// lanes by one cell using 4-wide VMULPD/VADDPD pairs, and the AVX-512
+// rows (batch512_amd64.s), where it takes one 8-wide ZMM operation.
+// Packed IEEE-754 multiply, add, subtract and divide round identically
+// to their scalar counterparts, and the expression trees match the Go
+// rows operation for operation, so every implementation is
+// bit-identical to the scalar kernel the tests keep as their oracle
+// (ref_test.go). The bit-exactness property tests run all three against
+// it.
 
 // Compile-time layout assertions: an offset other than the one the .s
 // file uses is an out-of-range constant index and fails the build.
@@ -39,3 +41,12 @@ func logLikAVX2(a *logSum8)
 
 //go:noescape
 func extractRowAVX2(a *zRow8)
+
+//go:noescape
+func forwardRowAVX512(a *fwdRow8)
+
+//go:noescape
+func backwardRowAVX512(a *bwdRow8)
+
+//go:noescape
+func extractRowAVX512(a *zRow8)

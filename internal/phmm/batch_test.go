@@ -136,14 +136,18 @@ func requireBatchExact(t *testing.T, label string, scalar *refAligner, xs []*pwm
 	return dead
 }
 
-// forEachKernel runs test as two subtests: "avx2" with the vector rows
-// (skipped on a host without AVX2) and "generic" with cpu.HasAVX2
-// switched off (the Go rows), so one host covers both kernels.
+// kernels names every implementation of the row contract, widest first.
+var kernels = []string{"avx512", "avx2", "generic"}
+
+// forEachKernel runs test as one subtest per kernel: "avx512" and "avx2"
+// with the assembly rows (each skipped on a host that lacks it) and
+// "generic" with both switched off (the Go rows), so one host covers
+// every kernel it has.
 func forEachKernel(t *testing.T, test func(t *testing.T)) {
-	for _, kernel := range []string{"avx2", "generic"} {
+	for _, kernel := range kernels {
 		t.Run(kernel, func(t *testing.T) {
-			if !setAVX2(t, kernel == "avx2") {
-				t.Skip("host has no AVX2")
+			if !setKernel(t, kernel) {
+				t.Skipf("host cannot run the %s rows", kernel)
 			}
 			if BatchKernel() != kernel {
 				t.Fatalf("BatchKernel() = %q, want %q", BatchKernel(), kernel)
@@ -206,9 +210,10 @@ func dyingBatch(t *testing.T) (p Params, xs []*pwm.Matrix, ys []dna.Seq, diag, b
 // in every lane and half the reads have N rows. Then every padded width
 // from 1 to 7 in both modes, banded and not (the mapper's tail groups);
 // lanes that die mid-batch beside live ones, and alone; and a band that
-// slides off the rectangle part way down. All of it under the AVX2 rows
-// and the Go rows.
+// slides off the rectangle part way down. All of it under each kernel's
+// rows.
 func TestAlignBatchMatchesScalarRandom(t *testing.T) {
+	t.Logf("phmm.BatchKernel() = %q on this host", BatchKernel())
 	forEachKernel(t, func(t *testing.T) {
 		for _, mode := range []Mode{Global, SemiGlobal} {
 			rng := rand.New(rand.NewSource(int64(42 + mode)))
@@ -330,7 +335,7 @@ func TestAlignBatchMatchesScalarRandom(t *testing.T) {
 // the auto band, a narrow band and unbanded, in batches of every width
 // from 1 to 8 (the sweep's; narrower ones are padded), with
 // quality-weighted reads carrying N calls and windows carrying
-// non-concrete codes in every lane — under both kernels.
+// non-concrete codes in every lane — under each kernel.
 func TestAlignBatchEngineShapeExact(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
@@ -365,8 +370,8 @@ func TestAlignBatchEngineShapeExact(t *testing.T) {
 // at the start or in any row, must be flagged (its sum is redone with
 // math.Log) without disturbing the other lanes.
 func TestLogLanesMatchesMathLog(t *testing.T) {
-	if !setAVX2(t, true) {
-		t.Skip("host has no AVX2")
+	if !setKernel(t, "avx2") {
+		t.Skip("host cannot run the avx2 rows")
 	}
 	rng := rand.New(rand.NewSource(25))
 	var xs []float64
@@ -465,72 +470,75 @@ func TestLogLanesMatchesMathLog(t *testing.T) {
 // lanes have zero alignment probability (one-hot reads against
 // mismatching windows under a zero-tolerance match matrix): dead lanes
 // must report ErrNoAlignment exactly when scalar does, and live lanes
-// must stay bit-identical to scalar — lane death may not leak.
+// must stay bit-identical to scalar — lane death may not leak — under
+// every kernel's row tail.
 func TestAlignBatchMixedDeadLanes(t *testing.T) {
-	p := DefaultParams()
-	for y := 0; y < dna.NumBases; y++ {
-		for k := 0; k < dna.NumBases; k++ {
-			if y == k {
-				p.Match[y][k] = 1
-			} else {
-				p.Match[y][k] = 0
+	forEachKernel(t, func(t *testing.T) {
+		p := DefaultParams()
+		for y := 0; y < dna.NumBases; y++ {
+			for k := 0; k < dna.NumBases; k++ {
+				if y == k {
+					p.Match[y][k] = 1
+				} else {
+					p.Match[y][k] = 0
+				}
 			}
 		}
-	}
-	scalar, err := newRefAligner(p, Global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := NewBatchAligner(p, Global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	const n = 20
-	window := randomSeq(rng, n)
-	mismatched := window.Clone()
-	mismatched[0] = dna.Code((int(mismatched[0]) + 1) % 4) // kills the required first match
-	const L = 6
-	xs := make([]*pwm.Matrix, L)
-	ys := make([]dna.Seq, L)
-	for l := 0; l < L; l++ {
-		x, err := pwm.FromSeqUniformError(window, 0)
+		scalar, err := newRefAligner(p, Global)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xs[l] = x
-		if l%2 == 1 {
-			ys[l] = mismatched
-		} else {
-			ys[l] = window
+		batch, err := NewBatchAligner(p, Global)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	results, err := batch.AlignBatch(xs, ys, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadSeen, liveSeen := 0, 0
-	for l := 0; l < L; l++ {
-		resS, errS := scalar.AlignBanded(xs[l], ys[l], 0, 0)
-		if errS != nil {
-			if errS != ErrNoAlignment {
-				t.Fatalf("lane %d: unexpected scalar error %v", l, errS)
+		rng := rand.New(rand.NewSource(7))
+		const n = 20
+		window := randomSeq(rng, n)
+		mismatched := window.Clone()
+		mismatched[0] = dna.Code((int(mismatched[0]) + 1) % 4) // kills the required first match
+		const L = 6
+		xs := make([]*pwm.Matrix, L)
+		ys := make([]dna.Seq, L)
+		for l := 0; l < L; l++ {
+			x, err := pwm.FromSeqUniformError(window, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if results[l].Err != ErrNoAlignment {
-				t.Fatalf("lane %d: batch err %v, want ErrNoAlignment", l, results[l].Err)
+			xs[l] = x
+			if l%2 == 1 {
+				ys[l] = mismatched
+			} else {
+				ys[l] = window
 			}
-			deadSeen++
-			continue
 		}
-		if results[l].Err != nil {
-			t.Fatalf("lane %d: batch err %v, scalar succeeded", l, results[l].Err)
+		results, err := batch.AlignBatch(xs, ys, 0, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireLaneExact(t, "mixed", resS, &results[l])
-		liveSeen++
-	}
-	if deadSeen == 0 || liveSeen == 0 {
-		t.Fatalf("degenerate test setup: %d dead, %d live lanes", deadSeen, liveSeen)
-	}
+		deadSeen, liveSeen := 0, 0
+		for l := 0; l < L; l++ {
+			resS, errS := scalar.AlignBanded(xs[l], ys[l], 0, 0)
+			if errS != nil {
+				if errS != ErrNoAlignment {
+					t.Fatalf("lane %d: unexpected scalar error %v", l, errS)
+				}
+				if results[l].Err != ErrNoAlignment {
+					t.Fatalf("lane %d: batch err %v, want ErrNoAlignment", l, results[l].Err)
+				}
+				deadSeen++
+				continue
+			}
+			if results[l].Err != nil {
+				t.Fatalf("lane %d: batch err %v, scalar succeeded", l, results[l].Err)
+			}
+			requireLaneExact(t, "mixed", resS, &results[l])
+			liveSeen++
+		}
+		if deadSeen == 0 || liveSeen == 0 {
+			t.Fatalf("degenerate test setup: %d dead, %d live lanes", deadSeen, liveSeen)
+		}
+	})
 }
 
 // TestAlignBatchBandOffRectangle: a band that slides off the DP
@@ -658,34 +666,37 @@ func TestAlignBatchReuseAcrossShapes(t *testing.T) {
 }
 
 // TestAlignBatchAllocFree: a warm BatchAligner performs no heap
-// allocations per sweep — the mapper-owned scratch contract.
+// allocations per sweep under any kernel — the mapper-owned scratch
+// contract.
 func TestAlignBatchAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	batch := mustBatchAligner(t, SemiGlobal)
-	const L = 8
-	xs := make([]*pwm.Matrix, L)
-	ys := make([]dna.Seq, L)
-	for l := 0; l < L; l++ {
-		xs[l] = randomPWM(rng, 62)
-		ys[l] = randomSeq(rng, 78)
-	}
-	dst := make([][dna.NumChannels]float64, 78)
-	totals := make([]float64, 78)
-	sweep := func() {
-		results, err := batch.AlignBatch(xs, ys, 8, 18)
-		if err != nil {
-			t.Fatal(err)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		batch := mustBatchAligner(t, SemiGlobal)
+		const L = 8
+		xs := make([]*pwm.Matrix, L)
+		ys := make([]dna.Seq, L)
+		for l := 0; l < L; l++ {
+			xs[l] = randomPWM(rng, 62)
+			ys[l] = randomSeq(rng, 78)
 		}
-		for l := range results {
-			if err := results[l].ContributionsInto(ByCall, dst, totals); err != nil {
+		dst := make([][dna.NumChannels]float64, 78)
+		totals := make([]float64, 78)
+		sweep := func() {
+			results, err := batch.AlignBatch(xs, ys, 8, 18)
+			if err != nil {
 				t.Fatal(err)
 			}
+			for l := range results {
+				if err := results[l].ContributionsInto(ByCall, dst, totals); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	sweep() // warm-up
-	if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
-		t.Fatalf("warm AlignBatch + extraction allocates %.1f objects per sweep, want 0", allocs)
-	}
+		sweep() // warm-up
+		if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
+			t.Fatalf("warm AlignBatch + extraction allocates %.1f objects per sweep, want 0", allocs)
+		}
+	})
 }
 
 // qualityRead is a read with per-base qualities in [2, 41) and N calls
@@ -735,8 +746,8 @@ func requireExtractionExact(t *testing.T, label string, attr Attribution, scalar
 // to the 8-lane stripe the extraction rows sweep), under both
 // attributions asked in alternating order of the same batch, on reads
 // with quality-weighted rows and N calls, with dead lanes mixed in, must
-// reproduce the scalar kernel's ContributionsInto bit for bit — once
-// with the AVX2 rows and once with the Go rows.
+// reproduce the scalar kernel's ContributionsInto bit for bit — under
+// each kernel's rows.
 func TestExtractionMatchesScalar(t *testing.T) {
 	// Zero-tolerance emissions: a one-hot read against a window with a
 	// mismatch has no alignment, which is how lanes die.

@@ -138,17 +138,17 @@ func benchmarkAlignBatch(b *testing.B, xs []*pwm.Matrix, ys []dna.Seq, band int)
 }
 
 // BenchmarkAlignBatch times batches of 1, 4 and 8 pairs at the engine's
-// default band under the AVX2 and the Go rows (every sweep is 8 lanes
-// wide, so the narrower batches pay for their padding), an unbanded
-// 8-pair batch, and a full batch of distinct quality-ramp reads (the rows
-// the engine's reads have) under both rows; the 0-alloc assertion for the
-// warm path lives in TestAlignBatchAllocFree.
+// default band under each kernel's rows (every sweep is 8 lanes wide,
+// so the narrower batches pay for their padding), an unbanded 8-pair
+// batch, and a full batch of distinct quality-ramp reads (the rows the
+// engine's reads have) under each kernel's rows; the 0-alloc assertion
+// for the warm path lives in TestAlignBatchAllocFree.
 func BenchmarkAlignBatch(b *testing.B) {
-	for _, kernel := range []string{"avx2", "generic"} {
+	for _, kernel := range kernels {
 		for _, L := range []int{1, 4, simdLanes} {
 			b.Run(fmt.Sprintf("lanes=%d/band=%d/%s", L, benchBand, kernel), func(b *testing.B) {
-				if !setAVX2(b, kernel == "avx2") {
-					b.Skip("host has no AVX2")
+				if !setKernel(b, kernel) {
+					b.Skipf("host cannot run the %s rows", kernel)
 				}
 				xs, ys := batchBenchInputs(b, L)
 				benchmarkAlignBatch(b, xs, ys, benchBand)
@@ -159,10 +159,10 @@ func BenchmarkAlignBatch(b *testing.B) {
 		xs, ys := batchBenchInputs(b, simdLanes)
 		benchmarkAlignBatch(b, xs, ys, 0)
 	})
-	for _, kernel := range []string{"avx2", "generic"} {
+	for _, kernel := range kernels {
 		b.Run(fmt.Sprintf("lanes=%d/band=%d/ramp/%s", simdLanes, benchBand, kernel), func(b *testing.B) {
-			if !setAVX2(b, kernel == "avx2") {
-				b.Skip("host has no AVX2")
+			if !setKernel(b, kernel) {
+				b.Skipf("host cannot run the %s rows", kernel)
 			}
 			xs, ys := rampBenchInputs(b, simdLanes)
 			benchmarkAlignBatch(b, xs, ys, benchBand)
@@ -196,17 +196,17 @@ func rampBenchInputs(b *testing.B, L int) ([]*pwm.Matrix, []dna.Seq) {
 // BenchmarkContributionsInto measures posterior extraction per
 // alignment at the engine's band, from an 8-lane batch of distinct
 // quality-ramp reads with every lane extracted after the invalidation a
-// fresh AlignBatch does — what the mapper pays — under the vector and the
-// generic rows.
+// fresh AlignBatch does — what the mapper pays — under each kernel's
+// rows.
 // subnormal-cells/alignment counts the band cells whose fM*bM product
 // is subnormal (each costs a microcode assist; see EXPERIMENTS.md).
 func BenchmarkContributionsInto(b *testing.B) {
 	dst := make([][dna.NumChannels]float64, 78)
 	totals := make([]float64, 78)
-	for _, kernel := range []string{"avx2", "generic"} {
+	for _, kernel := range kernels {
 		b.Run("batch-of-8/"+kernel, func(b *testing.B) {
-			if !setAVX2(b, kernel == "avx2") {
-				b.Skip("host has no AVX2")
+			if !setKernel(b, kernel) {
+				b.Skipf("host cannot run the %s rows", kernel)
 			}
 			ba, err := NewBatchAligner(DefaultParams(), SemiGlobal)
 			if err != nil {

@@ -11,18 +11,21 @@ import (
 // The row contract of the batched sweeps. Every AlignBatch sweep is
 // simdLanes lanes wide, and each of its passes — a forward row, a
 // backward row, the log-likelihood sums, a row of posterior extraction —
-// is one call with one of the four structs below. Each call has two
-// implementations: the AVX2 assembly in batch_amd64.s, taken when
-// cpu.HasAVX2, and the Go function beside it here, its step-for-step
-// reference and the only kernel off amd64. Both evaluate the scalar
-// kernel's expression trees (the tests' oracle, ref_test.go) operation
-// for operation, and Go never contracts a*b+c into an FMA, so each lane
-// is bit-identical to a scalar alignment whichever runs. The pointers address
-// lane-striped planes (8 lanes per cell); the byte offsets are the ones
-// the assembly uses, asserted in batch_avx2_amd64.go. The Go rows are
-// go:norace, as invisible to the race detector as the assembly: they
-// touch only the calling aligner's own buffers, and instrumenting every
-// lane-cell makes race-enabled runs of the Go rows about seven times slower.
+// is one call with one of the four structs below. Each call has three
+// implementations: the AVX-512 assembly in batch512_amd64.s, one ZMM
+// register per cell, taken when cpu.HasAVX512; the AVX2 assembly in
+// batch_amd64.s, two YMM halves per cell, taken when cpu.HasAVX2; and
+// the Go function beside it here, their step-for-step reference and the
+// only kernel off amd64 (logLik has no AVX-512 row). All evaluate the
+// scalar kernel's expression trees (the tests' oracle, ref_test.go)
+// operation for operation, and Go never contracts a*b+c into an FMA, so
+// each lane is bit-identical to a scalar alignment whichever runs. The
+// pointers address lane-striped planes (8 lanes per cell); the byte
+// offsets are the ones the assembly uses, asserted in
+// batch_avx2_amd64.go. The Go rows are go:norace, as invisible to the
+// race detector as the assembly: they touch only the calling aligner's
+// own buffers, and instrumenting every lane-cell makes race-enabled runs
+// of the Go rows about seven times slower.
 
 // simdLanes is the width of every AlignBatch sweep.
 const simdLanes = 8
@@ -80,21 +83,29 @@ type zRow8 struct {
 }
 
 func forwardRow(a *fwdRow8) {
-	if cpu.HasAVX2 {
+	switch {
+	case cpu.HasAVX512:
+		forwardRowAVX512(a)
+	case cpu.HasAVX2:
 		forwardRowAVX2(a)
-	} else {
+	default:
 		forwardRowGo(a)
 	}
 }
 
 func backwardRow(a *bwdRow8) {
-	if cpu.HasAVX2 {
+	switch {
+	case cpu.HasAVX512:
+		backwardRowAVX512(a)
+	case cpu.HasAVX2:
 		backwardRowAVX2(a)
-	} else {
+	default:
 		backwardRowGo(a)
 	}
 }
 
+// logLik has no AVX-512 row: it runs once per sweep, and the AVX2 one
+// serves both vector kernels.
 func logLik(a *logSum8) {
 	if cpu.HasAVX2 {
 		logLikAVX2(a)
@@ -104,9 +115,12 @@ func logLik(a *logSum8) {
 }
 
 func extractRow(a *zRow8) {
-	if cpu.HasAVX2 {
+	switch {
+	case cpu.HasAVX512:
+		extractRowAVX512(a)
+	case cpu.HasAVX2:
 		extractRowAVX2(a)
-	} else {
+	default:
 		extractRowGo(a)
 	}
 }

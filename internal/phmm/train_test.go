@@ -236,8 +236,7 @@ func requireSameFit(t *testing.T, label string, got, want *TrainResult) {
 // hold 1, 7, 8, 9 and 17 pairs (a run of one, a partial sweep, one full
 // sweep, a full sweep plus one); some windows and reads carry N; and a
 // Global-mode pair that admits no alignment under the zero-tolerance
-// start sits among live lanes of its shape. Under the AVX2 rows and the
-// Go rows.
+// start sits among live lanes of its shape. Under each kernel's rows.
 func TestFitMatchesScalarEM(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		strict := DefaultParams()
