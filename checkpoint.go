@@ -48,8 +48,8 @@ var (
 )
 
 // CheckpointConfig configures durable checkpointing of a mapping run
-// (Options.Checkpoint: honored by Pipeline.MapReadsFrom, in one process
-// or read-split across ranks).
+// (Options.Checkpoint: honored by Pipeline.MapReadsFrom at every
+// placement).
 type CheckpointConfig struct {
 	// Path is the checkpoint file. Every write atomically replaces it
 	// (temp file + fsync + rename), so a crash at any instant leaves

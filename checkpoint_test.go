@@ -189,61 +189,81 @@ func TestLoadStateTypedErrors(t *testing.T) {
 	}
 }
 
-// TestRunClusterStreamCheckpointResume: the np=4 read-split streaming
-// path writes resumable checkpoints; a stopped run picked up with
-// Resume=true finishes with the same calls as an uninterrupted run.
+// TestRunClusterStreamCheckpointResume: the np=4 streaming path of
+// either split writes resumable checkpoints at its rounds; a stopped
+// run picked up with Resume=true — at its own placement, and a
+// genome-split checkpoint also in one process — finishes with the
+// stats and calls of an uninterrupted run.
 func TestRunClusterStreamCheckpointResume(t *testing.T) {
 	ds := ckptDataset(t)
 	opts := Options{Engine: EngineConfig{Workers: 2}}
-	wantCalls, wantSt, _, err := RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		split SplitMode
+		// resumeAt lists the placements the checkpoint resumes at.
+		resumeAt []ClusterConfig
+	}{
+		{"read-split", ReadSplit, []ClusterConfig{{Nodes: 4, Split: ReadSplit}}},
+		{"genome-split", GenomeSplit, []ClusterConfig{{Nodes: 4, Split: GenomeSplit}, {Nodes: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantCalls, wantSt, _, err := RunClusterStreamReport(4, Channels, tc.split, ds.Reference, SliceReadSource(ds.Reads), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ckPath := filepath.Join(t.TempDir(), "cluster.ckpt")
-	reg := NewMetricsRegistry()
-	opts1 := opts
-	opts1.Metrics = reg
-	opts1.Checkpoint = &CheckpointConfig{
-		Path:          ckPath,
-		EveryReads:    150,
-		Resume:        true, // no file yet: fresh start
-		StopRequested: func() bool { return reg.Counter("ckpt.writes").Value() >= 2 },
-	}
-	_, _, _, err = RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts1)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("interrupted cluster run returned %v, want ErrStopped", err)
-	}
+			ckPath := filepath.Join(t.TempDir(), "cluster.ckpt")
+			reg := NewMetricsRegistry()
+			opts1 := opts
+			opts1.Metrics = reg
+			opts1.Checkpoint = &CheckpointConfig{
+				Path:          ckPath,
+				EveryReads:    150,
+				Resume:        true, // no file yet: fresh start
+				StopRequested: func() bool { return reg.Counter("ckpt.writes").Value() >= 2 },
+			}
+			_, _, _, err = RunClusterStreamReport(4, Channels, tc.split, ds.Reference, SliceReadSource(ds.Reads), opts1)
+			if !errors.Is(err, ErrStopped) {
+				t.Fatalf("interrupted cluster run returned %v, want ErrStopped", err)
+			}
+			stopped, err := os.ReadFile(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	opts2 := opts
-	opts2.Checkpoint = &CheckpointConfig{Path: ckPath, EveryReads: 150, Resume: true}
-	gotCalls, gotSt, _, err := RunClusterStreamReport(4, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts2)
-	if err != nil {
-		t.Fatal(err)
+			for _, at := range tc.resumeAt {
+				// Each resume writes checkpoints of its own: start it from
+				// a copy of the stopped run's.
+				path := filepath.Join(t.TempDir(), "resume.ckpt")
+				if err := os.WriteFile(path, stopped, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				opts2 := opts
+				opts2.Checkpoint = &CheckpointConfig{Path: path, EveryReads: 150, Resume: true}
+				gotCalls, gotSt, _, err := RunClusterStreamReport(at.Nodes, Channels, at.Split, ds.Reference, SliceReadSource(ds.Reads), opts2)
+				if err != nil {
+					t.Fatalf("resume at %d nodes %v: %v", at.Nodes, at.Split, err)
+				}
+				if gotSt.Mapped != wantSt.Mapped || gotSt.Unmapped != wantSt.Unmapped {
+					t.Errorf("resumed at %d nodes %v: stats %+v, want %+v", at.Nodes, at.Split, gotSt, wantSt)
+				}
+				callsEqual(t, wantCalls, gotCalls)
+			}
+		})
 	}
-	if gotSt.Mapped != wantSt.Mapped || gotSt.Unmapped != wantSt.Unmapped {
-		t.Errorf("resumed cluster stats %+v, want %+v", gotSt, wantSt)
-	}
-	callsEqual(t, wantCalls, gotCalls)
 }
 
-// TestRunClusterStreamCheckpointRejects: the placement with no
-// whole-genome state to save (genome-split) refuses checkpointing, typed; the
-// fault-tolerant read-split run, refused before the dealer kept a
-// ledger, now checkpoints and calls what the plain run calls.
-func TestRunClusterStreamCheckpointRejects(t *testing.T) {
+// TestRunClusterStreamCheckpointFaultTolerant: the fault-tolerant
+// read-split run, refused before the dealer kept a ledger, checkpoints
+// and calls what the plain run calls.
+func TestRunClusterStreamCheckpointFaultTolerant(t *testing.T) {
 	ds := ckptDataset(t)
 	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), EveryReads: 100}
-
-	opts := Options{Checkpoint: ck}
-	if _, _, _, err := RunClusterStreamReport(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:50]), opts); !errors.Is(err, ErrModeUnsupported) {
-		t.Errorf("genome-split checkpointing: %v, want ErrModeUnsupported", err)
-	}
 	want, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Cluster = ClusterConfig{OpTimeout: 5 * time.Second}
+	opts := Options{Checkpoint: ck, Cluster: ClusterConfig{OpTimeout: 5 * time.Second}}
 	got, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads), opts)
 	if err != nil {
 		t.Fatalf("fault-tolerant checkpointing: %v", err)

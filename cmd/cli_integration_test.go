@@ -298,11 +298,10 @@ func parseVCFPositions(t *testing.T, path string) map[int]bool {
 }
 
 // TestCLIModeFlagPairs is the mode matrix as a table (ROADMAP aim 3c):
-// every pair of mode flags either writes the plain run's VCF
-// byte-for-byte (-workers 1, so accumulation order is fixed) or exits
-// non-zero with a message naming both flags. -fit is the one mode that
-// changes the answer (it re-estimates the PHMM parameters), so pairs
-// containing it are held to the -fit-only run's VCF instead.
+// every pair of mode flags writes the plain run's VCF byte-for-byte
+// (-workers 1, so accumulation order is fixed). -fit is the one mode
+// that changes the answer (it re-estimates the PHMM parameters), so
+// pairs containing it are held to the -fit-only run's VCF instead.
 func TestCLIModeFlagPairs(t *testing.T) {
 	bins := buildTools(t)
 	data := t.TempDir()
@@ -315,38 +314,29 @@ func TestCLIModeFlagPairs(t *testing.T) {
 		"-workers", "1",
 	}
 
+	// Every pair must compose: both splits are the Pipeline's mapping
+	// step, so sam and pileup work on them as they do in one process,
+	// and checkpoint and incremental calling subscribe to the rounds
+	// both splits run.
 	type mode struct {
 		name string
 		// args builds the mode's flags; tag keeps side-output files of
 		// different runs apart.
 		args func(tag string) []string
-		// named lists the spellings a rejection may use for this mode.
-		named []string
 	}
 	modes := []mode{
 		{"checkpoint", func(tag string) []string {
 			return []string{"-checkpoint", filepath.Join(data, tag+".ckpt"), "-checkpoint-every", "1000"}
-		}, []string{"-checkpoint"}},
-		{"incremental", func(string) []string { return []string{"-incremental-every", "700"} }, []string{"-incremental-every"}},
-		{"sam", func(tag string) []string { return []string{"-sam", filepath.Join(data, tag+".sam")} }, []string{"-sam"}},
-		{"pileup", func(tag string) []string { return []string{"-pileup", filepath.Join(data, tag+".tsv")} }, []string{"-pileup"}},
-		{"fit", func(string) []string { return []string{"-fit"} }, []string{"-fit"}},
-		{"read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read"} }, []string{"-nodes", "-split"}},
-		{"genome-split", func(string) []string { return []string{"-nodes", "2", "-split", "genome"} }, []string{"-nodes", "-split"}},
+		}},
+		{"incremental", func(string) []string { return []string{"-incremental-every", "700"} }},
+		{"sam", func(tag string) []string { return []string{"-sam", filepath.Join(data, tag+".sam")} }},
+		{"pileup", func(tag string) []string { return []string{"-pileup", filepath.Join(data, tag+".tsv")} }},
+		{"fit", func(string) []string { return []string{"-fit"} }},
+		{"read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read"} }},
+		{"genome-split", func(string) []string { return []string{"-nodes", "2", "-split", "genome"} }},
 		// The fault-tolerant row is a cluster mode: -op-timeout without
 		// -nodes > 1 is refused (below), so the row cannot be a no-op.
-		{"ft-read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read", "-op-timeout", "30s"} }, []string{"-nodes", "-split", "-op-timeout"}},
-	}
-	// The two holes that remain in the mode matrix (DESIGN.md §10,
-	// refused by gnumap.CheckModes); every other pair must compose — both
-	// splits are the Pipeline's mapping step, so sam and pileup work on
-	// them as they do in one process, and so do checkpoint and
-	// incremental calling on read-split.
-	mustRefuse := map[string]bool{
-		// genome-split's boundary spills land only when mapping ends, so
-		// no quiesce barrier sees complete state
-		"checkpoint+genome-split":  true,
-		"incremental+genome-split": true,
+		{"ft-read-split", func(string) []string { return []string{"-nodes", "2", "-split", "read", "-op-timeout", "30s"} }},
 	}
 
 	vcfOf := func(t *testing.T, tag string, extra ...string) (vcf []byte, output string, err error) {
@@ -420,23 +410,7 @@ func TestCLIModeFlagPairs(t *testing.T) {
 				t.Parallel()
 				got, out, err := vcfOf(t, pair, append(a.args(pair), b.args(pair)...)...)
 				if err != nil {
-					if !mustRefuse[pair] {
-						t.Errorf("%s: must compose, but failed: %v\n%s", pair, err, out)
-						return
-					}
-					for _, m := range []mode{a, b} {
-						ok := false
-						for _, n := range m.named {
-							ok = ok || strings.Contains(out, n)
-						}
-						if !ok {
-							t.Errorf("%s: rejection does not name %v:\n%s", pair, m.named, out)
-						}
-					}
-					return
-				}
-				if mustRefuse[pair] {
-					t.Errorf("%s: listed as a remaining hole, but ran; move it to the composing side", pair)
+					t.Fatalf("%s: must compose, but failed: %v\n%s", pair, err, out)
 				}
 				want := plain
 				if a.name == "fit" || b.name == "fit" {

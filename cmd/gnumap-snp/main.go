@@ -18,11 +18,12 @@
 // paper's read-split or genome-split strategy. Either is the same
 // pipeline with its mapping step placed on N ranks, so -sam, -pileup
 // and the coverage summary work as in one process. Read-split's rank 0
-// folds the ranks' state into the pipeline's accumulator, so
-// -checkpoint/-resume work too. A genome-split rank's slice is its range
-// of the pipeline's one accumulator, written only by that rank and by
-// the boundary spills addressed to it; the rank aligns the reads'
-// candidates that start in it. Both splits seed against the run's one
+// folds the ranks' state into the pipeline's accumulator. A
+// genome-split rank's slice is its range of the pipeline's one
+// accumulator, written only by that rank and by the boundary spills
+// addressed to it; the rank aligns the reads' candidates that start in
+// it. Under either split -checkpoint/-resume and -incremental-every
+// work too. Both splits seed against the run's one
 // index (-index, -index-write, or one built once), so both map what one
 // process maps. -op-timeout bounds every cluster operation; in
 // read-split mode rank 0 then also keeps a ledger of the batches it
@@ -45,12 +46,9 @@
 // calling and streams it again (so -sam needs a regular file; a FIFO is
 // refused at startup). -checkpoint and -incremental-every subscribe to
 // that pipeline's quiesce barrier and compose with each other, with
-// -fit/-sam and with -split read. The two feature × placement pairs
-// that do not compose are refused at startup by the library
-// (gnumap.CheckModes), naming both flags and the reason: -checkpoint
-// and -incremental-every with -split genome (genome-split's boundary
-// spills land only when mapping ends, so no barrier sees complete
-// state).
+// -fit/-sam and with either -split: a cluster runs them at its rounds,
+// and a genome-split round first lands the spills that cross slice
+// boundaries.
 //
 // Crash safety: -checkpoint FILE makes the run write its full state
 // (config fingerprint, source watermark, mapping counters, accumulator)
@@ -61,19 +59,19 @@
 // kill and the final VCF matches an uninterrupted run. SIGINT/SIGTERM
 // trigger a graceful stop: drain the pipeline, write a final
 // checkpoint, flush -metrics-out, exit with code 3 (a second signal
-// aborts immediately). On a read-split cluster the same checkpoints are
-// taken at the dealer's rounds (with or without -op-timeout/-chaos), and
-// a checkpoint written at one -nodes resumes at any other.
+// aborts immediately). On a cluster the same checkpoints are taken at
+// rank 0's rounds (read-split with or without -op-timeout/-chaos, and
+// genome-split), and a checkpoint written at one placement resumes at
+// any other.
 //
 // Incremental calling: -incremental-every N overlaps SNP calling with
-// mapping — every N reads the pipeline quiesces (on a read-split
-// cluster, rank 0 after folding every rank's state), only the
+// mapping — every N reads the pipeline quiesces (on a cluster, rank 0
+// at a round, with every rank's state in), only the
 // 4096-position genome tiles written since the last barrier are
 // re-swept, on -workers goroutines, and a provisional call set is
 // produced; the final VCF comes from the last incremental sweep and
 // matches the post-map sweep of an ordinary run. The
-// first-provisional-call time is reported on stderr. Refused with
-// -split genome.
+// first-provisional-call time is reported on stderr.
 package main
 
 import (
@@ -248,11 +246,6 @@ func run() error {
 			}
 			opts.Cluster.Fault = &fc
 		}
-	}
-	// What the run asks for against where it runs: the library refuses
-	// the pairs that do not compose, before anything is loaded.
-	if err := gnumap.CheckModes(opts); err != nil {
-		return err
 	}
 	// -sam streams the FASTQ a second time after calling: a pipe or
 	// device can be read only once.

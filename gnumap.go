@@ -124,16 +124,12 @@ type Options struct {
 	// Pipeline.MetricsReport merges them.
 	Metrics *MetricsRegistry
 	// Checkpoint, when non-nil, makes Pipeline.MapReadsFrom write durable
-	// checkpoints (and honor Resume/StopRequested), in one process or
-	// read-split across ranks alike.
+	// checkpoints (and honor Resume/StopRequested) at every placement.
 	Checkpoint *CheckpointConfig
 	// Incremental, when non-nil, overlaps SNP calling with a Pipeline's
 	// mapping: the pipeline's caller also sweeps written genome tiles at
 	// quiesce barriers (the same barriers Checkpoint uses, each on its
 	// own cadence), so Pipeline.Call re-sweeps only what the tail wrote.
-	//
-	// Not every feature composes with every placement; CheckModes says
-	// which do not, and why.
 	Incremental *IncrementalCallConfig
 
 	// callWorkers, when positive, sweeps on this many workers instead of
@@ -240,8 +236,8 @@ type Pipeline struct {
 // Options.Checkpoint.Resume it also adopts the checkpoint file's state
 // when one exists.
 func NewPipeline(reference []*Contig, opts Options) (*Pipeline, error) {
-	if err := CheckModes(opts); err != nil {
-		return nil, err
+	if cc := opts.Cluster; cc.Nodes > 1 && cc.Split != ReadSplit && cc.Split != GenomeSplit {
+		return nil, fmt.Errorf("gnumap: unknown split mode %d", int(cc.Split))
 	}
 	if opts.Metrics != nil {
 		if opts.Engine.Metrics == nil {
@@ -350,13 +346,12 @@ func (p *Pipeline) MapReadsFrom(src ReadSource) (MapStats, error) {
 }
 
 // mapCluster is MapReadsFrom's mapping step on Options.Cluster.Nodes
-// ranks, one rank harness for both splits. Read-split: rank 0 is the
-// pipeline's engine and accumulator and owns src and the barrier policy;
-// every other rank gets an engine (over rank 0's seed index) and an
-// accumulator of its own for the call. Genome-split: every rank gets an
-// engine over rank 0's seed index and writes its slice of the
-// pipeline's accumulator; rank 0 owns src (CheckModes has refused every
-// barrier subscriber).
+// ranks, one rank harness for both splits. Rank 0 owns src and the
+// barrier policy under either. Read-split: rank 0 is the pipeline's
+// engine and accumulator; every other rank gets an engine (over rank
+// 0's seed index) and an accumulator of its own for the call.
+// Genome-split: every rank gets an engine over rank 0's seed index and
+// writes its slice of the pipeline's accumulator.
 func (p *Pipeline) mapCluster(src ReadSource, pol *core.CheckpointPolicy) (MapStats, error) {
 	cc := p.opts.Cluster
 	if reg := p.opts.Engine.Metrics; reg != nil && p.rankRegs == nil {
@@ -381,7 +376,7 @@ func (p *Pipeline) mapCluster(src ReadSource, pol *core.CheckpointPolicy) (MapSt
 			cfg.Metrics = p.rankRegs[c.Rank()]
 		}
 		if cc.Split == GenomeSplit {
-			rst, err := core.RunGenomeSplit(c, p.ref, src, p.acc, cfg)
+			rst, err := core.RunGenomeSplit(c, p.ref, src, p.acc, cfg, pol)
 			if c.Rank() == 0 {
 				st = rst
 			}
@@ -877,44 +872,6 @@ func (m SplitMode) String() string {
 // runConfig is the cluster runtime's view of the configuration.
 func (cc ClusterConfig) runConfig() cluster.RunConfig {
 	return cluster.RunConfig{Kind: cc.Transport, OpTimeout: cc.OpTimeout, Heartbeat: cc.OpTimeout / 10, Fault: cc.Fault}
-}
-
-// ErrModeUnsupported is wrapped by every refusal of a feature on a
-// placement that cannot serve it (CheckModes).
-var ErrModeUnsupported = errors.New("gnumap: unsupported mode combination")
-
-// CheckModes reports whether what a run asks for composes with where it
-// runs (opts.Cluster), naming both sides by their gnumap-snp flags when
-// it does not. The two pairs refused, both wrapping ErrModeUnsupported,
-// are Checkpoint and Incremental × GenomeSplit: both are subscribers on
-// the mapping call's quiesce barriers, and genome-split's boundary
-// spills land only when the mapping call ends, so no barrier inside it
-// sees complete state to save or to sweep. Everything else composes:
-// ReadSplit's rank 0 holds the whole genome's state — write-set
-// included — after every round, and a genome-split run's slices are the
-// pipeline's one accumulator once its mapping call returns.
-func CheckModes(opts Options) error {
-	cc := opts.Cluster
-	if cc.Nodes <= 1 {
-		return nil
-	}
-	switch cc.Split {
-	case ReadSplit:
-		return nil
-	case GenomeSplit:
-	default:
-		return fmt.Errorf("gnumap: unknown split mode %d", int(cc.Split))
-	}
-	var feature string
-	switch {
-	case opts.Incremental != nil:
-		feature = "-incremental-every"
-	case opts.Checkpoint != nil:
-		feature = "-checkpoint"
-	default:
-		return nil
-	}
-	return fmt.Errorf("%w: %s with -nodes %d -split genome: genome-split's boundary spills land only when mapping ends, so no barrier sees complete state", ErrModeUnsupported, feature, cc.Nodes)
 }
 
 // RunClusterStreamReport maps src and calls SNPs on a simulated cluster

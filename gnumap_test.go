@@ -2,9 +2,7 @@ package gnumap
 
 import (
 	"bytes"
-	"errors"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -231,91 +229,6 @@ func TestRunClusterValidation(t *testing.T) {
 	}
 }
 
-// TestCheckModesTyped: the two feature × placement pairs that do not
-// compose are refused by one function with one sentinel, naming both
-// sides by their CLI flags and the reason; every entry point that could
-// run such a pair returns it, and the pairs that compose pass — a
-// genome-split Pipeline among them.
-func TestCheckModesTyped(t *testing.T) {
-	ck := &CheckpointConfig{Path: filepath.Join(t.TempDir(), "x.ckpt")}
-	inc := &IncrementalCallConfig{}
-	on := func(split SplitMode, ft bool) ClusterConfig {
-		cc := ClusterConfig{Nodes: 2, Split: split}
-		if ft {
-			cc.OpTimeout = 30 * time.Second
-		}
-		return cc
-	}
-	refused := []struct {
-		name  string
-		opts  Options
-		names []string
-	}{
-		{"checkpoint+genome-split", Options{Checkpoint: ck, Cluster: on(GenomeSplit, false)}, []string{"-checkpoint", "-split genome", "spills land only when mapping ends"}},
-		{"incremental+genome-split", Options{Incremental: inc, Cluster: on(GenomeSplit, false)}, []string{"-incremental-every", "-split genome", "spills land only when mapping ends"}},
-	}
-	for _, tc := range refused {
-		err := CheckModes(tc.opts)
-		if !errors.Is(err, ErrModeUnsupported) {
-			t.Errorf("%s: %v, want ErrModeUnsupported", tc.name, err)
-			continue
-		}
-		for _, n := range append(tc.names, "-nodes 2") {
-			if !strings.Contains(err.Error(), n) {
-				t.Errorf("%s: refusal does not name %q: %v", tc.name, n, err)
-			}
-		}
-	}
-	composing := []struct {
-		name string
-		opts Options
-	}{
-		{"everything in one process", Options{Checkpoint: ck, Incremental: inc}},
-		{"checkpoint+sam+pileup on read-split", Options{Checkpoint: ck, Cluster: on(ReadSplit, true)}},
-		{"incremental+read-split", Options{Incremental: inc, Cluster: on(ReadSplit, false)}},
-		{"incremental+ft-read-split", Options{Incremental: inc, Checkpoint: ck, Cluster: on(ReadSplit, true)}},
-		{"plain genome-split", Options{Cluster: on(GenomeSplit, false)}},
-		{"a one-node cluster is one process", Options{Checkpoint: ck, Incremental: inc, Cluster: ClusterConfig{Nodes: 1, Split: GenomeSplit}}},
-	}
-	for _, tc := range composing {
-		if err := CheckModes(tc.opts); err != nil {
-			t.Errorf("%s: refused: %v", tc.name, err)
-		}
-	}
-
-	// The entry points return what CheckModes says.
-	ds := dataset(t)
-	if _, err := NewPipeline(ds.Reference, Options{Incremental: inc, Cluster: on(ReadSplit, false)}); err != nil {
-		t.Errorf("NewPipeline, incremental x read-split: %v", err)
-	}
-	// -sam and -pileup are Pipeline methods, not options, so the row
-	// that composes them with genome-split is a genome-split Pipeline
-	// writing both.
-	gs, err := NewPipeline(ds.Reference, Options{Engine: EngineConfig{Workers: 1}, Cluster: on(GenomeSplit, false)})
-	if err != nil {
-		t.Fatalf("NewPipeline on genome-split: %v", err)
-	}
-	if _, err := gs.MapReads(ds.Reads); err != nil {
-		t.Fatal(err)
-	}
-	var sam, pileup bytes.Buffer
-	if err := gs.WriteSAM(&sam, SliceReadSource(ds.Reads[:50])); err != nil || strings.Count(sam.String(), "\n") < 50 {
-		t.Errorf("WriteSAM on genome-split: %v, %d lines", err, strings.Count(sam.String(), "\n"))
-	}
-	if err := gs.WritePileup(&pileup, 2); err != nil || strings.Count(pileup.String(), "\n") < 2 {
-		t.Errorf("WritePileup on genome-split: %v, %d lines", err, strings.Count(pileup.String(), "\n"))
-	}
-	if _, err := NewPipeline(ds.Reference, Options{Checkpoint: ck, Cluster: on(GenomeSplit, false)}); !errors.Is(err, ErrModeUnsupported) {
-		t.Errorf("NewPipeline, checkpoint x genome-split: %v", err)
-	}
-	if _, _, _, err := RunClusterStreamReport(2, Channels, GenomeSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); !errors.Is(err, ErrModeUnsupported) {
-		t.Errorf("RunClusterStreamReport, incremental x genome-split: %v", err)
-	}
-	if _, _, _, err := RunClusterStreamReport(2, Channels, ReadSplit, ds.Reference, SliceReadSource(ds.Reads[:10]), Options{Incremental: inc}); err != nil {
-		t.Errorf("RunClusterStreamReport, incremental x read-split: %v", err)
-	}
-}
-
 func TestSplitModeString(t *testing.T) {
 	if ReadSplit.String() != "read-split" || GenomeSplit.String() != "genome-split" {
 		t.Error("split mode names wrong")
@@ -325,41 +238,54 @@ func TestSplitModeString(t *testing.T) {
 	}
 }
 
+// TestPipelineSAMAndPileup: the side outputs are Pipeline methods, so
+// they work at every placement; a genome-split pipeline writes both
+// from its one accumulator as one process does.
 func TestPipelineSAMAndPileup(t *testing.T) {
 	ds := dataset(t)
-	p, err := NewPipeline(ds.Reference, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.MapReads(ds.Reads[:500]); err != nil {
-		t.Fatal(err)
-	}
-	var sam bytes.Buffer
-	if err := p.WriteSAM(&sam, SliceReadSource(ds.Reads[:50])); err != nil {
-		t.Fatal(err)
-	}
-	out := sam.String()
-	if !strings.Contains(out, "@SQ\tSN:sim\tLN:40000") {
-		t.Errorf("SAM header missing:\n%.200s", out)
-	}
-	dataLines := 0
-	for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
-		if !strings.HasPrefix(l, "@") {
-			dataLines++
-		}
-	}
-	if dataLines != 50 {
-		t.Errorf("%d SAM records for 50 reads", dataLines)
-	}
-	var pu bytes.Buffer
-	if err := p.WritePileup(&pu, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(pu.String(), "#contig\tpos\tref") {
-		t.Errorf("pileup header missing:\n%.100s", pu.String())
-	}
-	if strings.Count(pu.String(), "\n") < 100 {
-		t.Errorf("pileup suspiciously small: %d lines", strings.Count(pu.String(), "\n"))
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"one-process", Options{}},
+		{"genome-split", Options{Engine: EngineConfig{Workers: 1}, Cluster: ClusterConfig{Nodes: 2, Split: GenomeSplit}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPipeline(ds.Reference, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.MapReads(ds.Reads[:500]); err != nil {
+				t.Fatal(err)
+			}
+			var sam bytes.Buffer
+			if err := p.WriteSAM(&sam, SliceReadSource(ds.Reads[:50])); err != nil {
+				t.Fatal(err)
+			}
+			out := sam.String()
+			if !strings.Contains(out, "@SQ\tSN:sim\tLN:40000") {
+				t.Errorf("SAM header missing:\n%.200s", out)
+			}
+			dataLines := 0
+			for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
+				if !strings.HasPrefix(l, "@") {
+					dataLines++
+				}
+			}
+			if dataLines != 50 {
+				t.Errorf("%d SAM records for 50 reads", dataLines)
+			}
+			var pu bytes.Buffer
+			if err := p.WritePileup(&pu, 2); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(pu.String(), "#contig\tpos\tref") {
+				t.Errorf("pileup header missing:\n%.100s", pu.String())
+			}
+			if strings.Count(pu.String(), "\n") < 100 {
+				t.Errorf("pileup suspiciously small: %d lines", strings.Count(pu.String(), "\n"))
+			}
+		})
 	}
 }
 

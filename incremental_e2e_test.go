@@ -161,10 +161,11 @@ func TestIncrementalVectorVCFByteIdentityE2E(t *testing.T) {
 // Incremental calling composes with read-split: rank 0 folds every
 // round's payloads through Merge, which moves the write counters of the
 // tiles they reach, so the incremental caller there re-sweeps exactly
-// what the whole cluster wrote. At 4 nodes — plain, and fault-tolerant
-// under seeded packet drops — the final calls equal the single-process
-// incremental run's, provisional sets surface during mapping, and tiles
-// a round did not reach are reused. The reads stream in genome order,
+// what the whole cluster wrote. At 4 nodes — plain, fault-tolerant
+// under seeded packet drops, and genome-split, whose ranks write their
+// slices of the one accumulator — the final calls equal the
+// single-process incremental run's, provisional sets surface during
+// mapping, and tiles a round did not reach are reused. The reads stream in genome order,
 // as from coordinate-sorted input, so a round writes a few tiles and
 // leaves the rest alone.
 func TestIncrementalReadSplitE2E(t *testing.T) {
@@ -213,6 +214,9 @@ func TestIncrementalReadSplitE2E(t *testing.T) {
 		{"read-split", ClusterConfig{Nodes: 4}},
 		// The failure detector heartbeats every tenth of the deadline: 25 ms.
 		{"ft-read-split-drops", ClusterConfig{Nodes: 4, OpTimeout: 250 * time.Millisecond, Fault: &drops}},
+		// Genome-split lands its boundary spills at the sweep's rounds,
+		// so every sweep sees each slice complete.
+		{"genome-split", ClusterConfig{Nodes: 4, Split: GenomeSplit}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, st, provisional := run(t, tc.cc)

@@ -11,7 +11,6 @@ import (
 )
 
 func init() {
-	gob.Register([]*fastq.Read{})
 	gob.Register(batchLogLiks{})
 	gob.Register([]batchLogLiks{})
 }
@@ -34,8 +33,8 @@ func init() {
 //     read-split's do), so the seed filters — MaxBucket, the vote cut,
 //     MaxCandidates — decide exactly what they decide in one process,
 //     and the ranks together align exactly its locations. Rank 0 owns
-//     the read stream and broadcasts it a batch at a time, so no rank
-//     ever holds more than one batch. A read's posterior weights need
+//     the read stream and sends it to every rank a batch at a time, so
+//     no rank ever holds more than one batch. A read's posterior weights need
 //     the likelihoods of its locations on every slice, so after mapping
 //     a batch the ranks meet in ONE exchange: each contributes the
 //     log-likelihoods of the locations it accepted, per read, and
@@ -45,9 +44,11 @@ func init() {
 //     the shared-memory code run on every rank with the same input, so
 //     every rank also ends up with the global Stats. Alignments spilling
 //     over a slice boundary route their out-of-range contributions to
-//     the owning node point-to-point at the end, which applies them to
-//     its slice. Minimal memory, more communication — which is why the
-//     paper's Figure 4 shows it processing fewer sequences per second.
+//     the owning node point-to-point at rounds: rank 0 sends a round
+//     marker when a subscriber of its CheckpointPolicy is due, and once
+//     at the end, which without subscribers is the only round. Minimal
+//     memory, more communication — which is why the paper's Figure 4
+//     shows it processing fewer sequences per second.
 
 // GenomeSlice returns the [lo, hi) slice of the reference owned by a
 // rank in genome-split mode.
@@ -55,13 +56,8 @@ func GenomeSlice(refLen, size, rank int) (lo, hi int) {
 	return refLen * rank / size, refLen * (rank + 1) / size
 }
 
-// spillBatch flattens boundary-crossing contributions for transport:
-// groups of 6 float64s (position, five channel values), weight already
-// applied.
-type spillBatch []float64
-
-// genomeSplitBatch is the number of reads rank 0 broadcasts, and the
-// ranks normalize, at a time: a batch costs one broadcast and one
+// genomeSplitBatch is the number of reads rank 0 sends, and the ranks
+// normalize, at a time: a batch costs one message per rank and one
 // exchange, and bounds the reads any rank holds.
 const genomeSplitBatch = 256
 
@@ -99,46 +95,21 @@ func exchange(c *cluster.Comm, mine batchLogLiks) ([]batchLogLiks, error) {
 	return all, nil
 }
 
-// nextSplitBatch is the batch broadcast: rank 0 pulls up to
-// genomeSplitBatch reads from src and every rank returns them; an empty
-// batch is the end of the input. A source error fails rank 0, which
-// tears the run down for the others.
-func nextSplitBatch(c *cluster.Comm, src fastq.Source) ([]*fastq.Read, error) {
-	var batch []*fastq.Read
-	if c.Rank() == 0 {
-		if src == nil {
-			return nil, fmt.Errorf("core: rank 0 needs a read source")
-		}
-		var err error
-		if batch, err = fastq.NextBatch(src, genomeSplitBatch); err != nil {
-			return nil, fmt.Errorf("core: read source: %w", err)
-		}
-	}
-	v, err := c.Broadcast(0, batch)
-	if err != nil {
-		return nil, err
-	}
-	batch, ok := v.([]*fastq.Read)
-	if !ok {
-		return nil, fmt.Errorf("core: rank %d received batch payload %T", c.Rank(), v)
-	}
-	return batch, nil
-}
-
 // RunGenomeSplit executes genome-split mapping on one cluster node (the
 // protocol is described above) into acc, the run's one whole-genome
-// accumulator, which every rank is handed. src must be non-nil on rank
-// 0 and is ignored elsewhere. The rank seeds every read against the
-// whole-genome index cfg.SeedIndex (built per rank when nil; a run
-// passes all ranks one) and aligns only the candidates whose seed start
-// falls in its slice [lo, hi) = GenomeSlice(acc.Len(), size, rank), so
-// the ranks together align exactly the locations one process aligns.
-// It writes only the positions of its slice: its own locations clipped
-// to [lo, hi) as it maps, then the spills the other ranks address to
-// it. No position is written by two ranks, and each gets the adds it
-// would get in a slice accumulator of its own, in the same order.
-// Returns the global Stats.
-func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, acc genome.Accumulator, cfg Config) (Stats, error) {
+// accumulator, which every rank is handed. src and policy belong to
+// rank 0 — it must have a source — and are ignored elsewhere. The rank
+// seeds every read against the whole-genome index cfg.SeedIndex (built
+// per rank when nil; a run passes all ranks one) and aligns only the
+// candidates whose seed start falls in its slice [lo, hi) =
+// GenomeSlice(acc.Len(), size, rank), so the ranks together align
+// exactly the locations one process aligns. It writes only the
+// positions of its slice: its own locations clipped to [lo, hi) as it
+// maps, then, at each round, the spills the other ranks address to it.
+// No position is written by two ranks, and each gets the adds it would
+// get in a slice accumulator of its own, in the same order. Returns the
+// global Stats, and at rank 0 ErrStopped after a requested stop.
+func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, acc genome.Accumulator, cfg Config, policy *CheckpointPolicy) (Stats, error) {
 	var st Stats
 	size, rank := c.Size(), c.Rank()
 	L := ref.Len()
@@ -163,20 +134,44 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, ac
 	if err != nil {
 		return st, err
 	}
+	next, lead := recvShard, (*splitLeader)(nil)
+	if rank == 0 {
+		if src == nil {
+			return st, fmt.Errorf("core: rank 0 needs a read source")
+		}
+		lead = &splitLeader{src: src, cad: newCadence(policy, cfg.Metrics)}
+		next = lead.next
+	}
 	peakResident := 0
-	spills := make(map[int]spillBatch) // destination rank -> flattened
+	// Destination rank -> its spills, flattened for transport: groups of
+	// (position, five channel values), weight already applied.
+	spills := make(map[int][]float64)
 	var lls []float64
 	ownLocations, ownZeroed := int64(0), int64(0)
 	cursor := make([]int, size)
 
 	for {
-		batch, err := nextSplitBatch(c, src)
+		sh, err := next(c)
 		if err != nil {
 			return st, err
 		}
-		if len(batch) == 0 {
-			break
+		if sh.Round > 0 {
+			// After the round every slice is complete: rank 0 runs the due
+			// subscribers while the other ranks wait for its next message.
+			if err := landSpills(c, acc, lo, hi, spills); err != nil {
+				return st, err
+			}
+			if lead != nil {
+				if err := lead.cad.run(lead.due, &Barrier{Consumed: lead.consumed, Stats: st, acc: acc}); err != nil {
+					return st, err
+				}
+			}
+			if sh.Done {
+				break
+			}
+			continue
 		}
+		batch := sh.Reads
 		peakResident = max(peakResident, len(batch))
 		// Local alignment of the batch; keep: the locations must outlive
 		// the exchange.
@@ -257,16 +252,67 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, ac
 		// The reads this rank held at once: one batch, whatever the input.
 		cfg.Metrics.Gauge("stream.peak.resident.reads").Set(float64(peakResident))
 	}
-	// Boundary exchange: everyone sends every other rank its spill
-	// (possibly empty), then receives and applies what is addressed to
-	// its slice.
+	if lead != nil && lead.stopped {
+		return st, ErrStopped
+	}
+	return st, nil
+}
+
+// splitLeader is rank 0's view of the stream: the reads pulled from
+// src, the rounds sent, and the subscribers due at the latest one.
+type splitLeader struct {
+	src      fastq.Source
+	cad      *cadence
+	seq      int
+	consumed int64
+	due      []int
+	stopped  bool
+}
+
+// next makes rank 0's next message and sends it to every rank: the
+// last round (Done) on a requested stop, with every subscriber due, or
+// at the end of the input, with none; a round in place of the next
+// batch when a subscriber is due; else the next batch.
+func (l *splitLeader) next(c *cluster.Comm) (streamShard, error) {
+	var sh streamShard
+	l.due = l.cad.dueNow(false)
+	if l.stopped = l.cad.stopRequested(); l.stopped {
+		sh.Done, l.due = true, l.cad.dueNow(true)
+	} else if len(l.due) == 0 {
+		batch, err := fastq.NextBatch(l.src, genomeSplitBatch)
+		if err != nil {
+			return sh, fmt.Errorf("core: read source: %w", err)
+		}
+		l.consumed += int64(len(batch))
+		l.cad.advance(int64(len(batch)))
+		sh.Reads, sh.Done = batch, len(batch) == 0
+	}
+	if len(sh.Reads) == 0 {
+		l.seq++
+		sh.Round = l.seq
+	}
+	for r := 1; r < c.Size(); r++ {
+		if err := c.Send(r, streamShardTag, sh); err != nil {
+			return sh, err
+		}
+	}
+	return sh, nil
+}
+
+// landSpills is a rank's share of a round: it sends every rank the
+// spill held for it (possibly empty), applies those addressed to its
+// slice [lo, hi), then meets the ranks in one Gather, after which rank
+// 0 knows every slice is complete.
+func landSpills(c *cluster.Comm, acc genome.Accumulator, lo, hi int, spills map[int][]float64) error {
+	rank, size := c.Rank(), c.Size()
 	for r := 0; r < size; r++ {
 		if r == rank {
 			continue
 		}
-		if err := c.Send(r, spillTag, []float64(spills[r])); err != nil {
-			return st, err
+		if err := c.Send(r, spillTag, spills[r]); err != nil {
+			return err
 		}
+		spills[r] = spills[r][:0]
 	}
 	for r := 0; r < size; r++ {
 		if r == rank {
@@ -274,32 +320,28 @@ func RunGenomeSplit(c *cluster.Comm, ref *genome.Reference, src fastq.Source, ac
 		}
 		v, err := c.Recv(r, spillTag)
 		if err != nil {
-			return st, err
+			return err
 		}
 		incoming, ok := v.([]float64)
-		if !ok {
-			return st, fmt.Errorf("core: rank %d sent spill payload %T", r, v)
-		}
-		if len(incoming)%6 != 0 {
-			return st, fmt.Errorf("core: malformed spill of %d floats from rank %d", len(incoming), r)
+		if !ok || len(incoming)%6 != 0 {
+			return fmt.Errorf("core: rank %d sent spill payload %T of %d floats", r, v, len(incoming))
 		}
 		for off := 0; off < len(incoming); off += 6 {
 			pos := int(incoming[off])
 			if pos < lo || pos >= hi {
-				return st, fmt.Errorf("core: rank %d spilled position %d outside rank %d's slice [%d, %d)", r, pos, rank, lo, hi)
+				return fmt.Errorf("core: rank %d spilled position %d outside rank %d's slice [%d, %d)", r, pos, rank, lo, hi)
 			}
-			var vec genome.Vec
-			copy(vec[:], incoming[off+1:off+6])
-			acc.AddRange(pos, []genome.Vec{vec}, 1)
+			acc.AddRange(pos, []genome.Vec{genome.Vec(incoming[off+1 : off+6])}, 1)
 		}
 	}
-	return st, nil
+	_, err := c.Gather(0, nil)
+	return err
 }
 
 // applySliceContribution adds the part of a weighted location inside
 // the rank's slice [lo, hi) to the accumulator and buffers the rest for
 // the owning ranks.
-func applySliceContribution(acc genome.Accumulator, lo, hi, L, size int, l location, w float64, spills map[int]spillBatch) {
+func applySliceContribution(acc genome.Accumulator, lo, hi, L, size int, l location, w float64, spills map[int][]float64) {
 	start := l.windowStart
 	end := start + len(l.contribs)
 	if from, to := max(start, lo), min(end, hi); from < to {

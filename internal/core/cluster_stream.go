@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"gnumap/internal/cluster"
 	"gnumap/internal/fastq"
 	"gnumap/internal/genome"
-	"gnumap/internal/obs"
 )
 
 func init() {
@@ -77,7 +75,8 @@ func init() {
 
 // streamShard is one message of the dealing protocol: a batch of reads,
 // a round marker (Round > 0, the round's sequence number) or the end of
-// the run (Done, with the global Stats).
+// the run (Done, with the global Stats). Genome-split sends it too, its
+// Done marking its last round.
 type streamShard struct {
 	Reads []*fastq.Read
 	Round int
@@ -103,9 +102,8 @@ const (
 )
 
 // ftMaxExtensions bounds how many deadline extensions a patient
-// receive grants a peer whose heartbeats still arrive. A worker grants
-// rank 0 as many as it needs: rank 0 may itself be waiting out a lost
-// rank, and a worker that gave up first would fail the run.
+// receive grants a peer whose heartbeats still arrive; a worker grants
+// rank 0 as many as it needs (recvShard).
 const (
 	ftMaxExtensions = 40
 	workerPatience  = math.MaxInt32
@@ -139,21 +137,12 @@ func deal(c *cluster.Comm, eng *Engine, acc genome.Accumulator, src fastq.Source
 	if src == nil {
 		return Stats{}, fmt.Errorf("core: nil read source")
 	}
-	if policy == nil {
-		policy = &CheckpointPolicy{}
-	}
 	size := 1
 	if c != nil {
 		size = c.Size()
 	}
-	d := &dealer{c: c, src: src, acc: acc, cfg: eng.cfg, policy: policy, cad: newCadence(policy.Subscribers),
+	d := &dealer{c: c, src: src, acc: acc, cfg: eng.cfg, cad: newCadence(policy, eng.cfg.Metrics),
 		pipe: eng.startPipe(acc), peers: make([]peer, size)}
-	if reg := eng.cfg.Metrics; reg != nil {
-		// The window the whole run waits on the subscribers, once per
-		// barrier that runs one: the checkpoint feature's added
-		// critical-path time.
-		d.stall = reg.Timer("stream.ckpt.stall.seconds")
-	}
 	stopped, err := d.run()
 	if err != nil {
 		return Stats{}, err
@@ -180,16 +169,13 @@ type peer struct {
 // dealer is rank 0's half of the protocol; c is nil when it has no
 // peers.
 type dealer struct {
-	c   *cluster.Comm
-	src fastq.Source
-	acc genome.Accumulator
-	cfg Config
-	// policy is the run's barrier policy and cad its trigger state.
-	policy *CheckpointPolicy
-	cad    *cadence
-	stall  *obs.Histogram
-	pipe   *pipe
-	peers  []peer // by rank; peers[0] is unused
+	c     *cluster.Comm
+	src   fastq.Source
+	acc   genome.Accumulator
+	cfg   Config
+	cad   *cadence // the run's barrier policy's trigger state
+	pipe  *pipe
+	peers []peer // by rank; peers[0] is unused
 	// next is the rotation cursor: batch i of a loss-free run goes to
 	// rank i mod size.
 	next int
@@ -220,7 +206,7 @@ func (d *dealer) run() (stopped bool, err error) {
 		}
 	}()
 	for {
-		if d.policy.StopRequested != nil && d.policy.StopRequested() {
+		if d.cad.stopRequested() {
 			stopped = true
 			break
 		}
@@ -405,17 +391,7 @@ func (d *dealer) round(due []int) error {
 			break
 		}
 	}
-	if len(due) == 0 {
-		return nil
-	}
-	start := time.Now()
-	if err := d.cad.run(due, &Barrier{Consumed: d.dealt, Stats: d.total, acc: d.acc}); err != nil {
-		return err
-	}
-	if d.stall != nil {
-		d.stall.ObserveDuration(time.Since(start))
-	}
-	return nil
+	return d.cad.run(due, &Barrier{Consumed: d.dealt, Stats: d.total, acc: d.acc})
 }
 
 // collect is one marker/payload exchange: marker to every live rank,
@@ -531,14 +507,10 @@ func streamReceive(c *cluster.Comm, pipe *pipe, acc genome.Accumulator) (Stats, 
 	defer pipe.finish()
 	taken := 0 // batches fed so far: what every ack reports
 	for {
-		v, err := c.RecvPatient(0, streamShardTag, c.OpTimeout(), workerPatience)
-		if err != nil {
-			return Stats{}, fmt.Errorf("rank %d: await rank 0: %w", c.Rank(), err)
-		}
-		sh, ok := v.(streamShard)
+		sh, err := recvShard(c)
 		switch {
-		case !ok:
-			return Stats{}, fmt.Errorf("core: rank %d: unexpected stream payload %T", c.Rank(), v)
+		case err != nil:
+			return Stats{}, err
 		case sh.Done:
 			// The farewell stops rank 0 re-sending Done. Its error is
 			// moot: rank 0 stops waiting once this rank goes quiet.
@@ -566,4 +538,19 @@ func streamReceive(c *cluster.Comm, pipe *pipe, acc genome.Accumulator) (Stats, 
 			}
 		}
 	}
+}
+
+// recvShard is a worker's wait for rank 0's next message under either
+// split, as long as rank 0's heartbeats arrive: rank 0 may be waiting
+// out a lost rank, stalled on its source or running subscribers.
+func recvShard(c *cluster.Comm) (streamShard, error) {
+	v, err := c.RecvPatient(0, streamShardTag, c.OpTimeout(), workerPatience)
+	if err != nil {
+		return streamShard{}, fmt.Errorf("rank %d: await rank 0: %w", c.Rank(), err)
+	}
+	sh, ok := v.(streamShard)
+	if !ok {
+		return streamShard{}, fmt.Errorf("core: rank %d: unexpected stream payload %T", c.Rank(), v)
+	}
+	return sh, nil
 }

@@ -170,7 +170,7 @@ func collectGenomeSplit(t *testing.T, p *pipeline, nodes int, kind cluster.Trans
 		t.Fatal(err)
 	}
 	err = cluster.Run(nodes, kind, func(c *cluster.Comm) error {
-		st, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, cfg)
+		st, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -230,20 +230,61 @@ func TestGenomeSplitBoundaryStraddlingReads(t *testing.T) {
 	// A small genome with 4 nodes: slice boundaries every ~1250 bases;
 	// plenty of reads straddle them, exercising the spill exchange.
 	p := makePipeline(t, 5000, 1, 20, 61)
-	want := sharedBaseline(t, p, genome.Norm)
-	got := collectGenomeSplit(t, p, 4, cluster.Channels, Config{Workers: 1})
 	// Check positions tightly around every boundary.
-	va, vb := view(t, want), view(t, got)
-	for _, boundary := range []int{1250, 2500, 3750} {
-		for pos := boundary - 70; pos < boundary+70; pos++ {
-			if pos < 0 || pos >= p.ref.Len() {
-				continue
-			}
-			a, b := va.Total(pos), vb.Total(pos)
-			if math.Abs(a-b) > 1e-3*(1+a) {
-				t.Fatalf("boundary %d pos %d: genome-split %v vs shared %v", boundary, pos, b, a)
+	near := func(what string, want, got genome.Accumulator) {
+		t.Helper()
+		va, vb := view(t, want), view(t, got)
+		for _, boundary := range []int{1250, 2500, 3750} {
+			for pos := boundary - 70; pos < boundary+70; pos++ {
+				if pos < 0 || pos >= p.ref.Len() {
+					continue
+				}
+				a, b := va.Total(pos), vb.Total(pos)
+				if math.Abs(a-b) > 1e-3*(1+a) {
+					t.Fatalf("%s: boundary %d pos %d: genome-split %v vs shared %v", what, boundary, pos, b, a)
+				}
 			}
 		}
+	}
+	near("end of run", sharedBaseline(t, p, genome.Norm), collectGenomeSplit(t, p, 4, cluster.Channels, Config{Workers: 1}))
+
+	// A round lands every spill held so far before its subscribers run:
+	// each barrier's state holds, around every boundary, what one
+	// process holds after mapping the same reads.
+	acc, err := genome.New(genome.Norm, p.ref.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type barrier struct {
+		consumed int64
+		state    []byte
+	}
+	var seen []barrier
+	policy := &CheckpointPolicy{Subscribers: []BarrierSubscriber{{EveryReads: 500, Run: func(b *Barrier) error {
+		state, err := b.State()
+		seen = append(seen, barrier{b.Consumed, state})
+		return err
+	}}}}
+	err = cluster.Run(4, cluster.Channels, func(c *cluster.Comm) error {
+		_, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, Config{Workers: 1}, policy)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) < 2 {
+		t.Fatalf("%d barriers ran over %d reads, want at least 2", len(seen), len(p.reads))
+	}
+	for _, b := range seen {
+		got, err := genome.New(genome.Norm, p.ref.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.LoadStateBytes(b.state); err != nil {
+			t.Fatal(err)
+		}
+		prefix := &pipeline{ref: p.ref, reads: p.reads[:b.consumed]}
+		near(fmt.Sprintf("barrier after %d reads", b.consumed), sharedBaseline(t, prefix, genome.Norm), got)
 	}
 }
 
@@ -259,7 +300,7 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = RunGenomeSplit(c, tiny, fastq.SliceSource(p.reads), acc, Config{})
+		_, err = RunGenomeSplit(c, tiny, fastq.SliceSource(p.reads), acc, Config{}, nil)
 		if err == nil {
 			return fmt.Errorf("empty slice accepted")
 		}
@@ -273,7 +314,7 @@ func TestGenomeSplitTooManyNodes(t *testing.T) {
 // TestGenomeSplitMistypedSpillIsAnError: a spill payload that is not a
 // []float64 fails the receiving rank with an error naming the sender,
 // as every other receive in the package does, instead of panicking.
-// Rank 1 is hand-driven: it takes the empty batch that ends the input,
+// Rank 1 is hand-driven: it takes the marker of the end-of-input round,
 // then sends rank 0 a string on the spill tag.
 func TestGenomeSplitMistypedSpillIsAnError(t *testing.T) {
 	p := makePipeline(t, 5000, 1, 2, 71)
@@ -284,10 +325,10 @@ func TestGenomeSplitMistypedSpillIsAnError(t *testing.T) {
 	var rootErr error
 	err = cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
 		if c.Rank() == 0 {
-			_, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), acc, Config{Workers: 1})
+			_, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), acc, Config{Workers: 1}, nil)
 			return nil
 		}
-		if _, err := c.Broadcast(0, nil); err != nil {
+		if _, err := c.Recv(0, streamShardTag); err != nil { // the end-of-input round
 			return err
 		}
 		if err := c.Send(0, spillTag, "not a spill"); err != nil {
@@ -318,10 +359,10 @@ func TestGenomeSplitForeignSpillIsAnError(t *testing.T) {
 	var rootErr error
 	err = cluster.Run(2, cluster.Channels, func(c *cluster.Comm) error {
 		if c.Rank() == 0 {
-			_, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), acc, Config{Workers: 1})
+			_, rootErr = RunGenomeSplit(c, p.ref, fastq.SliceSource(nil), acc, Config{Workers: 1}, nil)
 			return nil
 		}
-		if _, err := c.Broadcast(0, nil); err != nil {
+		if _, err := c.Recv(0, streamShardTag); err != nil { // the end-of-input round
 			return err
 		}
 		if err := c.Send(0, spillTag, []float64{float64(hi), 1, 0, 0, 0, 0}); err != nil {

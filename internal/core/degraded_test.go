@@ -197,7 +197,7 @@ func TestGenomeSplitCrashAbortsWithinDeadline(t *testing.T) {
 	}
 	start := time.Now()
 	err = cluster.RunWithConfig(3, ftRunConfig(&fault), func(c *cluster.Comm) error {
-		_, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, Config{Workers: 1})
+		_, err := RunGenomeSplit(c, p.ref, fastq.SliceSource(p.reads), acc, Config{Workers: 1}, nil)
 		if c.Rank() == 1 {
 			return err // crashed rank's own failure is a simulated death
 		}
@@ -215,6 +215,55 @@ func TestGenomeSplitCrashAbortsWithinDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 60*time.Second {
 		t.Errorf("genome-split abort took %v", elapsed)
+	}
+}
+
+// TestGenomeSplitWorkersWaitWhileHeartbeatsArrive: a genome-split
+// worker waits for rank 0 as long as rank 0's heartbeats arrive, as a
+// read-split worker does, however long rank 0 is stalled on its source
+// or running a barrier subscriber; an op deadline bounds only a silent
+// rank 0. Both stalls outlast the 300 ms deadline, and the run still
+// maps every read.
+func TestGenomeSplitWorkersWaitWhileHeartbeatsArrive(t *testing.T) {
+	p := makePipeline(t, 10000, 2, 6, 83)
+	rc := ftRunConfig(nil)
+	slept := 0
+	for _, tc := range []struct {
+		name   string
+		stall  int64 // the read rank 0's source stalls before (0 = none)
+		policy *CheckpointPolicy
+	}{
+		{"stalling source", 600, nil},
+		{"slow subscriber", 0, &CheckpointPolicy{Subscribers: []BarrierSubscriber{{EveryReads: 500, Run: func(*Barrier) error {
+			time.Sleep(2 * rc.OpTimeout)
+			slept++
+			return nil
+		}}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			acc, err := genome.New(genome.Norm, p.ref.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &countingSource{Source: fastq.SliceSource(p.reads), check: func(pulled int64) {
+				if pulled == tc.stall-1 {
+					time.Sleep(5 * rc.OpTimeout)
+				}
+			}}
+			err = cluster.RunWithConfig(2, rc, func(c *cluster.Comm) error {
+				st, err := RunGenomeSplit(c, p.ref, src, acc, Config{Workers: 1}, tc.policy)
+				if err == nil && st.Mapped+st.Unmapped != int64(len(p.reads)) {
+					err = fmt.Errorf("rank %d: stats cover %d of %d reads", c.Rank(), st.Mapped+st.Unmapped, len(p.reads))
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.policy != nil && slept == 0 {
+				t.Error("the slow subscriber never ran")
+			}
+		})
 	}
 }
 

@@ -15,8 +15,8 @@ func init() {
 
 // The point-to-point tags of core's protocols, in the user tag space
 // (collectives use negative tags): the genome-split boundary spill, the
-// end-of-run metrics snapshot, and read-split's dealing protocol
-// (cluster_stream.go).
+// end-of-run metrics snapshot, and the dealing protocol
+// (cluster_stream.go; genome-split uses its shard tag).
 const (
 	spillTag       = 17
 	metricsTag     = 1003

@@ -12,12 +12,12 @@ import (
 	"gnumap/internal/obs"
 )
 
-// One owner of the read stream. The read-split dealer
-// (cluster_stream.go) is the only code that pulls a fastq.Source into
-// batches, polls StopRequested and runs barrier subscribers, at every
-// node count: MapReadsFrom is the dealer with no peers, and every batch
-// it deals lands in a pipe — one rank's mapping workers draining the
-// batches fed to them. A pipe's footprint is fixed by configuration:
+// One owner of the read stream per run: rank 0 pulls the fastq.Source
+// into batches, polls StopRequested and runs barrier subscribers at
+// rounds — the read-split dealer (cluster_stream.go) at every node
+// count, or genome-split's leader (cluster.go). MapReadsFrom is the
+// dealer with no peers; every batch it deals lands in a pipe, one
+// rank's mapping workers. A pipe's footprint is fixed by configuration:
 //
 //   - feed hands a worker a batch through a work channel bounded at
 //     queueBatches batches, so the feeder blocks — backpressure on the
@@ -112,23 +112,35 @@ type CheckpointPolicy struct {
 }
 
 // cadence is a policy's trigger state: per subscriber, the reads
-// consumed and the wall time since it last ran. The dealer, the one
-// owner of barriers at any node count, asks it which subscribers are
-// due, runs a round, and has it run them.
+// consumed and the wall time since it last ran. Rank 0 of either split
+// asks it which subscribers are due, runs a round, and has it run them.
 type cadence struct {
 	subs  []BarrierSubscriber
+	stop  func() bool // the policy's StopRequested
 	since []int64
 	last  []time.Time
-	due   []int // scratch for dueNow's result
+	due   []int          // scratch for dueNow's result
+	stall *obs.Histogram // the run's wait on each subscriber run; nil without metrics
 }
 
-func newCadence(subs []BarrierSubscriber) *cadence {
-	c := &cadence{subs: subs, since: make([]int64, len(subs)), last: make([]time.Time, len(subs)), due: make([]int, 0, len(subs))}
+// newCadence starts the triggers of policy, which may be nil.
+func newCadence(policy *CheckpointPolicy, reg *obs.Registry) *cadence {
+	if policy == nil {
+		policy = &CheckpointPolicy{}
+	}
+	subs := policy.Subscribers
+	c := &cadence{subs: subs, stop: policy.StopRequested, since: make([]int64, len(subs)), last: make([]time.Time, len(subs)), due: make([]int, 0, len(subs))}
+	if reg != nil {
+		c.stall = reg.Timer("stream.ckpt.stall.seconds")
+	}
 	for i := range c.last {
 		c.last[i] = time.Now()
 	}
 	return c
 }
+
+// stopRequested polls the policy's StopRequested.
+func (c *cadence) stopRequested() bool { return c.stop != nil && c.stop() }
 
 // advance counts n more consumed reads toward every read-count trigger.
 func (c *cadence) advance(n int64) {
@@ -154,11 +166,18 @@ func (c *cadence) dueNow(all bool) []int {
 // run calls the listed subscribers, in order, on the parked state b and
 // restarts their triggers.
 func (c *cadence) run(due []int, b *Barrier) error {
+	if len(due) == 0 {
+		return nil
+	}
+	start := time.Now()
 	for _, i := range due {
 		if err := c.subs[i].Run(b); err != nil {
 			return fmt.Errorf("core: barrier subscriber: %w", err)
 		}
 		c.since[i], c.last[i] = 0, time.Now()
+	}
+	if c.stall != nil {
+		c.stall.ObserveDuration(time.Since(start))
 	}
 	return nil
 }
